@@ -132,12 +132,18 @@ def _monomial_for_name(theory, name: str):
     return None
 
 
+# Each parenthesis level costs the recursive-descent parser four Python
+# frames, and magma trees as deep as the nesting recurse in the theory code.
+MAX_NESTING = 100
+
+
 class _ExprParser:
     """Recursive-descent parser for linear combinations of monomials."""
 
     def __init__(self, tokens: list, theory, field, line: int, end_col: int) -> None:
         self.toks = tokens
         self.pos = 0
+        self.depth = 0
         self.theory = theory
         self.field = field
         self.line = line
@@ -277,7 +283,11 @@ class _ExprParser:
                 self._fail("unknown generator %r" % tok.text, tok)
             return ("elem", Element(((m, self.field.one),)))
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                self._fail("parentheses nested deeper than %d levels" % MAX_NESTING, tok)
+            self.depth += 1
             value = self._expr()
+            self.depth -= 1
             closing = self._take()
             if closing is None or closing.kind != ")":
                 self._fail("unbalanced parenthesis", tok)
@@ -552,13 +562,11 @@ def _terms_descending(order, element: Element) -> list:
     # key breaking ties; series orders instead lead with the most significant
     # (highest-norm) term.
     th = order.theory
-    if getattr(order, "uses_total_key", True):
-        if getattr(order, "kind", None) is OrderKind.SERIES_DEGLEX:
-            key = lambda t: order.sort_key(t[0])
-        else:
-            key = lambda t: (th.degree(t[0]), order.sort_key(t[0]))
-        return sorted(element.terms, key=key, reverse=True)
-    return sorted(element.terms, key=lambda t: (-th.degree(t[0]), th.serialize(t[0])))
+    if order.kind is OrderKind.SERIES_DEGLEX:
+        key = lambda t: order.sort_key(t[0])
+    else:
+        key = lambda t: (th.degree(t[0]), order.sort_key(t[0]))
+    return sorted(element.terms, key=key, reverse=True)
 
 
 def format_element(theory, order, element: Element) -> str:

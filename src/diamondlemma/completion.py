@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from enum import Enum
@@ -224,20 +225,24 @@ class NotConfluentSystemError(DiamondError):
     """Raised when ideal membership is queried on a non-confluent system."""
 
 
-_VERDICT_CACHE: dict = {}
-
-
-def _cached_verdict(system) -> ConfluenceVerdict:
-    verdict = _VERDICT_CACHE.get(system)
-    if verdict is None:
-        verdict = check_confluence(system)
-        _VERDICT_CACHE[system] = verdict
-    return verdict
+@functools.lru_cache(maxsize=64)
+def _cached_verdict(system, max_steps: int) -> ConfluenceVerdict:
+    """Confluence verdict per (system, budget), for repeated membership queries."""
+    return check_confluence(system, max_steps)
 
 
 def ideal_member(system, element: Element, max_steps: int = DEFAULT_STEP_BUDGET) -> bool:
-    """Decide ideal membership by normal form; requires a confluent system."""
-    verdict = _cached_verdict(system)
+    """Decide ideal membership by normal form; requires a confluent system.
+
+    ``max_steps`` bounds each reduction of the confluence check as well as
+    the final normal form; a check cut short raises StepBudgetExceededError.
+    """
+    verdict = _cached_verdict(system, max_steps)
+    if verdict.status is ConfluenceStatus.INCONCLUSIVE:
+        raise StepBudgetExceededError(
+            "confluence check exceeded the step budget of %d after %d ambiguities"
+            % (max_steps, verdict.checked)
+        )
     if verdict.status is not ConfluenceStatus.CONFLUENT:
         raise NotConfluentSystemError(
             "membership test needs a confluent system; verdict was %s" % verdict.status.value

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra_core import DiamondError, Element, MonomialOrder, OrderKind, PrecisionCutoff
-from .rewriting_engine import DEFAULT_STEP_BUDGET, _reduce_loop
+from .rewriting_engine import DEFAULT_STEP_BUDGET, _rewrites
 
 
 @dataclass(frozen=True)
@@ -142,5 +142,6 @@ def truncated_normal_form(
         return False
 
     coeffs = {m: c for m, c in element.terms if keep(m)}
-    coeffs, _ = _reduce_loop(system, coeffs, max_steps, keep=keep)
+    for _ in _rewrites(system, coeffs, max_steps, keep):
+        pass
     return SeriesNormalForm(Element.from_dict(coeffs), n, dropped[0])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .algebra_core import (
@@ -115,44 +116,41 @@ def _first_site(theory, rules, monomial, memo):
     return site
 
 
-def _pick_greatest(order, candidates, key_memo):
-    """Select the P-greatest candidate, serialization breaking ties."""
-    if getattr(order, "uses_total_key", True):
-        best = None
-        best_key = None
-        for m in candidates:
-            k = key_memo.get(m)
-            if k is None:
-                k = order.sort_key(m)
-                key_memo[m] = k
-            if best is None or k > best_key:
-                best, best_key = m, k
-        return best
-    th = order.theory
-    ordered = sorted(candidates, key=th.serialize)
-    best = ordered[0]
-    for m in ordered[1:]:
-        rel = order.compare(m, best)
-        if rel is Rel.GT:
-            best = m
-        elif rel is Rel.INCOMPARABLE and th.serialize(m) > th.serialize(best):
-            best = m
-    return best
+class _Queued(tuple):
+    """A (sort key, monomial) heap entry; heapq's min-heap pops the greatest key.
+
+    sort_key is injective, so entries never tie and monomials, which need not
+    be comparable, are never compared.
+    """
+
+    __slots__ = ()
+    __lt__ = tuple.__gt__
 
 
-def _reduce_loop(system, coeffs: dict, budget: int, keep=None, trail=None):
-    """Rewrite the P-greatest reducible monomial until none remains."""
+def _rewrites(system, coeffs: dict, budget: int, keep=None):
+    """Reduce coeffs in place, yielding (rule index, monomial, context,
+    coefficient) for each step as it is applied.
+
+    Strategy: rewrite the P-greatest reducible support monomial, using the
+    lowest rule index and the first canonical context. A max-heap holds every
+    reducible support monomial, so a step costs its images, not a rescan;
+    entries whose coefficient cancelled are skipped when popped. Images
+    failing ``keep`` are dropped. StepBudgetExceededError is raised before
+    step ``budget + 1``.
+    """
     th, order, rules = system.theory, system.order, system.rules
     site_memo: dict = {}
-    key_memo: dict = {}
+    queued = {m for m in coeffs if _first_site(th, rules, m, site_memo)}
+    heap = [_Queued((order.sort_key(m), m)) for m in queued]
+    heapq.heapify(heap)
     steps = 0
-    while True:
-        candidates = [m for m in coeffs if _first_site(th, rules, m, site_memo)]
-        if not candidates:
-            return coeffs, steps
+    while heap:
+        m = heapq.heappop(heap)[1]
+        queued.discard(m)
+        if m not in coeffs:
+            continue
         if steps >= budget:
             raise StepBudgetExceededError("step budget of %d exceeded" % budget)
-        m = _pick_greatest(order, candidates, key_memo)
         ridx, ctx = site_memo[m]
         c = coeffs.pop(m)
         for mm, cc in rules[ridx].lower.terms:
@@ -166,43 +164,44 @@ def _reduce_loop(system, coeffs: dict, budget: int, keep=None, trail=None):
             s = add if prev is None else prev + add
             if s:
                 coeffs[image] = s
+                if (
+                    prev is None
+                    and image not in queued
+                    and _first_site(th, rules, image, site_memo)
+                ):
+                    heapq.heappush(heap, _Queued((order.sort_key(image), image)))
+                    queued.add(image)
             elif prev is not None:
                 del coeffs[image]
         steps += 1
-        if trail is not None:
-            trail.append(RewriteStep(ridx, m, ctx, c))
+        yield ridx, m, ctx, c
 
 
 def reduce_once(system, element: Element):
-    """Apply one reduction step; irreducible input comes back with step None.
+    """Apply the first step of the normal-form strategy.
 
-    Strategy: rewrite the P-greatest reducible support monomial, using the
-    lowest rule index and the first canonical context.
+    Irreducible input comes back unchanged with step None.
     """
-    th, rules = system.theory, system.rules
-    site_memo: dict = {}
-    candidates = [m for m, _ in element.terms if _first_site(th, rules, m, site_memo)]
-    if not candidates:
+    coeffs = dict(element.terms)
+    step = next(_rewrites(system, coeffs, 1), None)
+    if step is None:
         return element, None
-    m = _pick_greatest(system.order, candidates, {})
-    ridx, ctx = site_memo[m]
-    c = element.coefficient_of(m)
-    image = th.apply_context_to_element(ctx, rules[ridx].lower)
-    result = element - Element(((m, c),)) + image.scaled(c)
-    return result, RewriteStep(ridx, m, ctx, c)
+    return Element.from_dict(coeffs), RewriteStep(*step)
 
 
 def normal_form(system, element: Element, max_steps: int = DEFAULT_STEP_BUDGET) -> Element:
     """Reduce an element to its persistent normal form."""
-    coeffs, _ = _reduce_loop(system, dict(element.terms), max_steps)
+    coeffs = dict(element.terms)
+    for _ in _rewrites(system, coeffs, max_steps):
+        pass
     return Element.from_dict(coeffs)
 
 
 def normal_form_with_trail(system, element: Element, max_steps: int = DEFAULT_STEP_BUDGET):
     """Reduce to normal form and return the full rewrite trail."""
-    trail: list = []
-    coeffs, _ = _reduce_loop(system, dict(element.terms), max_steps, trail=trail)
-    return Element.from_dict(coeffs), tuple(trail)
+    coeffs = dict(element.terms)
+    trail = tuple(RewriteStep(*step) for step in _rewrites(system, coeffs, max_steps))
+    return Element.from_dict(coeffs), trail
 
 
 def is_irreducible_monomial(system, monomial) -> bool:

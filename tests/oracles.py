@@ -10,8 +10,10 @@ from diamondlemma import (
     FreeMonoidTheory,
     MonomialOrder,
     OrderKind,
+    RewriteStep,
     RewritingSystem,
     Rule,
+    StepBudgetExceededError,
 )
 
 
@@ -133,6 +135,109 @@ def random_strategy_normal_form(system, element: Element, rng, site_cache: dict,
             elif prev is not None:
                 del coeffs[image]
     raise RuntimeError("random strategy exceeded its step cap")
+
+
+def _reference_site(theory, rules, monomial, memo):
+    """Lowest rule index reducing the monomial and its first context, or None."""
+    if monomial not in memo:
+        memo[monomial] = None
+        for i, rule in enumerate(rules):
+            ctxs = theory.divisions(monomial, rule.lead)
+            if ctxs:
+                memo[monomial] = (i, ctxs[0])
+                break
+    return memo[monomial]
+
+
+def _pick_greatest(order, candidates, key_memo):
+    """Select the candidate with the greatest sort key."""
+    best = None
+    best_key = None
+    for m in candidates:
+        k = key_memo.get(m)
+        if k is None:
+            k = order.sort_key(m)
+            key_memo[m] = k
+        if best is None or k > best_key:
+            best, best_key = m, k
+    return best
+
+
+def reference_reduce(system, coeffs: dict, budget: int, keep=None) -> tuple:
+    """The reduction strategy by full rescan: rebuild the reducible support
+    every step and rewrite its greatest monomial with the lowest rule index
+    and the first context. Returns (coeffs, trail)."""
+    th, order, rules = system.theory, system.order, system.rules
+    site_memo: dict = {}
+    key_memo: dict = {}
+    trail = []
+    while True:
+        candidates = [m for m in coeffs if _reference_site(th, rules, m, site_memo)]
+        if not candidates:
+            return coeffs, tuple(trail)
+        if len(trail) >= budget:
+            raise StepBudgetExceededError("step budget of %d exceeded" % budget)
+        m = _pick_greatest(order, candidates, key_memo)
+        ridx, ctx = site_memo[m]
+        c = coeffs.pop(m)
+        for mm, cc in rules[ridx].lower.terms:
+            image = th.apply_context(ctx, mm)
+            if image is None:
+                continue
+            if keep is not None and not keep(image):
+                continue
+            add = cc * c
+            prev = coeffs.get(image)
+            s = add if prev is None else prev + add
+            if s:
+                coeffs[image] = s
+            elif prev is not None:
+                del coeffs[image]
+        trail.append(RewriteStep(ridx, m, ctx, c))
+
+
+def reference_reduce_once(system, element: Element):
+    """One step of the strategy by element arithmetic; step None if irreducible."""
+    th, rules = system.theory, system.rules
+    site_memo: dict = {}
+    candidates = [m for m, _ in element.terms if _reference_site(th, rules, m, site_memo)]
+    if not candidates:
+        return element, None
+    m = _pick_greatest(system.order, candidates, {})
+    ridx, ctx = site_memo[m]
+    c = element.coefficient_of(m)
+    image = th.apply_context_to_element(ctx, rules[ridx].lower)
+    result = element - Element(((m, c),)) + image.scaled(c)
+    return result, RewriteStep(ridx, m, ctx, c)
+
+
+def make_random_system(theory, order, rng, lead_degree: int = 3, lower_degree: int = 3):
+    """Random system of 1-3 rules with leads of degree 1..lead_degree.
+
+    Lower parts hold up to two monomials of degree <= lower_degree that lie
+    below the lead and, for paths, share its endpoints.
+    """
+    pool = []
+    for d in range(max(lead_degree, lower_degree) + 1):
+        pool.extend(theory.monomials_of_degree(d))
+    leads = [m for m in pool if 0 < theory.degree(m) <= lead_degree]
+    rules = []
+    for _ in range(rng.randint(1, 3)):
+        lead = leads[rng.randrange(len(leads))]
+        lead_key = order.sort_key(lead)
+        below = [
+            m
+            for m in pool
+            if theory.degree(m) <= lower_degree
+            and order.sort_key(m) < lead_key
+            and theory.uniform_equivalent(m, lead)
+        ]
+        lower = {}
+        for _ in range(rng.randint(0, 2) if below else 0):
+            m = below[rng.randrange(len(below))]
+            lower[m] = lower.get(m, Fraction(0)) + _COEFFS[rng.randrange(len(_COEFFS))]
+        rules.append(Rule(lead, Element.from_dict(lower)))
+    return RewritingSystem(theory, order, tuple(rules))
 
 
 def words_up_to(letters: tuple, max_degree: int) -> list:

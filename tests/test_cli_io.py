@@ -1,6 +1,9 @@
 """System file parsing, canonical printing and the command line."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +20,7 @@ from diamondlemma import (
     PathAlgebraTheory,
     PrimeField,
     RationalField,
+    cli_io,
     format_element,
     format_rule,
     format_scalar,
@@ -36,6 +40,11 @@ PATHSYS = (
     "rule a*b -> e1\nrule b*a -> e2\n"
 )
 MAGMA = "theory magma\nvars x\nrule (x*x) -> x\n"
+MAGMA_XY = "theory magma\nvars x y\nrule (x*x) -> y\n"
+SL2 = (
+    "theory assoc\nvars e f h\norder deglex e<f<h\n"
+    "rule f*e -> e*f - h\nrule h*e -> e*h + 2*e\nrule h*f -> f*h - 2*f\n"
+)
 GF7 = "theory assoc\nvars x y\nfield 7\norder deglex x<y\nrule y*x -> x*y + 3\n"
 
 
@@ -260,6 +269,8 @@ def files(tmp_path):
         ("series.sys", SERIES),
         ("path.sys", PATHSYS),
         ("magma.sys", MAGMA),
+        ("magma_xy.sys", MAGMA_XY),
+        ("sl2.sys", SL2),
     ):
         p = tmp_path / name
         p.write_text(text, encoding="utf-8")
@@ -388,3 +399,37 @@ class TestCommandLine:
     def test_magma_nf(self, files, capsys):
         assert main(["nf", files["magma.sys"], "((x*x)*(x*x))"]) == 0
         assert capsys.readouterr().out == "x\n"
+
+    def test_member_budget_exit_code(self, files, capsys):
+        # The confluence check behind member honors --max-steps too.
+        assert main(["member", files["sl2.sys"], "f*e - e*f + h", "--max-steps", "2"]) == 2
+        assert "budget" in capsys.readouterr().err
+        assert main(["member", files["sl2.sys"], "f*e - e*f + h"]) == 0
+        assert capsys.readouterr().out == "member\n"
+
+    def test_deep_magma_nesting_is_a_parse_error(self, files, capsys):
+        def nested(depth):
+            expr = "x"
+            for _ in range(depth):
+                expr = "(%s*x)" % expr
+            return expr
+
+        assert main(["nf", files["magma_xy.sys"], nested(1200)]) == 3
+        assert "nested deeper than" in capsys.readouterr().err
+        assert main(["nf", files["magma_xy.sys"], nested(cli_io.MAX_NESTING)]) == 0
+        assert capsys.readouterr().out.startswith("(" * (cli_io.MAX_NESTING - 1) + "y*x)")
+
+
+def test_python_dash_m_runs_the_cli():
+    package_root = os.path.dirname(os.path.dirname(cli_io.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "diamondlemma", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: diamond ")

@@ -18,12 +18,15 @@ from diamondlemma import (
     Rel,
     RewritingSystem,
     Rule,
+    StepBudgetExceededError,
     check_confluence,
     complete,
     critical_ambiguities,
     drop_redundant,
     ideal_member,
     normal_form,
+    parse_expression,
+    parse_system,
 )
 
 from oracles import macaulay_member, macaulay_row_space, random_element
@@ -296,6 +299,20 @@ class TestIdealMember:
     def test_rejects_non_confluent_system(self):
         with pytest.raises(NotConfluentSystemError):
             ideal_member(buchberger_input(), Element.zero())
+
+    def test_budget_bounds_the_confluence_check(self):
+        # U(sl2): resolving the ambiguity h*f*e takes more than two steps,
+        # while the member below reduces to zero in one.
+        s = parse_system(
+            "theory assoc\nvars e f h\norder deglex e<f<h\n"
+            "rule f*e -> e*f - h\nrule h*e -> e*h + 2*e\nrule h*f -> f*h - 2*f\n"
+        )
+        member = parse_expression("f*e - e*f + h", s.theory, s.field)
+        with pytest.raises(StepBudgetExceededError):
+            ideal_member(s, member, max_steps=2)
+        assert ideal_member(s, member, max_steps=100)
+        with pytest.raises(StepBudgetExceededError):
+            ideal_member(s, member, max_steps=2)
 
     def test_agrees_with_normal_form_kernel(self):
         completed = complete(buchberger_input()).system

@@ -10,15 +10,19 @@ from diamondlemma import (
     CommutativeTheory,
     Element,
     ForbiddenFactorSet,
+    FreeMagmaTheory,
     FreeMonoidTheory,
+    MixedTheory,
     MonomialOrder,
     MultipleMaximaError,
     OrderKind,
+    PathAlgebraTheory,
     Rel,
     RewritingSystem,
     Rule,
     RuleError,
     StepBudgetExceededError,
+    WeightData,
     ZeroElementError,
     count_irreducible,
     irr_description,
@@ -27,9 +31,17 @@ from diamondlemma import (
     normal_form_with_trail,
     orient,
     reduce_once,
+    truncated_normal_form,
 )
 
-from oracles import all_normal_forms, random_strategy_normal_form
+from oracles import (
+    all_normal_forms,
+    make_random_system,
+    random_element,
+    random_strategy_normal_form,
+    reference_reduce,
+    reference_reduce_once,
+)
 
 TH = FreeMonoidTheory(("x", "y"))
 DEGLEX = MonomialOrder(OrderKind.DEGLEX, TH, ("x", "y"))
@@ -289,3 +301,108 @@ class TestIrreducibleMonomials:
                 1 for w in words_up_to(("x", "y"), 6) if len(w) == d and irreducible_by_substring(w, leads)
             )
             assert count_irreducible(s, 6)[d] == expect
+
+
+THEORIES = {
+    "assoc": FreeMonoidTheory(("x", "y")),
+    "commutative": CommutativeTheory(("x", "y", "z")),
+    "mixed": MixedTheory(("t",), ("x", "y")),
+    "magma": FreeMagmaTheory(("x", "y")),
+    "path": PathAlgebraTheory(
+        ("1", "2"), (("a", "1", "2"), ("b", "2", "1"), ("c", "1", "1"))
+    ),
+}
+
+
+def shipped_orders(th):
+    """One order of every shipped kind the theory admits."""
+    gens = tuple(th.generator_names())
+    positive = tuple((g, Fraction(i + 1)) for i, g in enumerate(gens))
+    negative = tuple((g, Fraction(-1 - i % 2, 2)) for i, g in enumerate(gens))
+    orders = [
+        MonomialOrder(OrderKind.DEGLEX, th, gens),
+        MonomialOrder(OrderKind.DEGLEX, th, tuple(reversed(gens))),
+        MonomialOrder(OrderKind.WEIGHTED_DEGLEX, th, gens, positive),
+        MonomialOrder(OrderKind.SERIES_DEGLEX, th, gens, negative),
+    ]
+    if th.supports_lex():
+        orders.append(MonomialOrder(OrderKind.LEX, th, gens))
+    return orders
+
+
+def budget_boundary_agrees(run_engine, run_reference, steps):
+    """Both sides pass with exactly ``steps`` steps and fail with one fewer."""
+    run_engine(steps)
+    run_reference(steps)
+    if steps:
+        with pytest.raises(StepBudgetExceededError):
+            run_engine(steps - 1)
+        with pytest.raises(StepBudgetExceededError):
+            run_reference(steps - 1)
+
+
+class TestReferenceStrategy:
+    """The heap-ordered loop against the full-rescan strategy in oracles."""
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_sort_key_injective_up_to_degree_4(self, name):
+        th = THEORIES[name]
+        monomials = [m for d in range(5) for m in th.monomials_of_degree(d)]
+        for order in shipped_orders(th):
+            keys = {order.sort_key(m) for m in monomials}
+            assert len(keys) == len(monomials), order.kind
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_normal_form_trail_and_budget(self, name):
+        th = THEORIES[name]
+        rng = random.Random("reference-" + name)
+        orders = [o for o in shipped_orders(th) if o.is_well_founded()]
+        for _ in range(30):
+            s = make_random_system(th, orders[rng.randrange(len(orders))], rng)
+            for _ in range(3):
+                e = random_element(th, s.order, rng, 4, max_terms=4)
+                want, want_trail = reference_reduce(s, dict(e.terms), 10**5)
+                got, trail = normal_form_with_trail(s, e)
+                assert got == Element.from_dict(want)
+                assert trail == want_trail
+                assert normal_form(s, e) == got
+                assert reduce_once(s, e) == reference_reduce_once(s, e)
+                budget_boundary_agrees(
+                    lambda n: normal_form_with_trail(s, e, max_steps=n),
+                    lambda n: reference_reduce(s, dict(e.terms), n),
+                    len(trail),
+                )
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_truncated_normal_form_and_budget(self, name):
+        th = THEORIES[name]
+        rng = random.Random("truncated-" + name)
+        (order,) = [o for o in shipped_orders(th) if o.kind is OrderKind.SERIES_DEGLEX]
+        wd = WeightData(th, order.weights)
+        for _ in range(20):
+            s = make_random_system(th, order, rng, lead_degree=2, lower_degree=4)
+            precision = rng.randint(3, 6)
+            floor = Fraction(1 - precision)
+            for _ in range(2):
+                e = random_element(th, order, rng, 3, max_terms=4)
+                dropped = []
+
+                def keep(m):
+                    kept = wd.exponent(m) >= floor
+                    if not kept:
+                        dropped.append(m)
+                    return kept
+
+                def reference(n):
+                    coeffs = {m: c for m, c in e.terms if keep(m)}
+                    return reference_reduce(s, coeffs, n, keep)
+
+                want, want_trail = reference(10**5)
+                got = truncated_normal_form(s, wd, e, precision)
+                assert got.representative == Element.from_dict(want)
+                assert got.truncated == bool(dropped)
+                budget_boundary_agrees(
+                    lambda n: truncated_normal_form(s, wd, e, precision, max_steps=n),
+                    reference,
+                    len(want_trail),
+                )
