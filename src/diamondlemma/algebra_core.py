@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 
 class DiamondError(Exception):
@@ -141,6 +140,16 @@ class PrimeField:
         return "GF(%d)" % self.p
 
 
+def _accumulate(coeffs: dict, monomial, c) -> None:
+    """Add c to a monomial's coefficient, deleting the entry when it cancels."""
+    prev = coeffs.get(monomial)
+    s = c if prev is None else prev + c
+    if s:
+        coeffs[monomial] = s
+    elif prev is not None:
+        del coeffs[monomial]
+
+
 def _term_key(monomial) -> str:
     # Payloads are nested tuples, strings and ints; repr is an injective
     # deterministic key that never compares across types.
@@ -188,23 +197,13 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         merged = dict(self.terms)
         for m, c in other.terms:
-            prev = merged.get(m)
-            s = c if prev is None else prev + c
-            if s:
-                merged[m] = s
-            elif prev is not None:
-                del merged[m]
+            _accumulate(merged, m, c)
         return Element.from_dict(merged)
 
     def __sub__(self, other: "Element") -> "Element":
         merged = dict(self.terms)
         for m, c in other.terms:
-            prev = merged.get(m)
-            s = -c if prev is None else prev - c
-            if s:
-                merged[m] = s
-            elif prev is not None:
-                del merged[m]
+            _accumulate(merged, m, -c)
         return Element.from_dict(merged)
 
     def __neg__(self) -> "Element":
@@ -218,12 +217,11 @@ class Element:
 
 
 class Rel(Enum):
-    """Outcome of comparing two monomials under a partial order."""
+    """Outcome of comparing two monomials under a total order."""
 
     LT = "LT"
     GT = "GT"
     EQ = "EQ"
-    INCOMPARABLE = "INCOMPARABLE"
 
 
 class OrderKind(Enum):
@@ -305,23 +303,6 @@ class MonomialOrder:
 def compare(order: MonomialOrder, a, b) -> Rel:
     """Compare two monomials under an order."""
     return order.compare(a, b)
-
-
-def leading_monomials(order: MonomialOrder, element: Element) -> frozenset:
-    """Return the set of maximal support monomials under a partial order."""
-    support = element.support()
-    maximal = []
-    for m in support:
-        dominated = False
-        for n in support:
-            if n is m:
-                continue
-            if order.compare(m, n) is Rel.LT:
-                dominated = True
-                break
-        if not dominated:
-            maximal.append(m)
-    return frozenset(maximal)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .algebra_core import DiamondError, Element
 from .monomial_theories import CommutativeTheory, OverlapKind
-from .rewriting_engine import DEFAULT_STEP_BUDGET, RewriteStep, normal_form_with_trail
+from .rewriting_engine import DEFAULT_STEP_BUDGET, normal_form_with_trail
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,13 @@ class Ambiguity:
     inner: int | None = None
 
 
-def _make_ambiguity(i, ctx1, j, ctx2, superposition, kind, inner) -> Ambiguity:
+def _make_ambiguity(i, j, datum) -> Ambiguity:
+    ctx1, ctx2, inner = datum.ctx1, datum.ctx2, datum.inner
     if (j, repr(ctx2)) < (i, repr(ctx1)):
         i, ctx1, j, ctx2 = j, ctx2, i, ctx1
         if inner is not None:
             inner = 3 - inner
-    return Ambiguity(i, ctx1, j, ctx2, superposition, kind, inner)
+    return Ambiguity(i, ctx1, j, ctx2, datum.superposition, datum.kind, inner)
 
 
 def _pair_ambiguities(theory, i, lead_i, j, lead_j) -> list:
@@ -42,11 +43,7 @@ def _pair_ambiguities(theory, i, lead_i, j, lead_j) -> list:
             # Same rule applied identically is a single reduction, not an
             # ambiguity; this removes the identity inclusion of a self-pair.
             continue
-        out.append(
-            _make_ambiguity(
-                i, datum.ctx1, j, datum.ctx2, datum.superposition, datum.kind, datum.inner
-            )
-        )
+        out.append(_make_ambiguity(i, j, datum))
     return out
 
 
@@ -54,19 +51,9 @@ def _montage_ambiguities(theory, i, lead_i, j, lead_j) -> list:
     """Enumerate discarded coprime superpositions (commutative first criterion)."""
     if not isinstance(theory, CommutativeTheory):
         raise DiamondError("montage enumeration is only finite for the commutative theory")
-    gcd = tuple(min(a, b) for a, b in zip(lead_i, lead_j))
-    if any(gcd):
+    if i == j or any(min(a, b) for a, b in zip(lead_i, lead_j)):
         return []
-    if i == j:
-        return []
-    lcm, c1, c2 = theory.lcm_superposition(lead_i, lead_j)
-    if lcm == lead_i:
-        kind, inner = OverlapKind.INCLUSION, 2
-    elif lcm == lead_j:
-        kind, inner = OverlapKind.INCLUSION, 1
-    else:
-        kind, inner = OverlapKind.OVERLAP, None
-    return [_make_ambiguity(i, c1, j, c2, lcm, kind, inner)]
+    return [_make_ambiguity(i, j, theory.lcm_superposition(lead_i, lead_j))]
 
 
 def critical_ambiguities(system, include_montages: bool = False) -> tuple:

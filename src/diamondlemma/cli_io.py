@@ -27,14 +27,7 @@ from .completion import (
     complete,
     ideal_member,
 )
-from .monomial_theories import (
-    CommutativeTheory,
-    FreeMagmaTheory,
-    FreeMonoidTheory,
-    MixedTheory,
-    PathAlgebraTheory,
-    multiply_elements,
-)
+from .monomial_theories import THEORIES, multiply_elements
 from .power_series import (
     SeriesAdmissionError,
     WeightData,
@@ -43,7 +36,6 @@ from .power_series import (
 )
 from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
-    MultipleMaximaError,
     RewritingSystem,
     Rule,
     RuleError,
@@ -107,34 +99,14 @@ def _tokenize(text: str, line: int, col0: int) -> list:
     return out
 
 
-def _monomial_for_name(theory, name: str):
-    """Resolve an identifier to a monomial payload, or None when unknown."""
-    if isinstance(theory, FreeMonoidTheory):
-        if name in theory.letters:
-            return (name,)
-    elif isinstance(theory, CommutativeTheory):
-        if name in theory.letters:
-            return theory.monomial(**{name: 1})
-    elif isinstance(theory, MixedTheory):
-        if name in theory.commutative_letters:
-            return theory.monomial(**{name: 1})
-        if name in theory.word_letters:
-            return theory.monomial(word=(name,))
-    elif isinstance(theory, FreeMagmaTheory):
-        if name in theory.letters:
-            return name
-    elif isinstance(theory, PathAlgebraTheory):
-        for arrow, _, _ in theory.arrows:
-            if arrow == name:
-                return theory.path(name)
-        if name.startswith("e") and name[1:] in theory.vertices:
-            return theory.vertex_path(name[1:])
-    return None
-
-
 # Each parenthesis level costs the recursive-descent parser four Python
 # frames, and magma trees as deep as the nesting recurse in the theory code.
 MAX_NESTING = 100
+# Powers and products expand term by term, so an exponent above MAX_EXPONENT
+# or a product of more than MAX_PRODUCT_TERMS term pairs is refused before it
+# is expanded.
+MAX_EXPONENT = 1000
+MAX_PRODUCT_TERMS = 10_000
 
 
 class _ExprParser:
@@ -161,6 +133,12 @@ class _ExprParser:
     def _fail(self, message: str, tok=None):
         col = tok.col if tok is not None else self.end_col
         raise ParseError(message, self.line, col)
+
+    def _multiply(self, a: Element, b: Element, tok) -> Element:
+        pairs = len(a.terms) * len(b.terms)
+        if pairs > MAX_PRODUCT_TERMS:
+            self._fail("product of %d term pairs exceeds %d" % (pairs, MAX_PRODUCT_TERMS), tok)
+        return multiply_elements(self.theory, a, b)
 
     def parse(self) -> Element:
         if not self.toks:
@@ -209,27 +187,27 @@ class _ExprParser:
         return ("elem", result)
 
     def _term(self):
-        factors = [self._factor()]
+        factors = [(None, self._factor())]
         while True:
             tok = self._peek()
             if tok is None or tok.kind != "*":
                 break
             star = self._take()
-            factors.append(self._factor())
+            factors.append((star, self._factor()))
         scalar = self.field.one
         elems = []
-        for tag, payload in factors:
+        for star, (tag, payload) in factors:
             if tag == "scalar":
                 scalar = scalar * payload
             else:
-                elems.append(payload)
+                elems.append((star, payload))
         if not elems:
             return ("scalar", scalar)
-        if isinstance(self.theory, FreeMagmaTheory) and len(elems) > 2:
+        if not self.theory.associative and len(elems) > 2:
             self._fail("the product is nonassociative; parenthesize it explicitly")
-        product = elems[0]
-        for e in elems[1:]:
-            product = multiply_elements(self.theory, product, e)
+        product = elems[0][1]
+        for star, e in elems[1:]:
+            product = self._multiply(product, e, star)
         return ("elem", product.scaled(scalar))
 
     def _factor(self):
@@ -242,19 +220,21 @@ class _ExprParser:
         if num is None or num.kind != "num":
             self._fail("'^' needs a nonnegative integer exponent", caret)
         k = int(num.text)
+        if k > MAX_EXPONENT:
+            self._fail("exponent %d exceeds %d" % (k, MAX_EXPONENT), num)
         tag, payload = value
         if tag == "scalar":
             result = self.field.one
             for _ in range(k):
                 result = result * payload
             return ("scalar", result)
-        if isinstance(self.theory, FreeMagmaTheory):
+        if not self.theory.associative:
             self._fail("powers are ambiguous in a nonassociative product", caret)
         if k == 0:
             return ("elem", self._to_element(("scalar", self.field.one)))
         result = payload
         for _ in range(k - 1):
-            result = multiply_elements(self.theory, result, payload)
+            result = self._multiply(result, payload, caret)
         return ("elem", result)
 
     def _atom(self):
@@ -278,7 +258,7 @@ class _ExprParser:
             except ScalarError as exc:
                 self._fail(str(exc), tok)
         if tok.kind == "name":
-            m = _monomial_for_name(self.theory, tok.text)
+            m = self.theory.monomial_named(tok.text)
             if m is None:
                 self._fail("unknown generator %r" % tok.text, tok)
             return ("elem", Element(((m, self.field.one),)))
@@ -330,10 +310,9 @@ class _SystemBuilder:
 
     def __init__(self) -> None:
         self.theory_kind = None
-        self.vars: list = []
-        self.cvars: list = []
-        self.vertices: list = []
-        self.arrows: list = []
+        # Theory declarations by statement; each theory takes the ones it
+        # names in header_statements, in field order.
+        self.header = {"vars": [], "cvars": [], "vertices": [], "arrow": []}
         self.field = RationalField()
         self.weights: list = []
         self.weights_line = None
@@ -345,42 +324,17 @@ class _SystemBuilder:
     def _require_theory(self, line: int, col: int):
         if self.theory is not None:
             return self.theory
-        kind = self.theory_kind
-        if kind is None:
+        if self.theory_kind is None:
             raise ParseError("no theory declared", line, col)
+        cls = THEORIES[self.theory_kind]
+        for statement in cls.header_statements:
+            if not self.header[statement]:
+                raise ParseError("theory needs a %r statement" % statement, line, col)
         try:
-            if kind == "assoc":
-                self._need(self.vars, "vars", line, col)
-                self.theory = FreeMonoidTheory(tuple(self.vars))
-            elif kind == "commutative":
-                self._need(self.vars, "vars", line, col)
-                self.theory = CommutativeTheory(tuple(self.vars))
-            elif kind == "mixed":
-                self._need(self.cvars, "cvars", line, col)
-                self._need(self.vars, "vars", line, col)
-                self.theory = MixedTheory(tuple(self.cvars), tuple(self.vars))
-            elif kind == "magma":
-                self._need(self.vars, "vars", line, col)
-                self.theory = FreeMagmaTheory(tuple(self.vars))
-            else:
-                self._need(self.vertices, "vertices", line, col)
-                self._need(self.arrows, "arrow", line, col)
-                for name, src, tgt in self.arrows:
-                    if src not in self.vertices or tgt not in self.vertices:
-                        raise ParseError(
-                            "arrow %s references an unknown vertex" % name, line, col
-                        )
-                self.theory = PathAlgebraTheory(tuple(self.vertices), tuple(self.arrows))
+            self.theory = cls(*(tuple(self.header[s]) for s in cls.header_statements))
         except DiamondError as exc:
-            if isinstance(exc, ParseError):
-                raise
             raise ParseError(str(exc), line, col)
         return self.theory
-
-    @staticmethod
-    def _need(values, statement, line, col):
-        if not values:
-            raise ParseError("theory needs a %r statement" % statement, line, col)
 
     def statement(self, fragment: str, line: int, frag_col: int) -> None:
         stripped = fragment.strip()
@@ -392,13 +346,11 @@ class _SystemBuilder:
         if keyword == "theory":
             if self.theory_kind is not None:
                 raise ParseError("duplicate theory statement", line, col)
-            if len(words) != 2 or words[1] not in ("assoc", "commutative", "mixed", "magma", "path"):
-                raise ParseError(
-                    "expected one of: theory assoc|commutative|mixed|magma|path", line, col
-                )
+            if len(words) != 2 or words[1] not in THEORIES:
+                raise ParseError("expected one of: theory %s" % "|".join(THEORIES), line, col)
             self.theory_kind = words[1]
         elif keyword in ("vars", "cvars", "vertices"):
-            target = {"vars": self.vars, "cvars": self.cvars, "vertices": self.vertices}[keyword]
+            target = self.header[keyword]
             if target:
                 raise ParseError("duplicate %s statement" % keyword, line, col)
             names = words[1:]
@@ -411,9 +363,9 @@ class _SystemBuilder:
             if len(parts) != 3:
                 raise ParseError("expected: arrow <name> <source> <target>", line, col)
             name = parts[0]
-            if any(name == existing for existing, _, _ in self.arrows):
+            if any(name == existing for existing, _, _ in self.header["arrow"]):
                 raise ParseError("duplicate arrow %r" % name, line, col)
-            self.arrows.append((name, parts[1], parts[2]))
+            self.header["arrow"].append((name, parts[1], parts[2]))
         elif keyword == "field":
             if len(words) != 2:
                 raise ParseError("expected: field rational | field <prime>", line, col)
@@ -603,25 +555,7 @@ def format_rule(theory, order, rule: Rule) -> str:
 def format_system(system: RewritingSystem, weight_data: WeightData | None = None) -> str:
     """Render a system as parseable statements, one per line."""
     th = system.theory
-    lines = []
-    if isinstance(th, FreeMonoidTheory):
-        lines.append("theory assoc")
-        lines.append("vars %s" % " ".join(th.letters))
-    elif isinstance(th, CommutativeTheory):
-        lines.append("theory commutative")
-        lines.append("vars %s" % " ".join(th.letters))
-    elif isinstance(th, MixedTheory):
-        lines.append("theory mixed")
-        lines.append("cvars %s" % " ".join(th.commutative_letters))
-        lines.append("vars %s" % " ".join(th.word_letters))
-    elif isinstance(th, FreeMagmaTheory):
-        lines.append("theory magma")
-        lines.append("vars %s" % " ".join(th.letters))
-    else:
-        lines.append("theory path")
-        lines.append("vertices %s" % " ".join(th.vertices))
-        for name, src, tgt in th.arrows:
-            lines.append("arrow %s %s %s" % (name, src, tgt))
+    lines = th.header_lines()
     if isinstance(system.field, PrimeField):
         lines.append("field %d" % system.field.p)
     weights = weight_data.weights if weight_data is not None else system.order.weights
@@ -899,7 +833,7 @@ def main(argv=None) -> int:
     except StepBudgetExceededError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (NotConfluentSystemError, MultipleMaximaError) as exc:
+    except NotConfluentSystemError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except SeriesAdmissionError as exc:

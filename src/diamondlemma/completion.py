@@ -15,7 +15,6 @@ from .ambiguity import (
     resolve,
     s_polynomial,
 )
-from .monomial_theories import PathAlgebraTheory
 from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
     RewritingSystem,
@@ -91,12 +90,10 @@ class _Working:
 
 
 def _uniform_components(theory, element: Element) -> list:
-    """Split an element into rule-sized pieces; only paths need splitting."""
-    if not isinstance(theory, PathAlgebraTheory):
-        return [element]
+    """Split an element into rule-sized pieces, one per uniform class."""
     groups: dict = {}
     for m, c in element.terms:
-        groups.setdefault((m[0], m[1]), []).append((m, c))
+        groups.setdefault(theory.uniform_class(m), []).append((m, c))
     return [Element(tuple(groups[k])) for k in sorted(groups)]
 
 
@@ -120,7 +117,6 @@ def complete(
     Pairs are processed FIFO by superposition degree then insertion order.
     Returns Complete when the queue empties, DegreeCapped when pairs above the
     degree cap were skipped and RuleCapped when the rule cap was reached.
-    Orientation of an incomparable remainder raises MultipleMaximaError.
     """
     th, order = system.theory, system.order
     rules = list(system.rules)

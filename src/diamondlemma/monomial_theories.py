@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .algebra_core import DiamondError, Element, TheoryMismatchError
+from .algebra_core import DiamondError, Element, TheoryMismatchError, _accumulate
 
 
 class OverlapKind(Enum):
@@ -59,21 +60,43 @@ def _word_occurrences(haystack: tuple, needle: tuple) -> list[int]:
     return [i for i in range(h - n + 1) if haystack[i : i + n] == needle]
 
 
+def _word_superpositions(w1: tuple, w2: tuple, same: bool):
+    """Yield the minimal superpositions of two words.
+
+    Items are (word, ctx1, ctx2, kind, inner) in ``OverlapDatum`` field order,
+    with (left, right) word contexts: the suffix/prefix overlaps by length,
+    each length in both orders, then the inclusions of the shorter word.
+    ``same`` marks a monomial paired with itself, which yields its identity
+    inclusion first and each self-overlap once.
+    """
+    l1, l2 = len(w1), len(w2)
+    if same:
+        yield w1, ((), ()), ((), ()), OverlapKind.INCLUSION, 2
+        for t in range(1, l1):
+            if w1[l1 - t :] == w1[:t]:
+                yield w1 + w1[t:], ((), w1[t:]), (w1[: l1 - t], ()), OverlapKind.OVERLAP, None
+        return
+    for t in range(1, min(l1, l2)):
+        if w1[l1 - t :] == w2[:t]:
+            yield w1 + w2[t:], ((), w2[t:]), (w1[: l1 - t], ()), OverlapKind.OVERLAP, None
+        if w2[l2 - t :] == w1[:t]:
+            yield w2 + w1[t:], (w2[: l2 - t], ()), ((), w1[t:]), OverlapKind.OVERLAP, None
+    if l2 < l1:
+        for i in _word_occurrences(w1, w2):
+            yield w1, ((), ()), (w1[:i], w1[i + l2 :]), OverlapKind.INCLUSION, 2
+    elif l1 < l2:
+        for i in _word_occurrences(w2, w1):
+            yield w2, (w2[:i], w2[i + l1 :]), ((), ()), OverlapKind.INCLUSION, 1
+
+
 def multiply_elements(theory, a: Element, b: Element) -> Element:
     """Bilinear product of two elements, dropping vanishing monomial products."""
     out: dict = {}
     for m1, c1 in a.terms:
         for m2, c2 in b.terms:
             m = theory.multiply(m1, m2)
-            if m is None:
-                continue
-            c = c1 * c2
-            prev = out.get(m)
-            s = c if prev is None else prev + c
-            if s:
-                out[m] = s
-            elif prev is not None:
-                del out[m]
+            if m is not None:
+                _accumulate(out, m, c1 * c2)
     return Element.from_dict(out)
 
 
@@ -92,7 +115,27 @@ def _compositions(total: int, parts: int):
 
 
 class Theory:
-    """Shared behaviour; concrete theories implement the payload geometry."""
+    """Shared behaviour; concrete theories implement the payload geometry.
+
+    Each theory also owns its system-file syntax: ``keyword`` names it in the
+    ``theory`` statement, ``header_statements`` lists the statements that
+    declare its fields, in field order, and ``monomial_named(name)`` returns
+    the monomial an expression identifier stands for, or None.
+    """
+
+    keyword = ""
+    header_statements = ("vars",)
+    # Irreducible monomials contain no lead as a contiguous "factor", or are
+    # divisible by no lead ("divisor").
+    irr_semantics = "factor"
+    associative = True
+
+    def header_lines(self) -> list:
+        """System-file statements declaring this theory."""
+        lines = ["theory %s" % self.keyword]
+        for statement, f in zip(self.header_statements, dataclasses.fields(self)):
+            lines.append("%s %s" % (statement, " ".join(getattr(self, f.name))))
+        return lines
 
     def supports_lex(self) -> bool:
         return False
@@ -104,26 +147,21 @@ class Theory:
         """Product of two monomials; None when the product vanishes."""
         raise DiamondError("product is not defined for %s" % self.describe())
 
+    def uniform_class(self, m):
+        """Class that every monomial of one rule must share; None for all."""
+        return None
+
     def uniform_equivalent(self, a, b) -> bool:
         """Decide whether two monomials may appear in the same rule."""
-        return True
-
-    def lcm_superposition(self, a, b):
-        raise DiamondError("lcm superposition is only defined for the commutative theory")
+        return self.uniform_class(a) == self.uniform_class(b)
 
     def apply_context_to_element(self, ctx, element: Element) -> Element:
         """Apply a context to every term, dropping products that vanish."""
         out: dict = {}
         for m, c in element.terms:
             image = self.apply_context(ctx, m)
-            if image is None:
-                continue
-            prev = out.get(image)
-            s = c if prev is None else prev + c
-            if s:
-                out[image] = s
-            elif prev is not None:
-                del out[image]
+            if image is not None:
+                _accumulate(out, image, c)
         return Element.from_dict(out)
 
     def lex_encoding(self, m, order):
@@ -139,12 +177,16 @@ class FreeMonoidTheory(Theory):
     """Words over a finite alphabet under concatenation."""
 
     letters: tuple
+    keyword = "assoc"
 
     def describe(self) -> str:
         return "assoc(%s)" % ",".join(self.letters)
 
     def generator_names(self) -> tuple:
         return self.letters
+
+    def monomial_named(self, name: str):
+        return (name,) if name in self.letters else None
 
     def one(self) -> tuple:
         return ()
@@ -194,40 +236,7 @@ class FreeMonoidTheory(Theory):
         return [(mu[:i], mu[i + len(nu) :]) for i in _word_occurrences(mu, nu)]
 
     def overlaps(self, mu1, mu2) -> list:
-        data = []
-        l1, l2 = len(mu1), len(mu2)
-        if mu1 == mu2:
-            ident = self.identity_context(mu1)
-            data.append(OverlapDatum(mu1, ident, ident, OverlapKind.INCLUSION, inner=2))
-            for t in range(1, l1):
-                if mu1[l1 - t :] == mu1[:t]:
-                    sup = mu1 + mu1[t:]
-                    data.append(
-                        OverlapDatum(sup, ((), mu1[t:]), (mu1[: l1 - t], ()), OverlapKind.OVERLAP)
-                    )
-            return data
-        for t in range(1, min(l1, l2)):
-            if mu1[l1 - t :] == mu2[:t]:
-                sup = mu1 + mu2[t:]
-                data.append(
-                    OverlapDatum(sup, ((), mu2[t:]), (mu1[: l1 - t], ()), OverlapKind.OVERLAP)
-                )
-            if mu2[l2 - t :] == mu1[:t]:
-                sup = mu2 + mu1[t:]
-                data.append(
-                    OverlapDatum(sup, (mu2[: l2 - t], ()), ((), mu1[t:]), OverlapKind.OVERLAP)
-                )
-        if l2 < l1:
-            for ctx in self.divisions(mu1, mu2):
-                data.append(
-                    OverlapDatum(mu1, self.identity_context(mu1), ctx, OverlapKind.INCLUSION, inner=2)
-                )
-        elif l1 < l2:
-            for ctx in self.divisions(mu2, mu1):
-                data.append(
-                    OverlapDatum(mu2, ctx, self.identity_context(mu2), OverlapKind.INCLUSION, inner=1)
-                )
-        return data
+        return [OverlapDatum(*s) for s in _word_superpositions(mu1, mu2, mu1 == mu2)]
 
     def monomials_of_degree(self, d):
         return itertools.product(self.letters, repeat=d) if d >= 0 else iter(())
@@ -238,9 +247,14 @@ class CommutativeTheory(Theory):
     """Power products over a finite variable set."""
 
     letters: tuple
+    keyword = "commutative"
+    irr_semantics = "divisor"
 
     def describe(self) -> str:
         return "commutative(%s)" % ",".join(self.letters)
+
+    def monomial_named(self, name: str):
+        return self.monomial(**{name: 1}) if name in self.letters else None
 
     def supports_lex(self) -> bool:
         return True
@@ -306,22 +320,21 @@ class CommutativeTheory(Theory):
     def divisions(self, mu, nu) -> list:
         return [_exp_sub(mu, nu)] if _exp_le(nu, mu) else []
 
-    def lcm_superposition(self, a, b):
+    def lcm_superposition(self, a, b) -> OverlapDatum:
+        """The lcm of two power products, an inclusion when one divides the other."""
         lcm = _exp_lcm(a, b)
-        return lcm, _exp_sub(lcm, a), _exp_sub(lcm, b)
-
-    def overlaps(self, mu1, mu2) -> list:
-        gcd = _exp_gcd(mu1, mu2)
-        if not any(gcd):
-            return []
-        lcm, c1, c2 = self.lcm_superposition(mu1, mu2)
-        if lcm == mu1:
+        if lcm == a:
             kind, inner = OverlapKind.INCLUSION, 2
-        elif lcm == mu2:
+        elif lcm == b:
             kind, inner = OverlapKind.INCLUSION, 1
         else:
             kind, inner = OverlapKind.OVERLAP, None
-        return [OverlapDatum(lcm, c1, c2, kind, inner=inner)]
+        return OverlapDatum(lcm, _exp_sub(lcm, a), _exp_sub(lcm, b), kind, inner)
+
+    def overlaps(self, mu1, mu2) -> list:
+        if not any(_exp_gcd(mu1, mu2)):
+            return []
+        return [self.lcm_superposition(mu1, mu2)]
 
     def monomials_of_degree(self, d):
         return _compositions(d, len(self.letters)) if d >= 0 else iter(())
@@ -333,6 +346,8 @@ class MixedTheory(Theory):
 
     commutative_letters: tuple
     word_letters: tuple
+    keyword = "mixed"
+    header_statements = ("cvars", "vars")
 
     def describe(self) -> str:
         return "mixed(%s;%s)" % (
@@ -342,6 +357,13 @@ class MixedTheory(Theory):
 
     def generator_names(self) -> tuple:
         return self.commutative_letters + self.word_letters
+
+    def monomial_named(self, name: str):
+        if name in self.commutative_letters:
+            return self.monomial(**{name: 1})
+        if name in self.word_letters:
+            return self.monomial(word=(name,))
+        return None
 
     def one(self) -> tuple:
         return ((0,) * len(self.commutative_letters), ())
@@ -426,55 +448,33 @@ class MixedTheory(Theory):
 
     def overlaps(self, mu1, mu2) -> list:
         (c1, w1), (c2, w2) = mu1, mu2
-        shared = _exp_gcd(c1, c2)
+        shared = any(_exp_gcd(c1, c2))
         lcm = _exp_lcm(c1, c2)
         m1, m2 = _exp_sub(lcm, c1), _exp_sub(lcm, c2)
-        data = []
-
-        def emit(word, ctx1_words, ctx2_words, kind, inner=None):
-            sup = (lcm, word)
-            ctx1 = (m1,) + ctx1_words
-            ctx2 = (m2,) + ctx2_words
-            data.append(OverlapDatum(sup, ctx1, ctx2, kind, inner=inner))
-
-        if mu1 == mu2:
-            emit(w1, ((), ()), ((), ()), OverlapKind.INCLUSION, inner=2)
-            l1 = len(w1)
-            for t in range(1, l1):
-                if w1[l1 - t :] == w1[:t]:
-                    emit(w1 + w1[t:], ((), w1[t:]), (w1[: l1 - t], ()), OverlapKind.OVERLAP)
-            if w1 and any(shared):
-                emit(w1 + w1, ((), w1), (w1, ()), OverlapKind.OVERLAP)
-            return data
-
-        l1, l2 = len(w1), len(w2)
-        for t in range(1, min(l1, l2)):
-            if w1[l1 - t :] == w2[:t]:
-                emit(w1 + w2[t:], ((), w2[t:]), (w1[: l1 - t], ()), OverlapKind.OVERLAP)
-            if w2[l2 - t :] == w1[:t]:
-                emit(w2 + w1[t:], (w2[: l2 - t], ()), ((), w1[t:]), OverlapKind.OVERLAP)
-        if w1 == w2:
+        same = mu1 == mu2
+        words = []
+        if same or (w1 and w2) or shared:
+            # An empty word included in the other is a purely central overlap,
+            # so with coprime central parts it is a discarded montage.
+            words.extend(_word_superpositions(w1, w2, same))
+        if w1 == w2 and not same:
             # Equal word parts with distinct central parts: one superposition.
             if _exp_le(c2, c1):
-                emit(w1, ((), ()), ((), ()), OverlapKind.INCLUSION, inner=2)
+                words.append((w1, ((), ()), ((), ()), OverlapKind.INCLUSION, 2))
             elif _exp_le(c1, c2):
-                emit(w1, ((), ()), ((), ()), OverlapKind.INCLUSION, inner=1)
+                words.append((w1, ((), ()), ((), ()), OverlapKind.INCLUSION, 1))
             else:
-                emit(w1, ((), ()), ((), ()), OverlapKind.OVERLAP)
-        elif l2 < l1 and (w2 or any(shared)):
-            # Word inclusions; for an empty inner word the overlap is purely
-            # central, so coprime central parts make it a discarded montage.
-            for i in _word_occurrences(w1, w2):
-                emit(w1, ((), ()), (w1[:i], w1[i + l2 :]), OverlapKind.INCLUSION, inner=2)
-        elif l1 < l2 and (w1 or any(shared)):
-            for i in _word_occurrences(w2, w1):
-                emit(w2, (w2[:i], w2[i + l1 :]), ((), ()), OverlapKind.INCLUSION, inner=1)
-        if w1 and w2 and any(shared):
+                words.append((w1, ((), ()), ((), ()), OverlapKind.OVERLAP, None))
+        if w1 and w2 and shared:
             # Adjacent word placements still interact through shared central
             # variables; both adjacencies are minimal superpositions.
-            emit(w1 + w2, ((), w2), (w1, ()), OverlapKind.OVERLAP)
-            emit(w2 + w1, (w2, ()), ((), w1), OverlapKind.OVERLAP)
-        return data
+            words.append((w1 + w2, ((), w2), (w1, ()), OverlapKind.OVERLAP, None))
+            if not same:
+                words.append((w2 + w1, (w2, ()), ((), w1), OverlapKind.OVERLAP, None))
+        return [
+            OverlapDatum((lcm, w), (m1,) + x1, (m2,) + x2, kind, inner)
+            for w, x1, x2, kind, inner in words
+        ]
 
     def monomials_of_degree(self, d):
         for k in range(d + 1):
@@ -526,12 +526,18 @@ class FreeMagmaTheory(Theory):
     """Binary trees with labelled leaves under non-associative product."""
 
     letters: tuple
+    keyword = "magma"
+    irr_semantics = "divisor"
+    associative = False
 
     def describe(self) -> str:
         return "magma(%s)" % ",".join(self.letters)
 
     def generator_names(self) -> tuple:
         return self.letters
+
+    def monomial_named(self, name: str):
+        return name if name in self.letters else None
 
     def leaf(self, letter: str):
         if letter not in self.letters:
@@ -616,6 +622,18 @@ class PathAlgebraTheory(Theory):
 
     vertices: tuple
     arrows: tuple
+    keyword = "path"
+    header_statements = ("vertices", "arrow")
+
+    def __post_init__(self) -> None:
+        for name, src, tgt in self.arrows:
+            if src not in self.vertices or tgt not in self.vertices:
+                raise TheoryMismatchError("arrow %s references an unknown vertex" % name)
+
+    def header_lines(self) -> list:
+        return ["theory path", "vertices %s" % " ".join(self.vertices)] + [
+            "arrow %s %s %s" % arrow for arrow in self.arrows
+        ]
 
     def describe(self) -> str:
         return "path(%s;%s)" % (
@@ -625,6 +643,14 @@ class PathAlgebraTheory(Theory):
 
     def generator_names(self) -> tuple:
         return tuple(name for name, _, _ in self.arrows)
+
+    def monomial_named(self, name: str):
+        """Arrows are written by name, the idempotent of vertex v as ``ev``."""
+        if name in self.generator_names():
+            return self.path(name)
+        if name.startswith("e") and name[1:] in self.vertices:
+            return self.vertex_path(name[1:])
+        return None
 
     def arrow_endpoints(self, name: str) -> tuple:
         for n, s, t in self.arrows:
@@ -719,63 +745,34 @@ class PathAlgebraTheory(Theory):
     def divisions(self, mu, nu) -> list:
         src, tgt, names = mu
         nsrc, ntgt, nnames = nu
-        vis = self.visits(mu)
-        out = []
+        at = _word_occurrences(names, nnames)
+        if not nnames:
+            # Arrow names fix the vertices around a factor; a vertex path
+            # divides only where mu passes through its vertex.
+            vis = self.visits(mu)
+            at = [i for i in at if vis[i] == nsrc]
         n = len(nnames)
-        for i in range(len(names) - n + 1):
-            if names[i : i + n] == nnames and vis[i] == nsrc and vis[i + n] == ntgt:
-                left = (src, nsrc, names[:i])
-                right = (ntgt, tgt, names[i + n :])
-                out.append((left, right))
-        return out
+        return [((src, nsrc, names[:i]), (ntgt, tgt, names[i + n :])) for i in at]
 
     def overlaps(self, mu1, mu2) -> list:
         data = []
-        a1, a2 = mu1[2], mu2[2]
-        l1, l2 = len(a1), len(a2)
-        vis1, vis2 = self.visits(mu1), self.visits(mu2)
-
-        def seam(tail_of, head_of, t):
-            # superposition = tail_of followed by head_of with overlap length t
-            arrows = tail_of[2] + head_of[2][t:]
-            return (tail_of[0], head_of[1], arrows)
-
-        if mu1 == mu2:
-            ident = self.identity_context(mu1)
-            data.append(OverlapDatum(mu1, ident, ident, OverlapKind.INCLUSION, inner=2))
-            for t in range(1, l1):
-                if a1[l1 - t :] == a1[:t] and vis1[l1 - t] == vis1[0]:
-                    sup = seam(mu1, mu1, t)
-                    ctx1 = (self.vertex_path(mu1[0]), (vis1[t], sup[1], a1[t:]))
-                    ctx2 = ((mu1[0], vis1[l1 - t], a1[: l1 - t]), self.vertex_path(mu1[1]))
-                    data.append(OverlapDatum(sup, ctx1, ctx2, OverlapKind.OVERLAP))
-            return data
-
-        for t in range(1, min(l1, l2)):
-            if a1[l1 - t :] == a2[:t] and vis1[l1 - t] == vis2[0]:
-                sup = seam(mu1, mu2, t)
-                ctx1 = (self.vertex_path(mu1[0]), (vis2[t], mu2[1], a2[t:]))
-                ctx2 = ((mu1[0], vis1[l1 - t], a1[: l1 - t]), self.vertex_path(mu2[1]))
-                data.append(OverlapDatum(sup, ctx1, ctx2, OverlapKind.OVERLAP))
-            if a2[l2 - t :] == a1[:t] and vis2[l2 - t] == vis1[0]:
-                sup = seam(mu2, mu1, t)
-                ctx1 = ((mu2[0], vis2[l2 - t], a2[: l2 - t]), self.vertex_path(mu1[1]))
-                ctx2 = (self.vertex_path(mu2[0]), (vis1[t], mu1[1], a1[t:]))
-                data.append(OverlapDatum(sup, ctx1, ctx2, OverlapKind.OVERLAP))
-        if l2 < l1:
-            for ctx in self.divisions(mu1, mu2):
-                data.append(
-                    OverlapDatum(mu1, self.identity_context(mu1), ctx, OverlapKind.INCLUSION, inner=2)
-                )
-        elif l1 < l2:
-            for ctx in self.divisions(mu2, mu1):
-                data.append(
-                    OverlapDatum(mu2, ctx, self.identity_context(mu2), OverlapKind.INCLUSION, inner=1)
-                )
+        for word, (l1, r1), (l2, r2), kind, inner in _word_superpositions(
+            mu1[2], mu2[2], mu1 == mu2
+        ):
+            src = mu2[0] if l1 else mu1[0]
+            tgt = mu2[1] if r1 else mu1[1]
+            if not (mu1[2] and mu2[2]):
+                # A vertex path sits only where the superposition visits it.
+                vis = self.visits((src, tgt, word))
+                if vis[len(l1)] != mu1[0] or vis[len(l2)] != mu2[0]:
+                    continue
+            ctx1 = ((src, mu1[0], l1), (mu1[1], tgt, r1))
+            ctx2 = ((src, mu2[0], l2), (mu2[1], tgt, r2))
+            data.append(OverlapDatum((src, tgt, word), ctx1, ctx2, kind, inner))
         return data
 
-    def uniform_equivalent(self, a, b) -> bool:
-        return a[0] == b[0] and a[1] == b[1]
+    def uniform_class(self, m) -> tuple:
+        return (m[0], m[1])
 
     def monomials_of_degree(self, d):
         if d < 0:
@@ -793,3 +790,16 @@ class PathAlgebraTheory(Theory):
                     yield from extend((path[0], t, path[2] + (name,)))
         for v in self.vertices:
             yield from extend((v, v, ()))
+
+
+# Theory classes by the keyword of their ``theory`` statement.
+THEORIES = {
+    cls.keyword: cls
+    for cls in (
+        FreeMonoidTheory,
+        CommutativeTheory,
+        MixedTheory,
+        FreeMagmaTheory,
+        PathAlgebraTheory,
+    )
+}

@@ -5,14 +5,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .algebra_core import (
-    DiamondError,
-    Element,
-    MonomialOrder,
-    RationalField,
-    Rel,
-    leading_monomials,
-)
+from .algebra_core import DiamondError, Element, MonomialOrder, RationalField, Rel
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -23,15 +16,6 @@ class RuleError(DiamondError):
 
 class ZeroElementError(DiamondError):
     """Raised when orienting the zero element."""
-
-
-class MultipleMaximaError(DiamondError):
-    """Raised when an element has several incomparable leading monomials."""
-
-    def __init__(self, element: Element, maxima) -> None:
-        super().__init__("element has %d incomparable leading monomials" % len(maxima))
-        self.element = element
-        self.maxima = frozenset(maxima)
 
 
 class StepBudgetExceededError(DiamondError):
@@ -89,15 +73,8 @@ def orient(order: MonomialOrder, element: Element) -> Rule:
     """Turn an element into a monic rule with its greatest monomial as lead."""
     if element.is_zero():
         raise ZeroElementError("cannot orient the zero element")
-    maxima = leading_monomials(order, element)
-    if len(maxima) != 1:
-        raise MultipleMaximaError(element, maxima)
-    (lead,) = maxima
-    c = element.coefficient_of(lead)
-    lower = {}
-    for m, k in element.terms:
-        if m != lead:
-            lower[m] = -(k / c)
+    lead, c = max(element.terms, key=lambda term: order.sort_key(term[0]))
+    lower = {m: -(k / c) for m, k in element.terms if m != lead}
     return Rule(lead, Element.from_dict(lower))
 
 
@@ -150,7 +127,9 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
         if m not in coeffs:
             continue
         if steps >= budget:
-            raise StepBudgetExceededError("step budget of %d exceeded" % budget)
+            raise StepBudgetExceededError(
+                "step budget of %d exceeded before rewriting %s" % (budget, th.serialize(m))
+            )
         ridx, ctx = site_memo[m]
         c = coeffs.pop(m)
         for mm, cc in rules[ridx].lower.terms:
@@ -226,10 +205,8 @@ class ForbiddenFactorSet:
 def irr_description(system) -> ForbiddenFactorSet:
     """Describe the irreducible monomials by their forbidden lead set."""
     th = system.theory
-    kind = th.__class__.__name__
-    semantics = "divisor" if kind in ("CommutativeTheory", "FreeMagmaTheory") else "factor"
     leads = sorted({rule.lead for rule in system.rules}, key=th.serialize)
-    return ForbiddenFactorSet(semantics, tuple(leads))
+    return ForbiddenFactorSet(th.irr_semantics, tuple(leads))
 
 
 def count_irreducible(system, max_degree: int) -> list:

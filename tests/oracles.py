@@ -10,6 +10,8 @@ from diamondlemma import (
     FreeMonoidTheory,
     MonomialOrder,
     OrderKind,
+    OverlapDatum,
+    OverlapKind,
     RewriteStep,
     RewritingSystem,
     Rule,
@@ -447,3 +449,146 @@ def random_element(theory, order, rng, max_degree: int, max_terms: int = 3) -> E
         m = pool[rng.randrange(len(pool))]
         coeffs[m] = coeffs.get(m, Fraction(0)) + _COEFFS[rng.randrange(len(_COEFFS))]
     return Element.from_dict(coeffs)
+
+
+# Overlap search as first written for each word-based theory, one loop per
+# case; the shared kernel must reproduce these lists, order included.
+
+
+def reference_word_overlaps(mu1: tuple, mu2: tuple) -> list:
+    """Minimal superpositions of two words."""
+    data = []
+    l1, l2 = len(mu1), len(mu2)
+    if mu1 == mu2:
+        ident = ((), ())
+        data.append(OverlapDatum(mu1, ident, ident, OverlapKind.INCLUSION, inner=2))
+        for t in range(1, l1):
+            if mu1[l1 - t :] == mu1[:t]:
+                sup = mu1 + mu1[t:]
+                data.append(
+                    OverlapDatum(sup, ((), mu1[t:]), (mu1[: l1 - t], ()), OverlapKind.OVERLAP)
+                )
+        return data
+    for t in range(1, min(l1, l2)):
+        if mu1[l1 - t :] == mu2[:t]:
+            sup = mu1 + mu2[t:]
+            data.append(OverlapDatum(sup, ((), mu2[t:]), (mu1[: l1 - t], ()), OverlapKind.OVERLAP))
+        if mu2[l2 - t :] == mu1[:t]:
+            sup = mu2 + mu1[t:]
+            data.append(OverlapDatum(sup, (mu2[: l2 - t], ()), ((), mu1[t:]), OverlapKind.OVERLAP))
+    if l2 < l1:
+        for ctx in word_divisions(mu1, mu2):
+            data.append(OverlapDatum(mu1, ((), ()), ctx, OverlapKind.INCLUSION, inner=2))
+    elif l1 < l2:
+        for ctx in word_divisions(mu2, mu1):
+            data.append(OverlapDatum(mu2, ctx, ((), ()), OverlapKind.INCLUSION, inner=1))
+    return data
+
+
+def reference_mixed_overlaps(mu1: tuple, mu2: tuple) -> list:
+    """Minimal superpositions of two (central exponents, word) monomials."""
+    (c1, w1), (c2, w2) = mu1, mu2
+    shared = tuple(min(a, b) for a, b in zip(c1, c2))
+    lcm = tuple(max(a, b) for a, b in zip(c1, c2))
+    m1 = tuple(a - b for a, b in zip(lcm, c1))
+    m2 = tuple(a - b for a, b in zip(lcm, c2))
+    data = []
+
+    def emit(word, ctx1_words, ctx2_words, kind, inner=None):
+        sup = (lcm, word)
+        ctx1 = (m1,) + ctx1_words
+        ctx2 = (m2,) + ctx2_words
+        data.append(OverlapDatum(sup, ctx1, ctx2, kind, inner=inner))
+
+    if mu1 == mu2:
+        emit(w1, ((), ()), ((), ()), OverlapKind.INCLUSION, inner=2)
+        l1 = len(w1)
+        for t in range(1, l1):
+            if w1[l1 - t :] == w1[:t]:
+                emit(w1 + w1[t:], ((), w1[t:]), (w1[: l1 - t], ()), OverlapKind.OVERLAP)
+        if w1 and any(shared):
+            emit(w1 + w1, ((), w1), (w1, ()), OverlapKind.OVERLAP)
+        return data
+
+    l1, l2 = len(w1), len(w2)
+    for t in range(1, min(l1, l2)):
+        if w1[l1 - t :] == w2[:t]:
+            emit(w1 + w2[t:], ((), w2[t:]), (w1[: l1 - t], ()), OverlapKind.OVERLAP)
+        if w2[l2 - t :] == w1[:t]:
+            emit(w2 + w1[t:], (w2[: l2 - t], ()), ((), w1[t:]), OverlapKind.OVERLAP)
+    if w1 == w2:
+        if exp_divides(c2, c1):
+            emit(w1, ((), ()), ((), ()), OverlapKind.INCLUSION, inner=2)
+        elif exp_divides(c1, c2):
+            emit(w1, ((), ()), ((), ()), OverlapKind.INCLUSION, inner=1)
+        else:
+            emit(w1, ((), ()), ((), ()), OverlapKind.OVERLAP)
+    elif l2 < l1 and (w2 or any(shared)):
+        for left, right in word_divisions(w1, w2):
+            emit(w1, ((), ()), (left, right), OverlapKind.INCLUSION, inner=2)
+    elif l1 < l2 and (w1 or any(shared)):
+        for left, right in word_divisions(w2, w1):
+            emit(w2, (left, right), ((), ()), OverlapKind.INCLUSION, inner=1)
+    if w1 and w2 and any(shared):
+        emit(w1 + w2, ((), w2), (w1, ()), OverlapKind.OVERLAP)
+        emit(w2 + w1, (w2, ()), ((), w1), OverlapKind.OVERLAP)
+    return data
+
+
+def reference_path_divisions(theory, mu, nu) -> list:
+    """Contexts placing path nu inside path mu, checking every vertex."""
+    src, tgt, names = mu
+    nsrc, ntgt, nnames = nu
+    vis = theory.visits(mu)
+    out = []
+    n = len(nnames)
+    for i in range(len(names) - n + 1):
+        if names[i : i + n] == nnames and vis[i] == nsrc and vis[i + n] == ntgt:
+            out.append(((src, nsrc, names[:i]), (ntgt, tgt, names[i + n :])))
+    return out
+
+
+def reference_path_overlaps(theory, mu1, mu2) -> list:
+    """Minimal superpositions of two paths of a quiver."""
+    data = []
+    a1, a2 = mu1[2], mu2[2]
+    l1, l2 = len(a1), len(a2)
+    vis1, vis2 = theory.visits(mu1), theory.visits(mu2)
+
+    def vertex_path(v):
+        return (v, v, ())
+
+    def seam(tail_of, head_of, t):
+        return (tail_of[0], head_of[1], tail_of[2] + head_of[2][t:])
+
+    if mu1 == mu2:
+        ident = (vertex_path(mu1[0]), vertex_path(mu1[1]))
+        data.append(OverlapDatum(mu1, ident, ident, OverlapKind.INCLUSION, inner=2))
+        for t in range(1, l1):
+            if a1[l1 - t :] == a1[:t] and vis1[l1 - t] == vis1[0]:
+                sup = seam(mu1, mu1, t)
+                ctx1 = (vertex_path(mu1[0]), (vis1[t], sup[1], a1[t:]))
+                ctx2 = ((mu1[0], vis1[l1 - t], a1[: l1 - t]), vertex_path(mu1[1]))
+                data.append(OverlapDatum(sup, ctx1, ctx2, OverlapKind.OVERLAP))
+        return data
+
+    for t in range(1, min(l1, l2)):
+        if a1[l1 - t :] == a2[:t] and vis1[l1 - t] == vis2[0]:
+            sup = seam(mu1, mu2, t)
+            ctx1 = (vertex_path(mu1[0]), (vis2[t], mu2[1], a2[t:]))
+            ctx2 = ((mu1[0], vis1[l1 - t], a1[: l1 - t]), vertex_path(mu2[1]))
+            data.append(OverlapDatum(sup, ctx1, ctx2, OverlapKind.OVERLAP))
+        if a2[l2 - t :] == a1[:t] and vis2[l2 - t] == vis1[0]:
+            sup = seam(mu2, mu1, t)
+            ctx1 = ((mu2[0], vis2[l2 - t], a2[: l2 - t]), vertex_path(mu1[1]))
+            ctx2 = (vertex_path(mu2[0]), (vis1[t], mu1[1], a1[t:]))
+            data.append(OverlapDatum(sup, ctx1, ctx2, OverlapKind.OVERLAP))
+    if l2 < l1:
+        ident = (vertex_path(mu1[0]), vertex_path(mu1[1]))
+        for ctx in reference_path_divisions(theory, mu1, mu2):
+            data.append(OverlapDatum(mu1, ident, ctx, OverlapKind.INCLUSION, inner=2))
+    elif l1 < l2:
+        ident = (vertex_path(mu2[0]), vertex_path(mu2[1]))
+        for ctx in reference_path_divisions(theory, mu2, mu1):
+            data.append(OverlapDatum(mu2, ctx, ident, OverlapKind.INCLUSION, inner=1))
+    return data

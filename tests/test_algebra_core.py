@@ -19,7 +19,6 @@ from diamondlemma import (
     Rel,
     ScalarError,
     compare,
-    leading_monomials,
 )
 
 from oracles import merge_terms
@@ -205,34 +204,6 @@ class TestMonomialOrder:
         flip = {Rel.GT: Rel.LT, Rel.LT: Rel.GT, Rel.EQ: Rel.EQ}
         assert s is flip[r]
         assert (r is Rel.EQ) == (a == b)
-
-
-class _DiscreteOrder(MonomialOrder):
-    """Test double: no two distinct monomials are comparable."""
-
-    uses_total_key = False
-
-    def compare(self, a, b):
-        return Rel.EQ if a == b else Rel.INCOMPARABLE
-
-
-class TestLeadingMonomials:
-    def test_total_order_single_maximum(self):
-        th = FreeMonoidTheory(("x", "y"))
-        o = MonomialOrder(OrderKind.DEGLEX, th, ("x", "y"))
-        e = elem((("x",), 1), (("x", "x"), 3))
-        assert leading_monomials(o, e) == frozenset({("x", "x")})
-
-    def test_partial_order_keeps_all_maxima(self):
-        th = FreeMonoidTheory(("x", "y"))
-        o = _DiscreteOrder(OrderKind.DEGLEX, th, ("x", "y"))
-        e = elem((("x",), 1), (("y",), 1))
-        assert leading_monomials(o, e) == frozenset({("x",), ("y",)})
-
-    def test_zero_has_no_maxima(self):
-        th = FreeMonoidTheory(("x", "y"))
-        o = MonomialOrder(OrderKind.DEGLEX, th, ("x", "y"))
-        assert leading_monomials(o, Element.zero()) == frozenset()
 
 
 class TestPrecisionCutoff:

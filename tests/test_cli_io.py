@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,14 @@ SL2 = (
     "rule f*e -> e*f - h\nrule h*e -> e*h + 2*e\nrule h*f -> f*h - 2*f\n"
 )
 GF7 = "theory assoc\nvars x y\nfield 7\norder deglex x<y\nrule y*x -> x*y + 3\n"
+MIXED = (
+    "theory mixed\ncvars s t\nvars x y\norder deglex s<t<x<y\n"
+    "rule y*x -> x*y + t\nrule t^2*x -> s*x\n"
+)
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(REPO, "bench", "data", "cli_golden.json"), encoding="utf-8") as _handle:
+    CLI_GOLDEN = json.load(_handle)
 
 
 class TestParseSystem:
@@ -198,6 +207,17 @@ class TestParseExpression:
         assert e.coefficient_of(("1", "1", ("a", "b"))) == Fraction(1)
         assert e.coefficient_of(("1", "1", ())) == Fraction(2)
 
+    def test_expansion_bounds_refuse_quickly(self):
+        for text, message in (("(x+y)^16", "term pairs exceeds"), ("x^100000", "exponent")):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match=message):
+                parse_expression(text, self.th, self.field)
+            assert time.perf_counter() - start < 1.0
+
+    def test_largest_benchmark_power_still_parses(self):
+        th = FreeMonoidTheory(("e", "f", "h"))
+        assert len(parse_expression("(h+f+e)^7", th, self.field).terms) == 3**7
+
     def test_prime_field_power_of_scalar(self):
         field = PrimeField(7)
         e = parse_expression("3^2*x", self.th, field)
@@ -243,7 +263,7 @@ class TestFormatting:
             assert format_element(self.th, self.order, again) == printed
 
     def test_format_system_round_trip(self):
-        for text in (WEYL, BUCH, PATHSYS, MAGMA, GF7, SERIES):
+        for text in (WEYL, BUCH, PATHSYS, MAGMA, GF7, SERIES, MIXED):
             sf = parse_system_file(text)
             printed = format_system(sf.system, sf.weight_data)
             sf2 = parse_system_file(printed)
@@ -387,6 +407,16 @@ class TestCommandLine:
         assert main(["nf", files["weyl.sys"], "y^3*x^3", "--max-steps", "2"]) == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_budget_error_names_the_monomial(self, files, capsys):
+        assert main(["nf", files["weyl.sys"], "y^2*x", "--max-steps", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "step budget of 1 exceeded before rewriting y*x*y\n"
+
+    def test_expansion_bound_exit_code(self, files, capsys):
+        assert main(["nf", files["weyl.sys"], "(x+y)^16"]) == 3
+        assert "term pairs exceeds" in capsys.readouterr().err
+
     def test_series_budget_exit_code(self, files, capsys):
         # The truncated path still honors --max-steps ahead of the cutoff.
         assert main(["nf", files["series.sys"], "x", "--precision", "9", "--max-steps", "3"]) == 2
@@ -433,3 +463,12 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: diamond ")
+
+
+@pytest.mark.parametrize("case", sorted(CLI_GOLDEN))
+def test_cli_golden_replay(case, monkeypatch, capsys):
+    """Recorded exit code and stdout of every benchmark CLI case, in-process."""
+    gold = CLI_GOLDEN[case]
+    monkeypatch.chdir(REPO)
+    assert main(list(gold["argv"])) == gold["exit"]
+    assert capsys.readouterr().out == gold["stdout"]

@@ -1,5 +1,6 @@
 """Monomial theories: words, power products, mixed, trees, paths."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,16 @@ from diamondlemma import (
     multiply_elements,
 )
 
-from oracles import exp_divides, magma_occurrences, merge_terms, word_divisions
+from oracles import (
+    exp_divides,
+    magma_occurrences,
+    merge_terms,
+    reference_mixed_overlaps,
+    reference_path_divisions,
+    reference_path_overlaps,
+    reference_word_overlaps,
+    word_divisions,
+)
 
 WORD = st.lists(st.sampled_from(("a", "b")), max_size=5).map(tuple)
 
@@ -125,10 +135,11 @@ class TestCommutative:
         assert datum.superposition == (2, 0)
 
     def test_lcm_superposition(self):
-        lcm, c1, c2 = self.th.lcm_superposition((2, 1), (1, 3))
-        assert lcm == (2, 3)
-        assert self.th.apply_context(c1, (2, 1)) == lcm
-        assert self.th.apply_context(c2, (1, 3)) == lcm
+        datum = self.th.lcm_superposition((2, 1), (1, 3))
+        assert datum.superposition == (2, 3)
+        assert datum.kind is OverlapKind.OVERLAP
+        assert self.th.apply_context(datum.ctx1, (2, 1)) == (2, 3)
+        assert self.th.apply_context(datum.ctx2, (1, 3)) == (2, 3)
 
     @given(st.tuples(st.integers(0, 3), st.integers(0, 3)),
            st.tuples(st.integers(0, 3), st.integers(0, 3)))
@@ -328,3 +339,42 @@ class TestMultiplyElements:
             [(ma + mb, ca * cb) for ma, ca in ea.terms for mb, cb in eb.terms]
         )
         assert got.terms == expect
+
+
+QUIVER = PathAlgebraTheory(("1", "2"), (("a", "1", "2"), ("b", "2", "1"), ("c", "1", "1")))
+
+
+def lead_pairs(theory, seed):
+    """Every pair of monomials up to degree 3, then random pairs up to degree 6."""
+    small = [m for d in range(4) for m in theory.monomials_of_degree(d)]
+    pool = [m for d in range(7) for m in theory.monomials_of_degree(d)]
+    rng = random.Random(seed)
+    pairs = [(a, b) for a in small for b in small]
+    pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(2000)]
+    return pairs
+
+
+class TestOverlapsMatchReference:
+    """The shared word kernel reproduces each theory's original overlap lists.
+
+    Order matters: completion breaks ties between equal superposition degrees
+    by the order in which overlaps were found.
+    """
+
+    def test_free_monoid(self):
+        th = FreeMonoidTheory(("x", "y"))
+        for a, b in lead_pairs(th, 1):
+            assert th.overlaps(a, b) == reference_word_overlaps(a, b), (a, b)
+
+    def test_mixed(self):
+        th = MixedTheory(("s", "t"), ("x", "y"))
+        for a, b in lead_pairs(th, 2):
+            assert th.overlaps(a, b) == reference_mixed_overlaps(a, b), (a, b)
+
+    def test_path(self):
+        for a, b in lead_pairs(QUIVER, 3):
+            assert QUIVER.overlaps(a, b) == reference_path_overlaps(QUIVER, a, b), (a, b)
+
+    def test_path_divisions(self):
+        for a, b in lead_pairs(QUIVER, 4):
+            assert QUIVER.divisions(a, b) == reference_path_divisions(QUIVER, a, b), (a, b)

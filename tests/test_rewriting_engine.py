@@ -14,10 +14,8 @@ from diamondlemma import (
     FreeMonoidTheory,
     MixedTheory,
     MonomialOrder,
-    MultipleMaximaError,
     OrderKind,
     PathAlgebraTheory,
-    Rel,
     RewritingSystem,
     Rule,
     RuleError,
@@ -67,13 +65,6 @@ def bergman() -> RewritingSystem:
     )
 
 
-class _DiscreteOrder(MonomialOrder):
-    uses_total_key = False
-
-    def compare(self, a, b):
-        return Rel.EQ if a == b else Rel.INCOMPARABLE
-
-
 class TestOrient:
     def test_scales_to_monic_and_flips_sign(self):
         rule = orient(DEGLEX, elem((("y", "x"), 2), (("x", "y"), -2)))
@@ -88,12 +79,6 @@ class TestOrient:
     def test_zero_rejected(self):
         with pytest.raises(ZeroElementError):
             orient(DEGLEX, Element.zero())
-
-    def test_ties_under_partial_order_rejected(self):
-        o = _DiscreteOrder(OrderKind.DEGLEX, TH, ("x", "y"))
-        with pytest.raises(MultipleMaximaError) as info:
-            orient(o, elem((("x",), 1), (("y",), 1)))
-        assert info.value.maxima == frozenset({("x",), ("y",)})
 
 
 class TestSystemValidation:
@@ -179,8 +164,10 @@ class TestNormalForm:
         th1 = FreeMonoidTheory(("x",))
         o = MonomialOrder(OrderKind.SERIES_DEGLEX, th1, ("x",), (("x", Fraction(-1)),))
         s = RewritingSystem(th1, o, (Rule(("x",), Element(((("x", "x"), Fraction(1)),))),))
-        with pytest.raises(StepBudgetExceededError):
+        with pytest.raises(StepBudgetExceededError) as info:
             normal_form(s, Element(((("x",), Fraction(1)),)), max_steps=25)
+        # x -> x^2 grows forever; the 26th step would rewrite x^26.
+        assert str(info.value) == "step budget of 25 exceeded before rewriting x^26"
 
     def test_trail_replays_to_normal_form(self):
         th = TH
