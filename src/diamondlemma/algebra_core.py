@@ -79,6 +79,9 @@ class Fp:
     def __neg__(self) -> "Fp":
         return Fp(-self.value % self.p, self.p)
 
+    def __pow__(self, k: int) -> "Fp":
+        return Fp(pow(self.value, k, self.p), self.p)
+
     def __bool__(self) -> bool:
         return self.value != 0
 
@@ -98,6 +101,10 @@ class RationalField:
     def coeff(self, value) -> Fraction:
         """Coerce an int or Fraction into this field."""
         return Fraction(value)
+
+    def contains(self, value) -> bool:
+        """Decide whether a coefficient is an element of this field."""
+        return isinstance(value, Fraction)
 
     def describe(self) -> str:
         return "QQ"
@@ -135,6 +142,10 @@ class PrimeField:
         num = frac.numerator % self.p
         den = frac.denominator % self.p
         return Fp(num * pow(den, -1, self.p) % self.p, self.p)
+
+    def contains(self, value) -> bool:
+        """Decide whether a coefficient is an element of this field."""
+        return isinstance(value, Fp) and value.p == self.p
 
     def describe(self) -> str:
         return "GF(%d)" % self.p

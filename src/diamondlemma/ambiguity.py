@@ -114,34 +114,23 @@ def resolve(system, amb: Ambiguity, max_steps: int = DEFAULT_STEP_BUDGET) -> Res
     return ResolutionCertificate(amb, remainder.is_zero(), remainder, trail)
 
 
-def _exp_divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def second_criterion_filter(system, ambiguities) -> tuple:
-    """Drop chained commutative ambiguities certified by a third rule.
+    """Drop ambiguities certified by chains through a third rule.
 
-    An ambiguity of rules (i, j) at superposition m is dropped when some third
-    rule's lead divides m and both chained superpositions lcm(i, k), lcm(k, j)
-    properly divide m; the kept subset certifies the same confluence verdict.
-    For other theories the filter is conservative and keeps everything.
+    An ambiguity of rules (i, j) at superposition m is dropped when the
+    theory's chain criterion holds for some third rule; for power products
+    that means its lead divides m and both chained superpositions lcm(i, k),
+    lcm(k, j) properly divide m. The kept subset certifies the same
+    confluence verdict. Theories without a chain criterion keep everything.
     """
     th = system.theory
-    if not isinstance(th, CommutativeTheory):
-        return tuple(ambiguities)
     leads = [rule.lead for rule in system.rules]
-    kept = []
-    for amb in ambiguities:
-        i, j, sup = amb.rule1, amb.rule2, amb.superposition
-        droppable = False
-        for k, lead_k in enumerate(leads):
-            if k in (i, j) or not _exp_divides(lead_k, sup):
-                continue
-            lcm_ik = tuple(max(a, b) for a, b in zip(leads[i], lead_k))
-            lcm_kj = tuple(max(a, b) for a, b in zip(lead_k, leads[j]))
-            if lcm_ik != sup and lcm_kj != sup:
-                droppable = True
-                break
-        if not droppable:
-            kept.append(amb)
-    return tuple(kept)
+    return tuple(
+        amb
+        for amb in ambiguities
+        if not any(
+            th.chain_criterion(lead_k, leads[amb.rule1], leads[amb.rule2], amb.superposition)
+            for k, lead_k in enumerate(leads)
+            if k not in (amb.rule1, amb.rule2)
+        )
+    )

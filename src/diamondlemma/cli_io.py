@@ -17,6 +17,7 @@ from .algebra_core import (
     PrimeField,
     RationalField,
     ScalarError,
+    _accumulate,
 )
 from .ambiguity import OverlapKind, critical_ambiguities
 from .completion import (
@@ -102,9 +103,10 @@ def _tokenize(text: str, line: int, col0: int) -> list:
 # Each parenthesis level costs the recursive-descent parser four Python
 # frames, and magma trees as deep as the nesting recurse in the theory code.
 MAX_NESTING = 100
-# Powers and products expand term by term, so an exponent above MAX_EXPONENT
-# or a product of more than MAX_PRODUCT_TERMS term pairs is refused before it
-# is expanded.
+# Powers and products expand term by term, so an exponent above MAX_EXPONENT,
+# a power or product with a monomial of degree above MAX_EXPONENT, or a
+# product of more than MAX_PRODUCT_TERMS term pairs is refused before it is
+# expanded.
 MAX_EXPONENT = 1000
 MAX_PRODUCT_TERMS = 10_000
 
@@ -134,10 +136,18 @@ class _ExprParser:
         col = tok.col if tok is not None else self.end_col
         raise ParseError(message, self.line, col)
 
+    def _top_degree(self, element: Element) -> int:
+        return max((self.theory.degree(m) for m, _ in element.terms), default=0)
+
+    def _check_degree(self, degree: int, tok) -> None:
+        if degree > MAX_EXPONENT:
+            self._fail("result of degree %d exceeds %d" % (degree, MAX_EXPONENT), tok)
+
     def _multiply(self, a: Element, b: Element, tok) -> Element:
         pairs = len(a.terms) * len(b.terms)
         if pairs > MAX_PRODUCT_TERMS:
             self._fail("product of %d term pairs exceeds %d" % (pairs, MAX_PRODUCT_TERMS), tok)
+        self._check_degree(self._top_degree(a) + self._top_degree(b), tok)
         return multiply_elements(self.theory, a, b)
 
     def parse(self) -> Element:
@@ -180,11 +190,11 @@ class _ExprParser:
             for s, (_, c) in terms:
                 total = total + c if s > 0 else total - c
             return ("scalar", total)
-        result = Element.zero()
+        total: dict = {}
         for s, value in terms:
-            piece = self._to_element(value)
-            result = result + piece if s > 0 else result - piece
-        return ("elem", result)
+            for m, c in self._to_element(value).terms:
+                _accumulate(total, m, c if s > 0 else -c)
+        return ("elem", Element.from_dict(total))
 
     def _term(self):
         factors = [(None, self._factor())]
@@ -224,14 +234,21 @@ class _ExprParser:
             self._fail("exponent %d exceeds %d" % (k, MAX_EXPONENT), num)
         tag, payload = value
         if tag == "scalar":
-            result = self.field.one
-            for _ in range(k):
-                result = result * payload
-            return ("scalar", result)
+            return ("scalar", payload**k)
         if not self.theory.associative:
             self._fail("powers are ambiguous in a nonassociative product", caret)
         if k == 0:
             return ("elem", self._to_element(("scalar", self.field.one)))
+        self._check_degree(k * self._top_degree(payload), caret)
+        if len(payload.terms) == 1:
+            # A power of one term is one term: multiply monomials, not elements.
+            ((m, c),) = payload.terms
+            power = m
+            for _ in range(k - 1):
+                power = self.theory.multiply(power, m)
+                if power is None:
+                    return ("elem", Element.zero())
+            return ("elem", Element(((power, c**k),)))
         result = payload
         for _ in range(k - 1):
             result = self._multiply(result, payload, caret)
@@ -641,6 +658,7 @@ def _cmd_complete(args) -> int:
             "dropped": len(report.dropped),
             "pairs_processed": report.pairs_processed,
             "pairs_skipped": report.pairs_skipped,
+            "pairs_filtered": report.pairs_filtered,
             "text": "status: %s (%d rules, %d added, %d dropped)"
             % (report.status.value, len(system.rules), len(report.added), len(report.dropped)),
         }

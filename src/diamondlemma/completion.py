@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,7 +71,11 @@ class AddedRule:
 
 @dataclass(frozen=True)
 class CompletionReport:
-    """Result of the completion loop."""
+    """Result of the completion loop.
+
+    ``pairs_filtered`` counts the pairs that the theory's pair criteria
+    removed without reducing them.
+    """
 
     status: CompletionStatus
     system: RewritingSystem
@@ -78,6 +83,7 @@ class CompletionReport:
     dropped: tuple
     pairs_processed: int
     pairs_skipped: int
+    pairs_filtered: int
 
 
 @dataclass
@@ -97,9 +103,20 @@ def _uniform_components(theory, element: Element) -> list:
     return [Element(tuple(groups[k])) for k in sorted(groups)]
 
 
-def _interreduce(theory, order, rules: list, max_steps: int) -> None:
-    """Renormalize every rule's lower part against the other rules' leads."""
+def _interreduce(theory, order, rules: list, max_steps: int, since: int = 0) -> None:
+    """Renormalize rule lower parts against the other rules' leads.
+
+    Rules before ``since`` were interreduced already. Leads never change, so
+    their lower parts are still irreducible unless a monomial is divisible by
+    a lead from ``since`` on; the other rules are skipped, which leaves the
+    result unchanged.
+    """
+    fresh = [rule.lead for rule in rules[since:]]
     for i in range(len(rules)):
+        if i < since and not any(
+            theory.divisions(m, lead) for m, _ in rules[i].lower.terms for lead in fresh
+        ):
+            continue
         others = _Working(theory, order, tuple(rules[:i] + rules[i + 1 :]))
         lower = normal_form(others, rules[i].lower, max_steps)
         if lower != rules[i].lower:
@@ -115,31 +132,48 @@ def complete(
     """Saturate a system with oriented s-polynomial remainders.
 
     Pairs are processed FIFO by superposition degree then insertion order.
-    Returns Complete when the queue empties, DegreeCapped when pairs above the
-    degree cap were skipped and RuleCapped when the rule cap was reached.
+    Each new rule first marks queued pairs that the theory's chain criterion
+    certifies as dead, then queues its pairs with the partners the theory's
+    ``pair_update`` selects. Returns Complete when the queue empties,
+    DegreeCapped when pairs above the degree cap were skipped and RuleCapped
+    when the rule cap was reached.
     """
     th, order = system.theory, system.order
     rules = list(system.rules)
     heap: list = []
-    counter = 0
+    counter = itertools.count()
+    dead: set = set()  # insertion counters of queued pairs a criterion removed
+    active: list = []
+    filtered = 0
 
-    def push_pairs(new_idx: int) -> None:
-        nonlocal counter
-        for j in range(new_idx + 1):
-            for amb in _pair_ambiguities(th, j, rules[j].lead, new_idx, rules[new_idx].lead):
-                heapq.heappush(heap, (th.degree(amb.superposition), counter, amb))
-                counter += 1
+    def add_pairs(new: int) -> None:
+        nonlocal active, filtered
+        lead = rules[new].lead
+        for _, key, amb in heap:
+            if key not in dead and th.chain_criterion(
+                lead, rules[amb.rule1].lead, rules[amb.rule2].lead, amb.superposition
+            ):
+                dead.add(key)
+                filtered += 1
+        partners, removed, active = th.pair_update([r.lead for r in rules], active, new)
+        filtered += removed
+        for j in partners:
+            for amb in _pair_ambiguities(th, j, rules[j].lead, new, lead):
+                heapq.heappush(heap, (th.degree(amb.superposition), next(counter), amb))
 
     for idx in range(len(rules)):
-        push_pairs(idx)
+        add_pairs(idx)
 
     processed = 0
     skipped = 0
     sources: list = []
+    interreduced = 0
     degree_capped = False
     rule_capped = False
     while heap:
-        deg, _, amb = heapq.heappop(heap)
+        deg, key, amb = heapq.heappop(heap)
+        if key in dead:
+            continue
         if deg > max_degree:
             skipped += 1
             degree_capped = True
@@ -156,8 +190,9 @@ def complete(
             if len(rules) > max_rules:
                 rule_capped = True
                 break
-            push_pairs(len(rules) - 1)
-            _interreduce(th, order, rules, max_steps)
+            add_pairs(len(rules) - 1)
+            _interreduce(th, order, rules, max_steps, interreduced)
+            interreduced = len(rules)
         if rule_capped:
             break
 
@@ -176,7 +211,7 @@ def complete(
     if status is CompletionStatus.COMPLETE:
         rules, dropped = _drop_pass(th, order, rules, system.field, max_steps)
     final = RewritingSystem(th, order, tuple(rules), system.field)
-    return CompletionReport(status, final, added, dropped, processed, skipped)
+    return CompletionReport(status, final, added, dropped, processed, skipped, filtered)
 
 
 def _drop_pass(theory, order, rules, field, max_steps):

@@ -167,6 +167,25 @@ class Theory:
     def lex_encoding(self, m, order):
         raise DiamondError("lex is only well-founded for the commutative theory")
 
+    def chain_criterion(self, lead, lead_i, lead_j, superposition) -> bool:
+        """Decide whether the pair (i, j) at ``superposition`` follows from the
+        chained pairs (i, k) and (k, j) through a rule k with ``lead``.
+
+        Buchberger's chain criterion; by default no chain is certified.
+        """
+        return False
+
+    def pair_update(self, leads: list, active: list, new: int) -> tuple:
+        """Choose the rules j that completion pairs with the new rule ``new``.
+
+        ``leads`` holds every rule's lead and ``active`` the rules new pairs
+        may use, ascending. Returns (partners ascending, pairs filtered by a
+        criterion, active rules afterwards). By default every rule, ``new``
+        included, is a partner and stays active.
+        """
+        everyone = active + [new]
+        return everyone, 0, everyone
+
     def check_monomial(self, m) -> None:
         if not self.validate_monomial(m):
             raise TheoryMismatchError("monomial %r does not belong to %s" % (m, self.describe()))
@@ -335,6 +354,40 @@ class CommutativeTheory(Theory):
         if not any(_exp_gcd(mu1, mu2)):
             return []
         return [self.lcm_superposition(mu1, mu2)]
+
+    def chain_criterion(self, lead, lead_i, lead_j, superposition) -> bool:
+        return (
+            _exp_le(lead, superposition)
+            and _exp_lcm(lead_i, lead) != superposition
+            and _exp_lcm(lead_j, lead) != superposition
+        )
+
+    def pair_update(self, leads: list, active: list, new: int) -> tuple:
+        """Gebauer–Möller selection of the new pairs (j, new).
+
+        A pair whose lcm another new pair's lcm properly divides is dropped
+        (M); of the pairs sharing an lcm the lowest j is kept, and none when
+        one of them is coprime (F and the product criterion). Rules whose
+        lead the new lead divides leave the active set but stay rules. Coprime
+        pairs, which ``overlaps`` never yields, are not counted as filtered.
+        """
+        lead = leads[new]
+        lcms = {j: _exp_lcm(leads[j], lead) for j in active}
+        coprime = {j for j in active if not any(_exp_gcd(leads[j], lead))}
+        # In ascending degree, an lcm is minimal when no earlier minimal one
+        # divides it; a proper divisor always has a lower degree.
+        minimal: list = []
+        for lcm in sorted(set(lcms.values()), key=sum):
+            if not any(_exp_le(m, lcm) for m in minimal):
+                minimal.append(lcm)
+        unpaired = set(minimal) - {lcms[j] for j in coprime}
+        partners = []
+        for j in active:
+            if lcms[j] in unpaired:
+                unpaired.remove(lcms[j])
+                partners.append(j)
+        still = [j for j in active if not _exp_le(lead, leads[j])] + [new]
+        return partners, len(active) - len(coprime) - len(partners), still
 
     def monomials_of_degree(self, d):
         return _compositions(d, len(self.letters)) if d >= 0 else iter(())

@@ -55,8 +55,13 @@ class RewritingSystem:
             raise RuleError("order does not belong to the system's theory")
         for i, rule in enumerate(self.rules):
             th.check_monomial(rule.lead)
-            for m, _ in rule.lower.terms:
+            for m, c in rule.lower.terms:
                 th.check_monomial(m)
+                if not self.field.contains(c):
+                    raise RuleError(
+                        "rule %d: coefficient %s of %s is not in the field %s"
+                        % (i, c, th.serialize(m), self.field.describe())
+                    )
                 if order.compare(m, rule.lead) is not Rel.LT:
                     raise RuleError(
                         "rule %d: lower-part monomial %s is not below the lead %s"

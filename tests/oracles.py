@@ -2,21 +2,34 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 
 from diamondlemma import (
+    AddedRule,
+    CommutativeTheory,
+    CompletionReport,
+    CompletionStatus,
     Element,
+    FreeMagmaTheory,
     FreeMonoidTheory,
+    MixedTheory,
     MonomialOrder,
     OrderKind,
     OverlapDatum,
     OverlapKind,
+    PathAlgebraTheory,
     RewriteStep,
     RewritingSystem,
     Rule,
     StepBudgetExceededError,
+    normal_form,
+    orient,
+    s_polynomial,
 )
+from diamondlemma.ambiguity import _pair_ambiguities
+from diamondlemma.completion import _drop_pass, _uniform_components, _Working
 
 
 def merge_terms(pairs) -> tuple:
@@ -211,6 +224,104 @@ def reference_reduce_once(system, element: Element):
     image = th.apply_context_to_element(ctx, rules[ridx].lower)
     result = element - Element(((m, c),)) + image.scaled(c)
     return result, RewriteStep(ridx, m, ctx, c)
+
+
+# One small instance of every theory, for randomized tests.
+THEORIES = {
+    "assoc": FreeMonoidTheory(("x", "y")),
+    "commutative": CommutativeTheory(("x", "y", "z")),
+    "mixed": MixedTheory(("t",), ("x", "y")),
+    "magma": FreeMagmaTheory(("x", "y")),
+    "path": PathAlgebraTheory(
+        ("1", "2"), (("a", "1", "2"), ("b", "2", "1"), ("c", "1", "1"))
+    ),
+}
+
+
+def shipped_orders(th):
+    """One order of every shipped kind the theory admits."""
+    gens = tuple(th.generator_names())
+    positive = tuple((g, Fraction(i + 1)) for i, g in enumerate(gens))
+    negative = tuple((g, Fraction(-1 - i % 2, 2)) for i, g in enumerate(gens))
+    orders = [
+        MonomialOrder(OrderKind.DEGLEX, th, gens),
+        MonomialOrder(OrderKind.DEGLEX, th, tuple(reversed(gens))),
+        MonomialOrder(OrderKind.WEIGHTED_DEGLEX, th, gens, positive),
+        MonomialOrder(OrderKind.SERIES_DEGLEX, th, gens, negative),
+    ]
+    if th.supports_lex():
+        orders.append(MonomialOrder(OrderKind.LEX, th, gens))
+    return orders
+
+
+def _reference_interreduce(theory, order, rules: list, max_steps: int) -> None:
+    """Renormalize every rule's lower part against the other rules' leads."""
+    for i in range(len(rules)):
+        others = _Working(theory, order, tuple(rules[:i] + rules[i + 1 :]))
+        lower = normal_form(others, rules[i].lower, max_steps)
+        if lower != rules[i].lower:
+            rules[i] = Rule(rules[i].lead, lower)
+
+
+def reference_complete(system, max_degree: int = 12, max_rules: int = 500, max_steps: int = 10**6):
+    """Completion without pair criteria: every rule pair is queued, pairs are
+    processed by superposition degree then insertion order, and every rule
+    is renormalized after each new rule. Reports no filtered pairs."""
+    th, order = system.theory, system.order
+    rules = list(system.rules)
+    heap: list = []
+    counter = 0
+
+    def push_pairs(new_idx: int) -> None:
+        nonlocal counter
+        for j in range(new_idx + 1):
+            for amb in _pair_ambiguities(th, j, rules[j].lead, new_idx, rules[new_idx].lead):
+                heapq.heappush(heap, (th.degree(amb.superposition), counter, amb))
+                counter += 1
+
+    for idx in range(len(rules)):
+        push_pairs(idx)
+
+    processed = 0
+    skipped = 0
+    sources: list = []
+    degree_capped = False
+    rule_capped = False
+    while heap:
+        deg, _, amb = heapq.heappop(heap)
+        if deg > max_degree:
+            skipped += 1
+            degree_capped = True
+            continue
+        work = _Working(th, order, tuple(rules))
+        remainder = normal_form(work, s_polynomial(work, amb), max_steps)
+        processed += 1
+        if remainder.is_zero():
+            continue
+        for component in _uniform_components(th, remainder):
+            rules.append(orient(order, component))
+            sources.append(amb)
+            if len(rules) > max_rules:
+                rule_capped = True
+                break
+            push_pairs(len(rules) - 1)
+            _reference_interreduce(th, order, rules, max_steps)
+        if rule_capped:
+            break
+
+    if rule_capped:
+        status = CompletionStatus.RULE_CAPPED
+    elif degree_capped:
+        status = CompletionStatus.DEGREE_CAPPED
+    else:
+        status = CompletionStatus.COMPLETE
+    base = len(system.rules)
+    added = tuple(AddedRule(rules[base + k], sources[k]) for k in range(len(rules) - base))
+    dropped: tuple = ()
+    if status is CompletionStatus.COMPLETE:
+        rules, dropped = _drop_pass(th, order, rules, system.field, max_steps)
+    final = RewritingSystem(th, order, tuple(rules), system.field)
+    return CompletionReport(status, final, added, dropped, processed, skipped, 0)
 
 
 def make_random_system(theory, order, rng, lead_degree: int = 3, lower_degree: int = 3):
@@ -592,3 +703,82 @@ def reference_path_overlaps(theory, mu1, mu2) -> list:
         for ctx in reference_path_divisions(theory, mu2, mu1):
             data.append(OverlapDatum(mu2, ctx, ident, OverlapKind.INCLUSION, inner=1))
     return data
+
+
+def cyclic_polynomials(n: int) -> list:
+    """The cyclic-n system in variables x0..x(n-1), as {exponents: coefficient}."""
+    polys = []
+    for d in range(1, n):
+        poly: dict = {}
+        for i in range(n):
+            exps = [0] * n
+            for k in range(d):
+                exps[(i + k) % n] += 1
+            poly[tuple(exps)] = poly.get(tuple(exps), Fraction(0)) + 1
+        polys.append(poly)
+    polys.append({(1,) * n: Fraction(1), (0,) * n: Fraction(-1)})
+    return polys
+
+
+def katsura_polynomials(n: int) -> list:
+    """The katsura-n system in variables u0..un, as {exponents: coefficient}."""
+    size = n + 1
+
+    def unit(*indices) -> tuple:
+        exps = [0] * size
+        for i in indices:
+            exps[i] += 1
+        return tuple(exps)
+
+    linear = {unit(0): Fraction(1), (0,) * size: Fraction(-1)}
+    for i in range(1, size):
+        linear[unit(i)] = Fraction(2)
+    polys = [linear]
+    for m in range(n):
+        poly = {unit(m): Fraction(-1)}
+        for l in range(-n, n + 1):
+            if abs(m - l) <= n:
+                key = unit(abs(l), abs(m - l))
+                poly[key] = poly.get(key, Fraction(0)) + 1
+        polys.append({k: c for k, c in poly.items() if c})
+    return polys
+
+
+def sympy_reduced_basis(polys: list, order_name: str) -> set:
+    """sympy's reduced Groebner basis over QQ, each element made monic.
+
+    Exponent tuples list the generators ascending, the library's convention,
+    so sympy gets them reversed (greatest first). Elements are frozensets of
+    (exponents, Fraction) items.
+    """
+    import sympy
+
+    nvars = len(next(iter(polys[0])))
+    symbols = sympy.symbols(" ".join("v%d" % i for i in reversed(range(nvars))))
+    flipped = [
+        sympy.Poly.from_dict(
+            {tuple(reversed(m)): sympy.Rational(c.numerator, c.denominator) for m, c in p.items()},
+            *symbols,
+            domain=sympy.QQ,
+        )
+        for p in polys
+    ]
+    basis = sympy.groebner(flipped, *symbols, order=order_name)
+    out = set()
+    for poly in basis.polys:
+        lead = Fraction(str(poly.LC(order=order_name)))
+        out.add(
+            frozenset(
+                (tuple(reversed(m)), Fraction(str(c)) / lead) for m, c in poly.terms()
+            )
+        )
+    return out
+
+
+def rules_as_polynomials(rules) -> set:
+    """Rules lead -> lower as monic polynomials lead - lower, in the same form."""
+    return {
+        frozenset([(rule.lead, Fraction(1))] + [(m, -c) for m, c in rule.lower.terms])
+        for rule in rules
+    }
+

@@ -214,6 +214,35 @@ class TestParseExpression:
                 parse_expression(text, self.th, self.field)
             assert time.perf_counter() - start < 1.0
 
+    def test_long_sum_parses_in_linear_time(self):
+        text = "+".join("x^%d" % k for k in range(1, 400))
+        start = time.perf_counter()
+        e = self.parse(text)
+        assert time.perf_counter() - start < 0.3
+        assert len(e.terms) == 399
+        assert e.coefficient_of(("x",) * 399) == Fraction(1)
+
+    def test_sum_cancels_and_keeps_signs(self):
+        assert self.parse("x*y - y + x*y - 2*x*y + y").is_zero()
+        assert self.parse("-x + 2 - (y - x)") == self.parse("2 - y")
+
+    def test_nested_powers_bounded_by_degree(self):
+        for text in ("(x^300)^300", "(x^500)*(x^501)", "(x^2+y)^501"):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match="degree .* exceeds 1000"):
+                self.parse(text)
+            assert time.perf_counter() - start < 0.1
+        assert self.parse("x^1000").support() == (("x",) * 1000,)
+        assert self.parse("(x^10)^100") == self.parse("x^1000")
+        assert self.parse("(2*x)^3") == self.parse("8*x^3")
+
+    def test_single_term_powers_match_repeated_products(self):
+        th = PathAlgebraTheory(("1", "2"), (("a", "1", "2"), ("b", "2", "1"), ("c", "1", "1")))
+        for text, expanded in (("(a*b)^3", "a*b*a*b*a*b"), ("a^2", "0"), ("(3*c)^2", "9*c*c")):
+            assert parse_expression(text, th, self.field) == parse_expression(
+                expanded, th, self.field
+            )
+
     def test_largest_benchmark_power_still_parses(self):
         th = FreeMonoidTheory(("e", "f", "h"))
         assert len(parse_expression("(h+f+e)^7", th, self.field).terms) == 3**7
@@ -416,6 +445,24 @@ class TestCommandLine:
     def test_expansion_bound_exit_code(self, files, capsys):
         assert main(["nf", files["weyl.sys"], "(x+y)^16"]) == 3
         assert "term pairs exceeds" in capsys.readouterr().err
+
+    def test_degree_bound_exit_code(self, files, capsys):
+        assert main(["nf", files["weyl.sys"], "(x^300)^300"]) == 3
+        assert "degree 90000 exceeds 1000" in capsys.readouterr().err
+
+    def test_complete_json_lines_counts_pairs_by_fate(self, tmp_path, capsys):
+        path = tmp_path / "xyz.sys"
+        path.write_text(
+            "theory commutative\nvars x y z\nrule x*y -> z\nrule y*z -> x\nrule x*z -> y\n",
+            encoding="utf-8",
+        )
+        assert main(["complete", str(path), "--format", "json-lines"]) == 0
+        record = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert record["event"] == "completion"
+        # x*z meets x*y and y*z at the same lcm x*y*z, so one of its pairs is filtered.
+        assert (record["pairs_processed"], record["pairs_skipped"], record["pairs_filtered"]) == (8, 0, 1)
+        assert main(["complete", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "status: complete (6 rules, 3 added, 0 dropped)"
 
     def test_series_budget_exit_code(self, files, capsys):
         # The truncated path still honors --max-steps ahead of the cutoff.

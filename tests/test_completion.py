@@ -25,11 +25,25 @@ from diamondlemma import (
     drop_redundant,
     ideal_member,
     normal_form,
+    orient,
     parse_expression,
     parse_system,
 )
+from diamondlemma.completion import _interreduce
 
-from oracles import macaulay_member, macaulay_row_space, random_element
+from oracles import (
+    THEORIES,
+    cyclic_polynomials,
+    katsura_polynomials,
+    macaulay_member,
+    macaulay_row_space,
+    make_random_system,
+    random_element,
+    reference_complete,
+    rules_as_polynomials,
+    shipped_orders,
+    sympy_reduced_basis,
+)
 
 WORD_TH = FreeMonoidTheory(("x", "y"))
 WORD_DEGLEX = MonomialOrder(OrderKind.DEGLEX, WORD_TH, ("x", "y"))
@@ -224,6 +238,105 @@ class TestRandomCommutativeCompletions:
             # The original generators reduce to zero in the completed system.
             for g in generators:
                 assert normal_form(report.system, g, 200000).is_zero()
+
+
+def polynomial_system(polys, kind=OrderKind.DEGLEX) -> RewritingSystem:
+    """One rule per polynomial, in variables v0 < v1 < ... under ``kind``."""
+    th = CommutativeTheory(tuple("v%d" % i for i in range(len(next(iter(polys[0]))))))
+    order = MonomialOrder(kind, th, th.letters)
+    return RewritingSystem(th, order, tuple(orient(order, Element.from_dict(p)) for p in polys))
+
+
+def random_completions(name: str, count: int, caps: dict):
+    """(system, reference report) pairs for random systems of one theory."""
+    th = THEORIES[name]
+    rng = random.Random("complete-" + name)
+    orders = [o for o in shipped_orders(th) if o.is_well_founded()]
+    for _ in range(count):
+        s = make_random_system(th, orders[rng.randrange(len(orders))], rng)
+        yield s, reference_complete(s, **caps)
+
+
+class TestAgainstReference:
+    """complete() against the criterion-free loop kept in oracles."""
+
+    CAPS = {"max_degree": 6, "max_rules": 100, "max_steps": 20_000}
+
+    @pytest.mark.parametrize("name", ["assoc", "magma", "mixed", "path"])
+    def test_other_theories_complete_exactly_as_before(self, name):
+        for s, want in random_completions(name, 40, self.CAPS):
+            got = complete(s, **self.CAPS)
+            assert got.status is want.status
+            assert got.added == want.added
+            assert got.dropped == want.dropped
+            assert got.system.rules == want.system.rules
+            assert (got.pairs_processed, got.pairs_skipped, got.pairs_filtered) == (
+                want.pairs_processed,
+                want.pairs_skipped,
+                0,
+            )
+
+    def test_commutative_reaches_the_same_basis_with_fewer_pairs(self):
+        complete_runs = fewer = 0
+        for s, want in random_completions("commutative", 300, self.CAPS):
+            got = complete(s, **self.CAPS)
+            if want.status is not CompletionStatus.COMPLETE:
+                continue
+            complete_runs += 1
+            assert got.status is CompletionStatus.COMPLETE
+            # The basis is unique; the order in which rules were found is not.
+            assert set(got.system.rules) == set(want.system.rules)
+            assert got.pairs_processed <= want.pairs_processed
+            fewer += got.pairs_processed < want.pairs_processed
+        assert complete_runs > 250 and fewer > 20
+
+    def test_pairs_by_fate_on_cyclic_4(self):
+        s = polynomial_system(cyclic_polynomials(4))
+        got, want = complete(s), reference_complete(s)
+        assert (got.pairs_processed, got.pairs_filtered, got.pairs_skipped) == (11, 24, 0)
+        assert (want.pairs_processed, want.pairs_skipped) == (35, 0)
+        assert set(got.system.rules) == set(want.system.rules)
+
+    def test_chain_criterion_cancels_a_queued_pair(self):
+        # x*y and y*z meet at x*y*z; y divides it and meets each of them at a
+        # proper divisor, so the queued pair is cancelled when y arrives.
+        s = parse_system("theory commutative; vars x y z; rule x*y -> x + z; rule y*z -> x; rule y -> x")
+        got, want = complete(s), reference_complete(s)
+        assert (got.pairs_processed, got.pairs_filtered) == (4, 1)
+        assert want.pairs_processed == 9
+        assert set(got.system.rules) == set(want.system.rules)
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_selective_interreduction_matches_full(self, name):
+        th = THEORIES[name]
+        rng = random.Random("interreduce-" + name)
+        order = shipped_orders(th)[0]
+        for _ in range(60):
+            done = list(make_random_system(th, order, rng).rules)
+            _interreduce(th, order, done, 20_000)
+            fresh = list(make_random_system(th, order, rng).rules)
+            full, selective = done + fresh, done + fresh
+            _interreduce(th, order, full, 20_000)
+            _interreduce(th, order, selective, 20_000, len(done))
+            assert selective == full
+
+
+@pytest.mark.parametrize(
+    "polys, order_name",
+    [
+        pytest.param(cyclic_polynomials(4), "grlex", id="cyclic-4-grlex"),
+        pytest.param(katsura_polynomials(3), "grlex", id="katsura-3-grlex"),
+        pytest.param(katsura_polynomials(4), "grlex", id="katsura-4-grlex"),
+        pytest.param(cyclic_polynomials(4), "lex", id="cyclic-4-lex"),
+        pytest.param(katsura_polynomials(2), "lex", id="katsura-2-lex"),
+    ],
+)
+def test_reduced_basis_matches_sympy(polys, order_name):
+    pytest.importorskip("sympy")
+    s = polynomial_system(polys, OrderKind.DEGLEX if order_name == "grlex" else OrderKind.LEX)
+    report = complete(s)
+    assert report.status is CompletionStatus.COMPLETE
+    assert rules_as_polynomials(report.system.rules) == sympy_reduced_basis(polys, order_name)
 
 
 class TestDropRedundant:

@@ -156,6 +156,60 @@ class TestCommutative:
         assert self.th.serialize((0, 0)) == "1"
 
 
+class TestPairCriteria:
+    """The Gebauer-Moller pair update owned by the commutative theory."""
+
+    def setup_method(self):
+        self.th = CommutativeTheory(("x", "y", "z"))
+
+    def test_chain_criterion(self):
+        # lcm(x*y, y*z) = x*y*z; y divides it, and both chained lcms x*y and
+        # y*z are proper divisors.
+        assert self.th.chain_criterion((0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1))
+        # Through x*z the chained lcm(x*y, x*z) is the superposition itself.
+        assert not self.th.chain_criterion((1, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1))
+        # The lead must divide the superposition.
+        assert not self.th.chain_criterion((0, 2, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1))
+
+    def test_m_drops_pairs_with_a_properly_divided_lcm(self):
+        # New x*z: lcm with y^2*z is x*y^2*z, properly divided by x*y*z.
+        leads = [(2, 0, 0), (1, 1, 0), (0, 2, 1), (0, 0, 3), (1, 0, 1)]
+        partners, filtered, active = self.th.pair_update(leads, [0, 1, 2, 3], 4)
+        assert partners == [0, 1, 3]
+        assert filtered == 1
+        assert active == [0, 1, 2, 3, 4]
+
+    def test_f_keeps_the_lowest_rule_per_lcm(self):
+        # New x*y: both x and y give the lcm x*y.
+        partners, filtered, _ = self.th.pair_update([(1, 0, 0), (0, 1, 0), (1, 1, 0)], [0, 1], 2)
+        assert (partners, filtered) == ([0], 1)
+
+    def test_coprime_pair_clears_its_lcm_and_divided_leads_retire(self):
+        # New y: x is coprime to it and x*y shares the lcm x*y, so neither
+        # pair is queued; only the x*y pair counts as filtered. y divides x*y,
+        # which leaves the active set.
+        partners, filtered, active = self.th.pair_update(
+            [(1, 0, 0), (1, 1, 0), (0, 1, 0)], [0, 1], 2
+        )
+        assert (partners, filtered, active) == ([], 1, [0, 2])
+
+    def test_inactive_rules_get_no_pairs(self):
+        partners, _, _ = self.th.pair_update([(2, 0, 0), (1, 0, 0), (1, 1, 0)], [1], 2)
+        assert partners == [1]
+
+    @pytest.mark.parametrize(
+        "th, leads",
+        [
+            (FreeMonoidTheory(("x", "y")), [("x",), ("x", "y"), ("y",)]),
+            (MixedTheory(("t",), ("x",)), [((1,), ()), ((1,), ("x",)), ((0,), ("x",))]),
+            (FreeMagmaTheory(("x",)), ["x", ("x", "x"), (("x", "x"), "x")]),
+        ],
+    )
+    def test_other_theories_pair_with_every_rule(self, th, leads):
+        assert th.pair_update(leads, [0, 1], 2) == ([0, 1, 2], 0, [0, 1, 2])
+        assert not th.chain_criterion(leads[0], leads[1], leads[2], leads[1])
+
+
 class TestMixed:
     def setup_method(self):
         self.th = MixedTheory(("a",), ("x", "y"))

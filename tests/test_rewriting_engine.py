@@ -10,9 +10,7 @@ from diamondlemma import (
     CommutativeTheory,
     Element,
     ForbiddenFactorSet,
-    FreeMagmaTheory,
     FreeMonoidTheory,
-    MixedTheory,
     MonomialOrder,
     OrderKind,
     PathAlgebraTheory,
@@ -33,12 +31,14 @@ from diamondlemma import (
 )
 
 from oracles import (
+    THEORIES,
     all_normal_forms,
     make_random_system,
     random_element,
     random_strategy_normal_form,
     reference_reduce,
     reference_reduce_once,
+    shipped_orders,
 )
 
 TH = FreeMonoidTheory(("x", "y"))
@@ -105,6 +105,19 @@ class TestSystemValidation:
             RewritingSystem(
                 th, o, (Rule(th.path("a", "b"), Element(((th.path("a"), Fraction(1)),))),)
             )
+
+    def test_rejects_coefficients_outside_the_field(self):
+        from diamondlemma import Fp, PrimeField
+
+        rule = Rule(("y", "x"), elem((("x", "y"), Fraction(1, 2))))
+        with pytest.raises(RuleError, match=r"rule 0: coefficient 1/2 of x\*y is not in the field GF\(7\)"):
+            RewritingSystem(TH, DEGLEX, (rule,), PrimeField(7))
+        residue = Rule(("y", "x"), Element(((("x", "y"), Fp(4, 7)),)))
+        with pytest.raises(RuleError, match="not in the field QQ"):
+            RewritingSystem(TH, DEGLEX, (residue,))
+        with pytest.raises(RuleError, match=r"GF\(5\)"):
+            RewritingSystem(TH, DEGLEX, (residue,), PrimeField(5))
+        assert RewritingSystem(TH, DEGLEX, (residue,), PrimeField(7)).rules == (residue,)
 
     def test_series_rule_admitted_when_lower_is_below(self):
         th1 = FreeMonoidTheory(("x",))
@@ -288,33 +301,6 @@ class TestIrreducibleMonomials:
                 1 for w in words_up_to(("x", "y"), 6) if len(w) == d and irreducible_by_substring(w, leads)
             )
             assert count_irreducible(s, 6)[d] == expect
-
-
-THEORIES = {
-    "assoc": FreeMonoidTheory(("x", "y")),
-    "commutative": CommutativeTheory(("x", "y", "z")),
-    "mixed": MixedTheory(("t",), ("x", "y")),
-    "magma": FreeMagmaTheory(("x", "y")),
-    "path": PathAlgebraTheory(
-        ("1", "2"), (("a", "1", "2"), ("b", "2", "1"), ("c", "1", "1"))
-    ),
-}
-
-
-def shipped_orders(th):
-    """One order of every shipped kind the theory admits."""
-    gens = tuple(th.generator_names())
-    positive = tuple((g, Fraction(i + 1)) for i, g in enumerate(gens))
-    negative = tuple((g, Fraction(-1 - i % 2, 2)) for i, g in enumerate(gens))
-    orders = [
-        MonomialOrder(OrderKind.DEGLEX, th, gens),
-        MonomialOrder(OrderKind.DEGLEX, th, tuple(reversed(gens))),
-        MonomialOrder(OrderKind.WEIGHTED_DEGLEX, th, gens, positive),
-        MonomialOrder(OrderKind.SERIES_DEGLEX, th, gens, negative),
-    ]
-    if th.supports_lex():
-        orders.append(MonomialOrder(OrderKind.LEX, th, gens))
-    return orders
 
 
 def budget_boundary_agrees(run_engine, run_reference, steps):
