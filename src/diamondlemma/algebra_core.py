@@ -227,14 +227,6 @@ class Element:
         return Element(tuple((m, c * scalar) for m, c in self.terms))
 
 
-class Rel(Enum):
-    """Outcome of comparing two monomials under a total order."""
-
-    LT = "LT"
-    GT = "GT"
-    EQ = "EQ"
-
-
 class OrderKind(Enum):
     """Shipped monomial order families."""
 
@@ -295,33 +287,12 @@ class MonomialOrder:
         if self.kind is OrderKind.DEGLEX:
             return (th.degree(monomial), th.rank_encoding(monomial, self))
         if self.kind is OrderKind.LEX:
-            return th.lex_encoding(monomial, self)
+            # Only power products admit lex, where rank_encoding is the lex key.
+            return th.rank_encoding(monomial, self)
         wsum = th.weight_sum(monomial, self)
         return (wsum, th.degree(monomial), th.rank_encoding(monomial, self))
-
-    def compare(self, a, b) -> Rel:
-        """Compare two monomials of this order's theory."""
-        ka, kb = self.sort_key(a), self.sort_key(b)
-        if ka == kb:
-            return Rel.EQ
-        return Rel.GT if ka > kb else Rel.LT
 
     def is_well_founded(self) -> bool:
         """Report whether descending chains are necessarily finite."""
         return self.kind is not OrderKind.SERIES_DEGLEX
 
-
-def compare(order: MonomialOrder, a, b) -> Rel:
-    """Compare two monomials under an order."""
-    return order.compare(a, b)
-
-
-@dataclass(frozen=True)
-class PrecisionCutoff:
-    """Precision index n >= 1; terms of norm below 2^(1-n) are discarded."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DiamondError("precision cutoff must be an integer n >= 1")

@@ -64,18 +64,13 @@ def critical_ambiguities(system, include_montages: bool = False) -> tuple:
     as well, which is useful for soundness experiments.
     """
     th = system.theory
-    seen = {}
-    n = len(system.rules)
-    for i in range(n):
-        for j in range(i, n):
-            pair = _pair_ambiguities(th, i, system.rules[i].lead, j, system.rules[j].lead)
+    leads = [rule.lead for rule in system.rules]
+    ambs = []
+    for i in range(len(leads)):
+        for j in range(i, len(leads)):
+            ambs += _pair_ambiguities(th, i, leads[i], j, leads[j])
             if include_montages:
-                pair += _montage_ambiguities(
-                    th, i, system.rules[i].lead, j, system.rules[j].lead
-                )
-            for amb in pair:
-                seen[(amb.rule1, repr(amb.ctx1), amb.rule2, repr(amb.ctx2), repr(amb.superposition))] = amb
-    ambs = list(seen.values())
+                ambs += _montage_ambiguities(th, i, leads[i], j, leads[j])
     ambs.sort(
         key=lambda a: (
             th.degree(a.superposition),

@@ -30,7 +30,6 @@ from .completion import (
 )
 from .monomial_theories import THEORIES, multiply_elements
 from .power_series import (
-    SeriesAdmissionError,
     WeightData,
     check_equicontinuity,
     truncated_normal_form,
@@ -637,7 +636,7 @@ def _cmd_check(args) -> int:
             args,
         )
         return 1
-    print("inconclusive: step budget exhausted after %d ambiguities" % verdict.checked, file=sys.stderr)
+    print("inconclusive: step budget exhausted %s" % verdict.stop_point(th), file=sys.stderr)
     return 2
 
 
@@ -842,22 +841,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
     except StepBudgetExceededError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except NotConfluentSystemError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except SeriesAdmissionError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
-    except DiamondError as exc:
+    except (DiamondError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 3
 

@@ -10,6 +10,7 @@ from enum import Enum
 
 from .algebra_core import DiamondError, Element
 from .ambiguity import (
+    Ambiguity,
     ResolutionCertificate,
     _pair_ambiguities,
     critical_ambiguities,
@@ -34,11 +35,24 @@ class ConfluenceStatus(Enum):
 
 @dataclass(frozen=True)
 class ConfluenceVerdict:
-    """Outcome of resolving every critical ambiguity of a system."""
+    """Outcome of resolving every critical ambiguity of a system.
+
+    An inconclusive verdict keeps the ambiguity whose resolution ran out of
+    steps in ``stopped_at``.
+    """
 
     status: ConfluenceStatus
     checked: int
     witness: ResolutionCertificate | None = None
+    stopped_at: Ambiguity | None = None
+
+    def stop_point(self, theory) -> str:
+        """Say where an inconclusive check stopped."""
+        amb = self.stopped_at
+        sup = theory.serialize(amb.superposition)
+        return "after %d ambiguities, while resolving rules (%d, %d) at %s" % (
+            self.checked, amb.rule1, amb.rule2, sup
+        )
 
 
 def check_confluence(system, max_steps: int = DEFAULT_STEP_BUDGET) -> ConfluenceVerdict:
@@ -48,7 +62,7 @@ def check_confluence(system, max_steps: int = DEFAULT_STEP_BUDGET) -> Confluence
         try:
             cert = resolve(system, amb, max_steps)
         except StepBudgetExceededError:
-            return ConfluenceVerdict(ConfluenceStatus.INCONCLUSIVE, checked)
+            return ConfluenceVerdict(ConfluenceStatus.INCONCLUSIVE, checked, stopped_at=amb)
         checked += 1
         if not cert.resolved:
             return ConfluenceVerdict(ConfluenceStatus.NOT_CONFLUENT, checked, cert)
@@ -271,8 +285,8 @@ def ideal_member(system, element: Element, max_steps: int = DEFAULT_STEP_BUDGET)
     verdict = _cached_verdict(system, max_steps)
     if verdict.status is ConfluenceStatus.INCONCLUSIVE:
         raise StepBudgetExceededError(
-            "confluence check exceeded the step budget of %d after %d ambiguities"
-            % (max_steps, verdict.checked)
+            "confluence check exceeded the step budget of %d %s"
+            % (max_steps, verdict.stop_point(system.theory))
         )
     if verdict.status is not ConfluenceStatus.CONFLUENT:
         raise NotConfluentSystemError(

@@ -164,9 +164,6 @@ class Theory:
                 _accumulate(out, image, c)
         return Element.from_dict(out)
 
-    def lex_encoding(self, m, order):
-        raise DiamondError("lex is only well-founded for the commutative theory")
-
     def chain_criterion(self, lead, lead_i, lead_j, superposition) -> bool:
         """Decide whether the pair (i, j) at ``superposition`` follows from the
         chained pairs (i, k) and (k, j) through a rule k with ``lead``.
@@ -239,17 +236,9 @@ class FreeMonoidTheory(Theory):
             parts.append(letter if n == 1 else "%s^%d" % (letter, n))
         return "*".join(parts)
 
-    def identity_context(self, m) -> tuple:
-        return ((), ())
-
     def apply_context(self, ctx, m):
         left, right = ctx
         return left + m + right
-
-    def compose_contexts(self, outer, inner):
-        lo, ro = outer
-        li, ri = inner
-        return (lo + li, ri + ro)
 
     def divisions(self, mu, nu) -> list:
         return [(mu[:i], mu[i + len(nu) :]) for i in _word_occurrences(mu, nu)]
@@ -308,15 +297,9 @@ class CommutativeTheory(Theory):
             (order.weight_of(x) * e for x, e in zip(self.letters, m)), Fraction(0)
         )
 
-    def _exps_by_falling_rank(self, m, order) -> tuple:
+    def rank_encoding(self, m, order) -> tuple:
         index = {x: i for i, x in enumerate(self.letters)}
         return tuple(m[index[g]] for g in reversed(order.generators))
-
-    def rank_encoding(self, m, order) -> tuple:
-        return self._exps_by_falling_rank(m, order)
-
-    def lex_encoding(self, m, order) -> tuple:
-        return self._exps_by_falling_rank(m, order)
 
     def serialize(self, m) -> str:
         parts = []
@@ -327,14 +310,8 @@ class CommutativeTheory(Theory):
                 parts.append("%s^%d" % (x, e))
         return "*".join(parts) if parts else "1"
 
-    def identity_context(self, m) -> tuple:
-        return self.one()
-
     def apply_context(self, ctx, m):
         return _exp_add(ctx, m)
-
-    def compose_contexts(self, outer, inner):
-        return _exp_add(outer, inner)
 
     def divisions(self, mu, nu) -> list:
         return [_exp_sub(mu, nu)] if _exp_le(nu, mu) else []
@@ -479,18 +456,10 @@ class MixedTheory(Theory):
             parts.append(letter if n == 1 else "%s^%d" % (letter, n))
         return "*".join(parts) if parts else "1"
 
-    def identity_context(self, m) -> tuple:
-        return ((0,) * len(self.commutative_letters), (), ())
-
     def apply_context(self, ctx, m):
         mult, left, right = ctx
         exps, word = m
         return (_exp_add(mult, exps), left + word + right)
-
-    def compose_contexts(self, outer, inner):
-        mo, lo, ro = outer
-        mi, li, ri = inner
-        return (_exp_add(mo, mi), lo + li, ri + ro)
 
     def divisions(self, mu, nu) -> list:
         (e1, w1), (e2, w2) = mu, nu
@@ -631,14 +600,8 @@ class FreeMagmaTheory(Theory):
             return m
         return "(%s*%s)" % (self.serialize(m[0]), self.serialize(m[1]))
 
-    def identity_context(self, m):
-        return _HOLE
-
     def apply_context(self, ctx, m):
         return _plug(ctx, m)
-
-    def compose_contexts(self, outer, inner):
-        return _plug(outer, inner) if inner is not _HOLE else outer
 
     def divisions(self, mu, nu) -> list:
         return _subtree_contexts(mu, nu, lambda hole: hole)
@@ -779,21 +742,11 @@ class PathAlgebraTheory(Theory):
             return "e%s" % src
         return "*".join(names)
 
-    def identity_context(self, m) -> tuple:
-        return ((m[0], m[0], ()), (m[1], m[1], ()))
-
     def apply_context(self, ctx, m):
         left, right = ctx
         if left[1] != m[0] or m[1] != right[0]:
             return None
         return (left[0], right[1], left[2] + m[2] + right[2])
-
-    def compose_contexts(self, outer, inner):
-        lo, ro = outer
-        li, ri = inner
-        if lo[1] != li[0] or ri[1] != ro[0]:
-            return None
-        return ((lo[0], li[1], lo[2] + li[2]), (ri[0], ro[1], ri[2] + ro[2]))
 
     def divisions(self, mu, nu) -> list:
         src, tgt, names = mu

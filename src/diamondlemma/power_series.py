@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra_core import DiamondError, Element, OrderKind, PrecisionCutoff
+from .algebra_core import DiamondError, Element, OrderKind
 from .rewriting_engine import DEFAULT_STEP_BUDGET, _rewrites
 
 
@@ -103,20 +103,17 @@ def truncated_normal_form(
     system,
     weight_data: WeightData,
     element: Element,
-    precision,
+    precision: int,
     max_steps: int = DEFAULT_STEP_BUDGET,
 ) -> SeriesNormalForm:
     """Reduce an element, discarding monomials below the precision ball.
 
-    Monomials of norm below 2^(1-n) are dropped the moment they appear,
-    which is what keeps reduction finitary when rules raise weight sums.
+    ``precision`` is an integer n >= 1. Monomials of norm below 2^(1-n) are
+    dropped the moment they appear, which is what keeps reduction finitary
+    when rules raise weight sums.
     """
-    if isinstance(precision, PrecisionCutoff):
-        n = precision.n
-    else:
-        n = int(precision)
-        if n < 1:
-            raise DiamondError("precision must be at least 1")
+    if type(precision) is not int or precision < 1:
+        raise DiamondError("precision must be an integer n >= 1")
     eq = check_equicontinuity(system, weight_data)
     if not eq.admitted:
         raise SeriesAdmissionError(
@@ -126,7 +123,7 @@ def truncated_normal_form(
     if not tdcc.certified:
         raise SeriesAdmissionError("descending chains not certified: %s" % tdcc.reason)
 
-    threshold = Fraction(1 - n)
+    threshold = Fraction(1 - precision)
     dropped = [False]
 
     def keep(monomial) -> bool:
@@ -138,4 +135,4 @@ def truncated_normal_form(
     coeffs = {m: c for m, c in element.terms if keep(m)}
     for _ in _rewrites(system, coeffs, max_steps, keep):
         pass
-    return SeriesNormalForm(Element.from_dict(coeffs), n, dropped[0])
+    return SeriesNormalForm(Element.from_dict(coeffs), precision, dropped[0])

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .algebra_core import DiamondError, Element, MonomialOrder, RationalField, Rel
+from .algebra_core import DiamondError, Element, MonomialOrder, RationalField
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -55,6 +56,7 @@ class RewritingSystem:
             raise RuleError("order does not belong to the system's theory")
         for i, rule in enumerate(self.rules):
             th.check_monomial(rule.lead)
+            lead_key = order.sort_key(rule.lead) if rule.lower.terms else None
             for m, c in rule.lower.terms:
                 th.check_monomial(m)
                 if not self.field.contains(c):
@@ -62,7 +64,7 @@ class RewritingSystem:
                         "rule %d: coefficient %s of %s is not in the field %s"
                         % (i, c, th.serialize(m), self.field.describe())
                     )
-                if order.compare(m, rule.lead) is not Rel.LT:
+                if not order.sort_key(m) < lead_key:
                     raise RuleError(
                         "rule %d: lower-part monomial %s is not below the lead %s"
                         % (i, th.serialize(m), th.serialize(rule.lead))
@@ -79,6 +81,9 @@ def orient(order: MonomialOrder, element: Element) -> Rule:
     if element.is_zero():
         raise ZeroElementError("cannot orient the zero element")
     lead, c = max(element.terms, key=lambda term: order.sort_key(term[0]))
+    if isinstance(c, int):
+        # Divide exactly: int / int would give a float.
+        c = Fraction(c)
     lower = {m: -(k / c) for m, k in element.terms if m != lead}
     return Rule(lead, Element.from_dict(lower))
 

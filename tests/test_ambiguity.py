@@ -1,5 +1,6 @@
 """Critical ambiguity enumeration and resolution certificates."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from diamondlemma import (
     OrderKind,
     OverlapKind,
     PathAlgebraTheory,
-    Rel,
     RewritingSystem,
     Rule,
     check_confluence,
@@ -26,7 +26,14 @@ from diamondlemma import (
     second_criterion_filter,
 )
 
-from oracles import all_normal_forms, make_word_corpus, words_up_to
+from oracles import (
+    THEORIES,
+    all_normal_forms,
+    make_random_system,
+    make_word_corpus,
+    shipped_orders,
+    words_up_to,
+)
 
 TH = FreeMonoidTheory(("x", "y"))
 DEGLEX = MonomialOrder(OrderKind.DEGLEX, TH, ("x", "y"))
@@ -117,6 +124,22 @@ class TestEnumeration:
         s = make_word_corpus(seed=7, count=1)[0]
         assert critical_ambiguities(s) == critical_ambiguities(s)
 
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_enumeration_yields_no_duplicates(self, name):
+        # critical_ambiguities keeps every ambiguity the theory's overlaps
+        # give, so no two rule pairs or overlaps may produce the same entry.
+        th = THEORIES[name]
+        rng = random.Random("no-duplicates-" + name)
+        montages = isinstance(th, CommutativeTheory)
+        for order in shipped_orders(th):
+            for _ in range(150):
+                s = make_random_system(th, order, rng, lead_degree=4)
+                keys = [
+                    (a.rule1, a.ctx1, a.rule2, a.ctx2, a.superposition)
+                    for a in critical_ambiguities(s, include_montages=montages)
+                ]
+                assert len(set(keys)) == len(keys)
+
 
 class TestSPolynomial:
     def test_buchberger_pair_difference(self):
@@ -197,7 +220,7 @@ class TestResolve:
             for amb in critical_ambiguities(s):
                 cert = resolve(s, amb, max_steps=20000)
                 for step in cert.trail:
-                    assert s.order.compare(step.monomial, amb.superposition) is Rel.LT
+                    assert s.order.sort_key(step.monomial) < s.order.sort_key(amb.superposition)
 
     def test_certificate_remainder_is_irreducible(self):
         for s in make_word_corpus(seed=9, count=30):
@@ -286,8 +309,6 @@ class TestSecondCriterionFilter:
         assert second_criterion_filter(s, ambs) == ambs
 
     def test_filter_preserves_verdict(self):
-        import random
-
         rng = random.Random(12)
         pool = [(i, j) for i in range(4) for j in range(4) if 0 < i + j <= 3]
         for _ in range(40):
@@ -297,7 +318,7 @@ class TestSecondCriterionFilter:
                 below = [
                     m
                     for m in pool + [(0, 0)]
-                    if self.order.compare(m, lead) is Rel.LT and rng.random() < 0.4
+                    if self.order.sort_key(m) < self.order.sort_key(lead) and rng.random() < 0.4
                 ]
                 lowers.append(
                     Element.from_dict({m: Fraction(rng.choice((1, -1, 2))) for m in below})

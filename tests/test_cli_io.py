@@ -484,6 +484,16 @@ class TestCommandLine:
         assert main(["member", files["sl2.sys"], "f*e - e*f + h"]) == 0
         assert capsys.readouterr().out == "member\n"
 
+    def test_inconclusive_messages_name_the_ambiguity(self, files, capsys):
+        where = "after 0 ambiguities, while resolving rules (0, 2) at h*f*e\n"
+        assert main(["check", files["sl2.sys"], "--max-steps", "1"]) == 2
+        assert capsys.readouterr() == ("", "inconclusive: step budget exhausted " + where)
+        assert main(["member", files["sl2.sys"], "f*e - e*f + h", "--max-steps", "1"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "confluence check exceeded the step budget of 1 " + where,
+        )
+
     def test_deep_magma_nesting_is_a_parse_error(self, files, capsys):
         def nested(depth):
             expr = "x"

@@ -15,7 +15,6 @@ from diamondlemma import (
     MonomialOrder,
     NotConfluentSystemError,
     OrderKind,
-    Rel,
     RewritingSystem,
     Rule,
     StepBudgetExceededError,
@@ -110,7 +109,11 @@ class TestCheckConfluence:
             ),
         )
         assert check_confluence(s).status is ConfluenceStatus.CONFLUENT
-        assert check_confluence(s, max_steps=0).status is ConfluenceStatus.INCONCLUSIVE
+        assert check_confluence(s).stopped_at is None
+        verdict = check_confluence(s, max_steps=0)
+        assert verdict.status is ConfluenceStatus.INCONCLUSIVE
+        # The verdict keeps the ambiguity whose resolution ran out of steps.
+        assert (verdict.checked, verdict.stopped_at) == (0, critical_ambiguities(s)[0])
 
 
 class TestComplete:
@@ -210,7 +213,7 @@ class TestRandomCommutativeCompletions:
                 below = [
                     m
                     for m in pool + [(0, 0)]
-                    if COMM_DEGLEX.compare(m, lead) is Rel.LT and rng.random() < 0.5
+                    if COMM_DEGLEX.sort_key(m) < COMM_DEGLEX.sort_key(lead) and rng.random() < 0.5
                 ]
                 lower = Element.from_dict(
                     {m: Fraction(rng.choice((1, -1, 2, -2))) for m in below}

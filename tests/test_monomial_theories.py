@@ -89,15 +89,6 @@ class TestFreeMonoid:
         assert sum(1 for _ in self.th.monomials_of_degree(3)) == 8
         assert list(self.th.monomials_of_degree(0)) == [()]
 
-    def test_context_composition(self):
-        outer = (("x",), ("y",))
-        inner = (("y",), ())
-        both = self.th.compose_contexts(outer, inner)
-        m = ("x", "x")
-        assert self.th.apply_context(both, m) == self.th.apply_context(
-            outer, self.th.apply_context(inner, m)
-        )
-
 
 class TestCommutative:
     def setup_method(self):

@@ -11,7 +11,6 @@ from diamondlemma import (
     FreeMonoidTheory,
     MonomialOrder,
     OrderKind,
-    PrecisionCutoff,
     RewritingSystem,
     Rule,
     SeriesAdmissionError,
@@ -134,14 +133,11 @@ class TestTruncatedNormalForm:
         assert got.precision == n
         assert got.truncated
 
-    def test_accepts_precision_cutoff_object(self):
-        got = truncated_normal_form(geometric(), W1, elem1((1, 1)), PrecisionCutoff(4))
-        assert got.representative.is_zero()
-        assert got.precision == 4
-
-    def test_rejects_bad_precision(self):
+    @pytest.mark.parametrize("bad", [0, -1, "3", 1.5, True])
+    def test_rejects_bad_precision(self, bad):
+        # Neither coerced nor truncated: "3", 1.5 and True are not precisions.
         with pytest.raises(DiamondError):
-            truncated_normal_form(geometric(), W1, elem1((1, 1)), 0)
+            truncated_normal_form(geometric(), W1, elem1((1, 1)), bad)
 
     def test_irreducible_constant_untouched(self):
         got = truncated_normal_form(geometric(), W1, elem1((0, 1)), 3)

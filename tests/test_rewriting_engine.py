@@ -14,6 +14,7 @@ from diamondlemma import (
     MonomialOrder,
     OrderKind,
     PathAlgebraTheory,
+    PrimeField,
     RewritingSystem,
     Rule,
     RuleError,
@@ -79,6 +80,19 @@ class TestOrient:
     def test_zero_rejected(self):
         with pytest.raises(ZeroElementError):
             orient(DEGLEX, Element.zero())
+
+    def test_int_coefficients_divide_exactly(self):
+        rule = orient(DEGLEX, Element.from_dict({("x",): 2, ("y",): 3}))
+        assert rule.lead == ("y",)
+        ((m, c),) = rule.lower.terms
+        assert m == ("x",) and type(c) is Fraction and c == Fraction(-2, 3)
+        RewritingSystem(TH, DEGLEX, (rule,))
+
+    def test_prime_field_coefficients(self):
+        gf7 = PrimeField(7)
+        rule = orient(DEGLEX, Element.from_dict({("x",): gf7.coeff(2), ("y",): gf7.coeff(3)}))
+        assert rule.lower == Element.from_dict({("x",): gf7.coeff(Fraction(-2, 3))})
+        RewritingSystem(TH, DEGLEX, (rule,), gf7)
 
 
 class TestSystemValidation:
