@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra_core import DiamondError, Element
-from .monomial_theories import CommutativeTheory, OverlapKind
+from .algebra_core import Element
+from .monomial_theories import OverlapKind
 from .rewriting_engine import DEFAULT_STEP_BUDGET, normal_form_with_trail
 
 
@@ -47,30 +47,14 @@ def _pair_ambiguities(theory, i, lead_i, j, lead_j) -> list:
     return out
 
 
-def _montage_ambiguities(theory, i, lead_i, j, lead_j) -> list:
-    """Enumerate discarded coprime superpositions (commutative first criterion)."""
-    if not isinstance(theory, CommutativeTheory):
-        raise DiamondError("montage enumeration is only finite for the commutative theory")
-    if i == j or any(min(a, b) for a, b in zip(lead_i, lead_j)):
-        return []
-    return [_make_ambiguity(i, j, theory.lcm_superposition(lead_i, lead_j))]
-
-
-def critical_ambiguities(system, include_montages: bool = False) -> tuple:
-    """Enumerate the critical ambiguities of a system, montages discarded.
-
-    With include_montages=True (commutative theory only) the coprime
-    superpositions normally discarded by the first criterion are enumerated
-    as well, which is useful for soundness experiments.
-    """
+def critical_ambiguities(system) -> tuple:
+    """Enumerate the critical ambiguities of a system, montages discarded."""
     th = system.theory
     leads = [rule.lead for rule in system.rules]
     ambs = []
     for i in range(len(leads)):
         for j in range(i, len(leads)):
             ambs += _pair_ambiguities(th, i, leads[i], j, leads[j])
-            if include_montages:
-                ambs += _montage_ambiguities(th, i, leads[i], j, leads[j])
     ambs.sort(
         key=lambda a: (
             th.degree(a.superposition),
@@ -107,25 +91,3 @@ def resolve(system, amb: Ambiguity, max_steps: int = DEFAULT_STEP_BUDGET) -> Res
     spoly = s_polynomial(system, amb)
     remainder, trail = normal_form_with_trail(system, spoly, max_steps)
     return ResolutionCertificate(amb, remainder.is_zero(), remainder, trail)
-
-
-def second_criterion_filter(system, ambiguities) -> tuple:
-    """Drop ambiguities certified by chains through a third rule.
-
-    An ambiguity of rules (i, j) at superposition m is dropped when the
-    theory's chain criterion holds for some third rule; for power products
-    that means its lead divides m and both chained superpositions lcm(i, k),
-    lcm(k, j) properly divide m. The kept subset certifies the same
-    confluence verdict. Theories without a chain criterion keep everything.
-    """
-    th = system.theory
-    leads = [rule.lead for rule in system.rules]
-    return tuple(
-        amb
-        for amb in ambiguities
-        if not any(
-            th.chain_criterion(lead_k, leads[amb.rule1], leads[amb.rule2], amb.superposition)
-            for k, lead_k in enumerate(leads)
-            if k not in (amb.rule1, amb.rule2)
-        )
-    )

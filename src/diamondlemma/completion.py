@@ -100,13 +100,24 @@ class CompletionReport:
     pairs_filtered: int
 
 
-@dataclass
 class _Working:
-    """Unvalidated view with the attribute shape the engine expects."""
+    """Unvalidated view of a rule list with the attributes the engine reads.
 
-    theory: object
-    order: object
-    rules: object
+    Its lead index covers the rules it is made with; ``append`` extends both,
+    so one view serves a whole completion.
+    """
+
+    __slots__ = ("theory", "order", "rules", "lead_index")
+
+    def __init__(self, theory, order, rules) -> None:
+        self.theory = theory
+        self.order = order
+        self.rules = rules
+        self.lead_index = theory.lead_index([rule.lead for rule in rules])
+
+    def append(self, rule: Rule) -> None:
+        self.rules.append(rule)
+        self.lead_index.add(rule.lead)
 
 
 def _uniform_components(theory, element: Element) -> list:
@@ -125,13 +136,11 @@ def _interreduce(theory, order, rules: list, max_steps: int, since: int = 0) -> 
     a lead from ``since`` on; the other rules are skipped, which leaves the
     result unchanged.
     """
-    fresh = [rule.lead for rule in rules[since:]]
+    fresh = theory.lead_index([rule.lead for rule in rules[since:]])
     for i in range(len(rules)):
-        if i < since and not any(
-            theory.divisions(m, lead) for m, _ in rules[i].lower.terms for lead in fresh
-        ):
+        if i < since and not any(fresh.first_site(m) for m, _ in rules[i].lower.terms):
             continue
-        others = _Working(theory, order, tuple(rules[:i] + rules[i + 1 :]))
+        others = _Working(theory, order, rules[:i] + rules[i + 1 :])
         lower = normal_form(others, rules[i].lower, max_steps)
         if lower != rules[i].lower:
             rules[i] = Rule(rules[i].lead, lower)
@@ -153,7 +162,8 @@ def complete(
     when the rule cap was reached.
     """
     th, order = system.theory, system.order
-    rules = list(system.rules)
+    work = _Working(th, order, list(system.rules))
+    rules = work.rules
     heap: list = []
     counter = itertools.count()
     dead: set = set()  # insertion counters of queued pairs a criterion removed
@@ -192,14 +202,12 @@ def complete(
             skipped += 1
             degree_capped = True
             continue
-        work = _Working(th, order, tuple(rules))
         remainder = normal_form(work, s_polynomial(work, amb), max_steps)
         processed += 1
         if remainder.is_zero():
             continue
         for component in _uniform_components(th, remainder):
-            rule = orient(order, component)
-            rules.append(rule)
+            work.append(orient(order, component))
             sources.append(amb)
             if len(rules) > max_rules:
                 rule_capped = True
@@ -238,7 +246,7 @@ def _drop_pass(theory, order, rules, field, max_steps):
         others = remaining[:i] + remaining[i + 1 :]
         if others and any(theory.divisions(rule.lead, o.lead) for o in others):
             defining = Element(((rule.lead, field.one),)) - rule.lower
-            work = _Working(theory, order, tuple(others))
+            work = _Working(theory, order, others)
             try:
                 residue = normal_form(work, defining, max_steps)
             except StepBudgetExceededError:

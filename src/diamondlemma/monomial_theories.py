@@ -54,6 +54,19 @@ def _exp_le(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def _divisor_mask(exps: tuple) -> int:
+    """Two bits per variable, set for exponent >= 1 and for exponent >= 2.
+
+    A power product divides another only if its mask is a subset of the
+    other's (Roune and Stillman, ISSAC 2012).
+    """
+    mask = 0
+    for k, e in enumerate(exps):
+        if e:
+            mask |= (1 if e == 1 else 3) << 2 * k
+    return mask
+
+
 def _word_occurrences(haystack: tuple, needle: tuple) -> list[int]:
     """List start positions of a contiguous factor, including the empty factor."""
     n, h = len(needle), len(haystack)
@@ -114,6 +127,56 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+class LeadIndex:
+    """Rule leads in rule order, asked which rule reduces a monomial.
+
+    ``first_site(m)`` gives (lowest rule index whose lead divides m, the
+    first context ``divisions`` returns) or None. Leads are only appended.
+    """
+
+    __slots__ = ("theory", "leads")
+
+    def __init__(self, theory, leads) -> None:
+        self.theory = theory
+        self.leads = list(leads)
+
+    def add(self, lead) -> None:
+        self.leads.append(lead)
+
+    def first_site(self, m):
+        divisions = self.theory.divisions
+        for i, lead in enumerate(self.leads):
+            ctxs = divisions(m, lead)
+            if ctxs:
+                return i, ctxs[0]
+        return None
+
+
+class _DivisorMaskIndex(LeadIndex):
+    """Lead index for power products: a lead whose divisor mask has a bit
+    outside the monomial's never reaches ``divisions``."""
+
+    __slots__ = ("masks",)
+
+    def __init__(self, theory, leads) -> None:
+        super().__init__(theory, leads)
+        self.masks = [_divisor_mask(lead) for lead in self.leads]
+
+    def add(self, lead) -> None:
+        self.leads.append(lead)
+        self.masks.append(_divisor_mask(lead))
+
+    def first_site(self, m):
+        outside = ~_divisor_mask(m)
+        divisions = self.theory.divisions
+        for i, mask in enumerate(self.masks):
+            if not mask & outside:
+                ctxs = divisions(m, self.leads[i])
+                if ctxs:
+                    return i, ctxs[0]
+        return None
+
+
 class Theory:
     """Shared behaviour; concrete theories implement the payload geometry.
 
@@ -163,6 +226,10 @@ class Theory:
             if image is not None:
                 _accumulate(out, image, c)
         return Element.from_dict(out)
+
+    def lead_index(self, leads) -> LeadIndex:
+        """Index of rule leads for site lookup; by default a scan in rule order."""
+        return LeadIndex(self, leads)
 
     def chain_criterion(self, lead, lead_i, lead_j, superposition) -> bool:
         """Decide whether the pair (i, j) at ``superposition`` follows from the
@@ -315,6 +382,9 @@ class CommutativeTheory(Theory):
 
     def divisions(self, mu, nu) -> list:
         return [_exp_sub(mu, nu)] if _exp_le(nu, mu) else []
+
+    def lead_index(self, leads) -> LeadIndex:
+        return _DivisorMaskIndex(self, leads)
 
     def lcm_superposition(self, a, b) -> OverlapDatum:
         """The lcm of two power products, an inclusion when one divides the other."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,7 +44,11 @@ class RewriteStep:
 
 @dataclass(frozen=True)
 class RewritingSystem:
-    """A theory, a monomial order and a tuple of compatible rules."""
+    """A theory, a monomial order and a tuple of compatible rules.
+
+    ``lead_index`` is built from the rules on first use and kept on the
+    instance; it is no field, so equality, hashing and repr ignore it.
+    """
 
     theory: object
     order: MonomialOrder
@@ -75,6 +80,11 @@ class RewritingSystem:
                         % (i, th.serialize(m), th.serialize(rule.lead))
                     )
 
+    @functools.cached_property
+    def lead_index(self):
+        """The theory's lead index over the rule leads, in rule order."""
+        return self.theory.lead_index([rule.lead for rule in self.rules])
+
 
 def orient(order: MonomialOrder, element: Element) -> Rule:
     """Turn an element into a monic rule with its greatest monomial as lead."""
@@ -88,18 +98,12 @@ def orient(order: MonomialOrder, element: Element) -> Rule:
     return Rule(lead, Element.from_dict(lower))
 
 
-def _first_site(theory, rules, monomial, memo):
-    """Find (rule index, first canonical context) or None, with memoization."""
+def _first_site(index, monomial, memo):
+    """Look up (rule index, first canonical context) or None, with memoization."""
     hit = memo.get(monomial, 0)
     if hit != 0:
         return hit
-    site = None
-    for i, rule in enumerate(rules):
-        ctxs = theory.divisions(monomial, rule.lead)
-        if ctxs:
-            site = (i, ctxs[0])
-            break
-    memo[monomial] = site
+    site = memo[monomial] = index.first_site(monomial)
     return site
 
 
@@ -119,15 +123,16 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
     coefficient) for each step as it is applied.
 
     Strategy: rewrite the P-greatest reducible support monomial, using the
-    lowest rule index and the first canonical context. A max-heap holds every
-    reducible support monomial, so a step costs its images, not a rescan;
-    entries whose coefficient cancelled are skipped when popped. Images
-    failing ``keep`` are dropped. StepBudgetExceededError is raised before
-    step ``budget + 1``.
+    lowest rule index and the first canonical context, which the system's
+    ``lead_index`` finds. A max-heap holds every reducible support monomial,
+    so a step costs its images, not a rescan; entries whose coefficient
+    cancelled are skipped when popped. Images failing ``keep`` are dropped.
+    StepBudgetExceededError is raised before step ``budget + 1``.
     """
     th, order, rules = system.theory, system.order, system.rules
+    index = system.lead_index
     site_memo: dict = {}
-    queued = {m for m in coeffs if _first_site(th, rules, m, site_memo)}
+    queued = {m for m in coeffs if _first_site(index, m, site_memo)}
     heap = [_Queued((order.sort_key(m), m)) for m in queued]
     heapq.heapify(heap)
     steps = 0
@@ -156,7 +161,7 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
                 if (
                     prev is None
                     and image not in queued
-                    and _first_site(th, rules, image, site_memo)
+                    and _first_site(index, image, site_memo)
                 ):
                     heapq.heappush(heap, _Queued((order.sort_key(image), image)))
                     queued.add(image)
@@ -195,8 +200,7 @@ def normal_form_with_trail(system, element: Element, max_steps: int = DEFAULT_ST
 
 def is_irreducible_monomial(system, monomial) -> bool:
     """Decide whether no rule lead divides the monomial."""
-    th = system.theory
-    return all(not th.divisions(monomial, rule.lead) for rule in system.rules)
+    return system.lead_index.first_site(monomial) is None
 
 
 @dataclass(frozen=True)

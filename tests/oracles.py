@@ -11,6 +11,7 @@ from diamondlemma import (
     CommutativeTheory,
     CompletionReport,
     CompletionStatus,
+    DiamondError,
     Element,
     FreeMagmaTheory,
     FreeMonoidTheory,
@@ -24,11 +25,12 @@ from diamondlemma import (
     RewritingSystem,
     Rule,
     StepBudgetExceededError,
+    critical_ambiguities,
     normal_form,
     orient,
     s_polynomial,
 )
-from diamondlemma.ambiguity import _pair_ambiguities
+from diamondlemma.ambiguity import _make_ambiguity, _pair_ambiguities
 from diamondlemma.completion import _drop_pass, _uniform_components, _Working
 
 
@@ -322,6 +324,45 @@ def reference_complete(system, max_degree: int = 12, max_rules: int = 500, max_s
         rules, dropped = _drop_pass(th, order, rules, system.field, max_steps)
     final = RewritingSystem(th, order, tuple(rules), system.field)
     return CompletionReport(status, final, added, dropped, processed, skipped, 0)
+
+
+def critical_ambiguities_with_montages(system) -> tuple:
+    """``critical_ambiguities`` followed by the montages: the superpositions
+    of coprime leads of two distinct rules, which the first criterion
+    discards. Only power products have finitely many."""
+    th = system.theory
+    if not isinstance(th, CommutativeTheory):
+        raise DiamondError("montage enumeration is only finite for the commutative theory")
+    leads = [rule.lead for rule in system.rules]
+    montages = tuple(
+        _make_ambiguity(i, j, th.lcm_superposition(leads[i], leads[j]))
+        for i in range(len(leads))
+        for j in range(i + 1, len(leads))
+        if not any(min(a, b) for a, b in zip(leads[i], leads[j]))
+    )
+    return critical_ambiguities(system) + montages
+
+
+def second_criterion_filter(system, ambiguities) -> tuple:
+    """Drop ambiguities certified by chains through a third rule.
+
+    An ambiguity of rules (i, j) at superposition m is dropped when the
+    theory's chain criterion holds for some third rule; for power products
+    that means its lead divides m and both chained superpositions lcm(i, k),
+    lcm(k, j) properly divide m. The kept subset certifies the same
+    confluence verdict. Theories without a chain criterion keep everything.
+    """
+    th = system.theory
+    leads = [rule.lead for rule in system.rules]
+    return tuple(
+        amb
+        for amb in ambiguities
+        if not any(
+            th.chain_criterion(lead_k, leads[amb.rule1], leads[amb.rule2], amb.superposition)
+            for k, lead_k in enumerate(leads)
+            if k not in (amb.rule1, amb.rule2)
+        )
+    )
 
 
 def make_random_system(theory, order, rng, lead_degree: int = 3, lower_degree: int = 3):

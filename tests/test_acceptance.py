@@ -34,6 +34,7 @@ from diamondlemma import (
 from oracles import (
     RowSpace,
     all_normal_forms,
+    critical_ambiguities_with_montages,
     macaulay_member,
     macaulay_row_space,
     make_commutative_corpus,
@@ -197,7 +198,7 @@ def test_criterion_05_coprime_pair_filter_soundness():
         )
         full = all(
             resolve(system, a, max_steps=100000).resolved
-            for a in critical_ambiguities(system, include_montages=True)
+            for a in critical_ambiguities_with_montages(system)
         )
         assert filtered == full
         confluent_seen += filtered

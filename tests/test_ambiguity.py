@@ -23,14 +23,15 @@ from diamondlemma import (
     normal_form,
     resolve,
     s_polynomial,
-    second_criterion_filter,
 )
 
 from oracles import (
     THEORIES,
     all_normal_forms,
+    critical_ambiguities_with_montages,
     make_random_system,
     make_word_corpus,
+    second_criterion_filter,
     shipped_orders,
     words_up_to,
 )
@@ -130,13 +131,17 @@ class TestEnumeration:
         # give, so no two rule pairs or overlaps may produce the same entry.
         th = THEORIES[name]
         rng = random.Random("no-duplicates-" + name)
-        montages = isinstance(th, CommutativeTheory)
+        enumerate_all = (
+            critical_ambiguities_with_montages
+            if isinstance(th, CommutativeTheory)
+            else critical_ambiguities
+        )
         for order in shipped_orders(th):
             for _ in range(150):
                 s = make_random_system(th, order, rng, lead_degree=4)
                 keys = [
                     (a.rule1, a.ctx1, a.rule2, a.ctx2, a.superposition)
-                    for a in critical_ambiguities(s, include_montages=montages)
+                    for a in enumerate_all(s)
                 ]
                 assert len(set(keys)) == len(keys)
 
@@ -347,15 +352,15 @@ class TestMontages:
             (Rule((2, 0), Element.zero()), Rule((0, 2), Element.zero())),
         )
         assert critical_ambiguities(s) == ()
-        (amb,) = critical_ambiguities(s, include_montages=True)
+        (amb,) = critical_ambiguities_with_montages(s)
         assert amb.superposition == (2, 2)
 
     def test_montages_only_commutative(self):
         s = word_system(Rule(("x", "x"), elem(((), 1))))
         with pytest.raises(DiamondError):
-            critical_ambiguities(s, include_montages=True)
+            critical_ambiguities_with_montages(s)
 
     def test_montage_of_a_rule_with_itself_is_empty(self):
         s = RewritingSystem(self.th, self.order, (Rule((2, 0), Element.zero()),))
-        ambs = critical_ambiguities(s, include_montages=True)
+        ambs = critical_ambiguities_with_montages(s)
         assert all(a.superposition != (4, 0) for a in ambs)

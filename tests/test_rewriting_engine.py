@@ -1,5 +1,6 @@
 """Rule orientation and the reduction engine."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from diamondlemma import (
     WeightData,
     ZeroElementError,
     count_irreducible,
+    ideal_member,
     irr_description,
     is_irreducible_monomial,
     normal_form,
@@ -31,8 +33,11 @@ from diamondlemma import (
     truncated_normal_form,
 )
 
+from diamondlemma.completion import _cached_verdict
+
 from oracles import (
     THEORIES,
+    _reference_site,
     all_normal_forms,
     make_random_system,
     random_element,
@@ -393,3 +398,100 @@ class TestReferenceStrategy:
                     reference,
                     len(want_trail),
                 )
+
+
+# Generators, in an order whose product exists, whose product has degree
+# >= 2 in every variable: it sets the second bit of every divisor mask.
+SQUARES = {
+    "assoc": "xxyy",
+    "commutative": "xxyyzz",
+    "mixed": "ttxxyy",
+    "magma": "xxyy",
+    "path": "ccabab",
+}
+
+
+def site_probes(th, name, order, rng):
+    """Support monomials of random elements, each also multiplied by the
+    SQUARES monomial on either side where the product exists."""
+    square = th.monomial_named(SQUARES[name][0])
+    for g in SQUARES[name][1:]:
+        square = th.multiply(square, th.monomial_named(g))
+    probes = {square}
+    for _ in range(4):
+        for m in random_element(th, order, rng, 4, max_terms=4).support():
+            probes.add(m)
+            for product in (th.multiply(m, square), th.multiply(square, m)):
+                if product is not None:
+                    probes.add(product)
+    return probes
+
+
+class TestLeadIndex:
+    """Each theory's lead index against the scan of ``divisions`` in oracles."""
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_first_site_matches_reference(self, name):
+        th = THEORIES[name]
+        rng = random.Random("lead-index-" + name)
+        for order in shipped_orders(th):
+            for _ in range(15):
+                rules = [r for _ in range(3) for r in make_random_system(th, order, rng).rules]
+                probes = site_probes(th, name, order, rng)
+                grown = th.lead_index([])
+                assert all(grown.first_site(m) is None for m in probes)
+                for k, rule in enumerate(rules):
+                    grown.add(rule.lead)
+                    for m in probes:
+                        assert grown.first_site(m) == _reference_site(th, rules[: k + 1], m, {})
+                whole = th.lead_index([rule.lead for rule in rules])
+                system = RewritingSystem(th, order, tuple(rules))
+                for m in probes:
+                    want = _reference_site(th, rules, m, {})
+                    assert whole.first_site(m) == want
+                    assert system.lead_index.first_site(m) == want
+
+    def test_mask_needs_the_second_bit(self):
+        # x^2 does not divide x*y^2*z^2 although every variable of x^2 occurs.
+        th = THEORIES["commutative"]
+        index = th.lead_index([(2, 0, 0), (1, 0, 1)])
+        assert index.first_site((1, 2, 2)) == (1, (0, 2, 1))
+        assert index.first_site((2, 1, 0)) == (0, (0, 1, 0))
+        assert index.first_site((1, 2, 0)) is None
+
+
+class TestCachedLeadIndex:
+    """The index a system builds on first use leaves it unchanged as a value."""
+
+    def test_repr_equality_and_hash_unchanged(self):
+        s, t = weyl(), weyl()
+        before = (repr(s), hash(s))
+        index = s.lead_index
+        assert s.lead_index is index
+        assert (repr(s), hash(s)) == before
+        assert "lead_index" not in repr(s)
+        assert s == t and hash(s) == hash(t)
+        assert "lead_index" not in {f.name for f in dataclasses.fields(s)}
+
+    def test_replace_builds_a_fresh_index(self):
+        th = CommutativeTheory(("x", "y"))
+        order = MonomialOrder(OrderKind.DEGLEX, th, ("x", "y"))
+        s = RewritingSystem(
+            th, order, (Rule((2, 0), Element.zero()), Rule((0, 1), Element.zero()))
+        )
+        assert s.lead_index.first_site((1, 1)) == (1, (1, 0))
+        u = dataclasses.replace(s, rules=s.rules[1:])
+        assert u.lead_index is not s.lead_index
+        assert u.lead_index.first_site((1, 1)) == (0, (1, 0))
+        assert u.lead_index.first_site((2, 0)) is None
+        assert s.lead_index.first_site((2, 0)) == (0, (0, 0))
+
+    def test_membership_cache_hits_on_equal_systems(self):
+        _cached_verdict.cache_clear()
+        s, t = weyl(), weyl()
+        e = elem((("y", "x"), 1), (("x", "y"), -1), ((), -1))
+        assert normal_form(s, e) == Element.zero()
+        assert ideal_member(s, e)
+        assert ideal_member(t, e)
+        info = _cached_verdict.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
