@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -88,7 +89,14 @@ class Fp:
 
 @dataclass(frozen=True)
 class RationalField:
-    """Field of exact rationals."""
+    """Field of exact rationals.
+
+    Reduction loops work on a field's raw values and reduce sums modulo
+    ``characteristic`` when it is nonzero. Rationals are their own raw
+    values, so every conversion hands back its argument.
+    """
+
+    characteristic = 0
 
     @property
     def zero(self) -> Fraction:
@@ -109,10 +117,32 @@ class RationalField:
     def describe(self) -> str:
         return "QQ"
 
+    def raw_terms(self, terms: tuple) -> tuple:
+        """(monomial, raw value) pairs of an element's terms."""
+        return terms
+
+    def into_raw(self, coeffs: dict) -> dict:
+        """Replace a coefficient dict's values by raw values, in place."""
+        return coeffs
+
+    def from_raw(self, coeffs: dict) -> dict:
+        """Replace a raw dict's values by field values, in place."""
+        return coeffs
+
+    def scalar(self, raw):
+        """The field value of one raw value."""
+        return raw
+
 
 @dataclass(frozen=True)
 class PrimeField:
-    """Field of residues modulo a machine-word prime."""
+    """Field of residues modulo a machine-word prime.
+
+    Its values are ``Fp``; its raw values are the residues as plain ints,
+    0 <= r < p. Converting into raw values checks that every coefficient is
+    an ``Fp`` with this modulus, so a loop on raw values needs no
+    per-operation check.
+    """
 
     p: int
 
@@ -149,6 +179,38 @@ class PrimeField:
 
     def describe(self) -> str:
         return "GF(%d)" % self.p
+
+    @property
+    def characteristic(self) -> int:
+        return self.p
+
+    def _raw(self, c) -> int:
+        if not self.contains(c):
+            raise ScalarError("coefficient %s is not in the field %s" % (c, self.describe()))
+        return c.value
+
+    def raw_terms(self, terms: tuple) -> tuple:
+        """(monomial, residue) pairs of an element's terms."""
+        raw = self._raw
+        return tuple((m, raw(c)) for m, c in terms)
+
+    def into_raw(self, coeffs: dict) -> dict:
+        """Check a coefficient dict and replace its values by residues, in place."""
+        raw = self._raw
+        for m, c in coeffs.items():
+            coeffs[m] = raw(c)
+        return coeffs
+
+    def from_raw(self, coeffs: dict) -> dict:
+        """Replace a residue dict's values by ``Fp`` values, in place."""
+        p = self.p
+        for m, r in coeffs.items():
+            coeffs[m] = Fp(r, p)
+        return coeffs
+
+    def scalar(self, raw) -> Fp:
+        """The ``Fp`` of one residue."""
+        return Fp(raw, self.p)
 
 
 def _accumulate(coeffs: dict, monomial, c) -> None:
@@ -227,6 +289,20 @@ class Element:
         return Element(tuple((m, c * scalar) for m, c in self.terms))
 
 
+@functools.lru_cache(maxsize=256)
+def _rank_table(generators: tuple) -> dict:
+    """Rank of every generator, higher meaning greater."""
+    return {name: i for i, name in enumerate(generators)}
+
+
+@functools.lru_cache(maxsize=256)
+def _variable_permutation(letters: tuple, generators: tuple) -> tuple:
+    """Exponent-vector positions of the exponent variables ``letters``, the
+    greatest generator first."""
+    index = {x: i for i, x in enumerate(letters)}
+    return tuple(index[g] for g in reversed(generators) if g in index)
+
+
 class OrderKind(Enum):
     """Shipped monomial order families."""
 
@@ -270,10 +346,19 @@ class MonomialOrder:
             raise OrderError("weights are only meaningful for weighted kinds")
         if self.kind is OrderKind.LEX and not self.theory.supports_lex():
             raise OrderError("lex is only well-founded for the commutative theory")
+        # Rank tables for sort keys; no fields, so equality, hashing and
+        # repr ignore them. Orders with the same generators share them, so
+        # they are read, never changed.
+        object.__setattr__(self, "ranks", _rank_table(self.generators))
+        object.__setattr__(
+            self,
+            "variable_permutation",
+            _variable_permutation(self.theory.exponent_letters, self.generators),
+        )
 
     def rank(self, name: str) -> int:
         """Return the rank of a generator, higher meaning greater."""
-        return self.generators.index(name)
+        return self.ranks[name]
 
     def weight_of(self, name: str) -> Fraction:
         for n, w in self.weights:

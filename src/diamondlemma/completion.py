@@ -103,21 +103,39 @@ class CompletionReport:
 class _Working:
     """Unvalidated view of a rule list with the attributes the engine reads.
 
-    Its lead index covers the rules it is made with; ``append`` extends both,
-    so one view serves a whole completion.
+    Its lead index and raw lower parts cover the rules it is made with;
+    ``append`` and ``replace`` keep them in step with ``rules``, so one view
+    serves a whole completion. ``without(i)`` slices all three for the view
+    of the other rules, recomputing nothing.
     """
 
-    __slots__ = ("theory", "order", "rules", "lead_index")
+    __slots__ = ("theory", "order", "field", "rules", "raw_lowers", "lead_index")
 
-    def __init__(self, theory, order, rules) -> None:
+    def __init__(self, theory, order, field, rules: list) -> None:
         self.theory = theory
         self.order = order
+        self.field = field
         self.rules = rules
+        self.raw_lowers = [field.raw_terms(rule.lower.terms) for rule in rules]
         self.lead_index = theory.lead_index([rule.lead for rule in rules])
 
     def append(self, rule: Rule) -> None:
         self.rules.append(rule)
+        self.raw_lowers.append(self.field.raw_terms(rule.lower.terms))
         self.lead_index.add(rule.lead)
+
+    def replace(self, i: int, rule: Rule) -> None:
+        """Put a rule with the same lead in place of rule i."""
+        self.rules[i] = rule
+        self.raw_lowers[i] = self.field.raw_terms(rule.lower.terms)
+
+    def without(self, i: int) -> "_Working":
+        view = _Working.__new__(_Working)
+        view.theory, view.order, view.field = self.theory, self.order, self.field
+        view.rules = self.rules[:i] + self.rules[i + 1 :]
+        view.raw_lowers = self.raw_lowers[:i] + self.raw_lowers[i + 1 :]
+        view.lead_index = self.lead_index.without(i)
+        return view
 
 
 def _uniform_components(theory, element: Element) -> list:
@@ -128,7 +146,7 @@ def _uniform_components(theory, element: Element) -> list:
     return [Element(tuple(groups[k])) for k in sorted(groups)]
 
 
-def _interreduce(theory, order, rules: list, max_steps: int, since: int = 0) -> None:
+def _interreduce(work: _Working, max_steps: int, since: int = 0) -> None:
     """Renormalize rule lower parts against the other rules' leads.
 
     Rules before ``since`` were interreduced already. Leads never change, so
@@ -136,14 +154,14 @@ def _interreduce(theory, order, rules: list, max_steps: int, since: int = 0) -> 
     a lead from ``since`` on; the other rules are skipped, which leaves the
     result unchanged.
     """
-    fresh = theory.lead_index([rule.lead for rule in rules[since:]])
+    rules = work.rules
+    fresh = work.theory.lead_index([rule.lead for rule in rules[since:]])
     for i in range(len(rules)):
         if i < since and not any(fresh.first_site(m) for m, _ in rules[i].lower.terms):
             continue
-        others = _Working(theory, order, rules[:i] + rules[i + 1 :])
-        lower = normal_form(others, rules[i].lower, max_steps)
+        lower = normal_form(work.without(i), rules[i].lower, max_steps)
         if lower != rules[i].lower:
-            rules[i] = Rule(rules[i].lead, lower)
+            work.replace(i, Rule(rules[i].lead, lower))
 
 
 def complete(
@@ -162,7 +180,7 @@ def complete(
     when the rule cap was reached.
     """
     th, order = system.theory, system.order
-    work = _Working(th, order, list(system.rules))
+    work = _Working(th, order, system.field, list(system.rules))
     rules = work.rules
     heap: list = []
     counter = itertools.count()
@@ -213,7 +231,7 @@ def complete(
                 rule_capped = True
                 break
             add_pairs(len(rules) - 1)
-            _interreduce(th, order, rules, max_steps, interreduced)
+            _interreduce(work, max_steps, interreduced)
             interreduced = len(rules)
         if rule_capped:
             break
@@ -231,24 +249,27 @@ def complete(
     )
     dropped: tuple = ()
     if status is CompletionStatus.COMPLETE:
-        rules, dropped = _drop_pass(th, order, rules, system.field, max_steps)
+        rules, dropped = _drop_pass(work, max_steps)
     final = RewritingSystem(th, order, tuple(rules), system.field)
     return CompletionReport(status, final, added, dropped, processed, skipped, filtered)
 
 
-def _drop_pass(theory, order, rules, field, max_steps):
-    """Greedily remove rules certified redundant by the remaining ones."""
-    remaining = list(rules)
+def _drop_pass(work: _Working, max_steps: int):
+    """Greedily remove rules certified redundant by the remaining ones.
+
+    Returns the remaining rules, a new list, and the drops; ``work`` is left
+    as it was.
+    """
+    theory, field = work.theory, work.field
     dropped = []
     i = 0
-    while i < len(remaining):
-        rule = remaining[i]
-        others = remaining[:i] + remaining[i + 1 :]
-        if others and any(theory.divisions(rule.lead, o.lead) for o in others):
+    while i < len(work.rules):
+        rule = work.rules[i]
+        others = work.without(i)
+        if others.lead_index.first_site(rule.lead) is not None:
             defining = Element(((rule.lead, field.one),)) - rule.lower
-            work = _Working(theory, order, others)
             try:
-                residue = normal_form(work, defining, max_steps)
+                residue = normal_form(others, defining, max_steps)
             except StepBudgetExceededError:
                 residue = None
             if residue is not None and residue.is_zero():
@@ -259,17 +280,16 @@ def _drop_pass(theory, order, rules, field, max_steps):
                         % theory.serialize(rule.lead),
                     )
                 )
-                remaining.pop(i)
+                work = others
                 continue
         i += 1
-    return remaining, tuple(dropped)
+    return list(work.rules), tuple(dropped)
 
 
 def drop_redundant(system, max_steps: int = DEFAULT_STEP_BUDGET):
     """Remove redundant rules; returns the trimmed system and the drops."""
-    remaining, dropped = _drop_pass(
-        system.theory, system.order, list(system.rules), system.field, max_steps
-    )
+    work = _Working(system.theory, system.order, system.field, list(system.rules))
+    remaining, dropped = _drop_pass(work, max_steps)
     trimmed = RewritingSystem(system.theory, system.order, tuple(remaining), system.field)
     return trimmed, dropped
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -35,19 +36,19 @@ class OverlapDatum:
 
 
 def _exp_gcd(a: tuple, b: tuple) -> tuple:
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def _exp_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _exp_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _exp_add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _exp_le(a: tuple, b: tuple) -> bool:
@@ -143,6 +144,10 @@ class LeadIndex:
     def add(self, lead) -> None:
         self.leads.append(lead)
 
+    def without(self, i: int) -> "LeadIndex":
+        """The index over every lead but the i-th, sliced from this one."""
+        return LeadIndex(self.theory, self.leads[:i] + self.leads[i + 1 :])
+
     def first_site(self, m):
         divisions = self.theory.divisions
         for i, lead in enumerate(self.leads):
@@ -165,6 +170,13 @@ class _DivisorMaskIndex(LeadIndex):
     def add(self, lead) -> None:
         self.leads.append(lead)
         self.masks.append(_divisor_mask(lead))
+
+    def without(self, i: int) -> "_DivisorMaskIndex":
+        view = _DivisorMaskIndex.__new__(_DivisorMaskIndex)
+        view.theory = self.theory
+        view.leads = self.leads[:i] + self.leads[i + 1 :]
+        view.masks = self.masks[:i] + self.masks[i + 1 :]
+        return view
 
     def first_site(self, m):
         outside = ~_divisor_mask(m)
@@ -192,6 +204,8 @@ class Theory:
     # divisible by no lead ("divisor").
     irr_semantics = "factor"
     associative = True
+    # Generators that are positions of an exponent vector, in vector order.
+    exponent_letters = ()
 
     def header_lines(self) -> list:
         """System-file statements declaring this theory."""
@@ -292,7 +306,7 @@ class FreeMonoidTheory(Theory):
         return sum((order.weight_of(x) for x in m), Fraction(0))
 
     def rank_encoding(self, m, order) -> tuple:
-        return tuple(order.rank(x) for x in m)
+        return tuple(map(order.ranks.__getitem__, m))
 
     def serialize(self, m) -> str:
         if not m:
@@ -327,6 +341,10 @@ class CommutativeTheory(Theory):
 
     def describe(self) -> str:
         return "commutative(%s)" % ",".join(self.letters)
+
+    @property
+    def exponent_letters(self) -> tuple:
+        return self.letters
 
     def monomial_named(self, name: str):
         return self.monomial(**{name: 1}) if name in self.letters else None
@@ -365,8 +383,7 @@ class CommutativeTheory(Theory):
         )
 
     def rank_encoding(self, m, order) -> tuple:
-        index = {x: i for i, x in enumerate(self.letters)}
-        return tuple(m[index[g]] for g in reversed(order.generators))
+        return tuple(map(m.__getitem__, order.variable_permutation))
 
     def serialize(self, m) -> str:
         parts = []
@@ -458,6 +475,10 @@ class MixedTheory(Theory):
     def generator_names(self) -> tuple:
         return self.commutative_letters + self.word_letters
 
+    @property
+    def exponent_letters(self) -> tuple:
+        return self.commutative_letters
+
     def monomial_named(self, name: str):
         if name in self.commutative_letters:
             return self.monomial(**{name: 1})
@@ -507,11 +528,8 @@ class MixedTheory(Theory):
 
     def rank_encoding(self, m, order) -> tuple:
         exps, word = m
-        index = {x: i for i, x in enumerate(self.commutative_letters)}
-        comm = tuple(
-            exps[index[g]] for g in reversed(order.generators) if g in index
-        )
-        return (len(word), tuple(order.rank(x) for x in word), comm)
+        comm = tuple(map(exps.__getitem__, order.variable_permutation))
+        return (len(word), tuple(map(order.ranks.__getitem__, word)), comm)
 
     def serialize(self, m) -> str:
         exps, word = m
@@ -801,7 +819,7 @@ class PathAlgebraTheory(Theory):
 
     def rank_encoding(self, m, order) -> tuple:
         return (
-            tuple(order.rank(x) for x in m[2]),
+            tuple(map(order.ranks.__getitem__, m[2])),
             self.vertices.index(m[0]),
             self.vertices.index(m[1]),
         )

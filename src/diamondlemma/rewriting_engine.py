@@ -46,8 +46,9 @@ class RewriteStep:
 class RewritingSystem:
     """A theory, a monomial order and a tuple of compatible rules.
 
-    ``lead_index`` is built from the rules on first use and kept on the
-    instance; it is no field, so equality, hashing and repr ignore it.
+    ``lead_index`` and ``raw_lowers`` are built from the rules on first use
+    and kept on the instance; they are no fields, so equality, hashing and
+    repr ignore them.
     """
 
     theory: object
@@ -85,6 +86,12 @@ class RewritingSystem:
         """The theory's lead index over the rule leads, in rule order."""
         return self.theory.lead_index([rule.lead for rule in self.rules])
 
+    @functools.cached_property
+    def raw_lowers(self) -> tuple:
+        """Each rule's lower-part terms in the field's raw values, in rule order."""
+        raw = self.field.raw_terms
+        return tuple(raw(rule.lower.terms) for rule in self.rules)
+
 
 def orient(order: MonomialOrder, element: Element) -> Rule:
     """Turn an element into a monic rule with its greatest monomial as lead."""
@@ -119,7 +126,7 @@ class _Queued(tuple):
 
 
 def _rewrites(system, coeffs: dict, budget: int, keep=None):
-    """Reduce coeffs in place, yielding (rule index, monomial, context,
+    """Reduce coeffs in place, yielding (rule index, monomial, context, raw
     coefficient) for each step as it is applied.
 
     Strategy: rewrite the P-greatest reducible support monomial, using the
@@ -128,47 +135,65 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
     so a step costs its images, not a rescan; entries whose coefficient
     cancelled are skipped when popped. Images failing ``keep`` are dropped.
     StepBudgetExceededError is raised before step ``budget + 1``.
+
+    The loop runs on the field's raw values against the system's
+    ``raw_lowers``: coeffs is checked and converted on entry, which raises
+    ScalarError for a coefficient outside the field, and converted back
+    however the loop ends. A caller that stops early must close the
+    generator before reading coeffs.
     """
-    th, order, rules = system.theory, system.order, system.rules
-    index = system.lead_index
-    site_memo: dict = {}
-    queued = {m for m in coeffs if _first_site(index, m, site_memo)}
-    heap = [_Queued((order.sort_key(m), m)) for m in queued]
-    heapq.heapify(heap)
-    steps = 0
-    while heap:
-        m = heapq.heappop(heap)[1]
-        queued.discard(m)
-        if m not in coeffs:
-            continue
-        if steps >= budget:
-            raise StepBudgetExceededError(
-                "step budget of %d exceeded before rewriting %s" % (budget, th.serialize(m))
-            )
-        ridx, ctx = site_memo[m]
-        c = coeffs.pop(m)
-        for mm, cc in rules[ridx].lower.terms:
-            image = th.apply_context(ctx, mm)
-            if image is None:
+    th, order, field = system.theory, system.order, system.field
+    lowers, index = system.raw_lowers, system.lead_index
+    p = field.characteristic
+    field.into_raw(coeffs)
+    try:
+        site_memo: dict = {}
+        queued = {m for m in coeffs if _first_site(index, m, site_memo)}
+        heap = [_Queued((order.sort_key(m), m)) for m in queued]
+        heapq.heapify(heap)
+        steps = 0
+        while heap:
+            m = heapq.heappop(heap)[1]
+            queued.discard(m)
+            if m not in coeffs:
                 continue
-            if keep is not None and not keep(image):
-                continue
-            add = cc * c
-            prev = coeffs.get(image)
-            s = add if prev is None else prev + add
-            if s:
-                coeffs[image] = s
-                if (
-                    prev is None
-                    and image not in queued
-                    and _first_site(index, image, site_memo)
-                ):
-                    heapq.heappush(heap, _Queued((order.sort_key(image), image)))
-                    queued.add(image)
-            elif prev is not None:
-                del coeffs[image]
-        steps += 1
-        yield ridx, m, ctx, c
+            if steps >= budget:
+                raise StepBudgetExceededError(
+                    "step budget of %d exceeded before rewriting %s" % (budget, th.serialize(m))
+                )
+            ridx, ctx = site_memo[m]
+            c = coeffs.pop(m)
+            for mm, cc in lowers[ridx]:
+                image = th.apply_context(ctx, mm)
+                if image is None:
+                    continue
+                if keep is not None and not keep(image):
+                    continue
+                prev = coeffs.get(image)
+                s = cc * c if prev is None else prev + cc * c
+                if p:
+                    s %= p
+                if s:
+                    coeffs[image] = s
+                    if (
+                        prev is None
+                        and image not in queued
+                        and _first_site(index, image, site_memo)
+                    ):
+                        heapq.heappush(heap, _Queued((order.sort_key(image), image)))
+                        queued.add(image)
+                elif prev is not None:
+                    del coeffs[image]
+            steps += 1
+            yield ridx, m, ctx, c
+    finally:
+        field.from_raw(coeffs)
+
+
+def _step(field, step) -> RewriteStep:
+    """The trail entry of a step ``_rewrites`` yielded, with a field coefficient."""
+    ridx, m, ctx, c = step
+    return RewriteStep(ridx, m, ctx, field.scalar(c))
 
 
 def reduce_once(system, element: Element):
@@ -177,10 +202,12 @@ def reduce_once(system, element: Element):
     Irreducible input comes back unchanged with step None.
     """
     coeffs = dict(element.terms)
-    step = next(_rewrites(system, coeffs, 1), None)
+    rewrites = _rewrites(system, coeffs, 1)
+    step = next(rewrites, None)
+    rewrites.close()
     if step is None:
         return element, None
-    return Element.from_dict(coeffs), RewriteStep(*step)
+    return Element.from_dict(coeffs), _step(system.field, step)
 
 
 def normal_form(system, element: Element, max_steps: int = DEFAULT_STEP_BUDGET) -> Element:
@@ -194,7 +221,8 @@ def normal_form(system, element: Element, max_steps: int = DEFAULT_STEP_BUDGET) 
 def normal_form_with_trail(system, element: Element, max_steps: int = DEFAULT_STEP_BUDGET):
     """Reduce to normal form and return the full rewrite trail."""
     coeffs = dict(element.terms)
-    trail = tuple(RewriteStep(*step) for step in _rewrites(system, coeffs, max_steps))
+    field = system.field
+    trail = tuple(_step(field, step) for step in _rewrites(system, coeffs, max_steps))
     return Element.from_dict(coeffs), trail
 
 

@@ -21,17 +21,21 @@ from diamondlemma import (
     OverlapDatum,
     OverlapKind,
     PathAlgebraTheory,
+    PrimeField,
+    RationalField,
     RewriteStep,
     RewritingSystem,
     Rule,
+    ScalarError,
     StepBudgetExceededError,
     critical_ambiguities,
+    drop_redundant,
     normal_form,
     orient,
     s_polynomial,
 )
 from diamondlemma.ambiguity import _make_ambiguity, _pair_ambiguities
-from diamondlemma.completion import _drop_pass, _uniform_components, _Working
+from diamondlemma.completion import _uniform_components
 
 
 def merge_terms(pairs) -> tuple:
@@ -256,10 +260,10 @@ def shipped_orders(th):
     return orders
 
 
-def _reference_interreduce(theory, order, rules: list, max_steps: int) -> None:
+def _reference_interreduce(theory, order, field, rules: list, max_steps: int) -> None:
     """Renormalize every rule's lower part against the other rules' leads."""
     for i in range(len(rules)):
-        others = _Working(theory, order, tuple(rules[:i] + rules[i + 1 :]))
+        others = RewritingSystem(theory, order, tuple(rules[:i] + rules[i + 1 :]), field)
         lower = normal_form(others, rules[i].lower, max_steps)
         if lower != rules[i].lower:
             rules[i] = Rule(rules[i].lead, lower)
@@ -295,7 +299,7 @@ def reference_complete(system, max_degree: int = 12, max_rules: int = 500, max_s
             skipped += 1
             degree_capped = True
             continue
-        work = _Working(th, order, tuple(rules))
+        work = RewritingSystem(th, order, tuple(rules), system.field)
         remainder = normal_form(work, s_polynomial(work, amb), max_steps)
         processed += 1
         if remainder.is_zero():
@@ -307,7 +311,7 @@ def reference_complete(system, max_degree: int = 12, max_rules: int = 500, max_s
                 rule_capped = True
                 break
             push_pairs(len(rules) - 1)
-            _reference_interreduce(th, order, rules, max_steps)
+            _reference_interreduce(th, order, system.field, rules, max_steps)
         if rule_capped:
             break
 
@@ -319,10 +323,10 @@ def reference_complete(system, max_degree: int = 12, max_rules: int = 500, max_s
         status = CompletionStatus.COMPLETE
     base = len(system.rules)
     added = tuple(AddedRule(rules[base + k], sources[k]) for k in range(len(rules) - base))
+    final = RewritingSystem(th, order, tuple(rules), system.field)
     dropped: tuple = ()
     if status is CompletionStatus.COMPLETE:
-        rules, dropped = _drop_pass(th, order, rules, system.field, max_steps)
-    final = RewritingSystem(th, order, tuple(rules), system.field)
+        final, dropped = drop_redundant(final, max_steps)
     return CompletionReport(status, final, added, dropped, processed, skipped, 0)
 
 
@@ -365,12 +369,16 @@ def second_criterion_filter(system, ambiguities) -> tuple:
     )
 
 
-def make_random_system(theory, order, rng, lead_degree: int = 3, lower_degree: int = 3):
+def make_random_system(
+    theory, order, rng, lead_degree: int = 3, lower_degree: int = 3, field=RationalField()
+):
     """Random system of 1-3 rules with leads of degree 1..lead_degree.
 
     Lower parts hold up to two monomials of degree <= lower_degree that lie
-    below the lead and, for paths, share its endpoints.
+    below the lead and, for paths, share its endpoints. Coefficients are
+    drawn from ``field_coeffs(field)``.
     """
+    sample = field_coeffs(field)
     pool = []
     for d in range(max(lead_degree, lower_degree) + 1):
         pool.extend(theory.monomials_of_degree(d))
@@ -389,9 +397,9 @@ def make_random_system(theory, order, rng, lead_degree: int = 3, lower_degree: i
         lower = {}
         for _ in range(rng.randint(0, 2) if below else 0):
             m = below[rng.randrange(len(below))]
-            lower[m] = lower.get(m, Fraction(0)) + _COEFFS[rng.randrange(len(_COEFFS))]
+            lower[m] = lower.get(m, field.zero) + sample[rng.randrange(len(sample))]
         rules.append(Rule(lead, Element.from_dict(lower)))
-    return RewritingSystem(theory, order, tuple(rules))
+    return RewritingSystem(theory, order, tuple(rules), field)
 
 
 def words_up_to(letters: tuple, max_degree: int) -> list:
@@ -484,6 +492,22 @@ _COEFFS = (
     Fraction(1, 2),
     Fraction(3),
 )
+
+# Prime fields for the randomized tests: the smallest, a small one, the
+# benchmark's and a Mersenne prime whose products exceed 64 bits.
+PRIME_FIELDS = (PrimeField(2), PrimeField(7), PrimeField(32003), PrimeField(2**61 - 1))
+
+
+def field_coeffs(field) -> tuple:
+    """The sample coefficients as values of the field, leaving out those
+    whose denominator vanishes in it; over QQ, all of them in order."""
+    out = []
+    for c in _COEFFS:
+        try:
+            out.append(field.coeff(c))
+        except ScalarError:
+            pass
+    return tuple(out)
 
 
 def max_superposition_degree(leads: list) -> int:
@@ -591,15 +615,19 @@ def truncate_below(element: Element, weight_data, n: int) -> Element:
     return Element.from_dict(kept)
 
 
-def random_element(theory, order, rng, max_degree: int, max_terms: int = 3) -> Element:
-    """Random element supported on monomials up to a degree cap."""
+def random_element(
+    theory, order, rng, max_degree: int, max_terms: int = 3, field=RationalField()
+) -> Element:
+    """Random element supported on monomials up to a degree cap, with
+    coefficients drawn from ``field_coeffs(field)``."""
+    sample = field_coeffs(field)
     pool = []
     for d in range(max_degree + 1):
         pool.extend(theory.monomials_of_degree(d))
     coeffs: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         m = pool[rng.randrange(len(pool))]
-        coeffs[m] = coeffs.get(m, Fraction(0)) + _COEFFS[rng.randrange(len(_COEFFS))]
+        coeffs[m] = coeffs.get(m, field.zero) + sample[rng.randrange(len(sample))]
     return Element.from_dict(coeffs)
 
 
@@ -685,6 +713,35 @@ def reference_mixed_overlaps(mu1: tuple, mu2: tuple) -> list:
         emit(w1 + w2, ((), w2), (w1, ()), OverlapKind.OVERLAP)
         emit(w2 + w1, (w2, ()), ((), w1), OverlapKind.OVERLAP)
     return data
+
+
+def reference_rank_encoding(theory, order, m) -> tuple:
+    """Rank encodings as first written: generator ranks by ``tuple.index``
+    and the variable map rebuilt on every call."""
+    rank = order.generators.index
+    if isinstance(theory, CommutativeTheory):
+        index = {x: i for i, x in enumerate(theory.letters)}
+        return tuple(m[index[g]] for g in reversed(order.generators))
+    if isinstance(theory, MixedTheory):
+        exps, word = m
+        index = {x: i for i, x in enumerate(theory.commutative_letters)}
+        comm = tuple(exps[index[g]] for g in reversed(order.generators) if g in index)
+        return (len(word), tuple(rank(x) for x in word), comm)
+    if isinstance(theory, FreeMagmaTheory):
+        if isinstance(m, str):
+            return (0, rank(m))
+        return (
+            1,
+            reference_rank_encoding(theory, order, m[0]),
+            reference_rank_encoding(theory, order, m[1]),
+        )
+    if isinstance(theory, PathAlgebraTheory):
+        return (
+            tuple(rank(x) for x in m[2]),
+            theory.vertices.index(m[0]),
+            theory.vertices.index(m[1]),
+        )
+    return tuple(rank(x) for x in m)
 
 
 def reference_path_divisions(theory, mu, nu) -> list:

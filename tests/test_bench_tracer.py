@@ -7,7 +7,8 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Installs the tracer on a fresh interpreter, then completes a small system
-# through the wrapped names and checks that the wrappers counted the work.
+# over QQ and over GF(7) through the wrapped names and checks that the
+# wrappers counted the work, the residue operators included.
 _SCRIPT = """
 import sys
 sys.path[:0] = [{bench!r}, {src!r}]
@@ -16,14 +17,17 @@ from tracer import Tracer
 
 tracer = Tracer()
 tracer.install(diamondlemma)
-system = diamondlemma.parse_system(
-    "theory commutative\\nvars x y z\\nrule x*y -> z\\nrule y*z -> x\\nrule x*z -> y\\n"
-)
-report = diamondlemma.complete(system)
-assert report.status is diamondlemma.CompletionStatus.COMPLETE
+for field in ("", "field 7\\n"):
+    system = diamondlemma.parse_system(
+        "theory commutative\\n" + field
+        + "vars x y z\\nrule x*y -> z\\nrule y*z -> x\\nrule x*z -> y\\n"
+    )
+    report = diamondlemma.complete(system)
+    assert report.status is diamondlemma.CompletionStatus.COMPLETE
 layers = tracer.layer_metrics()
 assert layers["completion.pairs_processed"] > 0, layers
 assert layers["algebra_core.sort_key_calls"] > 0, layers
+assert layers["algebra_core.fp_ops"] > 0, layers
 """
 
 

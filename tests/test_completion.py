@@ -15,6 +15,7 @@ from diamondlemma import (
     MonomialOrder,
     NotConfluentSystemError,
     OrderKind,
+    RationalField,
     RewritingSystem,
     Rule,
     StepBudgetExceededError,
@@ -28,9 +29,10 @@ from diamondlemma import (
     parse_expression,
     parse_system,
 )
-from diamondlemma.completion import _interreduce
+from diamondlemma.completion import _interreduce, _Working
 
 from oracles import (
+    PRIME_FIELDS,
     THEORIES,
     cyclic_polynomials,
     katsura_polynomials,
@@ -49,6 +51,8 @@ WORD_DEGLEX = MonomialOrder(OrderKind.DEGLEX, WORD_TH, ("x", "y"))
 COMM_TH = CommutativeTheory(("x", "y"))
 COMM_LEX = MonomialOrder(OrderKind.LEX, COMM_TH, ("y", "x"))
 COMM_DEGLEX = MonomialOrder(OrderKind.DEGLEX, COMM_TH, ("x", "y"))
+QQ = RationalField()
+FIELD_IDS = [field.describe() for field in PRIME_FIELDS]
 
 
 def welem(*pairs) -> Element:
@@ -250,14 +254,38 @@ def polynomial_system(polys, kind=OrderKind.DEGLEX) -> RewritingSystem:
     return RewritingSystem(th, order, tuple(orient(order, Element.from_dict(p)) for p in polys))
 
 
-def random_completions(name: str, count: int, caps: dict):
+def random_completions(name: str, count: int, caps: dict, field=QQ):
     """(system, reference report) pairs for random systems of one theory."""
     th = THEORIES[name]
-    rng = random.Random("complete-" + name)
+    seed = "complete-" + name if field == QQ else "complete-%s-%s" % (name, field.describe())
+    rng = random.Random(seed)
     orders = [o for o in shipped_orders(th) if o.is_well_founded()]
     for _ in range(count):
-        s = make_random_system(th, orders[rng.randrange(len(orders))], rng)
+        s = make_random_system(th, orders[rng.randrange(len(orders))], rng, field=field)
         yield s, reference_complete(s, **caps)
+
+
+def assert_completes_as_reference(got, want):
+    """Without pair criteria, complete() repeats the reference run exactly."""
+    assert got.status is want.status
+    assert got.added == want.added
+    assert got.dropped == want.dropped
+    assert got.system.rules == want.system.rules
+    assert (got.pairs_processed, got.pairs_skipped, got.pairs_filtered) == (
+        want.pairs_processed,
+        want.pairs_skipped,
+        0,
+    )
+
+
+def assert_same_basis(got, want) -> bool:
+    """With pair criteria, a complete reference run gives the same basis from
+    no more pairs; says whether there were fewer."""
+    assert got.status is CompletionStatus.COMPLETE
+    # The basis is unique; the order in which rules were found is not.
+    assert set(got.system.rules) == set(want.system.rules)
+    assert got.pairs_processed <= want.pairs_processed
+    return got.pairs_processed < want.pairs_processed
 
 
 class TestAgainstReference:
@@ -268,16 +296,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("name", ["assoc", "magma", "mixed", "path"])
     def test_other_theories_complete_exactly_as_before(self, name):
         for s, want in random_completions(name, 40, self.CAPS):
-            got = complete(s, **self.CAPS)
-            assert got.status is want.status
-            assert got.added == want.added
-            assert got.dropped == want.dropped
-            assert got.system.rules == want.system.rules
-            assert (got.pairs_processed, got.pairs_skipped, got.pairs_filtered) == (
-                want.pairs_processed,
-                want.pairs_skipped,
-                0,
-            )
+            assert_completes_as_reference(complete(s, **self.CAPS), want)
 
     def test_commutative_reaches_the_same_basis_with_fewer_pairs(self):
         complete_runs = fewer = 0
@@ -286,12 +305,22 @@ class TestAgainstReference:
             if want.status is not CompletionStatus.COMPLETE:
                 continue
             complete_runs += 1
-            assert got.status is CompletionStatus.COMPLETE
-            # The basis is unique; the order in which rules were found is not.
-            assert set(got.system.rules) == set(want.system.rules)
-            assert got.pairs_processed <= want.pairs_processed
-            fewer += got.pairs_processed < want.pairs_processed
+            fewer += assert_same_basis(got, want)
         assert complete_runs > 250 and fewer > 20
+
+    @pytest.mark.parametrize("field", PRIME_FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_prime_fields_complete_as_the_reference(self, name, field):
+        complete_runs = 0
+        for s, want in random_completions(name, 40, self.CAPS, field):
+            got = complete(s, **self.CAPS)
+            if name != "commutative":
+                assert_completes_as_reference(got, want)
+            elif want.status is CompletionStatus.COMPLETE:
+                complete_runs += 1
+                assert_same_basis(got, want)
+        if name == "commutative":
+            assert complete_runs > 30
 
     def test_pairs_by_fate_on_cyclic_4(self):
         s = polynomial_system(cyclic_polynomials(4))
@@ -315,13 +344,16 @@ class TestAgainstReference:
         rng = random.Random("interreduce-" + name)
         order = shipped_orders(th)[0]
         for _ in range(60):
-            done = list(make_random_system(th, order, rng).rules)
-            _interreduce(th, order, done, 20_000)
+            done = _Working(th, order, QQ, list(make_random_system(th, order, rng).rules))
+            _interreduce(done, 20_000)
             fresh = list(make_random_system(th, order, rng).rules)
-            full, selective = done + fresh, done + fresh
-            _interreduce(th, order, full, 20_000)
-            _interreduce(th, order, selective, 20_000, len(done))
-            assert selective == full
+            full = _Working(th, order, QQ, done.rules + fresh)
+            selective = _Working(th, order, QQ, done.rules + fresh)
+            _interreduce(full, 20_000)
+            _interreduce(selective, 20_000, len(done.rules))
+            assert selective.rules == full.rules
+            # Over QQ the raw lower parts are the rules' own terms.
+            assert selective.raw_lowers == [rule.lower.terms for rule in full.rules]
 
 
 @pytest.mark.parametrize(

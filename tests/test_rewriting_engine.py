@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,14 +12,17 @@ from diamondlemma import (
     CommutativeTheory,
     Element,
     ForbiddenFactorSet,
+    Fp,
     FreeMonoidTheory,
     MonomialOrder,
     OrderKind,
     PathAlgebraTheory,
     PrimeField,
+    RationalField,
     RewritingSystem,
     Rule,
     RuleError,
+    ScalarError,
     StepBudgetExceededError,
     WeightData,
     ZeroElementError,
@@ -36,17 +40,21 @@ from diamondlemma import (
 from diamondlemma.completion import _cached_verdict
 
 from oracles import (
+    PRIME_FIELDS,
     THEORIES,
     _reference_site,
     all_normal_forms,
     make_random_system,
     random_element,
     random_strategy_normal_form,
+    reference_rank_encoding,
     reference_reduce,
     reference_reduce_once,
     shipped_orders,
 )
 
+QQ = RationalField()
+FIELD_IDS = [field.describe() for field in PRIME_FIELDS]
 TH = FreeMonoidTheory(("x", "y"))
 DEGLEX = MonomialOrder(OrderKind.DEGLEX, TH, ("x", "y"))
 
@@ -345,59 +353,94 @@ class TestReferenceStrategy:
             assert len(keys) == len(monomials), order.kind
 
     @pytest.mark.parametrize("name", sorted(THEORIES))
-    def test_normal_form_trail_and_budget(self, name):
+    def test_rank_encoding_matches_reference(self, name):
         th = THEORIES[name]
-        rng = random.Random("reference-" + name)
-        orders = [o for o in shipped_orders(th) if o.is_well_founded()]
-        for _ in range(30):
-            s = make_random_system(th, orders[rng.randrange(len(orders))], rng)
-            for _ in range(3):
-                e = random_element(th, s.order, rng, 4, max_terms=4)
-                want, want_trail = reference_reduce(s, dict(e.terms), 10**5)
-                got, trail = normal_form_with_trail(s, e)
-                assert got == Element.from_dict(want)
-                assert trail == want_trail
-                assert normal_form(s, e) == got
-                assert reduce_once(s, e) == reference_reduce_once(s, e)
-                budget_boundary_agrees(
-                    lambda n: normal_form_with_trail(s, e, max_steps=n),
-                    lambda n: reference_reduce(s, dict(e.terms), n),
-                    len(trail),
-                )
+        monomials = [m for d in range(5) for m in th.monomials_of_degree(d)]
+        for order in shipped_orders(th):
+            for m in monomials:
+                assert th.rank_encoding(m, order) == reference_rank_encoding(th, order, m)
+            # The order's rank tables are no fields.
+            names = {f.name for f in dataclasses.fields(order)}
+            assert not names & {"ranks", "variable_permutation"}
+            assert "ranks" not in repr(order)
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_normal_form_trail_and_budget(self, name):
+        check_normal_forms(name, QQ, random.Random("reference-" + name))
+
+    @pytest.mark.parametrize("field", PRIME_FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_normal_form_trail_and_budget_over_prime_fields(self, name, field):
+        rng = random.Random("reference-%s-%s" % (name, field.describe()))
+        check_normal_forms(name, field, rng)
 
     @pytest.mark.parametrize("name", sorted(THEORIES))
     def test_truncated_normal_form_and_budget(self, name):
-        th = THEORIES[name]
-        rng = random.Random("truncated-" + name)
-        (order,) = [o for o in shipped_orders(th) if o.kind is OrderKind.SERIES_DEGLEX]
-        wd = WeightData(th, order.weights)
-        for _ in range(20):
-            s = make_random_system(th, order, rng, lead_degree=2, lower_degree=4)
-            precision = rng.randint(3, 6)
-            floor = Fraction(1 - precision)
-            for _ in range(2):
-                e = random_element(th, order, rng, 3, max_terms=4)
-                dropped = []
+        check_truncated_normal_forms(name, QQ, random.Random("truncated-" + name))
 
-                def keep(m):
-                    kept = wd.exponent(m) >= floor
-                    if not kept:
-                        dropped.append(m)
-                    return kept
+    @pytest.mark.parametrize("field", PRIME_FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_truncated_normal_form_and_budget_over_prime_fields(self, name, field):
+        rng = random.Random("truncated-%s-%s" % (name, field.describe()))
+        check_truncated_normal_forms(name, field, rng)
 
-                def reference(n):
-                    coeffs = {m: c for m, c in e.terms if keep(m)}
-                    return reference_reduce(s, coeffs, n, keep)
 
-                want, want_trail = reference(10**5)
-                got = truncated_normal_form(s, wd, e, precision)
-                assert got.representative == Element.from_dict(want)
-                assert got.truncated == bool(dropped)
-                budget_boundary_agrees(
-                    lambda n: truncated_normal_form(s, wd, e, precision, max_steps=n),
-                    reference,
-                    len(want_trail),
-                )
+def check_normal_forms(name, field, rng):
+    """Normal forms, trails, single steps and budgets of random systems over
+    the field against the full-rescan strategy, which uses the field's
+    value arithmetic."""
+    th = THEORIES[name]
+    orders = [o for o in shipped_orders(th) if o.is_well_founded()]
+    for _ in range(30):
+        s = make_random_system(th, orders[rng.randrange(len(orders))], rng, field=field)
+        for _ in range(3):
+            e = random_element(th, s.order, rng, 4, max_terms=4, field=field)
+            want, want_trail = reference_reduce(s, dict(e.terms), 10**5)
+            got, trail = normal_form_with_trail(s, e)
+            assert got == Element.from_dict(want)
+            assert trail == want_trail
+            assert normal_form(s, e) == got
+            assert reduce_once(s, e) == reference_reduce_once(s, e)
+            budget_boundary_agrees(
+                lambda n: normal_form_with_trail(s, e, max_steps=n),
+                lambda n: reference_reduce(s, dict(e.terms), n),
+                len(trail),
+            )
+
+
+def check_truncated_normal_forms(name, field, rng):
+    """Truncated normal forms and budgets under the series order, against the
+    full-rescan strategy with the same ``keep`` filter."""
+    th = THEORIES[name]
+    (order,) = [o for o in shipped_orders(th) if o.kind is OrderKind.SERIES_DEGLEX]
+    wd = WeightData(th, order.weights)
+    for _ in range(20):
+        s = make_random_system(th, order, rng, lead_degree=2, lower_degree=4, field=field)
+        precision = rng.randint(3, 6)
+        floor = Fraction(1 - precision)
+        for _ in range(2):
+            e = random_element(th, order, rng, 3, max_terms=4, field=field)
+            dropped = []
+
+            def keep(m):
+                kept = wd.exponent(m) >= floor
+                if not kept:
+                    dropped.append(m)
+                return kept
+
+            def reference(n):
+                coeffs = {m: c for m, c in e.terms if keep(m)}
+                return reference_reduce(s, coeffs, n, keep)
+
+            want, want_trail = reference(10**5)
+            got = truncated_normal_form(s, wd, e, precision)
+            assert got.representative == Element.from_dict(want)
+            assert got.truncated == bool(dropped)
+            budget_boundary_agrees(
+                lambda n: truncated_normal_form(s, wd, e, precision, max_steps=n),
+                reference,
+                len(want_trail),
+            )
 
 
 # Generators, in an order whose product exists, whose product has degree
@@ -495,3 +538,36 @@ class TestCachedLeadIndex:
         assert ideal_member(t, e)
         info = _cached_verdict.cache_info()
         assert (info.hits, info.misses) == (1, 1)
+
+
+def gf7_reducers() -> dict:
+    """Each public reduction over GF(7), by name, as a function of the element."""
+    gf7 = PrimeField(7)
+    rule = Rule(("y", "x"), Element(((("x", "y"), gf7.one),)))
+    plain = RewritingSystem(TH, DEGLEX, (rule,), gf7)
+    weights = (("x", Fraction(-1)), ("y", Fraction(-1)))
+    series_order = MonomialOrder(OrderKind.SERIES_DEGLEX, TH, ("x", "y"), weights)
+    series = RewritingSystem(TH, series_order, (rule,), gf7)
+    wd = WeightData(TH, weights)
+    return {
+        "normal_form": lambda e: normal_form(plain, e),
+        "normal_form_with_trail": lambda e: normal_form_with_trail(plain, e),
+        "reduce_once": lambda e: reduce_once(plain, e),
+        "truncated_normal_form": lambda e: truncated_normal_form(series, wd, e, 3),
+    }
+
+
+class TestFieldEntryCheck:
+    """Reduction checks every coefficient once, as it enters the loop, even
+    one that no rewrite touches."""
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fp(3, 5)], ids=["fraction", "other-prime"])
+    @pytest.mark.parametrize("reducer", sorted(gf7_reducers()))
+    def test_foreign_coefficient_is_rejected(self, reducer, bad):
+        reduce = gf7_reducers()[reducer]
+        message = re.escape("coefficient %s is not in the field GF(7)" % (bad,))
+        with pytest.raises(ScalarError, match=message):
+            reduce(Element(((("x",), bad),)))
+        # Next to a term that does get rewritten.
+        with pytest.raises(ScalarError, match=message):
+            reduce(Element(((("x",), bad), (("y", "x"), Fp(2, 7)))))
