@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -87,13 +88,24 @@ class Fp:
         return self.value != 0
 
 
+# Shared Fractions of small nonzero integers; Fractions are immutable.
+_SMALL_FRACTIONS = {i: Fraction(i) for i in range(-128, 129) if i}
+
+
+def _reject(c, field):
+    raise ScalarError("coefficient %s is not in the field %s" % (c, field.describe()))
+
+
 @dataclass(frozen=True)
 class RationalField:
     """Field of exact rationals.
 
     Reduction loops work on a field's raw values and reduce sums modulo
-    ``characteristic`` when it is nonzero. Rationals are their own raw
-    values, so every conversion hands back its argument.
+    ``characteristic`` when it is nonzero. The raw values of rationals are
+    ints for integral ones, so integral arithmetic runs on ints, and
+    ``Fraction`` for the others. Converting into raw values accepts ``int``
+    and ``Fraction`` coefficients and raises ``ScalarError`` for any other;
+    converting back gives only ``Fraction``.
     """
 
     characteristic = 0
@@ -119,19 +131,29 @@ class RationalField:
 
     def raw_terms(self, terms: tuple) -> tuple:
         """(monomial, raw value) pairs of an element's terms."""
-        return terms
+        return tuple(self.into_raw(dict(terms)).items())
 
     def into_raw(self, coeffs: dict) -> dict:
-        """Replace a coefficient dict's values by raw values, in place."""
+        """Check a coefficient dict and replace integral values by ints, in place."""
+        for m, c in coeffs.items():
+            if isinstance(c, Fraction):
+                if c.denominator == 1:
+                    coeffs[m] = c.numerator
+            elif not isinstance(c, int):
+                _reject(c, self)
         return coeffs
 
     def from_raw(self, coeffs: dict) -> dict:
-        """Replace a raw dict's values by field values, in place."""
+        """Replace a raw dict's int values by ``Fraction``, in place."""
+        small = _SMALL_FRACTIONS.get
+        for m, r in coeffs.items():
+            if isinstance(r, int):
+                coeffs[m] = small(r) or Fraction(r)
         return coeffs
 
-    def scalar(self, raw):
+    def scalar(self, raw) -> Fraction:
         """The field value of one raw value."""
-        return raw
+        return (_SMALL_FRACTIONS.get(raw) or Fraction(raw)) if isinstance(raw, int) else raw
 
 
 @dataclass(frozen=True)
@@ -186,7 +208,7 @@ class PrimeField:
 
     def _raw(self, c) -> int:
         if not self.contains(c):
-            raise ScalarError("coefficient %s is not in the field %s" % (c, self.describe()))
+            _reject(c, self)
         return c.value
 
     def raw_terms(self, terms: tuple) -> tuple:
@@ -303,6 +325,17 @@ def _variable_permutation(letters: tuple, generators: tuple) -> tuple:
     return tuple(index[g] for g in reversed(generators) if g in index)
 
 
+@functools.lru_cache(maxsize=256)
+def _weight_table(weights: tuple) -> tuple:
+    """(D, {generator: weight * D as an int}) for (generator, weight) pairs,
+    D > 0 the common denominator of the weights.
+
+    Sums of scaled weights compare as the weight sums do, exactly and on ints.
+    """
+    den = math.lcm(*(Fraction(w).denominator for _, w in weights))
+    return den, {name: int(Fraction(w) * den) for name, w in weights}
+
+
 class OrderKind(Enum):
     """Shipped monomial order families."""
 
@@ -346,15 +379,17 @@ class MonomialOrder:
             raise OrderError("weights are only meaningful for weighted kinds")
         if self.kind is OrderKind.LEX and not self.theory.supports_lex():
             raise OrderError("lex is only well-founded for the commutative theory")
-        # Rank tables for sort keys; no fields, so equality, hashing and
-        # repr ignore them. Orders with the same generators share them, so
-        # they are read, never changed.
+        # Rank and weight tables for sort keys; no fields, so equality,
+        # hashing and repr ignore them. Orders with the same generators or
+        # weights share them, so they are read, never changed. Sort keys
+        # lead with the sum of the weights scaled to ints.
         object.__setattr__(self, "ranks", _rank_table(self.generators))
         object.__setattr__(
             self,
             "variable_permutation",
             _variable_permutation(self.theory.exponent_letters, self.generators),
         )
+        object.__setattr__(self, "int_weights", _weight_table(self.weights)[1])
 
     def rank(self, name: str) -> int:
         """Return the rank of a generator, higher meaning greater."""
@@ -374,7 +409,7 @@ class MonomialOrder:
         if self.kind is OrderKind.LEX:
             # Only power products admit lex, where rank_encoding is the lex key.
             return th.rank_encoding(monomial, self)
-        wsum = th.weight_sum(monomial, self)
+        wsum = th.weight_sum(monomial, self.int_weights)
         return (wsum, th.degree(monomial), th.rank_encoding(monomial, self))
 
     def is_well_founded(self) -> bool:

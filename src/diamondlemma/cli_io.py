@@ -600,9 +600,18 @@ def _load(path: str) -> SystemFile:
         return parse_system_file(handle.read())
 
 
+def _well_founded(system, what: str):
+    """The system, or a DiamondError (exit 3) when its order is not
+    well-founded, since plain reduction then need not terminate."""
+    if not system.order.is_well_founded():
+        raise DiamondError(
+            "%s needs a well-founded order; this system reduces only to a precision" % what
+        )
+    return system
+
+
 def _cmd_check(args) -> int:
-    sf = _load(args.file)
-    system = sf.system
+    system = _well_founded(_load(args.file).system, "confluence checking")
     th, order = system.theory, system.order
     verdict = check_confluence(system, args.max_steps)
     if verdict.status is ConfluenceStatus.CONFLUENT:
@@ -642,7 +651,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_complete(args) -> int:
     sf = _load(args.file)
-    report = complete(sf.system, args.max_degree, args.max_rules, args.max_steps)
+    system = _well_founded(sf.system, "completion")
+    report = complete(system, args.max_degree, args.max_rules, args.max_steps)
     system = report.system
     text = format_system(system, sf.weight_data)
     if args.output:
@@ -766,15 +776,7 @@ def _cmd_irr(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    sf = _load(args.file)
-    system = sf.system
-    if not system.order.is_well_founded():
-        print(
-            "membership needs a well-founded order; this system reduces only"
-            " to a precision",
-            file=sys.stderr,
-        )
-        return 3
+    system = _well_founded(_load(args.file).system, "membership")
     element = parse_expression(args.expression, system.theory, system.field)
     verdict = ideal_member(system, element, args.max_steps)
     _emit(

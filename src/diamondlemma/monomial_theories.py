@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .algebra_core import DiamondError, Element, TheoryMismatchError, _accumulate
 
@@ -189,6 +189,51 @@ class _DivisorMaskIndex(LeadIndex):
         return None
 
 
+@functools.lru_cache(maxsize=256)
+def _letter_codes(letters: tuple) -> dict:
+    """One character per letter, so that a word and its code have equal length."""
+    return {x: chr(i) for i, x in enumerate(letters)}
+
+
+class _WordIndex(LeadIndex):
+    """Lead index for words: leads are kept encoded one character per letter,
+    and ``str.find`` on the encoded monomial gives a lead's leftmost
+    occurrence, the first context ``divisions`` returns."""
+
+    __slots__ = ("codes", "words")
+
+    def __init__(self, theory, leads) -> None:
+        super().__init__(theory, leads)
+        self.codes = _letter_codes(theory.letters)
+        self.words = [self._encode(lead) for lead in self.leads]
+
+    def _encode(self, m) -> str:
+        return "".join(map(self.codes.__getitem__, m))
+
+    def add(self, lead) -> None:
+        self.leads.append(lead)
+        self.words.append(self._encode(lead))
+
+    def without(self, i: int) -> "_WordIndex":
+        view = _WordIndex.__new__(_WordIndex)
+        view.theory, view.codes = self.theory, self.codes
+        view.leads = self.leads[:i] + self.leads[i + 1 :]
+        view.words = self.words[:i] + self.words[i + 1 :]
+        return view
+
+    def first_site(self, m):
+        try:
+            code = self._encode(m)
+        except KeyError:
+            # A letter outside the alphabet, which has no code.
+            return LeadIndex.first_site(self, m)
+        for i, word in enumerate(self.words):
+            k = code.find(word)
+            if k >= 0:
+                return i, (m[:k], m[k + len(word) :])
+        return None
+
+
 class Theory:
     """Shared behaviour; concrete theories implement the payload geometry.
 
@@ -302,8 +347,8 @@ class FreeMonoidTheory(Theory):
     def degree(self, m) -> int:
         return len(m)
 
-    def weight_sum(self, m, order) -> Fraction:
-        return sum((order.weight_of(x) for x in m), Fraction(0))
+    def weight_sum(self, m, weights: dict) -> int:
+        return sum(map(weights.__getitem__, m))
 
     def rank_encoding(self, m, order) -> tuple:
         return tuple(map(order.ranks.__getitem__, m))
@@ -323,6 +368,9 @@ class FreeMonoidTheory(Theory):
 
     def divisions(self, mu, nu) -> list:
         return [(mu[:i], mu[i + len(nu) :]) for i in _word_occurrences(mu, nu)]
+
+    def lead_index(self, leads) -> LeadIndex:
+        return _WordIndex(self, leads)
 
     def overlaps(self, mu1, mu2) -> list:
         return [OverlapDatum(*s) for s in _word_superpositions(mu1, mu2, mu1 == mu2)]
@@ -377,10 +425,8 @@ class CommutativeTheory(Theory):
     def degree(self, m) -> int:
         return sum(m)
 
-    def weight_sum(self, m, order) -> Fraction:
-        return sum(
-            (order.weight_of(x) * e for x, e in zip(self.letters, m)), Fraction(0)
-        )
+    def weight_sum(self, m, weights: dict) -> int:
+        return sum(map(operator.mul, map(weights.__getitem__, self.letters), m))
 
     def rank_encoding(self, m, order) -> tuple:
         return tuple(map(m.__getitem__, order.variable_permutation))
@@ -518,13 +564,12 @@ class MixedTheory(Theory):
     def degree(self, m) -> int:
         return sum(m[0]) + len(m[1])
 
-    def weight_sum(self, m, order) -> Fraction:
+    def weight_sum(self, m, weights: dict) -> int:
         exps, word = m
-        total = sum(
-            (order.weight_of(x) * e for x, e in zip(self.commutative_letters, exps)),
-            Fraction(0),
+        get = weights.__getitem__
+        return sum(map(operator.mul, map(get, self.commutative_letters), exps)) + sum(
+            map(get, word)
         )
-        return total + sum((order.weight_of(x) for x in word), Fraction(0))
 
     def rank_encoding(self, m, order) -> tuple:
         exps, word = m
@@ -673,10 +718,10 @@ class FreeMagmaTheory(Theory):
     def degree(self, m) -> int:
         return _tree_leaves(m)
 
-    def weight_sum(self, m, order) -> Fraction:
+    def weight_sum(self, m, weights: dict) -> int:
         if isinstance(m, str):
-            return order.weight_of(m)
-        return self.weight_sum(m[0], order) + self.weight_sum(m[1], order)
+            return weights[m]
+        return self.weight_sum(m[0], weights) + self.weight_sum(m[1], weights)
 
     def rank_encoding(self, m, order) -> tuple:
         if isinstance(m, str):
@@ -814,8 +859,8 @@ class PathAlgebraTheory(Theory):
     def degree(self, m) -> int:
         return len(m[2])
 
-    def weight_sum(self, m, order) -> Fraction:
-        return sum((order.weight_of(x) for x in m[2]), Fraction(0))
+    def weight_sum(self, m, weights: dict) -> int:
+        return sum(map(weights.__getitem__, m[2]))
 
     def rank_encoding(self, m, order) -> tuple:
         return (

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra_core import DiamondError, Element, OrderKind
+from .algebra_core import DiamondError, Element, OrderKind, _weight_table
 from .rewriting_engine import DEFAULT_STEP_BUDGET, _rewrites
 
 
@@ -14,7 +14,9 @@ class WeightData:
     """Generator weights defining the ultrametric norm on elements.
 
     A monomial of weight sum w has norm 2^w, so negative weights shrink
-    high powers; an element's norm is the maximum over its support.
+    high powers; an element's norm is the maximum over its support. Weight
+    sums are computed on the weights times their common denominator
+    ``weight_denominator``, as ints.
     """
 
     theory: object
@@ -27,6 +29,9 @@ class WeightData:
             raise DiamondError("weights must cover the generators exactly")
         converted = tuple((name, Fraction(value)) for name, value in self.weights)
         object.__setattr__(self, "weights", converted)
+        den, ints = _weight_table(converted)
+        object.__setattr__(self, "weight_denominator", den)
+        object.__setattr__(self, "int_weights", ints)
 
     def weight_of(self, name: str) -> Fraction:
         for key, value in self.weights:
@@ -36,7 +41,8 @@ class WeightData:
 
     def exponent(self, monomial) -> Fraction:
         """Weight sum of a monomial, i.e. the base-2 logarithm of its norm."""
-        return self.theory.weight_sum(monomial, self)
+        scaled = self.theory.weight_sum(monomial, self.int_weights)
+        return Fraction(scaled, self.weight_denominator)
 
 
 def norm(element: Element, weight_data: WeightData):
@@ -123,11 +129,13 @@ def truncated_normal_form(
     if not tdcc.certified:
         raise SeriesAdmissionError("descending chains not certified: %s" % tdcc.reason)
 
-    threshold = Fraction(1 - precision)
+    # Weight sum >= 1 - n, compared on the ints scaled by the denominator.
+    weight_sum, weights = weight_data.theory.weight_sum, weight_data.int_weights
+    floor = (1 - precision) * weight_data.weight_denominator
     dropped = [False]
 
     def keep(monomial) -> bool:
-        if weight_data.exponent(monomial) >= threshold:
+        if weight_sum(monomial, weights) >= floor:
             return True
         dropped[0] = True
         return False

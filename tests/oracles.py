@@ -611,8 +611,38 @@ def make_commutative_corpus(seed: int, count: int, names: tuple, max_rules: int,
 def truncate_below(element: Element, weight_data, n: int) -> Element:
     """Drop every monomial whose weight sum falls outside the precision ball."""
     floor = Fraction(1 - n)
-    kept = {m: c for m, c in element.terms if weight_data.exponent(m) >= floor}
+    th, weights = weight_data.theory, weight_data.weights
+    kept = {m: c for m, c in element.terms if reference_weight_sum(th, weights, m) >= floor}
     return Element.from_dict(kept)
+
+
+def reference_weight_sum(theory, weights: tuple, m) -> Fraction:
+    """Weight sum of a monomial as first written: a sum of ``Fraction``s,
+    each weight found by a scan of the (generator, weight) pairs."""
+
+    def weight_of(name):
+        for n, w in weights:
+            if n == name:
+                return Fraction(w)
+        raise KeyError(name)
+
+    if isinstance(theory, CommutativeTheory):
+        return sum((weight_of(x) * e for x, e in zip(theory.letters, m)), Fraction(0))
+    if isinstance(theory, MixedTheory):
+        exps, word = m
+        total = sum(
+            (weight_of(x) * e for x, e in zip(theory.commutative_letters, exps)), Fraction(0)
+        )
+        return total + sum((weight_of(x) for x in word), Fraction(0))
+    if isinstance(theory, FreeMagmaTheory):
+        if isinstance(m, str):
+            return weight_of(m)
+        return reference_weight_sum(theory, weights, m[0]) + reference_weight_sum(
+            theory, weights, m[1]
+        )
+    if isinstance(theory, PathAlgebraTheory):
+        return sum((weight_of(x) for x in m[2]), Fraction(0))
+    return sum((weight_of(x) for x in m), Fraction(0))
 
 
 def random_element(

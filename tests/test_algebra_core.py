@@ -15,9 +15,10 @@ from diamondlemma import (
     PrimeField,
     RationalField,
     ScalarError,
+    WeightData,
 )
 
-from oracles import merge_terms
+from oracles import THEORIES, merge_terms, reference_rank_encoding, reference_weight_sum
 
 WORDS = st.tuples(*[st.sampled_from(("x", "y"))] * 2).map(tuple) | st.just(()) | st.tuples(
     st.sampled_from(("x", "y"))
@@ -199,3 +200,39 @@ class TestMonomialOrder:
         ka, kb = o.sort_key(a), o.sort_key(b)
         assert (ka < kb) + (ka == kb) + (ka > kb) == 1
         assert (ka == kb) == (a == b)
+
+
+# Weights of both signs whose common denominator is 6.
+MIXED_WEIGHTS = (Fraction(1, 2), Fraction(-1, 3), Fraction(3))
+
+
+class TestIntegerWeights:
+    """Weight sums run on weights scaled to ints; exponents and weighted
+    orders must agree with the ``Fraction`` sums of ``oracles``."""
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_exponent_and_weighted_orders_match_fraction_sums(self, name):
+        th = THEORIES[name]
+        gens = tuple(th.generator_names())
+        weights = tuple((g, MIXED_WEIGHTS[i % 3]) for i, g in enumerate(gens))
+        monomials = [m for d in range(4) for m in th.monomials_of_degree(d)]
+        wd = WeightData(th, weights)
+        for m in monomials:
+            exponent = wd.exponent(m)
+            assert type(exponent) is Fraction
+            assert exponent == reference_weight_sum(th, weights, m)
+        positive = tuple((g, abs(w)) for g, w in weights)
+        for order in (
+            MonomialOrder(OrderKind.SERIES_DEGLEX, th, gens, weights),
+            MonomialOrder(OrderKind.WEIGHTED_DEGLEX, th, gens, positive),
+        ):
+
+            def reference_key(m):
+                return (
+                    reference_weight_sum(th, order.weights, m),
+                    th.degree(m),
+                    reference_rank_encoding(th, order, m),
+                )
+
+            assert sorted(monomials, key=order.sort_key) == sorted(monomials, key=reference_key)
+

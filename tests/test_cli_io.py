@@ -36,6 +36,12 @@ from diamondlemma import (
 WEYL = "theory assoc\nvars x y\norder deglex x<y\nrule y*x -> x*y + 1\n"
 BUCH = "theory commutative\nvars x y\norder lex x>y\nrule x^2 -> y\nrule x*y -> 1\n"
 SERIES = "theory assoc\nvars x\nweights x:-1\norder series\nrule x -> x^2\n"
+# Plain reduction of this system's ambiguities lengthens words until the
+# step budget runs out, which at the default budget takes hours.
+SERIES_PAIRS = (
+    "theory assoc\nvars x y\nweights x:-1 y:-1\norder series x<y\n"
+    "rule y*x -> x*y + x^2*y\nrule y*y -> x*y*y\n"
+)
 PATHSYS = (
     "theory path\nvertices 1 2\narrow a: 1 -> 2\narrow b: 2 -> 1\n"
     "rule a*b -> e1\nrule b*a -> e2\n"
@@ -316,6 +322,7 @@ def files(tmp_path):
         ("weyl.sys", WEYL),
         ("buch.sys", BUCH),
         ("series.sys", SERIES),
+        ("series_pairs.sys", SERIES_PAIRS),
         ("path.sys", PATHSYS),
         ("magma.sys", MAGMA),
         ("magma_xy.sys", MAGMA_XY),
@@ -410,6 +417,16 @@ class TestCommandLine:
     def test_series_member_refused(self, files, capsys):
         assert main(["member", files["series.sys"], "x"]) == 3
         assert "well-founded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "complete"])
+    def test_series_check_and_complete_refused(self, files, capsys, command):
+        start = time.perf_counter()
+        assert main([command, files["series_pairs.sys"]]) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs a well-founded order" in captured.err
+        assert "reduces only to a precision" in captured.err
 
     def test_json_nf_record(self, files, capsys):
         assert main(["nf", files["series.sys"], "x", "--precision", "3", "--format", "json-lines"]) == 0

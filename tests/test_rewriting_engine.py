@@ -26,6 +26,7 @@ from diamondlemma import (
     StepBudgetExceededError,
     WeightData,
     ZeroElementError,
+    complete,
     count_irreducible,
     ideal_member,
     irr_description,
@@ -447,11 +448,15 @@ def check_truncated_normal_forms(name, field, rng):
 # >= 2 in every variable: it sets the second bit of every divisor mask.
 SQUARES = {
     "assoc": "xxyy",
+    "assoc-names": ("xx", "x", "x", "xx", "y", "y"),
     "commutative": "xxyyzz",
     "mixed": "ttxxyy",
     "magma": "xxyy",
     "path": "ccabab",
 }
+# The shipped theories, and words over letter names that run together when
+# joined, so that ("x", "x") and ("xx",) must stay apart.
+INDEX_THEORIES = dict(THEORIES, **{"assoc-names": FreeMonoidTheory(("x", "xx", "y"))})
 
 
 def site_probes(th, name, order, rng):
@@ -473,9 +478,9 @@ def site_probes(th, name, order, rng):
 class TestLeadIndex:
     """Each theory's lead index against the scan of ``divisions`` in oracles."""
 
-    @pytest.mark.parametrize("name", sorted(THEORIES))
+    @pytest.mark.parametrize("name", sorted(INDEX_THEORIES))
     def test_first_site_matches_reference(self, name):
-        th = THEORIES[name]
+        th = INDEX_THEORIES[name]
         rng = random.Random("lead-index-" + name)
         for order in shipped_orders(th):
             for _ in range(15):
@@ -493,6 +498,33 @@ class TestLeadIndex:
                     want = _reference_site(th, rules, m, {})
                     assert whole.first_site(m) == want
                     assert system.lead_index.first_site(m) == want
+
+    @pytest.mark.parametrize("name", sorted(INDEX_THEORIES))
+    def test_without_equals_a_fresh_index(self, name):
+        th = INDEX_THEORIES[name]
+        rng = random.Random("lead-index-without-" + name)
+        for order in shipped_orders(th):
+            leads = [r.lead for _ in range(3) for r in make_random_system(th, order, rng).rules]
+            probes = site_probes(th, name, order, rng)
+            index = th.lead_index(leads)
+            for i in range(len(leads)):
+                view = index.without(i)
+                fresh = th.lead_index(leads[:i] + leads[i + 1 :])
+                assert type(view) is type(fresh)
+                assert all(
+                    getattr(view, slot) == getattr(fresh, slot)
+                    for cls in type(fresh).__mro__
+                    for slot in getattr(cls, "__slots__", ())
+                )
+                assert [view.first_site(m) for m in probes] == [
+                    fresh.first_site(m) for m in probes
+                ]
+            assert index.leads == leads
+
+    def test_word_index_scans_letters_outside_the_alphabet(self):
+        index = TH.lead_index([("y", "x"), ("x",)])
+        assert index.first_site(("z", "y", "x")) == (0, (("z",), ()))
+        assert index.first_site(("z",)) is None
 
     def test_mask_needs_the_second_bit(self):
         # x^2 does not divide x*y^2*z^2 although every variable of x^2 occurs.
@@ -540,14 +572,13 @@ class TestCachedLeadIndex:
         assert (info.hits, info.misses) == (1, 1)
 
 
-def gf7_reducers() -> dict:
-    """Each public reduction over GF(7), by name, as a function of the element."""
-    gf7 = PrimeField(7)
-    rule = Rule(("y", "x"), Element(((("x", "y"), gf7.one),)))
-    plain = RewritingSystem(TH, DEGLEX, (rule,), gf7)
+def field_reducers(field) -> dict:
+    """Each public reduction over a field, by name, as a function of the element."""
+    rule = Rule(("y", "x"), Element(((("x", "y"), field.one),)))
+    plain = RewritingSystem(TH, DEGLEX, (rule,), field)
     weights = (("x", Fraction(-1)), ("y", Fraction(-1)))
     series_order = MonomialOrder(OrderKind.SERIES_DEGLEX, TH, ("x", "y"), weights)
-    series = RewritingSystem(TH, series_order, (rule,), gf7)
+    series = RewritingSystem(TH, series_order, (rule,), field)
     wd = WeightData(TH, weights)
     return {
         "normal_form": lambda e: normal_form(plain, e),
@@ -562,12 +593,64 @@ class TestFieldEntryCheck:
     one that no rewrite touches."""
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), Fp(3, 5)], ids=["fraction", "other-prime"])
-    @pytest.mark.parametrize("reducer", sorted(gf7_reducers()))
+    @pytest.mark.parametrize("reducer", sorted(field_reducers(QQ)))
     def test_foreign_coefficient_is_rejected(self, reducer, bad):
-        reduce = gf7_reducers()[reducer]
-        message = re.escape("coefficient %s is not in the field GF(7)" % (bad,))
+        self.check_rejected(PrimeField(7), reducer, bad)
+
+    @pytest.mark.parametrize("bad", [2.5, Fp(3, 5)], ids=["float", "residue"])
+    @pytest.mark.parametrize("reducer", sorted(field_reducers(QQ)))
+    def test_foreign_coefficient_is_rejected_over_qq(self, reducer, bad):
+        self.check_rejected(QQ, reducer, bad)
+
+    @staticmethod
+    def check_rejected(field, reducer, bad):
+        reduce = field_reducers(field)[reducer]
+        message = re.escape("coefficient %s is not in the field %s" % (bad, field.describe()))
         with pytest.raises(ScalarError, match=message):
             reduce(Element(((("x",), bad),)))
         # Next to a term that does get rewritten.
         with pytest.raises(ScalarError, match=message):
-            reduce(Element(((("x",), bad), (("y", "x"), Fp(2, 7)))))
+            reduce(Element(((("x",), bad), (("y", "x"), field.coeff(2)))))
+
+
+def all_fractions(terms) -> bool:
+    return all(type(c) is Fraction for _, c in terms)
+
+
+class TestRationalOutputs:
+    """Over QQ, reduction runs integral coefficients as ints; every
+    coefficient it returns is still a ``Fraction``."""
+
+    @pytest.mark.parametrize(
+        "scale", [Fraction(3), Fraction(3, 2), 3], ids=["integral", "non-integral", "int"]
+    )
+    @pytest.mark.parametrize("c", [Fraction(1), Fraction(2, 3)], ids=["integral", "non-integral"])
+    def test_every_output_coefficient_is_a_fraction(self, c, scale):
+        lower = Element(((("x", "y"), c), ((), Fraction(-2))))
+        system = RewritingSystem(TH, DEGLEX, (Rule(("y", "x"), lower),))
+        e = Element(((("y", "x", "x"), scale), (("x",), scale), (("y",), Fraction(1, 2))))
+        assert all_fractions(normal_form(system, e).terms)
+        result, trail = normal_form_with_trail(system, e)
+        assert all_fractions(result.terms) and trail
+        assert all(type(step.coefficient) is Fraction for step in trail)
+        result, step = reduce_once(system, e)
+        assert all_fractions(result.terms) and type(step.coefficient) is Fraction
+
+        weights = (("x", Fraction(-1)), ("y", Fraction(-1)))
+        order = MonomialOrder(OrderKind.SERIES_DEGLEX, TH, ("x", "y"), weights)
+        raising = Element(((("x", "y"), Fraction(1)), (("x", "x", "y"), c)))
+        series = RewritingSystem(TH, order, (Rule(("y", "x"), raising),))
+        truncated = truncated_normal_form(series, WeightData(TH, weights), e, 6)
+        assert truncated.representative and all_fractions(truncated.representative.terms)
+
+        th = CommutativeTheory(("x", "y"))
+        deglex = MonomialOrder(OrderKind.DEGLEX, th, ("x", "y"))
+        rules = (
+            Rule((2, 0), Element((((0, 1), c),))),
+            Rule((1, 1), Element((((1, 0), Fraction(scale)),))),
+        )
+        report = complete(RewritingSystem(th, deglex, rules))
+        assert report.added
+        for rule in report.system.rules + tuple(added.rule for added in report.added):
+            assert all_fractions(rule.lower.terms)
+
