@@ -235,10 +235,13 @@ class PrimeField:
         return Fp(raw, self.p)
 
 
-def _accumulate(coeffs: dict, monomial, c) -> None:
-    """Add c to a monomial's coefficient, deleting the entry when it cancels."""
+def _accumulate(coeffs: dict, monomial, c, p: int = 0) -> None:
+    """Add c to a monomial's coefficient, deleting the entry when it cancels;
+    with p nonzero the values are raw residues, reduced modulo p."""
     prev = coeffs.get(monomial)
     s = c if prev is None else prev + c
+    if p:
+        s %= p
     if s:
         coeffs[monomial] = s
     elif prev is not None:

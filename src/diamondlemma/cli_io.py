@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +30,7 @@ from .completion import (
     complete,
     ideal_member,
 )
-from .monomial_theories import THEORIES, multiply_elements
+from .monomial_theories import THEORIES
 from .power_series import (
     WeightData,
     check_equicontinuity,
@@ -56,47 +58,32 @@ class ParseError(DiamondError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-_SYMBOLS = "+-*^()/"
+_TOKEN = re.compile(r"(\d+)|(\w+)|([-+*^()/])|(\S)")
+_KINDS = (None, "num", "name", None, "bad")
+# Text that may hold an unexpected character: one that starts no token, or,
+# outside ASCII, a numeral such as '²' where \w would start a name.
+_SUSPECT = re.compile(r"[^\w\s+\-*^()/]|[^\x00-\x7f]")
 
 
 def _tokenize(text: str, line: int, col0: int) -> list:
-    """Split an expression into tokens; columns are 1-based within the line."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        col = col0 + i
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("num", text[i:j], line, col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(_Token("name", text[i:j], line, col))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            out.append(_Token(ch, ch, line, col))
-            i += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    return out
+    """Split an expression into (kind, text, column) tuples, the kind of an
+    operator being the operator, and end the list with ("end", "", column
+    after the text); columns are 1-based within the line.
+
+    A number is a run of decimal digits, what ``int`` reads; a name is a
+    letter or ``_`` followed by letters, digits and ``_``. Whitespace
+    separates tokens and any other character is an error.
+    """
+    tokens = [
+        (_KINDS[m.lastindex] or m.group(), m.group(), col0 + m.start())
+        for m in _TOKEN.finditer(text)
+    ]
+    if _SUSPECT.search(text):
+        for kind, tok, col in tokens:
+            if kind == "bad" or kind == "name" and not (tok[0].isalpha() or tok[0] == "_"):
+                raise ParseError("unexpected character %r" % tok[0], line, col)
+    tokens.append(("end", "", col0 + len(text)))
+    return tokens
 
 
 # Each parenthesis level costs the recursive-descent parser four Python
@@ -110,104 +97,121 @@ MAX_EXPONENT = 1000
 MAX_PRODUCT_TERMS = 10_000
 
 
-class _ExprParser:
-    """Recursive-descent parser for linear combinations of monomials."""
+@functools.lru_cache(maxsize=256)
+def _named_monomials(theory) -> dict:
+    """Memo of ``theory.monomial_named`` for the known names parsed so far;
+    equal theories name equal monomials, so it is shared per theory."""
+    return {}
 
-    def __init__(self, tokens: list, theory, field, line: int, end_col: int) -> None:
+
+class _ExprParser:
+    """Recursive-descent parser for linear combinations of monomials.
+
+    A value is ("scalar", c) or ("elem", {monomial: c}), c in the field's raw
+    values (see ``RationalField``), with no zero in a dict; ``parse`` builds
+    the one ``Element`` of the expression. Taking the "end" token is always
+    followed by an error, so the parser never reads past it.
+    """
+
+    def __init__(self, tokens: list, theory, field, line: int) -> None:
         self.toks = tokens
         self.pos = 0
         self.depth = 0
         self.theory = theory
         self.field = field
+        self.p = field.characteristic
+        self.names = _named_monomials(theory)
         self.line = line
-        self.end_col = end_col
-
-    def _peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
     def _take(self):
-        tok = self._peek()
-        if tok is not None:
-            self.pos += 1
+        tok = self.toks[self.pos]
+        self.pos += 1
         return tok
 
     def _fail(self, message: str, tok=None):
-        col = tok.col if tok is not None else self.end_col
-        raise ParseError(message, self.line, col)
+        raise ParseError(message, self.line, (tok or self.toks[-1])[2])
 
-    def _top_degree(self, element: Element) -> int:
-        return max((self.theory.degree(m) for m, _ in element.terms), default=0)
+    def _int(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:
+            # More digits than sys.get_int_max_str_digits() allows.
+            self._fail("number of %d digits is too long" % len(tok[1]), tok)
+
+    def _top_degree(self, coeffs: dict) -> int:
+        return max(map(self.theory.degree, coeffs), default=0)
 
     def _check_degree(self, degree: int, tok) -> None:
         if degree > MAX_EXPONENT:
             self._fail("result of degree %d exceeds %d" % (degree, MAX_EXPONENT), tok)
 
-    def _multiply(self, a: Element, b: Element, tok) -> Element:
-        pairs = len(a.terms) * len(b.terms)
+    def _multiply(self, a: dict, b: dict, tok) -> dict:
+        pairs = len(a) * len(b)
         if pairs > MAX_PRODUCT_TERMS:
             self._fail("product of %d term pairs exceeds %d" % (pairs, MAX_PRODUCT_TERMS), tok)
         self._check_degree(self._top_degree(a) + self._top_degree(b), tok)
-        return multiply_elements(self.theory, a, b)
+        multiply, p = self.theory.multiply, self.p
+        out: dict = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = multiply(m1, m2)
+                if m is not None:
+                    _accumulate(out, m, c1 * c2, p)
+        return out
 
     def parse(self) -> Element:
-        if not self.toks:
+        if len(self.toks) == 1:
             self._fail("empty expression")
         value = self._expr()
-        tok = self._peek()
-        if tok is not None:
-            self._fail("unexpected %r" % tok.text, tok)
-        return self._to_element(value)
+        tok = self.toks[self.pos]
+        if tok[0] != "end":
+            self._fail("unexpected %r" % tok[1], tok)
+        return Element.from_dict(self.field.from_raw(self._to_dict(value)))
 
-    def _to_element(self, value) -> Element:
+    def _to_dict(self, value) -> dict:
         tag, payload = value
         if tag == "elem":
             return payload
         if not payload:
-            return Element.zero()
+            return {}
         try:
             unit = self.theory.one()
         except DiamondError:
             self._fail("a bare scalar is not an element of this theory")
-        return Element(((unit, payload),))
+        return {unit: payload}
 
     def _expr(self):
-        terms = []
-        sign = 1
-        tok = self._peek()
-        if tok is not None and tok.kind in "+-":
-            sign = -1 if tok.kind == "-" else 1
-            self._take()
-        terms.append((sign, self._term()))
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind not in "+-":
-                break
-            self._take()
-            terms.append((-1 if tok.kind == "-" else 1, self._term()))
+        toks = self.toks
+        first = toks[self.pos][0]
+        if first in "+-":
+            self.pos += 1
+        terms = [(first != "-", self._term())]
+        while toks[self.pos][0] in "+-":
+            terms.append((self._take()[0] == "+", self._term()))
+        if len(terms) == 1 and terms[0][0]:
+            return terms[0][1]
+        p = self.p
         if all(tag == "scalar" for _, (tag, _) in terms):
-            total = self.field.zero
-            for s, (_, c) in terms:
-                total = total + c if s > 0 else total - c
-            return ("scalar", total)
+            total = sum(c if plus else -c for plus, (_, c) in terms)
+            return ("scalar", total % p if p else total)
         total: dict = {}
-        for s, value in terms:
-            for m, c in self._to_element(value).terms:
-                _accumulate(total, m, c if s > 0 else -c)
-        return ("elem", Element.from_dict(total))
+        for plus, value in terms:
+            for m, c in self._to_dict(value).items():
+                _accumulate(total, m, c if plus else -c, p)
+        return ("elem", total)
 
     def _term(self):
         factors = [(None, self._factor())]
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "*":
-                break
-            star = self._take()
-            factors.append((star, self._factor()))
-        scalar = self.field.one
+        while self.toks[self.pos][0] == "*":
+            factors.append((self._take(), self._factor()))
+        if len(factors) == 1:
+            return factors[0][1]
+        p = self.p
+        scalar = 1
         elems = []
         for star, (tag, payload) in factors:
             if tag == "scalar":
-                scalar = scalar * payload
+                scalar = scalar * payload % p if p else scalar * payload
             else:
                 elems.append((star, payload))
         if not elems:
@@ -217,37 +221,41 @@ class _ExprParser:
         product = elems[0][1]
         for star, e in elems[1:]:
             product = self._multiply(product, e, star)
-        return ("elem", product.scaled(scalar))
+        if scalar == 1:
+            return ("elem", product)
+        if not scalar:
+            return ("elem", {})
+        return ("elem", {m: c * scalar % p if p else c * scalar for m, c in product.items()})
 
     def _factor(self):
         value = self._atom()
-        tok = self._peek()
-        if tok is None or tok.kind != "^":
+        if self.toks[self.pos][0] != "^":
             return value
         caret = self._take()
         num = self._take()
-        if num is None or num.kind != "num":
+        if num[0] != "num":
             self._fail("'^' needs a nonnegative integer exponent", caret)
-        k = int(num.text)
+        k = self._int(num)
         if k > MAX_EXPONENT:
             self._fail("exponent %d exceeds %d" % (k, MAX_EXPONENT), num)
         tag, payload = value
+        p = self.p
         if tag == "scalar":
-            return ("scalar", payload**k)
+            return ("scalar", pow(payload, k, p) if p else payload**k)
         if not self.theory.associative:
             self._fail("powers are ambiguous in a nonassociative product", caret)
         if k == 0:
-            return ("elem", self._to_element(("scalar", self.field.one)))
+            return ("elem", self._to_dict(("scalar", 1)))
         self._check_degree(k * self._top_degree(payload), caret)
-        if len(payload.terms) == 1:
-            # A power of one term is one term: multiply monomials, not elements.
-            ((m, c),) = payload.terms
+        if len(payload) == 1:
+            # A power of one term is one term: multiply monomials, not sums.
+            ((m, c),) = payload.items()
             power = m
             for _ in range(k - 1):
                 power = self.theory.multiply(power, m)
                 if power is None:
-                    return ("elem", Element.zero())
-            return ("elem", Element(((power, c**k),)))
+                    return ("elem", {})
+            return ("elem", {power: pow(c, k, p) if p else c**k})
         result = payload
         for _ in range(k - 1):
             result = self._multiply(result, payload, caret)
@@ -255,46 +263,48 @@ class _ExprParser:
 
     def _atom(self):
         tok = self._take()
-        if tok is None:
-            self._fail("unexpected end of expression")
-        if tok.kind == "num":
-            numerator = int(tok.text)
-            denominator = 1
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == "/":
-                self._take()
-                den = self._take()
-                if den is None or den.kind != "num":
-                    self._fail("expected a denominator", nxt)
-                denominator = int(den.text)
-                if denominator == 0:
-                    self._fail("zero denominator", den)
+        kind = tok[0]
+        if kind == "num":
+            n = self._int(tok)
+            if self.toks[self.pos][0] != "/":
+                return ("scalar", n % self.p if self.p else n)
+            slash = self._take()
+            den = self._take()
+            if den[0] != "num":
+                self._fail("expected a denominator", slash)
+            d = self._int(den)
+            if d == 0:
+                self._fail("zero denominator", den)
             try:
-                return ("scalar", self.field.coeff(Fraction(numerator, denominator)))
+                c = self.field.coeff(Fraction(n, d))
             except ScalarError as exc:
                 self._fail(str(exc), tok)
-        if tok.kind == "name":
-            m = self.theory.monomial_named(tok.text)
+            return ("scalar", self.field.into_raw({None: c})[None])
+        if kind == "name":
+            m = self.names.get(tok[1])
             if m is None:
-                self._fail("unknown generator %r" % tok.text, tok)
-            return ("elem", Element(((m, self.field.one),)))
-        if tok.kind == "(":
+                m = self.theory.monomial_named(tok[1])
+                if m is None:
+                    self._fail("unknown generator %r" % tok[1], tok)
+                self.names[tok[1]] = m
+            return ("elem", {m: 1})
+        if kind == "(":
             if self.depth == MAX_NESTING:
                 self._fail("parentheses nested deeper than %d levels" % MAX_NESTING, tok)
             self.depth += 1
             value = self._expr()
             self.depth -= 1
-            closing = self._take()
-            if closing is None or closing.kind != ")":
+            if self._take()[0] != ")":
                 self._fail("unbalanced parenthesis", tok)
             return value
-        self._fail("unexpected %r" % tok.text, tok)
+        if kind == "end":
+            self._fail("unexpected end of expression")
+        self._fail("unexpected %r" % tok[1], tok)
 
 
 def parse_expression(text: str, theory, field, line: int = 1, col0: int = 1) -> Element:
     """Parse one expression into an element over the given theory and field."""
-    tokens = _tokenize(text, line, col0)
-    return _ExprParser(tokens, theory, field, line, col0 + len(text)).parse()
+    return _ExprParser(_tokenize(text, line, col0), theory, field, line).parse()
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,8 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
     ``raw_lowers``: coeffs is checked and converted on entry, which raises
     ScalarError for a coefficient outside the field, and converted back
     however the loop ends. A caller that stops early must close the
-    generator before reading coeffs.
+    generator before reading coeffs. A reducible monomial outside the theory
+    raises TheoryMismatchError once its order key fails.
     """
     th, order, field = system.theory, system.order, system.field
     lowers, index = system.raw_lowers, system.lead_index
@@ -186,6 +187,11 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
                     del coeffs[image]
             steps += 1
             yield ridx, m, ctx, c
+    except (KeyError, IndexError):
+        # An order key read a letter or exponent the theory does not have.
+        for m in coeffs:
+            th.check_monomial(m)
+        raise
     finally:
         field.from_raw(coeffs)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from diamondlemma import (
@@ -26,15 +27,19 @@ from diamondlemma import (
     RewriteStep,
     RewritingSystem,
     Rule,
+    ParseError,
     ScalarError,
     StepBudgetExceededError,
     critical_ambiguities,
     drop_redundant,
+    multiply_elements,
     normal_form,
     orient,
     s_polynomial,
 )
+from diamondlemma.algebra_core import _accumulate
 from diamondlemma.ambiguity import _make_ambiguity, _pair_ambiguities
+from diamondlemma.cli_io import MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_TERMS
 from diamondlemma.completion import _uniform_components
 
 
@@ -910,3 +915,237 @@ def rules_as_polynomials(rules) -> set:
         for rule in rules
     }
 
+
+# The expression parser before it carried raw coefficient dicts, kept verbatim
+# as an oracle for cli_io.parse_expression.
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+_SYMBOLS = "+-*^()/"
+
+
+def _tokenize(text: str, line: int, col0: int) -> list:
+    """Split an expression into tokens; columns are 1-based within the line."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        col = col0 + i
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            out.append(_Token("num", text[i:j], line, col))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(_Token("name", text[i:j], line, col))
+            i = j
+            continue
+        if ch in _SYMBOLS:
+            out.append(_Token(ch, ch, line, col))
+            i += 1
+            continue
+        raise ParseError("unexpected character %r" % ch, line, col)
+    return out
+
+
+class _ExprParser:
+    """Recursive-descent parser for linear combinations of monomials."""
+
+    def __init__(self, tokens: list, theory, field, line: int, end_col: int) -> None:
+        self.toks = tokens
+        self.pos = 0
+        self.depth = 0
+        self.theory = theory
+        self.field = field
+        self.line = line
+        self.end_col = end_col
+
+    def _peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def _take(self):
+        tok = self._peek()
+        if tok is not None:
+            self.pos += 1
+        return tok
+
+    def _fail(self, message: str, tok=None):
+        col = tok.col if tok is not None else self.end_col
+        raise ParseError(message, self.line, col)
+
+    def _top_degree(self, element: Element) -> int:
+        return max((self.theory.degree(m) for m, _ in element.terms), default=0)
+
+    def _check_degree(self, degree: int, tok) -> None:
+        if degree > MAX_EXPONENT:
+            self._fail("result of degree %d exceeds %d" % (degree, MAX_EXPONENT), tok)
+
+    def _multiply(self, a: Element, b: Element, tok) -> Element:
+        pairs = len(a.terms) * len(b.terms)
+        if pairs > MAX_PRODUCT_TERMS:
+            self._fail("product of %d term pairs exceeds %d" % (pairs, MAX_PRODUCT_TERMS), tok)
+        self._check_degree(self._top_degree(a) + self._top_degree(b), tok)
+        return multiply_elements(self.theory, a, b)
+
+    def parse(self) -> Element:
+        if not self.toks:
+            self._fail("empty expression")
+        value = self._expr()
+        tok = self._peek()
+        if tok is not None:
+            self._fail("unexpected %r" % tok.text, tok)
+        return self._to_element(value)
+
+    def _to_element(self, value) -> Element:
+        tag, payload = value
+        if tag == "elem":
+            return payload
+        if not payload:
+            return Element.zero()
+        try:
+            unit = self.theory.one()
+        except DiamondError:
+            self._fail("a bare scalar is not an element of this theory")
+        return Element(((unit, payload),))
+
+    def _expr(self):
+        terms = []
+        sign = 1
+        tok = self._peek()
+        if tok is not None and tok.kind in "+-":
+            sign = -1 if tok.kind == "-" else 1
+            self._take()
+        terms.append((sign, self._term()))
+        while True:
+            tok = self._peek()
+            if tok is None or tok.kind not in "+-":
+                break
+            self._take()
+            terms.append((-1 if tok.kind == "-" else 1, self._term()))
+        if all(tag == "scalar" for _, (tag, _) in terms):
+            total = self.field.zero
+            for s, (_, c) in terms:
+                total = total + c if s > 0 else total - c
+            return ("scalar", total)
+        total: dict = {}
+        for s, value in terms:
+            for m, c in self._to_element(value).terms:
+                _accumulate(total, m, c if s > 0 else -c)
+        return ("elem", Element.from_dict(total))
+
+    def _term(self):
+        factors = [(None, self._factor())]
+        while True:
+            tok = self._peek()
+            if tok is None or tok.kind != "*":
+                break
+            star = self._take()
+            factors.append((star, self._factor()))
+        scalar = self.field.one
+        elems = []
+        for star, (tag, payload) in factors:
+            if tag == "scalar":
+                scalar = scalar * payload
+            else:
+                elems.append((star, payload))
+        if not elems:
+            return ("scalar", scalar)
+        if not self.theory.associative and len(elems) > 2:
+            self._fail("the product is nonassociative; parenthesize it explicitly")
+        product = elems[0][1]
+        for star, e in elems[1:]:
+            product = self._multiply(product, e, star)
+        return ("elem", product.scaled(scalar))
+
+    def _factor(self):
+        value = self._atom()
+        tok = self._peek()
+        if tok is None or tok.kind != "^":
+            return value
+        caret = self._take()
+        num = self._take()
+        if num is None or num.kind != "num":
+            self._fail("'^' needs a nonnegative integer exponent", caret)
+        k = int(num.text)
+        if k > MAX_EXPONENT:
+            self._fail("exponent %d exceeds %d" % (k, MAX_EXPONENT), num)
+        tag, payload = value
+        if tag == "scalar":
+            return ("scalar", payload**k)
+        if not self.theory.associative:
+            self._fail("powers are ambiguous in a nonassociative product", caret)
+        if k == 0:
+            return ("elem", self._to_element(("scalar", self.field.one)))
+        self._check_degree(k * self._top_degree(payload), caret)
+        if len(payload.terms) == 1:
+            # A power of one term is one term: multiply monomials, not elements.
+            ((m, c),) = payload.terms
+            power = m
+            for _ in range(k - 1):
+                power = self.theory.multiply(power, m)
+                if power is None:
+                    return ("elem", Element.zero())
+            return ("elem", Element(((power, c**k),)))
+        result = payload
+        for _ in range(k - 1):
+            result = self._multiply(result, payload, caret)
+        return ("elem", result)
+
+    def _atom(self):
+        tok = self._take()
+        if tok is None:
+            self._fail("unexpected end of expression")
+        if tok.kind == "num":
+            numerator = int(tok.text)
+            denominator = 1
+            nxt = self._peek()
+            if nxt is not None and nxt.kind == "/":
+                self._take()
+                den = self._take()
+                if den is None or den.kind != "num":
+                    self._fail("expected a denominator", nxt)
+                denominator = int(den.text)
+                if denominator == 0:
+                    self._fail("zero denominator", den)
+            try:
+                return ("scalar", self.field.coeff(Fraction(numerator, denominator)))
+            except ScalarError as exc:
+                self._fail(str(exc), tok)
+        if tok.kind == "name":
+            m = self.theory.monomial_named(tok.text)
+            if m is None:
+                self._fail("unknown generator %r" % tok.text, tok)
+            return ("elem", Element(((m, self.field.one),)))
+        if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                self._fail("parentheses nested deeper than %d levels" % MAX_NESTING, tok)
+            self.depth += 1
+            value = self._expr()
+            self.depth -= 1
+            closing = self._take()
+            if closing is None or closing.kind != ")":
+                self._fail("unbalanced parenthesis", tok)
+            return value
+        self._fail("unexpected %r" % tok.text, tok)
+
+
+def reference_parse_expression(text: str, theory, field, line: int = 1, col0: int = 1) -> Element:
+    """The expression parser as it was before it worked on raw coefficient
+    dicts: a character loop of ``_Token``s and one ``Element`` per value."""
+    tokens = _tokenize(text, line, col0)
+    return _ExprParser(tokens, theory, field, line, col0 + len(text)).parse()

@@ -1,13 +1,16 @@
 """System file parsing, canonical printing and the command line."""
 
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diamondlemma import (
     CommutativeTheory,
@@ -15,6 +18,7 @@ from diamondlemma import (
     Fp,
     FreeMagmaTheory,
     FreeMonoidTheory,
+    MixedTheory,
     MonomialOrder,
     OrderKind,
     ParseError,
@@ -32,6 +36,8 @@ from diamondlemma import (
     parse_system,
     parse_system_file,
 )
+
+from oracles import reference_parse_expression
 
 WEYL = "theory assoc\nvars x y\norder deglex x<y\nrule y*x -> x*y + 1\n"
 BUCH = "theory commutative\nvars x y\norder lex x>y\nrule x^2 -> y\nrule x*y -> 1\n"
@@ -258,6 +264,33 @@ class TestParseExpression:
         e = parse_expression("3^2*x", self.th, field)
         assert e.coefficient_of(("x",)) == Fp(2, 7)
 
+    @pytest.mark.parametrize(
+        "text, col", [("x^\u00b2", 3), ("\u00b2", 1), ("x^1\u00b2", 4), ("2 + x*\u2462", 7)]
+    )
+    def test_digits_int_refuses_are_parse_errors(self, text, col):
+        # '\u00b2' and '\u2462' are digits to str.isdigit but not decimal.
+        with pytest.raises(ParseError) as info:
+            self.parse(text)
+        assert (info.value.line, info.value.col) == (1, col)
+        assert "unexpected character %r" % text[col - 1] in str(info.value)
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        # Arabic-Indic three, and a name may go on with any digit.
+        assert self.parse("x*\u0663") == self.parse("3*x")
+        assert self.parse("x^\u0662 - 1\u0660") == self.parse("x*x - 10")
+        with pytest.raises(ParseError, match="unknown generator 'x\u00b2'"):
+            self.parse("x\u00b2")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="int reads any number of digits"
+    )
+    def test_numbers_longer_than_int_reads_are_parse_errors(self):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        for text, col in ((digits, 1), ("x^" + digits, 3), ("1/" + digits + "*x", 3)):
+            with pytest.raises(ParseError, match="digits is too long") as info:
+                self.parse(text)
+            assert info.value.col == col
+
 
 class TestFormatting:
     def setup_method(self):
@@ -467,6 +500,15 @@ class TestCommandLine:
         assert main(["nf", files["weyl.sys"], "(x^300)^300"]) == 3
         assert "degree 90000 exceeds 1000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expression", ["x^\u00b2", "\u00b2", "x^1\u00b2"])
+    def test_non_decimal_digit_exit_code(self, files, capsys, expression):
+        assert main(["nf", files["weyl.sys"], expression]) == 3
+        col = expression.index("\u00b2") + 1
+        assert capsys.readouterr() == (
+            "",
+            "line 1, col %d: unexpected character '\u00b2'\n" % col,
+        )
+
     def test_complete_json_lines_counts_pairs_by_fate(self, tmp_path, capsys):
         path = tmp_path / "xyz.sys"
         path.write_text(
@@ -546,3 +588,162 @@ def test_cli_golden_replay(case, monkeypatch, capsys):
     monkeypatch.chdir(REPO)
     assert main(list(gold["argv"])) == gold["exit"]
     assert capsys.readouterr().out == gold["stdout"]
+
+
+# Theories for the parser oracle: the names an expression may use, known and
+# unknown, and over QQ and two prime fields.
+ORACLE_THEORIES = {
+    "assoc": FreeMonoidTheory(("x", "y")),
+    "commutative": CommutativeTheory(("x", "y", "z")),
+    "mixed": MixedTheory(("s", "t"), ("x", "y")),
+    "magma": FreeMagmaTheory(("x", "y")),
+    "path": PathAlgebraTheory(("1", "2"), (("a", "1", "2"), ("b", "2", "1"), ("c", "1", "1"))),
+}
+ORACLE_FIELDS = [RationalField(), PrimeField(7), PrimeField(32003)]
+UNKNOWN_NAMES = ("q", "x1", "_", "e3")
+ARABIC_INDIC = str.maketrans("0123456789", "".join(chr(0x660 + d) for d in range(10)))
+
+
+def random_number(rng) -> str:
+    text = str(rng.choice((0, 1, 1, 2, 3, 7, 12, 14, 32003, 10**20)))
+    if rng.random() < 0.1:
+        text = text.translate(ARABIC_INDIC)
+    if rng.random() < 0.25:
+        text += "/" + str(rng.choice((1, 2, 3, 7, 0, 14, 64006)))
+    return text
+
+
+def random_expression(rng, names, depth=0) -> str:
+    """Signs, fractions, scalar-only sums, powers of sums and parentheses."""
+    terms = []
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        factors = []
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            r = rng.random()
+            if r < 0.3:
+                atom = random_number(rng)
+            elif r < 0.8 or depth >= 3:
+                atom = rng.choice(names)
+            else:
+                atom = "(%s)" % random_expression(rng, names, depth + 1)
+            if rng.random() < 0.2:
+                atom += "^%d" % rng.choice((0, 1, 2, 3, 5))
+            factors.append(atom)
+        terms.append(rng.choice(("*", " * ")).join(factors))
+    text = rng.choice(("", "", "-", "+")) + terms[0]
+    for term in terms[1:]:
+        text += rng.choice((" + ", "-", " - ", "+")) + term
+    return text
+
+
+def oracle_expressions(theory, seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    known = tuple(theory.generator_names())
+    if isinstance(theory, PathAlgebraTheory):
+        known += ("e1", "e2")
+    names = known * 3 + UNKNOWN_NAMES
+    x, y = known[0], known[1]
+    texts = [
+        # Bound violations.
+        "(%s+%s)^14" % (x, y),
+        "%s^1001" % x,
+        "(%s^300)^300" % x,
+        "(" * 101 + x + ")" * 101,
+        "(%s+%s)^13" % (x, y),
+        # Empty and blank input.
+        "",
+        "   ",
+    ]
+    while len(texts) < count:
+        text = random_expression(rng, names)
+        r = rng.random()
+        if r < 0.15:
+            text = "%s - (%s)" % (text, text)  # cancels to zero
+        elif r < 0.3:
+            k = rng.randrange(len(text) + 1)
+            text = text[:k] + rng.choice("+-*^()/.,;#$ 0") + text[k:]
+        elif r < 0.4:
+            k = rng.randrange(len(text))
+            text = text[:k] + text[k + 1 :]
+        texts.append(text)
+    return texts
+
+
+def parse_outcome(parse, text, theory, field, line, col0):
+    """The parsed element, or the ParseError's message and position."""
+    try:
+        return parse(text, theory, field, line, col0)
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.col)
+
+
+class TestParserOracle:
+    """parse_expression against the character-loop parser it replaced, kept in
+    tests/oracles.py: equal elements, coefficient types included, or equal
+    ParseErrors."""
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.describe())
+    @pytest.mark.parametrize("name", sorted(ORACLE_THEORIES))
+    def test_random_expressions(self, name, field):
+        theory = ORACLE_THEORIES[name]
+        rng = random.Random(name)
+        parsed = errors = 0
+        for text in oracle_expressions(theory, 20260901, 250):
+            line, col0 = rng.choice(((1, 1), (3, 9)))
+            want = parse_outcome(reference_parse_expression, text, theory, field, line, col0)
+            got = parse_outcome(parse_expression, text, theory, field, line, col0)
+            assert got == want, text
+            assert repr(got) == repr(want), text
+            if isinstance(want, Element):
+                parsed += 1
+            else:
+                errors += 1
+        # Both outcomes are exercised in earnest.
+        assert parsed > 25 and errors > 25, (parsed, errors)
+
+    def test_corpus_system_files(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "bench_corpus", os.path.join(REPO, "bench", "corpus.py")
+        )
+        corpus = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, corpus)
+        spec.loader.exec_module(corpus)
+        texts = []
+        for cs in corpus.generate(7, 20):
+            texts.append((cs.text, [text for text, _ in cs.elements]))
+            texts.append(("field 32003\n" + cs.text, [text for text, _ in cs.elements]))
+
+        def parse_all():
+            out = []
+            for text, elements in texts:
+                sf = parse_system_file(text)
+                system = sf.system
+                out.append(sf)
+                out.extend(cli_io.parse_expression(e, system.theory, system.field) for e in elements)
+            return out
+
+        got = parse_all()
+        # The system builder parses rules through the module attribute.
+        monkeypatch.setattr(cli_io, "parse_expression", reference_parse_expression)
+        want = parse_all()
+        assert len(got) == 2 * 100 * (1 + 3)
+        assert got == want
+        assert repr(got) == repr(want)
+
+
+PARSER_ALPHABET = list("xyzab_e1 0123456789+-*^()/.,\u00b2\u0663\u00e9\u0436\u00bd#\t")
+
+
+class TestParserRobustness:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.text(alphabet=st.sampled_from(PARSER_ALPHABET), max_size=24),
+        name=st.sampled_from(sorted(ORACLE_THEORIES)),
+        field=st.sampled_from(ORACLE_FIELDS),
+    )
+    def test_only_parse_errors_escape(self, text, name, field):
+        try:
+            e = parse_expression(text, ORACLE_THEORIES[name], field)
+        except ParseError:
+            return
+        assert all(field.contains(c) for _, c in e.terms)

@@ -14,6 +14,7 @@ from diamondlemma import (
     ForbiddenFactorSet,
     Fp,
     FreeMonoidTheory,
+    MixedTheory,
     MonomialOrder,
     OrderKind,
     PathAlgebraTheory,
@@ -24,6 +25,7 @@ from diamondlemma import (
     RuleError,
     ScalarError,
     StepBudgetExceededError,
+    TheoryMismatchError,
     WeightData,
     ZeroElementError,
     complete,
@@ -181,6 +183,50 @@ class TestReduceOnce:
     def test_greatest_monomial_first(self):
         got, step = reduce_once(weyl(), elem((("y", "x"), 1), (("y", "x", "x"), 1)))
         assert step.monomial == ("y", "x", "x")
+
+
+def foreign_monomial_cases():
+    """(system, monomial outside its theory that a lead divides)."""
+    swap = RewritingSystem(TH, DEGLEX, (Rule(("y", "x"), elem((("x", "y"), 1))),))
+    mixed = MixedTheory(("t",), ("x", "y"))
+    mixed_swap = RewritingSystem(
+        mixed,
+        MonomialOrder(OrderKind.DEGLEX, mixed, ("t", "x", "y")),
+        (Rule(((0,), ("y", "x")), elem((((0,), ("x", "y")), 1))),),
+    )
+    comm = CommutativeTheory(("x", "y"))
+    square = RewritingSystem(
+        comm,
+        MonomialOrder(OrderKind.DEGLEX, comm, ("x", "y")),
+        (Rule((2, 0), elem(((0, 1), 1))),),
+    )
+    return [
+        (swap, ("y", "x", "z", "y", "x")),
+        (mixed_swap, ((1,), ("y", "x", "z"))),
+        # One exponent short: the order key reads past the tuple.
+        (square, (3,)),
+    ]
+
+
+class TestForeignMonomials:
+    """A monomial with a letter the order does not rank is named in a
+    TheoryMismatchError, not lost in a KeyError from the order key."""
+
+    @pytest.mark.parametrize("reduce", [normal_form, normal_form_with_trail, reduce_once])
+    @pytest.mark.parametrize("case", range(3))
+    def test_reduction_names_the_monomial(self, reduce, case):
+        system, m = foreign_monomial_cases()[case]
+        with pytest.raises(TheoryMismatchError) as info:
+            reduce(system, elem((m, 1)))
+        assert str(info.value) == "monomial %r does not belong to %s" % (
+            m,
+            system.theory.describe(),
+        )
+
+    def test_valid_terms_beside_it_do_not_hide_it(self):
+        system, m = foreign_monomial_cases()[0]
+        with pytest.raises(TheoryMismatchError, match="'z'"):
+            normal_form(system, elem((("x", "y"), 2), (m, 1), (("y", "x"), 3)))
 
 
 class TestNormalForm:
