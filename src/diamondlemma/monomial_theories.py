@@ -133,20 +133,35 @@ class LeadIndex:
 
     ``first_site(m)`` gives (lowest rule index whose lead divides m, the
     first context ``divisions`` returns) or None. Leads are only appended.
+    Beside each lead the index keeps the entry ``key(lead)`` that its
+    ``first_site`` reads in place of the lead; the scan keeps None. The
+    slots named in ``shared`` hold per-theory constants, which a view
+    sliced by ``without`` shares.
     """
 
-    __slots__ = ("theory", "leads")
+    __slots__ = ("theory", "leads", "keys")
+    shared = ("theory",)
 
     def __init__(self, theory, leads) -> None:
         self.theory = theory
         self.leads = list(leads)
+        self.keys = list(map(self.key, self.leads))
+
+    def key(self, lead):
+        return None
 
     def add(self, lead) -> None:
         self.leads.append(lead)
+        self.keys.append(self.key(lead))
 
     def without(self, i: int) -> "LeadIndex":
         """The index over every lead but the i-th, sliced from this one."""
-        return LeadIndex(self.theory, self.leads[:i] + self.leads[i + 1 :])
+        view = object.__new__(type(self))
+        for name in self.shared:
+            setattr(view, name, getattr(self, name))
+        view.leads = self.leads[:i] + self.leads[i + 1 :]
+        view.keys = self.keys[:i] + self.keys[i + 1 :]
+        return view
 
     def first_site(self, m):
         divisions = self.theory.divisions
@@ -161,27 +176,21 @@ class _DivisorMaskIndex(LeadIndex):
     """Lead index for power products: a lead whose divisor mask has a bit
     outside the monomial's never reaches ``divisions``."""
 
-    __slots__ = ("masks",)
+    __slots__ = ("width",)
+    shared = LeadIndex.shared + __slots__
 
     def __init__(self, theory, leads) -> None:
+        self.width = len(theory.letters)
         super().__init__(theory, leads)
-        self.masks = [_divisor_mask(lead) for lead in self.leads]
 
-    def add(self, lead) -> None:
-        self.leads.append(lead)
-        self.masks.append(_divisor_mask(lead))
-
-    def without(self, i: int) -> "_DivisorMaskIndex":
-        view = _DivisorMaskIndex.__new__(_DivisorMaskIndex)
-        view.theory = self.theory
-        view.leads = self.leads[:i] + self.leads[i + 1 :]
-        view.masks = self.masks[:i] + self.masks[i + 1 :]
-        return view
+    key = staticmethod(_divisor_mask)
 
     def first_site(self, m):
+        if len(m) != self.width:
+            self.theory.check_monomial(m)
         outside = ~_divisor_mask(m)
         divisions = self.theory.divisions
-        for i, mask in enumerate(self.masks):
+        for i, mask in enumerate(self.keys):
             if not mask & outside:
                 ctxs = divisions(m, self.leads[i])
                 if ctxs:
@@ -196,41 +205,95 @@ def _letter_codes(letters: tuple) -> dict:
 
 
 class _WordIndex(LeadIndex):
-    """Lead index for words: leads are kept encoded one character per letter,
-    and ``str.find`` on the encoded monomial gives a lead's leftmost
-    occurrence, the first context ``divisions`` returns."""
+    """Lead index for words: leads are kept encoded one character per letter
+    of ``letters``, and ``str.find`` on the encoded monomial gives a lead's
+    leftmost occurrence, the first context ``divisions`` returns. A monomial
+    with a letter outside the alphabet, which has no code, is scanned."""
 
-    __slots__ = ("codes", "words")
+    __slots__ = ("codes",)
+    shared = LeadIndex.shared + __slots__
 
-    def __init__(self, theory, leads) -> None:
+    def __init__(self, theory, leads, letters: tuple) -> None:
+        self.codes = _letter_codes(letters)
         super().__init__(theory, leads)
-        self.codes = _letter_codes(theory.letters)
-        self.words = [self._encode(lead) for lead in self.leads]
 
-    def _encode(self, m) -> str:
-        return "".join(map(self.codes.__getitem__, m))
+    def encode(self, word) -> str:
+        return "".join(map(self.codes.__getitem__, word))
 
-    def add(self, lead) -> None:
-        self.leads.append(lead)
-        self.words.append(self._encode(lead))
-
-    def without(self, i: int) -> "_WordIndex":
-        view = _WordIndex.__new__(_WordIndex)
-        view.theory, view.codes = self.theory, self.codes
-        view.leads = self.leads[:i] + self.leads[i + 1 :]
-        view.words = self.words[:i] + self.words[i + 1 :]
-        return view
+    key = encode
 
     def first_site(self, m):
         try:
-            code = self._encode(m)
+            code = self.encode(m)
         except KeyError:
-            # A letter outside the alphabet, which has no code.
             return LeadIndex.first_site(self, m)
-        for i, word in enumerate(self.words):
+        for i, word in enumerate(self.keys):
             k = code.find(word)
             if k >= 0:
                 return i, (m[:k], m[k + len(word) :])
+        return None
+
+
+class _MixedIndex(_WordIndex):
+    """Lead index for mixed monomials: the divisor mask of the central part
+    screens a lead, then ``str.find`` places its word and the exponents are
+    compared, since the mask does not decide exponents above 2."""
+
+    __slots__ = ("width",)
+    shared = _WordIndex.shared + __slots__
+
+    def __init__(self, theory, leads) -> None:
+        self.width = len(theory.commutative_letters)
+        super().__init__(theory, leads, theory.word_letters)
+
+    def key(self, lead) -> tuple:
+        return _divisor_mask(lead[0]), self.encode(lead[1])
+
+    def first_site(self, m):
+        exps, w = m
+        if len(exps) != self.width:
+            self.theory.check_monomial(m)
+        try:
+            code = self.encode(w)
+        except KeyError:
+            return LeadIndex.first_site(self, m)
+        outside = ~_divisor_mask(exps)
+        for i, (mask, word) in enumerate(self.keys):
+            if not mask & outside:
+                k = code.find(word)
+                if k >= 0:
+                    lead_exps = self.leads[i][0]
+                    if _exp_le(lead_exps, exps):
+                        return i, (_exp_sub(exps, lead_exps), w[:k], w[k + len(word) :])
+        return None
+
+
+class _PathIndex(_WordIndex):
+    """Lead index for paths over the arrow words; a vertex-path lead, whose
+    code is empty, divides only where the path visits its vertex, which
+    ``divisions`` checks."""
+
+    __slots__ = ()
+
+    def key(self, lead) -> str:
+        return self.encode(lead[2])
+
+    def first_site(self, m):
+        src, tgt, names = m
+        try:
+            code = self.encode(names)
+        except KeyError:
+            return LeadIndex.first_site(self, m)
+        for i, word in enumerate(self.keys):
+            k = code.find(word)
+            if k >= 0:
+                if word:
+                    lead_src, lead_tgt, _ = self.leads[i]
+                    right = names[k + len(word) :]
+                    return i, ((src, lead_src, names[:k]), (lead_tgt, tgt, right))
+                ctxs = self.theory.divisions(m, self.leads[i])
+                if ctxs:
+                    return i, ctxs[0]
         return None
 
 
@@ -370,7 +433,7 @@ class FreeMonoidTheory(Theory):
         return [(mu[:i], mu[i + len(nu) :]) for i in _word_occurrences(mu, nu)]
 
     def lead_index(self, leads) -> LeadIndex:
-        return _WordIndex(self, leads)
+        return _WordIndex(self, leads, self.letters)
 
     def overlaps(self, mu1, mu2) -> list:
         return [OverlapDatum(*s) for s in _word_superpositions(mu1, mu2, mu1 == mu2)]
@@ -600,6 +663,9 @@ class MixedTheory(Theory):
             return []
         mult = _exp_sub(e1, e2)
         return [(mult, w1[:i], w1[i + len(w2) :]) for i in _word_occurrences(w1, w2)]
+
+    def lead_index(self, leads) -> LeadIndex:
+        return _MixedIndex(self, leads)
 
     def overlaps(self, mu1, mu2) -> list:
         (c1, w1), (c2, w2) = mu1, mu2
@@ -892,6 +958,9 @@ class PathAlgebraTheory(Theory):
             at = [i for i in at if vis[i] == nsrc]
         n = len(nnames)
         return [((src, nsrc, names[:i]), (ntgt, tgt, names[i + n :])) for i in at]
+
+    def lead_index(self, leads) -> LeadIndex:
+        return _PathIndex(self, leads, self.generator_names())
 
     def overlaps(self, mu1, mu2) -> list:
         data = []

@@ -7,7 +7,8 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Installs the tracer on a fresh interpreter, then completes a small system
-# over QQ and over GF(7) through the wrapped names and checks that the
+# over QQ and over GF(7), and a mixed and a path system, whose lead indexes
+# call no ``divisions``, through the wrapped names and checks that the
 # wrappers counted the work, the residue operators included.
 _SCRIPT = """
 import sys
@@ -17,13 +18,21 @@ from tracer import Tracer
 
 tracer = Tracer()
 tracer.install(diamondlemma)
-for field in ("", "field 7\\n"):
-    system = diamondlemma.parse_system(
-        "theory commutative\\n" + field
-        + "vars x y z\\nrule x*y -> z\\nrule y*z -> x\\nrule x*z -> y\\n"
-    )
-    report = diamondlemma.complete(system)
+texts = [
+    "theory commutative\\n" + field
+    + "vars x y z\\nrule x*y -> z\\nrule y*z -> x\\nrule x*z -> y\\n"
+    for field in ("", "field 7\\n")
+] + [
+    "theory mixed\\ncvars t\\nvars x y\\nrule y*x -> t*x\\nrule t^2*x -> y\\n",
+    "theory path\\nvertices 1 2\\narrow a: 1 -> 2\\narrow b: 2 -> 1\\nrule a*b*a -> a\\n",
+]
+for text in texts:
+    before = tracer.layer_metrics()
+    report = diamondlemma.complete(diamondlemma.parse_system(text))
     assert report.status is diamondlemma.CompletionStatus.COMPLETE
+    after = tracer.layer_metrics()
+    for name in ("completion.pairs_processed", "rewriting_engine.nf_calls"):
+        assert after[name] > before[name], (text, name)
 layers = tracer.layer_metrics()
 assert layers["completion.pairs_processed"] > 0, layers
 assert layers["algebra_core.sort_key_calls"] > 0, layers

@@ -229,6 +229,66 @@ class TestForeignMonomials:
             normal_form(system, elem((("x", "y"), 2), (m, 1), (("y", "x"), 3)))
 
 
+def wrong_length_reducers(th, gens, lead, lower) -> dict:
+    """Each public reduction of one rule over the theory, by name."""
+    rule = Rule(lead, Element(((lower, Fraction(1)),)))
+    plain = RewritingSystem(th, MonomialOrder(OrderKind.DEGLEX, th, gens), (rule,))
+    weights = tuple((g, Fraction(-3 if g == "y" else -1)) for g in gens)
+    series_order = MonomialOrder(OrderKind.SERIES_DEGLEX, th, gens, weights)
+    series = RewritingSystem(th, series_order, (rule,))
+    wd = WeightData(th, weights)
+    return {
+        "normal_form": lambda e: normal_form(plain, e),
+        "normal_form_with_trail": lambda e: normal_form_with_trail(plain, e),
+        "reduce_once": lambda e: reduce_once(plain, e),
+        "truncated_normal_form": lambda e: truncated_normal_form(series, wd, e, 8),
+    }
+
+
+WRONG_LENGTH_CASES = {
+    # rule x^2 -> y over vars x y
+    "commutative": (
+        (CommutativeTheory(("x", "y")), ("x", "y"), (2, 0), (0, 1)),
+        [(2, 0, 5), (1,)],
+        (2, 0),
+    ),
+    # rule t^2*x -> y over cvars t, vars x y
+    "mixed": (
+        (MixedTheory(("t",), ("x", "y")), ("t", "x", "y"), ((2,), ("x",)), ((0,), ("y",))),
+        [((2, 7), ("x",)), ((), ("x",))],
+        ((2,), ("x",)),
+    ),
+}
+
+
+class TestWrongLengthExponents:
+    """An exponent vector longer or shorter than the theory's variable list
+    is refused, whether or not a lead would divide it once truncated."""
+
+    @pytest.mark.parametrize(
+        "reducer", ["normal_form", "normal_form_with_trail", "reduce_once", "truncated_normal_form"]
+    )
+    @pytest.mark.parametrize("name", sorted(WRONG_LENGTH_CASES))
+    def test_reduction_names_the_monomial(self, name, reducer):
+        system_args, bad, good = WRONG_LENGTH_CASES[name]
+        th = system_args[0]
+        reduce = wrong_length_reducers(*system_args)[reducer]
+        for m in bad:
+            with pytest.raises(TheoryMismatchError) as info:
+                reduce(elem((m, 1)))
+            assert str(info.value) == "monomial %r does not belong to %s" % (m, th.describe())
+        reduce(elem((good, 1)))
+
+    @pytest.mark.parametrize("name", sorted(WRONG_LENGTH_CASES))
+    def test_index_refuses_it(self, name):
+        (th, _, lead, _), bad, good = WRONG_LENGTH_CASES[name]
+        index = th.lead_index([lead])
+        for m in bad:
+            with pytest.raises(TheoryMismatchError):
+                index.first_site(m)
+        assert index.first_site(good) is not None
+
+
 class TestNormalForm:
     def test_weyl_frozen_example(self):
         assert normal_form(weyl(), elem((("y", "x", "x"), 1))) == elem(
@@ -499,10 +559,21 @@ SQUARES = {
     "mixed": "ttxxyy",
     "magma": "xxyy",
     "path": "ccabab",
+    "mixed-names": ("t", "t", "xx", "x", "x", "xx", "y", "y"),
+    "path-names": ("aa", "a", "a", "aa", "b", "c"),
 }
 # The shipped theories, and words over letter names that run together when
 # joined, so that ("x", "x") and ("xx",) must stay apart.
-INDEX_THEORIES = dict(THEORIES, **{"assoc-names": FreeMonoidTheory(("x", "xx", "y"))})
+INDEX_THEORIES = dict(
+    THEORIES,
+    **{
+        "assoc-names": FreeMonoidTheory(("x", "xx", "y")),
+        "mixed-names": MixedTheory(("t",), ("x", "xx", "y")),
+        "path-names": PathAlgebraTheory(
+            ("1", "2"), (("a", "1", "1"), ("aa", "1", "1"), ("b", "1", "2"), ("c", "2", "1"))
+        ),
+    },
+)
 
 
 def site_probes(th, name, order, rng):
@@ -579,6 +650,44 @@ class TestLeadIndex:
         assert index.first_site((1, 2, 2)) == (1, (0, 2, 1))
         assert index.first_site((2, 1, 0)) == (0, (0, 1, 0))
         assert index.first_site((1, 2, 0)) is None
+
+    def test_mixed_central_only_lead_divides_at_the_start(self):
+        th = THEORIES["mixed"]
+        index = th.lead_index([((2,), ())])
+        m = ((3,), ("y", "x"))
+        assert index.first_site(m) == (0, ((1,), (), ("y", "x")))
+        assert index.first_site(m) == (0, th.divisions(m, ((2,), ()))[0])
+        assert index.first_site(((1,), ("x",))) is None
+
+    def test_mixed_mask_does_not_decide_a_cube(self):
+        # t^3 passes the mask of t^2 (both bits set) but does not divide it.
+        th = THEORIES["mixed"]
+        index = th.lead_index([((3,), ("x",)), ((1,), ("x",))])
+        assert index.first_site(((2,), ("y", "x"))) == (1, ((1,), ("y",), ()))
+        assert index.first_site(((3,), ("y", "x"))) == (0, ((0,), ("y",), ()))
+        assert index.first_site(((3,), ("y",))) is None
+
+    def test_path_vertex_lead_divides_where_the_path_visits_it(self):
+        th = THEORIES["path"]
+        index = th.lead_index([("2", "2", ())])
+        # c*c stays at vertex 1; a*b passes through 2 after its first arrow.
+        assert index.first_site(("1", "1", ("c", "c"))) is None
+        assert index.first_site(("1", "1", ("a", "b"))) == (
+            0,
+            (("1", "2", ("a",)), ("2", "1", ("b",))),
+        )
+        assert index.first_site(("2", "2", ())) == (0, (("2", "2", ()), ("2", "2", ())))
+
+    def test_mixed_and_path_indexes_scan_letters_outside_the_alphabet(self):
+        mixed = THEORIES["mixed"].lead_index([((0,), ("y", "x"))])
+        assert mixed.first_site(((1,), ("z", "y", "x"))) == (0, ((1,), ("z",), ()))
+        assert mixed.first_site(((0,), ("z",))) is None
+        path = THEORIES["path"].lead_index([("2", "1", ("b",))])
+        assert path.first_site(("1", "1", ("q", "a", "b"))) == (
+            0,
+            (("1", "2", ("q", "a")), ("1", "1", ())),
+        )
+        assert path.first_site(("1", "1", ("q",))) is None
 
 
 class TestCachedLeadIndex:
