@@ -1,157 +1,115 @@
-"""Reduction systems, confluence and completion over five monomial theories."""
+"""Reduction systems, confluence and completion over five monomial theories.
 
-from .algebra_core import (
-    DiamondError,
-    Element,
-    Fp,
-    MonomialOrder,
-    OrderError,
-    OrderKind,
-    PrimeField,
-    RationalField,
-    ScalarError,
-    TheoryMismatchError,
-)
-from .ambiguity import (
-    Ambiguity,
-    ResolutionCertificate,
-    critical_ambiguities,
-    resolve,
-    s_polynomial,
-)
-from .cli_io import (
-    ParseError,
-    SystemFile,
-    format_element,
-    format_rule,
-    format_scalar,
-    format_system,
-    main,
-    parse_expression,
-    parse_system,
-    parse_system_file,
-)
-from .completion import (
-    AddedRule,
-    CompletionReport,
-    CompletionStatus,
-    ConfluenceStatus,
-    ConfluenceVerdict,
-    NotConfluentSystemError,
-    check_confluence,
-    complete,
-    drop_redundant,
-    ideal_member,
-)
-from .monomial_theories import (
-    CommutativeTheory,
-    FreeMagmaTheory,
-    FreeMonoidTheory,
-    MixedTheory,
-    OverlapDatum,
-    OverlapKind,
-    PathAlgebraTheory,
-    Theory,
-    multiply_elements,
-)
-from .power_series import (
-    EquicontinuityReport,
-    SeriesAdmissionError,
-    SeriesNormalForm,
-    TdccReport,
-    WeightData,
-    check_equicontinuity,
-    check_tdcc,
-    norm,
-    truncated_normal_form,
-)
-from .rewriting_engine import (
-    DEFAULT_STEP_BUDGET,
-    ForbiddenFactorSet,
-    RewriteStep,
-    RewritingSystem,
-    Rule,
-    RuleError,
-    StepBudgetExceededError,
-    ZeroElementError,
-    count_irreducible,
-    irr_description,
-    is_irreducible_monomial,
-    normal_form,
-    normal_form_with_trail,
-    orient,
-    reduce_once,
-)
+Submodules load on first use (PEP 562): ``import diamondlemma`` runs none of
+them, and each public name imports its submodule when it is first read.
+"""
+
+import importlib
+
+# Public names by the submodule that defines them; every submodule is listed.
+_EXPORTS = {
+    "algebra_core": (
+        "DiamondError",
+        "Element",
+        "Fp",
+        "MonomialOrder",
+        "OrderError",
+        "OrderKind",
+        "PrimeField",
+        "RationalField",
+        "ScalarError",
+        "TheoryMismatchError",
+    ),
+    "ambiguity": (
+        "Ambiguity",
+        "ResolutionCertificate",
+        "critical_ambiguities",
+        "resolve",
+        "s_polynomial",
+    ),
+    "cli_io": (
+        "ParseError",
+        "SystemFile",
+        "format_element",
+        "format_rule",
+        "format_scalar",
+        "format_system",
+        "main",
+        "parse_expression",
+        "parse_system",
+        "parse_system_file",
+    ),
+    "completion": (
+        "AddedRule",
+        "CompletionReport",
+        "CompletionStatus",
+        "ConfluenceStatus",
+        "ConfluenceVerdict",
+        "NotConfluentSystemError",
+        "check_confluence",
+        "complete",
+        "drop_redundant",
+        "ideal_member",
+    ),
+    "monomial_theories": (
+        "CommutativeTheory",
+        "FreeMagmaTheory",
+        "FreeMonoidTheory",
+        "MixedTheory",
+        "OverlapDatum",
+        "OverlapKind",
+        "PathAlgebraTheory",
+        "Theory",
+        "multiply_elements",
+    ),
+    "power_series": (
+        "EquicontinuityReport",
+        "SeriesAdmissionError",
+        "SeriesNormalForm",
+        "TdccReport",
+        "WeightData",
+        "check_equicontinuity",
+        "check_tdcc",
+        "norm",
+        "truncated_normal_form",
+    ),
+    "rewriting_engine": (
+        "DEFAULT_STEP_BUDGET",
+        "ForbiddenFactorSet",
+        "RewriteStep",
+        "RewritingSystem",
+        "Rule",
+        "RuleError",
+        "StepBudgetExceededError",
+        "ZeroElementError",
+        "count_irreducible",
+        "irr_description",
+        "is_irreducible_monomial",
+        "normal_form",
+        "normal_form_with_trail",
+        "orient",
+        "reduce_once",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AddedRule",
-    "Ambiguity",
-    "CommutativeTheory",
-    "CompletionReport",
-    "CompletionStatus",
-    "ConfluenceStatus",
-    "ConfluenceVerdict",
-    "DEFAULT_STEP_BUDGET",
-    "DiamondError",
-    "Element",
-    "EquicontinuityReport",
-    "ForbiddenFactorSet",
-    "Fp",
-    "FreeMagmaTheory",
-    "FreeMonoidTheory",
-    "MixedTheory",
-    "MonomialOrder",
-    "NotConfluentSystemError",
-    "OrderError",
-    "OrderKind",
-    "OverlapDatum",
-    "OverlapKind",
-    "ParseError",
-    "PathAlgebraTheory",
-    "PrimeField",
-    "RationalField",
-    "ResolutionCertificate",
-    "RewriteStep",
-    "RewritingSystem",
-    "Rule",
-    "RuleError",
-    "ScalarError",
-    "SeriesAdmissionError",
-    "SeriesNormalForm",
-    "StepBudgetExceededError",
-    "SystemFile",
-    "TdccReport",
-    "Theory",
-    "TheoryMismatchError",
-    "WeightData",
-    "ZeroElementError",
-    "check_confluence",
-    "check_equicontinuity",
-    "check_tdcc",
-    "complete",
-    "count_irreducible",
-    "critical_ambiguities",
-    "drop_redundant",
-    "format_element",
-    "format_rule",
-    "format_scalar",
-    "format_system",
-    "ideal_member",
-    "irr_description",
-    "is_irreducible_monomial",
-    "main",
-    "multiply_elements",
-    "norm",
-    "normal_form",
-    "normal_form_with_trail",
-    "orient",
-    "parse_expression",
-    "parse_system",
-    "parse_system_file",
-    "reduce_once",
-    "resolve",
-    "s_polynomial",
-    "truncated_normal_form",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module("." + module, __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module("." + name, __name__)
+    else:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

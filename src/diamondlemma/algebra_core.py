@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
 from enum import Enum
 from fractions import Fraction
 
@@ -19,6 +19,55 @@ class TheoryMismatchError(DiamondError):
 
 class ScalarError(DiamondError):
     """Raised for invalid field parameters or mixed-field arithmetic."""
+
+
+_set = object.__setattr__
+
+
+class _Value:
+    """Immutable value whose equality, hashing and repr read the fields named
+    in ``_fields``.
+
+    Subclasses store each field with ``object.__setattr__`` in a hand-written
+    ``__init__``; assigning or deleting an attribute afterwards raises
+    AttributeError. Attributes outside ``_fields``, such as caches, are kept
+    in the instance dict and ignored by equality, hashing and repr.
+    """
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # _values(value) is the tuple of the field values; an attrgetter of
+        # several names builds it in C, one of a single name gives the value.
+        names = cls._fields
+        if len(names) == 1:
+            get = operator.attrgetter(*names)
+            values = lambda value: (get(value),)
+        elif names:
+            values = operator.attrgetter(*names)
+        else:
+            values = lambda value: ()
+        cls._values = staticmethod(values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(map("%s=%r".__mod__, zip(self._fields, self._values(self))))
+        return "%s(%s)" % (type(self).__qualname__, args)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -49,12 +98,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Fp:
+class Fp(_Value):
     """Residue modulo a prime, normalized to 0 <= value < p."""
 
-    value: int
-    p: int
+    _fields = ("value", "p")
+
+    def __init__(self, value: int, p: int) -> None:
+        _set(self, "value", value)
+        _set(self, "p", p)
 
     def _check(self, other: "Fp") -> None:
         if not isinstance(other, Fp) or other.p != self.p:
@@ -96,8 +147,7 @@ def _reject(c, field):
     raise ScalarError("coefficient %s is not in the field %s" % (c, field.describe()))
 
 
-@dataclass(frozen=True)
-class RationalField:
+class RationalField(_Value):
     """Field of exact rationals.
 
     Reduction loops work on a field's raw values and reduce sums modulo
@@ -156,8 +206,7 @@ class RationalField:
         return (_SMALL_FRACTIONS.get(raw) or Fraction(raw)) if isinstance(raw, int) else raw
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(_Value):
     """Field of residues modulo a machine-word prime.
 
     Its values are ``Fp``; its raw values are the residues as plain ints,
@@ -166,13 +215,14 @@ class PrimeField:
     per-operation check.
     """
 
-    p: int
+    _fields = ("p",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not 2 <= self.p < 2**63:
+    def __init__(self, p: int) -> None:
+        _set(self, "p", p)
+        if not isinstance(p, int) or not 2 <= p < 2**63:
             raise ScalarError("field characteristic must be a machine-word prime")
-        if not _is_prime(self.p):
-            raise ScalarError("field characteristic %d is not prime" % self.p)
+        if not _is_prime(p):
+            raise ScalarError("field characteristic %d is not prime" % p)
 
     @property
     def zero(self) -> Fp:
@@ -254,11 +304,13 @@ def _term_key(monomial) -> str:
     return repr(monomial)
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(_Value):
     """Finitely supported scalar combination of monomials, stored sparsely."""
 
-    terms: tuple
+    _fields = ("terms",)
+
+    def __init__(self, terms: tuple) -> None:
+        _set(self, "terms", terms)
 
     @staticmethod
     def from_dict(coeffs: dict) -> "Element":
@@ -352,8 +404,7 @@ class OrderError(DiamondError):
     """Raised for invalid order parameters."""
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(_Value):
     """Monomial order: a kind, a total order on generators and optional weights.
 
     Generators are listed ascending, so the last one is the greatest. Weights
@@ -362,12 +413,13 @@ class MonomialOrder:
     only admissible together with a topology certificate.
     """
 
-    kind: OrderKind
-    theory: object
-    generators: tuple
-    weights: tuple = ()
+    _fields = ("kind", "theory", "generators", "weights")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: OrderKind, theory, generators: tuple, weights: tuple = ()) -> None:
+        _set(self, "kind", kind)
+        _set(self, "theory", theory)
+        _set(self, "generators", generators)
+        _set(self, "weights", weights)
         gens = tuple(self.theory.generator_names())
         if sorted(self.generators) != sorted(gens):
             raise OrderError("generator list does not match the theory")
@@ -386,13 +438,13 @@ class MonomialOrder:
         # hashing and repr ignore them. Orders with the same generators or
         # weights share them, so they are read, never changed. Sort keys
         # lead with the sum of the weights scaled to ints.
-        object.__setattr__(self, "ranks", _rank_table(self.generators))
-        object.__setattr__(
+        _set(self, "ranks", _rank_table(self.generators))
+        _set(
             self,
             "variable_permutation",
             _variable_permutation(self.theory.exponent_letters, self.generators),
         )
-        object.__setattr__(self, "int_weights", _weight_table(self.weights)[1])
+        _set(self, "int_weights", _weight_table(self.weights)[1])
 
     def rank(self, name: str) -> int:
         """Return the rank of a generator, higher meaning greater."""

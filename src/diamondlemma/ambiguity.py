@@ -2,28 +2,37 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra_core import Element
+from .algebra_core import Element, _set, _Value
 from .monomial_theories import OverlapKind
 from .rewriting_engine import DEFAULT_STEP_BUDGET, normal_form_with_trail
 
 
-@dataclass(frozen=True)
-class Ambiguity:
+class Ambiguity(_Value):
     """Two rule applications meeting on one superposition monomial.
 
     Canonically oriented so that (rule1, context key) <= (rule2, context key);
     for inclusions ``inner`` names the slot whose lead occurs inside the other.
     """
 
-    rule1: int
-    ctx1: object
-    rule2: int
-    ctx2: object
-    superposition: object
-    kind: OverlapKind
-    inner: int | None = None
+    _fields = ("rule1", "ctx1", "rule2", "ctx2", "superposition", "kind", "inner")
+
+    def __init__(
+        self,
+        rule1: int,
+        ctx1,
+        rule2: int,
+        ctx2,
+        superposition,
+        kind: OverlapKind,
+        inner: int | None = None,
+    ) -> None:
+        _set(self, "rule1", rule1)
+        _set(self, "ctx1", ctx1)
+        _set(self, "rule2", rule2)
+        _set(self, "ctx2", ctx2)
+        _set(self, "superposition", superposition)
+        _set(self, "kind", kind)
+        _set(self, "inner", inner)
 
 
 def _make_ambiguity(i, j, datum) -> Ambiguity:
@@ -76,14 +85,18 @@ def s_polynomial(system, amb: Ambiguity) -> Element:
     return left - right
 
 
-@dataclass(frozen=True)
-class ResolutionCertificate:
+class ResolutionCertificate(_Value):
     """Outcome of reducing an ambiguity's s-polynomial to normal form."""
 
-    ambiguity: Ambiguity
-    resolved: bool
-    remainder: Element
-    trail: tuple
+    _fields = ("ambiguity", "resolved", "remainder", "trail")
+
+    def __init__(
+        self, ambiguity: Ambiguity, resolved: bool, remainder: Element, trail: tuple
+    ) -> None:
+        _set(self, "ambiguity", ambiguity)
+        _set(self, "resolved", resolved)
+        _set(self, "remainder", remainder)
+        _set(self, "trail", trail)
 
 
 def resolve(system, amb: Ambiguity, max_steps: int = DEFAULT_STEP_BUDGET) -> ResolutionCertificate:

@@ -1,13 +1,16 @@
-"""System file parsing, expression syntax, formatting and the command line."""
+"""System file parsing, expression syntax, formatting and the command line.
+
+Each subcommand imports the modules only it runs (confluence, completion,
+ambiguities, power series, json) when it runs, so a ``diamond`` process
+loads no more of the package than its subcommand needs.
+"""
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra_core import (
@@ -20,22 +23,10 @@ from .algebra_core import (
     RationalField,
     ScalarError,
     _accumulate,
+    _set,
+    _Value,
 )
-from .ambiguity import OverlapKind, critical_ambiguities
-from .completion import (
-    CompletionStatus,
-    ConfluenceStatus,
-    NotConfluentSystemError,
-    check_confluence,
-    complete,
-    ideal_member,
-)
-from .monomial_theories import THEORIES
-from .power_series import (
-    WeightData,
-    check_equicontinuity,
-    truncated_normal_form,
-)
+from .monomial_theories import THEORIES, OverlapKind
 from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
     RewritingSystem,
@@ -307,12 +298,14 @@ def parse_expression(text: str, theory, field, line: int = 1, col0: int = 1) -> 
     return _ExprParser(_tokenize(text, line, col0), theory, field, line).parse()
 
 
-@dataclass(frozen=True)
-class SystemFile:
+class SystemFile(_Value):
     """A parsed system plus the optional norm weights declared alongside it."""
 
-    system: RewritingSystem
-    weight_data: WeightData | None
+    _fields = ("system", "weight_data")
+
+    def __init__(self, system: RewritingSystem, weight_data: WeightData | None) -> None:
+        _set(self, "system", system)
+        _set(self, "weight_data", weight_data)
 
 
 _ORDER_KEYWORDS = {
@@ -492,12 +485,16 @@ class _SystemBuilder:
         system = RewritingSystem(self.theory, self.order, tuple(self.rules), self.field)
         weight_data = None
         if self.weights:
+            from .power_series import WeightData
+
             w_line, w_col = self.weights_line
             try:
                 weight_data = WeightData(self.theory, tuple(self.weights))
             except DiamondError as exc:
                 raise ParseError(str(exc), w_line, w_col)
         if self.order.kind is OrderKind.SERIES_DEGLEX:
+            from .power_series import check_equicontinuity
+
             report = check_equicontinuity(system, weight_data)
             if not report.admitted:
                 index, lower_exp, lead_exp = report.failures[0]
@@ -598,6 +595,8 @@ def format_system(system: RewritingSystem, weight_data: WeightData | None = None
 
 def _emit(records: list, args) -> None:
     if args.format == "json-lines":
+        import json
+
         for record in records:
             print(json.dumps(record, sort_keys=True))
     else:
@@ -621,6 +620,8 @@ def _well_founded(system, what: str):
 
 
 def _cmd_check(args) -> int:
+    from .completion import ConfluenceStatus, check_confluence
+
     system = _well_founded(_load(args.file).system, "confluence checking")
     th, order = system.theory, system.order
     verdict = check_confluence(system, args.max_steps)
@@ -660,6 +661,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_complete(args) -> int:
+    from .completion import CompletionStatus, complete
+
     sf = _load(args.file)
     system = _well_founded(sf.system, "completion")
     report = complete(system, args.max_degree, args.max_rules, args.max_steps)
@@ -696,6 +699,8 @@ def _cmd_nf(args) -> int:
     th, order = system.theory, system.order
     element = parse_expression(args.expression, th, system.field)
     if args.precision is not None:
+        from .power_series import truncated_normal_form
+
         if sf.weight_data is None:
             print("no weights declared in the system file", file=sys.stderr)
             return 3
@@ -742,6 +747,8 @@ def _cmd_nf(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
+    from .ambiguity import critical_ambiguities
+
     sf = _load(args.file)
     system = sf.system
     th = system.theory
@@ -786,6 +793,8 @@ def _cmd_irr(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    from .completion import ideal_member
+
     system = _well_founded(_load(args.file).system, "membership")
     element = parse_expression(args.expression, system.theory, system.field)
     verdict = ideal_member(system, element, args.max_steps)
@@ -856,11 +865,13 @@ def main(argv=None) -> int:
     except StepBudgetExceededError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except NotConfluentSystemError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     except (DiamondError, OSError) as exc:
         print(str(exc), file=sys.stderr)
+        # Only completion raises NotConfluentSystemError, so it is loaded
+        # whenever one is caught here.
+        completion = sys.modules.get(__package__ + ".completion")
+        if completion is not None and isinstance(exc, completion.NotConfluentSystemError):
+            return 1
         return 3
 
 

@@ -5,10 +5,9 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 
-from .algebra_core import DiamondError, Element
+from .algebra_core import DiamondError, Element, _set, _Value
 from .ambiguity import (
     Ambiguity,
     ResolutionCertificate,
@@ -33,18 +32,26 @@ class ConfluenceStatus(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class ConfluenceVerdict:
+class ConfluenceVerdict(_Value):
     """Outcome of resolving every critical ambiguity of a system.
 
     An inconclusive verdict keeps the ambiguity whose resolution ran out of
     steps in ``stopped_at``.
     """
 
-    status: ConfluenceStatus
-    checked: int
-    witness: ResolutionCertificate | None = None
-    stopped_at: Ambiguity | None = None
+    _fields = ("status", "checked", "witness", "stopped_at")
+
+    def __init__(
+        self,
+        status: ConfluenceStatus,
+        checked: int,
+        witness: ResolutionCertificate | None = None,
+        stopped_at: Ambiguity | None = None,
+    ) -> None:
+        _set(self, "status", status)
+        _set(self, "checked", checked)
+        _set(self, "witness", witness)
+        _set(self, "stopped_at", stopped_at)
 
     def stop_point(self, theory) -> str:
         """Say where an inconclusive check stopped."""
@@ -75,29 +82,50 @@ class CompletionStatus(Enum):
     RULE_CAPPED = "rule-capped"
 
 
-@dataclass(frozen=True)
-class AddedRule:
+class AddedRule(_Value):
     """A rule created during completion plus the ambiguity that forced it."""
 
-    rule: Rule
-    source: object
+    _fields = ("rule", "source")
+
+    def __init__(self, rule: Rule, source) -> None:
+        _set(self, "rule", rule)
+        _set(self, "source", source)
 
 
-@dataclass(frozen=True)
-class CompletionReport:
+class CompletionReport(_Value):
     """Result of the completion loop.
 
     ``pairs_filtered`` counts the pairs that the theory's pair criteria
     removed without reducing them.
     """
 
-    status: CompletionStatus
-    system: RewritingSystem
-    added: tuple
-    dropped: tuple
-    pairs_processed: int
-    pairs_skipped: int
-    pairs_filtered: int
+    _fields = (
+        "status",
+        "system",
+        "added",
+        "dropped",
+        "pairs_processed",
+        "pairs_skipped",
+        "pairs_filtered",
+    )
+
+    def __init__(
+        self,
+        status: CompletionStatus,
+        system: RewritingSystem,
+        added: tuple,
+        dropped: tuple,
+        pairs_processed: int,
+        pairs_skipped: int,
+        pairs_filtered: int,
+    ) -> None:
+        _set(self, "status", status)
+        _set(self, "system", system)
+        _set(self, "added", added)
+        _set(self, "dropped", dropped)
+        _set(self, "pairs_processed", pairs_processed)
+        _set(self, "pairs_skipped", pairs_skipped)
+        _set(self, "pairs_filtered", pairs_filtered)
 
 
 class _Working:

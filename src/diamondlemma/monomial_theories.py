@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from enum import Enum
 
-from .algebra_core import DiamondError, Element, TheoryMismatchError, _accumulate
+from .algebra_core import DiamondError, Element, TheoryMismatchError, _accumulate, _set, _Value
 
 
 class OverlapKind(Enum):
@@ -19,8 +17,7 @@ class OverlapKind(Enum):
     INCLUSION = "inclusion"
 
 
-@dataclass(frozen=True)
-class OverlapDatum:
+class OverlapDatum(_Value):
     """Minimal superposition with the two contexts placing each monomial.
 
     ``ctx1`` applied to the first monomial and ``ctx2`` applied to the second
@@ -28,11 +25,16 @@ class OverlapDatum:
     (1 or 2) occurs inside the other's monomial.
     """
 
-    superposition: object
-    ctx1: object
-    ctx2: object
-    kind: OverlapKind
-    inner: int | None = None
+    _fields = ("superposition", "ctx1", "ctx2", "kind", "inner")
+
+    def __init__(
+        self, superposition, ctx1, ctx2, kind: OverlapKind, inner: int | None = None
+    ) -> None:
+        _set(self, "superposition", superposition)
+        _set(self, "ctx1", ctx1)
+        _set(self, "ctx2", ctx2)
+        _set(self, "kind", kind)
+        _set(self, "inner", inner)
 
 
 def _exp_gcd(a: tuple, b: tuple) -> tuple:
@@ -297,10 +299,11 @@ class _PathIndex(_WordIndex):
         return None
 
 
-class Theory:
+class Theory(_Value):
     """Shared behaviour; concrete theories implement the payload geometry.
 
-    Each theory also owns its system-file syntax: ``keyword`` names it in the
+    A theory is a value whose fields are its generator declarations. Each
+    theory also owns its system-file syntax: ``keyword`` names it in the
     ``theory`` statement, ``header_statements`` lists the statements that
     declare its fields, in field order, and ``monomial_named(name)`` returns
     the monomial an expression identifier stands for, or None.
@@ -318,8 +321,8 @@ class Theory:
     def header_lines(self) -> list:
         """System-file statements declaring this theory."""
         lines = ["theory %s" % self.keyword]
-        for statement, f in zip(self.header_statements, dataclasses.fields(self)):
-            lines.append("%s %s" % (statement, " ".join(getattr(self, f.name))))
+        for statement, name in zip(self.header_statements, self._fields):
+            lines.append("%s %s" % (statement, " ".join(getattr(self, name))))
         return lines
 
     def supports_lex(self) -> bool:
@@ -377,12 +380,16 @@ class Theory:
             raise TheoryMismatchError("monomial %r does not belong to %s" % (m, self.describe()))
 
 
-@dataclass(frozen=True)
 class FreeMonoidTheory(Theory):
     """Words over a finite alphabet under concatenation."""
 
-    letters: tuple
+    _fields = ("letters",)
     keyword = "assoc"
+
+    def __init__(self, letters: tuple) -> None:
+        _set(self, "letters", letters)
+        # For validation; no field, so equality, hashing and repr ignore it.
+        _set(self, "letter_set", frozenset(letters))
 
     def describe(self) -> str:
         return "assoc(%s)" % ",".join(self.letters)
@@ -405,7 +412,10 @@ class FreeMonoidTheory(Theory):
         return a + b
 
     def validate_monomial(self, m) -> bool:
-        return isinstance(m, tuple) and all(x in self.letters for x in m)
+        try:
+            return isinstance(m, tuple) and self.letter_set.issuperset(m)
+        except TypeError:  # an unhashable letter
+            return False
 
     def degree(self, m) -> int:
         return len(m)
@@ -442,13 +452,15 @@ class FreeMonoidTheory(Theory):
         return itertools.product(self.letters, repeat=d) if d >= 0 else iter(())
 
 
-@dataclass(frozen=True)
 class CommutativeTheory(Theory):
     """Power products over a finite variable set."""
 
-    letters: tuple
+    _fields = ("letters",)
     keyword = "commutative"
     irr_semantics = "divisor"
+
+    def __init__(self, letters: tuple) -> None:
+        _set(self, "letters", letters)
 
     def describe(self) -> str:
         return "commutative(%s)" % ",".join(self.letters)
@@ -566,14 +578,18 @@ class CommutativeTheory(Theory):
         return _compositions(d, len(self.letters)) if d >= 0 else iter(())
 
 
-@dataclass(frozen=True)
 class MixedTheory(Theory):
     """Power products in central variables times words in free letters."""
 
-    commutative_letters: tuple
-    word_letters: tuple
+    _fields = ("commutative_letters", "word_letters")
     keyword = "mixed"
     header_statements = ("cvars", "vars")
+
+    def __init__(self, commutative_letters: tuple, word_letters: tuple) -> None:
+        _set(self, "commutative_letters", commutative_letters)
+        _set(self, "word_letters", word_letters)
+        # For validation; no field, so equality, hashing and repr ignore it.
+        _set(self, "letter_set", frozenset(word_letters))
 
     def describe(self) -> str:
         return "mixed(%s;%s)" % (
@@ -616,13 +632,16 @@ class MixedTheory(Theory):
         if not (isinstance(m, tuple) and len(m) == 2):
             return False
         exps, word = m
-        return (
-            isinstance(exps, tuple)
-            and len(exps) == len(self.commutative_letters)
-            and all(isinstance(e, int) and e >= 0 for e in exps)
-            and isinstance(word, tuple)
-            and all(x in self.word_letters for x in word)
-        )
+        try:
+            return (
+                isinstance(exps, tuple)
+                and len(exps) == len(self.commutative_letters)
+                and all(isinstance(e, int) and e >= 0 for e in exps)
+                and isinstance(word, tuple)
+                and self.letter_set.issuperset(word)
+            )
+        except TypeError:  # an unhashable letter
+            return False
 
     def degree(self, m) -> int:
         return sum(m[0]) + len(m[1])
@@ -742,14 +761,16 @@ def _has_hole(ctx) -> bool:
     return _has_hole(ctx[0]) or _has_hole(ctx[1])
 
 
-@dataclass(frozen=True)
 class FreeMagmaTheory(Theory):
     """Binary trees with labelled leaves under non-associative product."""
 
-    letters: tuple
+    _fields = ("letters",)
     keyword = "magma"
     irr_semantics = "divisor"
     associative = False
+
+    def __init__(self, letters: tuple) -> None:
+        _set(self, "letters", letters)
 
     def describe(self) -> str:
         return "magma(%s)" % ",".join(self.letters)
@@ -831,19 +852,24 @@ class FreeMagmaTheory(Theory):
                     yield (left, right)
 
 
-@dataclass(frozen=True)
 class PathAlgebraTheory(Theory):
     """Paths in a finite quiver; products vanish on endpoint mismatch."""
 
-    vertices: tuple
-    arrows: tuple
+    _fields = ("vertices", "arrows")
     keyword = "path"
     header_statements = ("vertices", "arrow")
 
-    def __post_init__(self) -> None:
-        for name, src, tgt in self.arrows:
-            if src not in self.vertices or tgt not in self.vertices:
+    def __init__(self, vertices: tuple, arrows: tuple) -> None:
+        _set(self, "vertices", vertices)
+        _set(self, "arrows", arrows)
+        # (source, target) by arrow name, the first arrow of a name winning;
+        # no field, so equality, hashing and repr ignore it.
+        endpoints: dict = {}
+        for name, src, tgt in arrows:
+            if src not in vertices or tgt not in vertices:
                 raise TheoryMismatchError("arrow %s references an unknown vertex" % name)
+            endpoints.setdefault(name, (src, tgt))
+        _set(self, "endpoints", endpoints)
 
     def header_lines(self) -> list:
         return ["theory path", "vertices %s" % " ".join(self.vertices)] + [
@@ -868,10 +894,10 @@ class PathAlgebraTheory(Theory):
         return None
 
     def arrow_endpoints(self, name: str) -> tuple:
-        for n, s, t in self.arrows:
-            if n == name:
-                return s, t
-        raise TheoryMismatchError("unknown arrow %r" % name)
+        try:
+            return self.endpoints[name]
+        except KeyError:
+            raise TheoryMismatchError("unknown arrow %r" % name) from None
 
     def vertex_path(self, v: str) -> tuple:
         if v not in self.vertices:
@@ -905,14 +931,16 @@ class PathAlgebraTheory(Theory):
         if not (isinstance(m, tuple) and len(m) == 3):
             return False
         src, tgt, names = m
-        if src not in self.vertices or tgt not in self.vertices:
+        if src not in self.vertices:
             return False
-        if not names:
-            return src == tgt
-        made = self._make(names) if all(
-            any(n == name for name, _, _ in self.arrows) for n in names
-        ) else None
-        return made == m
+        # Walk the arrows from src; arrow targets are vertices.
+        endpoints = self.endpoints
+        for name in names:
+            ends = endpoints.get(name)
+            if ends is None or ends[0] != src:
+                return False
+            src = ends[1]
+        return src == tgt
 
     def visits(self, m) -> list:
         """List the vertices a path passes through, endpoints included."""

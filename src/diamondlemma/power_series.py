@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra_core import DiamondError, Element, OrderKind, _weight_table
+from .algebra_core import DiamondError, Element, OrderKind, _set, _Value, _weight_table
 from .rewriting_engine import DEFAULT_STEP_BUDGET, _rewrites
 
 
-@dataclass(frozen=True)
-class WeightData:
+class WeightData(_Value):
     """Generator weights defining the ultrametric norm on elements.
 
     A monomial of weight sum w has norm 2^w, so negative weights shrink
@@ -19,19 +17,19 @@ class WeightData:
     ``weight_denominator``, as ints.
     """
 
-    theory: object
-    weights: tuple
+    _fields = ("theory", "weights")
 
-    def __post_init__(self) -> None:
-        names = sorted(name for name, _ in self.weights)
-        expected = sorted(self.theory.generator_names())
+    def __init__(self, theory, weights: tuple) -> None:
+        names = sorted(name for name, _ in weights)
+        expected = sorted(theory.generator_names())
         if names != expected:
             raise DiamondError("weights must cover the generators exactly")
-        converted = tuple((name, Fraction(value)) for name, value in self.weights)
-        object.__setattr__(self, "weights", converted)
+        converted = tuple((name, Fraction(value)) for name, value in weights)
         den, ints = _weight_table(converted)
-        object.__setattr__(self, "weight_denominator", den)
-        object.__setattr__(self, "int_weights", ints)
+        _set(self, "theory", theory)
+        _set(self, "weights", converted)
+        _set(self, "weight_denominator", den)
+        _set(self, "int_weights", ints)
 
     def weight_of(self, name: str) -> Fraction:
         for key, value in self.weights:
@@ -56,12 +54,14 @@ def norm(element: Element, weight_data: WeightData):
     return max(weight_data.exponent(m) for m in element.support())
 
 
-@dataclass(frozen=True)
-class EquicontinuityReport:
+class EquicontinuityReport(_Value):
     """Per-rule norm comparison deciding series admission."""
 
-    admitted: bool
-    failures: tuple
+    _fields = ("admitted", "failures")
+
+    def __init__(self, admitted: bool, failures: tuple) -> None:
+        _set(self, "admitted", admitted)
+        _set(self, "failures", failures)
 
 
 def check_equicontinuity(system, weight_data: WeightData) -> EquicontinuityReport:
@@ -75,12 +75,14 @@ def check_equicontinuity(system, weight_data: WeightData) -> EquicontinuityRepor
     return EquicontinuityReport(not failures, tuple(failures))
 
 
-@dataclass(frozen=True)
-class TdccReport:
+class TdccReport(_Value):
     """Whether chains of descents are certified to terminate topologically."""
 
-    certified: bool
-    reason: str
+    _fields = ("certified", "reason")
+
+    def __init__(self, certified: bool, reason: str) -> None:
+        _set(self, "certified", certified)
+        _set(self, "reason", reason)
 
 
 def check_tdcc(order, weight_data: WeightData) -> TdccReport:
@@ -96,13 +98,15 @@ class SeriesAdmissionError(DiamondError):
     """Raised when a system fails the admission checks for series reduction."""
 
 
-@dataclass(frozen=True)
-class SeriesNormalForm:
+class SeriesNormalForm(_Value):
     """Truncated normal form plus the precision it is valid to."""
 
-    representative: Element
-    precision: int
-    truncated: bool
+    _fields = ("representative", "precision", "truncated")
+
+    def __init__(self, representative: Element, precision: int, truncated: bool) -> None:
+        _set(self, "representative", representative)
+        _set(self, "precision", precision)
+        _set(self, "truncated", truncated)
 
 
 def truncated_normal_form(
@@ -140,7 +144,7 @@ def truncated_normal_form(
         dropped[0] = True
         return False
 
-    coeffs = {m: c for m, c in element.terms if keep(m)}
+    coeffs = dict(element.terms)
     for _ in _rewrites(system, coeffs, max_steps, keep):
         pass
     return SeriesNormalForm(Element.from_dict(coeffs), precision, dropped[0])

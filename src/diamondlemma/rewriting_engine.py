@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra_core import DiamondError, Element, MonomialOrder, RationalField
+from .algebra_core import DiamondError, Element, MonomialOrder, RationalField, _set, _Value
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -24,37 +23,45 @@ class StepBudgetExceededError(DiamondError):
     """Raised when a reduction exceeds its step budget."""
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Value):
     """Monic rewriting rule: lead rewrites to the lower-part element."""
 
-    lead: object
-    lower: Element
+    _fields = ("lead", "lower")
+
+    def __init__(self, lead, lower: Element) -> None:
+        _set(self, "lead", lead)
+        _set(self, "lower", lower)
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(_Value):
     """One applied reduction: which rule, at which monomial, in which context."""
 
-    rule_index: int
-    monomial: object
-    context: object
-    coefficient: object
+    _fields = ("rule_index", "monomial", "context", "coefficient")
+
+    def __init__(self, rule_index: int, monomial, context, coefficient) -> None:
+        _set(self, "rule_index", rule_index)
+        _set(self, "monomial", monomial)
+        _set(self, "context", context)
+        _set(self, "coefficient", coefficient)
 
 
-@dataclass(frozen=True)
-class RewritingSystem:
+class RewritingSystem(_Value):
     """A theory, a monomial order and a tuple of compatible rules.
 
     ``lead_index`` and ``raw_lowers`` are built from the rules on first use
     and kept on the instance; they are no fields, so equality, hashing and
-    repr ignore them.
+    repr ignore them. ``__init__`` validates the rules in ``__post_init__``,
+    a method of its own so that a tracer can time every system build.
     """
 
-    theory: object
-    order: MonomialOrder
-    rules: tuple
-    field: object = field(default_factory=RationalField)
+    _fields = ("theory", "order", "rules", "field")
+
+    def __init__(self, theory, order: MonomialOrder, rules: tuple, field=RationalField()) -> None:
+        _set(self, "theory", theory)
+        _set(self, "order", order)
+        _set(self, "rules", rules)
+        _set(self, "field", field)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         th, order = self.theory, self.order
@@ -133,19 +140,27 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
     lowest rule index and the first canonical context, which the system's
     ``lead_index`` finds. A max-heap holds every reducible support monomial,
     so a step costs its images, not a rescan; entries whose coefficient
-    cancelled are skipped when popped. Images failing ``keep`` are dropped.
-    StepBudgetExceededError is raised before step ``budget + 1``.
+    cancelled are skipped when popped. Monomials failing ``keep``, input and
+    images alike, are dropped. StepBudgetExceededError is raised before step
+    ``budget + 1``.
 
-    The loop runs on the field's raw values against the system's
-    ``raw_lowers``: coeffs is checked and converted on entry, which raises
-    ScalarError for a coefficient outside the field, and converted back
-    however the loop ends. A caller that stops early must close the
-    generator before reading coeffs. A reducible monomial outside the theory
-    raises TheoryMismatchError once its order key fails.
+    On entry every monomial of coeffs is checked against the theory, which
+    raises TheoryMismatchError for one outside it; rules map the theory's
+    monomials to the theory's monomials, so images need no check. The loop
+    runs on the field's raw values against the system's ``raw_lowers``: the
+    coefficients are converted on entry, which raises ScalarError for one
+    outside the field, and converted back however the loop ends. A caller
+    that stops early must close the generator before reading coeffs.
     """
     th, order, field = system.theory, system.order, system.field
     lowers, index = system.raw_lowers, system.lead_index
     p = field.characteristic
+    check = th.check_monomial
+    for m in coeffs:
+        check(m)
+    if keep is not None:
+        for m in [m for m in coeffs if not keep(m)]:
+            del coeffs[m]
     field.into_raw(coeffs)
     try:
         site_memo: dict = {}
@@ -187,11 +202,6 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
                     del coeffs[image]
             steps += 1
             yield ridx, m, ctx, c
-    except (KeyError, IndexError):
-        # An order key read a letter or exponent the theory does not have.
-        for m in coeffs:
-            th.check_monomial(m)
-        raise
     finally:
         field.from_raw(coeffs)
 
@@ -233,12 +243,13 @@ def normal_form_with_trail(system, element: Element, max_steps: int = DEFAULT_ST
 
 
 def is_irreducible_monomial(system, monomial) -> bool:
-    """Decide whether no rule lead divides the monomial."""
+    """Decide whether no rule lead divides a monomial of the system's theory;
+    one outside it raises TheoryMismatchError."""
+    system.theory.check_monomial(monomial)
     return system.lead_index.first_site(monomial) is None
 
 
-@dataclass(frozen=True)
-class ForbiddenFactorSet:
+class ForbiddenFactorSet(_Value):
     """Irreducible monomials are those avoiding these leads.
 
     ``semantics`` is "factor" when avoidance means containing no lead as a
@@ -246,8 +257,11 @@ class ForbiddenFactorSet:
     being divisible by no lead (power products, subtrees).
     """
 
-    semantics: str
-    leads: tuple
+    _fields = ("semantics", "leads")
+
+    def __init__(self, semantics: str, leads: tuple) -> None:
+        _set(self, "semantics", semantics)
+        _set(self, "leads", leads)
 
 
 def irr_description(system) -> ForbiddenFactorSet:
@@ -259,10 +273,9 @@ def irr_description(system) -> ForbiddenFactorSet:
 
 def count_irreducible(system, max_degree: int) -> list:
     """Count irreducible monomials per degree from 0 to max_degree."""
-    th = system.theory
+    th, first_site = system.theory, system.lead_index.first_site
     counts = []
     for d in range(max_degree + 1):
-        counts.append(
-            sum(1 for m in th.monomials_of_degree(d) if is_irreducible_monomial(system, m))
-        )
+        # The theory's own monomials need no check.
+        counts.append(sum(1 for m in th.monomials_of_degree(d) if first_site(m) is None))
     return counts

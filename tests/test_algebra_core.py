@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diamondlemma import (
+    CommutativeTheory,
     Element,
     Fp,
     FreeMonoidTheory,
@@ -29,6 +30,47 @@ TERMS = st.lists(st.tuples(WORDS, COEFFS), max_size=8)
 
 def elem(*pairs) -> Element:
     return Element.from_dict({m: Fraction(c) for m, c in pairs})
+
+
+def value_examples() -> list:
+    th = FreeMonoidTheory(("x", "y"))
+    return [
+        Fp(3, 7),
+        RationalField(),
+        PrimeField(7),
+        elem((("x",), 2)),
+        MonomialOrder(OrderKind.DEGLEX, th, ("x", "y")),
+        th,
+        WeightData(th, (("x", Fraction(-1)), ("y", Fraction(2)))),
+    ]
+
+
+class TestValueTypes:
+    """Value types compare, hash and print by their fields and are immutable."""
+
+    @pytest.mark.parametrize("value", value_examples(), ids=lambda v: type(v).__name__)
+    def test_fields_decide_repr_equality_and_hash(self, value):
+        fields = tuple(getattr(value, name) for name in type(value)._fields)
+        assert hash(value) == hash(fields)
+        assert repr(value) == "%s(%s)" % (
+            type(value).__name__,
+            ", ".join("%s=%r" % pair for pair in zip(type(value)._fields, fields)),
+        )
+        assert value == type(value)(*fields)
+        assert value.__eq__(fields) is NotImplemented
+        assert value != fields
+
+    @pytest.mark.parametrize("value", value_examples(), ids=lambda v: type(v).__name__)
+    def test_attributes_cannot_change(self, value):
+        for name in type(value)._fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+    def test_other_classes_with_equal_fields_differ(self):
+        assert FreeMonoidTheory(("x",)) != CommutativeTheory(("x",))
+        assert Fp(value=3, p=7) == Fp(3, 7)
 
 
 class TestRationalField:

@@ -16,6 +16,8 @@ sys.path[:0] = [{bench!r}, {src!r}]
 import diamondlemma
 from tracer import Tracer
 
+# The tracer is installed before any submodule is loaded.
+assert not [m for m in sys.modules if m.startswith("diamondlemma.")]
 tracer = Tracer()
 tracer.install(diamondlemma)
 texts = [
@@ -37,6 +39,7 @@ layers = tracer.layer_metrics()
 assert layers["completion.pairs_processed"] > 0, layers
 assert layers["algebra_core.sort_key_calls"] > 0, layers
 assert layers["algebra_core.fp_ops"] > 0, layers
+assert layers["rewriting_engine.system_build_s"] > 0, layers
 """
 
 

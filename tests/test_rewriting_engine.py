@@ -1,6 +1,5 @@
 """Rule orientation and the reduction engine."""
 
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -229,11 +228,14 @@ class TestForeignMonomials:
             normal_form(system, elem((("x", "y"), 2), (m, 1), (("y", "x"), 3)))
 
 
-def wrong_length_reducers(th, gens, lead, lower) -> dict:
-    """Each public reduction of one rule over the theory, by name."""
+def wrong_length_reducers(th, gens, lead, lower, weights=None) -> dict:
+    """Each public reduction of one rule over the theory, by name; the
+    series order and norm take ``weights``, by default y:-3 and -1 for the
+    other generators."""
     rule = Rule(lead, Element(((lower, Fraction(1)),)))
     plain = RewritingSystem(th, MonomialOrder(OrderKind.DEGLEX, th, gens), (rule,))
-    weights = tuple((g, Fraction(-3 if g == "y" else -1)) for g in gens)
+    if weights is None:
+        weights = tuple((g, Fraction(-3 if g == "y" else -1)) for g in gens)
     series_order = MonomialOrder(OrderKind.SERIES_DEGLEX, th, gens, weights)
     series = RewritingSystem(th, series_order, (rule,))
     wd = WeightData(th, weights)
@@ -242,6 +244,7 @@ def wrong_length_reducers(th, gens, lead, lower) -> dict:
         "normal_form_with_trail": lambda e: normal_form_with_trail(plain, e),
         "reduce_once": lambda e: reduce_once(plain, e),
         "truncated_normal_form": lambda e: truncated_normal_form(series, wd, e, 8),
+        "is_irreducible_monomial": lambda e: is_irreducible_monomial(plain, e.terms[0][0]),
     }
 
 
@@ -259,6 +262,55 @@ WRONG_LENGTH_CASES = {
         ((2,), ("x",)),
     ),
 }
+
+
+UNDIVIDED_FOREIGN_CASES = {
+    # vars x y; rule y*x -> x*y, and a word with the letter z
+    "assoc": (
+        (FreeMonoidTheory(("x", "y")), ("x", "y"), ("y", "x"), ("x", "y")),
+        ("z",),
+        ("y", "x"),
+    ),
+    # vars x y; rule x^2 -> y, and an exponent tuple one short
+    "commutative": ((CommutativeTheory(("x", "y")), ("x", "y"), (2, 0), (0, 1)), (1,), (2, 0)),
+    # arrows a: 1 -> 2, b: 2 -> 1; rule a*b -> e1, and a path over the arrow q
+    "path": (
+        (
+            PathAlgebraTheory(("1", "2"), (("a", "1", "2"), ("b", "2", "1"))),
+            ("a", "b"),
+            ("1", "1", ("a", "b")),
+            ("1", "1", ()),
+            (("a", Fraction(1)), ("b", Fraction(1))),
+        ),
+        ("1", "2", ("q",)),
+        ("1", "1", ("a", "b")),
+    ),
+}
+
+
+class TestUndividedForeignMonomials:
+    """A monomial outside the theory that no lead divides is refused too, by
+    every reduction and by the irreducibility test, not returned unchanged."""
+
+    @pytest.mark.parametrize(
+        "reducer",
+        [
+            "normal_form",
+            "normal_form_with_trail",
+            "reduce_once",
+            "truncated_normal_form",
+            "is_irreducible_monomial",
+        ],
+    )
+    @pytest.mark.parametrize("name", sorted(UNDIVIDED_FOREIGN_CASES))
+    def test_reduction_names_the_monomial(self, name, reducer):
+        system_args, bad, good = UNDIVIDED_FOREIGN_CASES[name]
+        th = system_args[0]
+        reduce = wrong_length_reducers(*system_args)[reducer]
+        with pytest.raises(TheoryMismatchError) as info:
+            reduce(elem((bad, 1)))
+        assert str(info.value) == "monomial %r does not belong to %s" % (bad, th.describe())
+        reduce(elem((good, 1)))
 
 
 class TestWrongLengthExponents:
@@ -467,8 +519,7 @@ class TestReferenceStrategy:
             for m in monomials:
                 assert th.rank_encoding(m, order) == reference_rank_encoding(th, order, m)
             # The order's rank tables are no fields.
-            names = {f.name for f in dataclasses.fields(order)}
-            assert not names & {"ranks", "variable_permutation"}
+            assert not set(type(order)._fields) & {"ranks", "variable_permutation"}
             assert "ranks" not in repr(order)
 
     @pytest.mark.parametrize("name", sorted(THEORIES))
@@ -701,7 +752,7 @@ class TestCachedLeadIndex:
         assert (repr(s), hash(s)) == before
         assert "lead_index" not in repr(s)
         assert s == t and hash(s) == hash(t)
-        assert "lead_index" not in {f.name for f in dataclasses.fields(s)}
+        assert "lead_index" not in type(s)._fields
 
     def test_replace_builds_a_fresh_index(self):
         th = CommutativeTheory(("x", "y"))
@@ -710,7 +761,7 @@ class TestCachedLeadIndex:
             th, order, (Rule((2, 0), Element.zero()), Rule((0, 1), Element.zero()))
         )
         assert s.lead_index.first_site((1, 1)) == (1, (1, 0))
-        u = dataclasses.replace(s, rules=s.rules[1:])
+        u = RewritingSystem(s.theory, s.order, s.rules[1:], s.field)
         assert u.lead_index is not s.lead_index
         assert u.lead_index.first_site((1, 1)) == (0, (1, 0))
         assert u.lead_index.first_site((2, 0)) is None
