@@ -31,12 +31,13 @@ from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
     RewritingSystem,
     Rule,
-    RuleError,
     StepBudgetExceededError,
     count_irreducible,
     irr_description,
     normal_form,
     normal_form_with_trail,
+    _rule_problem,
+    _well_founded,
 )
 
 
@@ -460,13 +461,11 @@ class _SystemBuilder:
             if len(lead_elem.terms) != 1 or lead_elem.terms[0][1] != self.field.one:
                 raise ParseError("rule lead must be a single monic monomial", line, col)
             rule = Rule(lead_elem.terms[0][0], lower)
-            try:
-                RewritingSystem(self.theory, self.order, (rule,), self.field)
-            except RuleError as exc:
-                message = str(exc)
-                if message.startswith("rule 0: "):
-                    message = message[len("rule 0: ") :]
-                raise ParseError(message, line, col)
+            # The parser built every monomial through the theory, so the
+            # rule needs only the checks that relate its terms.
+            problem = _rule_problem(self.theory, self.order, self.field, rule)
+            if problem is not None:
+                raise ParseError(problem, line, col)
             self.rules.append(rule)
             self.rule_lines.append((line, col))
         else:
@@ -482,7 +481,9 @@ class _SystemBuilder:
     def finish(self) -> SystemFile:
         if self.order is None:
             self._default_order(1, 1)
-        system = RewritingSystem(self.theory, self.order, tuple(self.rules), self.field)
+        system = RewritingSystem._of_checked_rules(
+            self.theory, self.order, tuple(self.rules), self.field
+        )
         weight_data = None
         if self.weights:
             from .power_series import WeightData
@@ -607,16 +608,6 @@ def _emit(records: list, args) -> None:
 def _load(path: str) -> SystemFile:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_system_file(handle.read())
-
-
-def _well_founded(system, what: str):
-    """The system, or a DiamondError (exit 3) when its order is not
-    well-founded, since plain reduction then need not terminate."""
-    if not system.order.is_well_founded():
-        raise DiamondError(
-            "%s needs a well-founded order; this system reduces only to a precision" % what
-        )
-    return system
 
 
 def _cmd_check(args) -> int:

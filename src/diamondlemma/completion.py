@@ -23,6 +23,7 @@ from .rewriting_engine import (
     StepBudgetExceededError,
     normal_form,
     orient,
+    _well_founded,
 )
 
 
@@ -63,7 +64,12 @@ class ConfluenceVerdict(_Value):
 
 
 def check_confluence(system, max_steps: int = DEFAULT_STEP_BUDGET) -> ConfluenceVerdict:
-    """Resolve all critical ambiguities and report the verdict."""
+    """Resolve all critical ambiguities and report the verdict.
+
+    A system whose order is not well-founded raises DiamondError, since
+    plain reduction then need not terminate.
+    """
+    _well_founded(system, "confluence checking")
     checked = 0
     for amb in critical_ambiguities(system):
         try:
@@ -131,7 +137,8 @@ class CompletionReport(_Value):
 class _Working:
     """Unvalidated view of a rule list with the attributes the engine reads.
 
-    Its lead index and raw lower parts cover the rules it is made with;
+    Its lead index, made with the order, and its lower parts, encoded as in
+    ``RewritingSystem.raw_lowers``, cover the rules it is made with;
     ``append`` and ``replace`` keep them in step with ``rules``, so one view
     serves a whole completion. ``without(i)`` slices all three for the view
     of the other rules, recomputing nothing.
@@ -144,18 +151,21 @@ class _Working:
         self.order = order
         self.field = field
         self.rules = rules
-        self.raw_lowers = [field.raw_terms(rule.lower.terms) for rule in rules]
-        self.lead_index = theory.lead_index([rule.lead for rule in rules])
+        self.lead_index = theory.lead_index([rule.lead for rule in rules], order)
+        self.raw_lowers = [self._lower(rule) for rule in rules]
+
+    def _lower(self, rule: Rule) -> tuple:
+        return self.lead_index.encode_terms(self.field.raw_terms(rule.lower.terms))
 
     def append(self, rule: Rule) -> None:
         self.rules.append(rule)
-        self.raw_lowers.append(self.field.raw_terms(rule.lower.terms))
         self.lead_index.add(rule.lead)
+        self.raw_lowers.append(self._lower(rule))
 
     def replace(self, i: int, rule: Rule) -> None:
         """Put a rule with the same lead in place of rule i."""
         self.rules[i] = rule
-        self.raw_lowers[i] = self.field.raw_terms(rule.lower.terms)
+        self.raw_lowers[i] = self._lower(rule)
 
     def without(self, i: int) -> "_Working":
         view = _Working.__new__(_Working)
@@ -179,13 +189,14 @@ def _interreduce(work: _Working, max_steps: int, since: int = 0) -> None:
 
     Rules before ``since`` were interreduced already. Leads never change, so
     their lower parts are still irreducible unless a monomial is divisible by
-    a lead from ``since`` on; the other rules are skipped, which leaves the
-    result unchanged.
+    a lead from ``since`` on, which the working index's tail from ``since``
+    tells from the encoded lower parts; the other rules are skipped, which
+    leaves the result unchanged.
     """
-    rules = work.rules
-    fresh = work.theory.lead_index([rule.lead for rule in rules[since:]])
+    rules, lowers = work.rules, work.raw_lowers
+    site = work.lead_index.tail(since).site
     for i in range(len(rules)):
-        if i < since and not any(fresh.first_site(m) for m, _ in rules[i].lower.terms):
+        if i < since and not any(site(m) for m, _ in lowers[i]):
             continue
         lower = normal_form(work.without(i), rules[i].lower, max_steps)
         if lower != rules[i].lower:
@@ -205,8 +216,10 @@ def complete(
     certifies as dead, then queues its pairs with the partners the theory's
     ``pair_update`` selects. Returns Complete when the queue empties,
     DegreeCapped when pairs above the degree cap were skipped and RuleCapped
-    when the rule cap was reached.
+    when the rule cap was reached. A system whose order is not well-founded
+    raises DiamondError.
     """
+    _well_founded(system, "completion")
     th, order = system.theory, system.order
     work = _Working(th, order, system.field, list(system.rules))
     rules = work.rules

@@ -7,7 +7,15 @@ import itertools
 import operator
 from enum import Enum
 
-from .algebra_core import DiamondError, Element, TheoryMismatchError, _accumulate, _set, _Value
+from .algebra_core import (
+    DiamondError,
+    Element,
+    OrderKind,
+    TheoryMismatchError,
+    _accumulate,
+    _set,
+    _Value,
+)
 
 
 class OverlapKind(Enum):
@@ -135,35 +143,55 @@ class LeadIndex:
 
     ``first_site(m)`` gives (lowest rule index whose lead divides m, the
     first context ``divisions`` returns) or None. Leads are only appended.
-    Beside each lead the index keeps the entry ``key(lead)`` that its
-    ``first_site`` reads in place of the lead; the scan keeps None. The
-    slots named in ``shared`` hold per-theory constants, which a view
-    sliced by ``without`` shares.
+    Beside each lead the index keeps the entry ``entry(lead)`` that its
+    lookups read in place of the lead; the scan keeps None. The slots named
+    in ``shared`` hold per-theory constants, which the views sliced by
+    ``without`` and ``tail`` share.
+
+    The reduction loop runs on the index's codes of monomials: the dict
+    ``encode_all(coeffs)`` gives after checking every monomial, lower parts
+    from ``encode_terms``, and the callables ``site`` (``first_site`` on
+    codes), ``apply(ctx, code)`` (None when the product vanishes),
+    ``order_key`` (comparing as the order's ``sort_key``) and
+    ``weigher(weights)``. ``decode``, ``decode_context`` and, when
+    ``encode_all`` copied, ``decode_all`` give the public monomials back.
+    Here a monomial is its own code; ``order_key`` needs the index to be
+    made with the system's order.
     """
 
-    __slots__ = ("theory", "leads", "keys")
-    shared = ("theory",)
+    __slots__ = ("theory", "order", "leads", "entries")
+    shared = ("theory", "order")
 
-    def __init__(self, theory, leads) -> None:
+    def __init__(self, theory, leads, order=None) -> None:
         self.theory = theory
+        self.order = order
         self.leads = list(leads)
-        self.keys = list(map(self.key, self.leads))
+        self.entries = list(map(self.entry, self.leads))
 
-    def key(self, lead):
+    def entry(self, lead):
         return None
 
     def add(self, lead) -> None:
         self.leads.append(lead)
-        self.keys.append(self.key(lead))
+        self.entries.append(self.entry(lead))
 
-    def without(self, i: int) -> "LeadIndex":
-        """The index over every lead but the i-th, sliced from this one."""
+    def _view(self, leads: list, entries: list) -> "LeadIndex":
         view = object.__new__(type(self))
         for name in self.shared:
             setattr(view, name, getattr(self, name))
-        view.leads = self.leads[:i] + self.leads[i + 1 :]
-        view.keys = self.keys[:i] + self.keys[i + 1 :]
+        view.leads, view.entries = leads, entries
         return view
+
+    def without(self, i: int) -> "LeadIndex":
+        """The index over every lead but the i-th, sliced from this one."""
+        return self._view(
+            self.leads[:i] + self.leads[i + 1 :], self.entries[:i] + self.entries[i + 1 :]
+        )
+
+    def tail(self, k: int) -> "LeadIndex":
+        """The index over the leads from the k-th on, sliced from this one;
+        its rule index 0 is rule k."""
+        return self._view(self.leads[k:], self.entries[k:])
 
     def first_site(self, m):
         divisions = self.theory.divisions
@@ -173,6 +201,40 @@ class LeadIndex:
                 return i, ctxs[0]
         return None
 
+    def encode_all(self, coeffs: dict) -> dict:
+        """The dict the loop reduces in place of coeffs: here coeffs itself,
+        once every monomial is checked."""
+        check = self.theory.check_monomial
+        for m in coeffs:
+            check(m)
+        return coeffs
+
+    def encode_terms(self, terms: tuple) -> tuple:
+        """(code, value) pairs of (monomial, value) pairs of the theory."""
+        return terms
+
+    def decode(self, code):
+        return code
+
+    def decode_context(self, ctx):
+        return ctx
+
+    @property
+    def site(self):
+        return self.first_site
+
+    @property
+    def apply(self):
+        return self.theory.apply_context
+
+    @property
+    def order_key(self):
+        return self.order.sort_key
+
+    def weigher(self, weights: dict):
+        weight_sum = self.theory.weight_sum
+        return lambda m: weight_sum(m, weights)
+
 
 class _DivisorMaskIndex(LeadIndex):
     """Lead index for power products: a lead whose divisor mask has a bit
@@ -181,18 +243,18 @@ class _DivisorMaskIndex(LeadIndex):
     __slots__ = ("width",)
     shared = LeadIndex.shared + __slots__
 
-    def __init__(self, theory, leads) -> None:
+    def __init__(self, theory, leads, order=None) -> None:
         self.width = len(theory.letters)
-        super().__init__(theory, leads)
+        super().__init__(theory, leads, order)
 
-    key = staticmethod(_divisor_mask)
+    entry = staticmethod(_divisor_mask)
 
     def first_site(self, m):
         if len(m) != self.width:
             self.theory.check_monomial(m)
         outside = ~_divisor_mask(m)
         divisions = self.theory.divisions
-        for i, mask in enumerate(self.keys):
+        for i, mask in enumerate(self.entries):
             if not mask & outside:
                 ctxs = divisions(m, self.leads[i])
                 if ctxs:
@@ -202,65 +264,146 @@ class _DivisorMaskIndex(LeadIndex):
 
 @functools.lru_cache(maxsize=256)
 def _letter_codes(letters: tuple) -> dict:
-    """One character per letter, so that a word and its code have equal length."""
+    """One character per letter, ``chr`` of its position, so that a word
+    and its code have equal length."""
     return {x: chr(i) for i, x in enumerate(letters)}
 
 
-class _WordIndex(LeadIndex):
-    """Lead index for words: leads are kept encoded one character per letter
-    of ``letters``, and ``str.find`` on the encoded monomial gives a lead's
-    leftmost occurrence, the first context ``divisions`` returns. A monomial
-    with a letter outside the alphabet, which has no code, is scanned."""
+@functools.lru_cache(maxsize=256)
+def _code_letters(letters: tuple) -> dict:
+    """The letter of each character of ``_letter_codes(letters)``."""
+    return {chr(i): x for i, x in enumerate(letters)}
+
+
+class _CodedIndex(LeadIndex):
+    """A lead index that keeps the words of its leads encoded one character
+    per letter of ``letters``; ``str.find`` on the encoded word of a
+    monomial gives a lead's leftmost occurrence, the first context
+    ``divisions`` returns. A word with a letter outside the alphabet, which
+    has no code, is scanned."""
 
     __slots__ = ("codes",)
     shared = LeadIndex.shared + __slots__
 
-    def __init__(self, theory, leads, letters: tuple) -> None:
+    def __init__(self, theory, leads, order, letters: tuple) -> None:
         self.codes = _letter_codes(letters)
-        super().__init__(theory, leads)
+        super().__init__(theory, leads, order)
 
-    def encode(self, word) -> str:
+    def code(self, word) -> str:
+        """The encoded word; KeyError for a letter outside the alphabet."""
         return "".join(map(self.codes.__getitem__, word))
 
-    key = encode
+
+def _length_first(code: str) -> tuple:
+    return len(code), code
+
+
+def _concat(ctx: tuple, code: str) -> str:
+    left, right = ctx
+    return left + code + right
+
+
+class _WordIndex(_CodedIndex):
+    """Lead index for words, which reduce as their codes: the code of a word
+    is a ``str`` of one character per letter, ``chr`` of the letter's rank
+    in the order the index is made with, or of its position in the theory's
+    letters without one. Codes of equal length then compare as the rank
+    tuples do, so ``(len(code), code)`` is the deglex key and the weighted
+    kinds lead it with the weight sum over the codes. An encoded context is
+    a (left, right) pair of codes."""
+
+    __slots__ = ("letters_of",)
+    shared = _CodedIndex.shared + __slots__
+
+    def __init__(self, theory, leads, order=None) -> None:
+        letters = theory.letters if order is None else order.generators
+        self.letters_of = _code_letters(letters)
+        super().__init__(theory, leads, order, letters)
+
+    entry = _CodedIndex.code
 
     def first_site(self, m):
         try:
-            code = self.encode(m)
+            found = self.site(self.code(m))
         except KeyError:
             return LeadIndex.first_site(self, m)
-        for i, word in enumerate(self.keys):
+        return found and (found[0], self.decode_context(found[1]))
+
+    def site(self, code: str):
+        for i, word in enumerate(self.entries):
             k = code.find(word)
             if k >= 0:
-                return i, (m[:k], m[k + len(word) :])
+                return i, (code[:k], code[k + len(word) :])
         return None
 
+    apply = staticmethod(_concat)
 
-class _MixedIndex(_WordIndex):
+    def encode_all(self, coeffs: dict) -> dict:
+        code = self.codes.__getitem__
+        try:
+            work = {"".join(map(code, m)): c for m, c in coeffs.items() if isinstance(m, tuple)}
+        except (KeyError, TypeError):  # a letter without a code
+            work = None
+        if work is None or len(work) != len(coeffs):
+            LeadIndex.encode_all(self, coeffs)  # names the first monomial outside
+        return work
+
+    def encode_terms(self, terms: tuple) -> tuple:
+        code = self.code
+        return tuple([(code(m), c) for m, c in terms])
+
+    def decode(self, code: str) -> tuple:
+        return tuple(map(self.letters_of.__getitem__, code))
+
+    def decode_context(self, ctx: tuple) -> tuple:
+        return tuple(map(self.decode, ctx))
+
+    def decode_all(self, codes: dict, coeffs: dict) -> None:
+        # An input word that is left keeps its tuple; the others are decoded.
+        words = {self.code(m): m for m in coeffs}
+        decode = self.decode
+        coeffs.clear()
+        coeffs.update([(words.get(w) or decode(w), c) for w, c in codes.items()])
+
+    @property
+    def order_key(self):
+        if self.order.kind is OrderKind.DEGLEX:
+            return _length_first
+        # Words admit no lex order, so the other kinds are weighted.
+        weight = self.weigher(self.order.int_weights)
+        return lambda code: (weight(code), len(code), code)
+
+    def weigher(self, weights: dict):
+        codes = self.codes
+        by_code = {codes[x]: w for x, w in weights.items()}
+        return lambda code: sum(map(by_code.__getitem__, code))
+
+
+class _MixedIndex(_CodedIndex):
     """Lead index for mixed monomials: the divisor mask of the central part
     screens a lead, then ``str.find`` places its word and the exponents are
     compared, since the mask does not decide exponents above 2."""
 
     __slots__ = ("width",)
-    shared = _WordIndex.shared + __slots__
+    shared = _CodedIndex.shared + __slots__
 
-    def __init__(self, theory, leads) -> None:
+    def __init__(self, theory, leads, order=None) -> None:
         self.width = len(theory.commutative_letters)
-        super().__init__(theory, leads, theory.word_letters)
+        super().__init__(theory, leads, order, theory.word_letters)
 
-    def key(self, lead) -> tuple:
-        return _divisor_mask(lead[0]), self.encode(lead[1])
+    def entry(self, lead) -> tuple:
+        return _divisor_mask(lead[0]), self.code(lead[1])
 
     def first_site(self, m):
         exps, w = m
         if len(exps) != self.width:
             self.theory.check_monomial(m)
         try:
-            code = self.encode(w)
+            code = self.code(w)
         except KeyError:
             return LeadIndex.first_site(self, m)
         outside = ~_divisor_mask(exps)
-        for i, (mask, word) in enumerate(self.keys):
+        for i, (mask, word) in enumerate(self.entries):
             if not mask & outside:
                 k = code.find(word)
                 if k >= 0:
@@ -270,23 +413,26 @@ class _MixedIndex(_WordIndex):
         return None
 
 
-class _PathIndex(_WordIndex):
+class _PathIndex(_CodedIndex):
     """Lead index for paths over the arrow words; a vertex-path lead, whose
     code is empty, divides only where the path visits its vertex, which
     ``divisions`` checks."""
 
     __slots__ = ()
 
-    def key(self, lead) -> str:
-        return self.encode(lead[2])
+    def __init__(self, theory, leads, order=None) -> None:
+        super().__init__(theory, leads, order, theory.generator_names())
+
+    def entry(self, lead) -> str:
+        return self.code(lead[2])
 
     def first_site(self, m):
         src, tgt, names = m
         try:
-            code = self.encode(names)
+            code = self.code(names)
         except KeyError:
             return LeadIndex.first_site(self, m)
-        for i, word in enumerate(self.keys):
+        for i, word in enumerate(self.entries):
             k = code.find(word)
             if k >= 0:
                 if word:
@@ -352,9 +498,10 @@ class Theory(_Value):
                 _accumulate(out, image, c)
         return Element.from_dict(out)
 
-    def lead_index(self, leads) -> LeadIndex:
-        """Index of rule leads for site lookup; by default a scan in rule order."""
-        return LeadIndex(self, leads)
+    def lead_index(self, leads, order=None) -> LeadIndex:
+        """Index of rule leads for site lookup, whose codes reduce under
+        ``order``; by default a scan in rule order."""
+        return LeadIndex(self, leads, order)
 
     def chain_criterion(self, lead, lead_i, lead_j, superposition) -> bool:
         """Decide whether the pair (i, j) at ``superposition`` follows from the
@@ -442,8 +589,8 @@ class FreeMonoidTheory(Theory):
     def divisions(self, mu, nu) -> list:
         return [(mu[:i], mu[i + len(nu) :]) for i in _word_occurrences(mu, nu)]
 
-    def lead_index(self, leads) -> LeadIndex:
-        return _WordIndex(self, leads, self.letters)
+    def lead_index(self, leads, order=None) -> LeadIndex:
+        return _WordIndex(self, leads, order)
 
     def overlaps(self, mu1, mu2) -> list:
         return [OverlapDatum(*s) for s in _word_superpositions(mu1, mu2, mu1 == mu2)]
@@ -521,8 +668,8 @@ class CommutativeTheory(Theory):
     def divisions(self, mu, nu) -> list:
         return [_exp_sub(mu, nu)] if _exp_le(nu, mu) else []
 
-    def lead_index(self, leads) -> LeadIndex:
-        return _DivisorMaskIndex(self, leads)
+    def lead_index(self, leads, order=None) -> LeadIndex:
+        return _DivisorMaskIndex(self, leads, order)
 
     def lcm_superposition(self, a, b) -> OverlapDatum:
         """The lcm of two power products, an inclusion when one divides the other."""
@@ -683,8 +830,8 @@ class MixedTheory(Theory):
         mult = _exp_sub(e1, e2)
         return [(mult, w1[:i], w1[i + len(w2) :]) for i in _word_occurrences(w1, w2)]
 
-    def lead_index(self, leads) -> LeadIndex:
-        return _MixedIndex(self, leads)
+    def lead_index(self, leads, order=None) -> LeadIndex:
+        return _MixedIndex(self, leads, order)
 
     def overlaps(self, mu1, mu2) -> list:
         (c1, w1), (c2, w2) = mu1, mu2
@@ -987,8 +1134,8 @@ class PathAlgebraTheory(Theory):
         n = len(nnames)
         return [((src, nsrc, names[:i]), (ntgt, tgt, names[i + n :])) for i in at]
 
-    def lead_index(self, leads) -> LeadIndex:
-        return _PathIndex(self, leads, self.generator_names())
+    def lead_index(self, leads, order=None) -> LeadIndex:
+        return _PathIndex(self, leads, order)
 
     def overlaps(self, mu1, mu2) -> list:
         data = []

@@ -133,13 +133,14 @@ def truncated_normal_form(
     if not tdcc.certified:
         raise SeriesAdmissionError("descending chains not certified: %s" % tdcc.reason)
 
-    # Weight sum >= 1 - n, compared on the ints scaled by the denominator.
-    weight_sum, weights = weight_data.theory.weight_sum, weight_data.int_weights
+    # Weight sum >= 1 - n, compared on the ints scaled by the denominator;
+    # the loop asks about the codes of its lead index.
+    weight = system.lead_index.weigher(weight_data.int_weights)
     floor = (1 - precision) * weight_data.weight_denominator
     dropped = [False]
 
-    def keep(monomial) -> bool:
-        if weight_sum(monomial, weights) >= floor:
+    def keep(code) -> bool:
+        if weight(code) >= floor:
             return True
         dropped[0] = True
         return False

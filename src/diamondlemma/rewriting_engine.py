@@ -50,8 +50,11 @@ class RewritingSystem(_Value):
 
     ``lead_index`` and ``raw_lowers`` are built from the rules on first use
     and kept on the instance; they are no fields, so equality, hashing and
-    repr ignore them. ``__init__`` validates the rules in ``__post_init__``,
-    a method of its own so that a tracer can time every system build.
+    repr ignore them. The lead index is made with the system's order, and
+    ``raw_lowers`` holds each rule's lower part in its codes, so reduction
+    runs on codes alone. ``__init__`` validates the rules in
+    ``__post_init__``, a method of its own so that a tracer can time every
+    system build.
     """
 
     _fields = ("theory", "order", "rules", "field")
@@ -64,40 +67,73 @@ class RewritingSystem(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        th, order = self.theory, self.order
+        th, order, field = self.theory, self.order, self.field
         if order.theory != th:
             raise RuleError("order does not belong to the system's theory")
         for i, rule in enumerate(self.rules):
             th.check_monomial(rule.lead)
-            lead_key = order.sort_key(rule.lead) if rule.lower.terms else None
-            for m, c in rule.lower.terms:
-                th.check_monomial(m)
-                if not self.field.contains(c):
-                    raise RuleError(
-                        "rule %d: coefficient %s of %s is not in the field %s"
-                        % (i, c, th.serialize(m), self.field.describe())
-                    )
-                if not order.sort_key(m) < lead_key:
-                    raise RuleError(
-                        "rule %d: lower-part monomial %s is not below the lead %s"
-                        % (i, th.serialize(m), th.serialize(rule.lead))
-                    )
-                if not th.uniform_equivalent(m, rule.lead):
-                    raise RuleError(
-                        "rule %d: non-uniform path rule (%s vs %s)"
-                        % (i, th.serialize(m), th.serialize(rule.lead))
-                    )
+            problem = _rule_problem(th, order, field, rule, th.check_monomial)
+            if problem is not None:
+                raise RuleError("rule %d: %s" % (i, problem))
+
+    @classmethod
+    def _of_checked_rules(cls, theory, order: MonomialOrder, rules: tuple, field):
+        """The system of rules whose monomials belong to the theory and each
+        of which ``_rule_problem`` passed, under an order of the theory;
+        nothing is checked again."""
+        system = object.__new__(cls)
+        _set(system, "theory", theory)
+        _set(system, "order", order)
+        _set(system, "rules", rules)
+        _set(system, "field", field)
+        return system
 
     @functools.cached_property
     def lead_index(self):
-        """The theory's lead index over the rule leads, in rule order."""
-        return self.theory.lead_index([rule.lead for rule in self.rules])
+        """The theory's lead index over the rule leads, in rule order, made
+        with the system's order."""
+        return self.theory.lead_index([rule.lead for rule in self.rules], self.order)
 
     @functools.cached_property
     def raw_lowers(self) -> tuple:
-        """Each rule's lower-part terms in the field's raw values, in rule order."""
-        raw = self.field.raw_terms
-        return tuple(raw(rule.lower.terms) for rule in self.rules)
+        """Each rule's lower part as (code, raw value) pairs, in rule order:
+        the codes of ``lead_index`` and the field's raw values."""
+        encode, raw = self.lead_index.encode_terms, self.field.raw_terms
+        return tuple(encode(raw(rule.lower.terms)) for rule in self.rules)
+
+
+def _rule_problem(theory, order: MonomialOrder, field, rule: Rule, check=None):
+    """What makes a rule with a lead of the theory unfit for a system under
+    the order and field, or None: a coefficient outside the field, a
+    lower-part monomial not below the lead or one of another uniform class.
+    ``check``, when given, is called on each lower-part monomial first."""
+    lead_key = order.sort_key(rule.lead) if rule.lower.terms else None
+    for m, c in rule.lower.terms:
+        if check is not None:
+            check(m)
+        if not field.contains(c):
+            return "coefficient %s of %s is not in the field %s" % (
+                c, theory.serialize(m), field.describe()
+            )
+        if not order.sort_key(m) < lead_key:
+            return "lower-part monomial %s is not below the lead %s" % (
+                theory.serialize(m), theory.serialize(rule.lead)
+            )
+        if not theory.uniform_equivalent(m, rule.lead):
+            return "non-uniform path rule (%s vs %s)" % (
+                theory.serialize(m), theory.serialize(rule.lead)
+            )
+    return None
+
+
+def _well_founded(system, what: str):
+    """The system, or a DiamondError when its order is not well-founded,
+    since plain reduction then need not terminate."""
+    if not system.order.is_well_founded():
+        raise DiamondError(
+            "%s needs a well-founded order; this system reduces only to a precision" % what
+        )
+    return system
 
 
 def orient(order: MonomialOrder, element: Element) -> Rule:
@@ -112,19 +148,10 @@ def orient(order: MonomialOrder, element: Element) -> Rule:
     return Rule(lead, Element.from_dict(lower))
 
 
-def _first_site(index, monomial, memo):
-    """Look up (rule index, first canonical context) or None, with memoization."""
-    hit = memo.get(monomial, 0)
-    if hit != 0:
-        return hit
-    site = memo[monomial] = index.first_site(monomial)
-    return site
-
-
 class _Queued(tuple):
-    """A (sort key, monomial) heap entry; heapq's min-heap pops the greatest key.
+    """An (order key, code) heap entry; heapq's min-heap pops the greatest key.
 
-    sort_key is injective, so entries never tie and monomials, which need not
+    Order keys are injective, so entries never tie and codes, which need not
     be comparable, are never compared.
     """
 
@@ -133,8 +160,8 @@ class _Queued(tuple):
 
 
 def _rewrites(system, coeffs: dict, budget: int, keep=None):
-    """Reduce coeffs in place, yielding (rule index, monomial, context, raw
-    coefficient) for each step as it is applied.
+    """Reduce coeffs in place, yielding (rule index, code, encoded context,
+    raw coefficient) for each step as it is applied.
 
     Strategy: rewrite the P-greatest reducible support monomial, using the
     lowest rule index and the first canonical context, which the system's
@@ -144,72 +171,80 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
     images alike, are dropped. StepBudgetExceededError is raised before step
     ``budget + 1``.
 
-    On entry every monomial of coeffs is checked against the theory, which
-    raises TheoryMismatchError for one outside it; rules map the theory's
-    monomials to the theory's monomials, so images need no check. The loop
-    runs on the field's raw values against the system's ``raw_lowers``: the
-    coefficients are converted on entry, which raises ScalarError for one
-    outside the field, and converted back however the loop ends. A caller
-    that stops early must close the generator before reading coeffs.
+    The loop runs on the codes of the system's ``lead_index``: each monomial
+    of coeffs is encoded once on entry, which raises TheoryMismatchError for
+    one outside the theory, images are built from the encoded lower parts
+    in ``raw_lowers``, sites are looked up, ordered and passed to ``keep``
+    as codes, and the terms are decoded once, however the loop ends. Rules
+    map the theory's monomials to the theory's monomials, so images need no
+    check. The coefficients are the field's raw values: they are converted
+    on entry, which raises ScalarError for one outside the field, and
+    converted back on exit. ``_step`` decodes a yielded step. A caller that
+    stops early must close the generator before reading coeffs.
     """
-    th, order, field = system.theory, system.order, system.field
-    lowers, index = system.raw_lowers, system.lead_index
+    field = system.field
+    index, lowers = system.lead_index, system.raw_lowers
+    site, apply, key = index.site, index.apply, index.order_key
     p = field.characteristic
-    check = th.check_monomial
-    for m in coeffs:
-        check(m)
+    work = index.encode_all(coeffs)
     if keep is not None:
-        for m in [m for m in coeffs if not keep(m)]:
-            del coeffs[m]
-    field.into_raw(coeffs)
+        for m in [m for m in work if not keep(m)]:
+            del work[m]
+    field.into_raw(work)
     try:
-        site_memo: dict = {}
-        queued = {m for m in coeffs if _first_site(index, m, site_memo)}
-        heap = [_Queued((order.sort_key(m), m)) for m in queued]
+        # (rule index, encoded context) or None by code, for every code seen.
+        site_memo = {m: site(m) for m in work}
+        queued = {m for m, found in site_memo.items() if found}
+        heap = [_Queued((key(m), m)) for m in queued]
         heapq.heapify(heap)
         steps = 0
         while heap:
             m = heapq.heappop(heap)[1]
             queued.discard(m)
-            if m not in coeffs:
+            if m not in work:
                 continue
             if steps >= budget:
                 raise StepBudgetExceededError(
-                    "step budget of %d exceeded before rewriting %s" % (budget, th.serialize(m))
+                    "step budget of %d exceeded before rewriting %s"
+                    % (budget, system.theory.serialize(index.decode(m)))
                 )
             ridx, ctx = site_memo[m]
-            c = coeffs.pop(m)
+            c = work.pop(m)
             for mm, cc in lowers[ridx]:
-                image = th.apply_context(ctx, mm)
+                image = apply(ctx, mm)
                 if image is None:
                     continue
                 if keep is not None and not keep(image):
                     continue
-                prev = coeffs.get(image)
+                prev = work.get(image)
                 s = cc * c if prev is None else prev + cc * c
                 if p:
                     s %= p
                 if s:
-                    coeffs[image] = s
-                    if (
-                        prev is None
-                        and image not in queued
-                        and _first_site(index, image, site_memo)
-                    ):
-                        heapq.heappush(heap, _Queued((order.sort_key(image), image)))
-                        queued.add(image)
+                    work[image] = s
+                    if prev is None and image not in queued:
+                        found = site_memo.get(image, 0)
+                        if found == 0:
+                            found = site_memo[image] = site(image)
+                        if found:
+                            heapq.heappush(heap, _Queued((key(image), image)))
+                            queued.add(image)
                 elif prev is not None:
-                    del coeffs[image]
+                    del work[image]
             steps += 1
             yield ridx, m, ctx, c
     finally:
-        field.from_raw(coeffs)
+        field.from_raw(work)
+        if work is not coeffs:
+            index.decode_all(work, coeffs)
 
 
-def _step(field, step) -> RewriteStep:
-    """The trail entry of a step ``_rewrites`` yielded, with a field coefficient."""
+def _step(system, step) -> RewriteStep:
+    """The trail entry of a step ``_rewrites`` yielded: the public monomial
+    and context, and a field coefficient."""
     ridx, m, ctx, c = step
-    return RewriteStep(ridx, m, ctx, field.scalar(c))
+    index = system.lead_index
+    return RewriteStep(ridx, index.decode(m), index.decode_context(ctx), system.field.scalar(c))
 
 
 def reduce_once(system, element: Element):
@@ -223,7 +258,7 @@ def reduce_once(system, element: Element):
     rewrites.close()
     if step is None:
         return element, None
-    return Element.from_dict(coeffs), _step(system.field, step)
+    return Element.from_dict(coeffs), _step(system, step)
 
 
 def normal_form(system, element: Element, max_steps: int = DEFAULT_STEP_BUDGET) -> Element:
@@ -237,8 +272,7 @@ def normal_form(system, element: Element, max_steps: int = DEFAULT_STEP_BUDGET) 
 def normal_form_with_trail(system, element: Element, max_steps: int = DEFAULT_STEP_BUDGET):
     """Reduce to normal form and return the full rewrite trail."""
     coeffs = dict(element.terms)
-    field = system.field
-    trail = tuple(_step(field, step) for step in _rewrites(system, coeffs, max_steps))
+    trail = tuple(_step(system, step) for step in _rewrites(system, coeffs, max_steps))
     return Element.from_dict(coeffs), trail
 
 

@@ -25,6 +25,7 @@ from diamondlemma import (
     PathAlgebraTheory,
     PrimeField,
     RationalField,
+    RewritingSystem,
     cli_io,
     format_element,
     format_rule,
@@ -101,6 +102,27 @@ class TestParseSystem:
             parse_system(bad)
         assert "not below the lead" in str(info.value)
         assert "line 4" in str(info.value)
+
+    def test_first_error_in_file_order_is_reported(self):
+        bad = "theory assoc\nvars x y\nrule x -> x^2\nrule y -> y^2\nfrobnicate\n"
+        with pytest.raises(ParseError) as info:
+            parse_system(bad)
+        assert "not below the lead" in str(info.value)
+        assert (info.value.line, info.value.col) == (3, 1)
+
+    def test_each_rule_is_validated_once(self, monkeypatch):
+        calls = []
+        sort_key = MonomialOrder.sort_key
+
+        def counted(order, m):
+            calls.append(m)
+            return sort_key(order, m)
+
+        monkeypatch.setattr(MonomialOrder, "sort_key", counted)
+        s = parse_system("theory assoc; vars x y; rule y*x -> x*y + 1; rule y*y -> x")
+        # One key per lead and per lower-part monomial.
+        assert sorted(calls) == sorted([("y", "x"), ("x", "y"), (), ("y", "y"), ("x",)])
+        assert s == RewritingSystem(s.theory, s.order, s.rules, s.field)
 
     def test_series_weights_admit_raising_rule(self):
         sf = parse_system_file(SERIES)

@@ -10,6 +10,7 @@ from diamondlemma import (
     CommutativeTheory,
     CompletionStatus,
     ConfluenceStatus,
+    DiamondError,
     Element,
     FreeMonoidTheory,
     MonomialOrder,
@@ -28,6 +29,9 @@ from diamondlemma import (
     orient,
     parse_expression,
     parse_system,
+    parse_system_file,
+    reduce_once,
+    truncated_normal_form,
 )
 from diamondlemma.completion import _interreduce, _Working
 
@@ -118,6 +122,42 @@ class TestCheckConfluence:
         assert verdict.status is ConfluenceStatus.INCONCLUSIVE
         # The verdict keeps the ambiguity whose resolution ran out of steps.
         assert (verdict.checked, verdict.stopped_at) == (0, critical_ambiguities(s)[0])
+
+
+# Under a series order this system's words keep lengthening, so plain
+# reduction of its ambiguities need not end.
+SERIES_PROBE = (
+    "theory assoc; vars x y; weights x:-1 y:-1; order series x<y;"
+    " rule y*x -> x*y + x^2*y; rule y*y -> x*y*y"
+)
+
+
+class TestNonWellFoundedOrder:
+    def test_check_confluence_and_complete_refuse_it(self):
+        s = parse_system(SERIES_PROBE)
+        with pytest.raises(DiamondError) as info:
+            check_confluence(s)
+        assert str(info.value) == (
+            "confluence checking needs a well-founded order;"
+            " this system reduces only to a precision"
+        )
+        with pytest.raises(DiamondError) as info:
+            complete(s)
+        assert str(info.value) == (
+            "completion needs a well-founded order; this system reduces only to a precision"
+        )
+
+    def test_single_steps_and_truncated_normal_forms_still_run(self):
+        sf = parse_system_file(SERIES_PROBE)
+        e = parse_expression("y*y*x", sf.system.theory, sf.system.field)
+        reduced, step = reduce_once(sf.system, e)
+        assert step.monomial == ("y", "y", "x") and step.context == (("y",), ())
+        assert reduced == parse_expression("y*x*y + y*x^2*y", sf.system.theory, sf.system.field)
+        yx = parse_expression("y*x", sf.system.theory, sf.system.field)
+        for precision, text, truncated in ((3, "x*y", True), (4, "x*y + x^2*y", False)):
+            result = truncated_normal_form(sf.system, sf.weight_data, yx, precision)
+            want = parse_expression(text, sf.system.theory, sf.system.field)
+            assert (result.representative, result.truncated) == (want, truncated)
 
 
 class TestComplete:
@@ -352,8 +392,11 @@ class TestAgainstReference:
             _interreduce(full, 20_000)
             _interreduce(selective, 20_000, len(done.rules))
             assert selective.rules == full.rules
-            # Over QQ the raw lower parts are the rules' own terms.
-            assert selective.raw_lowers == [rule.lower.terms for rule in full.rules]
+            # Over QQ the raw lower parts decode to the rules' own terms.
+            decode = selective.lead_index.decode
+            assert [
+                tuple((decode(code), c) for code, c in lower) for lower in selective.raw_lowers
+            ] == [rule.lower.terms for rule in full.rules]
 
 
 @pytest.mark.parametrize(

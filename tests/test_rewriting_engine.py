@@ -1,5 +1,7 @@
 """Rule orientation and the reduction engine."""
 
+import math
+import os
 import random
 import re
 from fractions import Fraction
@@ -35,6 +37,8 @@ from diamondlemma import (
     normal_form,
     normal_form_with_trail,
     orient,
+    parse_expression,
+    parse_system_file,
     reduce_once,
     truncated_normal_form,
 )
@@ -55,6 +59,7 @@ from oracles import (
     shipped_orders,
 )
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 QQ = RationalField()
 FIELD_IDS = [field.describe() for field in PRIME_FIELDS]
 TH = FreeMonoidTheory(("x", "y"))
@@ -500,6 +505,29 @@ def budget_boundary_agrees(run_engine, run_reference, steps):
             run_reference(steps - 1)
 
 
+# Word theories whose codes must stay apart and in order: three letters, and
+# letter names that run together when joined.
+CODEC_THEORIES = {
+    "assoc-abc": FreeMonoidTheory(("a", "b", "c")),
+    "assoc-names": FreeMonoidTheory(("x", "xx", "y")),
+}
+
+
+def codec_orders(th):
+    """The shipped orders, and deglex, weighted-deglex and series orders
+    that rank the generators neither in declaration order nor in its
+    reverse: for a b c, b < c < a."""
+    gens = tuple(th.generator_names())
+    ranked = gens[1:] + gens[:1]
+    positive = tuple((g, Fraction(len(gens) - i)) for i, g in enumerate(gens))
+    negative = tuple((g, Fraction(-1 - i, 2)) for i, g in enumerate(ranked))
+    return shipped_orders(th) + [
+        MonomialOrder(OrderKind.DEGLEX, th, ranked),
+        MonomialOrder(OrderKind.WEIGHTED_DEGLEX, th, ranked, positive),
+        MonomialOrder(OrderKind.SERIES_DEGLEX, th, ranked, negative),
+    ]
+
+
 class TestReferenceStrategy:
     """The heap-ordered loop against the full-rescan strategy in oracles."""
 
@@ -524,31 +552,43 @@ class TestReferenceStrategy:
 
     @pytest.mark.parametrize("name", sorted(THEORIES))
     def test_normal_form_trail_and_budget(self, name):
-        check_normal_forms(name, QQ, random.Random("reference-" + name))
+        th = THEORIES[name]
+        check_normal_forms(th, shipped_orders(th), QQ, random.Random("reference-" + name))
 
     @pytest.mark.parametrize("field", PRIME_FIELDS, ids=FIELD_IDS)
     @pytest.mark.parametrize("name", sorted(THEORIES))
     def test_normal_form_trail_and_budget_over_prime_fields(self, name, field):
+        th = THEORIES[name]
         rng = random.Random("reference-%s-%s" % (name, field.describe()))
-        check_normal_forms(name, field, rng)
+        check_normal_forms(th, shipped_orders(th), field, rng)
 
     @pytest.mark.parametrize("name", sorted(THEORIES))
     def test_truncated_normal_form_and_budget(self, name):
-        check_truncated_normal_forms(name, QQ, random.Random("truncated-" + name))
+        th = THEORIES[name]
+        rng = random.Random("truncated-" + name)
+        check_truncated_normal_forms(th, shipped_orders(th), QQ, rng)
 
     @pytest.mark.parametrize("field", PRIME_FIELDS, ids=FIELD_IDS)
     @pytest.mark.parametrize("name", sorted(THEORIES))
     def test_truncated_normal_form_and_budget_over_prime_fields(self, name, field):
+        th = THEORIES[name]
         rng = random.Random("truncated-%s-%s" % (name, field.describe()))
-        check_truncated_normal_forms(name, field, rng)
+        check_truncated_normal_forms(th, shipped_orders(th), field, rng)
+
+    @pytest.mark.parametrize("field", [QQ, PRIME_FIELDS[0]], ids=lambda f: f.describe())
+    @pytest.mark.parametrize("name", sorted(CODEC_THEORIES))
+    def test_word_codes_under_every_ranking(self, name, field):
+        th = CODEC_THEORIES[name]
+        rng = random.Random("codes-%s-%s" % (name, field.describe()))
+        check_normal_forms(th, codec_orders(th), field, rng)
+        check_truncated_normal_forms(th, codec_orders(th), field, rng)
 
 
-def check_normal_forms(name, field, rng):
+def check_normal_forms(th, orders, field, rng):
     """Normal forms, trails, single steps and budgets of random systems over
-    the field against the full-rescan strategy, which uses the field's
-    value arithmetic."""
-    th = THEORIES[name]
-    orders = [o for o in shipped_orders(th) if o.is_well_founded()]
+    the field under the well-founded ones of the orders, against the
+    full-rescan strategy, which uses the field's value arithmetic."""
+    orders = [o for o in orders if o.is_well_founded()]
     for _ in range(30):
         s = make_random_system(th, orders[rng.randrange(len(orders))], rng, field=field)
         for _ in range(3):
@@ -566,11 +606,15 @@ def check_normal_forms(name, field, rng):
             )
 
 
-def check_truncated_normal_forms(name, field, rng):
-    """Truncated normal forms and budgets under the series order, against the
-    full-rescan strategy with the same ``keep`` filter."""
-    th = THEORIES[name]
-    (order,) = [o for o in shipped_orders(th) if o.kind is OrderKind.SERIES_DEGLEX]
+def check_truncated_normal_forms(th, orders, field, rng):
+    """Truncated normal forms and budgets under each series order of the
+    orders, against the full-rescan strategy with the same ``keep`` filter."""
+    for order in orders:
+        if order.kind is OrderKind.SERIES_DEGLEX:
+            check_truncated_normal_forms_under(th, order, field, rng)
+
+
+def check_truncated_normal_forms_under(th, order, field, rng):
     wd = WeightData(th, order.weights)
     for _ in range(20):
         s = make_random_system(th, order, rng, lead_degree=2, lower_degree=4, field=field)
@@ -739,6 +783,44 @@ class TestLeadIndex:
             (("1", "2", ("q", "a")), ("1", "1", ())),
         )
         assert path.first_site(("1", "1", ("q",))) is None
+
+
+class TestEncodedReduction:
+    """Word reductions run on the lead index's codes, so a step calls none
+    of the public per-monomial methods: a fallback to tuples would."""
+
+    def test_weyl_y30x30_calls_no_apply_context_and_no_sort_key(self, monkeypatch):
+        with open(os.path.join(REPO, "bench", "systems", "weyl.sys"), encoding="utf-8") as handle:
+            system = parse_system_file(handle.read()).system
+        element = parse_expression("y^30*x^30", system.theory, system.field)
+        calls = {"apply_context": 0, "sort_key": 0}
+
+        def counted(cls, name):
+            method = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(FreeMonoidTheory, "apply_context")
+        counted(MonomialOrder, "sort_key")
+        result = normal_form(system, element)
+        assert calls == {"apply_context": 0, "sort_key": 0}
+        # With y*x = x*y + 1: y^n*x^n = sum over k of k! C(n,k)^2 x^(n-k)*y^(n-k).
+        assert result == Element.from_dict(
+            {
+                ("x",) * (30 - k) + ("y",) * (30 - k): Fraction(
+                    math.factorial(k) * math.comb(30, k) ** 2
+                )
+                for k in range(31)
+            }
+        )
+        # The wrappers do count.
+        system.theory.apply_context(((), ()), ("x",))
+        system.order.sort_key(("x",))
+        assert calls == {"apply_context": 1, "sort_key": 1}
 
 
 class TestCachedLeadIndex:
