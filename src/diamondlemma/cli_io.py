@@ -340,6 +340,10 @@ class _SystemBuilder:
         self.theory = None
         self.rules: list = []
         self.rule_lines: list = []
+        # True once a field statement follows a rule: the rules read before
+        # it hold values of the field they were read in, so finish
+        # validates them again.
+        self.field_after_rules = False
 
     def _require_theory(self, line: int, col: int):
         if self.theory is not None:
@@ -389,6 +393,7 @@ class _SystemBuilder:
         elif keyword == "field":
             if len(words) != 2:
                 raise ParseError("expected: field rational | field <prime>", line, col)
+            self.field_after_rules = bool(self.rules)
             if words[1] in ("rational", "QQ"):
                 self.field = RationalField()
             elif words[1].isdigit():
@@ -463,9 +468,9 @@ class _SystemBuilder:
             rule = Rule(lead_elem.terms[0][0], lower)
             # The parser built every monomial through the theory, so the
             # rule needs only the checks that relate its terms.
-            problem = _rule_problem(self.theory, self.order, self.field, rule)
+            problem = _rule_problem(self.theory, self.order, self.field, (rule,))
             if problem is not None:
-                raise ParseError(problem, line, col)
+                raise ParseError(problem[1], line, col)
             self.rules.append(rule)
             self.rule_lines.append((line, col))
         else:
@@ -481,9 +486,9 @@ class _SystemBuilder:
     def finish(self) -> SystemFile:
         if self.order is None:
             self._default_order(1, 1)
-        system = RewritingSystem._of_checked_rules(
-            self.theory, self.order, tuple(self.rules), self.field
-        )
+        # Rules read under another field are validated again, as a whole.
+        build = RewritingSystem if self.field_after_rules else RewritingSystem._of_checked_rules
+        system = build(self.theory, self.order, tuple(self.rules), self.field)
         weight_data = None
         if self.weights:
             from .power_series import WeightData

@@ -148,23 +148,25 @@ class LeadIndex:
     in ``shared`` hold per-theory constants, which the views sliced by
     ``without`` and ``tail`` share.
 
-    The reduction loop runs on the index's codes of monomials: the dict
-    ``encode_all(coeffs)`` gives after checking every monomial, lower parts
-    from ``encode_terms``, and the callables ``site`` (``first_site`` on
-    codes), ``apply(ctx, code)`` (None when the product vanishes),
-    ``order_key`` (comparing as the order's ``sort_key``) and
-    ``weigher(weights)``. ``decode``, ``decode_context`` and, when
-    ``encode_all`` copied, ``decode_all`` give the public monomials back.
-    Here a monomial is its own code; ``order_key`` needs the index to be
-    made with the system's order.
+    The reduction loop runs on the index's codes of monomials.
+    ``encode_all(coeffs)`` checks every monomial and gives the dict of codes
+    the loop reduces, ``encode_terms`` encodes a lower part, ``site`` is
+    ``first_site`` on codes, ``apply(ctx, code)`` builds an image (None when
+    the product vanishes), ``order_key``, made once by ``key_for(order)``,
+    compares codes as the order's ``sort_key`` compares monomials, and
+    ``weigher(weights)`` sums weights over a code. ``decode`` and
+    ``decode_context`` give the public monomial and context back, and when
+    ``encode_all`` made a copy, ``decode_all(codes, words, coeffs)`` refills
+    coeffs from it, ``words`` mapping the copy's codes to the monomials of
+    coeffs. Here every monomial is its own code.
     """
 
-    __slots__ = ("theory", "order", "leads", "entries")
-    shared = ("theory", "order")
+    __slots__ = ("theory", "order_key", "leads", "entries")
+    shared = ("theory", "order_key")
 
-    def __init__(self, theory, leads, order=None) -> None:
+    def __init__(self, theory, leads, order) -> None:
         self.theory = theory
-        self.order = order
+        self.order_key = self.key_for(order)
         self.leads = list(leads)
         self.entries = list(map(self.entry, self.leads))
 
@@ -227,9 +229,8 @@ class LeadIndex:
     def apply(self):
         return self.theory.apply_context
 
-    @property
-    def order_key(self):
-        return self.order.sort_key
+    def key_for(self, order):
+        return order.sort_key
 
     def weigher(self, weights: dict):
         weight_sum = self.theory.weight_sum
@@ -243,7 +244,7 @@ class _DivisorMaskIndex(LeadIndex):
     __slots__ = ("width",)
     shared = LeadIndex.shared + __slots__
 
-    def __init__(self, theory, leads, order=None) -> None:
+    def __init__(self, theory, leads, order) -> None:
         self.width = len(theory.letters)
         super().__init__(theory, leads, order)
 
@@ -269,12 +270,6 @@ def _letter_codes(letters: tuple) -> dict:
     return {x: chr(i) for i, x in enumerate(letters)}
 
 
-@functools.lru_cache(maxsize=256)
-def _code_letters(letters: tuple) -> dict:
-    """The letter of each character of ``_letter_codes(letters)``."""
-    return {chr(i): x for i, x in enumerate(letters)}
-
-
 class _CodedIndex(LeadIndex):
     """A lead index that keeps the words of its leads encoded one character
     per letter of ``letters``; ``str.find`` on the encoded word of a
@@ -298,6 +293,19 @@ def _length_first(code: str) -> tuple:
     return len(code), code
 
 
+def _code_weigher(codes: dict, weights: dict):
+    by_code = {codes[x]: w for x, w in weights.items()}
+    return lambda code: sum(map(by_code.__getitem__, code))
+
+
+@functools.lru_cache(maxsize=256)
+def _weighted_key(order):
+    """The key of a weighted order on word codes; one per order, so that
+    the indexes of equal orders hold equal keys."""
+    weight = _code_weigher(_letter_codes(order.generators), order.int_weights)
+    return lambda code: (weight(code), len(code), code)
+
+
 def _concat(ctx: tuple, code: str) -> str:
     left, right = ctx
     return left + code + right
@@ -306,28 +314,31 @@ def _concat(ctx: tuple, code: str) -> str:
 class _WordIndex(_CodedIndex):
     """Lead index for words, which reduce as their codes: the code of a word
     is a ``str`` of one character per letter, ``chr`` of the letter's rank
-    in the order the index is made with, or of its position in the theory's
-    letters without one. Codes of equal length then compare as the rank
-    tuples do, so ``(len(code), code)`` is the deglex key and the weighted
-    kinds lead it with the weight sum over the codes. An encoded context is
-    a (left, right) pair of codes."""
+    in the order, its position in ``letters``. Codes of equal length then
+    compare as the rank tuples do, so ``(len(code), code)`` is the deglex
+    key and the weighted kinds lead it with the weight sum over the codes.
+    An encoded context is a (left, right) pair of codes. ``first_site``
+    finds leads as ``site`` does, but slices the public word."""
 
-    __slots__ = ("letters_of",)
+    __slots__ = ("letters",)
     shared = _CodedIndex.shared + __slots__
 
-    def __init__(self, theory, leads, order=None) -> None:
-        letters = theory.letters if order is None else order.generators
-        self.letters_of = _code_letters(letters)
-        super().__init__(theory, leads, order, letters)
+    def __init__(self, theory, leads, order) -> None:
+        self.letters = order.generators
+        super().__init__(theory, leads, order, self.letters)
 
     entry = _CodedIndex.code
 
     def first_site(self, m):
         try:
-            found = self.site(self.code(m))
+            code = self.code(m)
         except KeyError:
             return LeadIndex.first_site(self, m)
-        return found and (found[0], self.decode_context(found[1]))
+        for i, word in enumerate(self.entries):
+            k = code.find(word)
+            if k >= 0:
+                return i, (m[:k], m[k + len(word) :])
+        return None
 
     def site(self, code: str):
         for i, word in enumerate(self.entries):
@@ -353,30 +364,24 @@ class _WordIndex(_CodedIndex):
         return tuple([(code(m), c) for m, c in terms])
 
     def decode(self, code: str) -> tuple:
-        return tuple(map(self.letters_of.__getitem__, code))
+        return tuple(map(self.letters.__getitem__, map(ord, code)))
 
     def decode_context(self, ctx: tuple) -> tuple:
         return tuple(map(self.decode, ctx))
 
-    def decode_all(self, codes: dict, coeffs: dict) -> None:
+    def decode_all(self, codes: dict, words: dict, coeffs: dict) -> None:
         # An input word that is left keeps its tuple; the others are decoded.
-        words = {self.code(m): m for m in coeffs}
         decode = self.decode
         coeffs.clear()
-        coeffs.update([(words.get(w) or decode(w), c) for w, c in codes.items()])
+        for w, c in codes.items():
+            coeffs[words.get(w) or decode(w)] = c
 
-    @property
-    def order_key(self):
-        if self.order.kind is OrderKind.DEGLEX:
-            return _length_first
+    def key_for(self, order):
         # Words admit no lex order, so the other kinds are weighted.
-        weight = self.weigher(self.order.int_weights)
-        return lambda code: (weight(code), len(code), code)
+        return _length_first if order.kind is OrderKind.DEGLEX else _weighted_key(order)
 
     def weigher(self, weights: dict):
-        codes = self.codes
-        by_code = {codes[x]: w for x, w in weights.items()}
-        return lambda code: sum(map(by_code.__getitem__, code))
+        return _code_weigher(self.codes, weights)
 
 
 class _MixedIndex(_CodedIndex):
@@ -387,7 +392,7 @@ class _MixedIndex(_CodedIndex):
     __slots__ = ("width",)
     shared = _CodedIndex.shared + __slots__
 
-    def __init__(self, theory, leads, order=None) -> None:
+    def __init__(self, theory, leads, order) -> None:
         self.width = len(theory.commutative_letters)
         super().__init__(theory, leads, order, theory.word_letters)
 
@@ -420,7 +425,7 @@ class _PathIndex(_CodedIndex):
 
     __slots__ = ()
 
-    def __init__(self, theory, leads, order=None) -> None:
+    def __init__(self, theory, leads, order) -> None:
         super().__init__(theory, leads, order, theory.generator_names())
 
     def entry(self, lead) -> str:
@@ -463,6 +468,7 @@ class Theory(_Value):
     associative = True
     # Generators that are positions of an exponent vector, in vector order.
     exponent_letters = ()
+    index_class = LeadIndex
 
     def header_lines(self) -> list:
         """System-file statements declaring this theory."""
@@ -498,10 +504,10 @@ class Theory(_Value):
                 _accumulate(out, image, c)
         return Element.from_dict(out)
 
-    def lead_index(self, leads, order=None) -> LeadIndex:
+    def lead_index(self, leads, order) -> LeadIndex:
         """Index of rule leads for site lookup, whose codes reduce under
-        ``order``; by default a scan in rule order."""
-        return LeadIndex(self, leads, order)
+        ``order``: an ``index_class``, by default a scan in rule order."""
+        return self.index_class(self, leads, order)
 
     def chain_criterion(self, lead, lead_i, lead_j, superposition) -> bool:
         """Decide whether the pair (i, j) at ``superposition`` follows from the
@@ -532,6 +538,7 @@ class FreeMonoidTheory(Theory):
 
     _fields = ("letters",)
     keyword = "assoc"
+    index_class = _WordIndex
 
     def __init__(self, letters: tuple) -> None:
         _set(self, "letters", letters)
@@ -589,9 +596,6 @@ class FreeMonoidTheory(Theory):
     def divisions(self, mu, nu) -> list:
         return [(mu[:i], mu[i + len(nu) :]) for i in _word_occurrences(mu, nu)]
 
-    def lead_index(self, leads, order=None) -> LeadIndex:
-        return _WordIndex(self, leads, order)
-
     def overlaps(self, mu1, mu2) -> list:
         return [OverlapDatum(*s) for s in _word_superpositions(mu1, mu2, mu1 == mu2)]
 
@@ -605,6 +609,7 @@ class CommutativeTheory(Theory):
     _fields = ("letters",)
     keyword = "commutative"
     irr_semantics = "divisor"
+    index_class = _DivisorMaskIndex
 
     def __init__(self, letters: tuple) -> None:
         _set(self, "letters", letters)
@@ -668,9 +673,6 @@ class CommutativeTheory(Theory):
     def divisions(self, mu, nu) -> list:
         return [_exp_sub(mu, nu)] if _exp_le(nu, mu) else []
 
-    def lead_index(self, leads, order=None) -> LeadIndex:
-        return _DivisorMaskIndex(self, leads, order)
-
     def lcm_superposition(self, a, b) -> OverlapDatum:
         """The lcm of two power products, an inclusion when one divides the other."""
         lcm = _exp_lcm(a, b)
@@ -731,6 +733,7 @@ class MixedTheory(Theory):
     _fields = ("commutative_letters", "word_letters")
     keyword = "mixed"
     header_statements = ("cvars", "vars")
+    index_class = _MixedIndex
 
     def __init__(self, commutative_letters: tuple, word_letters: tuple) -> None:
         _set(self, "commutative_letters", commutative_letters)
@@ -829,9 +832,6 @@ class MixedTheory(Theory):
             return []
         mult = _exp_sub(e1, e2)
         return [(mult, w1[:i], w1[i + len(w2) :]) for i in _word_occurrences(w1, w2)]
-
-    def lead_index(self, leads, order=None) -> LeadIndex:
-        return _MixedIndex(self, leads, order)
 
     def overlaps(self, mu1, mu2) -> list:
         (c1, w1), (c2, w2) = mu1, mu2
@@ -1005,6 +1005,7 @@ class PathAlgebraTheory(Theory):
     _fields = ("vertices", "arrows")
     keyword = "path"
     header_statements = ("vertices", "arrow")
+    index_class = _PathIndex
 
     def __init__(self, vertices: tuple, arrows: tuple) -> None:
         _set(self, "vertices", vertices)
@@ -1133,9 +1134,6 @@ class PathAlgebraTheory(Theory):
             at = [i for i in at if vis[i] == nsrc]
         n = len(nnames)
         return [((src, nsrc, names[:i]), (ntgt, tgt, names[i + n :])) for i in at]
-
-    def lead_index(self, leads, order=None) -> LeadIndex:
-        return _PathIndex(self, leads, order)
 
     def overlaps(self, mu1, mu2) -> list:
         data = []

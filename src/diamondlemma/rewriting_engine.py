@@ -70,11 +70,9 @@ class RewritingSystem(_Value):
         th, order, field = self.theory, self.order, self.field
         if order.theory != th:
             raise RuleError("order does not belong to the system's theory")
-        for i, rule in enumerate(self.rules):
-            th.check_monomial(rule.lead)
-            problem = _rule_problem(th, order, field, rule, th.check_monomial)
-            if problem is not None:
-                raise RuleError("rule %d: %s" % (i, problem))
+        problem = _rule_problem(th, order, field, self.rules, th.check_monomial)
+        if problem is not None:
+            raise RuleError("rule %d: %s" % problem)
 
     @classmethod
     def _of_checked_rules(cls, theory, order: MonomialOrder, rules: tuple, field):
@@ -102,27 +100,32 @@ class RewritingSystem(_Value):
         return tuple(encode(raw(rule.lower.terms)) for rule in self.rules)
 
 
-def _rule_problem(theory, order: MonomialOrder, field, rule: Rule, check=None):
-    """What makes a rule with a lead of the theory unfit for a system under
-    the order and field, or None: a coefficient outside the field, a
-    lower-part monomial not below the lead or one of another uniform class.
-    ``check``, when given, is called on each lower-part monomial first."""
-    lead_key = order.sort_key(rule.lead) if rule.lower.terms else None
-    for m, c in rule.lower.terms:
+def _rule_problem(theory, order: MonomialOrder, field, rules, check=None):
+    """(index, what makes it unfit) of the first of the rules that does not
+    fit a system under the order and field, or None: a coefficient outside
+    the field, a lower-part monomial not below the lead or one of another
+    uniform class. ``check``, when given, is called on each monomial of a
+    rule first; without it the monomials must belong to the theory."""
+    for i, rule in enumerate(rules):
+        lead = rule.lead
         if check is not None:
-            check(m)
-        if not field.contains(c):
-            return "coefficient %s of %s is not in the field %s" % (
-                c, theory.serialize(m), field.describe()
-            )
-        if not order.sort_key(m) < lead_key:
-            return "lower-part monomial %s is not below the lead %s" % (
-                theory.serialize(m), theory.serialize(rule.lead)
-            )
-        if not theory.uniform_equivalent(m, rule.lead):
-            return "non-uniform path rule (%s vs %s)" % (
-                theory.serialize(m), theory.serialize(rule.lead)
-            )
+            check(lead)
+        lead_key = order.sort_key(lead) if rule.lower.terms else None
+        for m, c in rule.lower.terms:
+            if check is not None:
+                check(m)
+            if not field.contains(c):
+                return i, "coefficient %s of %s is not in the field %s" % (
+                    c, theory.serialize(m), field.describe()
+                )
+            if not order.sort_key(m) < lead_key:
+                return i, "lower-part monomial %s is not below the lead %s" % (
+                    theory.serialize(m), theory.serialize(lead)
+                )
+            if not theory.uniform_equivalent(m, lead):
+                return i, "non-uniform path rule (%s vs %s)" % (
+                    theory.serialize(m), theory.serialize(lead)
+                )
     return None
 
 
@@ -187,15 +190,22 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
     site, apply, key = index.site, index.apply, index.order_key
     p = field.characteristic
     work = index.encode_all(coeffs)
+    # The input monomial of each code, when encoding copied.
+    words = None if work is coeffs else dict(zip(work, coeffs))
     if keep is not None:
         for m in [m for m in work if not keep(m)]:
             del work[m]
     field.into_raw(work)
     try:
         # (rule index, encoded context) or None by code, for every code seen.
-        site_memo = {m: site(m) for m in work}
-        queued = {m for m, found in site_memo.items() if found}
-        heap = [_Queued((key(m), m)) for m in queued]
+        site_memo: dict = {}
+        queued = set()
+        heap = []
+        for m in work:
+            found = site_memo[m] = site(m)
+            if found:
+                queued.add(m)
+                heap.append(_Queued((key(m), m)))
         heapq.heapify(heap)
         steps = 0
         while heap:
@@ -235,8 +245,8 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
             yield ridx, m, ctx, c
     finally:
         field.from_raw(work)
-        if work is not coeffs:
-            index.decode_all(work, coeffs)
+        if words is not None:
+            index.decode_all(work, words, coeffs)
 
 
 def _step(system, step) -> RewriteStep:

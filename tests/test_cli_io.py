@@ -26,6 +26,7 @@ from diamondlemma import (
     PrimeField,
     RationalField,
     RewritingSystem,
+    RuleError,
     cli_io,
     format_element,
     format_rule,
@@ -123,6 +124,14 @@ class TestParseSystem:
         # One key per lead and per lower-part monomial.
         assert sorted(calls) == sorted([("y", "x"), ("x", "y"), (), ("y", "y"), ("x",)])
         assert s == RewritingSystem(s.theory, s.order, s.rules, s.field)
+
+    def test_field_after_rules_validates_them_under_it(self):
+        # The rule's coefficients were read over QQ, which GF(7) does not hold.
+        with pytest.raises(RuleError) as info:
+            parse_system("theory assoc; vars x y; rule y*x -> x*y + 1; field 7")
+        assert str(info.value) == "rule 0: coefficient 1 of x*y is not in the field GF(7)"
+        s = parse_system("theory assoc; vars x y; field 7; rule y*x -> x*y + 1; field 7")
+        assert s.rules[0].lower.coefficient_of(()) == Fp(1, 7)
 
     def test_series_weights_admit_raising_rule(self):
         sf = parse_system_file(SERIES)
