@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import struct
 from enum import Enum
 
 from .algebra_core import (
@@ -15,6 +16,8 @@ from .algebra_core import (
     _accumulate,
     _set,
     _Value,
+    _variable_permutation,
+    _weight_table,
 )
 
 
@@ -113,6 +116,18 @@ def _word_superpositions(w1: tuple, w2: tuple, same: bool):
             yield w2, (w2[:i], w2[i + l1 :]), ((), ()), OverlapKind.INCLUSION, 1
 
 
+def _runs(word: tuple):
+    """Yield (letter, length) for each run of equal letters of a word."""
+    for letter, run in itertools.groupby(word):
+        yield letter, len(list(run))
+
+
+def _power_string(powers) -> str:
+    """The product of (generator, exponent) pairs, skipping exponent 0, as
+    x or x^e joined by *; "1" when empty."""
+    return "*".join([x if e == 1 else "%s^%d" % (x, e) for x, e in powers if e]) or "1"
+
+
 def multiply_elements(theory, a: Element, b: Element) -> Element:
     """Bilinear product of two elements, dropping vanishing monomial products."""
     out: dict = {}
@@ -158,7 +173,9 @@ class LeadIndex:
     ``decode_context`` give the public monomial and context back, and when
     ``encode_all`` made a copy, ``decode_all(codes, words, coeffs)`` refills
     coeffs from it, ``words`` mapping the copy's codes to the monomials of
-    coeffs. Here every monomial is its own code.
+    coeffs. Words reduce as rank-coded strings and power products as packed
+    ``int`` codes, which are also the entries of their leads; here every
+    monomial is its own code.
     """
 
     __slots__ = ("theory", "order_key", "leads", "entries")
@@ -221,6 +238,13 @@ class LeadIndex:
     def decode_context(self, ctx):
         return ctx
 
+    def decode_all(self, codes: dict, words: dict, coeffs: dict) -> None:
+        # An input monomial that is left keeps its tuple; the others are decoded.
+        decode = self.decode
+        coeffs.clear()
+        for w, c in codes.items():
+            coeffs[words.get(w) or decode(w)] = c
+
     @property
     def site(self):
         return self.first_site
@@ -233,34 +257,128 @@ class LeadIndex:
         return order.sort_key
 
     def weigher(self, weights: dict):
-        weight_sum = self.theory.weight_sum
-        return lambda m: weight_sum(m, weights)
+        weight_sum, decode = self.theory.weight_sum, self.decode
+        return lambda code: weight_sum(decode(code), weights)
 
 
-class _DivisorMaskIndex(LeadIndex):
-    """Lead index for power products: a lead whose divisor mask has a bit
-    outside the monomial's never reaches ``divisions``."""
+# Each field of a power-product code holds a value below _FIELD_CAP, so that
+# its top bit stays clear as a guard.
+_FIELD_CAP = 2**31
 
-    __slots__ = ("width",)
+
+@functools.lru_cache(maxsize=256)
+def _packing(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple) -> tuple:
+    """(encode, decode, apply, guard, order key) of the power-product codes
+    over ``letters`` under the order of that kind, generators and weights;
+    one per order, so that the indexes of equal orders hold equal functions.
+    The order's fields key the cache, since they hash faster than the order."""
+    th, n = CommutativeTheory(letters), len(letters)
+    int_weights = _weight_table(weights)[1]
+    # The weight-sum field holds the degree again but under weighted-deglex.
+    weigh = sum
+    if kind is OrderKind.WEIGHTED_DEGLEX:
+        vector = tuple(map(int_weights.__getitem__, letters))
+        weigh = lambda m: sum(map(operator.mul, vector, m))
+    # A code packs the exponents, the degree and the weight sum, in this
+    # order from the least significant field, but from the most significant
+    # under lex, where the exponents lead. ``fields`` lists exponent
+    # positions in packing order.
+    lex = kind is OrderKind.LEX
+    byteorder = "big" if lex else "little"
+    row = struct.Struct((">" if lex else "<") + "%dI" % (n + 2))
+    fields = _variable_permutation(letters, generators)
+    if not lex:
+        fields = fields[::-1]
+    spread = operator.itemgetter(*fields) if n > 1 else tuple
+    gather = operator.itemgetter(*map(fields.index, range(n))) if n > 1 else lambda t: t[:n]
+    pack, unpack, from_bytes = row.pack, row.unpack, int.from_bytes
+    guard = from_bytes(pack(*[_FIELD_CAP] * (n + 2)), byteorder)
+
+    def encode(m):
+        """The code of a power product; TheoryMismatchError for a monomial
+        outside the theory, DiamondError for one that does not fit."""
+        try:
+            code = from_bytes(pack(*spread(m), sum(m), weigh(m)), byteorder)
+            if not code & guard and len(m) == n and isinstance(m, tuple):
+                return code
+        except (struct.error, TypeError, IndexError):
+            pass
+        th.check_monomial(m)
+        raise DiamondError(
+            "monomial %s does not fit the power-product codes, whose degrees, "
+            "weight sums and exponents stay below 2^31" % th.serialize(m)
+        )
+
+    def decode(code):
+        return gather(unpack(code.to_bytes(row.size, byteorder)))
+
+    apply = operator.add
+    if lex or kind is OrderKind.SERIES_DEGLEX:
+        # Only under these kinds can an image outgrow the input.
+        def apply(ctx, code):
+            image = ctx + code
+            if image & guard:
+                raise DiamondError(
+                    "%s times %s has a degree or exponent of 2^31 or more"
+                    % (th.serialize(decode(ctx)), th.serialize(decode(code)))
+                )
+            return image
+
+    key = operator.pos  # the identity on codes
+    if kind is OrderKind.SERIES_DEGLEX:
+        key = lambda code: (th.weight_sum(decode(code), int_weights), code)
+    return encode, decode, apply, guard, key
+
+
+class _PackedIndex(LeadIndex):
+    """Lead index for power products, which reduce as packed codes: the code
+    of a power product is one ``int`` of 32-bit fields, one per exponent,
+    the order's greatest variable most significant, then one for the degree
+    and one for the weight sum, which is the degree again but under
+    weighted-deglex. The weight sum and the degree sit above the exponents,
+    the weight sum on top, but below them under lex. Codes then compare as
+    ``sort_key`` compares monomials, so the order key is the identity;
+    series orders lead it with their weight sum.
+
+    The top bit of each field is a guard: a lead divides a code exactly when
+    ``code - lead`` sets no guard bit, and that difference is the encoded
+    context, so an image is ``context + code``. A monomial whose degree,
+    weight sum or exponent reaches 2^31 raises DiamondError on entry. Under
+    deglex and weighted-deglex no image can grow past its input; under lex
+    and series orders an image that does raises DiamondError too. ``entry``
+    encodes a monomial."""
+
+    __slots__ = ("entry", "decode", "apply", "guard")
     shared = LeadIndex.shared + __slots__
 
     def __init__(self, theory, leads, order) -> None:
-        self.width = len(theory.letters)
+        packing = _packing(order.kind, theory.letters, order.generators, order.weights)
+        self.entry, self.decode, self.apply, self.guard, key = packing
         super().__init__(theory, leads, order)
-
-    entry = staticmethod(_divisor_mask)
+        self.order_key = key
 
     def first_site(self, m):
-        if len(m) != self.width:
-            self.theory.check_monomial(m)
-        outside = ~_divisor_mask(m)
-        divisions = self.theory.divisions
-        for i, mask in enumerate(self.entries):
-            if not mask & outside:
-                ctxs = divisions(m, self.leads[i])
-                if ctxs:
-                    return i, ctxs[0]
+        found = self.site(self.entry(m))
+        return found and (found[0], self.decode(found[1]))
+
+    def site(self, code: int):
+        guard = self.guard
+        for i, lead in enumerate(self.entries):
+            ctx = code - lead
+            if not ctx & guard:
+                return i, ctx
         return None
+
+    def encode_all(self, coeffs: dict) -> dict:
+        encode = self.entry
+        return {encode(m): c for m, c in coeffs.items()}
+
+    def encode_terms(self, terms: tuple) -> tuple:
+        encode = self.entry
+        return tuple([(encode(m), c) for m, c in terms])
+
+    def decode_context(self, ctx: int) -> tuple:
+        return self.decode(ctx)
 
 
 @functools.lru_cache(maxsize=256)
@@ -359,22 +477,13 @@ class _WordIndex(_CodedIndex):
             LeadIndex.encode_all(self, coeffs)  # names the first monomial outside
         return work
 
-    def encode_terms(self, terms: tuple) -> tuple:
-        code = self.code
-        return tuple([(code(m), c) for m, c in terms])
+    encode_terms = _PackedIndex.encode_terms
 
     def decode(self, code: str) -> tuple:
         return tuple(map(self.letters.__getitem__, map(ord, code)))
 
     def decode_context(self, ctx: tuple) -> tuple:
         return tuple(map(self.decode, ctx))
-
-    def decode_all(self, codes: dict, words: dict, coeffs: dict) -> None:
-        # An input word that is left keeps its tuple; the others are decoded.
-        decode = self.decode
-        coeffs.clear()
-        for w, c in codes.items():
-            coeffs[words.get(w) or decode(w)] = c
 
     def key_for(self, order):
         # Words admit no lex order, so the other kinds are weighted.
@@ -581,13 +690,7 @@ class FreeMonoidTheory(Theory):
         return tuple(map(order.ranks.__getitem__, m))
 
     def serialize(self, m) -> str:
-        if not m:
-            return "1"
-        parts = []
-        for letter, run in itertools.groupby(m):
-            n = len(list(run))
-            parts.append(letter if n == 1 else "%s^%d" % (letter, n))
-        return "*".join(parts)
+        return _power_string(_runs(m))
 
     def apply_context(self, ctx, m):
         left, right = ctx
@@ -609,7 +712,7 @@ class CommutativeTheory(Theory):
     _fields = ("letters",)
     keyword = "commutative"
     irr_semantics = "divisor"
-    index_class = _DivisorMaskIndex
+    index_class = _PackedIndex
 
     def __init__(self, letters: tuple) -> None:
         _set(self, "letters", letters)
@@ -659,13 +762,7 @@ class CommutativeTheory(Theory):
         return tuple(map(m.__getitem__, order.variable_permutation))
 
     def serialize(self, m) -> str:
-        parts = []
-        for x, e in zip(self.letters, m):
-            if e == 1:
-                parts.append(x)
-            elif e > 1:
-                parts.append("%s^%d" % (x, e))
-        return "*".join(parts) if parts else "1"
+        return _power_string(zip(self.letters, m))
 
     def apply_context(self, ctx, m):
         return _exp_add(ctx, m)
@@ -810,16 +907,7 @@ class MixedTheory(Theory):
 
     def serialize(self, m) -> str:
         exps, word = m
-        parts = []
-        for x, e in zip(self.commutative_letters, exps):
-            if e == 1:
-                parts.append(x)
-            elif e > 1:
-                parts.append("%s^%d" % (x, e))
-        for letter, run in itertools.groupby(word):
-            n = len(list(run))
-            parts.append(letter if n == 1 else "%s^%d" % (letter, n))
-        return "*".join(parts) if parts else "1"
+        return _power_string(itertools.chain(zip(self.commutative_letters, exps), _runs(word)))
 
     def apply_context(self, ctx, m):
         mult, left, right = ctx

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra_core import DiamondError, Element, OrderKind, _set, _Value, _weight_table
+from .algebra_core import (
+    DiamondError,
+    Element,
+    OrderKind,
+    TheoryMismatchError,
+    _set,
+    _Value,
+    _weight_table,
+)
 from .rewriting_engine import DEFAULT_STEP_BUDGET, _rewrites
 
 
@@ -65,7 +73,13 @@ class EquicontinuityReport(_Value):
 
 
 def check_equicontinuity(system, weight_data: WeightData) -> EquicontinuityReport:
-    """Admit a system when no rule's lower part outweighs its lead."""
+    """Admit a system when no rule's lower part outweighs its lead; weights
+    of another theory raise TheoryMismatchError."""
+    if weight_data.theory != system.theory:
+        raise TheoryMismatchError(
+            "weights of %s do not belong to the system's theory %s"
+            % (weight_data.theory.describe(), system.theory.describe())
+        )
     failures = []
     for index, rule in enumerate(system.rules):
         lead_exp = weight_data.exponent(rule.lead)

@@ -176,11 +176,13 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
 
     The loop runs on the codes of the system's ``lead_index``: each monomial
     of coeffs is encoded once on entry, which raises TheoryMismatchError for
-    one outside the theory, images are built from the encoded lower parts
-    in ``raw_lowers``, sites are looked up, ordered and passed to ``keep``
-    as codes, and the terms are decoded once, however the loop ends. Rules
-    map the theory's monomials to the theory's monomials, so images need no
-    check. The coefficients are the field's raw values: they are converted
+    one outside the theory (and DiamondError for a power product too large
+    for its code), images are built from the encoded lower parts in
+    ``raw_lowers``, sites are looked up, ordered and passed to ``keep`` as
+    codes, and the terms are decoded once, however the loop ends. Rules map
+    the theory's monomials to the theory's monomials, so images need no
+    check but the one ``apply`` makes that a code still fits. The
+    coefficients are the field's raw values: they are converted
     on entry, which raises ScalarError for one outside the field, and
     converted back on exit. ``_step`` decodes a yielded step. A caller that
     stops early must close the generator before reading coeffs.

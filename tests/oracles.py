@@ -15,6 +15,7 @@ from diamondlemma import (
     DiamondError,
     Element,
     FreeMagmaTheory,
+    Fp,
     FreeMonoidTheory,
     MixedTheory,
     MonomialOrder,
@@ -877,41 +878,49 @@ def katsura_polynomials(n: int) -> list:
     return polys
 
 
-def sympy_reduced_basis(polys: list, order_name: str) -> set:
-    """sympy's reduced Groebner basis over QQ, each element made monic.
+def sympy_reduced_basis(polys: list, order_name: str, modulus: int | None = None) -> set:
+    """sympy's reduced Groebner basis, each element made monic: over QQ, or
+    over GF(modulus) with ``groebner(..., modulus=modulus)``.
 
     Exponent tuples list the generators ascending, the library's convention,
     so sympy gets them reversed (greatest first). Elements are frozensets of
-    (exponents, Fraction) items.
+    (exponents, coefficient) items, the coefficients Fractions over QQ and
+    ``Fp`` over GF(modulus).
     """
     import sympy
 
     nvars = len(next(iter(polys[0])))
     symbols = sympy.symbols(" ".join("v%d" % i for i in reversed(range(nvars))))
+    if modulus is None:
+        convert = lambda c: sympy.Rational(c.numerator, c.denominator)
+        options = {"domain": sympy.QQ}
+    else:
+        convert = lambda c: c.numerator * pow(c.denominator, -1, modulus) % modulus
+        options = {"modulus": modulus}
     flipped = [
         sympy.Poly.from_dict(
-            {tuple(reversed(m)): sympy.Rational(c.numerator, c.denominator) for m, c in p.items()},
-            *symbols,
-            domain=sympy.QQ,
+            {tuple(reversed(m)): convert(c) for m, c in p.items()}, *symbols, **options
         )
         for p in polys
     ]
-    basis = sympy.groebner(flipped, *symbols, order=order_name)
+    basis = sympy.groebner(flipped, *symbols, order=order_name, **options)
     out = set()
     for poly in basis.polys:
-        lead = Fraction(str(poly.LC(order=order_name)))
-        out.add(
-            frozenset(
-                (tuple(reversed(m)), Fraction(str(c)) / lead) for m, c in poly.terms()
-            )
-        )
+        if modulus is None:
+            lead = Fraction(str(poly.LC(order=order_name)))
+            terms = [(m, Fraction(str(c)) / lead) for m, c in poly.terms()]
+        else:
+            inverse = pow(int(poly.LC(order=order_name)), -1, modulus)
+            terms = [(m, Fp(int(c) * inverse % modulus, modulus)) for m, c in poly.terms()]
+        out.add(frozenset((tuple(reversed(m)), c) for m, c in terms))
     return out
 
 
-def rules_as_polynomials(rules) -> set:
-    """Rules lead -> lower as monic polynomials lead - lower, in the same form."""
+def rules_as_polynomials(rules, field=RationalField()) -> set:
+    """Rules lead -> lower over the field as monic polynomials lead - lower,
+    in the same form."""
     return {
-        frozenset([(rule.lead, Fraction(1))] + [(m, -c) for m, c in rule.lower.terms])
+        frozenset([(rule.lead, field.one)] + [(m, -c) for m, c in rule.lower.terms])
         for rule in rules
     }
 

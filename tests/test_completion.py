@@ -16,6 +16,7 @@ from diamondlemma import (
     MonomialOrder,
     NotConfluentSystemError,
     OrderKind,
+    PrimeField,
     RationalField,
     RewritingSystem,
     Rule,
@@ -287,11 +288,15 @@ class TestRandomCommutativeCompletions:
                 assert normal_form(report.system, g, 200000).is_zero()
 
 
-def polynomial_system(polys, kind=OrderKind.DEGLEX) -> RewritingSystem:
-    """One rule per polynomial, in variables v0 < v1 < ... under ``kind``."""
+def polynomial_system(polys, kind=OrderKind.DEGLEX, field=QQ) -> RewritingSystem:
+    """One rule per polynomial, in variables v0 < v1 < ... under ``kind``,
+    over the field."""
     th = CommutativeTheory(tuple("v%d" % i for i in range(len(next(iter(polys[0]))))))
     order = MonomialOrder(kind, th, th.letters)
-    return RewritingSystem(th, order, tuple(orient(order, Element.from_dict(p)) for p in polys))
+    rules = tuple(
+        orient(order, Element.from_dict({m: field.coeff(c) for m, c in p.items()})) for p in polys
+    )
+    return RewritingSystem(th, order, rules, field)
 
 
 def random_completions(name: str, count: int, caps: dict, field=QQ):
@@ -400,21 +405,27 @@ class TestAgainstReference:
 
 
 @pytest.mark.parametrize(
-    "polys, order_name",
+    "polys, order_name, modulus",
     [
-        pytest.param(cyclic_polynomials(4), "grlex", id="cyclic-4-grlex"),
-        pytest.param(katsura_polynomials(3), "grlex", id="katsura-3-grlex"),
-        pytest.param(katsura_polynomials(4), "grlex", id="katsura-4-grlex"),
-        pytest.param(cyclic_polynomials(4), "lex", id="cyclic-4-lex"),
-        pytest.param(katsura_polynomials(2), "lex", id="katsura-2-lex"),
+        pytest.param(cyclic_polynomials(4), "grlex", None, id="cyclic-4-grlex"),
+        pytest.param(katsura_polynomials(3), "grlex", None, id="katsura-3-grlex"),
+        pytest.param(katsura_polynomials(4), "grlex", None, id="katsura-4-grlex"),
+        pytest.param(cyclic_polynomials(4), "lex", None, id="cyclic-4-lex"),
+        pytest.param(katsura_polynomials(2), "lex", None, id="katsura-2-lex"),
+        # Raw residues under the deglex and the lex code layout.
+        pytest.param(katsura_polynomials(4), "grlex", 32003, id="katsura-4-grlex-gf32003"),
+        pytest.param(cyclic_polynomials(4), "lex", 32003, id="cyclic-4-lex-gf32003"),
     ],
 )
-def test_reduced_basis_matches_sympy(polys, order_name):
+def test_reduced_basis_matches_sympy(polys, order_name, modulus):
     pytest.importorskip("sympy")
-    s = polynomial_system(polys, OrderKind.DEGLEX if order_name == "grlex" else OrderKind.LEX)
-    report = complete(s)
+    field = QQ if modulus is None else PrimeField(modulus)
+    kind = OrderKind.DEGLEX if order_name == "grlex" else OrderKind.LEX
+    report = complete(polynomial_system(polys, kind, field))
     assert report.status is CompletionStatus.COMPLETE
-    assert rules_as_polynomials(report.system.rules) == sympy_reduced_basis(polys, order_name)
+    assert rules_as_polynomials(report.system.rules, field) == sympy_reduced_basis(
+        polys, order_name, modulus
+    )
 
 
 class TestDropRedundant:

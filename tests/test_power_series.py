@@ -14,11 +14,14 @@ from diamondlemma import (
     RewritingSystem,
     Rule,
     SeriesAdmissionError,
+    TheoryMismatchError,
     WeightData,
     check_equicontinuity,
     check_tdcc,
     norm,
     normal_form,
+    parse_expression,
+    parse_system,
     truncated_normal_form,
 )
 
@@ -206,3 +209,23 @@ class TestTruncatedNormalForm:
         got = truncated_normal_form(weyl, wd, e, 3)
         assert got.representative == normal_form(weyl, e)
         assert not got.truncated
+
+
+class TestForeignWeights:
+    """Weights of another theory are refused by name, not lost in a KeyError
+    from the weight sum."""
+
+    def test_both_theories_are_named(self):
+        s = parse_system(
+            "theory assoc; vars x y; weights x:-1 y:-1; order series x<y; "
+            "rule y*x -> x*y + x^2*y"
+        )
+        wd = WeightData(FreeMonoidTheory(("a", "b")), (("a", -1), ("b", -1)))
+        message = "weights of assoc(a,b) do not belong to the system's theory assoc(x,y)"
+        with pytest.raises(TheoryMismatchError) as info:
+            check_equicontinuity(s, wd)
+        assert str(info.value) == message
+        e = parse_expression("y*x", s.theory, s.field)
+        with pytest.raises(TheoryMismatchError) as info:
+            truncated_normal_form(s, wd, e, 3)
+        assert str(info.value) == message

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from diamondlemma import (
     CommutativeTheory,
+    DiamondError,
     Element,
     ForbiddenFactorSet,
     Fp,
@@ -50,6 +51,7 @@ from oracles import (
     THEORIES,
     _reference_site,
     all_normal_forms,
+    cyclic_polynomials,
     make_random_system,
     random_element,
     random_strategy_normal_form,
@@ -346,6 +348,89 @@ class TestWrongLengthExponents:
         assert index.first_site(good) is not None
 
 
+CAP = 2**31  # power-product codes hold exponents, degrees and weight sums below this
+
+
+def power_system(kind, lead, lower, weights=()):
+    """One rule lead -> lower over vars x < y, under an order of ``kind``."""
+    th = CommutativeTheory(("x", "y"))
+    order = MonomialOrder(kind, th, ("x", "y"), weights)
+    return RewritingSystem(th, order, (Rule(lead, power(lower)),))
+
+
+def power(m) -> Element:
+    return Element(((m, Fraction(1)),))
+
+
+class TestPackedCodeLimits:
+    """A power product whose code would not fit is refused with a
+    DiamondError; nothing wraps into a wrong normal form."""
+
+    # An exponent at the capacity, above it, far above it, and a degree at it.
+    @pytest.mark.parametrize("m", [(CAP, 0), (CAP + 1, 0), (0, 2**40), (CAP - 1, 1)])
+    def test_input_at_or_above_the_capacity_under_deglex(self, m):
+        system = power_system(OrderKind.DEGLEX, (0, 2), (1, 0))
+        for reduce in (normal_form, normal_form_with_trail, reduce_once):
+            with pytest.raises(DiamondError, match=r"does not fit .* below 2\^31"):
+                reduce(system, power(m))
+        with pytest.raises(DiamondError, match=r"does not fit"):
+            is_irreducible_monomial(system, m)
+        with pytest.raises(DiamondError, match=r"does not fit"):
+            system.lead_index.first_site(m)
+        # Just below the capacity the monomial has a code.
+        assert normal_form(system, power((CAP - 1, 0))) == power((CAP - 1, 0))
+
+    def test_weight_sum_at_the_capacity_under_weighted_deglex(self):
+        weights = (("x", Fraction(1)), ("y", Fraction(2)))
+        system = power_system(OrderKind.WEIGHTED_DEGLEX, (0, 2), (1, 0), weights)
+        # Weight sums 2^31, though the degree of y^(2^30) is far below it.
+        for m in [(0, CAP // 2), (CAP - 2, 1)]:
+            with pytest.raises(DiamondError, match=r"does not fit"):
+                normal_form(system, power(m))
+        assert normal_form(system, power((CAP - 3, 1))) == power((CAP - 3, 1))
+
+    def test_a_lead_that_does_not_fit(self):
+        system = power_system(OrderKind.DEGLEX, (CAP, 0), (0, 1))
+        with pytest.raises(DiamondError, match=r"does not fit"):
+            normal_form(system, power((1, 0)))
+
+    def test_lex_images_that_outgrow_a_field(self):
+        # y -> x^k under lex: y^8 reaches x^(8k) = x^(2^31) in 8 steps.
+        k = 2**28
+        system = power_system(OrderKind.LEX, (0, 1), (k, 0))
+        assert normal_form(system, power((0, 7))) == power((7 * k, 0))
+        for reduce in (normal_form, normal_form_with_trail):
+            with pytest.raises(DiamondError, match=r"exponent of 2\^31 or more") as info:
+                reduce(system, power((0, 8)))
+            assert not isinstance(info.value, StepBudgetExceededError)
+
+    def test_series_images_that_outgrow_a_field(self):
+        # y -> x^k under weights x:-1 y:0 keeps x^(2k) above a fine precision.
+        k = 2**30
+        weights = (("x", Fraction(-1)), ("y", Fraction(0)))
+        system = power_system(OrderKind.SERIES_DEGLEX, (0, 1), (k, 0), weights)
+        wd = WeightData(system.theory, weights)
+        got = truncated_normal_form(system, wd, power((0, 1)), 2**33)
+        assert got.representative == power((k, 0))
+        with pytest.raises(DiamondError, match=r"exponent of 2\^31 or more"):
+            truncated_normal_form(system, wd, power((0, 2)), 2**33)
+
+    @pytest.mark.parametrize("kind", [OrderKind.DEGLEX, OrderKind.WEIGHTED_DEGLEX, OrderKind.LEX])
+    @pytest.mark.parametrize("m", [(1.0, 0), ("2", 0), (-1, 3), (0, 2.5)])
+    def test_bad_exponents_keep_their_message(self, m, kind):
+        weights = (("x", Fraction(1)), ("y", Fraction(1))) if kind is OrderKind.WEIGHTED_DEGLEX else ()
+        system = power_system(kind, (0, 2), (1, 0), weights)
+        message = "monomial %r does not belong to %s" % (m, system.theory.describe())
+        for check in (
+            lambda: normal_form(system, power(m)),
+            lambda: is_irreducible_monomial(system, m),
+            lambda: system.lead_index.first_site(m),
+        ):
+            with pytest.raises(TheoryMismatchError) as info:
+                check()
+            assert str(info.value) == message
+
+
 class TestNormalForm:
     def test_weyl_frozen_example(self):
         assert normal_form(weyl(), elem((("y", "x", "x"), 1))) == elem(
@@ -528,6 +613,20 @@ def codec_orders(th):
     ]
 
 
+# Power-product theories whose codes must follow the order's ranking.
+PACKED_THEORIES = {
+    "commutative-3": CommutativeTheory(("x", "y", "z")),
+    "commutative-4": CommutativeTheory(("a", "b", "c", "d")),
+}
+
+
+def packed_orders(th):
+    """The orders of ``codec_orders`` and lex, each ranking the generators
+    neither in declaration order nor in its reverse."""
+    gens = tuple(th.generator_names())
+    return codec_orders(th) + [MonomialOrder(OrderKind.LEX, th, gens[1:] + gens[:1])]
+
+
 class TestReferenceStrategy:
     """The heap-ordered loop against the full-rescan strategy in oracles."""
 
@@ -583,13 +682,23 @@ class TestReferenceStrategy:
         check_normal_forms(th, codec_orders(th), field, rng)
         check_truncated_normal_forms(th, codec_orders(th), field, rng)
 
+    @pytest.mark.parametrize("field", [QQ, PRIME_FIELDS[0]], ids=lambda f: f.describe())
+    @pytest.mark.parametrize("name", sorted(PACKED_THEORIES))
+    def test_power_product_codes_under_every_ranking(self, name, field):
+        th = PACKED_THEORIES[name]
+        rng = random.Random("packed-%s-%s" % (name, field.describe()))
+        for order in packed_orders(th):
+            if order.is_well_founded():
+                check_normal_forms(th, [order], field, rng, systems=8)
+        check_truncated_normal_forms(th, packed_orders(th), field, rng)
 
-def check_normal_forms(th, orders, field, rng):
+
+def check_normal_forms(th, orders, field, rng, systems=30):
     """Normal forms, trails, single steps and budgets of random systems over
     the field under the well-founded ones of the orders, against the
     full-rescan strategy, which uses the field's value arithmetic."""
     orders = [o for o in orders if o.is_well_founded()]
-    for _ in range(30):
+    for _ in range(systems):
         s = make_random_system(th, orders[rng.randrange(len(orders))], rng, field=field)
         for _ in range(3):
             e = random_element(th, s.order, rng, 4, max_terms=4, field=field)
@@ -788,27 +897,33 @@ class TestLeadIndex:
         assert path.first_site(("1", "1", ("q",))) is None
 
 
+def count_calls(monkeypatch, *methods) -> dict:
+    """Wrap each (class, method name) so that its calls are counted in the
+    returned dict, by method name."""
+    calls = {}
+    for cls, name in methods:
+        calls[name] = 0
+
+        def wrapper(*args, _method=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
 class TestEncodedReduction:
-    """Word reductions run on the lead index's codes, so a step calls none
-    of the public per-monomial methods: a fallback to tuples would."""
+    """Words and power products reduce as the lead index's codes, so a step
+    calls none of the public per-monomial methods: a fallback to tuples
+    would."""
 
     def test_weyl_y30x30_calls_no_apply_context_and_no_sort_key(self, monkeypatch):
         with open(os.path.join(REPO, "bench", "systems", "weyl.sys"), encoding="utf-8") as handle:
             system = parse_system_file(handle.read()).system
         element = parse_expression("y^30*x^30", system.theory, system.field)
-        calls = {"apply_context": 0, "sort_key": 0}
-
-        def counted(cls, name):
-            method = getattr(cls, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return method(*args, **kwargs)
-
-            monkeypatch.setattr(cls, name, wrapper)
-
-        counted(FreeMonoidTheory, "apply_context")
-        counted(MonomialOrder, "sort_key")
+        calls = count_calls(
+            monkeypatch, (FreeMonoidTheory, "apply_context"), (MonomialOrder, "sort_key")
+        )
         result = normal_form(system, element)
         assert calls == {"apply_context": 0, "sort_key": 0}
         # With y*x = x*y + 1: y^n*x^n = sum over k of k! C(n,k)^2 x^(n-k)*y^(n-k).
@@ -824,6 +939,28 @@ class TestEncodedReduction:
         system.theory.apply_context(((), ()), ("x",))
         system.order.sort_key(("x",))
         assert calls == {"apply_context": 1, "sort_key": 1}
+
+    def test_cyclic4_basis_calls_no_apply_context_divisions_or_sort_key(self, monkeypatch):
+        th = CommutativeTheory(("v0", "v1", "v2", "v3"))
+        order = MonomialOrder(OrderKind.DEGLEX, th, th.letters)
+        rules = tuple(orient(order, Element.from_dict(p)) for p in cyclic_polynomials(4))
+        basis = complete(RewritingSystem(th, order, rules)).system
+        element = Element.from_dict({m: Fraction(1) for m in th.monomials_of_degree(6)})
+        want, _ = reference_reduce(basis, dict(element.terms), 10**5)
+        calls = count_calls(
+            monkeypatch,
+            (CommutativeTheory, "apply_context"),
+            (CommutativeTheory, "divisions"),
+            (MonomialOrder, "sort_key"),
+        )
+        result = normal_form(basis, element)
+        assert calls == {"apply_context": 0, "divisions": 0, "sort_key": 0}
+        assert result == Element.from_dict(want) and result
+        # The wrappers do count.
+        th.apply_context((0, 0, 0, 1), (1, 0, 0, 0))
+        th.divisions((1, 0, 0, 0), (1, 0, 0, 0))
+        order.sort_key((1, 0, 0, 0))
+        assert calls == {"apply_context": 1, "divisions": 1, "sort_key": 1}
 
 
 class TestCachedLeadIndex:
