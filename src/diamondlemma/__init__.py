@@ -36,7 +36,6 @@ _EXPORTS = {
         "format_system",
         "main",
         "parse_expression",
-        "parse_system",
         "parse_system_file",
     ),
     "completion": (
@@ -60,7 +59,6 @@ _EXPORTS = {
         "OverlapKind",
         "PathAlgebraTheory",
         "Theory",
-        "multiply_elements",
     ),
     "power_series": (
         "EquicontinuityReport",

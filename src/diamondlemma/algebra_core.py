@@ -323,20 +323,9 @@ class Element(_Value):
     def zero() -> "Element":
         return Element(())
 
-    def as_dict(self) -> dict:
-        """Return a fresh monomial-to-coefficient dict."""
-        return dict(self.terms)
-
     def support(self) -> tuple:
         """Return the monomials with nonzero coefficient."""
         return tuple(m for m, _ in self.terms)
-
-    def coefficient_of(self, monomial):
-        """Extract the coefficient of one monomial, or None when absent."""
-        for m, c in self.terms:
-            if m == monomial:
-                return c
-        return None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -449,12 +438,6 @@ class MonomialOrder(_Value):
     def rank(self, name: str) -> int:
         """Return the rank of a generator, higher meaning greater."""
         return self.ranks[name]
-
-    def weight_of(self, name: str) -> Fraction:
-        for n, w in self.weights:
-            if n == name:
-                return w
-        raise OrderError("no weight for generator %r" % name)
 
     def sort_key(self, monomial) -> tuple:
         """Total comparison key; all shipped kinds are total orders."""

@@ -526,11 +526,6 @@ def parse_system_file(text: str) -> SystemFile:
     return builder.finish()
 
 
-def parse_system(text: str) -> RewritingSystem:
-    """Parse the system format and return the validated system."""
-    return parse_system_file(text).system
-
-
 def format_scalar(c) -> str:
     """Render a coefficient canonically; residues print their representative."""
     if isinstance(c, Fp):
@@ -618,7 +613,7 @@ def _load(path: str) -> SystemFile:
 def _cmd_check(args) -> int:
     from .completion import ConfluenceStatus, check_confluence
 
-    system = _well_founded(_load(args.file).system, "confluence checking")
+    system = _load(args.file).system
     th, order = system.theory, system.order
     verdict = check_confluence(system, args.max_steps)
     if verdict.status is ConfluenceStatus.CONFLUENT:
@@ -660,8 +655,7 @@ def _cmd_complete(args) -> int:
     from .completion import CompletionStatus, complete
 
     sf = _load(args.file)
-    system = _well_founded(sf.system, "completion")
-    report = complete(system, args.max_degree, args.max_rules, args.max_steps)
+    report = complete(sf.system, args.max_degree, args.max_rules, args.max_steps)
     system = report.system
     text = format_system(system, sf.weight_data)
     if args.output:

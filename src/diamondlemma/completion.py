@@ -141,7 +141,7 @@ class _Working:
     ``RewritingSystem.raw_lowers``, cover the rules it is made with;
     ``append`` and ``replace`` keep them in step with ``rules``, so one view
     serves a whole completion. ``without(i)`` slices all three for the view
-    of the other rules, recomputing nothing.
+    of the other rules, recomputing nothing, for the drop pass.
     """
 
     __slots__ = ("theory", "order", "field", "rules", "raw_lowers", "lead_index")
@@ -198,7 +198,8 @@ def _interreduce(work: _Working, max_steps: int, since: int = 0) -> None:
     for i in range(len(rules)):
         if i < since and not any(site(m) for m, _ in lowers[i]):
             continue
-        lower = normal_form(work.without(i), rules[i].lower, max_steps)
+        # A lead divides no monomial below it, so rule i never fires here.
+        lower = normal_form(work, rules[i].lower, max_steps)
         if lower != rules[i].lower:
             work.replace(i, Rule(rules[i].lead, lower))
 

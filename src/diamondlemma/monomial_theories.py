@@ -128,17 +128,6 @@ def _power_string(powers) -> str:
     return "*".join([x if e == 1 else "%s^%d" % (x, e) for x, e in powers if e]) or "1"
 
 
-def multiply_elements(theory, a: Element, b: Element) -> Element:
-    """Bilinear product of two elements, dropping vanishing monomial products."""
-    out: dict = {}
-    for m1, c1 in a.terms:
-        for m2, c2 in b.terms:
-            m = theory.multiply(m1, m2)
-            if m is not None:
-                _accumulate(out, m, c1 * c2)
-    return Element.from_dict(out)
-
-
 def _compositions(total: int, parts: int):
     """Yield tuples of nonnegative integers with the given sum."""
     if parts == 0:
@@ -156,34 +145,39 @@ def _compositions(total: int, parts: int):
 class LeadIndex:
     """Rule leads in rule order, asked which rule reduces a monomial.
 
-    ``first_site(m)`` gives (lowest rule index whose lead divides m, the
-    first context ``divisions`` returns) or None. Leads are only appended.
-    Beside each lead the index keeps the entry ``entry(lead)`` that its
-    lookups read in place of the lead; the scan keeps None. The slots named
-    in ``shared`` hold per-theory constants, which the views sliced by
-    ``without`` and ``tail`` share.
+    The reduction loop runs on the index's codes of monomials, and every
+    index class speaks one protocol on them. ``encode(m)`` is the code of a
+    monomial, and raises TheoryMismatchError for one outside the theory.
+    ``site(code)``, the one lookup each class defines, gives (lowest rule
+    index whose lead divides the monomial, the first context ``divisions``
+    returns, encoded) or None. ``apply(ctx, code)`` builds an image, None
+    when the product vanishes. ``order_key``, set once on construction,
+    compares codes as the order's ``sort_key`` compares monomials.
+    ``decode`` and ``decode_context`` give the public monomial and context
+    back. ``first_site(m)``, written here once, is ``site(encode(m))`` with
+    its context decoded.
 
-    The reduction loop runs on the index's codes of monomials.
-    ``encode_all(coeffs)`` checks every monomial and gives the dict of codes
-    the loop reduces, ``encode_terms`` encodes a lower part, ``site`` is
-    ``first_site`` on codes, ``apply(ctx, code)`` builds an image (None when
-    the product vanishes), ``order_key``, made once by ``key_for(order)``,
-    compares codes as the order's ``sort_key`` compares monomials, and
-    ``weigher(weights)`` sums weights over a code. ``decode`` and
-    ``decode_context`` give the public monomial and context back, and when
-    ``encode_all`` made a copy, ``decode_all(codes, words, coeffs)`` refills
-    coeffs from it, ``words`` mapping the copy's codes to the monomials of
-    coeffs. Words reduce as rank-coded strings and power products as packed
-    ``int`` codes, which are also the entries of their leads; here every
-    monomial is its own code.
+    Around these, ``encode_all(coeffs)`` checks every monomial and gives
+    the dict of codes the loop reduces, ``decode_all(codes, words, coeffs)``
+    refills coeffs from a copy ``encode_all`` made, ``words`` mapping its
+    codes to the monomials of coeffs, ``encode_terms`` encodes a lower part,
+    whose monomials belong, and ``weigher(weights)`` sums weights over a
+    code. Here every monomial is its own code and ``site`` scans
+    ``divisions``; words reduce as rank-coded strings, power products as
+    packed ``int`` codes.
+
+    Leads are only appended. Beside each lead the index keeps the entry
+    ``entry(lead)`` that ``site`` reads in place of the lead; the scan keeps
+    None. The slots named in ``shared`` hold per-theory constants, which the
+    views sliced by ``without`` and ``tail`` share.
     """
 
     __slots__ = ("theory", "order_key", "leads", "entries")
     shared = ("theory", "order_key")
 
-    def __init__(self, theory, leads, order) -> None:
+    def __init__(self, theory, leads, order, order_key=None) -> None:
         self.theory = theory
-        self.order_key = self.key_for(order)
+        self.order_key = order_key or order.sort_key
         self.leads = list(leads)
         self.entries = list(map(self.entry, self.leads))
 
@@ -213,12 +207,20 @@ class LeadIndex:
         return self._view(self.leads[k:], self.entries[k:])
 
     def first_site(self, m):
+        found = self.site(self.encode(m))
+        return found and (found[0], self.decode_context(found[1]))
+
+    def site(self, m):
         divisions = self.theory.divisions
         for i, lead in enumerate(self.leads):
             ctxs = divisions(m, lead)
             if ctxs:
                 return i, ctxs[0]
         return None
+
+    def encode(self, m):
+        self.theory.check_monomial(m)
+        return m
 
     def encode_all(self, coeffs: dict) -> dict:
         """The dict the loop reduces in place of coeffs: here coeffs itself,
@@ -246,15 +248,8 @@ class LeadIndex:
             coeffs[words.get(w) or decode(w)] = c
 
     @property
-    def site(self):
-        return self.first_site
-
-    @property
     def apply(self):
         return self.theory.apply_context
-
-    def key_for(self, order):
-        return order.sort_key
 
     def weigher(self, weights: dict):
         weight_sum, decode = self.theory.weight_sum, self.decode
@@ -345,21 +340,18 @@ class _PackedIndex(LeadIndex):
     context, so an image is ``context + code``. A monomial whose degree,
     weight sum or exponent reaches 2^31 raises DiamondError on entry. Under
     deglex and weighted-deglex no image can grow past its input; under lex
-    and series orders an image that does raises DiamondError too. ``entry``
-    encodes a monomial."""
+    and series orders an image that does raises DiamondError too."""
 
-    __slots__ = ("entry", "decode", "apply", "guard")
+    __slots__ = ("encode", "decode", "apply", "guard")
     shared = LeadIndex.shared + __slots__
 
     def __init__(self, theory, leads, order) -> None:
         packing = _packing(order.kind, theory.letters, order.generators, order.weights)
-        self.entry, self.decode, self.apply, self.guard, key = packing
-        super().__init__(theory, leads, order)
-        self.order_key = key
+        self.encode, self.decode, self.apply, self.guard, key = packing
+        super().__init__(theory, leads, order, key)
 
-    def first_site(self, m):
-        found = self.site(self.entry(m))
-        return found and (found[0], self.decode(found[1]))
+    def entry(self, lead) -> int:
+        return self.encode(lead)
 
     def site(self, code: int):
         guard = self.guard
@@ -370,7 +362,7 @@ class _PackedIndex(LeadIndex):
         return None
 
     def encode_all(self, coeffs: dict) -> dict:
-        encode = self.entry
+        encode = self.encode
         return {encode(m): c for m, c in coeffs.items()}
 
     def encode_terms(self, terms: tuple) -> tuple:
@@ -389,21 +381,22 @@ def _letter_codes(letters: tuple) -> dict:
 
 
 class _CodedIndex(LeadIndex):
-    """A lead index that keeps the words of its leads encoded one character
-    per letter of ``letters``; ``str.find`` on the encoded word of a
-    monomial gives a lead's leftmost occurrence, the first context
-    ``divisions`` returns. A word with a letter outside the alphabet, which
-    has no code, is scanned."""
+    """A lead index whose ``site`` places the word of each lead with
+    ``str.find``: ``code`` encodes a word one character per letter of
+    ``letters``, the entries hold the leads' encoded words, and the leftmost
+    occurrence in the encoded word of a code gives the first context
+    ``divisions`` returns. Words reduce as their encoded words; mixed
+    monomials and paths are their own codes, whose words ``site`` encodes."""
 
     __slots__ = ("codes",)
     shared = LeadIndex.shared + __slots__
 
-    def __init__(self, theory, leads, order, letters: tuple) -> None:
+    def __init__(self, theory, leads, order, letters: tuple, order_key=None) -> None:
         self.codes = _letter_codes(letters)
-        super().__init__(theory, leads, order)
+        super().__init__(theory, leads, order, order_key)
 
     def code(self, word) -> str:
-        """The encoded word; KeyError for a letter outside the alphabet."""
+        """The encoded word of letters of the alphabet."""
         return "".join(map(self.codes.__getitem__, word))
 
 
@@ -417,10 +410,12 @@ def _code_weigher(codes: dict, weights: dict):
 
 
 @functools.lru_cache(maxsize=256)
-def _weighted_key(order):
-    """The key of a weighted order on word codes; one per order, so that
-    the indexes of equal orders hold equal keys."""
-    weight = _code_weigher(_letter_codes(order.generators), order.int_weights)
+def _weighted_key(generators: tuple, weights: tuple):
+    """The key on word codes of a weighted order with these generators and
+    weights; one per order, so that the indexes of equal orders hold equal
+    keys. The order's fields key the cache, since they hash faster than the
+    order."""
+    weight = _code_weigher(_letter_codes(generators), _weight_table(weights)[1])
     return lambda code: (weight(code), len(code), code)
 
 
@@ -435,28 +430,24 @@ class _WordIndex(_CodedIndex):
     in the order, its position in ``letters``. Codes of equal length then
     compare as the rank tuples do, so ``(len(code), code)`` is the deglex
     key and the weighted kinds lead it with the weight sum over the codes.
-    An encoded context is a (left, right) pair of codes. ``first_site``
-    finds leads as ``site`` does, but slices the public word."""
+    An encoded context is a (left, right) pair of codes."""
 
     __slots__ = ("letters",)
     shared = _CodedIndex.shared + __slots__
 
     def __init__(self, theory, leads, order) -> None:
         self.letters = order.generators
-        super().__init__(theory, leads, order, self.letters)
+        # Words admit no lex order, so the other kinds are weighted.
+        key = _length_first
+        if order.kind is not OrderKind.DEGLEX:
+            key = _weighted_key(self.letters, order.weights)
+        super().__init__(theory, leads, order, self.letters, key)
 
     entry = _CodedIndex.code
 
-    def first_site(self, m):
-        try:
-            code = self.code(m)
-        except KeyError:
-            return LeadIndex.first_site(self, m)
-        for i, word in enumerate(self.entries):
-            k = code.find(word)
-            if k >= 0:
-                return i, (m[:k], m[k + len(word) :])
-        return None
+    def encode(self, m) -> str:
+        self.theory.check_monomial(m)
+        return self.code(m)
 
     def site(self, code: str):
         for i, word in enumerate(self.entries):
@@ -485,10 +476,6 @@ class _WordIndex(_CodedIndex):
     def decode_context(self, ctx: tuple) -> tuple:
         return tuple(map(self.decode, ctx))
 
-    def key_for(self, order):
-        # Words admit no lex order, so the other kinds are weighted.
-        return _length_first if order.kind is OrderKind.DEGLEX else _weighted_key(order)
-
     def weigher(self, weights: dict):
         return _code_weigher(self.codes, weights)
 
@@ -498,24 +485,17 @@ class _MixedIndex(_CodedIndex):
     screens a lead, then ``str.find`` places its word and the exponents are
     compared, since the mask does not decide exponents above 2."""
 
-    __slots__ = ("width",)
-    shared = _CodedIndex.shared + __slots__
+    __slots__ = ()
 
     def __init__(self, theory, leads, order) -> None:
-        self.width = len(theory.commutative_letters)
         super().__init__(theory, leads, order, theory.word_letters)
 
     def entry(self, lead) -> tuple:
         return _divisor_mask(lead[0]), self.code(lead[1])
 
-    def first_site(self, m):
+    def site(self, m):
         exps, w = m
-        if len(exps) != self.width:
-            self.theory.check_monomial(m)
-        try:
-            code = self.code(w)
-        except KeyError:
-            return LeadIndex.first_site(self, m)
+        code = self.code(w)
         outside = ~_divisor_mask(exps)
         for i, (mask, word) in enumerate(self.entries):
             if not mask & outside:
@@ -540,12 +520,9 @@ class _PathIndex(_CodedIndex):
     def entry(self, lead) -> str:
         return self.code(lead[2])
 
-    def first_site(self, m):
+    def site(self, m):
         src, tgt, names = m
-        try:
-            code = self.code(names)
-        except KeyError:
-            return LeadIndex.first_site(self, m)
+        code = self.code(names)
         for i, word in enumerate(self.entries):
             k = code.find(word)
             if k >= 0:
@@ -591,10 +568,6 @@ class Theory(_Value):
 
     def one(self):
         raise DiamondError("%s has no unit monomial" % self.describe())
-
-    def multiply(self, a, b):
-        """Product of two monomials; None when the product vanishes."""
-        raise DiamondError("product is not defined for %s" % self.describe())
 
     def uniform_class(self, m):
         """Class that every monomial of one rule must share; None for all."""

@@ -39,12 +39,6 @@ class WeightData(_Value):
         _set(self, "weight_denominator", den)
         _set(self, "int_weights", ints)
 
-    def weight_of(self, name: str) -> Fraction:
-        for key, value in self.weights:
-            if key == name:
-                return value
-        raise DiamondError("no weight for generator %r" % name)
-
     def exponent(self, monomial) -> Fraction:
         """Weight sum of a monomial, i.e. the base-2 logarithm of its norm."""
         scaled = self.theory.weight_sum(monomial, self.int_weights)

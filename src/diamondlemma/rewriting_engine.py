@@ -291,7 +291,6 @@ def normal_form_with_trail(system, element: Element, max_steps: int = DEFAULT_ST
 def is_irreducible_monomial(system, monomial) -> bool:
     """Decide whether no rule lead divides a monomial of the system's theory;
     one outside it raises TheoryMismatchError."""
-    system.theory.check_monomial(monomial)
     return system.lead_index.first_site(monomial) is None
 
 
@@ -319,9 +318,10 @@ def irr_description(system) -> ForbiddenFactorSet:
 
 def count_irreducible(system, max_degree: int) -> list:
     """Count irreducible monomials per degree from 0 to max_degree."""
-    th, first_site = system.theory, system.lead_index.first_site
+    index = system.lead_index
+    site, encode = index.site, index.encode
     counts = []
     for d in range(max_degree + 1):
-        # The theory's own monomials need no check.
-        counts.append(sum(1 for m in th.monomials_of_degree(d) if first_site(m) is None))
+        monomials = system.theory.monomials_of_degree(d)
+        counts.append(sum(1 for m in monomials if site(encode(m)) is None))
     return counts

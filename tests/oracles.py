@@ -33,7 +33,6 @@ from diamondlemma import (
     StepBudgetExceededError,
     critical_ambiguities,
     drop_redundant,
-    multiply_elements,
     normal_form,
     orient,
     s_polynomial,
@@ -57,6 +56,17 @@ def merge_terms(pairs) -> tuple:
     merged = [(m, c) for m, c in merged if c]
     merged.sort(key=lambda item: repr(item[0]))
     return tuple(merged)
+
+
+def multiply_elements(theory, a: Element, b: Element) -> Element:
+    """Bilinear product of two elements, dropping vanishing monomial products."""
+    out: dict = {}
+    for m1, c1 in a.terms:
+        for m2, c2 in b.terms:
+            m = theory.multiply(m1, m2)
+            if m is not None:
+                _accumulate(out, m, c1 * c2)
+    return Element.from_dict(out)
 
 
 def word_divisions(haystack: tuple, needle: tuple) -> list:
@@ -232,7 +242,7 @@ def reference_reduce_once(system, element: Element):
         return element, None
     m = _pick_greatest(system.order, candidates, {})
     ridx, ctx = site_memo[m]
-    c = element.coefficient_of(m)
+    c = dict(element.terms)[m]
     image = th.apply_context_to_element(ctx, rules[ridx].lower)
     result = element - Element(((m, c),)) + image.scaled(c)
     return result, RewriteStep(ridx, m, ctx, c)

@@ -25,7 +25,6 @@ from diamondlemma import (
     critical_ambiguities,
     drop_redundant,
     ideal_member,
-    multiply_elements,
     normal_form,
     reduce_once,
     resolve,
@@ -39,6 +38,7 @@ from oracles import (
     macaulay_row_space,
     make_commutative_corpus,
     make_word_corpus,
+    multiply_elements,
     one_step_results,
     polynomial_action_vector,
     random_element,

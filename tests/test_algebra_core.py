@@ -137,11 +137,6 @@ class TestElement:
         assert Element.zero().is_zero()
         assert not Element.zero()
 
-    def test_coefficient_of(self):
-        e = elem((("x",), 2), (("y",), -1))
-        assert e.coefficient_of(("x",)) == 2
-        assert e.coefficient_of(("x", "x")) is None
-
     def test_support_is_deterministic(self):
         e = elem((("y",), 1), (("x",), 1))
         assert e.support() == (("x",), ("y",))
@@ -168,12 +163,6 @@ class TestElement:
 
     def test_scaled_by_zero(self):
         assert elem((("x",), 1)).scaled(Fraction(0)).is_zero()
-
-    def test_as_dict_is_fresh(self):
-        e = elem((("x",), 1))
-        d = e.as_dict()
-        d[("y",)] = Fraction(5)
-        assert e.coefficient_of(("y",)) is None
 
 
 class TestMonomialOrder:
@@ -226,14 +215,6 @@ class TestMonomialOrder:
     def test_shipped_kinds_well_founded(self):
         o = MonomialOrder(OrderKind.DEGLEX, self.th, ("x", "y"))
         assert o.is_well_founded()
-
-    def test_weight_of(self):
-        o = MonomialOrder(
-            OrderKind.WEIGHTED_DEGLEX, self.th, ("x", "y"), (("x", Fraction(2)), ("y", Fraction(1)))
-        )
-        assert o.weight_of("x") == 2
-        with pytest.raises(OrderError):
-            o.weight_of("z")
 
     @given(st.lists(st.sampled_from(("x", "y")), max_size=4).map(tuple),
            st.lists(st.sampled_from(("x", "y")), max_size=4).map(tuple))

@@ -30,7 +30,7 @@ texts = [
 ]
 for text in texts:
     before = tracer.layer_metrics()
-    report = diamondlemma.complete(diamondlemma.parse_system(text))
+    report = diamondlemma.complete(diamondlemma.parse_system_file(text).system)
     assert report.status is diamondlemma.CompletionStatus.COMPLETE
     after = tracer.layer_metrics()
     for name in ("completion.pairs_processed", "rewriting_engine.nf_calls"):

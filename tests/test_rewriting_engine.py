@@ -578,6 +578,23 @@ class TestIrreducibleMonomials:
             )
             assert count_irreducible(s, 6)[d] == expect
 
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_counts_against_reference_scan(self, name):
+        th = THEORIES[name]
+        rng = random.Random("count-irreducible-" + name)
+        for order in shipped_orders(th):
+            system = make_random_system(th, order, rng)
+            memo = {}
+            expect = [
+                sum(
+                    1
+                    for m in th.monomials_of_degree(d)
+                    if _reference_site(th, system.rules, m, memo) is None
+                )
+                for d in range(5)
+            ]
+            assert count_irreducible(system, 4) == expect
+
 
 def budget_boundary_agrees(run_engine, run_reference, steps):
     """Both sides pass with exactly ``steps`` steps and fail with one fewer."""
@@ -843,10 +860,46 @@ class TestLeadIndex:
                 ]
             assert index.leads == leads
 
-    def test_word_index_scans_letters_outside_the_alphabet(self):
+    @pytest.mark.parametrize("name", sorted(INDEX_THEORIES))
+    def test_first_site_is_site_of_the_code(self, name):
+        th = INDEX_THEORIES[name]
+        rng = random.Random("lead-index-protocol-" + name)
+        for order in shipped_orders(th):
+            leads = [r.lead for _ in range(3) for r in make_random_system(th, order, rng).rules]
+            index = th.lead_index(leads, order)
+            probes = sorted(site_probes(th, name, order, rng), key=order.sort_key)
+            codes = [index.encode(m) for m in probes]
+            assert [index.decode(code) for code in codes] == probes
+            assert sorted(codes, key=index.order_key) == codes
+            for m, code in zip(probes, codes):
+                found = index.site(code)
+                if found is None:
+                    assert index.first_site(m) is None
+                    continue
+                i, ctx = found
+                assert index.first_site(m) == (i, index.decode_context(ctx))
+                assert index.apply(ctx, index.encode(leads[i])) == code
+            for bad in [("zz",), None, (("x", "y"),)]:
+                with pytest.raises(TheoryMismatchError) as info:
+                    index.encode(bad)
+                assert str(info.value) == "monomial %r does not belong to %s" % (bad, th.describe())
+
+    def test_equal_weighted_orders_share_one_word_key(self):
+        th = THEORIES["assoc"]
+        for k in (2, 3):  # weighted-deglex and series
+            first, second = shipped_orders(th)[k], shipped_orders(th)[k]
+            assert first == second and first is not second
+            assert th.lead_index([], first).order_key is th.lead_index([], second).order_key
+        weighted, series = shipped_orders(th)[2:4]
+        assert th.lead_index([], weighted).order_key is not th.lead_index([], series).order_key
+
+    def test_word_index_refuses_letters_outside_the_alphabet(self):
         index = TH.lead_index([("y", "x"), ("x",)], shipped_orders(TH)[0])
-        assert index.first_site(("z", "y", "x")) == (0, (("z",), ()))
-        assert index.first_site(("z",)) is None
+        for m in [("z", "y", "x"), ("z",)]:
+            with pytest.raises(TheoryMismatchError) as info:
+                index.first_site(m)
+            assert str(info.value) == "monomial %r does not belong to %s" % (m, TH.describe())
+        assert index.first_site(("x", "y", "x")) == (0, (("x",), ()))
 
     def test_mask_needs_the_second_bit(self):
         # x^2 does not divide x*y^2*z^2 although every variable of x^2 occurs.
@@ -883,18 +936,19 @@ class TestLeadIndex:
         )
         assert index.first_site(("2", "2", ())) == (0, (("2", "2", ()), ("2", "2", ())))
 
-    def test_mixed_and_path_indexes_scan_letters_outside_the_alphabet(self):
-        th = THEORIES["mixed"]
-        mixed = th.lead_index([((0,), ("y", "x"))], shipped_orders(th)[0])
-        assert mixed.first_site(((1,), ("z", "y", "x"))) == (0, ((1,), ("z",), ()))
-        assert mixed.first_site(((0,), ("z",))) is None
-        th = THEORIES["path"]
-        path = th.lead_index([("2", "1", ("b",))], shipped_orders(th)[0])
-        assert path.first_site(("1", "1", ("q", "a", "b"))) == (
-            0,
-            (("1", "2", ("q", "a")), ("1", "1", ())),
-        )
-        assert path.first_site(("1", "1", ("q",))) is None
+    def test_mixed_and_path_indexes_refuse_letters_outside_the_alphabet(self):
+        mixed, path = THEORIES["mixed"], THEORIES["path"]
+        cases = [
+            (mixed, ((0,), ("y", "x")), [((1,), ("z", "y", "x")), ((0,), ("z",))]),
+            (path, ("2", "1", ("b",)), [("1", "1", ("q", "a", "b")), ("1", "1", ("q",))]),
+        ]
+        for th, lead, bad in cases:
+            index = th.lead_index([lead], shipped_orders(th)[0])
+            for m in bad:
+                with pytest.raises(TheoryMismatchError) as info:
+                    index.first_site(m)
+                assert str(info.value) == "monomial %r does not belong to %s" % (m, th.describe())
+            assert index.first_site(lead) == (0, th.divisions(lead, lead)[0])
 
 
 def count_calls(monkeypatch, *methods) -> dict:
