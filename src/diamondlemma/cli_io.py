@@ -333,6 +333,9 @@ class _SystemBuilder:
         # Theory declarations by statement; each theory takes the ones it
         # names in header_statements, in field order.
         self.header = {"vars": [], "cvars": [], "vertices": [], "arrow": []}
+        # (statement, line, col) of each header statement read before the
+        # theory statement, checked once that is read.
+        self.early_header: list = []
         self.field = RationalField()
         self.weights: list = []
         self.weights_line = None
@@ -360,6 +363,15 @@ class _SystemBuilder:
             raise ParseError(str(exc), line, col)
         return self.theory
 
+    def _check_header(self, keyword: str, line: int, col: int) -> None:
+        """Refuse a header statement the declared theory does not take."""
+        if self.theory_kind is None:
+            self.early_header.append((keyword, line, col))
+        elif keyword not in THEORIES[self.theory_kind].header_statements:
+            raise ParseError(
+                "theory %s takes no %s statement" % (self.theory_kind, keyword), line, col
+            )
+
     def statement(self, fragment: str, line: int, frag_col: int) -> None:
         stripped = fragment.strip()
         if not stripped:
@@ -367,12 +379,16 @@ class _SystemBuilder:
         col = frag_col + (len(fragment) - len(fragment.lstrip()))
         words = stripped.split()
         keyword = words[0]
+        if keyword in self.header:
+            self._check_header(keyword, line, col)
         if keyword == "theory":
             if self.theory_kind is not None:
                 raise ParseError("duplicate theory statement", line, col)
             if len(words) != 2 or words[1] not in THEORIES:
                 raise ParseError("expected one of: theory %s" % "|".join(THEORIES), line, col)
             self.theory_kind = words[1]
+            for early in self.early_header:
+                self._check_header(*early)
         elif keyword in ("vars", "cvars", "vertices"):
             target = self.header[keyword]
             if target:
@@ -419,10 +435,10 @@ class _SystemBuilder:
             if self.weights_line is None:
                 self.weights_line = (line, col)
         elif keyword == "order":
-            if self.order is not None:
-                raise ParseError("duplicate order statement", line, col)
             if self.rules:
                 raise ParseError("declare the order before rules", line, col)
+            if self.order is not None:
+                raise ParseError("duplicate order statement", line, col)
             if len(words) < 2 or words[1] not in _ORDER_KEYWORDS:
                 raise ParseError(
                     "expected one of: order deglex|weighted-deglex|lex|series", line, col
@@ -783,11 +799,15 @@ def _cmd_irr(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    from .completion import ideal_member
+    from .completion import NotConfluentSystemError, ideal_member
 
     system = _well_founded(_load(args.file).system, "membership")
     element = parse_expression(args.expression, system.theory, system.field)
-    verdict = ideal_member(system, element, args.max_steps)
+    try:
+        verdict = ideal_member(system, element, args.max_steps)
+    except NotConfluentSystemError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     _emit(
         [
             {
@@ -857,11 +877,6 @@ def main(argv=None) -> int:
         return 2
     except (DiamondError, OSError) as exc:
         print(str(exc), file=sys.stderr)
-        # Only completion raises NotConfluentSystemError, so it is loaded
-        # whenever one is caught here.
-        completion = sys.modules.get(__package__ + ".completion")
-        if completion is not None and isinstance(exc, completion.NotConfluentSystemError):
-            return 1
         return 3
 
 

@@ -23,6 +23,7 @@ from .rewriting_engine import (
     StepBudgetExceededError,
     normal_form,
     orient,
+    _raw_lower,
     _well_founded,
 )
 
@@ -137,10 +138,10 @@ class CompletionReport(_Value):
 class _Working:
     """Unvalidated view of a rule list with the attributes the engine reads.
 
-    Its lead index, made with the order, and its lower parts, encoded as in
-    ``RewritingSystem.raw_lowers``, cover the rules it is made with;
-    ``append`` and ``replace`` keep them in step with ``rules``, so one view
-    serves a whole completion. ``without(i)`` slices all three for the view
+    Its lead index, made with the order, and its lower parts in
+    ``_raw_lower`` form cover the rules it is made with; ``append`` and
+    ``replace`` keep them in step with ``rules``, so one view serves a whole
+    completion. ``without(i)`` slices all three for the view
     of the other rules, recomputing nothing, for the drop pass.
     """
 
@@ -152,20 +153,17 @@ class _Working:
         self.field = field
         self.rules = rules
         self.lead_index = theory.lead_index([rule.lead for rule in rules], order)
-        self.raw_lowers = [self._lower(rule) for rule in rules]
-
-    def _lower(self, rule: Rule) -> tuple:
-        return self.lead_index.encode_terms(self.field.raw_terms(rule.lower.terms))
+        self.raw_lowers = [_raw_lower(self, rule) for rule in rules]
 
     def append(self, rule: Rule) -> None:
         self.rules.append(rule)
         self.lead_index.add(rule.lead)
-        self.raw_lowers.append(self._lower(rule))
+        self.raw_lowers.append(_raw_lower(self, rule))
 
     def replace(self, i: int, rule: Rule) -> None:
         """Put a rule with the same lead in place of rule i."""
         self.rules[i] = rule
-        self.raw_lowers[i] = self._lower(rule)
+        self.raw_lowers[i] = _raw_lower(self, rule)
 
     def without(self, i: int) -> "_Working":
         view = _Working.__new__(_Working)

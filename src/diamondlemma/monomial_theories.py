@@ -145,35 +145,27 @@ def _compositions(total: int, parts: int):
 class LeadIndex:
     """Rule leads in rule order, asked which rule reduces a monomial.
 
-    The reduction loop runs on the index's codes of monomials, and every
-    index class speaks one protocol on them. ``encode(m)`` is the code of a
-    monomial, and raises TheoryMismatchError for one outside the theory.
-    ``site(code)``, the one lookup each class defines, gives (lowest rule
-    index whose lead divides the monomial, the first context ``divisions``
-    returns, encoded) or None. ``apply(ctx, code)`` builds an image, None
-    when the product vanishes. ``order_key``, set once on construction,
-    compares codes as the order's ``sort_key`` compares monomials.
-    ``decode`` and ``decode_context`` give the public monomial and context
-    back. ``first_site(m)``, written here once, is ``site(encode(m))`` with
-    its context decoded.
-
-    Around these, ``encode_all(coeffs)`` checks every monomial and gives
-    the dict of codes the loop reduces, ``decode_all(codes, words, coeffs)``
-    refills coeffs from a copy ``encode_all`` made, ``words`` mapping its
-    codes to the monomials of coeffs, ``encode_terms`` encodes a lower part,
-    whose monomials belong, and ``weigher(weights)`` sums weights over a
-    code. Here every monomial is its own code and ``site`` scans
-    ``divisions``; words reduce as rank-coded strings, power products as
-    packed ``int`` codes.
+    An index is the codec of the reduction loop, which runs on its codes of
+    monomials. ``encode(m)`` is the code of a monomial, and raises
+    TheoryMismatchError for one outside the theory; ``decode`` gives the
+    monomial back. ``site(code)``, the one lookup each class defines, gives
+    (lowest rule index whose lead divides the monomial, the first context
+    ``divisions`` returns, encoded) or None, and ``decode_context`` gives
+    that context back. ``apply(ctx, code)`` builds an image, None when the
+    product vanishes. ``order_key``, set once on construction, compares
+    codes as the order's ``sort_key`` compares monomials. ``first_site(m)``
+    is ``site(encode(m))`` with its context decoded, and ``weigher(weights)``
+    sums weights over a code. Here every monomial is its own code and
+    ``site`` scans ``divisions``; words are rank-coded strings, power
+    products packed ``int`` codes.
 
     Leads are only appended. Beside each lead the index keeps the entry
     ``entry(lead)`` that ``site`` reads in place of the lead; the scan keeps
-    None. The slots named in ``shared`` hold per-theory constants, which the
-    views sliced by ``without`` and ``tail`` share.
+    None. The views sliced by ``without`` and ``tail`` share every other
+    slot.
     """
 
     __slots__ = ("theory", "order_key", "leads", "entries")
-    shared = ("theory", "order_key")
 
     def __init__(self, theory, leads, order, order_key=None) -> None:
         self.theory = theory
@@ -190,8 +182,9 @@ class LeadIndex:
 
     def _view(self, leads: list, entries: list) -> "LeadIndex":
         view = object.__new__(type(self))
-        for name in self.shared:
-            setattr(view, name, getattr(self, name))
+        for cls in type(self).__mro__[:-1]:
+            for name in cls.__slots__:
+                setattr(view, name, getattr(self, name))
         view.leads, view.entries = leads, entries
         return view
 
@@ -222,30 +215,11 @@ class LeadIndex:
         self.theory.check_monomial(m)
         return m
 
-    def encode_all(self, coeffs: dict) -> dict:
-        """The dict the loop reduces in place of coeffs: here coeffs itself,
-        once every monomial is checked."""
-        check = self.theory.check_monomial
-        for m in coeffs:
-            check(m)
-        return coeffs
-
-    def encode_terms(self, terms: tuple) -> tuple:
-        """(code, value) pairs of (monomial, value) pairs of the theory."""
-        return terms
-
     def decode(self, code):
         return code
 
     def decode_context(self, ctx):
         return ctx
-
-    def decode_all(self, codes: dict, words: dict, coeffs: dict) -> None:
-        # An input monomial that is left keeps its tuple; the others are decoded.
-        decode = self.decode
-        coeffs.clear()
-        for w, c in codes.items():
-            coeffs[words.get(w) or decode(w)] = c
 
     @property
     def apply(self):
@@ -343,7 +317,6 @@ class _PackedIndex(LeadIndex):
     and series orders an image that does raises DiamondError too."""
 
     __slots__ = ("encode", "decode", "apply", "guard")
-    shared = LeadIndex.shared + __slots__
 
     def __init__(self, theory, leads, order) -> None:
         packing = _packing(order.kind, theory.letters, order.generators, order.weights)
@@ -360,14 +333,6 @@ class _PackedIndex(LeadIndex):
             if not ctx & guard:
                 return i, ctx
         return None
-
-    def encode_all(self, coeffs: dict) -> dict:
-        encode = self.encode
-        return {encode(m): c for m, c in coeffs.items()}
-
-    def encode_terms(self, terms: tuple) -> tuple:
-        encode = self.entry
-        return tuple([(encode(m), c) for m, c in terms])
 
     def decode_context(self, ctx: int) -> tuple:
         return self.decode(ctx)
@@ -389,7 +354,6 @@ class _CodedIndex(LeadIndex):
     monomials and paths are their own codes, whose words ``site`` encodes."""
 
     __slots__ = ("codes",)
-    shared = LeadIndex.shared + __slots__
 
     def __init__(self, theory, leads, order, letters: tuple, order_key=None) -> None:
         self.codes = _letter_codes(letters)
@@ -433,7 +397,6 @@ class _WordIndex(_CodedIndex):
     An encoded context is a (left, right) pair of codes."""
 
     __slots__ = ("letters",)
-    shared = _CodedIndex.shared + __slots__
 
     def __init__(self, theory, leads, order) -> None:
         self.letters = order.generators
@@ -446,8 +409,13 @@ class _WordIndex(_CodedIndex):
     entry = _CodedIndex.code
 
     def encode(self, m) -> str:
+        if isinstance(m, tuple):
+            try:
+                return self.code(m)
+            except (KeyError, TypeError):  # a letter without a code
+                pass
+        # Every letter of the theory has a code, so this raises.
         self.theory.check_monomial(m)
-        return self.code(m)
 
     def site(self, code: str):
         for i, word in enumerate(self.entries):
@@ -457,18 +425,6 @@ class _WordIndex(_CodedIndex):
         return None
 
     apply = staticmethod(_concat)
-
-    def encode_all(self, coeffs: dict) -> dict:
-        code = self.codes.__getitem__
-        try:
-            work = {"".join(map(code, m)): c for m, c in coeffs.items() if isinstance(m, tuple)}
-        except (KeyError, TypeError):  # a letter without a code
-            work = None
-        if work is None or len(work) != len(coeffs):
-            LeadIndex.encode_all(self, coeffs)  # names the first monomial outside
-        return work
-
-    encode_terms = _PackedIndex.encode_terms
 
     def decode(self, code: str) -> tuple:
         return tuple(map(self.letters.__getitem__, map(ord, code)))

@@ -94,10 +94,15 @@ class RewritingSystem(_Value):
 
     @functools.cached_property
     def raw_lowers(self) -> tuple:
-        """Each rule's lower part as (code, raw value) pairs, in rule order:
-        the codes of ``lead_index`` and the field's raw values."""
-        encode, raw = self.lead_index.encode_terms, self.field.raw_terms
-        return tuple(encode(raw(rule.lower.terms)) for rule in self.rules)
+        """Each rule's ``_raw_lower``, in rule order."""
+        return tuple(_raw_lower(self, rule) for rule in self.rules)
+
+
+def _raw_lower(system, rule: Rule) -> tuple:
+    """A rule's lower part as (code, raw value) pairs: the codes of the
+    system's ``lead_index`` and the field's raw values."""
+    encode = system.lead_index.encode
+    return tuple([(encode(m), c) for m, c in system.field.raw_terms(rule.lower.terms)])
 
 
 def _rule_problem(theory, order: MonomialOrder, field, rules, check=None):
@@ -174,26 +179,21 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
     images alike, are dropped. StepBudgetExceededError is raised before step
     ``budget + 1``.
 
-    The loop runs on the codes of the system's ``lead_index``: each monomial
-    of coeffs is encoded once on entry, which raises TheoryMismatchError for
-    one outside the theory (and DiamondError for a power product too large
-    for its code), images are built from the encoded lower parts in
-    ``raw_lowers``, sites are looked up, ordered and passed to ``keep`` as
-    codes, and the terms are decoded once, however the loop ends. Rules map
-    the theory's monomials to the theory's monomials, so images need no
-    check but the one ``apply`` makes that a code still fits. The
-    coefficients are the field's raw values: they are converted
-    on entry, which raises ScalarError for one outside the field, and
-    converted back on exit. ``_step`` decodes a yielded step. A caller that
-    stops early must close the generator before reading coeffs.
+    The loop runs on the codes of the system's ``lead_index`` and the raw
+    values of its field. coeffs is encoded into a fresh dict on entry, which
+    raises TheoryMismatchError for a monomial outside the theory (and
+    DiamondError for a power product too large for its code) and ScalarError
+    for a coefficient outside the field, and refilled with the decoded terms
+    on exit, however the loop ends. Images of the encoded lower parts in
+    ``raw_lowers`` need no check but the one ``apply`` makes that a code
+    still fits. ``_step`` decodes a yielded step. A caller that stops early
+    must close the generator before reading coeffs.
     """
-    field = system.field
-    index, lowers = system.lead_index, system.raw_lowers
+    field, index, lowers = system.field, system.lead_index, system.raw_lowers
     site, apply, key = index.site, index.apply, index.order_key
+    encode, decode = index.encode, index.decode
     p = field.characteristic
-    work = index.encode_all(coeffs)
-    # The input monomial of each code, when encoding copied.
-    words = None if work is coeffs else dict(zip(work, coeffs))
+    work = {encode(m): c for m, c in coeffs.items()}
     if keep is not None:
         for m in [m for m in work if not keep(m)]:
             del work[m]
@@ -218,7 +218,7 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
             if steps >= budget:
                 raise StepBudgetExceededError(
                     "step budget of %d exceeded before rewriting %s"
-                    % (budget, system.theory.serialize(index.decode(m)))
+                    % (budget, system.theory.serialize(decode(m)))
                 )
             ridx, ctx = site_memo[m]
             c = work.pop(m)
@@ -246,9 +246,9 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
             steps += 1
             yield ridx, m, ctx, c
     finally:
-        field.from_raw(work)
-        if words is not None:
-            index.decode_all(work, words, coeffs)
+        coeffs.clear()
+        for m, c in field.from_raw(work).items():
+            coeffs[decode(m)] = c
 
 
 def _step(system, step) -> RewriteStep:

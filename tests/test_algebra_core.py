@@ -90,6 +90,13 @@ class TestPrimeField:
         assert f.coeff(9) == Fp(2, 7)
         assert f.coeff(-1) == Fp(6, 7)
 
+    def test_coeff_of_a_residue(self):
+        f = PrimeField(7)
+        value = Fp(3, 7)
+        assert f.coeff(value) is value
+        with pytest.raises(ScalarError, match="mixed-field scalar arithmetic"):
+            f.coeff(Fp(3, 5))
+
     def test_rejects_composite(self):
         with pytest.raises(ScalarError):
             PrimeField(4)

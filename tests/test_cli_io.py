@@ -194,6 +194,128 @@ class TestParseSystem:
             pytest.fail("expected a ParseError")
 
 
+# (text, message, line, col) of each error a system file can raise, by the
+# statement at fault.
+SYSTEM_FILE_ERRORS = {
+    "theory": [
+        ("vars x\nrule x -> 0", "no theory declared", 2, 1),
+        ("theory ring\nvars x", "expected one of: theory assoc|commutative|mixed|magma|path", 1, 1),
+        ("theory mixed; cvars t\nrule t*t -> t", "theory needs a 'vars' statement", 2, 1),
+        (
+            "theory path; vertices 1; arrow a: 1 -> 2\nrule a -> 0",
+            "arrow a references an unknown vertex",
+            2,
+            1,
+        ),
+    ],
+    "header": [
+        ("theory assoc; vars x; vars y", "duplicate vars statement", 1, 23),
+        ("theory mixed; cvars t; vars x; cvars s", "duplicate cvars statement", 1, 32),
+        ("theory path; vertices 1; vertices 2", "duplicate vertices statement", 1, 26),
+        ("theory assoc; vars x x", "vars needs distinct names", 1, 15),
+        ("theory assoc; vars", "vars needs distinct names", 1, 15),
+        ("theory path; vertices 1 1", "vertices needs distinct names", 1, 14),
+        ("theory path; vertices 1; arrow a 1", "expected: arrow <name> <source> <target>", 1, 26),
+        ("theory path; vertices 1; arrow a: 1 -> 1; arrow a: 1 -> 1", "duplicate arrow 'a'", 1, 43),
+    ],
+    "foreign header": [
+        ("theory assoc; vars x; cvars t", "theory assoc takes no cvars statement", 1, 23),
+        ("theory assoc; vars x; vertices 1 2", "theory assoc takes no vertices statement", 1, 23),
+        ("theory path; vertices 1; arrow a: 1 -> 1; vars q", "theory path takes no vars statement", 1, 43),
+        ("theory magma; vars x; arrow a: 1 -> 1", "theory magma takes no arrow statement", 1, 23),
+        # Read before the theory statement, refused at its own line.
+        ("cvars t\ntheory assoc\nvars x", "theory assoc takes no cvars statement", 1, 1),
+    ],
+    "field": [
+        ("theory assoc; vars x; field 7 11", "expected: field rational | field <prime>", 1, 23),
+        ("theory assoc; vars x; field real", "expected: field rational | field <prime>", 1, 23),
+        ("theory assoc; vars x; field 8", "field characteristic 8 is not prime", 1, 23),
+        (
+            "theory assoc; vars x; field 18446744073709551629",
+            "field characteristic must be a machine-word prime",
+            1,
+            23,
+        ),
+    ],
+    "weights": [
+        ("theory assoc; vars x; weights", "weights needs name:value entries", 1, 23),
+        ("theory assoc; vars x; weights x", "weight entries look like x:-1", 1, 23),
+        ("theory assoc; vars x; weights :1", "weight entries look like x:-1", 1, 23),
+        ("theory assoc; vars x; weights x:1 x:2", "duplicate weight for 'x'", 1, 23),
+        ("theory assoc; vars x; weights x:one", "bad weight value 'one'", 1, 23),
+        ("theory assoc; vars x; weights x:1/0", "bad weight value '1/0'", 1, 23),
+        ("theory assoc; vars x y; weights x:1", "weights must cover the generators exactly", 1, 25),
+    ],
+    "order": [
+        ("theory assoc; vars x; order deglex; order deglex", "duplicate order statement", 1, 37),
+        (
+            "theory assoc; vars x y; rule y*x -> x*y; order deglex",
+            "declare the order before rules",
+            1,
+            42,
+        ),
+        (
+            "theory assoc; vars x; order revlex",
+            "expected one of: order deglex|weighted-deglex|lex|series",
+            1,
+            23,
+        ),
+        ("theory assoc; vars x y; order deglex x<z", "generator list does not match the theory", 1, 25),
+        (
+            "theory assoc; vars x y; order lex",
+            "lex is only well-founded for the commutative theory",
+            1,
+            25,
+        ),
+        (
+            "theory assoc; vars x y; weights x:-1 y:1; order weighted-deglex",
+            "weighted-deglex requires positive weights",
+            1,
+            43,
+        ),
+        (
+            "theory assoc; vars x y; weights x:1; order weighted-deglex",
+            "weight vector does not cover the generators",
+            1,
+            38,
+        ),
+        ("theory assoc; vars x y; order series", "declare weights before a weighted order", 1, 25),
+    ],
+    "rule": [
+        ("theory assoc; vars x; rule x x", "a rule looks like: rule <lead> -> <element>", 1, 23),
+    ],
+}
+
+
+class TestSystemFileErrors:
+    @pytest.mark.parametrize(
+        "text, message, line, col",
+        [case for cases in SYSTEM_FILE_ERRORS.values() for case in cases],
+    )
+    def test_message_and_position(self, text, message, line, col):
+        with pytest.raises(ParseError) as info:
+            parse_system_file(text)
+        assert str(info.value) == "line %d, col %d: %s" % (line, col, message)
+        assert (info.value.line, info.value.col) == (line, col)
+
+    @pytest.mark.parametrize("group", sorted(SYSTEM_FILE_ERRORS))
+    def test_check_exits_3_with_one_line(self, group, tmp_path, capsys):
+        path = tmp_path / "bad.sys"
+        for text, message, line, col in SYSTEM_FILE_ERRORS[group]:
+            path.write_text(text, encoding="utf-8")
+            assert main(["check", str(path)]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "line %d, col %d: %s\n" % (line, col, message)
+
+    @pytest.mark.parametrize("word", ["rational", "QQ"])
+    def test_field_rational(self, word):
+        text = "theory assoc; vars x y; field 7; field %s; rule y*x -> x*y + 1/2" % word
+        s = parse_system_file(text).system
+        assert s.field == RationalField()
+        assert dict(s.rules[0].lower.terms)[()] == Fraction(1, 2)
+
+
 class TestParseExpression:
     def setup_method(self):
         self.th = FreeMonoidTheory(("x", "y"))

@@ -496,6 +496,16 @@ class TestDropRedundant:
         assert len(trimmed.rules) == 2
         assert dropped == ()
 
+    def test_rule_kept_when_its_defining_element_exhausts_the_budget(self):
+        # x*y*x*y - z*z needs two steps to reach zero, so one step keeps it.
+        s = parse_system_file("theory assoc; vars x y z; rule x*y -> z; rule x*y*x*y -> z*z").system
+        trimmed, dropped = drop_redundant(s, max_steps=1)
+        assert trimmed.rules == s.rules
+        assert dropped == ()
+        trimmed, dropped = drop_redundant(s)
+        assert trimmed.rules == s.rules[:1]
+        assert [rule for rule, _ in dropped] == [s.rules[1]]
+
     def test_normal_forms_unchanged_after_drop(self):
         s = RewritingSystem(
             COMM_TH,

@@ -163,6 +163,16 @@ class TestTruncatedNormalForm:
         with pytest.raises(SeriesAdmissionError):
             truncated_normal_form(s, W1, elem1((2, 1)), 3)
 
+    def test_order_weights_unlike_the_norm_weights_refused(self):
+        # Admitted under x:-2, but the order descends by x:-1.
+        other = WeightData(TH1, (("x", -2),))
+        assert check_equicontinuity(geometric(), other).admitted
+        with pytest.raises(SeriesAdmissionError) as info:
+            truncated_normal_form(geometric(), other, elem1((1, 1)), 3)
+        assert str(info.value) == (
+            "descending chains not certified: order weights differ from the norm weights"
+        )
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_precision_coherent_representatives(self, n):
         th = FreeMonoidTheory(("x", "y"))
