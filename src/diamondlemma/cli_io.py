@@ -330,9 +330,13 @@ class _SystemBuilder:
 
     def __init__(self) -> None:
         self.theory_kind = None
+        # (line, col) of the theory statement, where finish reports a theory
+        # it cannot build.
+        self.theory_at = (1, 1)
         # Theory declarations by statement; each theory takes the ones it
         # names in header_statements, in field order.
         self.header = {"vars": [], "cvars": [], "vertices": [], "arrow": []}
+        self.arrow_at: list = []  # (line, col) of each arrow statement
         # (statement, line, col) of each header statement read before the
         # theory statement, checked once that is read.
         self.early_header: list = []
@@ -357,10 +361,11 @@ class _SystemBuilder:
         for statement in cls.header_statements:
             if not self.header[statement]:
                 raise ParseError("theory needs a %r statement" % statement, line, col)
-        try:
-            self.theory = cls(*(tuple(self.header[s]) for s in cls.header_statements))
-        except DiamondError as exc:
-            raise ParseError(str(exc), line, col)
+        vertices = self.header["vertices"]
+        for (name, src, tgt), at in zip(self.header["arrow"], self.arrow_at):
+            if src not in vertices or tgt not in vertices:
+                raise ParseError("arrow %s references an unknown vertex" % name, *at)
+        self.theory = cls(*(tuple(self.header[s]) for s in cls.header_statements))
         return self.theory
 
     def _check_header(self, keyword: str, line: int, col: int) -> None:
@@ -387,6 +392,7 @@ class _SystemBuilder:
             if len(words) != 2 or words[1] not in THEORIES:
                 raise ParseError("expected one of: theory %s" % "|".join(THEORIES), line, col)
             self.theory_kind = words[1]
+            self.theory_at = (line, col)
             for early in self.early_header:
                 self._check_header(*early)
         elif keyword in ("vars", "cvars", "vertices"):
@@ -406,6 +412,7 @@ class _SystemBuilder:
             if any(name == existing for existing, _, _ in self.header["arrow"]):
                 raise ParseError("duplicate arrow %r" % name, line, col)
             self.header["arrow"].append((name, parts[1], parts[2]))
+            self.arrow_at.append((line, col))
         elif keyword == "field":
             if len(words) != 2:
                 raise ParseError("expected: field rational | field <prime>", line, col)
@@ -501,7 +508,7 @@ class _SystemBuilder:
 
     def finish(self) -> SystemFile:
         if self.order is None:
-            self._default_order(1, 1)
+            self._default_order(*self.theory_at)
         # Rules read under another field are validated again, as a whole.
         build = RewritingSystem if self.field_after_rules else RewritingSystem._of_checked_rules
         system = build(self.theory, self.order, tuple(self.rules), self.field)

@@ -141,11 +141,13 @@ class _Working:
     Its lead index, made with the order, and its lower parts in
     ``_raw_lower`` form cover the rules it is made with; ``append`` and
     ``replace`` keep them in step with ``rules``, so one view serves a whole
-    completion. ``without(i)`` slices all three for the view
-    of the other rules, recomputing nothing, for the drop pass.
+    completion. Its ``site_memo`` serves every reduction of that completion,
+    since leads are only appended and a replaced rule keeps its lead.
+    ``without(i)`` slices all three for the view of the other rules,
+    recomputing nothing, for the drop pass, and gives it a fresh memo.
     """
 
-    __slots__ = ("theory", "order", "field", "rules", "raw_lowers", "lead_index")
+    __slots__ = ("theory", "order", "field", "rules", "raw_lowers", "lead_index", "site_memo")
 
     def __init__(self, theory, order, field, rules: list) -> None:
         self.theory = theory
@@ -154,6 +156,7 @@ class _Working:
         self.rules = rules
         self.lead_index = theory.lead_index([rule.lead for rule in rules], order)
         self.raw_lowers = [_raw_lower(self, rule) for rule in rules]
+        self.site_memo = {}
 
     def append(self, rule: Rule) -> None:
         self.rules.append(rule)
@@ -171,6 +174,7 @@ class _Working:
         view.rules = self.rules[:i] + self.rules[i + 1 :]
         view.raw_lowers = self.raw_lowers[:i] + self.raw_lowers[i + 1 :]
         view.lead_index = self.lead_index.without(i)
+        view.site_memo = {}
         return view
 
 
@@ -187,14 +191,15 @@ def _interreduce(work: _Working, max_steps: int, since: int = 0) -> None:
 
     Rules before ``since`` were interreduced already. Leads never change, so
     their lower parts are still irreducible unless a monomial is divisible by
-    a lead from ``since`` on, which the working index's tail from ``since``
-    tells from the encoded lower parts; the other rules are skipped, which
-    leaves the result unchanged.
+    a lead from ``since`` on, which ``site(code, since)`` of the working
+    index tells from the encoded lower parts; the other rules are skipped,
+    which leaves the result unchanged. Each renormalization reads and fills
+    the working memo, which outlives this call.
     """
     rules, lowers = work.rules, work.raw_lowers
-    site = work.lead_index.tail(since).site
+    site = work.lead_index.site
     for i in range(len(rules)):
-        if i < since and not any(site(m) for m, _ in lowers[i]):
+        if i < since and not any(site(m, since) for m, _ in lowers[i]):
             continue
         # A lead divides no monomial below it, so rule i never fires here.
         lower = normal_form(work, rules[i].lower, max_steps)

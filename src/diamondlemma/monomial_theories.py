@@ -148,8 +148,9 @@ class LeadIndex:
     An index is the codec of the reduction loop, which runs on its codes of
     monomials. ``encode(m)`` is the code of a monomial, and raises
     TheoryMismatchError for one outside the theory; ``decode`` gives the
-    monomial back. ``site(code)``, the one lookup each class defines, gives
-    (lowest rule index whose lead divides the monomial, the first context
+    monomial back. ``site(code, start=0)``, the one lookup each class
+    defines, scans the leads from rule ``start`` on and gives (lowest such
+    rule index whose lead divides the monomial, the first context
     ``divisions`` returns, encoded) or None, and ``decode_context`` gives
     that context back. ``apply(ctx, code)`` builds an image, None when the
     product vanishes. ``order_key``, set once on construction, compares
@@ -159,10 +160,11 @@ class LeadIndex:
     ``site`` scans ``divisions``; words are rank-coded strings, power
     products packed ``int`` codes.
 
-    Leads are only appended. Beside each lead the index keeps the entry
-    ``entry(lead)`` that ``site`` reads in place of the lead; the scan keeps
-    None. The views sliced by ``without`` and ``tail`` share every other
-    slot.
+    Leads are only appended, so a site found stays the site, and a scan
+    that found none resumes at the first lead added since; a scan from 0,
+    the common case, copies no list. Beside each lead the index keeps the
+    entry ``entry(lead)`` that ``site`` reads in place of the lead; the scan
+    keeps None. The view sliced by ``without`` shares every other slot.
     """
 
     __slots__ = ("theory", "order_key", "leads", "entries")
@@ -180,32 +182,23 @@ class LeadIndex:
         self.leads.append(lead)
         self.entries.append(self.entry(lead))
 
-    def _view(self, leads: list, entries: list) -> "LeadIndex":
+    def without(self, i: int) -> "LeadIndex":
+        """The index over every lead but the i-th, sliced from this one."""
         view = object.__new__(type(self))
         for cls in type(self).__mro__[:-1]:
             for name in cls.__slots__:
                 setattr(view, name, getattr(self, name))
-        view.leads, view.entries = leads, entries
+        view.leads = self.leads[:i] + self.leads[i + 1 :]
+        view.entries = self.entries[:i] + self.entries[i + 1 :]
         return view
-
-    def without(self, i: int) -> "LeadIndex":
-        """The index over every lead but the i-th, sliced from this one."""
-        return self._view(
-            self.leads[:i] + self.leads[i + 1 :], self.entries[:i] + self.entries[i + 1 :]
-        )
-
-    def tail(self, k: int) -> "LeadIndex":
-        """The index over the leads from the k-th on, sliced from this one;
-        its rule index 0 is rule k."""
-        return self._view(self.leads[k:], self.entries[k:])
 
     def first_site(self, m):
         found = self.site(self.encode(m))
         return found and (found[0], self.decode_context(found[1]))
 
-    def site(self, m):
+    def site(self, m, start=0):
         divisions = self.theory.divisions
-        for i, lead in enumerate(self.leads):
+        for i, lead in enumerate(self.leads[start:] if start else self.leads, start):
             ctxs = divisions(m, lead)
             if ctxs:
                 return i, ctxs[0]
@@ -326,9 +319,9 @@ class _PackedIndex(LeadIndex):
     def entry(self, lead) -> int:
         return self.encode(lead)
 
-    def site(self, code: int):
+    def site(self, code: int, start=0):
         guard = self.guard
-        for i, lead in enumerate(self.entries):
+        for i, lead in enumerate(self.entries[start:] if start else self.entries, start):
             ctx = code - lead
             if not ctx & guard:
                 return i, ctx
@@ -417,8 +410,8 @@ class _WordIndex(_CodedIndex):
         # Every letter of the theory has a code, so this raises.
         self.theory.check_monomial(m)
 
-    def site(self, code: str):
-        for i, word in enumerate(self.entries):
+    def site(self, code: str, start=0):
+        for i, word in enumerate(self.entries[start:] if start else self.entries, start):
             k = code.find(word)
             if k >= 0:
                 return i, (code[:k], code[k + len(word) :])
@@ -449,11 +442,11 @@ class _MixedIndex(_CodedIndex):
     def entry(self, lead) -> tuple:
         return _divisor_mask(lead[0]), self.code(lead[1])
 
-    def site(self, m):
+    def site(self, m, start=0):
         exps, w = m
         code = self.code(w)
         outside = ~_divisor_mask(exps)
-        for i, (mask, word) in enumerate(self.entries):
+        for i, (mask, word) in enumerate(self.entries[start:] if start else self.entries, start):
             if not mask & outside:
                 k = code.find(word)
                 if k >= 0:
@@ -476,10 +469,10 @@ class _PathIndex(_CodedIndex):
     def entry(self, lead) -> str:
         return self.code(lead[2])
 
-    def site(self, m):
+    def site(self, m, start=0):
         src, tgt, names = m
         code = self.code(names)
-        for i, word in enumerate(self.entries):
+        for i, word in enumerate(self.entries[start:] if start else self.entries, start):
             k = code.find(word)
             if k >= 0:
                 if word:

@@ -97,6 +97,12 @@ class RewritingSystem(_Value):
         """Each rule's ``_raw_lower``, in rule order."""
         return tuple(_raw_lower(self, rule) for rule in self.rules)
 
+    @property
+    def site_memo(self) -> dict:
+        """A fresh ``_rewrites`` memo for each reduction, so that a system
+        keeps none."""
+        return {}
+
 
 def _raw_lower(system, rule: Rule) -> tuple:
     """A rule's lower part as (code, raw value) pairs: the codes of the
@@ -188,10 +194,17 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
     ``raw_lowers`` need no check but the one ``apply`` makes that a code
     still fits. ``_step`` decodes a yielded step. A caller that stops early
     must close the generator before reading coeffs.
+
+    Site lookups go through ``system.site_memo``, which maps a code to its
+    ``site``, or to the number of leads ``site`` found no divisor among.
+    Leads are only appended, so a system whose rules grow may keep one memo
+    across reductions: a site stays the answer and a count tells ``site``
+    where to resume. ``RewritingSystem`` gives a fresh memo to each.
     """
     field, index, lowers = system.field, system.lead_index, system.raw_lowers
     site, apply, key = index.site, index.apply, index.order_key
     encode, decode = index.encode, index.decode
+    memo, n = system.site_memo, len(index.leads)
     p = field.characteristic
     work = {encode(m): c for m, c in coeffs.items()}
     if keep is not None:
@@ -199,13 +212,13 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
             del work[m]
     field.into_raw(work)
     try:
-        # (rule index, encoded context) or None by code, for every code seen.
-        site_memo: dict = {}
         queued = set()
         heap = []
         for m in work:
-            found = site_memo[m] = site(m)
-            if found:
+            found = memo.get(m, 0)
+            if found.__class__ is int and found < n:
+                found = memo[m] = site(m, found) or n
+            if found.__class__ is not int:
                 queued.add(m)
                 heap.append(_Queued((key(m), m)))
         heapq.heapify(heap)
@@ -220,7 +233,7 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
                     "step budget of %d exceeded before rewriting %s"
                     % (budget, system.theory.serialize(decode(m)))
                 )
-            ridx, ctx = site_memo[m]
+            ridx, ctx = memo[m]
             c = work.pop(m)
             for mm, cc in lowers[ridx]:
                 image = apply(ctx, mm)
@@ -235,10 +248,10 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
                 if s:
                     work[image] = s
                     if prev is None and image not in queued:
-                        found = site_memo.get(image, 0)
-                        if found == 0:
-                            found = site_memo[image] = site(image)
-                        if found:
+                        found = memo.get(image, 0)
+                        if found.__class__ is int and found < n:
+                            found = memo[image] = site(image, found) or n
+                        if found.__class__ is not int:
                             heapq.heappush(heap, _Queued((key(image), image)))
                             queued.add(image)
                 elif prev is not None:

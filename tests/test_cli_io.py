@@ -201,12 +201,16 @@ SYSTEM_FILE_ERRORS = {
         ("vars x\nrule x -> 0", "no theory declared", 2, 1),
         ("theory ring\nvars x", "expected one of: theory assoc|commutative|mixed|magma|path", 1, 1),
         ("theory mixed; cvars t\nrule t*t -> t", "theory needs a 'vars' statement", 2, 1),
+        # A theory that cannot be built is reported at the statement at
+        # fault, or at the theory statement when only the end needs it.
         (
             "theory path; vertices 1; arrow a: 1 -> 2\nrule a -> 0",
             "arrow a references an unknown vertex",
-            2,
             1,
+            26,
         ),
+        ("theory path\nvertices 1\narrow a: 1 -> 2", "arrow a references an unknown vertex", 3, 1),
+        ("# c\ntheory mixed\ncvars t", "theory needs a 'vars' statement", 2, 1),
     ],
     "header": [
         ("theory assoc; vars x; vars y", "duplicate vars statement", 1, 23),

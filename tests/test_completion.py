@@ -412,6 +412,47 @@ class TestAgainstReference:
                     for lower in selective.raw_lowers
                 ] == [rule.lower.terms for rule in full.rules]
 
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_working_memo_survives_appended_rules(self, name):
+        """One ``site_memo`` serves every reduction through a growing
+        ``_Working``: normal forms match a system built afresh, each hit is
+        the site a fresh scan finds and each miss count n is a prefix of
+        leads none of which divides the code."""
+        th = THEORIES[name]
+        rng = random.Random("working-memo-" + name)
+        for order in [o for o in shipped_orders(th) if o.is_well_founded()]:
+            for _ in range(4):
+                rules = [r for _ in range(3) for r in make_random_system(th, order, rng).rules]
+                work = _Working(th, order, QQ, rules[:1])
+                memo = work.site_memo
+                for k in range(1, len(rules) + 1):
+                    if k > 1:
+                        work.append(rules[k - 1])
+                    assert work.site_memo is memo
+                    fresh = RewritingSystem._of_checked_rules(th, order, tuple(rules[:k]), QQ)
+                    for _ in range(4):
+                        element = random_element(th, order, rng, 4, max_terms=4)
+                        got = normal_form(work, element, 20_000)
+                        assert got == normal_form(fresh, element, 20_000)
+                    index = work.lead_index
+                    for code, found in memo.items():
+                        if isinstance(found, int):
+                            assert found <= k
+                            hit = index.site(code)
+                            assert hit is None or hit[0] >= found
+                        else:
+                            assert found == index.site(code)
+                assert memo
+                assert work.without(0).site_memo == {}
+
+    def test_rewriting_system_keeps_no_memo(self):
+        s = parse_system_file("theory assoc; vars x y; rule y*x -> x*y + 1").system
+        element = parse_expression("y^3*x^3", s.theory, s.field)
+        assert normal_form(s, element) == normal_form(s, element)
+        assert s.site_memo == {}
+        assert s.site_memo is not s.site_memo
+        assert "site_memo" not in vars(s)
+
     def test_interreduction_with_two_rules_sharing_a_lead(self):
         s = parse_system_file(
             "theory assoc; vars x y; rule y*x -> x*x + y; rule y*x -> x*y; rule y -> x"

@@ -884,6 +884,29 @@ class TestLeadIndex:
                     index.encode(bad)
                 assert str(info.value) == "monomial %r does not belong to %s" % (bad, th.describe())
 
+    @pytest.mark.parametrize("name", sorted(INDEX_THEORIES))
+    def test_site_from_start_scans_the_later_leads(self, name):
+        """``site(code, k)`` is the scan of leads k.. with absolute rule
+        indexes: what the memo of ``_rewrites`` resumes with."""
+        th = INDEX_THEORIES[name]
+        rng = random.Random("lead-index-start-" + name)
+        for order in shipped_orders(th):
+            rules = [r for _ in range(3) for r in make_random_system(th, order, rng).rules]
+            index = th.lead_index([rule.lead for rule in rules], order)
+            for m in site_probes(th, name, order, rng):
+                code = index.encode(m)
+                assert index.site(code, 0) == index.site(code)
+                for k in (0, 1, len(rules)):
+                    found = index.site(code, k)
+                    want = _reference_site(th, rules[k:], m, {})
+                    if want is None:
+                        assert found is None
+                    else:
+                        assert (found[0], index.decode_context(found[1])) == (
+                            want[0] + k,
+                            want[1],
+                        )
+
     def test_equal_weighted_orders_share_one_word_key(self):
         th = THEORIES["assoc"]
         for k in (2, 3):  # weighted-deglex and series
