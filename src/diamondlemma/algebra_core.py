@@ -74,9 +74,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
-    """Decide primality deterministically for machine-word sized integers."""
-    if n < 2:
-        return False
+    """Decide primality deterministically for machine-word sized n >= 2."""
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p

@@ -36,16 +36,15 @@ class Ambiguity(_Value):
 
 
 def _make_ambiguity(i, j, datum) -> Ambiguity:
-    ctx1, ctx2, inner = datum.ctx1, datum.ctx2, datum.inner
-    if (j, repr(ctx2)) < (i, repr(ctx1)):
-        i, ctx1, j, ctx2 = j, ctx2, i, ctx1
-        if inner is not None:
-            inner = 3 - inner
-    return Ambiguity(i, ctx1, j, ctx2, datum.superposition, datum.kind, inner)
+    # Callers pass i <= j, and a self-pair has no inclusion but the identity.
+    ctx1, ctx2 = datum.ctx1, datum.ctx2
+    if i == j and repr(ctx2) < repr(ctx1):
+        ctx1, ctx2 = ctx2, ctx1
+    return Ambiguity(i, ctx1, j, ctx2, datum.superposition, datum.kind, datum.inner)
 
 
 def _pair_ambiguities(theory, i, lead_i, j, lead_j) -> list:
-    """Enumerate the minimal ambiguities of one ordered rule pair."""
+    """Enumerate the minimal ambiguities of one rule pair, i <= j."""
     out = []
     for datum in theory.overlaps(lead_i, lead_j):
         if i == j and datum.ctx1 == datum.ctx2:

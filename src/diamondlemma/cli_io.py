@@ -346,15 +346,12 @@ class _SystemBuilder:
         self.order = None
         self.theory = None
         self.rules: list = []
-        self.rule_lines: list = []
         # True once a field statement follows a rule: the rules read before
         # it hold values of the field they were read in, so finish
         # validates them again.
         self.field_after_rules = False
 
     def _require_theory(self, line: int, col: int):
-        if self.theory is not None:
-            return self.theory
         if self.theory_kind is None:
             raise ParseError("no theory declared", line, col)
         cls = THEORIES[self.theory_kind]
@@ -419,9 +416,13 @@ class _SystemBuilder:
             self.field_after_rules = bool(self.rules)
             if words[1] in ("rational", "QQ"):
                 self.field = RationalField()
-            elif words[1].isdigit():
+            elif words[1].isdecimal():
                 try:
-                    self.field = PrimeField(int(words[1]))
+                    p = int(words[1])
+                except ValueError:  # more digits than int reads, so no machine word
+                    p = 0
+                try:
+                    self.field = PrimeField(p)
                 except ScalarError as exc:
                     raise ParseError(str(exc), line, col)
             else:
@@ -435,7 +436,11 @@ class _SystemBuilder:
                     raise ParseError("weight entries look like x:-1", line, col)
                 if any(name == seen for seen, _ in self.weights):
                     raise ParseError("duplicate weight for %r" % name, line, col)
+                # Fraction builds 10^e for a decimal exponent e.
+                _, e, exponent = value.lower().partition("e")
                 try:
+                    if e and abs(int(exponent)) > MAX_EXPONENT:
+                        raise ValueError(value)
                     self.weights.append((name, Fraction(value)))
                 except (ValueError, ZeroDivisionError):
                     raise ParseError("bad weight value %r" % value, line, col)
@@ -495,7 +500,6 @@ class _SystemBuilder:
             if problem is not None:
                 raise ParseError(problem[1], line, col)
             self.rules.append(rule)
-            self.rule_lines.append((line, col))
         else:
             raise ParseError("unknown statement %r" % keyword, line, col)
 
@@ -521,19 +525,6 @@ class _SystemBuilder:
                 weight_data = WeightData(self.theory, tuple(self.weights))
             except DiamondError as exc:
                 raise ParseError(str(exc), w_line, w_col)
-        if self.order.kind is OrderKind.SERIES_DEGLEX:
-            from .power_series import check_equicontinuity
-
-            report = check_equicontinuity(system, weight_data)
-            if not report.admitted:
-                index, lower_exp, lead_exp = report.failures[0]
-                r_line, r_col = self.rule_lines[index]
-                raise ParseError(
-                    "inadmissible series rule: lower part has norm exponent %s, "
-                    "lead only %s" % (lower_exp, lead_exp),
-                    r_line,
-                    r_col,
-                )
         return SystemFile(system, weight_data)
 
 
@@ -630,7 +621,10 @@ def _emit(records: list, args) -> None:
 
 def _load(path: str) -> SystemFile:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_system_file(handle.read())
+        try:
+            return parse_system_file(handle.read())
+        except UnicodeDecodeError as exc:
+            raise DiamondError("cannot read %s: %s" % (path, exc))
 
 
 def _cmd_check(args) -> int:

@@ -152,34 +152,34 @@ class LeadIndex:
     defines, scans the leads from rule ``start`` on and gives (lowest such
     rule index whose lead divides the monomial, the first context
     ``divisions`` returns, encoded) or None, and ``decode_context`` gives
-    that context back. ``apply(ctx, code)`` builds an image, None when the
-    product vanishes. ``order_key``, set once on construction, compares
-    codes as the order's ``sort_key`` compares monomials. ``first_site(m)``
-    is ``site(encode(m))`` with its context decoded, and ``weigher(weights)``
+    that context back. ``apply(ctx, code)`` builds an image; at a rule's
+    site each code of its lower part has one, as rules are uniform.
+    ``order_key``, set once on construction, compares codes as the order's
+    ``sort_key`` compares monomials. ``first_site(m)`` is
+    ``site(encode(m))`` with its context decoded, and ``weigher(weights)``
     sums weights over a code. Here every monomial is its own code and
     ``site`` scans ``divisions``; words are rank-coded strings, power
     products packed ``int`` codes.
 
     Leads are only appended, so a site found stays the site, and a scan
     that found none resumes at the first lead added since; a scan from 0,
-    the common case, copies no list. Beside each lead the index keeps the
-    entry ``entry(lead)`` that ``site`` reads in place of the lead; the scan
-    keeps None. The view sliced by ``without`` shares every other slot.
+    the common case, copies no list. The index keeps one list, the entry
+    ``entry(lead)`` of each lead, which holds what ``site`` reads of it;
+    the scan reads the lead itself. The view sliced by ``without`` shares
+    every other slot.
     """
 
-    __slots__ = ("theory", "order_key", "leads", "entries")
+    __slots__ = ("theory", "order_key", "entries")
 
     def __init__(self, theory, leads, order, order_key=None) -> None:
         self.theory = theory
         self.order_key = order_key or order.sort_key
-        self.leads = list(leads)
-        self.entries = list(map(self.entry, self.leads))
+        self.entries = list(map(self.entry, leads))
 
     def entry(self, lead):
-        return None
+        return lead
 
     def add(self, lead) -> None:
-        self.leads.append(lead)
         self.entries.append(self.entry(lead))
 
     def without(self, i: int) -> "LeadIndex":
@@ -188,7 +188,6 @@ class LeadIndex:
         for cls in type(self).__mro__[:-1]:
             for name in cls.__slots__:
                 setattr(view, name, getattr(self, name))
-        view.leads = self.leads[:i] + self.leads[i + 1 :]
         view.entries = self.entries[:i] + self.entries[i + 1 :]
         return view
 
@@ -198,7 +197,7 @@ class LeadIndex:
 
     def site(self, m, start=0):
         divisions = self.theory.divisions
-        for i, lead in enumerate(self.leads[start:] if start else self.leads, start):
+        for i, lead in enumerate(self.entries[start:] if start else self.entries, start):
             ctxs = divisions(m, lead)
             if ctxs:
                 return i, ctxs[0]
@@ -440,19 +439,18 @@ class _MixedIndex(_CodedIndex):
         super().__init__(theory, leads, order, theory.word_letters)
 
     def entry(self, lead) -> tuple:
-        return _divisor_mask(lead[0]), self.code(lead[1])
+        return _divisor_mask(lead[0]), self.code(lead[1]), lead[0]
 
     def site(self, m, start=0):
         exps, w = m
         code = self.code(w)
         outside = ~_divisor_mask(exps)
-        for i, (mask, word) in enumerate(self.entries[start:] if start else self.entries, start):
+        entries = self.entries[start:] if start else self.entries
+        for i, (mask, word, lead_exps) in enumerate(entries, start):
             if not mask & outside:
                 k = code.find(word)
-                if k >= 0:
-                    lead_exps = self.leads[i][0]
-                    if _exp_le(lead_exps, exps):
-                        return i, (_exp_sub(exps, lead_exps), w[:k], w[k + len(word) :])
+                if k >= 0 and _exp_le(lead_exps, exps):
+                    return i, (_exp_sub(exps, lead_exps), w[:k], w[k + len(word) :])
         return None
 
 
@@ -466,20 +464,19 @@ class _PathIndex(_CodedIndex):
     def __init__(self, theory, leads, order) -> None:
         super().__init__(theory, leads, order, theory.generator_names())
 
-    def entry(self, lead) -> str:
-        return self.code(lead[2])
+    def entry(self, lead) -> tuple:
+        return self.code(lead[2]), lead
 
     def site(self, m, start=0):
         src, tgt, names = m
         code = self.code(names)
-        for i, word in enumerate(self.entries[start:] if start else self.entries, start):
+        for i, (word, lead) in enumerate(self.entries[start:] if start else self.entries, start):
             k = code.find(word)
             if k >= 0:
                 if word:
-                    lead_src, lead_tgt, _ = self.leads[i]
                     right = names[k + len(word) :]
-                    return i, ((src, lead_src, names[:k]), (lead_tgt, tgt, right))
-                ctxs = self.theory.divisions(m, self.leads[i])
+                    return i, ((src, lead[0], names[:k]), (lead[1], tgt, right))
+                ctxs = self.theory.divisions(m, lead)
                 if ctxs:
                     return i, ctxs[0]
         return None

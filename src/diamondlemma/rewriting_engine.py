@@ -165,8 +165,8 @@ def orient(order: MonomialOrder, element: Element) -> Rule:
 class _Queued(tuple):
     """An (order key, code) heap entry; heapq's min-heap pops the greatest key.
 
-    Order keys are injective, so entries never tie and codes, which need not
-    be comparable, are never compared.
+    Order keys are injective, so equal entries hold one code; the stale one
+    is skipped. Codes, which need not be comparable, are never compared.
     """
 
     __slots__ = ()
@@ -180,10 +180,11 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
     Strategy: rewrite the P-greatest reducible support monomial, using the
     lowest rule index and the first canonical context, which the system's
     ``lead_index`` finds. A max-heap holds every reducible support monomial,
-    so a step costs its images, not a rescan; entries whose coefficient
-    cancelled are skipped when popped. Monomials failing ``keep``, input and
-    images alike, are dropped. StepBudgetExceededError is raised before step
-    ``budget + 1``.
+    so a step costs its images, not a rescan; an entry whose monomial left
+    the support is skipped when popped. A popped code never comes back, as
+    images lie below it and pops descend. Monomials failing ``keep``, input
+    and images alike, are dropped. StepBudgetExceededError is raised before
+    step ``budget + 1``.
 
     The loop runs on the codes of the system's ``lead_index`` and the raw
     values of its field. coeffs is encoded into a fresh dict on entry, which
@@ -192,8 +193,9 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
     for a coefficient outside the field, and refilled with the decoded terms
     on exit, however the loop ends. Images of the encoded lower parts in
     ``raw_lowers`` need no check but the one ``apply`` makes that a code
-    still fits. ``_step`` decodes a yielded step. A caller that stops early
-    must close the generator before reading coeffs.
+    still fits; rules are uniform, so no image vanishes. ``_step`` decodes
+    a yielded step. A caller that stops early must close the generator
+    before reading coeffs.
 
     Site lookups go through ``system.site_memo``, which maps a code to its
     ``site``, or to the number of leads ``site`` found no divisor among.
@@ -204,7 +206,7 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
     field, index, lowers = system.field, system.lead_index, system.raw_lowers
     site, apply, key = index.site, index.apply, index.order_key
     encode, decode = index.encode, index.decode
-    memo, n = system.site_memo, len(index.leads)
+    memo, n = system.site_memo, len(index.entries)
     p = field.characteristic
     work = {encode(m): c for m, c in coeffs.items()}
     if keep is not None:
@@ -212,20 +214,17 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
             del work[m]
     field.into_raw(work)
     try:
-        queued = set()
         heap = []
         for m in work:
             found = memo.get(m, 0)
             if found.__class__ is int and found < n:
                 found = memo[m] = site(m, found) or n
             if found.__class__ is not int:
-                queued.add(m)
                 heap.append(_Queued((key(m), m)))
         heapq.heapify(heap)
         steps = 0
         while heap:
             m = heapq.heappop(heap)[1]
-            queued.discard(m)
             if m not in work:
                 continue
             if steps >= budget:
@@ -237,8 +236,6 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
             c = work.pop(m)
             for mm, cc in lowers[ridx]:
                 image = apply(ctx, mm)
-                if image is None:
-                    continue
                 if keep is not None and not keep(image):
                     continue
                 prev = work.get(image)
@@ -247,13 +244,12 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
                     s %= p
                 if s:
                     work[image] = s
-                    if prev is None and image not in queued:
+                    if prev is None:
                         found = memo.get(image, 0)
                         if found.__class__ is int and found < n:
                             found = memo[image] = site(image, found) or n
                         if found.__class__ is not int:
                             heapq.heappush(heap, _Queued((key(image), image)))
-                            queued.add(image)
                 elif prev is not None:
                     del work[image]
             steps += 1

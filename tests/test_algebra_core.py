@@ -112,6 +112,16 @@ class TestPrimeField:
     def test_large_prime_ok(self):
         PrimeField((1 << 61) - 1)
 
+    @pytest.mark.parametrize("n", [2501, 3215031751])
+    def test_miller_rabin_rejects_composites_without_small_factors(self, n):
+        # 2501 = 41 * 61; 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7.
+        with pytest.raises(ScalarError, match="field characteristic %d is not prime" % n):
+            PrimeField(n)
+
+    @pytest.mark.parametrize("p", [998244353, 9223372036854775783])
+    def test_miller_rabin_accepts_primes(self, p):
+        assert PrimeField(p).p == p
+
     @given(st.integers(0, 6), st.integers(0, 6))
     def test_arithmetic_matches_int_mod(self, a, b):
         p = 7

@@ -240,6 +240,13 @@ SYSTEM_FILE_ERRORS = {
             1,
             23,
         ),
+        ("theory assoc; vars x; field \u00b2", "expected: field rational | field <prime>", 1, 23),
+        (
+            "theory assoc; vars x; field " + "7" * 5000,
+            "field characteristic must be a machine-word prime",
+            1,
+            23,
+        ),
     ],
     "weights": [
         ("theory assoc; vars x; weights", "weights needs name:value entries", 1, 23),
@@ -248,6 +255,7 @@ SYSTEM_FILE_ERRORS = {
         ("theory assoc; vars x; weights x:1 x:2", "duplicate weight for 'x'", 1, 23),
         ("theory assoc; vars x; weights x:one", "bad weight value 'one'", 1, 23),
         ("theory assoc; vars x; weights x:1/0", "bad weight value '1/0'", 1, 23),
+        ("theory assoc; vars x; weights x:1e5000", "bad weight value '1e5000'", 1, 23),
         ("theory assoc; vars x y; weights x:1", "weights must cover the generators exactly", 1, 25),
     ],
     "order": [
@@ -311,6 +319,33 @@ class TestSystemFileErrors:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == "line %d, col %d: %s\n" % (line, col, message)
+
+    def test_check_of_a_file_not_utf8_exits_3_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.sys"
+        path.write_bytes(b"theory assoc; vars x  # \xff\xfe\n")
+        assert main(["check", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cannot read %s: " % path)
+        assert err.count("\n") == 1
+
+    def test_field_numeral_of_another_script(self):
+        system = parse_system_file("theory assoc; vars x; field \u0667").system
+        assert system.field == PrimeField(7)
+
+    @pytest.mark.parametrize(
+        "value, weight",
+        [
+            ("3", 3),
+            ("-3/4", Fraction(-3, 4)),
+            ("2.5", Fraction(5, 2)),
+            ("-1.5e3", -1500),
+            ("1E-1000", Fraction(1, 10**1000)),
+        ],
+    )
+    def test_weight_values(self, value, weight):
+        weights = parse_system_file("theory assoc; vars x; weights x:" + value).weight_data
+        assert weights.weights == (("x", weight),)
 
     @pytest.mark.parametrize("word", ["rational", "QQ"])
     def test_field_rational(self, word):

@@ -1,5 +1,6 @@
 """Weighted norms and precision-truncated reduction."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ from diamondlemma import (
     parse_system_file,
     truncated_normal_form,
 )
+
+from oracles import THEORIES, make_random_system
 
 TH1 = FreeMonoidTheory(("x",))
 W1 = WeightData(TH1, (("x", -1),))
@@ -235,3 +238,22 @@ class TestForeignWeights:
         with pytest.raises(TheoryMismatchError) as info:
             truncated_normal_form(s, wd, e, 3)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(THEORIES))
+def test_series_rules_are_equicontinuous(name):
+    """A rule's lower part lies below its lead under a series order, whose
+    key leads with the weight sum, so no lower part outweighs its lead under
+    the order's weights: a system that builds is admitted."""
+    th = THEORIES[name]
+    rng = random.Random("series-equicontinuity-" + name)
+    gens = list(th.generator_names())
+    rules = 0
+    for _ in range(60):
+        rng.shuffle(gens)
+        weights = tuple((g, Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for g in gens)
+        order = MonomialOrder(OrderKind.SERIES_DEGLEX, th, tuple(gens), weights)
+        system = make_random_system(th, order, rng)
+        assert check_equicontinuity(system, WeightData(th, order.weights)).admitted
+        rules += len(system.rules)
+    assert rules > 100

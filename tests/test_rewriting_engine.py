@@ -470,6 +470,22 @@ class TestNormalForm:
             )
         assert replay == nf
 
+    def test_cancelled_monomial_added_back_is_rewritten_once(self):
+        """p -> -m cancels the queued m, and q -> m adds it back before it is
+        popped: m is rewritten once, by its one live heap entry."""
+        system = parse_system_file(
+            "theory assoc; vars r m q p; order deglex r<m<q<p\n"
+            "rule p -> -m; rule q -> m; rule m -> r"
+        ).system
+        e = parse_expression("p + q + m", system.theory, system.field)
+        nf, trail = normal_form_with_trail(system, e)
+        assert nf == elem((("r",), 1))
+        assert [(step.rule_index, step.monomial) for step in trail] == [
+            (0, ("p",)),
+            (1, ("q",)),
+            (2, ("m",)),
+        ]
+
     def test_trail_empty_for_irreducible(self):
         nf, trail = normal_form_with_trail(weyl(), elem((("x",), 1)))
         assert trail == ()
@@ -858,7 +874,27 @@ class TestLeadIndex:
                 assert [view.first_site(m) for m in probes] == [
                     fresh.first_site(m) for m in probes
                 ]
-            assert index.leads == leads
+            assert index.entries == th.lead_index(leads, order).entries
+
+    @pytest.mark.parametrize("name", ["path", "path-names"])
+    def test_path_images_never_vanish(self, name):
+        """Rules are uniform, so at every site ``apply`` gives an image of
+        each code of the rule's lower part, which ``_rewrites`` relies on."""
+        th = INDEX_THEORIES[name]
+        rng = random.Random("path-images-" + name)
+        monomials = [m for d in range(6) for m in th.monomials_of_degree(d)]
+        images = 0
+        for order in shipped_orders(th):
+            for _ in range(20):
+                system = make_random_system(th, order, rng)
+                index = system.lead_index
+                for m in monomials:
+                    found = index.site(index.encode(m))
+                    if found is not None:
+                        for code, _ in system.raw_lowers[found[0]]:
+                            assert index.apply(found[1], code) is not None
+                            images += 1
+        assert images > 1000
 
     @pytest.mark.parametrize("name", sorted(INDEX_THEORIES))
     def test_first_site_is_site_of_the_code(self, name):
