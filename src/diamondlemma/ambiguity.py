@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra_core import Element, _set, _Value
-from .monomial_theories import OverlapKind
+from .algebra_core import Element, _Value
 from .rewriting_engine import DEFAULT_STEP_BUDGET, normal_form_with_trail
 
 
@@ -15,24 +14,7 @@ class Ambiguity(_Value):
     """
 
     _fields = ("rule1", "ctx1", "rule2", "ctx2", "superposition", "kind", "inner")
-
-    def __init__(
-        self,
-        rule1: int,
-        ctx1,
-        rule2: int,
-        ctx2,
-        superposition,
-        kind: OverlapKind,
-        inner: int | None = None,
-    ) -> None:
-        _set(self, "rule1", rule1)
-        _set(self, "ctx1", ctx1)
-        _set(self, "rule2", rule2)
-        _set(self, "ctx2", ctx2)
-        _set(self, "superposition", superposition)
-        _set(self, "kind", kind)
-        _set(self, "inner", inner)
+    _defaults = {"inner": None}
 
 
 def _make_ambiguity(i, j, datum) -> Ambiguity:
@@ -88,14 +70,6 @@ class ResolutionCertificate(_Value):
     """Outcome of reducing an ambiguity's s-polynomial to normal form."""
 
     _fields = ("ambiguity", "resolved", "remainder", "trail")
-
-    def __init__(
-        self, ambiguity: Ambiguity, resolved: bool, remainder: Element, trail: tuple
-    ) -> None:
-        _set(self, "ambiguity", ambiguity)
-        _set(self, "resolved", resolved)
-        _set(self, "remainder", remainder)
-        _set(self, "trail", trail)
 
 
 def resolve(system, amb: Ambiguity, max_steps: int = DEFAULT_STEP_BUDGET) -> ResolutionCertificate:

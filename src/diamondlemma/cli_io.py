@@ -23,7 +23,6 @@ from .algebra_core import (
     RationalField,
     ScalarError,
     _accumulate,
-    _set,
     _Value,
 )
 from .monomial_theories import THEORIES, OverlapKind
@@ -31,6 +30,7 @@ from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
     RewritingSystem,
     Rule,
+    RuleError,
     StepBudgetExceededError,
     count_irreducible,
     irr_description,
@@ -304,10 +304,6 @@ class SystemFile(_Value):
 
     _fields = ("system", "weight_data")
 
-    def __init__(self, system: RewritingSystem, weight_data: WeightData | None) -> None:
-        _set(self, "system", system)
-        _set(self, "weight_data", weight_data)
-
 
 _ORDER_KEYWORDS = {
     "deglex": OrderKind.DEGLEX,
@@ -346,10 +342,6 @@ class _SystemBuilder:
         self.order = None
         self.theory = None
         self.rules: list = []
-        # True once a field statement follows a rule: the rules read before
-        # it hold values of the field they were read in, so finish
-        # validates them again.
-        self.field_after_rules = False
 
     def _require_theory(self, line: int, col: int):
         if self.theory_kind is None:
@@ -413,7 +405,6 @@ class _SystemBuilder:
         elif keyword == "field":
             if len(words) != 2:
                 raise ParseError("expected: field rational | field <prime>", line, col)
-            self.field_after_rules = bool(self.rules)
             if words[1] in ("rational", "QQ"):
                 self.field = RationalField()
             elif words[1].isdecimal():
@@ -427,6 +418,10 @@ class _SystemBuilder:
                     raise ParseError(str(exc), line, col)
             else:
                 raise ParseError("expected: field rational | field <prime>", line, col)
+            # The rules read so far hold values of the field they were read in.
+            problem = _rule_problem(self.theory, self.order, self.field, self.rules)
+            if problem is not None:
+                raise RuleError("rule %d: %s" % problem)
         elif keyword == "weights":
             if len(words) < 2:
                 raise ParseError("weights needs name:value entries", line, col)
@@ -513,9 +508,9 @@ class _SystemBuilder:
     def finish(self) -> SystemFile:
         if self.order is None:
             self._default_order(*self.theory_at)
-        # Rules read under another field are validated again, as a whole.
-        build = RewritingSystem if self.field_after_rules else RewritingSystem._of_checked_rules
-        system = build(self.theory, self.order, tuple(self.rules), self.field)
+        system = RewritingSystem._of_checked_rules(
+            self.theory, self.order, tuple(self.rules), self.field
+        )
         weight_data = None
         if self.weights:
             from .power_series import WeightData

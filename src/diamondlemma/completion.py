@@ -7,10 +7,8 @@ import heapq
 import itertools
 from enum import Enum
 
-from .algebra_core import DiamondError, Element, _set, _Value
+from .algebra_core import DiamondError, Element, _Value
 from .ambiguity import (
-    Ambiguity,
-    ResolutionCertificate,
     _pair_ambiguities,
     critical_ambiguities,
     resolve,
@@ -42,18 +40,7 @@ class ConfluenceVerdict(_Value):
     """
 
     _fields = ("status", "checked", "witness", "stopped_at")
-
-    def __init__(
-        self,
-        status: ConfluenceStatus,
-        checked: int,
-        witness: ResolutionCertificate | None = None,
-        stopped_at: Ambiguity | None = None,
-    ) -> None:
-        _set(self, "status", status)
-        _set(self, "checked", checked)
-        _set(self, "witness", witness)
-        _set(self, "stopped_at", stopped_at)
+    _defaults = {"witness": None, "stopped_at": None}
 
     def stop_point(self, theory) -> str:
         """Say where an inconclusive check stopped."""
@@ -76,11 +63,11 @@ def check_confluence(system, max_steps: int = DEFAULT_STEP_BUDGET) -> Confluence
         try:
             cert = resolve(system, amb, max_steps)
         except StepBudgetExceededError:
-            return ConfluenceVerdict(ConfluenceStatus.INCONCLUSIVE, checked, stopped_at=amb)
+            return ConfluenceVerdict(ConfluenceStatus.INCONCLUSIVE, checked, None, amb)
         checked += 1
         if not cert.resolved:
-            return ConfluenceVerdict(ConfluenceStatus.NOT_CONFLUENT, checked, cert)
-    return ConfluenceVerdict(ConfluenceStatus.CONFLUENT, checked)
+            return ConfluenceVerdict(ConfluenceStatus.NOT_CONFLUENT, checked, cert, None)
+    return ConfluenceVerdict(ConfluenceStatus.CONFLUENT, checked, None, None)
 
 
 class CompletionStatus(Enum):
@@ -93,10 +80,6 @@ class AddedRule(_Value):
     """A rule created during completion plus the ambiguity that forced it."""
 
     _fields = ("rule", "source")
-
-    def __init__(self, rule: Rule, source) -> None:
-        _set(self, "rule", rule)
-        _set(self, "source", source)
 
 
 class CompletionReport(_Value):
@@ -115,24 +98,6 @@ class CompletionReport(_Value):
         "pairs_skipped",
         "pairs_filtered",
     )
-
-    def __init__(
-        self,
-        status: CompletionStatus,
-        system: RewritingSystem,
-        added: tuple,
-        dropped: tuple,
-        pairs_processed: int,
-        pairs_skipped: int,
-        pairs_filtered: int,
-    ) -> None:
-        _set(self, "status", status)
-        _set(self, "system", system)
-        _set(self, "added", added)
-        _set(self, "dropped", dropped)
-        _set(self, "pairs_processed", pairs_processed)
-        _set(self, "pairs_skipped", pairs_skipped)
-        _set(self, "pairs_filtered", pairs_filtered)
 
 
 class _Working:

@@ -37,15 +37,7 @@ class OverlapDatum(_Value):
     """
 
     _fields = ("superposition", "ctx1", "ctx2", "kind", "inner")
-
-    def __init__(
-        self, superposition, ctx1, ctx2, kind: OverlapKind, inner: int | None = None
-    ) -> None:
-        _set(self, "superposition", superposition)
-        _set(self, "ctx1", ctx1)
-        _set(self, "ctx2", ctx2)
-        _set(self, "kind", kind)
-        _set(self, "inner", inner)
+    _defaults = {"inner": None}
 
 
 def _exp_gcd(a: tuple, b: tuple) -> tuple:
@@ -569,7 +561,7 @@ class FreeMonoidTheory(Theory):
     index_class = _WordIndex
 
     def __init__(self, letters: tuple) -> None:
-        _set(self, "letters", letters)
+        _Value.__init__(self, letters)
         # For validation; no field, so equality, hashing and repr ignore it.
         _set(self, "letter_set", frozenset(letters))
 
@@ -632,9 +624,6 @@ class CommutativeTheory(Theory):
     keyword = "commutative"
     irr_semantics = "divisor"
     index_class = _PackedIndex
-
-    def __init__(self, letters: tuple) -> None:
-        _set(self, "letters", letters)
 
     def describe(self) -> str:
         return "commutative(%s)" % ",".join(self.letters)
@@ -752,8 +741,7 @@ class MixedTheory(Theory):
     index_class = _MixedIndex
 
     def __init__(self, commutative_letters: tuple, word_letters: tuple) -> None:
-        _set(self, "commutative_letters", commutative_letters)
-        _set(self, "word_letters", word_letters)
+        _Value.__init__(self, commutative_letters, word_letters)
         # For validation; no field, so equality, hashing and repr ignore it.
         _set(self, "letter_set", frozenset(word_letters))
 
@@ -923,9 +911,6 @@ class FreeMagmaTheory(Theory):
     irr_semantics = "divisor"
     associative = False
 
-    def __init__(self, letters: tuple) -> None:
-        _set(self, "letters", letters)
-
     def describe(self) -> str:
         return "magma(%s)" % ",".join(self.letters)
 
@@ -984,14 +969,14 @@ class FreeMagmaTheory(Theory):
         data = []
         if mu1 == mu2:
             ident = _HOLE
-            data.append(OverlapDatum(mu1, ident, ident, OverlapKind.INCLUSION, inner=2))
+            data.append(OverlapDatum(mu1, ident, ident, OverlapKind.INCLUSION, 2))
             return data
         if self.degree(mu2) < self.degree(mu1):
             for ctx in self.divisions(mu1, mu2):
-                data.append(OverlapDatum(mu1, _HOLE, ctx, OverlapKind.INCLUSION, inner=2))
+                data.append(OverlapDatum(mu1, _HOLE, ctx, OverlapKind.INCLUSION, 2))
         elif self.degree(mu1) < self.degree(mu2):
             for ctx in self.divisions(mu2, mu1):
-                data.append(OverlapDatum(mu2, ctx, _HOLE, OverlapKind.INCLUSION, inner=1))
+                data.append(OverlapDatum(mu2, ctx, _HOLE, OverlapKind.INCLUSION, 1))
         return data
 
     def monomials_of_degree(self, d):
@@ -1015,8 +1000,7 @@ class PathAlgebraTheory(Theory):
     index_class = _PathIndex
 
     def __init__(self, vertices: tuple, arrows: tuple) -> None:
-        _set(self, "vertices", vertices)
-        _set(self, "arrows", arrows)
+        _Value.__init__(self, vertices, arrows)
         # (source, target) by arrow name, the first arrow of a name winning;
         # no field, so equality, hashing and repr ignore it.
         endpoints: dict = {}

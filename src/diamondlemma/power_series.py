@@ -34,8 +34,7 @@ class WeightData(_Value):
             raise DiamondError("weights must cover the generators exactly")
         converted = tuple((name, Fraction(value)) for name, value in weights)
         den, ints = _weight_table(converted)
-        _set(self, "theory", theory)
-        _set(self, "weights", converted)
+        _Value.__init__(self, theory, converted)
         _set(self, "weight_denominator", den)
         _set(self, "int_weights", ints)
 
@@ -61,10 +60,6 @@ class EquicontinuityReport(_Value):
 
     _fields = ("admitted", "failures")
 
-    def __init__(self, admitted: bool, failures: tuple) -> None:
-        _set(self, "admitted", admitted)
-        _set(self, "failures", failures)
-
 
 def check_equicontinuity(system, weight_data: WeightData) -> EquicontinuityReport:
     """Admit a system when no rule's lower part outweighs its lead; weights
@@ -88,10 +83,6 @@ class TdccReport(_Value):
 
     _fields = ("certified", "reason")
 
-    def __init__(self, certified: bool, reason: str) -> None:
-        _set(self, "certified", certified)
-        _set(self, "reason", reason)
-
 
 def check_tdcc(order, weight_data: WeightData) -> TdccReport:
     """Certify descending chain termination from the order's structure."""
@@ -110,11 +101,6 @@ class SeriesNormalForm(_Value):
     """Truncated normal form plus the precision it is valid to."""
 
     _fields = ("representative", "precision", "truncated")
-
-    def __init__(self, representative: Element, precision: int, truncated: bool) -> None:
-        _set(self, "representative", representative)
-        _set(self, "precision", precision)
-        _set(self, "truncated", truncated)
 
 
 def truncated_normal_form(

@@ -6,7 +6,7 @@ import functools
 import heapq
 from fractions import Fraction
 
-from .algebra_core import DiamondError, Element, MonomialOrder, RationalField, _set, _Value
+from .algebra_core import DiamondError, Element, MonomialOrder, RationalField, _Value
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -28,21 +28,11 @@ class Rule(_Value):
 
     _fields = ("lead", "lower")
 
-    def __init__(self, lead, lower: Element) -> None:
-        _set(self, "lead", lead)
-        _set(self, "lower", lower)
-
 
 class RewriteStep(_Value):
     """One applied reduction: which rule, at which monomial, in which context."""
 
     _fields = ("rule_index", "monomial", "context", "coefficient")
-
-    def __init__(self, rule_index: int, monomial, context, coefficient) -> None:
-        _set(self, "rule_index", rule_index)
-        _set(self, "monomial", monomial)
-        _set(self, "context", context)
-        _set(self, "coefficient", coefficient)
 
 
 class RewritingSystem(_Value):
@@ -60,10 +50,7 @@ class RewritingSystem(_Value):
     _fields = ("theory", "order", "rules", "field")
 
     def __init__(self, theory, order: MonomialOrder, rules: tuple, field=RationalField()) -> None:
-        _set(self, "theory", theory)
-        _set(self, "order", order)
-        _set(self, "rules", rules)
-        _set(self, "field", field)
+        _Value.__init__(self, theory, order, rules, field)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -80,10 +67,7 @@ class RewritingSystem(_Value):
         of which ``_rule_problem`` passed, under an order of the theory;
         nothing is checked again."""
         system = object.__new__(cls)
-        _set(system, "theory", theory)
-        _set(system, "order", order)
-        _set(system, "rules", rules)
-        _set(system, "field", field)
+        _Value.__init__(system, theory, order, rules, field)
         return system
 
     @functools.cached_property
@@ -313,10 +297,6 @@ class ForbiddenFactorSet(_Value):
 
     _fields = ("semantics", "leads")
 
-    def __init__(self, semantics: str, leads: tuple) -> None:
-        _set(self, "semantics", semantics)
-        _set(self, "leads", leads)
-
 
 def irr_description(system) -> ForbiddenFactorSet:
     """Describe the irreducible monomials by their forbidden lead set."""
@@ -326,11 +306,25 @@ def irr_description(system) -> ForbiddenFactorSet:
 
 
 def count_irreducible(system, max_degree: int) -> list:
-    """Count irreducible monomials per degree from 0 to max_degree."""
-    index = system.lead_index
+    """Count irreducible monomials per degree from 0 to max_degree.
+
+    Past degree 1 only products of irreducible monomials are tested, since
+    every factor of an irreducible monomial is irreducible. In an
+    associative theory a monomial of degree d is u*g for a u of degree d-1
+    and a g of degree 1: its last letter or arrow, or a variable it is
+    divisible by. A tree of degree d is the product of its two subtrees.
+    """
+    th, index = system.theory, system.lead_index
     site, encode = index.site, index.encode
-    counts = []
+    layers = []  # the irreducible monomials of each degree so far
     for d in range(max_degree + 1):
-        monomials = system.theory.monomials_of_degree(d)
-        counts.append(sum(1 for m in monomials if site(encode(m)) is None))
-    return counts
+        if d < 2:
+            candidates = th.monomials_of_degree(d)
+        elif th.associative:
+            candidates = {th.multiply(u, g) for u in layers[d - 1] for g in layers[1]}
+        else:
+            candidates = {
+                th.multiply(a, b) for k in range(1, d) for a in layers[k] for b in layers[d - k]
+            }
+        layers.append([m for m in candidates if m is not None and site(encode(m)) is None])
+    return list(map(len, layers))

@@ -500,6 +500,43 @@ def macaulay_member(space: RowSpace, element: Element) -> bool:
     return space.contains({m: c for m, c in element.terms})
 
 
+def irr_dependence(system, max_degree: int) -> int:
+    """dim(V ∩ span Irr(S)) for V the span of the products a*g*b of degree
+    at most max_degree, over rules g = lead - lower and monomials a, b.
+
+    V lies in the ideal, so by the diamond lemma a confluent system gives 0;
+    a positive value refutes confluence. It is rank V minus the rank of V
+    projected onto the reducible monomials, which ``all_sites`` decides.
+    Products ``multiply`` refuses are skipped; rationals only.
+    """
+    th, rules = system.theory, system.rules
+    by_degree = [list(th.monomials_of_degree(d)) for d in range(max_degree + 1)]
+    space, projected = RowSpace(), RowSpace()
+    seen = set()
+    for rule in rules:
+        g = ((rule.lead, Fraction(1)),) + tuple((m, -c) for m, c in rule.lower.terms)
+        room = max_degree - max(th.degree(m) for m, _ in g)
+        for da in range(room + 1):
+            for db in range(room - da + 1):
+                for a in by_degree[da]:
+                    for b in by_degree[db]:
+                        row = {}
+                        for m, c in g:
+                            p = th.multiply(a, m)
+                            p = None if p is None else th.multiply(p, b)
+                            if p is not None:
+                                row[p] = row.get(p, Fraction(0)) + c
+                        key = frozenset(row.items())
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        space.add({k: v for k, v in row.items() if v})
+                        projected.add(
+                            {k: v for k, v in row.items() if v and all_sites(th, rules, k)}
+                        )
+    return space.rank() - projected.rank()
+
+
 _COEFFS = (
     Fraction(1),
     Fraction(-1),

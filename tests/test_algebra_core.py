@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from diamondlemma import (
     CommutativeTheory,
+    ConfluenceStatus,
+    ConfluenceVerdict,
     Element,
     Fp,
     FreeMonoidTheory,
@@ -15,9 +17,19 @@ from diamondlemma import (
     OrderKind,
     PrimeField,
     RationalField,
+    Rule,
     ScalarError,
     WeightData,
+    check_confluence,
+    check_equicontinuity,
+    check_tdcc,
+    complete,
+    irr_description,
+    parse_expression,
+    parse_system_file,
+    truncated_normal_form,
 )
+from diamondlemma.algebra_core import _Value
 
 from oracles import THEORIES, merge_terms, reference_rank_encoding, reference_weight_sum
 
@@ -71,6 +83,92 @@ class TestValueTypes:
     def test_other_classes_with_equal_fields_differ(self):
         assert FreeMonoidTheory(("x",)) != CommutativeTheory(("x",))
         assert Fp(value=3, p=7) == Fp(3, 7)
+
+
+# One system per theory whose check finds a witness and whose completion
+# adds rules, with weights for a truncated normal form.
+RUN_SYSTEMS = (
+    "theory assoc; vars x y; weights x:1 y:2; rule y*x -> x*y + x; rule y*y -> x",
+    "theory commutative; vars x y; weights x:1 y:1; rule x^2 -> y; rule x*y -> 1",
+    "theory mixed; cvars t; vars x y; weights t:1 x:1 y:1; rule y*x -> x*y + t; rule t*x*x -> y",
+    "theory magma; vars x y; weights x:1 y:1; rule ((x*x)*x) -> y; rule (x*x) -> x",
+    "theory path; vertices 1 2; arrow a: 1 -> 2; arrow b: 2 -> 1; weights a:1 b:1; "
+    "rule a*b -> e1; rule b*a*b -> 2*b",
+)
+
+
+def run_values() -> list:
+    """Every value reachable from one parse, check_confluence, complete,
+    truncated_normal_form and irr_description run per theory, plus the
+    admission reports and overlaps that the runs use."""
+    roots = []
+    for text in RUN_SYSTEMS:
+        sf = parse_system_file(text)
+        s, weights = sf.system, sf.weight_data
+        lead = s.rules[0].lead
+        roots += [sf, check_confluence(s), complete(s, 6, 20), irr_description(s)]
+        roots += [check_equicontinuity(s, weights), check_tdcc(s.order, weights)]
+        roots += [s.theory.overlaps(lead, lead)]
+        element = parse_expression(s.theory.serialize(lead), s.theory, s.field)
+        roots.append(truncated_normal_form(s, weights, element, 3))
+    found: dict = {}
+
+    def visit(value) -> None:
+        if isinstance(value, _Value):
+            if id(value) not in found:
+                found[id(value)] = value
+                for field in value._values(value):
+                    visit(field)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                visit(item)
+
+    visit(roots)
+    return list(found.values())
+
+
+class TestValueConstructor:
+    """``_Value(*values, **named)`` stores the fields by position or by name."""
+
+    def test_run_values_rebuild_by_position_and_by_name(self):
+        values = run_values()
+        for value in values:
+            fields = value._values(value)
+            assert type(value)(*fields) == value
+            assert type(value)(**dict(zip(value._fields, fields))) == value
+        names = {type(value).__name__ for value in values}
+        assert names >= {
+            "OverlapDatum", "CommutativeTheory", "FreeMagmaTheory", "Rule", "RewriteStep",
+            "ForbiddenFactorSet", "Ambiguity", "ResolutionCertificate", "ConfluenceVerdict",
+            "AddedRule", "CompletionReport", "EquicontinuityReport", "TdccReport",
+            "SeriesNormalForm", "SystemFile",
+        }
+
+    def test_defaults_fill_left_out_fields(self):
+        verdict = ConfluenceVerdict(ConfluenceStatus.CONFLUENT, 3)
+        assert verdict == ConfluenceVerdict(ConfluenceStatus.CONFLUENT, 3, None, None)
+        assert verdict.witness is None and verdict.stopped_at is None
+
+    @pytest.mark.parametrize(
+        "values, named",
+        [
+            (((),), {}),  # missing
+            (((), Element(())), {"weight": 1}),  # unknown
+            (((), Element(())), {"lead": ()}),  # repeated
+            (((), Element(()), 1), {}),  # extra
+        ],
+        ids=["missing", "unknown", "repeated", "extra"],
+    )
+    def test_wrong_fields_raise_type_error(self, values, named):
+        with pytest.raises(TypeError, match=r"Rule takes the fields \(lead, lower\)"):
+            Rule(*values, **named)
+
+    def test_built_values_cannot_change(self):
+        rule = Rule(lower=Element(()), lead=())
+        with pytest.raises(AttributeError):
+            rule.lead = ("x",)
+        with pytest.raises(AttributeError):
+            rule.cache = None
 
 
 class TestRationalField:

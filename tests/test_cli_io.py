@@ -134,6 +134,13 @@ class TestParseSystem:
         s = parse_system_file(text).system
         assert dict(s.rules[0].lower.terms)[()] == Fp(1, 7)
 
+    def test_field_after_rules_is_checked_at_its_statement(self):
+        # The unknown statement after it is never read.
+        with pytest.raises(RuleError, match="rule 0: coefficient 1/2 of 1"):
+            parse_system_file("theory assoc; vars x; rule x^2 -> 1/2; field 7; bogus")
+        with pytest.raises(RuleError, match="rule 1: coefficient 1/2 of 1"):
+            parse_system_file("theory assoc; vars x; rule x^3 -> 0; rule x^2 -> 1/2; field 7")
+
     def test_series_weights_admit_raising_rule(self):
         sf = parse_system_file(SERIES)
         assert sf.weight_data is not None

@@ -41,6 +41,7 @@ from oracles import (
     THEORIES,
     _reference_interreduce,
     cyclic_polynomials,
+    irr_dependence,
     katsura_polynomials,
     macaulay_member,
     macaulay_row_space,
@@ -597,3 +598,50 @@ class TestIdealMember:
         for _ in range(30):
             e = random_element(COMM_TH, COMM_LEX, rng, 5)
             assert ideal_member(completed, e) == normal_form(completed, e).is_zero()
+
+
+def irr_verdicts(name: str, seed: int, count: int):
+    """(what, system) for each CONFLUENT verdict and COMPLETE report on
+    ``count`` random systems per well-founded shipped order of a theory."""
+    th = THEORIES[name]
+    rng = random.Random(seed)
+    for order in shipped_orders(th):
+        if not order.is_well_founded():
+            continue
+        for _ in range(count):
+            system = make_random_system(th, order, rng, lead_degree=2)
+            if check_confluence(system).status is ConfluenceStatus.CONFLUENT:
+                yield "confluent", system
+            report = complete(system, max_degree=6, max_rules=20)
+            if report.status is CompletionStatus.COMPLETE:
+                yield "complete", report.system
+
+
+class TestIrrIndependence:
+    """The diamond lemma's independence half as a verdict oracle: no nonzero
+    combination of irreducible monomials lies in the ideal of a confluent
+    system."""
+
+    @pytest.mark.parametrize("name", ["assoc", "commutative", "path"])
+    def test_confluent_verdicts_keep_irr_independent(self, name):
+        seen = set()
+        for what, system in irr_verdicts(name, 7, 15):
+            assert irr_dependence(system, 4) == 0, (what, system)
+            seen.add(what)
+        assert seen == {"confluent", "complete"}
+
+    @pytest.mark.parametrize("rule", ["t*y -> 2", "t^3 -> -y"])
+    def test_refutes_the_item_1_mixed_verdicts(self, rule):
+        text = "theory mixed; cvars t; vars x y; order deglex; rule " + rule
+        system = parse_system_file(text).system
+        assert check_confluence(system).status is ConfluenceStatus.CONFLUENT
+        assert irr_dependence(system, 4) >= 1
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="mixed overlaps miss empty-word and gap ambiguities (ROADMAP.md, item 1)",
+    )
+    def test_confluent_mixed_verdicts_keep_irr_independent(self):
+        for what, system in irr_verdicts("mixed", 7, 15):
+            assert irr_dependence(system, 4) == 0, (what, system)

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -570,6 +571,13 @@ class TestIrreducibleMonomials:
 
     def test_weyl_counts(self):
         assert count_irreducible(weyl(), 6) == [1, 2, 3, 4, 5, 6, 7]
+
+    def test_counts_to_a_high_degree_quickly(self):
+        # Only y*x is forbidden, so degree d has the d + 1 words x^i*y^j;
+        # testing all 2^d words of each degree would not finish.
+        start = time.perf_counter()
+        assert count_irreducible(weyl(), 40) == [d + 1 for d in range(41)]
+        assert time.perf_counter() - start < 1
 
     def test_description_factor_semantics(self):
         desc = irr_description(bergman())
