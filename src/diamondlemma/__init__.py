@@ -50,16 +50,15 @@ _EXPORTS = {
         "drop_redundant",
         "ideal_member",
     ),
+    "magma": ("FreeMagmaTheory",),
+    "mixed": ("MixedTheory",),
     "monomial_theories": (
-        "CommutativeTheory",
-        "FreeMagmaTheory",
-        "FreeMonoidTheory",
-        "MixedTheory",
         "OverlapDatum",
         "OverlapKind",
-        "PathAlgebraTheory",
         "Theory",
     ),
+    "paths": ("PathAlgebraTheory",),
+    "power_products": ("CommutativeTheory",),
     "power_series": (
         "EquicontinuityReport",
         "SeriesAdmissionError",
@@ -88,6 +87,7 @@ _EXPORTS = {
         "orient",
         "reduce_once",
     ),
+    "words": ("FreeMonoidTheory",),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

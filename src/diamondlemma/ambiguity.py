@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra_core import Element, _Value
+from .algebra_core import Element, _accumulate, _Value
 from .rewriting_engine import DEFAULT_STEP_BUDGET, normal_form_with_trail
 
 
@@ -59,11 +59,16 @@ def critical_ambiguities(system) -> tuple:
 
 
 def s_polynomial(system, amb: Ambiguity) -> Element:
-    """Difference of the two one-step reductions of the superposition."""
-    th = system.theory
-    left = th.apply_context_to_element(amb.ctx1, system.rules[amb.rule1].lower)
-    right = th.apply_context_to_element(amb.ctx2, system.rules[amb.rule2].lower)
-    return left - right
+    """Difference of the two one-step reductions of the superposition,
+    accumulated in one dict and built as one element."""
+    th, rules = system.theory, system.rules
+    out: dict = {}
+    for ctx, rule, negate in ((amb.ctx1, amb.rule1, False), (amb.ctx2, amb.rule2, True)):
+        for m, c in rules[rule].lower.terms:
+            image = th.apply_context(ctx, m)
+            if image is not None:
+                _accumulate(out, image, -c if negate else c)
+    return Element.from_dict(out)
 
 
 class ResolutionCertificate(_Value):

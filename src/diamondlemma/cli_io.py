@@ -25,7 +25,7 @@ from .algebra_core import (
     _accumulate,
     _Value,
 )
-from .monomial_theories import THEORIES, OverlapKind
+from .monomial_theories import THEORIES, OverlapKind, theory_class
 from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
     RewritingSystem,
@@ -325,7 +325,9 @@ class _SystemBuilder:
     """Accumulates header statements and rules into a validated system."""
 
     def __init__(self) -> None:
-        self.theory_kind = None
+        # The class of the declared theory, whose module the theory
+        # statement imports.
+        self.theory_class = None
         # (line, col) of the theory statement, where finish reports a theory
         # it cannot build.
         self.theory_at = (1, 1)
@@ -344,9 +346,9 @@ class _SystemBuilder:
         self.rules: list = []
 
     def _require_theory(self, line: int, col: int):
-        if self.theory_kind is None:
+        if self.theory_class is None:
             raise ParseError("no theory declared", line, col)
-        cls = THEORIES[self.theory_kind]
+        cls = self.theory_class
         for statement in cls.header_statements:
             if not self.header[statement]:
                 raise ParseError("theory needs a %r statement" % statement, line, col)
@@ -359,11 +361,11 @@ class _SystemBuilder:
 
     def _check_header(self, keyword: str, line: int, col: int) -> None:
         """Refuse a header statement the declared theory does not take."""
-        if self.theory_kind is None:
+        if self.theory_class is None:
             self.early_header.append((keyword, line, col))
-        elif keyword not in THEORIES[self.theory_kind].header_statements:
+        elif keyword not in self.theory_class.header_statements:
             raise ParseError(
-                "theory %s takes no %s statement" % (self.theory_kind, keyword), line, col
+                "theory %s takes no %s statement" % (self.theory_class.keyword, keyword), line, col
             )
 
     def statement(self, fragment: str, line: int, frag_col: int) -> None:
@@ -376,11 +378,11 @@ class _SystemBuilder:
         if keyword in self.header:
             self._check_header(keyword, line, col)
         if keyword == "theory":
-            if self.theory_kind is not None:
+            if self.theory_class is not None:
                 raise ParseError("duplicate theory statement", line, col)
             if len(words) != 2 or words[1] not in THEORIES:
                 raise ParseError("expected one of: theory %s" % "|".join(THEORIES), line, col)
-            self.theory_kind = words[1]
+            self.theory_class = theory_class(words[1])
             self.theory_at = (line, col)
             for early in self.early_header:
                 self._check_header(*early)
@@ -786,7 +788,7 @@ def _cmd_irr(args) -> int:
             "text": "forbidden %ss: %s" % (description.semantics, ", ".join(leads) or "none"),
         }
     ]
-    for d, count in enumerate(count_irreducible(system, args.max_degree)):
+    for d, count in enumerate(count_irreducible(system, args.max_degree, args.max_steps)):
         records.append(
             {"event": "count", "degree": d, "count": count, "text": "degree %d: %d" % (d, count)}
         )

@@ -439,23 +439,30 @@ def irreducible_by_substring(word: tuple, leads: list) -> bool:
 
 
 class RowSpace:
-    """Row space over the rationals with incremental Gaussian elimination."""
+    """Row space with incremental Gaussian elimination, over the rationals or,
+    for a prime ``modulus``, over GF(modulus) on int residues."""
 
-    def __init__(self) -> None:
+    def __init__(self, modulus: int = 0) -> None:
         self.pivots: dict = {}
+        self.modulus = modulus
 
-    @staticmethod
-    def _reduce(vec: dict, pivots: dict) -> dict:
-        vec = dict(vec)
+    def _reduce(self, vec: dict) -> dict:
+        p, pivots = self.modulus, self.pivots
+        vec = {k: v % p for k, v in vec.items() if v % p} if p else dict(vec)
         changed = True
         while changed:
             changed = False
             for key in sorted(vec, key=repr):
                 if key in pivots and vec.get(key):
                     row = pivots[key]
-                    factor = vec[key] / row[key]
+                    if p:
+                        factor = vec[key] * pow(row[key], -1, p) % p
+                    else:
+                        factor = vec[key] / row[key]
                     for k, v in row.items():
-                        s = vec.get(k, Fraction(0)) - factor * v
+                        s = vec.get(k, 0) - factor * v
+                        if p:
+                            s %= p
                         if s:
                             vec[k] = s
                         elif k in vec:
@@ -466,7 +473,7 @@ class RowSpace:
 
     def add(self, vec: dict) -> bool:
         """Insert a vector; report whether it enlarged the space."""
-        residue = self._reduce(vec, self.pivots)
+        residue = self._reduce(vec)
         if not residue:
             return False
         pivot = sorted(residue, key=repr)[0]
@@ -474,7 +481,7 @@ class RowSpace:
         return True
 
     def contains(self, vec: dict) -> bool:
-        return not self._reduce(vec, self.pivots)
+        return not self._reduce(vec)
 
     def rank(self) -> int:
         return len(self.pivots)
@@ -507,14 +514,19 @@ def irr_dependence(system, max_degree: int) -> int:
     V lies in the ideal, so by the diamond lemma a confluent system gives 0;
     a positive value refutes confluence. It is rank V minus the rank of V
     projected onto the reducible monomials, which ``all_sites`` decides.
-    Products ``multiply`` refuses are skipped; rationals only.
+    Products ``multiply`` refuses are skipped. Over GF(p) the ranks are
+    taken modulo p, on the residues of the rules' coefficients.
     """
     th, rules = system.theory, system.rules
+    modulus = getattr(system.field, "p", 0)
+    zero = 0 if modulus else Fraction(0)
     by_degree = [list(th.monomials_of_degree(d)) for d in range(max_degree + 1)]
-    space, projected = RowSpace(), RowSpace()
+    space, projected = RowSpace(modulus), RowSpace(modulus)
     seen = set()
     for rule in rules:
-        g = ((rule.lead, Fraction(1)),) + tuple((m, -c) for m, c in rule.lower.terms)
+        g = ((rule.lead, zero + 1),) + tuple(
+            (m, -(c.value if modulus else c)) for m, c in rule.lower.terms
+        )
         room = max_degree - max(th.degree(m) for m, _ in g)
         for da in range(room + 1):
             for db in range(room - da + 1):
@@ -525,7 +537,7 @@ def irr_dependence(system, max_degree: int) -> int:
                             p = th.multiply(a, m)
                             p = None if p is None else th.multiply(p, b)
                             if p is not None:
-                                row[p] = row.get(p, Fraction(0)) + c
+                                row[p] = row.get(p, zero) + c
                         key = frozenset(row.items())
                         if key in seen:
                             continue

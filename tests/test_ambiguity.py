@@ -16,6 +16,8 @@ from diamondlemma import (
     OrderKind,
     OverlapKind,
     PathAlgebraTheory,
+    PrimeField,
+    RationalField,
     RewritingSystem,
     Rule,
     check_confluence,
@@ -186,6 +188,20 @@ class TestSPolynomial:
         }
         for amb in ambs:
             assert s_polynomial(s, amb).is_zero()
+
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_equals_the_difference_of_the_two_images(self, name):
+        th = THEORIES[name]
+        rng = random.Random("s-polynomial-" + name)
+        for field in (RationalField(), PrimeField(7)):
+            for order in shipped_orders(th):
+                for _ in range(10):
+                    s = make_random_system(th, order, rng, field=field)
+                    for amb in critical_ambiguities(s):
+                        left = th.apply_context_to_element(amb.ctx1, s.rules[amb.rule1].lower)
+                        right = th.apply_context_to_element(amb.ctx2, s.rules[amb.rule2].lower)
+                        assert repr(s_polynomial(s, amb)) == repr(left - right)
 
 
 class TestResolve:

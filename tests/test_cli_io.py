@@ -630,6 +630,19 @@ class TestCommandLine:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 4
 
+    def test_irr_stops_at_the_step_budget(self, tmp_path, capsys):
+        # Irreducible counts grow like the Fibonacci numbers, so degree 40
+        # would test about 10^8 words.
+        path = tmp_path / "fib.sys"
+        path.write_text("theory assoc; vars x y; rule x*x -> y\n", encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["irr", str(path), "--max-degree", "40", "--max-steps", "10000"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "",
+            "step budget of 10000 exceeded while counting irreducible monomials of degree 17\n",
+        )
+
     def test_member_on_non_confluent_system_fails(self, files, capsys):
         assert main(["member", files["buch.sys"], "x"]) == 1
         assert "confluent" in capsys.readouterr().err

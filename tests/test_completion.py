@@ -600,16 +600,17 @@ class TestIdealMember:
             assert ideal_member(completed, e) == normal_form(completed, e).is_zero()
 
 
-def irr_verdicts(name: str, seed: int, count: int):
+def irr_verdicts(name: str, seed: int, count: int, field=RationalField()):
     """(what, system) for each CONFLUENT verdict and COMPLETE report on
-    ``count`` random systems per well-founded shipped order of a theory."""
+    ``count`` random systems over ``field`` per well-founded shipped order
+    of a theory."""
     th = THEORIES[name]
     rng = random.Random(seed)
     for order in shipped_orders(th):
         if not order.is_well_founded():
             continue
         for _ in range(count):
-            system = make_random_system(th, order, rng, lead_degree=2)
+            system = make_random_system(th, order, rng, lead_degree=2, field=field)
             if check_confluence(system).status is ConfluenceStatus.CONFLUENT:
                 yield "confluent", system
             report = complete(system, max_degree=6, max_rules=20)
@@ -630,9 +631,24 @@ class TestIrrIndependence:
             seen.add(what)
         assert seen == {"confluent", "complete"}
 
+    @pytest.mark.parametrize("name", ["assoc", "commutative", "path"])
+    def test_confluent_verdicts_over_gf7_keep_irr_independent(self, name):
+        seen = set()
+        for what, system in irr_verdicts(name, 7, 15, PrimeField(7)):
+            assert irr_dependence(system, 4) == 0, (what, system)
+            seen.add(what)
+        assert seen == {"confluent", "complete"}
+
     @pytest.mark.parametrize("rule", ["t*y -> 2", "t^3 -> -y"])
     def test_refutes_the_item_1_mixed_verdicts(self, rule):
         text = "theory mixed; cvars t; vars x y; order deglex; rule " + rule
+        system = parse_system_file(text).system
+        assert check_confluence(system).status is ConfluenceStatus.CONFLUENT
+        assert irr_dependence(system, 4) >= 1
+
+    @pytest.mark.parametrize("rule", ["t*y -> 2", "t^3 -> -y"])
+    def test_refutes_the_item_1_mixed_verdicts_over_gf7(self, rule):
+        text = "theory mixed; cvars t; vars x y; order deglex; field 7; rule " + rule
         system = parse_system_file(text).system
         assert check_confluence(system).status is ConfluenceStatus.CONFLUENT
         assert irr_dependence(system, 4) >= 1

@@ -1,5 +1,6 @@
 """Rule orientation and the reduction engine."""
 
+import itertools
 import math
 import os
 import random
@@ -45,6 +46,7 @@ from diamondlemma import (
     truncated_normal_form,
 )
 
+from diamondlemma.cli_io import MAX_NESTING
 from diamondlemma.completion import _cached_verdict
 
 from oracles import (
@@ -579,6 +581,13 @@ class TestIrreducibleMonomials:
         assert count_irreducible(weyl(), 40) == [d + 1 for d in range(41)]
         assert time.perf_counter() - start < 1
 
+    def test_each_tested_monomial_is_one_step(self):
+        # Degrees 0 and 1 test 1 + 2 words; each higher degree tests the 2
+        # irreducible words of the degree below times the 2 letters.
+        assert count_irreducible(bergman(), 6, max_steps=23) == [1, 2, 2, 2, 2, 2, 2]
+        with pytest.raises(StepBudgetExceededError, match="degree 6$"):
+            count_irreducible(bergman(), 6, max_steps=22)
+
     def test_description_factor_semantics(self):
         desc = irr_description(bergman())
         assert isinstance(desc, ForbiddenFactorSet)
@@ -838,6 +847,20 @@ def site_probes(th, name, order, rng):
     return probes
 
 
+def deepest_trees(th, leads) -> set:
+    """Trees nested as deep as the parser admits (``MAX_NESTING`` levels of
+    parentheses), each with a rule lead at the bottom."""
+    trees = set()
+    for lead in leads:
+        text = th.serialize(lead)
+        depth = max(itertools.accumulate({"(": 1, ")": -1}.get(ch, 0) for ch in text))
+        for k in range(MAX_NESTING - depth):
+            text = ("(%s*x)" if k % 2 else "(y*%s)") % text
+        (tree,) = parse_expression(text, th, RationalField()).support()
+        trees.add(tree)
+    return trees
+
+
 class TestLeadIndex:
     """Each theory's lead index against the scan of ``divisions`` in oracles."""
 
@@ -911,7 +934,10 @@ class TestLeadIndex:
         for order in shipped_orders(th):
             leads = [r.lead for _ in range(3) for r in make_random_system(th, order, rng).rules]
             index = th.lead_index(leads, order)
-            probes = sorted(site_probes(th, name, order, rng), key=order.sort_key)
+            probes = site_probes(th, name, order, rng)
+            if name == "magma":
+                probes |= deepest_trees(th, leads)
+            probes = sorted(probes, key=order.sort_key)
             codes = [index.encode(m) for m in probes]
             assert [index.decode(code) for code in codes] == probes
             assert sorted(codes, key=index.order_key) == codes

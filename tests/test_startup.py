@@ -1,9 +1,16 @@
 """What a fresh interpreter loads: the package imports its submodules lazily
 and the command line imports only what its subcommand runs."""
 
+import ast
 import os
 import subprocess
 import sys
+
+import pytest
+
+import diamondlemma
+from diamondlemma import monomial_theories
+from diamondlemma.monomial_theories import THEORIES
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -18,6 +25,20 @@ assert not loaded, loaded
 assert main(["nf", "bench/systems/cli/assoc.sys", "y^2*x"]) == 0
 loaded = [m for m in ("completion", "ambiguity") if "diamondlemma." + m in sys.modules]
 assert not loaded, loaded
+others = ("power_products", "mixed", "magma", "paths")
+loaded = [m for m in others if "diamondlemma." + m in sys.modules]
+assert not loaded, loaded
+"""
+
+# Checks the system file argv[1] names, then lists the theory modules loaded.
+_THEORY_SCRIPT = """
+import sys
+from diamondlemma.cli_io import main
+from diamondlemma.monomial_theories import THEORIES
+
+assert main(["check", sys.argv[1]]) in (0, 1)
+modules = sorted(module for module, _ in THEORIES.values())
+print(" ".join(m for m in modules if "diamondlemma." + m in sys.modules))
 """
 
 _PACKAGE_SCRIPT = """
@@ -53,6 +74,11 @@ assert sys.argv[1] in dir(diamondlemma)
 _SUBMODULES = (
     "algebra_core",
     "monomial_theories",
+    "words",
+    "power_products",
+    "mixed",
+    "magma",
+    "paths",
     "rewriting_engine",
     "ambiguity",
     "completion",
@@ -61,7 +87,7 @@ _SUBMODULES = (
 )
 
 
-def _run(script: str, *argv: str) -> None:
+def _run(script: str, *argv: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
     done = subprocess.run(
         [sys.executable, "-c", script, *argv],
@@ -72,6 +98,7 @@ def _run(script: str, *argv: str) -> None:
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_cli_loads_only_what_its_subcommand_runs():
@@ -85,3 +112,35 @@ def test_package_names_resolve_lazily():
 def test_submodules_are_package_attributes():
     for name in _SUBMODULES:
         _run(_SUBMODULE_SCRIPT, name)
+
+
+@pytest.mark.parametrize("keyword", sorted(THEORIES))
+def test_check_loads_only_the_theory_in_use(keyword):
+    path = os.path.join("bench", "systems", "cli", keyword + ".sys")
+    last = _run(_THEORY_SCRIPT, path).splitlines()[-1]
+    assert last == THEORIES[keyword][0]
+
+
+def test_no_theory_module_imports_another():
+    modules = {module for module, _ in THEORIES.values()}
+    for module in sorted(modules):
+        path = os.path.join(REPO, "src", "diamondlemma", module + ".py")
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[-1])
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+        assert not imported & modules, (module, imported & modules)
+
+
+def test_kernel_resolves_the_theory_classes_by_name():
+    for keyword, (module, name) in THEORIES.items():
+        cls = getattr(monomial_theories, name)
+        assert cls is getattr(diamondlemma, name)
+        assert (cls.keyword, cls.__module__) == (keyword, "diamondlemma." + module)
+    with pytest.raises(AttributeError):
+        monomial_theories.NoSuchTheory
