@@ -1,9 +1,10 @@
-"""Binary trees with labelled leaves under the non-associative product."""
+"""Binary trees with labelled leaves under the non-associative product,
+which reduce as Polish-coded strings."""
 
 from __future__ import annotations
 
 from .algebra_core import TheoryMismatchError
-from .monomial_theories import OverlapDatum, OverlapKind, Theory
+from .monomial_theories import OverlapDatum, OverlapKind, Theory, _CodedIndex, _letter_codes
 
 
 _HOLE = None
@@ -15,33 +16,58 @@ def _tree_leaves(tree) -> int:
     return _tree_leaves(tree[0]) + _tree_leaves(tree[1])
 
 
-def _subtree_contexts(tree, target, build):
-    """Collect contexts for occurrences of target inside tree, preorder."""
-    found = []
-    if tree == target:
-        found.append(build(_HOLE))
-    if not isinstance(tree, str):
-        left, right = tree
-        found.extend(_subtree_contexts(left, target, lambda hole: build((hole, right))))
-        found.extend(_subtree_contexts(right, target, lambda hole: build((left, hole))))
-    return found
+def _polish(tree, codes: dict, node: str) -> str:
+    """The Polish code of a tree: ``node`` then the codes of both factors
+    for a product, ``codes[leaf]`` for a leaf; KeyError or TypeError for a
+    leaf without a code. Iterative, so trees of any depth encode."""
+    out, stack = [], [tree]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, tuple) and len(t) == 2:
+            out.append(node)
+            stack += t[1], t[0]
+        else:
+            out.append(codes[t])
+    return "".join(out)
 
 
-def _plug(ctx, filler):
-    if ctx is _HOLE:
-        return filler
-    left, right = ctx
-    if _has_hole(left):
-        return (_plug(left, filler), right)
-    return (left, _plug(right, filler))
+def _unpolish(code: str, symbols: tuple):
+    """The tree of a Polish code whose leaves are ``chr`` of their position
+    in ``symbols`` and whose node marker is ``chr(len(symbols))``."""
+    node, stack = chr(len(symbols)), []
+    for c in reversed(code):
+        stack.append((stack.pop(), stack.pop()) if c == node else symbols[ord(c)])
+    return stack[0]
 
 
-def _has_hole(ctx) -> bool:
-    if ctx is _HOLE:
-        return True
-    if isinstance(ctx, str):
-        return False
-    return _has_hole(ctx[0]) or _has_hole(ctx[1])
+class _MagmaIndex(_CodedIndex):
+    """Lead index for trees, which reduce as their Polish codes: a leaf is
+    ``chr`` of its rank, the hole ``chr(len(letters))``, which only contexts
+    hold, and a product the node marker ``chr(len(letters) + 1)`` followed
+    by the codes of both factors. The marker ranks above every letter, so
+    codes of equal length, that is of trees of equal degree, compare as rank
+    encodings do; it weighs 0. Polish codes are prefix-free, so each
+    occurrence of a lead's code is a subtree, the leftmost the first in
+    preorder."""
+
+    __slots__ = ()
+
+    def encode(self, m) -> str:
+        try:
+            return _polish(m, self.codes, chr(len(self.letters) + 1))
+        except (KeyError, TypeError):  # a leaf without a code
+            pass
+        # Every letter of the theory has a code, so this raises.
+        self.theory.check_monomial(m)
+
+    entry = encode
+
+    def decode(self, code: str):
+        return _unpolish(code, self.letters + (_HOLE,))
+
+    def decode_context(self, ctx: tuple):
+        left, right = ctx
+        return self.decode(left + chr(len(self.letters)) + right)
 
 
 class FreeMagmaTheory(Theory):
@@ -51,6 +77,7 @@ class FreeMagmaTheory(Theory):
     keyword = "magma"
     irr_semantics = "divisor"
     associative = False
+    index_class = _MagmaIndex
 
     def describe(self) -> str:
         return "magma(%s)" % ",".join(self.letters)
@@ -73,14 +100,11 @@ class FreeMagmaTheory(Theory):
         return (a, b)
 
     def validate_monomial(self, m) -> bool:
-        if isinstance(m, str):
-            return m in self.letters
-        return (
-            isinstance(m, tuple)
-            and len(m) == 2
-            and self.validate_monomial(m[0])
-            and self.validate_monomial(m[1])
-        )
+        try:
+            _polish(m, _letter_codes(self.letters), "")
+        except (KeyError, TypeError):  # a leaf without a code
+            return False
+        return True
 
     def degree(self, m) -> int:
         return _tree_leaves(m)
@@ -101,17 +125,24 @@ class FreeMagmaTheory(Theory):
         return "(%s*%s)" % (self.serialize(m[0]), self.serialize(m[1]))
 
     def apply_context(self, ctx, m):
-        return _plug(ctx, m)
+        symbols = self.letters + (_HOLE,)
+        codes, node = _letter_codes(symbols), chr(len(symbols))
+        left, right = _polish(ctx, codes, node).split(codes[_HOLE])
+        return _unpolish(left + _polish(m, codes, node) + right, symbols)
 
     def divisions(self, mu, nu) -> list:
-        return _subtree_contexts(mu, nu, lambda hole: hole)
+        symbols = self.letters + (_HOLE,)
+        codes, node = _letter_codes(symbols), chr(len(symbols))
+        code, lead = _polish(mu, codes, node), _polish(nu, codes, node)
+        return [
+            _unpolish(code[:i] + codes[_HOLE] + code[i + len(lead) :], symbols)
+            for i in range(len(code)) if code.startswith(lead, i)
+        ]
 
     def overlaps(self, mu1, mu2) -> list:
-        data = []
         if mu1 == mu2:
-            ident = _HOLE
-            data.append(OverlapDatum(mu1, ident, ident, OverlapKind.INCLUSION, 2))
-            return data
+            return [OverlapDatum(mu1, _HOLE, _HOLE, OverlapKind.INCLUSION, 2)]
+        data = []
         if self.degree(mu2) < self.degree(mu1):
             for ctx in self.divisions(mu1, mu2):
                 data.append(OverlapDatum(mu1, _HOLE, ctx, OverlapKind.INCLUSION, 2))

@@ -7,18 +7,20 @@ import operator
 
 from .algebra_core import TheoryMismatchError, _set, _Value
 from .monomial_theories import (
+    LeadIndex,
     OverlapDatum,
     OverlapKind,
     Theory,
-    _CodedIndex,
     _compositions,
     _exp_add,
     _exp_gcd,
     _exp_lcm,
     _exp_le,
     _exp_sub,
+    _letter_codes,
     _power_string,
     _runs,
+    _word_code,
     _word_occurrences,
     _word_superpositions,
 )
@@ -37,22 +39,23 @@ def _divisor_mask(exps: tuple) -> int:
     return mask
 
 
-class _MixedIndex(_CodedIndex):
+class _MixedIndex(LeadIndex):
     """Lead index for mixed monomials: the divisor mask of the central part
     screens a lead, then ``str.find`` places its word and the exponents are
     compared, since the mask does not decide exponents above 2."""
 
-    __slots__ = ()
+    __slots__ = ("codes",)
 
     def __init__(self, theory, leads, order) -> None:
-        super().__init__(theory, leads, order, theory.word_letters)
+        self.codes = _letter_codes(theory.word_letters)
+        super().__init__(theory, leads, order)
 
     def entry(self, lead) -> tuple:
-        return _divisor_mask(lead[0]), self.code(lead[1]), lead[0]
+        return _divisor_mask(lead[0]), _word_code(self.codes, lead[1]), lead[0]
 
     def site(self, m, start=0):
         exps, w = m
-        code = self.code(w)
+        code = _word_code(self.codes, w)
         outside = ~_divisor_mask(exps)
         entries = self.entries[start:] if start else self.entries
         for i, (mask, word, lead_exps) in enumerate(entries, start):

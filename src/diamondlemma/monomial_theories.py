@@ -15,7 +15,15 @@ import itertools
 import operator
 from enum import Enum
 
-from .algebra_core import DiamondError, Element, TheoryMismatchError, _accumulate, _Value
+from .algebra_core import (
+    DiamondError,
+    Element,
+    OrderKind,
+    TheoryMismatchError,
+    _accumulate,
+    _Value,
+    _weight_table,
+)
 
 
 class OverlapKind(Enum):
@@ -134,16 +142,16 @@ class LeadIndex:
     ``order_key``, set once on construction, compares codes as the order's
     ``sort_key`` compares monomials. ``first_site(m)`` is
     ``site(encode(m))`` with its context decoded, and ``weigher(weights)``
-    sums weights over a code. Here every monomial is its own code and
-    ``site`` scans ``divisions``; words are rank-coded strings, power
-    products packed ``int`` codes.
+    sums weights over a code. By default a monomial is its own code, as for
+    mixed monomials and paths; words and trees reduce as ``str`` codes,
+    power products as packed ``int`` codes.
 
     Leads are only appended, so a site found stays the site, and a scan
     that found none resumes at the first lead added since; a scan from 0,
     the common case, copies no list. The index keeps one list, the entry
     ``entry(lead)`` of each lead, which holds what ``site`` reads of it;
-    the scan reads the lead itself. The view sliced by ``without`` shares
-    every other slot.
+    each class defines both. The view sliced by ``without`` shares every
+    other slot.
     """
 
     __slots__ = ("theory", "order_key", "entries")
@@ -152,9 +160,6 @@ class LeadIndex:
         self.theory = theory
         self.order_key = order_key or order.sort_key
         self.entries = list(map(self.entry, leads))
-
-    def entry(self, lead):
-        return lead
 
     def add(self, lead) -> None:
         self.entries.append(self.entry(lead))
@@ -171,14 +176,6 @@ class LeadIndex:
     def first_site(self, m):
         found = self.site(self.encode(m))
         return found and (found[0], self.decode_context(found[1]))
-
-    def site(self, m, start=0):
-        divisions = self.theory.divisions
-        for i, lead in enumerate(self.entries[start:] if start else self.entries, start):
-            ctxs = divisions(m, lead)
-            if ctxs:
-                return i, ctxs[0]
-        return None
 
     def encode(self, m):
         self.theory.check_monomial(m)
@@ -207,23 +204,68 @@ def _letter_codes(letters: tuple) -> dict:
     return {x: chr(i) for i, x in enumerate(letters)}
 
 
+def _word_code(codes: dict, word) -> str:
+    """The code of a word, one character of ``codes`` per letter."""
+    return "".join(map(codes.__getitem__, word))
+
+
+def _length_first(code: str) -> tuple:
+    return len(code), code
+
+
+def _code_weigher(codes: dict, weights: dict):
+    by_code = {codes[x]: w for x, w in weights.items()}
+    by_code[chr(len(codes) + 1)] = 0  # the node marker of tree codes, past the hole
+    return lambda code: sum(map(by_code.__getitem__, code))
+
+
+@functools.lru_cache(maxsize=256)
+def _weighted_key(generators: tuple, weights: tuple):
+    """The key on codes of a weighted order with these generators and
+    weights; one per order, so that the indexes of equal orders hold equal
+    keys. The order's fields key the cache, since they hash faster than the
+    order."""
+    weight = _code_weigher(_letter_codes(generators), _weight_table(weights)[1])
+    return lambda code: (weight(code), len(code), code)
+
+
 class _CodedIndex(LeadIndex):
-    """A lead index whose ``site`` places the word of each lead with
-    ``str.find``: ``code`` encodes a word one character per letter of
-    ``letters``, the entries hold the leads' encoded words, and the leftmost
-    occurrence in the encoded word of a code gives the first context
-    ``divisions`` returns. Words reduce as their encoded words; mixed
-    monomials and paths are their own codes, whose words ``site`` encodes."""
+    """Lead index for monomials that reduce as ``str`` codes, which a
+    subclass encodes and decodes: a letter is ``chr`` of its rank, its
+    position in ``letters``. Codes of equal length compare as rank encodings
+    do, so ``(len(code), code)`` is the deglex key, which the weighted kinds
+    lead with the weight sum. The leftmost ``str.find`` hit of a lead's code
+    gives the first context of ``divisions``, a (left, right) pair of
+    codes."""
 
-    __slots__ = ("codes",)
+    __slots__ = ("letters", "codes")
 
-    def __init__(self, theory, leads, order, letters: tuple, order_key=None) -> None:
-        self.codes = _letter_codes(letters)
-        super().__init__(theory, leads, order, order_key)
+    def __init__(self, theory, leads, order) -> None:
+        self.letters = order.generators
+        self.codes = _letter_codes(self.letters)
+        # Words and trees admit no lex order, so the other kinds are weighted.
+        key = _length_first
+        if order.kind is not OrderKind.DEGLEX:
+            key = _weighted_key(self.letters, order.weights)
+        super().__init__(theory, leads, order, key)
 
-    def code(self, word) -> str:
-        """The encoded word of letters of the alphabet."""
-        return "".join(map(self.codes.__getitem__, word))
+    def site(self, code: str, start=0):
+        for i, lead in enumerate(self.entries[start:] if start else self.entries, start):
+            k = code.find(lead)
+            if k >= 0:
+                return i, (code[:k], code[k + len(lead) :])
+        return None
+
+    @staticmethod
+    def apply(ctx: tuple, code: str) -> str:
+        left, right = ctx
+        return left + code + right
+
+    def decode_context(self, ctx: tuple) -> tuple:
+        return tuple(map(self.decode, ctx))
+
+    def weigher(self, weights: dict):
+        return _code_weigher(self.codes, weights)
 
 
 class Theory(_Value):
@@ -244,7 +286,6 @@ class Theory(_Value):
     associative = True
     # Generators that are positions of an exponent vector, in vector order.
     exponent_letters = ()
-    index_class = LeadIndex
 
     def header_lines(self) -> list:
         """System-file statements declaring this theory."""
@@ -278,7 +319,7 @@ class Theory(_Value):
 
     def lead_index(self, leads, order) -> LeadIndex:
         """Index of rule leads for site lookup, whose codes reduce under
-        ``order``: an ``index_class``, by default a scan in rule order."""
+        ``order``: the theory's ``index_class``."""
         return self.index_class(self, leads, order)
 
     def chain_criterion(self, lead, lead_i, lead_j, superposition) -> bool:

@@ -4,39 +4,41 @@ from __future__ import annotations
 
 from .algebra_core import TheoryMismatchError, _set, _Value
 from .monomial_theories import (
+    LeadIndex,
     OverlapDatum,
     Theory,
-    _CodedIndex,
+    _letter_codes,
+    _word_code,
     _word_occurrences,
     _word_superpositions,
 )
 
 
-class _PathIndex(_CodedIndex):
-    """Lead index for paths over the arrow words; a vertex-path lead, whose
-    code is empty, divides only where the path visits its vertex, which
-    ``divisions`` checks."""
+class _PathIndex(LeadIndex):
+    """Lead index for paths: ``str.find`` places the arrow word of a lead,
+    and a vertex-path lead sits where the path first visits its vertex."""
 
-    __slots__ = ()
+    __slots__ = ("codes",)
 
     def __init__(self, theory, leads, order) -> None:
-        super().__init__(theory, leads, order, theory.generator_names())
+        self.codes = _letter_codes(theory.generator_names())
+        super().__init__(theory, leads, order)
 
     def entry(self, lead) -> tuple:
-        return self.code(lead[2]), lead
+        return _word_code(self.codes, lead[2]), lead
 
     def site(self, m, start=0):
         src, tgt, names = m
-        code = self.code(names)
+        code = _word_code(self.codes, names)
         for i, (word, lead) in enumerate(self.entries[start:] if start else self.entries, start):
-            k = code.find(word)
+            if word:
+                k = code.find(word)
+            else:  # a vertex path sits at the path's first visit to its vertex
+                visits = [src] + [self.theory.endpoints[name][1] for name in names]
+                k = visits.index(lead[0]) if lead[0] in visits else -1
             if k >= 0:
-                if word:
-                    right = names[k + len(word) :]
-                    return i, ((src, lead[0], names[:k]), (lead[1], tgt, right))
-                ctxs = self.theory.divisions(m, lead)
-                if ctxs:
-                    return i, ctxs[0]
+                right = names[k + len(word) :]
+                return i, ((src, lead[0], names[:k]), (lead[1], tgt, right))
         return None
 
 

@@ -3,92 +3,39 @@ rank-coded strings."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 
-from .algebra_core import OrderKind, _set, _Value, _weight_table
+from .algebra_core import _set, _Value
 from .monomial_theories import (
     OverlapDatum,
     Theory,
     _CodedIndex,
-    _letter_codes,
     _power_string,
     _runs,
+    _word_code,
     _word_occurrences,
     _word_superpositions,
 )
 
 
-def _length_first(code: str) -> tuple:
-    return len(code), code
-
-
-def _code_weigher(codes: dict, weights: dict):
-    by_code = {codes[x]: w for x, w in weights.items()}
-    return lambda code: sum(map(by_code.__getitem__, code))
-
-
-@functools.lru_cache(maxsize=256)
-def _weighted_key(generators: tuple, weights: tuple):
-    """The key on word codes of a weighted order with these generators and
-    weights; one per order, so that the indexes of equal orders hold equal
-    keys. The order's fields key the cache, since they hash faster than the
-    order."""
-    weight = _code_weigher(_letter_codes(generators), _weight_table(weights)[1])
-    return lambda code: (weight(code), len(code), code)
-
-
-def _concat(ctx: tuple, code: str) -> str:
-    left, right = ctx
-    return left + code + right
-
-
 class _WordIndex(_CodedIndex):
-    """Lead index for words, which reduce as their codes: the code of a word
-    is a ``str`` of one character per letter, ``chr`` of the letter's rank
-    in the order, its position in ``letters``. Codes of equal length then
-    compare as the rank tuples do, so ``(len(code), code)`` is the deglex
-    key and the weighted kinds lead it with the weight sum over the codes.
-    An encoded context is a (left, right) pair of codes."""
+    """Lead index for words, which reduce as their codes."""
 
-    __slots__ = ("letters",)
-
-    def __init__(self, theory, leads, order) -> None:
-        self.letters = order.generators
-        # Words admit no lex order, so the other kinds are weighted.
-        key = _length_first
-        if order.kind is not OrderKind.DEGLEX:
-            key = _weighted_key(self.letters, order.weights)
-        super().__init__(theory, leads, order, self.letters, key)
-
-    entry = _CodedIndex.code
+    __slots__ = ()
 
     def encode(self, m) -> str:
         if isinstance(m, tuple):
             try:
-                return self.code(m)
+                return _word_code(self.codes, m)
             except (KeyError, TypeError):  # a letter without a code
                 pass
         # Every letter of the theory has a code, so this raises.
         self.theory.check_monomial(m)
 
-    def site(self, code: str, start=0):
-        for i, word in enumerate(self.entries[start:] if start else self.entries, start):
-            k = code.find(word)
-            if k >= 0:
-                return i, (code[:k], code[k + len(word) :])
-        return None
-
-    apply = staticmethod(_concat)
+    entry = encode
 
     def decode(self, code: str) -> tuple:
         return tuple(map(self.letters.__getitem__, map(ord, code)))
-
-    def decode_context(self, ctx: tuple) -> tuple:
-        return tuple(map(self.decode, ctx))
-
-    def weigher(self, weights: dict):
-        return _code_weigher(self.codes, weights)
 
 
 class FreeMonoidTheory(Theory):

@@ -96,6 +96,18 @@ def magma_occurrences(tree, target) -> int:
     return count
 
 
+def reference_magma_divisions(tree, target) -> list:
+    """Contexts placing target as a subtree of tree, in preorder: the whole
+    tree, then the places in its left factor, then in its right factor. The
+    hole is None."""
+    found = [None] if tree == target else []
+    if not isinstance(tree, str):
+        left, right = tree
+        found += [(ctx, right) for ctx in reference_magma_divisions(left, target)]
+        found += [(left, ctx) for ctx in reference_magma_divisions(right, target)]
+    return found
+
+
 def one_step_results(system, element: Element) -> list:
     """Every element reachable by one reduction anywhere, deduplicated."""
     th = system.theory
@@ -507,45 +519,81 @@ def macaulay_member(space: RowSpace, element: Element) -> bool:
     return space.contains({m: c for m, c in element.terms})
 
 
+def two_sided_product(theory, a, m, b):
+    """a*m*b, or None when ``multiply`` refuses a product."""
+    p = theory.multiply(a, m)
+    return None if p is None else theory.multiply(p, b)
+
+
+def one_hole_contexts(theory, leaves: int):
+    """Yield every tree context with one hole and ``leaves`` leaves besides
+    it, as the function that fills its hole, by direct recursion."""
+    if leaves == 0:
+        yield lambda filler: filler
+        return
+    for inner in range(leaves):  # leaves beside the hole in its factor
+        for tree in theory.monomials_of_degree(leaves - inner):
+            for fill in one_hole_contexts(theory, inner):
+                yield lambda filler, fill=fill, tree=tree: (fill(filler), tree)
+                yield lambda filler, fill=fill, tree=tree: (tree, fill(filler))
+
+
 def irr_dependence(system, max_degree: int) -> int:
     """dim(V ∩ span Irr(S)) for V the span of the products a*g*b of degree
-    at most max_degree, over rules g = lead - lower and monomials a, b.
+    at most max_degree, over rules g = lead - lower and monomials a, b; in
+    a non-associative theory, of the trees c[g] for contexts c with one
+    hole.
 
     V lies in the ideal, so by the diamond lemma a confluent system gives 0;
     a positive value refutes confluence. It is rank V minus the rank of V
-    projected onto the reducible monomials, which ``all_sites`` decides.
-    Products ``multiply`` refuses are skipped. Over GF(p) the ranks are
-    taken modulo p, on the residues of the rules' coefficients.
+    projected onto the reducible monomials, which ``all_sites`` decides, or
+    for trees a subtree search of its own. Products ``multiply`` refuses
+    are skipped. Over GF(p) the ranks are taken modulo p, on the residues
+    of the rules' coefficients.
     """
     th, rules = system.theory, system.rules
     modulus = getattr(system.field, "p", 0)
     zero = 0 if modulus else Fraction(0)
-    by_degree = [list(th.monomials_of_degree(d)) for d in range(max_degree + 1)]
+    if th.associative:
+        by_degree = [list(th.monomials_of_degree(d)) for d in range(max_degree + 1)]
+
+        def placements(room):
+            for da in range(room + 1):
+                for db in range(room - da + 1):
+                    for a in by_degree[da]:
+                        for b in by_degree[db]:
+                            yield lambda m, a=a, b=b: two_sided_product(th, a, m, b)
+
+        def reducible(m):
+            return all_sites(th, rules, m)
+
+    else:
+
+        def placements(room):
+            for leaves in range(room + 1):
+                yield from one_hole_contexts(th, leaves)
+
+        def reducible(m):
+            return any(magma_occurrences(m, rule.lead) for rule in rules)
+
     space, projected = RowSpace(modulus), RowSpace(modulus)
     seen = set()
     for rule in rules:
         g = ((rule.lead, zero + 1),) + tuple(
             (m, -(c.value if modulus else c)) for m, c in rule.lower.terms
         )
-        room = max_degree - max(th.degree(m) for m, _ in g)
-        for da in range(room + 1):
-            for db in range(room - da + 1):
-                for a in by_degree[da]:
-                    for b in by_degree[db]:
-                        row = {}
-                        for m, c in g:
-                            p = th.multiply(a, m)
-                            p = None if p is None else th.multiply(p, b)
-                            if p is not None:
-                                row[p] = row.get(p, zero) + c
-                        key = frozenset(row.items())
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        space.add({k: v for k, v in row.items() if v})
-                        projected.add(
-                            {k: v for k, v in row.items() if v and all_sites(th, rules, k)}
-                        )
+        for place in placements(max_degree - max(th.degree(m) for m, _ in g)):
+            row = {}
+            for m, c in g:
+                p = place(m)
+                if p is not None:
+                    row[p] = row.get(p, zero) + c
+            key = frozenset(row.items())
+            if key in seen:
+                continue
+            seen.add(key)
+            space.add({k: v for k, v in row.items() if v})
+            projected.add({k: v for k, v in row.items() if v and reducible(k)})
     return space.rank() - projected.rank()
 
 

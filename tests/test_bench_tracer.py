@@ -7,9 +7,10 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Installs the tracer on a fresh interpreter, then completes a small system
-# over QQ and over GF(7), and a mixed and a path system, whose lead indexes
-# call no ``divisions``, through the wrapped names and checks that the
-# wrappers counted the work, the residue operators included.
+# over QQ and over GF(7), and a mixed, a magma and a path system, through the
+# wrapped names, and checks that the wrappers counted the work, the residue
+# operators included. No lead index calls ``divisions``, so reduction alone
+# does not count it.
 _SCRIPT = """
 import sys
 sys.path[:0] = [{bench!r}, {src!r}]
@@ -26,6 +27,7 @@ texts = [
     for field in ("", "field 7\\n")
 ] + [
     "theory mixed\\ncvars t\\nvars x y\\nrule y*x -> t*x\\nrule t^2*x -> y\\n",
+    "theory magma\\nvars x y\\nrule y*x -> x*y\\nrule (y*x)*x -> x\\n",
     "theory path\\nvertices 1 2\\narrow a: 1 -> 2\\narrow b: 2 -> 1\\nrule a*b*a -> a\\n",
 ]
 for text in texts:

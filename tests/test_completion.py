@@ -623,7 +623,7 @@ class TestIrrIndependence:
     combination of irreducible monomials lies in the ideal of a confluent
     system."""
 
-    @pytest.mark.parametrize("name", ["assoc", "commutative", "path"])
+    @pytest.mark.parametrize("name", ["assoc", "commutative", "magma", "path"])
     def test_confluent_verdicts_keep_irr_independent(self, name):
         seen = set()
         for what, system in irr_verdicts(name, 7, 15):
@@ -631,13 +631,25 @@ class TestIrrIndependence:
             seen.add(what)
         assert seen == {"confluent", "complete"}
 
-    @pytest.mark.parametrize("name", ["assoc", "commutative", "path"])
+    @pytest.mark.parametrize("name", ["assoc", "commutative", "magma", "path"])
     def test_confluent_verdicts_over_gf7_keep_irr_independent(self, name):
         seen = set()
         for what, system in irr_verdicts(name, 7, 15, PrimeField(7)):
             assert irr_dependence(system, 4) == 0, (what, system)
             seen.add(what)
         assert seen == {"confluent", "complete"}
+
+    def test_refutes_every_not_confluent_magma_verdict(self):
+        """The one-hole contexts reach far enough to refute each magma
+        system ``check_confluence`` calls NOT_CONFLUENT."""
+        th, rng, refuted = THEORIES["magma"], random.Random(7), 0
+        for order in [o for o in shipped_orders(th) if o.is_well_founded()]:
+            for _ in range(15):
+                system = make_random_system(th, order, rng, lead_degree=2)
+                if check_confluence(system).status is ConfluenceStatus.NOT_CONFLUENT:
+                    assert irr_dependence(system, 4) >= 1, system
+                    refuted += 1
+        assert refuted >= 10
 
     @pytest.mark.parametrize("rule", ["t*y -> 2", "t^3 -> -y"])
     def test_refutes_the_item_1_mixed_verdicts(self, rule):

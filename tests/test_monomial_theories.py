@@ -22,6 +22,7 @@ from oracles import (
     magma_occurrences,
     merge_terms,
     multiply_elements,
+    reference_magma_divisions,
     reference_mixed_overlaps,
     reference_path_divisions,
     reference_path_overlaps,
@@ -423,3 +424,16 @@ class TestOverlapsMatchReference:
     def test_path_divisions(self):
         for a, b in lead_pairs(QUIVER, 4):
             assert QUIVER.divisions(a, b) == reference_path_divisions(QUIVER, a, b), (a, b)
+
+    def test_magma_divisions(self):
+        """Every tree up to degree 5 against every tree of smaller degree and
+        itself, in preorder; each context plugs the lead back in."""
+        th = FreeMagmaTheory(("x", "y"))
+        trees = [[]] + [list(th.monomials_of_degree(d)) for d in range(1, 6)]
+        for d, layer in enumerate(trees):
+            leads = [t for smaller in trees[:d] for t in smaller]
+            for tree in layer:
+                for lead in leads + [tree]:
+                    got = th.divisions(tree, lead)
+                    assert got == reference_magma_divisions(tree, lead), (tree, lead)
+                    assert all(th.apply_context(ctx, lead) == tree for ctx in got)

@@ -17,6 +17,7 @@ from diamondlemma import (
     Element,
     ForbiddenFactorSet,
     Fp,
+    FreeMagmaTheory,
     FreeMonoidTheory,
     MixedTheory,
     MonomialOrder,
@@ -949,7 +950,8 @@ class TestLeadIndex:
                 i, ctx = found
                 assert index.first_site(m) == (i, index.decode_context(ctx))
                 assert index.apply(ctx, index.encode(leads[i])) == code
-            for bad in [("zz",), None, (("x", "y"),)]:
+            # A hole (None) inside a tree belongs to contexts only.
+            for bad in [("zz",), None, (("x", "y"),), ("x", None), (None, "x")]:
                 with pytest.raises(TheoryMismatchError) as info:
                     index.encode(bad)
                 assert str(info.value) == "monomial %r does not belong to %s" % (bad, th.describe())
@@ -978,13 +980,13 @@ class TestLeadIndex:
                         )
 
     def test_equal_weighted_orders_share_one_word_key(self):
-        th = THEORIES["assoc"]
-        for k in (2, 3):  # weighted-deglex and series
-            first, second = shipped_orders(th)[k], shipped_orders(th)[k]
-            assert first == second and first is not second
-            assert th.lead_index([], first).order_key is th.lead_index([], second).order_key
-        weighted, series = shipped_orders(th)[2:4]
-        assert th.lead_index([], weighted).order_key is not th.lead_index([], series).order_key
+        for th in (THEORIES["assoc"], THEORIES["magma"]):
+            for k in (2, 3):  # weighted-deglex and series
+                first, second = shipped_orders(th)[k], shipped_orders(th)[k]
+                assert first == second and first is not second
+                assert th.lead_index([], first).order_key is th.lead_index([], second).order_key
+            weighted, series = shipped_orders(th)[2:4]
+            assert th.lead_index([], weighted).order_key is not th.lead_index([], series).order_key
 
     def test_word_index_refuses_letters_outside_the_alphabet(self):
         index = TH.lead_index([("y", "x"), ("x",)], shipped_orders(TH)[0])
@@ -1108,6 +1110,44 @@ class TestEncodedReduction:
         th.divisions((1, 0, 0, 0), (1, 0, 0, 0))
         order.sort_key((1, 0, 0, 0))
         assert calls == {"apply_context": 1, "divisions": 1, "sort_key": 1}
+
+
+    def test_magma_reduction_calls_no_apply_context_divisions_or_sort_key(self, monkeypatch):
+        text = "theory magma\nvars x y\nrule y*x -> x*y\nrule (x*x)*x -> x*(x*x) + y\n"
+        system = parse_system_file(text).system
+        th, order = system.theory, system.order
+        element = Element.from_dict({m: Fraction(1) for m in th.monomials_of_degree(5)})
+        want, _ = reference_reduce(system, dict(element.terms), 10**5)
+        calls = count_calls(
+            monkeypatch,
+            (FreeMagmaTheory, "apply_context"),
+            (FreeMagmaTheory, "divisions"),
+            (MonomialOrder, "sort_key"),
+        )
+        result = normal_form(system, element)
+        assert calls == {"apply_context": 0, "divisions": 0, "sort_key": 0}
+        assert result == Element.from_dict(want) and result
+        # The wrappers do count.
+        th.apply_context(None, "x")
+        th.divisions("x", "x")
+        order.sort_key("x")
+        assert calls == {"apply_context": 1, "divisions": 1, "sort_key": 1}
+
+    def test_vertex_path_lead_calls_no_divisions(self, monkeypatch):
+        th = THEORIES["path"]
+        order = shipped_orders(th)[0]
+        # c*c -> c, and e2 -> 0, which kills every path through vertex 2.
+        c = Element.from_dict({("1", "1", ("c",)): Fraction(1)})
+        rules = (Rule(("1", "1", ("c", "c")), c), Rule(("2", "2", ()), Element.zero()))
+        system = RewritingSystem(th, order, rules)
+        element = Element.from_dict({m: Fraction(1) for m in th.monomials_of_degree(4)})
+        want, _ = reference_reduce(system, dict(element.terms), 10**5)
+        calls = count_calls(monkeypatch, (PathAlgebraTheory, "divisions"))
+        result = normal_form(system, element)
+        assert calls == {"divisions": 0}
+        assert result == Element.from_dict(want) == c
+        th.divisions(("2", "2", ()), ("2", "2", ()))
+        assert calls == {"divisions": 1}
 
 
 class TestCachedLeadIndex:
