@@ -176,10 +176,11 @@ class RationalField(_Value):
 
     Reduction loops work on a field's raw values and reduce sums modulo
     ``characteristic`` when it is nonzero. The raw values of rationals are
-    ints for integral ones, so integral arithmetic runs on ints, and
-    ``Fraction`` for the others. Converting into raw values accepts ``int``
-    and ``Fraction`` coefficients and raises ``ScalarError`` for any other;
-    converting back gives only ``Fraction``.
+    integer numerators over one common denominator, so reduction runs on
+    ints alone and divides once, on the way out. Converting into raw values
+    accepts ``int`` and ``Fraction`` coefficients, raises ``ScalarError``
+    for any other and returns the denominator; converting back gives only
+    ``Fraction``.
     """
 
     characteristic = 0
@@ -204,39 +205,59 @@ class RationalField(_Value):
         return "QQ"
 
     def raw_terms(self, terms: tuple) -> tuple:
-        """(monomial, raw value) pairs of an element's terms."""
-        return tuple(self.into_raw(dict(terms)).items())
+        """(pairs, d): an element's terms as (monomial, numerator) pairs over
+        their common denominator d."""
+        coeffs = dict(terms)
+        den = self.into_raw(coeffs)
+        return tuple(coeffs.items()), den
 
-    def into_raw(self, coeffs: dict) -> dict:
-        """Check a coefficient dict and replace integral values by ints, in place."""
+    def into_raw(self, coeffs: dict) -> int:
+        """Check a coefficient dict and replace its values, in place, by
+        numerators over the denominator returned: the lcm of theirs."""
+        # One as_integer_ratio call reads what two property reads would.
+        den = 1
         for m, c in coeffs.items():
             if isinstance(c, Fraction):
-                if c.denominator == 1:
-                    coeffs[m] = c.numerator
+                n, d = c.as_integer_ratio()
+                if d == 1:
+                    coeffs[m] = n
+                elif den % d:
+                    den = math.lcm(den, d)
             elif not isinstance(c, int):
                 _reject(c, self)
-        return coeffs
+        if den != 1:
+            # Only fractional input pays this pass.
+            for m, c in coeffs.items():
+                n, d = c.as_integer_ratio()
+                coeffs[m] = n * (den // d)
+        return den
 
-    def from_raw(self, coeffs: dict) -> dict:
-        """Replace a raw dict's int values by ``Fraction``, in place."""
+    def from_raw(self, coeffs: dict, den: int = 1) -> dict:
+        """Replace a raw dict's numerators over ``den`` by ``Fraction``, in
+        place. Over the denominator 1 a ``Fraction`` value, which the
+        expression parser keeps for a rational that is no integer, stays."""
+        if den != 1:
+            for m, r in coeffs.items():
+                coeffs[m] = Fraction(r, den)
+            return coeffs
         small = _SMALL_FRACTIONS.get
         for m, r in coeffs.items():
             if isinstance(r, int):
                 coeffs[m] = small(r) or Fraction(r)
         return coeffs
 
-    def scalar(self, raw) -> Fraction:
-        """The field value of one raw value."""
-        return (_SMALL_FRACTIONS.get(raw) or Fraction(raw)) if isinstance(raw, int) else raw
+    def scalar(self, raw: int, den: int) -> Fraction:
+        """The field value of one numerator over ``den``."""
+        return Fraction(raw, den) if den != 1 else _SMALL_FRACTIONS.get(raw) or Fraction(raw)
 
 
 class PrimeField(_Value):
     """Field of residues modulo a machine-word prime.
 
     Its values are ``Fp``; its raw values are the residues as plain ints,
-    0 <= r < p. Converting into raw values checks that every coefficient is
-    an ``Fp`` with this modulus, so a loop on raw values needs no
-    per-operation check.
+    0 <= r < p, over the denominator 1. Converting into raw values checks
+    that every coefficient is an ``Fp`` with this modulus, so a loop on raw
+    values needs no per-operation check.
     """
 
     _fields = ("p",)
@@ -286,26 +307,29 @@ class PrimeField(_Value):
         return c.value
 
     def raw_terms(self, terms: tuple) -> tuple:
-        """(monomial, residue) pairs of an element's terms."""
+        """(pairs, 1): an element's terms as (monomial, residue) pairs, whose
+        denominator is always 1."""
         raw = self._raw
-        return tuple((m, raw(c)) for m, c in terms)
+        return tuple([(m, raw(c)) for m, c in terms]), 1
 
-    def into_raw(self, coeffs: dict) -> dict:
-        """Check a coefficient dict and replace its values by residues, in place."""
+    def into_raw(self, coeffs: dict) -> int:
+        """Check a coefficient dict and replace its values by residues, in
+        place; returns their denominator, 1."""
         raw = self._raw
         for m, c in coeffs.items():
             coeffs[m] = raw(c)
-        return coeffs
+        return 1
 
-    def from_raw(self, coeffs: dict) -> dict:
-        """Replace a residue dict's values by ``Fp`` values, in place."""
+    def from_raw(self, coeffs: dict, den: int = 1) -> dict:
+        """Replace a residue dict's values by ``Fp`` values, in place; the
+        denominator of residues is 1."""
         p = self.p
         for m, r in coeffs.items():
             coeffs[m] = Fp(r, p)
         return coeffs
 
-    def scalar(self, raw) -> Fp:
-        """The ``Fp`` of one residue."""
+    def scalar(self, raw: int, den: int) -> Fp:
+        """The ``Fp`` of one residue, whose denominator is 1."""
         return Fp(raw, self.p)
 
 

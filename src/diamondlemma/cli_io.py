@@ -99,9 +99,10 @@ def _named_monomials(theory) -> dict:
 class _ExprParser:
     """Recursive-descent parser for linear combinations of monomials.
 
-    A value is ("scalar", c) or ("elem", {monomial: c}), c in the field's raw
-    values (see ``RationalField``), with no zero in a dict; ``parse`` builds
-    the one ``Element`` of the expression. Taking the "end" token is always
+    A value is ("scalar", c) or ("elem", {monomial: c}), with no zero in a
+    dict: c is an int residue over GF(p), and over QQ an int or, for a
+    rational that is no integer, its ``Fraction``; ``parse`` builds the one
+    ``Element`` of the expression. Taking the "end" token is always
     followed by an error, so the parser never reads past it.
     """
 
@@ -271,7 +272,11 @@ class _ExprParser:
                 c = self.field.coeff(Fraction(n, d))
             except ScalarError as exc:
                 self._fail(str(exc), tok)
-            return ("scalar", self.field.into_raw({None: c})[None])
+            raw = {None: c}
+            if self.field.into_raw(raw) != 1:
+                # A rational that is no integer stays its Fraction.
+                return ("scalar", c)
+            return ("scalar", raw[None])
         if kind == "name":
             m = self.names.get(tok[1])
             if m is None:

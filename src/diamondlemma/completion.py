@@ -104,8 +104,9 @@ class _Working:
     """Unvalidated view of a rule list with the attributes the engine reads.
 
     Its lead index, made with the order, and its lower parts in
-    ``_raw_lower`` form cover the rules it is made with; ``append`` and
-    ``replace`` keep them in step with ``rules``, so one view serves a whole
+    ``_raw_lower`` form (codes with integer numerators over one denominator
+    per rule) cover the rules it is made with; ``append`` and ``replace``
+    keep them in step with ``rules``, so one view serves a whole
     completion. Its ``site_memo`` serves every reduction of that completion,
     since leads are only appended and a replaced rule keeps its lead.
     ``without(i)`` slices all three for the view of the other rules,
@@ -164,7 +165,7 @@ def _interreduce(work: _Working, max_steps: int, since: int = 0) -> None:
     rules, lowers = work.rules, work.raw_lowers
     site = work.lead_index.site
     for i in range(len(rules)):
-        if i < since and not any(site(m, since) for m, _ in lowers[i]):
+        if i < since and not any(site(m, since) for m, _ in lowers[i][0]):
             continue
         # A lead divides no monomial below it, so rule i never fires here.
         lower = normal_form(work, rules[i].lower, max_steps)

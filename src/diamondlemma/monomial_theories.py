@@ -17,10 +17,8 @@ from enum import Enum
 
 from .algebra_core import (
     DiamondError,
-    Element,
     OrderKind,
     TheoryMismatchError,
-    _accumulate,
     _Value,
     _weight_table,
 )
@@ -307,15 +305,6 @@ class Theory(_Value):
     def uniform_equivalent(self, a, b) -> bool:
         """Decide whether two monomials may appear in the same rule."""
         return self.uniform_class(a) == self.uniform_class(b)
-
-    def apply_context_to_element(self, ctx, element: Element) -> Element:
-        """Apply a context to every term, dropping products that vanish."""
-        out: dict = {}
-        for m, c in element.terms:
-            image = self.apply_context(ctx, m)
-            if image is not None:
-                _accumulate(out, image, c)
-        return Element.from_dict(out)
 
     def lead_index(self, leads, order) -> LeadIndex:
         """Index of rule leads for site lookup, whose codes reduce under

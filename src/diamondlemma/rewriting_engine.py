@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import heapq
 from fractions import Fraction
+from math import gcd
 
 from .algebra_core import DiamondError, Element, MonomialOrder, RationalField, _Value
 
@@ -41,10 +42,10 @@ class RewritingSystem(_Value):
     ``lead_index`` and ``raw_lowers`` are built from the rules on first use
     and kept on the instance; they are no fields, so equality, hashing and
     repr ignore them. The lead index is made with the system's order, and
-    ``raw_lowers`` holds each rule's lower part in its codes, so reduction
-    runs on codes alone. ``__init__`` validates the rules in
-    ``__post_init__``, a method of its own so that a tracer can time every
-    system build.
+    ``raw_lowers`` holds each rule's lower part in its codes and as integer
+    numerators over one denominator, so reduction runs on codes and ints
+    alone. ``__init__`` validates the rules in ``__post_init__``, a method
+    of its own so that a tracer can time every system build.
     """
 
     _fields = ("theory", "order", "rules", "field")
@@ -89,10 +90,13 @@ class RewritingSystem(_Value):
 
 
 def _raw_lower(system, rule: Rule) -> tuple:
-    """A rule's lower part as (code, raw value) pairs: the codes of the
-    system's ``lead_index`` and the field's raw values."""
+    """A rule's lower part as (pairs, d): (code, raw value) pairs in the
+    codes of the system's ``lead_index`` and the field's raw values, which
+    are numerators over d, the lcm of the coefficients' denominators (always
+    1 over GF(p))."""
     encode = system.lead_index.encode
-    return tuple([(encode(m), c) for m, c in system.field.raw_terms(rule.lower.terms)])
+    pairs, d = system.field.raw_terms(rule.lower.terms)
+    return tuple([(encode(m), c) for m, c in pairs]), d
 
 
 def _rule_problem(theory, order: MonomialOrder, field, rules, check=None):
@@ -159,7 +163,7 @@ class _Queued(tuple):
 
 def _rewrites(system, coeffs: dict, budget: int, keep=None):
     """Reduce coeffs in place, yielding (rule index, code, encoded context,
-    raw coefficient) for each step as it is applied.
+    raw coefficient, denominator) for each step as it is applied.
 
     Strategy: rewrite the P-greatest reducible support monomial, using the
     lowest rule index and the first canonical context, which the system's
@@ -171,15 +175,23 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
     step ``budget + 1``.
 
     The loop runs on the codes of the system's ``lead_index`` and the raw
-    values of its field. coeffs is encoded into a fresh dict on entry, which
-    raises TheoryMismatchError for a monomial outside the theory (and
-    DiamondError for a power product too large for its code) and ScalarError
-    for a coefficient outside the field, and refilled with the decoded terms
-    on exit, however the loop ends. Images of the encoded lower parts in
-    ``raw_lowers`` need no check but the one ``apply`` makes that a code
-    still fits; rules are uniform, so no image vanishes. ``_step`` decodes
-    a yielded step. A caller that stops early must close the generator
-    before reading coeffs.
+    values of its field: integer numerators over one denominator D for the
+    whole reduction. A step pops a numerator c and reads its rule's lower
+    part, numerators a over d. When d divides c the images take a * (c //
+    d); otherwise, with g = gcd(c, d), every value and D are multiplied by
+    d // g and the images take a * (c // g). Over GF(p) d is always 1, so no
+    step rescales. A step yields c over the D from before its rescale, the
+    exact coefficient it removed.
+
+    coeffs is encoded into a fresh dict on entry, which raises
+    TheoryMismatchError for a monomial outside the theory (and DiamondError
+    for a power product too large for its code) and ScalarError for a
+    coefficient outside the field, and refilled with the decoded terms,
+    divided by D, on exit, however the loop ends. Images of the encoded
+    lower parts in ``raw_lowers`` need no check but the one ``apply`` makes
+    that a code still fits; rules are uniform, so no image vanishes.
+    ``_step`` decodes a yielded step. A caller that stops early must close
+    the generator before reading coeffs.
 
     Site lookups go through ``system.site_memo``, which maps a code to its
     ``site``, or to the number of leads ``site`` found no divisor among.
@@ -196,7 +208,7 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
     if keep is not None:
         for m in [m for m in work if not keep(m)]:
             del work[m]
-    field.into_raw(work)
+    den = field.into_raw(work)
     try:
         heap = []
         for m in work:
@@ -218,7 +230,16 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
                 )
             ridx, ctx = memo[m]
             c = work.pop(m)
-            for mm, cc in lowers[ridx]:
+            step = ridx, m, ctx, c, den
+            lower, d = lowers[ridx]
+            if d != 1:
+                g = gcd(c, d)
+                if g != d:
+                    r = d // g
+                    den *= r
+                    work = {k: v * r for k, v in work.items()}
+                c //= g
+            for mm, cc in lower:
                 image = apply(ctx, mm)
                 if keep is not None and not keep(image):
                     continue
@@ -237,19 +258,21 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
                 elif prev is not None:
                     del work[image]
             steps += 1
-            yield ridx, m, ctx, c
+            yield step
     finally:
         coeffs.clear()
-        for m, c in field.from_raw(work).items():
+        for m, c in field.from_raw(work, den).items():
             coeffs[decode(m)] = c
 
 
 def _step(system, step) -> RewriteStep:
     """The trail entry of a step ``_rewrites`` yielded: the public monomial
     and context, and a field coefficient."""
-    ridx, m, ctx, c = step
+    ridx, m, ctx, c, den = step
     index = system.lead_index
-    return RewriteStep(ridx, index.decode(m), index.decode_context(ctx), system.field.scalar(c))
+    return RewriteStep(
+        ridx, index.decode(m), index.decode_context(ctx), system.field.scalar(c, den)
+    )
 
 
 def reduce_once(system, element: Element):

@@ -108,6 +108,16 @@ def reference_magma_divisions(tree, target) -> list:
     return found
 
 
+def apply_context_to_element(theory, ctx, element: Element) -> Element:
+    """Apply a context to every term, dropping products that vanish."""
+    out: dict = {}
+    for m, c in element.terms:
+        image = theory.apply_context(ctx, m)
+        if image is not None:
+            _accumulate(out, image, c)
+    return Element.from_dict(out)
+
+
 def one_step_results(system, element: Element) -> list:
     """Every element reachable by one reduction anywhere, deduplicated."""
     th = system.theory
@@ -116,7 +126,7 @@ def one_step_results(system, element: Element) -> list:
     for m, c in element.terms:
         for rule in system.rules:
             for ctx in th.divisions(m, rule.lead):
-                image = th.apply_context_to_element(ctx, rule.lower)
+                image = apply_context_to_element(th, ctx, rule.lower)
                 result = element - Element(((m, c),)) + image.scaled(c)
                 if result not in seen:
                     seen.add(result)
@@ -255,7 +265,7 @@ def reference_reduce_once(system, element: Element):
     m = _pick_greatest(system.order, candidates, {})
     ridx, ctx = site_memo[m]
     c = dict(element.terms)[m]
-    image = th.apply_context_to_element(ctx, rules[ridx].lower)
+    image = apply_context_to_element(th, ctx, rules[ridx].lower)
     result = element - Element(((m, c),)) + image.scaled(c)
     return result, RewriteStep(ridx, m, ctx, c)
 
@@ -398,15 +408,22 @@ def second_criterion_filter(system, ambiguities) -> tuple:
 
 
 def make_random_system(
-    theory, order, rng, lead_degree: int = 3, lower_degree: int = 3, field=RationalField()
+    theory,
+    order,
+    rng,
+    lead_degree: int = 3,
+    lower_degree: int = 3,
+    field=RationalField(),
+    sample=None,
 ):
     """Random system of 1-3 rules with leads of degree 1..lead_degree.
 
     Lower parts hold up to two monomials of degree <= lower_degree that lie
     below the lead and, for paths, share its endpoints. Coefficients are
-    drawn from ``field_coeffs(field)``.
+    drawn from ``sample``, by default ``field_coeffs(field)``.
     """
-    sample = field_coeffs(field)
+    if sample is None:
+        sample = field_coeffs(field)
     pool = []
     for d in range(max(lead_degree, lower_degree) + 1):
         pool.extend(theory.monomials_of_degree(d))
@@ -606,6 +623,18 @@ _COEFFS = (
     Fraction(3),
 )
 
+# Rationals whose denominators are pairwise coprime, and one huge numerator:
+# reductions over QQ with these rescale and grow their common denominator.
+COPRIME_FRACTIONS = (
+    Fraction(1, 2),
+    Fraction(2, 3),
+    Fraction(-3, 5),
+    Fraction(5, 7),
+    Fraction(1, 11),
+    Fraction(10**20, 3),
+    Fraction(-1),
+)
+
 # Prime fields for the randomized tests: the smallest, a small one, the
 # benchmark's and a Mersenne prime whose products exceed 64 bits.
 PRIME_FIELDS = (PrimeField(2), PrimeField(7), PrimeField(32003), PrimeField(2**61 - 1))
@@ -759,11 +788,12 @@ def reference_weight_sum(theory, weights: tuple, m) -> Fraction:
 
 
 def random_element(
-    theory, order, rng, max_degree: int, max_terms: int = 3, field=RationalField()
+    theory, order, rng, max_degree: int, max_terms: int = 3, field=RationalField(), sample=None
 ) -> Element:
     """Random element supported on monomials up to a degree cap, with
-    coefficients drawn from ``field_coeffs(field)``."""
-    sample = field_coeffs(field)
+    coefficients drawn from ``sample``, by default ``field_coeffs(field)``."""
+    if sample is None:
+        sample = field_coeffs(field)
     pool = []
     for d in range(max_degree + 1):
         pool.extend(theory.monomials_of_degree(d))

@@ -1,5 +1,6 @@
 """Scalars, sparse elements and monomial orders."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,17 @@ class TestRationalField:
         assert f.coeff(3) == Fraction(3)
         assert f.coeff(Fraction(1, 2)) == Fraction(1, 2)
         assert f.describe() == "QQ"
+
+    @given(st.lists(st.fractions(max_denominator=50).filter(bool), max_size=6))
+    def test_raw_values_are_numerators_over_the_lcm(self, values):
+        f = RationalField()
+        coeffs = dict(enumerate(values))
+        den = f.into_raw(coeffs)
+        assert den == math.lcm(*(c.denominator for c in values))
+        for r, c in zip(coeffs.values(), values):
+            assert type(r) is int and Fraction(r, den) == c
+        assert f.from_raw(coeffs, den) == dict(enumerate(values))
+        assert all(type(c) is Fraction for c in coeffs.values())
 
 
 class TestPrimeField:

@@ -30,6 +30,7 @@ from diamondlemma import (
 from oracles import (
     THEORIES,
     all_normal_forms,
+    apply_context_to_element,
     critical_ambiguities_with_montages,
     make_random_system,
     make_word_corpus,
@@ -199,8 +200,8 @@ class TestSPolynomial:
                 for _ in range(10):
                     s = make_random_system(th, order, rng, field=field)
                     for amb in critical_ambiguities(s):
-                        left = th.apply_context_to_element(amb.ctx1, s.rules[amb.rule1].lower)
-                        right = th.apply_context_to_element(amb.ctx2, s.rules[amb.rule2].lower)
+                        left = apply_context_to_element(th, amb.ctx1, s.rules[amb.rule1].lower)
+                        right = apply_context_to_element(th, amb.ctx2, s.rules[amb.rule2].lower)
                         assert repr(s_polynomial(s, amb)) == repr(left - right)
 
 

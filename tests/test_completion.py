@@ -1,5 +1,6 @@
 """Confluence checking, completion and rule dropping."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -406,12 +407,15 @@ class TestAgainstReference:
                 _interreduce(selective, 20_000, len(done.rules))
                 _reference_interreduce(th, order, QQ, reference, 20_000)
                 assert selective.rules == full.rules == reference
-                # Over QQ the raw lower parts decode to the rules' own terms.
+                # Over QQ the raw lower parts are int numerators over the
+                # lcm of the denominators and decode to the rules' own terms.
                 decode = selective.lead_index.decode
-                assert [
-                    tuple((decode(code), c) for code, c in lower)
-                    for lower in selective.raw_lowers
-                ] == [rule.lower.terms for rule in full.rules]
+                assert len(selective.raw_lowers) == len(full.rules)
+                for (lower, d), rule in zip(selective.raw_lowers, full.rules):
+                    assert all(type(c) is int for _, c in lower)
+                    assert d == math.lcm(*(c.denominator for _, c in rule.lower.terms))
+                    decoded = tuple((decode(code), Fraction(c, d)) for code, c in lower)
+                    assert decoded == rule.lower.terms
 
     @pytest.mark.parametrize("name", sorted(THEORIES))
     def test_working_memo_survives_appended_rules(self, name):
@@ -476,6 +480,8 @@ class TestAgainstReference:
         pytest.param(cyclic_polynomials(4), "grlex", None, id="cyclic-4-grlex"),
         pytest.param(katsura_polynomials(3), "grlex", None, id="katsura-3-grlex"),
         pytest.param(katsura_polynomials(4), "grlex", None, id="katsura-4-grlex"),
+        # The benchmark's QQ case, which the integer loop rescales through.
+        pytest.param(cyclic_polynomials(5), "grlex", None, id="cyclic-5-grlex"),
         pytest.param(cyclic_polynomials(4), "lex", None, id="cyclic-4-lex"),
         pytest.param(katsura_polynomials(2), "lex", None, id="katsura-2-lex"),
         # Raw residues under the deglex and the lex code layout.

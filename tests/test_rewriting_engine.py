@@ -25,6 +25,7 @@ from diamondlemma import (
     PathAlgebraTheory,
     PrimeField,
     RationalField,
+    RewriteStep,
     RewritingSystem,
     Rule,
     RuleError,
@@ -51,10 +52,12 @@ from diamondlemma.cli_io import MAX_NESTING
 from diamondlemma.completion import _cached_verdict
 
 from oracles import (
+    COPRIME_FRACTIONS,
     PRIME_FIELDS,
     THEORIES,
     _reference_site,
     all_normal_forms,
+    apply_context_to_element,
     cyclic_polynomials,
     make_random_system,
     random_element,
@@ -468,7 +471,7 @@ class TestNormalForm:
         nf, trail = normal_form_with_trail(weyl(), e)
         replay = e
         for step in trail:
-            image = th.apply_context_to_element(step.context, weyl().rules[step.rule_index].lower)
+            image = apply_context_to_element(th, step.context, weyl().rules[step.rule_index].lower)
             replay = replay - Element(((step.monomial, step.coefficient),)) + image.scaled(
                 step.coefficient
             )
@@ -923,7 +926,8 @@ class TestLeadIndex:
                 for m in monomials:
                     found = index.site(index.encode(m))
                     if found is not None:
-                        for code, _ in system.raw_lowers[found[0]]:
+                        lower, _ = system.raw_lowers[found[0]]
+                        for code, _ in lower:
                             assert index.apply(found[1], code) is not None
                             images += 1
         assert images > 1000
@@ -1269,3 +1273,111 @@ class TestRationalOutputs:
         for rule in report.system.rules + tuple(added.rule for added in report.added):
             assert all_fractions(rule.lower.terms)
 
+
+def denominator_primes(terms) -> set:
+    """The primes of the ``COPRIME_FRACTIONS`` denominators that divide the
+    denominator of some coefficient."""
+    return {q for q in (2, 3, 5, 7, 11) for _, c in terms if c.denominator % q == 0}
+
+
+class TestIntegerReductionOverQQ:
+    """Over QQ reduction runs integer numerators over one denominator, which
+    a step multiplies up when its rule's denominator does not divide the
+    numerator; checked against the full-rescan strategy, which adds
+    ``Fraction`` values."""
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_coprime_denominators_match_reference(self, name):
+        th = THEORIES[name]
+        rng = random.Random("coprime-" + name)
+        orders = [o for o in shipped_orders(th) if o.is_well_founded()]
+        grown = 0
+        for _ in range(30):
+            order = orders[rng.randrange(len(orders))]
+            s = make_random_system(th, order, rng, sample=COPRIME_FRACTIONS)
+            for _ in range(3):
+                e = random_element(th, order, rng, 4, max_terms=4, sample=COPRIME_FRACTIONS)
+                want, want_trail = reference_reduce(s, dict(e.terms), 10**5)
+                got, trail = normal_form_with_trail(s, e)
+                assert got == Element.from_dict(want)
+                assert trail == want_trail
+                assert normal_form(s, e) == got
+                assert reduce_once(s, e) == reference_reduce_once(s, e)
+                budget_boundary_agrees(
+                    lambda n: normal_form_with_trail(s, e, max_steps=n),
+                    lambda n: reference_reduce(s, dict(e.terms), n),
+                    len(trail),
+                )
+                # A denominator prime that the input lacks took a rescale.
+                grown += bool(denominator_primes(got.terms) - denominator_primes(e.terms))
+        assert grown >= 5
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_truncated_normal_form_over_fractional_rules(self, name):
+        th = THEORIES[name]
+        (order,) = [o for o in shipped_orders(th) if o.kind is OrderKind.SERIES_DEGLEX]
+        wd = WeightData(th, order.weights)
+        rng = random.Random("coprime-truncated-" + name)
+        for _ in range(20):
+            s = make_random_system(
+                th, order, rng, lead_degree=2, lower_degree=4, sample=COPRIME_FRACTIONS
+            )
+            precision = rng.randint(3, 6)
+            floor = Fraction(1 - precision)
+            e = random_element(th, order, rng, 3, max_terms=4, sample=COPRIME_FRACTIONS)
+
+            def keep(m):
+                return wd.exponent(m) >= floor
+
+            def reference(n):
+                coeffs = {m: c for m, c in e.terms if keep(m)}
+                return reference_reduce(s, coeffs, n, keep)
+
+            want, want_trail = reference(10**5)
+            got = truncated_normal_form(s, wd, e, precision)
+            assert got.representative == Element.from_dict(want)
+            budget_boundary_agrees(
+                lambda n: truncated_normal_form(s, wd, e, precision, max_steps=n),
+                reference,
+                len(want_trail),
+            )
+
+    def test_trail_coefficient_is_read_before_the_rescale(self):
+        """yxx -> 1/2 xyx + 1/3 xx: over D = 6 the numerators are 3 and 2.
+        Rewriting xyx pops 3, and gcd(3, 6) = 3, so every value and D are
+        doubled; the step removed 3/6 = 1/2, not 3/12."""
+        s = parse_system_file("theory assoc; vars x y; rule y*x -> 1/2*x*y + 1/3*x").system
+        e = parse_expression("y*x*x", s.theory, s.field)
+        nf, trail = normal_form_with_trail(s, e)
+        assert trail == (
+            RewriteStep(0, ("y", "x", "x"), ((), ("x",)), Fraction(1)),
+            RewriteStep(0, ("x", "y", "x"), (("x",), ()), Fraction(1, 2)),
+        )
+        assert nf == Element.from_dict(
+            {("x", "x", "y"): Fraction(1, 4), ("x", "x"): Fraction(1, 2)}
+        )
+        middle, step = reduce_once(s, e)
+        assert step == trail[0]
+        assert reduce_once(s, middle) == reference_reduce_once(s, middle)
+        assert reduce_once(s, middle)[1] == trail[1]
+
+    @pytest.mark.parametrize("field", [QQ] + list(PRIME_FIELDS), ids=lambda f: f.describe())
+    def test_raw_lower_numerators_over_their_lcm(self, field):
+        """A raw lower part is int numerators over the lcm of its rule's
+        denominators; over GF(p) that is 1, so no step there rescales."""
+        rng = random.Random("raw-lowers-" + field.describe())
+        sample = COPRIME_FRACTIONS if field == QQ else None
+        for name, th in sorted(THEORIES.items()):
+            for order in shipped_orders(th):
+                s = make_random_system(th, order, rng, field=field, sample=sample)
+                for (lower, d), rule in zip(s.raw_lowers, s.rules):
+                    assert all(type(c) is int for _, c in lower)
+                    if field == QQ:
+                        dens = [c.denominator for _, c in rule.lower.terms]
+                        assert d == math.lcm(*dens)
+                        assert [Fraction(c, d) for _, c in lower] == [
+                            c for _, c in rule.lower.terms
+                        ]
+                    else:
+                        assert d == 1
+                        assert [c for _, c in lower] == [c.value for _, c in rule.lower.terms]
