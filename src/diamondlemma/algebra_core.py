@@ -204,13 +204,6 @@ class RationalField(_Value):
     def describe(self) -> str:
         return "QQ"
 
-    def raw_terms(self, terms: tuple) -> tuple:
-        """(pairs, d): an element's terms as (monomial, numerator) pairs over
-        their common denominator d."""
-        coeffs = dict(terms)
-        den = self.into_raw(coeffs)
-        return tuple(coeffs.items()), den
-
     def into_raw(self, coeffs: dict) -> int:
         """Check a coefficient dict and replace its values, in place, by
         numerators over the denominator returned: the lcm of theirs."""
@@ -305,12 +298,6 @@ class PrimeField(_Value):
         if not self.contains(c):
             _reject(c, self)
         return c.value
-
-    def raw_terms(self, terms: tuple) -> tuple:
-        """(pairs, 1): an element's terms as (monomial, residue) pairs, whose
-        denominator is always 1."""
-        raw = self._raw
-        return tuple([(m, raw(c)) for m, c in terms]), 1
 
     def into_raw(self, coeffs: dict) -> int:
         """Check a coefficient dict and replace its values by residues, in

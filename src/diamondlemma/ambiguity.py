@@ -38,7 +38,13 @@ def _pair_ambiguities(theory, i, lead_i, j, lead_j) -> list:
 
 
 def critical_ambiguities(system) -> tuple:
-    """Enumerate the critical ambiguities of a system, montages discarded."""
+    """The critical ambiguities of a system, montages discarded, ordered by
+    superposition degree, then superposition, rules and contexts; the
+    system's own ``ambiguities``, so each system enumerates them once."""
+    return system.ambiguities
+
+
+def _enumerate_ambiguities(system) -> tuple:
     th = system.theory
     leads = [rule.lead for rule in system.rules]
     ambs = []

@@ -6,14 +6,10 @@ import functools
 import heapq
 import itertools
 from enum import Enum
+from math import gcd
 
-from .algebra_core import DiamondError, Element, _Value
-from .ambiguity import (
-    _pair_ambiguities,
-    critical_ambiguities,
-    resolve,
-    s_polynomial,
-)
+from .algebra_core import DiamondError, Element, _term_key, _Value
+from .ambiguity import _pair_ambiguities, resolve, s_polynomial
 from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
     RewritingSystem,
@@ -22,6 +18,7 @@ from .rewriting_engine import (
     normal_form,
     orient,
     _raw_lower,
+    _rewrites,
     _well_founded,
 )
 
@@ -59,7 +56,7 @@ def check_confluence(system, max_steps: int = DEFAULT_STEP_BUDGET) -> Confluence
     """
     _well_founded(system, "confluence checking")
     checked = 0
-    for amb in critical_ambiguities(system):
+    for amb in system.ambiguities:
         try:
             cert = resolve(system, amb, max_steps)
         except StepBudgetExceededError:
@@ -105,43 +102,86 @@ class _Working:
 
     Its lead index, made with the order, and its lower parts in
     ``_raw_lower`` form (codes with integer numerators over one denominator
-    per rule) cover the rules it is made with; ``append`` and ``replace``
-    keep them in step with ``rules``, so one view serves a whole
-    completion. Its ``site_memo`` serves every reduction of that completion,
-    since leads are only appended and a replaced rule keeps its lead.
-    ``without(i)`` slices all three for the view of the other rules,
-    recomputing nothing, for the drop pass, and gives it a fresh memo.
+    per rule) cover its rules; ``of(system)`` takes over a system's own.
+    ``append`` and ``renormalize`` keep them in step with ``rules``, so one
+    view serves a whole completion. Its ``site_memo`` serves every
+    reduction of that completion, since leads are only appended and a
+    renormalized rule keeps its lead. ``marks`` holds, per rule, how many
+    leads its lower part is known to be irreducible against, 0 unless told.
+    ``without(i)`` is the view of the other rules, recomputing no encoding,
+    for the drop pass, and gives it a fresh memo.
     """
 
-    __slots__ = ("theory", "order", "field", "rules", "raw_lowers", "lead_index", "site_memo")
+    __slots__ = (
+        "theory", "order", "field", "rules", "raw_lowers", "lead_index", "site_memo", "marks"
+    )
 
-    def __init__(self, theory, order, field, rules: list) -> None:
+    def __init__(self, theory, order, field, rules: list, lead_index=None, raw_lowers=None):
         self.theory = theory
         self.order = order
         self.field = field
         self.rules = rules
-        self.lead_index = theory.lead_index([rule.lead for rule in rules], order)
-        self.raw_lowers = [_raw_lower(self, rule) for rule in rules]
+        if lead_index is None:
+            lead_index = theory.lead_index([rule.lead for rule in rules], order)
+        self.lead_index = lead_index
+        if raw_lowers is None:
+            raw_lowers = [_raw_lower(self, rule) for rule in rules]
+        self.raw_lowers = raw_lowers
         self.site_memo = {}
+        self.marks = [0] * len(rules)
 
-    def append(self, rule: Rule) -> None:
+    @classmethod
+    def of(cls, system) -> "_Working":
+        """The view of a system's rules, on copies of its lead index and raw
+        lower parts."""
+        return cls(
+            system.theory,
+            system.order,
+            system.field,
+            list(system.rules),
+            system.lead_index.copy(),
+            list(system.raw_lowers),
+        )
+
+    def append(self, rule: Rule, mark: int = 0) -> None:
+        """Add a rule whose lower part is irreducible against the first
+        ``mark`` leads; its own lead divides nothing below it, so a rule
+        appended right after them is marked past itself."""
+        if mark == len(self.rules):
+            mark += 1
         self.rules.append(rule)
         self.lead_index.add(rule.lead)
         self.raw_lowers.append(_raw_lower(self, rule))
+        self.marks.append(mark)
 
-    def replace(self, i: int, rule: Rule) -> None:
-        """Put a rule with the same lead in place of rule i."""
-        self.rules[i] = rule
-        self.raw_lowers[i] = _raw_lower(self, rule)
+    def renormalize(self, i: int, box: list) -> None:
+        """Put the reduced lower part in box = [code dict, D] in place of
+        rule i's. The numerators and D are divided by their gcd, so D is
+        the lcm of the reduced denominators, and the codes are kept in the
+        order of the decoded rule's terms."""
+        work, den = box
+        g = gcd(den, *work.values())
+        den //= g
+        decode, scalar = self.lead_index.decode, self.field.scalar
+        terms = []
+        for m, c in work.items():
+            x = decode(m)
+            terms.append((_term_key(x), x, m, c // g))
+        terms.sort()
+        lower = Element(tuple([(x, scalar(c, den)) for _, x, _, c in terms]))
+        self.rules[i] = Rule(self.rules[i].lead, lower)
+        self.raw_lowers[i] = tuple([(m, c) for _, _, m, c in terms]), den
 
     def without(self, i: int) -> "_Working":
-        view = _Working.__new__(_Working)
-        view.theory, view.order, view.field = self.theory, self.order, self.field
-        view.rules = self.rules[:i] + self.rules[i + 1 :]
-        view.raw_lowers = self.raw_lowers[:i] + self.raw_lowers[i + 1 :]
-        view.lead_index = self.lead_index.without(i)
-        view.site_memo = {}
-        return view
+        rules, lowers = self.rules, self.raw_lowers
+        return _Working(
+            self.theory,
+            self.order,
+            self.field,
+            rules[:i] + rules[i + 1 :],
+            self.lead_index.without(i),
+            lowers[:i] + lowers[i + 1 :],
+        )
 
 
 def _uniform_components(theory, element: Element) -> list:
@@ -153,24 +193,41 @@ def _uniform_components(theory, element: Element) -> list:
 
 
 def _interreduce(work: _Working, max_steps: int, since: int = 0) -> None:
-    """Renormalize rule lower parts against the other rules' leads.
+    """Renormalize rule lower parts against the other rules' leads, in rule
+    order.
 
-    Rules before ``since`` were interreduced already. Leads never change, so
-    their lower parts are still irreducible unless a monomial is divisible by
-    a lead from ``since`` on, which ``site(code, since)`` of the working
-    index tells from the encoded lower parts; the other rules are skipped,
-    which leaves the result unchanged. Each renormalization reads and fills
-    the working memo, which outlives this call.
+    A rule's mark says how many leads its lower part is known to be
+    irreducible against; ``since`` raises the marks of the rules before it
+    to ``since``. A rule whose mark covers every lead is skipped. For the
+    others the working memo, which outlives this call, tells whether a lead
+    divides a code of the lower part, resuming each scan where the memo
+    says, or at the rule's mark for a code it lacks. Only then is the
+    encoded lower part reduced and written back. Leads never change, so a
+    skipped rule would come back unchanged.
     """
-    rules, lowers = work.rules, work.raw_lowers
-    site = work.lead_index.site
-    for i in range(len(rules)):
-        if i < since and not any(site(m, since) for m, _ in lowers[i][0]):
+    lowers, marks, memo = work.raw_lowers, work.marks, work.site_memo
+    site, n = work.lead_index.site, len(work.rules)
+    for i in range(since):
+        marks[i] = max(marks[i], since)
+    for i in range(n):
+        mark = marks[i]
+        if mark >= n:
+            continue
+        marks[i] = n
+        lower, d = lowers[i]
+        for m, _ in lower:
+            found = memo.get(m, mark)
+            if found.__class__ is int and found < n:
+                found = memo[m] = site(m, found) or n
+            if found.__class__ is not int:
+                break
+        else:
             continue
         # A lead divides no monomial below it, so rule i never fires here.
-        lower = normal_form(work, rules[i].lower, max_steps)
-        if lower != rules[i].lower:
-            work.replace(i, Rule(rules[i].lead, lower))
+        box = [dict(lower), d]
+        for _ in _rewrites(work, box, max_steps):
+            pass
+        work.renormalize(i, box)
 
 
 def complete(
@@ -191,7 +248,7 @@ def complete(
     """
     _well_founded(system, "completion")
     th, order = system.theory, system.order
-    work = _Working(th, order, system.field, list(system.rules))
+    work = _Working.of(system)
     rules = work.rules
     heap: list = []
     counter = itertools.count()
@@ -220,7 +277,6 @@ def complete(
     processed = 0
     skipped = 0
     sources: list = []
-    interreduced = 0
     degree_capped = False
     rule_capped = False
     while heap:
@@ -231,19 +287,19 @@ def complete(
             skipped += 1
             degree_capped = True
             continue
+        reduced_by = len(rules)
         remainder = normal_form(work, s_polynomial(work, amb), max_steps)
         processed += 1
         if remainder.is_zero():
             continue
         for component in _uniform_components(th, remainder):
-            work.append(orient(order, component))
+            work.append(orient(order, component), reduced_by)
             sources.append(amb)
             if len(rules) > max_rules:
                 rule_capped = True
                 break
             add_pairs(len(rules) - 1)
-            _interreduce(work, max_steps, interreduced)
-            interreduced = len(rules)
+            _interreduce(work, max_steps)
         if rule_capped:
             break
 
@@ -260,30 +316,40 @@ def complete(
     )
     dropped: tuple = ()
     if status is CompletionStatus.COMPLETE:
-        rules, dropped = _drop_pass(work, max_steps)
-    final = RewritingSystem(th, order, tuple(rules), system.field)
+        work, dropped = _drop_pass(work, max_steps)
+    final = RewritingSystem(th, order, tuple(work.rules), system.field)
+    if status is CompletionStatus.COMPLETE:
+        final._adopt(work.lead_index, work.raw_lowers)
     return CompletionReport(status, final, added, dropped, processed, skipped, filtered)
 
 
 def _drop_pass(work: _Working, max_steps: int):
     """Greedily remove rules certified redundant by the remaining ones.
 
-    Returns the remaining rules, a new list, and the drops; ``work`` is left
-    as it was.
+    A rule is redundant when the other rules reduce its lead and its
+    defining element, lead minus lower part, to zero; that element is
+    reduced encoded, as numerators over the lower part's denominator.
+    Returns the view of the remaining rules, a new one when a rule was
+    dropped, and the drops.
     """
-    theory, field = work.theory, work.field
+    theory, p = work.theory, work.field.characteristic
     dropped = []
     i = 0
     while i < len(work.rules):
         rule = work.rules[i]
         others = work.without(i)
-        if others.lead_index.first_site(rule.lead) is not None:
-            defining = Element(((rule.lead, field.one),)) - rule.lower
+        lead = others.lead_index.encode(rule.lead)
+        if others.lead_index.site(lead) is not None:
+            lower, d = work.raw_lowers[i]
+            codes = {m: (-c % p if p else -c) for m, c in lower}
+            codes[lead] = d
             try:
-                residue = normal_form(others, defining, max_steps)
+                for _ in _rewrites(others, [codes, d], max_steps):
+                    pass
+                redundant = not codes
             except StepBudgetExceededError:
-                residue = None
-            if residue is not None and residue.is_zero():
+                redundant = False
+            if redundant:
                 dropped.append(
                     (
                         rule,
@@ -294,14 +360,13 @@ def _drop_pass(work: _Working, max_steps: int):
                 work = others
                 continue
         i += 1
-    return list(work.rules), tuple(dropped)
+    return work, tuple(dropped)
 
 
 def drop_redundant(system, max_steps: int = DEFAULT_STEP_BUDGET):
     """Remove redundant rules; returns the trimmed system and the drops."""
-    work = _Working(system.theory, system.order, system.field, list(system.rules))
-    remaining, dropped = _drop_pass(work, max_steps)
-    trimmed = RewritingSystem(system.theory, system.order, tuple(remaining), system.field)
+    remaining, dropped = _drop_pass(_Working.of(system), max_steps)
+    trimmed = RewritingSystem(system.theory, system.order, tuple(remaining.rules), system.field)
     return trimmed, dropped
 
 

@@ -148,8 +148,8 @@ class LeadIndex:
     that found none resumes at the first lead added since; a scan from 0,
     the common case, copies no list. The index keeps one list, the entry
     ``entry(lead)`` of each lead, which holds what ``site`` reads of it;
-    each class defines both. The view sliced by ``without`` shares every
-    other slot.
+    each class defines both. The views made by ``copy`` and ``without``
+    share every other slot.
     """
 
     __slots__ = ("theory", "order_key", "entries")
@@ -163,12 +163,19 @@ class LeadIndex:
         self.entries.append(self.entry(lead))
 
     def without(self, i: int) -> "LeadIndex":
-        """The index over every lead but the i-th, sliced from this one."""
+        """The index over every lead but the i-th."""
+        view = self.copy()
+        del view.entries[i]
+        return view
+
+    def copy(self) -> "LeadIndex":
+        """An index over a copy of the entry list, sharing every other slot,
+        so that adding to it leaves this one as it is."""
         view = object.__new__(type(self))
         for cls in type(self).__mro__[:-1]:
             for name in cls.__slots__:
                 setattr(view, name, getattr(self, name))
-        view.entries = self.entries[:i] + self.entries[i + 1 :]
+        view.entries = list(self.entries)
         return view
 
     def first_site(self, m):

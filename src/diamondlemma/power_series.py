@@ -13,7 +13,7 @@ from .algebra_core import (
     _Value,
     _weight_table,
 )
-from .rewriting_engine import DEFAULT_STEP_BUDGET, _rewrites
+from .rewriting_engine import DEFAULT_STEP_BUDGET, _decoded, _encoded, _rewrites
 
 
 class WeightData(_Value):
@@ -139,7 +139,7 @@ def truncated_normal_form(
         dropped[0] = True
         return False
 
-    coeffs = dict(element.terms)
-    for _ in _rewrites(system, coeffs, max_steps, keep):
+    box = _encoded(system, element, keep)
+    for _ in _rewrites(system, box, max_steps, keep):
         pass
-    return SeriesNormalForm(Element.from_dict(coeffs), precision, dropped[0])
+    return SeriesNormalForm(_decoded(system, box), precision, dropped[0])

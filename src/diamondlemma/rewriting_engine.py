@@ -7,7 +7,7 @@ import heapq
 from fractions import Fraction
 from math import gcd
 
-from .algebra_core import DiamondError, Element, MonomialOrder, RationalField, _Value
+from .algebra_core import DiamondError, Element, MonomialOrder, RationalField, _set, _Value
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -39,9 +39,10 @@ class RewriteStep(_Value):
 class RewritingSystem(_Value):
     """A theory, a monomial order and a tuple of compatible rules.
 
-    ``lead_index`` and ``raw_lowers`` are built from the rules on first use
-    and kept on the instance; they are no fields, so equality, hashing and
-    repr ignore them. The lead index is made with the system's order, and
+    ``lead_index``, ``raw_lowers`` and ``ambiguities`` are built from the
+    rules on first use, unless completion hands over the first two, and
+    kept on the instance; they are no fields, so equality, hashing and repr
+    ignore them. The lead index is made with the system's order, and
     ``raw_lowers`` holds each rule's lower part in its codes and as integer
     numerators over one denominator, so reduction runs on codes and ints
     alone. ``__init__`` validates the rules in ``__post_init__``, a method
@@ -82,6 +83,19 @@ class RewritingSystem(_Value):
         """Each rule's ``_raw_lower``, in rule order."""
         return tuple(_raw_lower(self, rule) for rule in self.rules)
 
+    @functools.cached_property
+    def ambiguities(self) -> tuple:
+        """The critical ambiguities, enumerated once per system."""
+        from .ambiguity import _enumerate_ambiguities
+
+        return _enumerate_ambiguities(self)
+
+    def _adopt(self, lead_index, raw_lowers) -> None:
+        """Take an index and lower parts made for these very rules under
+        this order and field, in place of building them on first use."""
+        _set(self, "lead_index", lead_index)
+        _set(self, "raw_lowers", tuple(raw_lowers))
+
     @property
     def site_memo(self) -> dict:
         """A fresh ``_rewrites`` memo for each reduction, so that a system
@@ -94,9 +108,8 @@ def _raw_lower(system, rule: Rule) -> tuple:
     codes of the system's ``lead_index`` and the field's raw values, which
     are numerators over d, the lcm of the coefficients' denominators (always
     1 over GF(p))."""
-    encode = system.lead_index.encode
-    pairs, d = system.field.raw_terms(rule.lower.terms)
-    return tuple([(encode(m), c) for m, c in pairs]), d
+    codes, d = _encoded(system, rule.lower)
+    return tuple(codes.items()), d
 
 
 def _rule_problem(theory, order: MonomialOrder, field, rules, check=None):
@@ -161,37 +174,33 @@ class _Queued(tuple):
     __lt__ = tuple.__gt__
 
 
-def _rewrites(system, coeffs: dict, budget: int, keep=None):
-    """Reduce coeffs in place, yielding (rule index, code, encoded context,
-    raw coefficient, denominator) for each step as it is applied.
+def _rewrites(system, box: list, budget: int, keep=None):
+    """Reduce box = [code dict, D] in place, yielding (rule index, code,
+    encoded context, raw coefficient, denominator) for each step as it is
+    applied.
 
     Strategy: rewrite the P-greatest reducible support monomial, using the
     lowest rule index and the first canonical context, which the system's
     ``lead_index`` finds. A max-heap holds every reducible support monomial,
     so a step costs its images, not a rescan; an entry whose monomial left
     the support is skipped when popped. A popped code never comes back, as
-    images lie below it and pops descend. Monomials failing ``keep``, input
-    and images alike, are dropped. StepBudgetExceededError is raised before
-    step ``budget + 1``.
+    images lie below it and pops descend. Images failing ``keep`` are
+    dropped. StepBudgetExceededError, which names the decoded monomial, is
+    raised before step ``budget + 1``.
 
-    The loop runs on the codes of the system's ``lead_index`` and the raw
+    The box holds the codes of the system's ``lead_index`` with the raw
     values of its field: integer numerators over one denominator D for the
     whole reduction. A step pops a numerator c and reads its rule's lower
     part, numerators a over d. When d divides c the images take a * (c //
     d); otherwise, with g = gcd(c, d), every value and D are multiplied by
-    d // g and the images take a * (c // g). Over GF(p) d is always 1, so no
-    step rescales. A step yields c over the D from before its rescale, the
-    exact coefficient it removed.
-
-    coeffs is encoded into a fresh dict on entry, which raises
-    TheoryMismatchError for a monomial outside the theory (and DiamondError
-    for a power product too large for its code) and ScalarError for a
-    coefficient outside the field, and refilled with the decoded terms,
-    divided by D, on exit, however the loop ends. Images of the encoded
-    lower parts in ``raw_lowers`` need no check but the one ``apply`` makes
-    that a code still fits; rules are uniform, so no image vanishes.
-    ``_step`` decodes a yielded step. A caller that stops early must close
-    the generator before reading coeffs.
+    d // g in place and the images take a * (c // g). Over GF(p) d is always
+    1, so no step rescales. A step yields c over the D from before its
+    rescale, the exact coefficient it removed. The box is up to date after
+    every step, so a caller that stops early may close the generator and
+    read it. ``_encoded`` and ``_decoded`` convert an element at the
+    boundary; images of the encoded lower parts in ``raw_lowers`` need no
+    check but the one ``apply`` makes that a code still fits; rules are
+    uniform, so no image vanishes. ``_step`` decodes a yielded step.
 
     Site lookups go through ``system.site_memo``, which maps a code to its
     ``site``, or to the number of leads ``site`` found no divisor among.
@@ -199,70 +208,82 @@ def _rewrites(system, coeffs: dict, budget: int, keep=None):
     across reductions: a site stays the answer and a count tells ``site``
     where to resume. ``RewritingSystem`` gives a fresh memo to each.
     """
-    field, index, lowers = system.field, system.lead_index, system.raw_lowers
+    index, lowers = system.lead_index, system.raw_lowers
     site, apply, key = index.site, index.apply, index.order_key
-    encode, decode = index.encode, index.decode
     memo, n = system.site_memo, len(index.entries)
-    p = field.characteristic
-    work = {encode(m): c for m, c in coeffs.items()}
+    p = system.field.characteristic
+    work, den = box
+    heap = []
+    for m in work:
+        found = memo.get(m, 0)
+        if found.__class__ is int and found < n:
+            found = memo[m] = site(m, found) or n
+        if found.__class__ is not int:
+            heap.append(_Queued((key(m), m)))
+    heapq.heapify(heap)
+    steps = 0
+    while heap:
+        m = heapq.heappop(heap)[1]
+        if m not in work:
+            continue
+        if steps >= budget:
+            raise StepBudgetExceededError(
+                "step budget of %d exceeded before rewriting %s"
+                % (budget, system.theory.serialize(index.decode(m)))
+            )
+        ridx, ctx = memo[m]
+        c = work.pop(m)
+        step = ridx, m, ctx, c, den
+        lower, d = lowers[ridx]
+        if d != 1:
+            g = gcd(c, d)
+            if g != d:
+                r = d // g
+                den = box[1] = den * r
+                for k in work:
+                    work[k] *= r
+            c //= g
+        for mm, cc in lower:
+            image = apply(ctx, mm)
+            if keep is not None and not keep(image):
+                continue
+            prev = work.get(image)
+            s = cc * c if prev is None else prev + cc * c
+            if p:
+                s %= p
+            if s:
+                work[image] = s
+                if prev is None:
+                    found = memo.get(image, 0)
+                    if found.__class__ is int and found < n:
+                        found = memo[image] = site(image, found) or n
+                    if found.__class__ is not int:
+                        heapq.heappush(heap, _Queued((key(image), image)))
+            elif prev is not None:
+                del work[image]
+        steps += 1
+        yield step
+
+
+def _encoded(system, element: Element, keep=None) -> list:
+    """The box [code dict, D] that ``_rewrites`` reduces: an element's terms
+    in the codes of the system's ``lead_index``, those failing ``keep``
+    dropped, as raw values over D. Raises TheoryMismatchError for a monomial
+    outside the theory (and DiamondError for a power product too large for
+    its code) and ScalarError for a coefficient outside the field."""
+    encode = system.lead_index.encode
+    work = {encode(m): c for m, c in element.terms}
     if keep is not None:
         for m in [m for m in work if not keep(m)]:
             del work[m]
-    den = field.into_raw(work)
-    try:
-        heap = []
-        for m in work:
-            found = memo.get(m, 0)
-            if found.__class__ is int and found < n:
-                found = memo[m] = site(m, found) or n
-            if found.__class__ is not int:
-                heap.append(_Queued((key(m), m)))
-        heapq.heapify(heap)
-        steps = 0
-        while heap:
-            m = heapq.heappop(heap)[1]
-            if m not in work:
-                continue
-            if steps >= budget:
-                raise StepBudgetExceededError(
-                    "step budget of %d exceeded before rewriting %s"
-                    % (budget, system.theory.serialize(decode(m)))
-                )
-            ridx, ctx = memo[m]
-            c = work.pop(m)
-            step = ridx, m, ctx, c, den
-            lower, d = lowers[ridx]
-            if d != 1:
-                g = gcd(c, d)
-                if g != d:
-                    r = d // g
-                    den *= r
-                    work = {k: v * r for k, v in work.items()}
-                c //= g
-            for mm, cc in lower:
-                image = apply(ctx, mm)
-                if keep is not None and not keep(image):
-                    continue
-                prev = work.get(image)
-                s = cc * c if prev is None else prev + cc * c
-                if p:
-                    s %= p
-                if s:
-                    work[image] = s
-                    if prev is None:
-                        found = memo.get(image, 0)
-                        if found.__class__ is int and found < n:
-                            found = memo[image] = site(image, found) or n
-                        if found.__class__ is not int:
-                            heapq.heappush(heap, _Queued((key(image), image)))
-                elif prev is not None:
-                    del work[image]
-            steps += 1
-            yield step
-    finally:
-        coeffs.clear()
-        for m, c in field.from_raw(work, den).items():
-            coeffs[decode(m)] = c
+    return [work, system.field.into_raw(work)]
+
+
+def _decoded(system, box: list) -> Element:
+    """The element of a box: its decoded terms, divided by D."""
+    decode = system.lead_index.decode
+    work, den = box
+    return Element.from_dict({decode(m): c for m, c in system.field.from_raw(work, den).items()})
 
 
 def _step(system, step) -> RewriteStep:
@@ -280,28 +301,28 @@ def reduce_once(system, element: Element):
 
     Irreducible input comes back unchanged with step None.
     """
-    coeffs = dict(element.terms)
-    rewrites = _rewrites(system, coeffs, 1)
+    box = _encoded(system, element)
+    rewrites = _rewrites(system, box, 1)
     step = next(rewrites, None)
     rewrites.close()
     if step is None:
         return element, None
-    return Element.from_dict(coeffs), _step(system, step)
+    return _decoded(system, box), _step(system, step)
 
 
 def normal_form(system, element: Element, max_steps: int = DEFAULT_STEP_BUDGET) -> Element:
     """Reduce an element to its persistent normal form."""
-    coeffs = dict(element.terms)
-    for _ in _rewrites(system, coeffs, max_steps):
+    box = _encoded(system, element)
+    for _ in _rewrites(system, box, max_steps):
         pass
-    return Element.from_dict(coeffs)
+    return _decoded(system, box)
 
 
 def normal_form_with_trail(system, element: Element, max_steps: int = DEFAULT_STEP_BUDGET):
     """Reduce to normal form and return the full rewrite trail."""
-    coeffs = dict(element.terms)
-    trail = tuple(_step(system, step) for step in _rewrites(system, coeffs, max_steps))
-    return Element.from_dict(coeffs), trail
+    box = _encoded(system, element)
+    trail = tuple(_step(system, step) for step in _rewrites(system, box, max_steps))
+    return _decoded(system, box), trail
 
 
 def is_irreducible_monomial(system, monomial) -> bool:

@@ -32,7 +32,6 @@ from diamondlemma import (
     ScalarError,
     StepBudgetExceededError,
     critical_ambiguities,
-    drop_redundant,
     normal_form,
     orient,
     s_polynomial,
@@ -307,6 +306,31 @@ def _reference_interreduce(theory, order, field, rules: list, max_steps: int) ->
             rules[i] = Rule(rules[i].lead, lower)
 
 
+def reference_drop_redundant(system, max_steps: int = 10**6):
+    """``drop_redundant`` on elements: rule i goes when the other rules
+    reduce its lead and reduce its defining element, lead minus lower part,
+    to zero within the budget."""
+    th, order, field = system.theory, system.order, system.field
+    rules, dropped = list(system.rules), []
+    i = 0
+    while i < len(rules):
+        rule, others = rules[i], rules[:i] + rules[i + 1 :]
+        if _reference_site(th, others, rule.lead, {}) is not None:
+            rest = RewritingSystem(th, order, tuple(others), field)
+            defining = Element(((rule.lead, field.one),)) - rule.lower
+            try:
+                residue = normal_form(rest, defining, max_steps)
+            except StepBudgetExceededError:
+                residue = None
+            if residue is not None and residue.is_zero():
+                why = "lead %s is reducible and the defining element reduces to zero"
+                dropped.append((rule, why % th.serialize(rule.lead)))
+                rules = others
+                continue
+        i += 1
+    return RewritingSystem(th, order, tuple(rules), field), tuple(dropped)
+
+
 def reference_complete(system, max_degree: int = 12, max_rules: int = 500, max_steps: int = 10**6):
     """Completion without pair criteria: every rule pair is queued, pairs are
     processed by superposition degree then insertion order, and every rule
@@ -364,7 +388,7 @@ def reference_complete(system, max_degree: int = 12, max_rules: int = 500, max_s
     final = RewritingSystem(th, order, tuple(rules), system.field)
     dropped: tuple = ()
     if status is CompletionStatus.COMPLETE:
-        final, dropped = drop_redundant(final, max_steps)
+        final, dropped = reference_drop_redundant(final, max_steps)
     return CompletionReport(status, final, added, dropped, processed, skipped, 0)
 
 

@@ -126,7 +126,19 @@ class TestEnumeration:
 
     def test_deterministic(self):
         s = make_word_corpus(seed=7, count=1)[0]
-        assert critical_ambiguities(s) == critical_ambiguities(s)
+        twin = RewritingSystem(s.theory, s.order, s.rules, s.field)
+        assert critical_ambiguities(s) == critical_ambiguities(twin)
+
+    def test_enumerated_once_per_system(self):
+        """The tuple is cached on the system, which stays the same value."""
+        s = make_word_corpus(seed=7, count=1)[0]
+        before = (repr(s), hash(s))
+        first = critical_ambiguities(s)
+        assert first and critical_ambiguities(s) is first
+        assert (repr(s), hash(s)) == before
+        twin = RewritingSystem(s.theory, s.order, s.rules, s.field)
+        assert twin == s and "ambiguities" not in vars(twin)
+        assert check_confluence(twin).checked and vars(twin)["ambiguities"] == first
 
     @pytest.mark.parametrize("name", sorted(THEORIES))
     def test_enumeration_yields_no_duplicates(self, name):

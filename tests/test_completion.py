@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from diamondlemma import (
 from diamondlemma.completion import _interreduce, _Working
 
 from oracles import (
+    COPRIME_FRACTIONS,
     PRIME_FIELDS,
     THEORIES,
     _reference_interreduce,
@@ -49,6 +51,7 @@ from oracles import (
     make_random_system,
     random_element,
     reference_complete,
+    reference_drop_redundant,
     rules_as_polynomials,
     shipped_orders,
     sympy_reduced_basis,
@@ -569,6 +572,137 @@ class TestDropRedundant:
         for _ in range(40):
             e = random_element(COMM_TH, COMM_LEX, rng, 5)
             assert normal_form(s, e, 200000) == normal_form(trimmed, e, 200000)
+
+
+class TestCompletionOnCodes:
+    """Interreduction and the drop pass reduce encoded lower parts, and a
+    COMPLETE report's system takes over the working index."""
+
+    CAPS = {"max_degree": 5, "max_rules": 40, "max_steps": 20_000}
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF(7)"])
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_complete_report_holds_the_index_of_its_rules(self, name, field):
+        """Over fractions with coprime denominators and over GF(7), the
+        report's lead index and raw lower parts are those a fresh system
+        builds, normal forms agree, and completion repeats the reference
+        run (the basis, for power products)."""
+        th = THEORIES[name]
+        rng = random.Random("codes-%s-%s" % (name, field.describe()))
+        sample = COPRIME_FRACTIONS if field == QQ else None
+        orders = [o for o in shipped_orders(th) if o.is_well_founded()]
+        grown = fractional = 0
+        for _ in range(25):
+            order = orders[rng.randrange(len(orders))]
+            rules = [
+                rule
+                for _ in range(2)
+                for rule in make_random_system(th, order, rng, field=field, sample=sample).rules
+            ]
+            s = RewritingSystem(th, order, tuple(rules), field)
+            got, want = complete(s, **self.CAPS), reference_complete(s, **self.CAPS)
+            if name == "commutative":
+                if want.status is CompletionStatus.COMPLETE:
+                    assert_same_basis(got, want)
+            else:
+                assert_completes_as_reference(got, want)
+            system = got.system
+            if got.status is not CompletionStatus.COMPLETE:
+                assert "lead_index" not in vars(system)
+                continue
+            fresh = RewritingSystem(th, order, system.rules, field)
+            assert vars(system)["lead_index"].entries == fresh.lead_index.entries
+            assert vars(system)["raw_lowers"] == fresh.raw_lowers
+            for _ in range(3):
+                e = random_element(th, order, rng, 4, max_terms=4, field=field, sample=sample)
+                assert normal_form(system, e, 20_000) == normal_form(fresh, e, 20_000)
+            grown += len(got.added) > 0
+            fractional += any(d != 1 for _, d in vars(system)["raw_lowers"])
+        assert grown >= 10
+        assert (fractional > 0) == (field == QQ)
+
+    def test_untouched_rule_keeps_its_object(self):
+        """A rule whose lower part no new lead divides keeps its ``Rule`` and
+        raw lower part; the renormalized one is written back over the lcm
+        of its reduced denominators; the new rule is left alone."""
+        s = parse_system_file(
+            "theory commutative; vars x y z; rule x^3 -> 1/2*y*z; rule y^2 -> 2/3*x"
+        ).system
+        work = _Working.of(s)
+        new = orient(s.order, parse_expression("y*z - 3/5*x", s.theory, s.field))
+        work.append(new, 2)
+        _interreduce(work, 100)
+        assert work.rules[1] is s.rules[1]
+        assert work.raw_lowers[1] is s.raw_lowers[1]
+        assert work.rules[2] is new
+        assert work.rules[0] == orient(s.order, parse_expression("x^3 - 3/10*x", s.theory, s.field))
+        fresh = RewritingSystem(s.theory, s.order, tuple(work.rules), s.field)
+        assert work.raw_lowers == list(fresh.raw_lowers)
+        assert work.raw_lowers[0][1] == 10
+
+    def test_marks_of_appended_rules(self):
+        """A rule reduced by the first n leads and appended right after them
+        is marked past itself and never renormalized; one appended after a
+        sibling is reduced against the sibling's lead."""
+        s = parse_system_file("theory commutative; vars x y z; rule x^3 -> y").system
+        work = _Working.of(s)
+        first = orient(s.order, parse_expression("y^2 - x", s.theory, s.field))
+        second = orient(s.order, parse_expression("z^3 - y^2 - z", s.theory, s.field))
+        work.append(first, 1)
+        work.append(second, 1)
+        assert work.marks == [0, 2, 1]
+        _interreduce(work, 100)
+        assert work.marks == [3, 3, 3]
+        assert work.rules[:2] == [s.rules[0], first]
+        assert work.rules[2] == orient(s.order, parse_expression("z^3 - x - z", s.theory, s.field))
+
+    def test_interreduction_out_of_budget_names_the_monomial(self):
+        s = parse_system_file("theory assoc; vars x y; rule y*x -> x*y; rule y^5 -> y^2*x^2").system
+        work = _Working.of(s)
+        after_one, _ = reduce_once(s, s.rules[1].lower)
+        ((m, _),) = after_one.terms
+        with pytest.raises(StepBudgetExceededError, match=re.escape(s.theory.serialize(m))):
+            _interreduce(work, 1)
+
+    @pytest.mark.parametrize("field_line", ["", "field 7\n"], ids=["QQ", "GF(7)"])
+    def test_drop_of_a_rule_with_fractional_coefficients(self, field_line):
+        """x^3 - 1/2*x*y reduces to zero by x^2 -> 1/2*y and goes; x^2*y -
+        1/3*y^2 leaves 1/6*y^2 and stays."""
+        s = parse_system_file(
+            "theory commutative\n" + field_line + "vars x y\n"
+            "rule x^2 -> 1/2*y\nrule x^3 -> 1/2*x*y\nrule x^2*y -> 1/3*y^2\n"
+        ).system
+        assert s.raw_lowers[1][1] == (1 if field_line else 2)
+        trimmed, dropped = drop_redundant(s)
+        assert trimmed.rules == (s.rules[0], s.rules[2])
+        assert [rule for rule, _ in dropped] == [s.rules[1]]
+        assert (trimmed, dropped) == reference_drop_redundant(s)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF(7)"])
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_drop_redundant_matches_the_reference(self, name, field):
+        th = THEORIES[name]
+        rng = random.Random("drop-%s-%s" % (name, field.describe()))
+        sample = COPRIME_FRACTIONS if field == QQ else None
+        orders = [o for o in shipped_orders(th) if o.is_well_founded()]
+        drops = fractional = 0
+        for _ in range(60):
+            order = orders[rng.randrange(len(orders))]
+            rules = [
+                rule
+                for _ in range(2)
+                for rule in make_random_system(th, order, rng, field=field, sample=sample).rules
+            ]
+            s = RewritingSystem(th, order, tuple(rules), field)
+            got = drop_redundant(s, 2_000)
+            assert got == reference_drop_redundant(s, 2_000)
+            drops += len(got[1])
+            fractional += sum(
+                any(getattr(c, "denominator", 1) != 1 for _, c in rule.lower.terms)
+                for rule, _ in got[1]
+            )
+        assert drops >= 10
+        assert (fractional > 0) == (field == QQ)
 
 
 class TestIdealMember:
