@@ -184,14 +184,6 @@ class _Working:
         )
 
 
-def _uniform_components(theory, element: Element) -> list:
-    """Split an element into rule-sized pieces, one per uniform class."""
-    groups: dict = {}
-    for m, c in element.terms:
-        groups.setdefault(theory.uniform_class(m), []).append((m, c))
-    return [Element(tuple(groups[k])) for k in sorted(groups)]
-
-
 def _interreduce(work: _Working, max_steps: int, since: int = 0) -> None:
     """Renormalize rule lower parts against the other rules' leads, in rule
     order.
@@ -292,16 +284,15 @@ def complete(
         processed += 1
         if remainder.is_zero():
             continue
-        for component in _uniform_components(th, remainder):
-            work.append(orient(order, component), reduced_by)
-            sources.append(amb)
-            if len(rules) > max_rules:
-                rule_capped = True
-                break
-            add_pairs(len(rules) - 1)
-            _interreduce(work, max_steps)
-        if rule_capped:
+        # Rules are uniform, and s-polynomials and their images keep the
+        # class of their superposition, so the remainder is one rule.
+        work.append(orient(order, remainder), reduced_by)
+        sources.append(amb)
+        if len(rules) > max_rules:
+            rule_capped = True
             break
+        add_pairs(len(rules) - 1)
+        _interreduce(work, max_steps)
 
     if rule_capped:
         status = CompletionStatus.RULE_CAPPED

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
-from .algebra_core import TheoryMismatchError, _set, _Value
+from .algebra_core import (
+    TheoryMismatchError,
+    _rank_table,
+    _set,
+    _Value,
+    _variable_permutation,
+    _weight_table,
+)
 from .monomial_theories import (
     LeadIndex,
     OverlapDatum,
@@ -39,6 +47,28 @@ def _divisor_mask(exps: tuple) -> int:
     return mask
 
 
+@functools.lru_cache(maxsize=256)
+def _mixed_key(central: tuple, generators: tuple, weights: tuple):
+    """The descending key on mixed monomials with these central letters
+    under the order with these generators and weights, deglex when there
+    are none: the fields of ``sort_key``, negated and flattened, which is
+    sound as the word's ranks follow its length. One per order, so that the
+    indexes of equal orders hold one key."""
+    rank = {x: -r for x, r in _rank_table(generators).items()}.__getitem__
+    positions = _variable_permutation(central, generators)
+
+    def deglex(m):
+        exps, word = m
+        n = len(word)
+        return (-sum(exps) - n, -n, *map(rank, word), *[-exps[i] for i in positions])
+
+    if not weights:
+        return deglex
+    negated = {x: -w for x, w in _weight_table(weights)[1].items()}
+    vector, weight = tuple(map(negated.__getitem__, central)), negated.__getitem__
+    return lambda m: (sum(map(operator.mul, vector, m[0])) + sum(map(weight, m[1])),) + deglex(m)
+
+
 class _MixedIndex(LeadIndex):
     """Lead index for mixed monomials: the divisor mask of the central part
     screens a lead, then ``str.find`` places its word and the exponents are
@@ -48,7 +78,8 @@ class _MixedIndex(LeadIndex):
 
     def __init__(self, theory, leads, order) -> None:
         self.codes = _letter_codes(theory.word_letters)
-        super().__init__(theory, leads, order)
+        key = _mixed_key(theory.commutative_letters, order.generators, order.weights)
+        super().__init__(theory, leads, key)
 
     def entry(self, lead) -> tuple:
         return _divisor_mask(lead[0]), _word_code(self.codes, lead[1]), lead[0]

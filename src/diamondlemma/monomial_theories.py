@@ -17,7 +17,6 @@ from enum import Enum
 
 from .algebra_core import (
     DiamondError,
-    OrderKind,
     TheoryMismatchError,
     _Value,
     _weight_table,
@@ -135,10 +134,12 @@ class LeadIndex:
     defines, scans the leads from rule ``start`` on and gives (lowest such
     rule index whose lead divides the monomial, the first context
     ``divisions`` returns, encoded) or None, and ``decode_context`` gives
-    that context back. ``apply(ctx, code)`` builds an image; at a rule's
+    that context back. ``apply(code, ctx)`` builds an image; at a rule's
     site each code of its lower part has one, as rules are uniform.
-    ``order_key``, set once on construction, compares codes as the order's
-    ``sort_key`` compares monomials. ``first_site(m)`` is
+    ``descending_key``, set once on construction, maps codes to values that
+    compare natively (ints, strs and tuples of them) and in the reverse of
+    the order's ``sort_key``, so that a plain ``heapq`` of (key, code)
+    pairs pops the greatest monomial first. ``first_site(m)`` is
     ``site(encode(m))`` with its context decoded, and ``weigher(weights)``
     sums weights over a code. By default a monomial is its own code, as for
     mixed monomials and paths; words and trees reduce as ``str`` codes,
@@ -152,11 +153,11 @@ class LeadIndex:
     share every other slot.
     """
 
-    __slots__ = ("theory", "order_key", "entries")
+    __slots__ = ("theory", "descending_key", "entries")
 
-    def __init__(self, theory, leads, order, order_key=None) -> None:
+    def __init__(self, theory, leads, descending_key) -> None:
         self.theory = theory
-        self.order_key = order_key or order.sort_key
+        self.descending_key = descending_key
         self.entries = list(map(self.entry, leads))
 
     def add(self, lead) -> None:
@@ -192,9 +193,8 @@ class LeadIndex:
     def decode_context(self, ctx):
         return ctx
 
-    @property
-    def apply(self):
-        return self.theory.apply_context
+    def apply(self, code, ctx):
+        return self.theory.apply_context(ctx, code)
 
     def weigher(self, weights: dict):
         weight_sum, decode = self.theory.weight_sum, self.decode
@@ -214,8 +214,14 @@ def _word_code(codes: dict, word) -> str:
     return "".join(map(codes.__getitem__, word))
 
 
-def _length_first(code: str) -> tuple:
-    return len(code), code
+@functools.lru_cache(maxsize=256)
+def _mirror(letters: tuple) -> dict:
+    """The ``str.translate`` table that mirrors codes over these letters:
+    ``chr(i)`` to ``chr(n + 1 - i)`` for the n letters, the hole ``chr(n)``
+    and the node marker ``chr(n + 1)`` of tree codes. Mirrored codes of
+    equal length compare in the reverse of the codes."""
+    top = len(letters) + 1
+    return {i: top - i for i in range(top + 1)}
 
 
 def _code_weigher(codes: dict, weights: dict):
@@ -225,34 +231,37 @@ def _code_weigher(codes: dict, weights: dict):
 
 
 @functools.lru_cache(maxsize=256)
-def _weighted_key(generators: tuple, weights: tuple):
-    """The key on codes of a weighted order with these generators and
-    weights; one per order, so that the indexes of equal orders hold equal
-    keys. The order's fields key the cache, since they hash faster than the
-    order."""
-    weight = _code_weigher(_letter_codes(generators), _weight_table(weights)[1])
-    return lambda code: (weight(code), len(code), code)
+def _coded_key(generators: tuple, weights: tuple):
+    """The descending key on codes under the order with these generators
+    and weights, deglex when there are none: ``(-len(code), mirrored
+    code)``, led by the negated weight sum under the weighted kinds. One
+    per order, so that the indexes of equal orders hold one key; the
+    order's fields key the cache, since they hash faster than the order."""
+    mirror = _mirror(generators)
+    if not weights:
+        return lambda code: (-len(code), code.translate(mirror))
+    negated = {x: -w for x, w in _weight_table(weights)[1].items()}
+    weight = _code_weigher(_letter_codes(generators), negated)
+    return lambda code: (weight(code), -len(code), code.translate(mirror))
 
 
 class _CodedIndex(LeadIndex):
     """Lead index for monomials that reduce as ``str`` codes, which a
     subclass encodes and decodes: a letter is ``chr`` of its rank, its
     position in ``letters``. Codes of equal length compare as rank encodings
-    do, so ``(len(code), code)`` is the deglex key, which the weighted kinds
-    lead with the weight sum. The leftmost ``str.find`` hit of a lead's code
-    gives the first context of ``divisions``, a (left, right) pair of
-    codes."""
+    do, so ``(len(code), code)`` sorts as deglex, and the weighted kinds
+    lead it with the weight sum; ``_coded_key`` negates the numbers and
+    mirrors the code. The leftmost ``str.find`` hit of a lead's code gives
+    the first context of ``divisions``, a (left, right) pair of codes, and
+    an image is ``code.join(ctx)``."""
 
     __slots__ = ("letters", "codes")
 
     def __init__(self, theory, leads, order) -> None:
         self.letters = order.generators
         self.codes = _letter_codes(self.letters)
-        # Words and trees admit no lex order, so the other kinds are weighted.
-        key = _length_first
-        if order.kind is not OrderKind.DEGLEX:
-            key = _weighted_key(self.letters, order.weights)
-        super().__init__(theory, leads, order, key)
+        # Words and trees admit no lex order, so only deglex has no weights.
+        super().__init__(theory, leads, _coded_key(self.letters, order.weights))
 
     def site(self, code: str, start=0):
         for i, lead in enumerate(self.entries[start:] if start else self.entries, start):
@@ -261,10 +270,7 @@ class _CodedIndex(LeadIndex):
                 return i, (code[:k], code[k + len(lead) :])
         return None
 
-    @staticmethod
-    def apply(ctx: tuple, code: str) -> str:
-        left, right = ctx
-        return left + code + right
+    apply = staticmethod(str.join)
 
     def decode_context(self, ctx: tuple) -> tuple:
         return tuple(map(self.decode, ctx))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .algebra_core import TheoryMismatchError, _set, _Value
+import functools
+
+from .algebra_core import TheoryMismatchError, _rank_table, _set, _Value, _weight_table
 from .monomial_theories import (
     LeadIndex,
     OverlapDatum,
@@ -14,6 +16,27 @@ from .monomial_theories import (
 )
 
 
+@functools.lru_cache(maxsize=256)
+def _path_key(vertices: tuple, generators: tuple, weights: tuple):
+    """The descending key on paths between these vertices under the order
+    with these generators and weights, deglex when there are none: the
+    fields of ``sort_key``, negated and flattened, which is sound as the
+    arrow ranks follow their count. One per order, so that the indexes of
+    equal orders hold one key."""
+    rank = {x: -r for x, r in _rank_table(generators).items()}.__getitem__
+    # The first position of a vertex, as ``tuple.index`` gives it.
+    vertex = {v: -i for i, v in reversed(tuple(enumerate(vertices)))}.__getitem__
+
+    def deglex(m):
+        src, tgt, names = m
+        return (-len(names), *map(rank, names), vertex(src), vertex(tgt))
+
+    if not weights:
+        return deglex
+    weight = {x: -w for x, w in _weight_table(weights)[1].items()}.__getitem__
+    return lambda m: (sum(map(weight, m[2])),) + deglex(m)
+
+
 class _PathIndex(LeadIndex):
     """Lead index for paths: ``str.find`` places the arrow word of a lead,
     and a vertex-path lead sits where the path first visits its vertex."""
@@ -22,7 +45,8 @@ class _PathIndex(LeadIndex):
 
     def __init__(self, theory, leads, order) -> None:
         self.codes = _letter_codes(theory.generator_names())
-        super().__init__(theory, leads, order)
+        key = _path_key(theory.vertices, order.generators, order.weights)
+        super().__init__(theory, leads, key)
 
     def entry(self, lead) -> tuple:
         return _word_code(self.codes, lead[2]), lead

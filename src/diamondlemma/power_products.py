@@ -36,10 +36,11 @@ _FIELD_CAP = 2**31
 
 @functools.lru_cache(maxsize=256)
 def _packing(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple) -> tuple:
-    """(encode, decode, apply, guard, order key) of the power-product codes
-    over ``letters`` under the order of that kind, generators and weights;
-    one per order, so that the indexes of equal orders hold equal functions.
-    The order's fields key the cache, since they hash faster than the order."""
+    """(encode, decode, apply, guard, descending key) of the power-product
+    codes over ``letters`` under the order of that kind, generators and
+    weights; one per order, so that the indexes of equal orders hold equal
+    functions. The order's fields key the cache, since they hash faster
+    than the order."""
     th, n = CommutativeTheory(letters), len(letters)
     int_weights = _weight_table(weights)[1]
     # The weight-sum field holds the degree again but under weighted-deglex.
@@ -83,8 +84,8 @@ def _packing(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple)
     apply = operator.add
     if lex or kind is OrderKind.SERIES_DEGLEX:
         # Only under these kinds can an image outgrow the input.
-        def apply(ctx, code):
-            image = ctx + code
+        def apply(code, ctx):
+            image = code + ctx
             if image & guard:
                 raise DiamondError(
                     "%s times %s has a degree or exponent of 2^31 or more"
@@ -92,9 +93,10 @@ def _packing(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple)
                 )
             return image
 
-    key = operator.pos  # the identity on codes
+    key = operator.neg
     if kind is OrderKind.SERIES_DEGLEX:
-        key = lambda code: (th.weight_sum(decode(code), int_weights), code)
+        negated = tuple(-int_weights[x] for x in letters)
+        key = lambda code: (sum(map(operator.mul, negated, decode(code))), -code)
     return encode, decode, apply, guard, key
 
 
@@ -105,12 +107,12 @@ class _PackedIndex(LeadIndex):
     and one for the weight sum, which is the degree again but under
     weighted-deglex. The weight sum and the degree sit above the exponents,
     the weight sum on top, but below them under lex. Codes then compare as
-    ``sort_key`` compares monomials, so the order key is the identity;
-    series orders lead it with their weight sum.
+    ``sort_key`` compares monomials, so the descending key is ``-code``;
+    series orders lead it with their negated weight sum.
 
     The top bit of each field is a guard: a lead divides a code exactly when
     ``code - lead`` sets no guard bit, and that difference is the encoded
-    context, so an image is ``context + code``. A monomial whose degree,
+    context, so an image is ``code + context``. A monomial whose degree,
     weight sum or exponent reaches 2^31 raises DiamondError on entry. Under
     deglex and weighted-deglex no image can grow past its input; under lex
     and series orders an image that does raises DiamondError too."""
@@ -120,7 +122,7 @@ class _PackedIndex(LeadIndex):
     def __init__(self, theory, leads, order) -> None:
         packing = _packing(order.kind, theory.letters, order.generators, order.weights)
         self.encode, self.decode, self.apply, self.guard, key = packing
-        super().__init__(theory, leads, order, key)
+        super().__init__(theory, leads, key)
 
     def entry(self, lead) -> int:
         return self.encode(lead)

@@ -163,17 +163,6 @@ def orient(order: MonomialOrder, element: Element) -> Rule:
     return Rule(lead, Element.from_dict(lower))
 
 
-class _Queued(tuple):
-    """An (order key, code) heap entry; heapq's min-heap pops the greatest key.
-
-    Order keys are injective, so equal entries hold one code; the stale one
-    is skipped. Codes, which need not be comparable, are never compared.
-    """
-
-    __slots__ = ()
-    __lt__ = tuple.__gt__
-
-
 def _rewrites(system, box: list, budget: int, keep=None):
     """Reduce box = [code dict, D] in place, yielding (rule index, code,
     encoded context, raw coefficient, denominator) for each step as it is
@@ -181,10 +170,13 @@ def _rewrites(system, box: list, budget: int, keep=None):
 
     Strategy: rewrite the P-greatest reducible support monomial, using the
     lowest rule index and the first canonical context, which the system's
-    ``lead_index`` finds. A max-heap holds every reducible support monomial,
-    so a step costs its images, not a rescan; an entry whose monomial left
-    the support is skipped when popped. A popped code never comes back, as
-    images lie below it and pops descend. Images failing ``keep`` are
+    ``lead_index`` finds. A ``heapq`` of (``descending_key(code)``, code)
+    pairs holds every reducible support monomial, so a step costs its
+    images, not a rescan. The keys compare natively in the reverse of the
+    order and are injective, so the heap pops the greatest monomial first
+    and compares two codes only when they are equal. An entry whose monomial
+    left the support is skipped when popped. A popped code never comes back,
+    as images lie below it and pops descend. Images failing ``keep`` are
     dropped. StepBudgetExceededError, which names the decoded monomial, is
     raised before step ``budget + 1``.
 
@@ -198,9 +190,10 @@ def _rewrites(system, box: list, budget: int, keep=None):
     rescale, the exact coefficient it removed. The box is up to date after
     every step, so a caller that stops early may close the generator and
     read it. ``_encoded`` and ``_decoded`` convert an element at the
-    boundary; images of the encoded lower parts in ``raw_lowers`` need no
-    check but the one ``apply`` makes that a code still fits; rules are
-    uniform, so no image vanishes. ``_step`` decodes a yielded step.
+    boundary; images ``apply(code, ctx)`` of the encoded lower parts in
+    ``raw_lowers`` need no check but the one ``apply`` makes that a code
+    still fits; rules are uniform, so no image vanishes. ``_step`` decodes a
+    yielded step.
 
     Site lookups go through ``system.site_memo``, which maps a code to its
     ``site``, or to the number of leads ``site`` found no divisor among.
@@ -209,7 +202,7 @@ def _rewrites(system, box: list, budget: int, keep=None):
     where to resume. ``RewritingSystem`` gives a fresh memo to each.
     """
     index, lowers = system.lead_index, system.raw_lowers
-    site, apply, key = index.site, index.apply, index.order_key
+    site, apply, key = index.site, index.apply, index.descending_key
     memo, n = system.site_memo, len(index.entries)
     p = system.field.characteristic
     work, den = box
@@ -219,7 +212,7 @@ def _rewrites(system, box: list, budget: int, keep=None):
         if found.__class__ is int and found < n:
             found = memo[m] = site(m, found) or n
         if found.__class__ is not int:
-            heap.append(_Queued((key(m), m)))
+            heap.append((key(m), m))
     heapq.heapify(heap)
     steps = 0
     while heap:
@@ -244,7 +237,7 @@ def _rewrites(system, box: list, budget: int, keep=None):
                     work[k] *= r
             c //= g
         for mm, cc in lower:
-            image = apply(ctx, mm)
+            image = apply(mm, ctx)
             if keep is not None and not keep(image):
                 continue
             prev = work.get(image)
@@ -258,7 +251,7 @@ def _rewrites(system, box: list, budget: int, keep=None):
                     if found.__class__ is int and found < n:
                         found = memo[image] = site(image, found) or n
                     if found.__class__ is not int:
-                        heapq.heappush(heap, _Queued((key(image), image)))
+                        heapq.heappush(heap, (key(image), image))
             elif prev is not None:
                 del work[image]
         steps += 1

@@ -39,7 +39,6 @@ from diamondlemma import (
 from diamondlemma.algebra_core import _accumulate
 from diamondlemma.ambiguity import _make_ambiguity, _pair_ambiguities
 from diamondlemma.cli_io import MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_TERMS
-from diamondlemma.completion import _uniform_components
 
 
 def merge_terms(pairs) -> tuple:
@@ -366,16 +365,17 @@ def reference_complete(system, max_degree: int = 12, max_rules: int = 500, max_s
         processed += 1
         if remainder.is_zero():
             continue
-        for component in _uniform_components(th, remainder):
-            rules.append(orient(order, component))
-            sources.append(amb)
-            if len(rules) > max_rules:
-                rule_capped = True
-                break
-            push_pairs(len(rules) - 1)
-            _reference_interreduce(th, order, system.field, rules, max_steps)
-        if rule_capped:
+        # Rules are uniform and s-polynomials keep their superposition's
+        # class, so every remainder is one rule; ``complete`` relies on it.
+        classes = {th.uniform_class(m) for m, _ in remainder.terms}
+        assert classes == {th.uniform_class(amb.superposition)}, classes
+        rules.append(orient(order, remainder))
+        sources.append(amb)
+        if len(rules) > max_rules:
+            rule_capped = True
             break
+        push_pairs(len(rules) - 1)
+        _reference_interreduce(th, order, system.field, rules, max_steps)
 
     if rule_capped:
         status = CompletionStatus.RULE_CAPPED

@@ -783,30 +783,37 @@ def check_truncated_normal_forms_under(th, order, field, rng):
     for _ in range(20):
         s = make_random_system(th, order, rng, lead_degree=2, lower_degree=4, field=field)
         precision = rng.randint(3, 6)
-        floor = Fraction(1 - precision)
         for _ in range(2):
             e = random_element(th, order, rng, 3, max_terms=4, field=field)
-            dropped = []
+            check_truncated_normal_form(s, wd, e, precision)
 
-            def keep(m):
-                kept = wd.exponent(m) >= floor
-                if not kept:
-                    dropped.append(m)
-                return kept
 
-            def reference(n):
-                coeffs = {m: c for m, c in e.terms if keep(m)}
-                return reference_reduce(s, coeffs, n, keep)
+def check_truncated_normal_form(s, wd, e, precision) -> int:
+    """The truncated normal form of e and its budget against the full-rescan
+    strategy with the same ``keep`` filter; returns the number of steps."""
+    floor = Fraction(1 - precision)
+    dropped = []
 
-            want, want_trail = reference(10**5)
-            got = truncated_normal_form(s, wd, e, precision)
-            assert got.representative == Element.from_dict(want)
-            assert got.truncated == bool(dropped)
-            budget_boundary_agrees(
-                lambda n: truncated_normal_form(s, wd, e, precision, max_steps=n),
-                reference,
-                len(want_trail),
-            )
+    def keep(m):
+        kept = wd.exponent(m) >= floor
+        if not kept:
+            dropped.append(m)
+        return kept
+
+    def reference(n):
+        coeffs = {m: c for m, c in e.terms if keep(m)}
+        return reference_reduce(s, coeffs, n, keep)
+
+    want, want_trail = reference(10**5)
+    got = truncated_normal_form(s, wd, e, precision)
+    assert got.representative == Element.from_dict(want)
+    assert got.truncated == bool(dropped)
+    budget_boundary_agrees(
+        lambda n: truncated_normal_form(s, wd, e, precision, max_steps=n),
+        reference,
+        len(want_trail),
+    )
+    return len(want_trail)
 
 
 # Generators, in an order whose product exists, whose product has degree
@@ -863,6 +870,14 @@ def deepest_trees(th, leads) -> set:
         (tree,) = parse_expression(text, th, RationalField()).support()
         trees.add(tree)
     return trees
+
+
+def natively_comparable(key) -> bool:
+    """Whether a heap key is an int, a str or a tuple of such keys, so
+    that heapq compares it without calling back into Python."""
+    if isinstance(key, tuple):
+        return all(map(natively_comparable, key))
+    return type(key) in (int, str)
 
 
 class TestLeadIndex:
@@ -928,7 +943,7 @@ class TestLeadIndex:
                     if found is not None:
                         lower, _ = system.raw_lowers[found[0]]
                         for code, _ in lower:
-                            assert index.apply(found[1], code) is not None
+                            assert index.apply(code, found[1]) is not None
                             images += 1
         assert images > 1000
 
@@ -945,7 +960,12 @@ class TestLeadIndex:
             probes = sorted(probes, key=order.sort_key)
             codes = [index.encode(m) for m in probes]
             assert [index.decode(code) for code in codes] == probes
-            assert sorted(codes, key=index.order_key) == codes
+            # The heap's key sorts the probes in exactly the reverse of
+            # sort_key, and compares natively.
+            keys = list(map(index.descending_key, codes))
+            assert all(map(natively_comparable, keys))
+            assert sorted(codes, key=index.descending_key) == codes[::-1]
+            assert all(a > b for a, b in zip(keys, keys[1:]))
             for m, code in zip(probes, codes):
                 found = index.site(code)
                 if found is None:
@@ -953,7 +973,7 @@ class TestLeadIndex:
                     continue
                 i, ctx = found
                 assert index.first_site(m) == (i, index.decode_context(ctx))
-                assert index.apply(ctx, index.encode(leads[i])) == code
+                assert index.apply(index.encode(leads[i]), ctx) == code
             # A hole (None) inside a tree belongs to contexts only.
             for bad in [("zz",), None, (("x", "y"),), ("x", None), (None, "x")]:
                 with pytest.raises(TheoryMismatchError) as info:
@@ -984,13 +1004,18 @@ class TestLeadIndex:
                         )
 
     def test_equal_weighted_orders_share_one_word_key(self):
-        for th in (THEORIES["assoc"], THEORIES["magma"]):
-            for k in (2, 3):  # weighted-deglex and series
-                first, second = shipped_orders(th)[k], shipped_orders(th)[k]
+        """Equal orders share one descending key, for every theory and
+        every shipped order, series included."""
+        for th in THEORIES.values():
+            for first, second in zip(shipped_orders(th), shipped_orders(th)):
                 assert first == second and first is not second
-                assert th.lead_index([], first).order_key is th.lead_index([], second).order_key
+                key = th.lead_index([], first).descending_key
+                assert key is th.lead_index([], second).descending_key
             weighted, series = shipped_orders(th)[2:4]
-            assert th.lead_index([], weighted).order_key is not th.lead_index([], series).order_key
+            assert (
+                th.lead_index([], weighted).descending_key
+                is not th.lead_index([], series).descending_key
+            )
 
     def test_word_index_refuses_letters_outside_the_alphabet(self):
         index = TH.lead_index([("y", "x"), ("x",)], shipped_orders(TH)[0])
@@ -1152,6 +1177,96 @@ class TestEncodedReduction:
         assert result == Element.from_dict(want) == c
         th.divisions(("2", "2", ()), ("2", "2", ()))
         assert calls == {"divisions": 1}
+
+
+# Generators of the wide theories, past every ASCII and Latin-1 code.
+WIDE = 300
+
+
+def wide_system(th, kind, rng):
+    """A system over the WIDE generators of a word or magma theory, ranked
+    in a shuffled order: the oriented commutators a*b - b*a - c*z for pairs
+    of letters whose ranks span the alphabet, so that codes hold characters
+    past 255 and the heap compares them. Returns the system and a monomial
+    sampler over those letters."""
+    gens = list(th.letters)
+    rng.shuffle(gens)
+    weights = ()
+    if kind is OrderKind.WEIGHTED_DEGLEX:
+        weights = tuple((g, Fraction(1 + i % 3)) for i, g in enumerate(th.letters))
+    order = MonomialOrder(kind, th, tuple(gens), weights)
+    spread = [gens[r] for r in (0, 1, 2, 127, 128, 255, 256, 257, 298, 299)]
+    gen = th.monomial_named
+
+    def monomial(d):
+        if d == 1:
+            return gen(rng.choice(spread))
+        k = rng.randint(1, d - 1)
+        return th.multiply(monomial(k), monomial(d - k))
+
+    rules = []
+    for a, b in itertools.combinations(spread, 2):
+        if rng.random() < 0.8:
+            ab, ba = th.multiply(gen(a), gen(b)), th.multiply(gen(b), gen(a))
+            z = gen(rng.choice(spread))
+            c = Fraction(rng.randint(1, 3))
+            element = Element.from_dict({ab: Fraction(1), ba: Fraction(-1), z: c})
+            rule = orient(order, element)
+            if all(rule.lead != other.lead for other in rules):
+                rules.append(rule)
+    return RewritingSystem(th, order, tuple(rules)), monomial
+
+
+# The nf-large systems at reduced size: (system file, expression, precision
+# or None).
+BENCH_NF_CASES = {
+    "weyl": ("weyl.sys", "y^8*x^8", None),
+    "sl2": ("sl2.sys", "(h+f+e)^3", None),
+    "series": ("series.sys", "(x+y)^5", 7),
+}
+
+
+class TestHeapOrder:
+    """The heap's native keys pop monomials in the order's descending order,
+    so every step matches the full-rescan strategy."""
+
+    @pytest.mark.parametrize(
+        "kind", [OrderKind.DEGLEX, OrderKind.WEIGHTED_DEGLEX], ids=lambda k: k.value
+    )
+    @pytest.mark.parametrize("cls", [FreeMonoidTheory, FreeMagmaTheory], ids=lambda c: c.keyword)
+    def test_wide_alphabets_reduce_as_the_reference(self, cls, kind):
+        th = cls(tuple("g%d" % i for i in range(WIDE)))
+        rng = random.Random("wide-%s-%s" % (th.keyword, kind.value))
+        system, monomial = wide_system(th, kind, rng)
+        index = system.lead_index
+        steps = 0
+        for _ in range(10):
+            e = Element.from_dict(
+                {monomial(rng.randint(3, 5)): Fraction(rng.randint(1, 5)) for _ in range(10)}
+            )
+            assert max(ord(ch) for m in e.support() for ch in index.encode(m)) > 255
+            want, want_trail = reference_reduce(system, dict(e.terms), 10**5)
+            got, trail = normal_form_with_trail(system, e)
+            assert trail == want_trail
+            assert got == Element.from_dict(want)
+            steps += len(trail)
+        assert steps > 50
+
+    @pytest.mark.parametrize("case", sorted(BENCH_NF_CASES))
+    def test_benchmark_systems_keep_their_step_order(self, case):
+        name, text, precision = BENCH_NF_CASES[case]
+        with open(os.path.join(REPO, "bench", "systems", name), encoding="utf-8") as handle:
+            parsed = parse_system_file(handle.read())
+        system = parsed.system
+        e = parse_expression(text, system.theory, system.field)
+        if precision is None:
+            want, want_trail = reference_reduce(system, dict(e.terms), 10**6)
+            got, trail = normal_form_with_trail(system, e)
+            assert trail == want_trail and len(trail) >= 20
+            assert got == Element.from_dict(want)
+        else:
+            assert check_truncated_normal_form(system, parsed.weight_data, e, precision) > 50
+            assert truncated_normal_form(system, parsed.weight_data, e, precision).truncated
 
 
 class TestCachedLeadIndex:
