@@ -104,16 +104,23 @@ class _Working:
     ``_raw_lower`` form (codes with integer numerators over one denominator
     per rule) cover its rules; ``of(system)`` takes over a system's own.
     ``append`` and ``renormalize`` keep them in step with ``rules``, so one
-    view serves a whole completion. Its ``site_memo`` serves every
-    reduction of that completion, since leads are only appended and a
-    renormalized rule keeps its lead. ``marks`` holds, per rule, how many
-    leads its lower part is known to be irreducible against, 0 unless told.
-    ``without(i)`` is the view of the other rules, recomputing no encoding,
-    for the drop pass, and gives it a fresh memo.
+    view serves a whole completion. A renormalized rule is only written
+    back encoded and joins ``stale``: its entry in ``rules`` keeps its lead,
+    which never changes, but not its lower part. ``decode`` brings stale
+    rules up to date, once each, when something reads their lower parts:
+    ``complete`` decodes the two rules of a pair before its s-polynomial,
+    and every stale rule before the drop pass and the report. Its
+    ``site_memo`` serves every reduction of that completion, since leads
+    are only appended and a renormalized rule keeps its lead. ``marks``
+    holds, per rule, how many leads its lower part is known to be
+    irreducible against, 0 unless told. ``without(i)`` is the view of the
+    other rules, recomputing no encoding, for the drop pass, and gives it a
+    fresh memo.
     """
 
     __slots__ = (
-        "theory", "order", "field", "rules", "raw_lowers", "lead_index", "site_memo", "marks"
+        "theory", "order", "field", "rules", "raw_lowers", "lead_index",
+        "site_memo", "marks", "stale",
     )
 
     def __init__(self, theory, order, field, rules: list, lead_index=None, raw_lowers=None):
@@ -129,6 +136,7 @@ class _Working:
         self.raw_lowers = raw_lowers
         self.site_memo = {}
         self.marks = [0] * len(rules)
+        self.stale = set()
 
     @classmethod
     def of(cls, system) -> "_Working":
@@ -156,21 +164,38 @@ class _Working:
 
     def renormalize(self, i: int, box: list) -> None:
         """Put the reduced lower part in box = [code dict, D] in place of
-        rule i's. The numerators and D are divided by their gcd, so D is
-        the lcm of the reduced denominators, and the codes are kept in the
-        order of the decoded rule's terms."""
+        rule i's raw one, with the numerators and D divided by their gcd, so
+        that D is the lcm of the reduced denominators; rule i is stale until
+        decoded."""
         work, den = box
         g = gcd(den, *work.values())
-        den //= g
+        pairs = tuple(work.items()) if g == 1 else tuple([(m, c // g) for m, c in work.items()])
+        self.raw_lowers[i] = pairs, den // g
+        self.stale.add(i)
+
+    def decode(self, *indices) -> None:
+        """Rebuild the stale rules among ``indices``, or every stale rule
+        when none are given, from their raw lower parts, whose pairs are
+        put in the order of the decoded terms, as ``_raw_lower`` gives
+        them."""
+        stale = self.stale
+        if not indices:
+            indices = tuple(stale)
         decode, scalar = self.lead_index.decode, self.field.scalar
-        terms = []
-        for m, c in work.items():
-            x = decode(m)
-            terms.append((_term_key(x), x, m, c // g))
-        terms.sort()
-        lower = Element(tuple([(x, scalar(c, den)) for _, x, _, c in terms]))
-        self.rules[i] = Rule(self.rules[i].lead, lower)
-        self.raw_lowers[i] = tuple([(m, c) for _, _, m, c in terms]), den
+        for i in indices:
+            if i not in stale:
+                continue
+            stale.remove(i)
+            lower, den = self.raw_lowers[i]
+            terms = []
+            for m, c in lower:
+                x = decode(m)
+                terms.append((_term_key(x), x, m, c))
+            terms.sort()
+            self.rules[i] = Rule(
+                self.rules[i].lead, Element(tuple([(x, scalar(c, den)) for _, x, _, c in terms]))
+            )
+            self.raw_lowers[i] = tuple([(m, c) for _, _, m, c in terms]), den
 
     def without(self, i: int) -> "_Working":
         rules, lowers = self.rules, self.raw_lowers
@@ -280,6 +305,7 @@ def complete(
             degree_capped = True
             continue
         reduced_by = len(rules)
+        work.decode(amb.rule1, amb.rule2)
         remainder = normal_form(work, s_polynomial(work, amb), max_steps)
         processed += 1
         if remainder.is_zero():
@@ -301,6 +327,7 @@ def complete(
     else:
         status = CompletionStatus.COMPLETE
 
+    work.decode()
     base = len(system.rules)
     added = tuple(
         AddedRule(rules[base + k], sources[k]) for k in range(len(rules) - base)
@@ -319,7 +346,8 @@ def _drop_pass(work: _Working, max_steps: int):
 
     A rule is redundant when the other rules reduce its lead and its
     defining element, lead minus lower part, to zero; that element is
-    reduced encoded, as numerators over the lower part's denominator.
+    reduced encoded, as numerators over the lower part's denominator. The
+    view without the rule is built only when another lead divides its lead.
     Returns the view of the remaining rules, a new one when a rule was
     dropped, and the drops.
     """
@@ -327,10 +355,15 @@ def _drop_pass(work: _Working, max_steps: int):
     dropped = []
     i = 0
     while i < len(work.rules):
-        rule = work.rules[i]
-        others = work.without(i)
-        lead = others.lead_index.encode(rule.lead)
-        if others.lead_index.site(lead) is not None:
+        rule, index = work.rules[i], work.lead_index
+        lead = index.encode(rule.lead)
+        # Rule i's own lead divides its lead, so the scan resumes past it
+        # when it comes first.
+        found = index.site(lead)
+        if found[0] == i:
+            found = index.site(lead, i + 1)
+        if found is not None:
+            others = work.without(i)
             lower, d = work.raw_lowers[i]
             codes = {m: (-c % p if p else -c) for m, c in lower}
             codes[lead] = d

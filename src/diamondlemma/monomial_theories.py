@@ -59,7 +59,7 @@ def _exp_add(a: tuple, b: tuple) -> tuple:
 
 
 def _exp_le(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 

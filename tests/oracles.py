@@ -34,7 +34,6 @@ from diamondlemma import (
     critical_ambiguities,
     normal_form,
     orient,
-    s_polynomial,
 )
 from diamondlemma.algebra_core import _accumulate
 from diamondlemma.ambiguity import _make_ambiguity, _pair_ambiguities
@@ -333,7 +332,9 @@ def reference_drop_redundant(system, max_steps: int = 10**6):
 def reference_complete(system, max_degree: int = 12, max_rules: int = 500, max_steps: int = 10**6):
     """Completion without pair criteria: every rule pair is queued, pairs are
     processed by superposition degree then insertion order, and every rule
-    is renormalized after each new rule. Reports no filtered pairs."""
+    is renormalized after each new rule. Each s-polynomial is the difference
+    of the images of the two lower parts, so no s-polynomial code is shared
+    with ``complete``. Reports no filtered pairs."""
     th, order = system.theory, system.order
     rules = list(system.rules)
     heap: list = []
@@ -360,8 +361,10 @@ def reference_complete(system, max_degree: int = 12, max_rules: int = 500, max_s
             skipped += 1
             degree_capped = True
             continue
+        left = apply_context_to_element(th, amb.ctx1, rules[amb.rule1].lower)
+        right = apply_context_to_element(th, amb.ctx2, rules[amb.rule2].lower)
         work = RewritingSystem(th, order, tuple(rules), system.field)
-        remainder = normal_form(work, s_polynomial(work, amb), max_steps)
+        remainder = normal_form(work, left - right, max_steps)
         processed += 1
         if remainder.is_zero():
             continue

@@ -1,6 +1,7 @@
 """Confluence checking, completion and rule dropping."""
 
 import math
+import os
 import random
 import re
 from fractions import Fraction
@@ -36,6 +37,7 @@ from diamondlemma import (
     reduce_once,
     truncated_normal_form,
 )
+from diamondlemma import completion
 from diamondlemma.completion import _interreduce, _Working
 
 from oracles import (
@@ -63,6 +65,7 @@ COMM_TH = CommutativeTheory(("x", "y"))
 COMM_LEX = MonomialOrder(OrderKind.LEX, COMM_TH, ("y", "x"))
 COMM_DEGLEX = MonomialOrder(OrderKind.DEGLEX, COMM_TH, ("x", "y"))
 QQ = RationalField()
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIELD_IDS = [field.describe() for field in PRIME_FIELDS]
 
 
@@ -402,12 +405,15 @@ class TestAgainstReference:
             for _ in range(60):
                 done = _Working(th, order, QQ, list(make_random_system(th, order, rng).rules))
                 _interreduce(done, 20_000)
+                done.decode()
                 fresh = list(make_random_system(th, order, rng).rules)
                 full = _Working(th, order, QQ, done.rules + fresh)
                 selective = _Working(th, order, QQ, done.rules + fresh)
                 reference = done.rules + fresh
                 _interreduce(full, 20_000)
                 _interreduce(selective, 20_000, len(done.rules))
+                full.decode()
+                selective.decode()
                 _reference_interreduce(th, order, QQ, reference, 20_000)
                 assert selective.rules == full.rules == reference
                 # Over QQ the raw lower parts are int numerators over the
@@ -468,6 +474,7 @@ class TestAgainstReference:
         work = _Working(s.theory, s.order, s.field, list(s.rules))
         reference = list(s.rules)
         _interreduce(work, 20_000)
+        work.decode()
         _reference_interreduce(s.theory, s.order, s.field, reference, 20_000)
         assert work.rules == reference
         assert [format_element(s.theory, s.order, r.lower) for r in work.rules] == [
@@ -632,6 +639,7 @@ class TestCompletionOnCodes:
         new = orient(s.order, parse_expression("y*z - 3/5*x", s.theory, s.field))
         work.append(new, 2)
         _interreduce(work, 100)
+        work.decode()
         assert work.rules[1] is s.rules[1]
         assert work.raw_lowers[1] is s.raw_lowers[1]
         assert work.rules[2] is new
@@ -652,6 +660,7 @@ class TestCompletionOnCodes:
         work.append(second, 1)
         assert work.marks == [0, 2, 1]
         _interreduce(work, 100)
+        work.decode()
         assert work.marks == [3, 3, 3]
         assert work.rules[:2] == [s.rules[0], first]
         assert work.rules[2] == orient(s.order, parse_expression("z^3 - x - z", s.theory, s.field))
@@ -703,6 +712,98 @@ class TestCompletionOnCodes:
             )
         assert drops >= 10
         assert (fractional > 0) == (field == QQ)
+
+
+class TestLazyDecoding:
+    """A renormalized rule stays encoded until a pair or the report reads
+    its lower part, and is then decoded once."""
+
+    @staticmethod
+    def watch(monkeypatch) -> dict:
+        """Count, from now on, the ``Rule``s completion builds, which are its
+        decodes, and the renormalized lower parts that an s-polynomial
+        reads before the rule is renormalized again; ``pending`` holds the
+        rules renormalized and not read since. Every s-polynomial must find
+        both of its rules decoded."""
+        seen = {"built": 0, "renormalized": 0, "read": 0, "pending": set()}
+        rule, s_polynomial = completion.Rule, completion.s_polynomial
+        renormalize = _Working.renormalize
+
+        def counting_rule(*args):
+            seen["built"] += 1
+            return rule(*args)
+
+        def tracking_renormalize(work, i, box):
+            seen["renormalized"] += 1
+            seen["pending"].add(i)
+            renormalize(work, i, box)
+
+        def checked_s_polynomial(work, amb):
+            sides = {amb.rule1, amb.rule2}
+            assert not sides & work.stale, (amb, work.stale)
+            seen["read"] += len(sides & seen["pending"])
+            seen["pending"] -= sides
+            return s_polynomial(work, amb)
+
+        monkeypatch.setattr(completion, "Rule", counting_rule)
+        monkeypatch.setattr(_Working, "renormalize", tracking_renormalize)
+        monkeypatch.setattr(completion, "s_polynomial", checked_s_polynomial)
+        return seen
+
+    @pytest.mark.parametrize(
+        "name, caps, counts",
+        [
+            ("cyclic5_qq.sys", {"max_degree": 14, "max_rules": 500}, (229, 77, 30)),
+            ("katsura5_gf.sys", {"max_degree": 12, "max_rules": 500}, (115, 31, 32)),
+        ],
+        ids=["cyclic5_qq", "katsura5_gf"],
+    )
+    def test_benchmark_systems_decode_only_what_is_read(self, name, caps, counts, monkeypatch):
+        """On the benchmark's two completions, in their rule order, the rules
+        built are exactly the renormalized lower parts a pair or the report
+        reads: (renormalized, decoded, final rules) = ``counts``."""
+        with open(os.path.join(REPO, "bench", "systems", name), encoding="utf-8") as handle:
+            s = parse_system_file(handle.read()).system
+        seen = self.watch(monkeypatch)
+        report = complete(s, **caps)
+        assert report.status is CompletionStatus.COMPLETE
+        # Rules left pending when the loop ends are read by the report.
+        assert seen["built"] == seen["read"] + len(seen["pending"])
+        assert (seen["renormalized"], seen["built"], len(report.system.rules)) == counts
+        fresh = RewritingSystem(s.theory, s.order, report.system.rules, s.field)
+        assert vars(report.system)["raw_lowers"] == fresh.raw_lowers
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF(7)"])
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_complete_matches_the_reference(self, name, field, monkeypatch):
+        """Over fractions with coprime denominators and over GF(7), lazy
+        decoding repeats the reference run (the basis, for power products),
+        every s-polynomial reads decoded rules, each rule is built once per
+        read, and some renormalized rules are never decoded."""
+        th = THEORIES[name]
+        rng = random.Random("lazy-%s-%s" % (name, field.describe()))
+        sample = COPRIME_FRACTIONS if field == QQ else None
+        orders = [o for o in shipped_orders(th) if o.is_well_founded()]
+        caps = {"max_degree": 6, "max_rules": 60, "max_steps": 20_000}
+        seen = self.watch(monkeypatch)
+        for _ in range(30):
+            order = orders[rng.randrange(len(orders))]
+            rules = [
+                rule
+                for _ in range(2)
+                for rule in make_random_system(th, order, rng, field=field, sample=sample).rules
+            ]
+            s = RewritingSystem(th, order, tuple(rules), field)
+            seen["pending"].clear()
+            built, read = seen["built"], seen["read"]
+            got, want = complete(s, **caps), reference_complete(s, **caps)
+            assert seen["built"] - built == seen["read"] - read + len(seen["pending"])
+            if name == "commutative":
+                if want.status is CompletionStatus.COMPLETE:
+                    assert_same_basis(got, want)
+            else:
+                assert_completes_as_reference(got, want)
+        assert 0 < seen["built"] < seen["renormalized"]
 
 
 class TestIdealMember:
