@@ -53,7 +53,6 @@ _EXPORTS = {
     "magma": ("FreeMagmaTheory",),
     "mixed": ("MixedTheory",),
     "monomial_theories": (
-        "OverlapDatum",
         "OverlapKind",
         "Theory",
     ),

@@ -17,23 +17,21 @@ class Ambiguity(_Value):
     _defaults = {"inner": None}
 
 
-def _make_ambiguity(i, j, datum) -> Ambiguity:
-    # Callers pass i <= j, and a self-pair has no inclusion but the identity.
-    ctx1, ctx2 = datum.ctx1, datum.ctx2
-    if i == j and repr(ctx2) < repr(ctx1):
-        ctx1, ctx2 = ctx2, ctx1
-    return Ambiguity(i, ctx1, j, ctx2, datum.superposition, datum.kind, datum.inner)
-
-
 def _pair_ambiguities(theory, i, lead_i, j, lead_j) -> list:
-    """Enumerate the minimal ambiguities of one rule pair, i <= j."""
+    """Enumerate the minimal ambiguities of one rule pair, i <= j, from the
+    theory's ``overlaps``."""
     out = []
-    for datum in theory.overlaps(lead_i, lead_j):
-        if i == j and datum.ctx1 == datum.ctx2:
-            # Same rule applied identically is a single reduction, not an
-            # ambiguity; this removes the identity inclusion of a self-pair.
-            continue
-        out.append(_make_ambiguity(i, j, datum))
+    for superposition, ctx1, ctx2, kind, inner in theory.overlaps(lead_i, lead_j):
+        if i == j:
+            if ctx1 == ctx2:
+                # Same rule applied identically is a single reduction, not an
+                # ambiguity; this removes the identity inclusion of a self-pair.
+                continue
+            # What a self-pair has left are overlaps, which name no inner
+            # slot, so its contexts are put in ``repr`` order.
+            if repr(ctx2) < repr(ctx1):
+                ctx1, ctx2 = ctx2, ctx1
+        out.append(Ambiguity(i, ctx1, j, ctx2, superposition, kind, inner))
     return out
 
 

@@ -123,16 +123,12 @@ class _Working:
         "site_memo", "marks", "stale",
     )
 
-    def __init__(self, theory, order, field, rules: list, lead_index=None, raw_lowers=None):
+    def __init__(self, theory, order, field, rules: list, lead_index, raw_lowers: list):
         self.theory = theory
         self.order = order
         self.field = field
         self.rules = rules
-        if lead_index is None:
-            lead_index = theory.lead_index([rule.lead for rule in rules], order)
         self.lead_index = lead_index
-        if raw_lowers is None:
-            raw_lowers = [_raw_lower(self, rule) for rule in rules]
         self.raw_lowers = raw_lowers
         self.site_memo = {}
         self.marks = [0] * len(rules)

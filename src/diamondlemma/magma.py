@@ -4,7 +4,7 @@ which reduce as Polish-coded strings."""
 from __future__ import annotations
 
 from .algebra_core import TheoryMismatchError
-from .monomial_theories import OverlapDatum, OverlapKind, Theory, _CodedIndex, _letter_codes
+from .monomial_theories import OverlapKind, Theory, _CodedIndex, _letter_codes
 
 
 _HOLE = None
@@ -141,14 +141,14 @@ class FreeMagmaTheory(Theory):
 
     def overlaps(self, mu1, mu2) -> list:
         if mu1 == mu2:
-            return [OverlapDatum(mu1, _HOLE, _HOLE, OverlapKind.INCLUSION, 2)]
+            return [(mu1, _HOLE, _HOLE, OverlapKind.INCLUSION, 2)]
         data = []
         if self.degree(mu2) < self.degree(mu1):
             for ctx in self.divisions(mu1, mu2):
-                data.append(OverlapDatum(mu1, _HOLE, ctx, OverlapKind.INCLUSION, 2))
+                data.append((mu1, _HOLE, ctx, OverlapKind.INCLUSION, 2))
         elif self.degree(mu1) < self.degree(mu2):
             for ctx in self.divisions(mu2, mu1):
-                data.append(OverlapDatum(mu2, ctx, _HOLE, OverlapKind.INCLUSION, 1))
+                data.append((mu2, ctx, _HOLE, OverlapKind.INCLUSION, 1))
         return data
 
     def monomials_of_degree(self, d):

@@ -16,7 +16,6 @@ from .algebra_core import (
 )
 from .monomial_theories import (
     LeadIndex,
-    OverlapDatum,
     OverlapKind,
     Theory,
     _compositions,
@@ -219,8 +218,7 @@ class MixedTheory(Theory):
             if not same:
                 words.append((w2 + w1, (w2, ()), ((), w1), OverlapKind.OVERLAP, None))
         return [
-            OverlapDatum((lcm, w), (m1,) + x1, (m2,) + x2, kind, inner)
-            for w, x1, x2, kind, inner in words
+            ((lcm, w), (m1,) + x1, (m2,) + x2, kind, inner) for w, x1, x2, kind, inner in words
         ]
 
     def monomials_of_degree(self, d):

@@ -1,5 +1,5 @@
-"""The kernel every monomial theory shares: overlap data, exponent and word
-helpers, the lead index protocol and the ``Theory`` base class.
+"""The kernel every monomial theory shares: the overlap kinds, exponent and
+word helpers, the lead index protocol and the ``Theory`` base class.
 
 Each theory lives in a module of its own with its index class and private
 helpers, and ``THEORIES`` names that module by the theory's keyword, so a
@@ -28,18 +28,6 @@ class OverlapKind(Enum):
 
     OVERLAP = "overlap"
     INCLUSION = "inclusion"
-
-
-class OverlapDatum(_Value):
-    """Minimal superposition with the two contexts placing each monomial.
-
-    ``ctx1`` applied to the first monomial and ``ctx2`` applied to the second
-    both give ``superposition``. For inclusions, ``inner`` names which argument
-    (1 or 2) occurs inside the other's monomial.
-    """
-
-    _fields = ("superposition", "ctx1", "ctx2", "kind", "inner")
-    _defaults = {"inner": None}
 
 
 def _exp_gcd(a: tuple, b: tuple) -> tuple:
@@ -72,9 +60,10 @@ def _word_occurrences(haystack: tuple, needle: tuple) -> list[int]:
 def _word_superpositions(w1: tuple, w2: tuple, same: bool):
     """Yield the minimal superpositions of two words.
 
-    Items are (word, ctx1, ctx2, kind, inner) in ``OverlapDatum`` field order,
-    with (left, right) word contexts: the suffix/prefix overlaps by length,
-    each length in both orders, then the inclusions of the shorter word.
+    Items are the (superposition, ctx1, ctx2, kind, inner) tuples of
+    ``Theory.overlaps``, with (left, right) word contexts: the suffix/prefix
+    overlaps by length, each length in both orders, then the inclusions of
+    the shorter word.
     ``same`` marks a monomial paired with itself, which yields its identity
     inclusion first and each self-overlap once.
     """
@@ -287,6 +276,14 @@ class Theory(_Value):
     ``theory`` statement, ``header_statements`` lists the statements that
     declare its fields, in field order, and ``monomial_named(name)`` returns
     the monomial an expression identifier stands for, or None.
+
+    ``overlaps(mu1, mu2)``, which each theory defines, lists the minimal
+    superpositions of two leads as (superposition, ctx1, ctx2, kind, inner)
+    tuples: ``apply_context(ctx1, mu1)`` and ``apply_context(ctx2, mu2)``
+    both give the superposition, ``kind`` is an ``OverlapKind``, and
+    ``inner`` names the argument (1 or 2) that an inclusion places inside
+    the other, None for an overlap. A lead paired with itself lists its
+    identity inclusion too.
     """
 
     keyword = ""
@@ -314,10 +311,6 @@ class Theory(_Value):
     def uniform_class(self, m):
         """Class that every monomial of one rule must share; None for all."""
         return None
-
-    def uniform_equivalent(self, a, b) -> bool:
-        """Decide whether two monomials may appear in the same rule."""
-        return self.uniform_class(a) == self.uniform_class(b)
 
     def lead_index(self, leads, order) -> LeadIndex:
         """Index of rule leads for site lookup, whose codes reduce under

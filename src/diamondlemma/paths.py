@@ -7,7 +7,6 @@ import functools
 from .algebra_core import TheoryMismatchError, _rank_table, _set, _Value, _weight_table
 from .monomial_theories import (
     LeadIndex,
-    OverlapDatum,
     Theory,
     _letter_codes,
     _word_code,
@@ -215,7 +214,7 @@ class PathAlgebraTheory(Theory):
                     continue
             ctx1 = ((src, mu1[0], l1), (mu1[1], tgt, r1))
             ctx2 = ((src, mu2[0], l2), (mu2[1], tgt, r2))
-            data.append(OverlapDatum((src, tgt, word), ctx1, ctx2, kind, inner))
+            data.append(((src, tgt, word), ctx1, ctx2, kind, inner))
         return data
 
     def uniform_class(self, m) -> tuple:

@@ -16,7 +16,6 @@ from .algebra_core import (
 )
 from .monomial_theories import (
     LeadIndex,
-    OverlapDatum,
     OverlapKind,
     Theory,
     _compositions,
@@ -200,21 +199,19 @@ class CommutativeTheory(Theory):
     def divisions(self, mu, nu) -> list:
         return [_exp_sub(mu, nu)] if _exp_le(nu, mu) else []
 
-    def lcm_superposition(self, a, b) -> OverlapDatum:
-        """The lcm of two power products, an inclusion when one divides the other."""
-        lcm = _exp_lcm(a, b)
-        if lcm == a:
+    def overlaps(self, mu1, mu2) -> list:
+        """The lcm of two power products that share a variable, an inclusion
+        when one divides the other; coprime ones meet only in a montage."""
+        if not any(_exp_gcd(mu1, mu2)):
+            return []
+        lcm = _exp_lcm(mu1, mu2)
+        if lcm == mu1:
             kind, inner = OverlapKind.INCLUSION, 2
-        elif lcm == b:
+        elif lcm == mu2:
             kind, inner = OverlapKind.INCLUSION, 1
         else:
             kind, inner = OverlapKind.OVERLAP, None
-        return OverlapDatum(lcm, _exp_sub(lcm, a), _exp_sub(lcm, b), kind, inner)
-
-    def overlaps(self, mu1, mu2) -> list:
-        if not any(_exp_gcd(mu1, mu2)):
-            return []
-        return [self.lcm_superposition(mu1, mu2)]
+        return [(lcm, _exp_sub(lcm, mu1), _exp_sub(lcm, mu2), kind, inner)]
 
     def chain_criterion(self, lead, lead_i, lead_j, superposition) -> bool:
         return (

@@ -134,7 +134,7 @@ def _rule_problem(theory, order: MonomialOrder, field, rules, check=None):
                 return i, "lower-part monomial %s is not below the lead %s" % (
                     theory.serialize(m), theory.serialize(lead)
                 )
-            if not theory.uniform_equivalent(m, lead):
+            if theory.uniform_class(m) != theory.uniform_class(lead):
                 return i, "non-uniform path rule (%s vs %s)" % (
                     theory.serialize(m), theory.serialize(lead)
                 )

@@ -7,7 +7,6 @@ import itertools
 
 from .algebra_core import _set, _Value
 from .monomial_theories import (
-    OverlapDatum,
     Theory,
     _CodedIndex,
     _power_string,
@@ -96,7 +95,7 @@ class FreeMonoidTheory(Theory):
         return [(mu[:i], mu[i + len(nu) :]) for i in _word_occurrences(mu, nu)]
 
     def overlaps(self, mu1, mu2) -> list:
-        return [OverlapDatum(*s) for s in _word_superpositions(mu1, mu2, mu1 == mu2)]
+        return list(_word_superpositions(mu1, mu2, mu1 == mu2))
 
     def monomials_of_degree(self, d):
         return itertools.product(self.letters, repeat=d) if d >= 0 else iter(())

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from diamondlemma import (
     AddedRule,
+    Ambiguity,
     CommutativeTheory,
     CompletionReport,
     CompletionStatus,
@@ -20,7 +21,6 @@ from diamondlemma import (
     MixedTheory,
     MonomialOrder,
     OrderKind,
-    OverlapDatum,
     OverlapKind,
     PathAlgebraTheory,
     PrimeField,
@@ -36,7 +36,7 @@ from diamondlemma import (
     orient,
 )
 from diamondlemma.algebra_core import _accumulate
-from diamondlemma.ambiguity import _make_ambiguity, _pair_ambiguities
+from diamondlemma.ambiguity import _pair_ambiguities
 from diamondlemma.cli_io import MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_TERMS
 
 
@@ -403,13 +403,13 @@ def critical_ambiguities_with_montages(system) -> tuple:
     if not isinstance(th, CommutativeTheory):
         raise DiamondError("montage enumeration is only finite for the commutative theory")
     leads = [rule.lead for rule in system.rules]
-    montages = tuple(
-        _make_ambiguity(i, j, th.lcm_superposition(leads[i], leads[j]))
-        for i in range(len(leads))
-        for j in range(i + 1, len(leads))
-        if not any(min(a, b) for a, b in zip(leads[i], leads[j]))
-    )
-    return critical_ambiguities(system) + montages
+    montages = []
+    for i in range(len(leads)):
+        for j in range(i + 1, len(leads)):
+            if not any(min(a, b) for a, b in zip(leads[i], leads[j])):
+                sup, ctx1, ctx2, kind, inner = reference_lcm_overlap(leads[i], leads[j])
+                montages.append(Ambiguity(i, ctx1, j, ctx2, sup, kind, inner))
+    return critical_ambiguities(system) + tuple(montages)
 
 
 def second_criterion_filter(system, ambiguities) -> tuple:
@@ -464,7 +464,7 @@ def make_random_system(
             for m in pool
             if theory.degree(m) <= lower_degree
             and order.sort_key(m) < lead_key
-            and theory.uniform_equivalent(m, lead)
+            and theory.uniform_class(m) == theory.uniform_class(lead)
         ]
         lower = {}
         for _ in range(rng.randint(0, 2) if below else 0):
@@ -841,28 +841,55 @@ def reference_word_overlaps(mu1: tuple, mu2: tuple) -> list:
     l1, l2 = len(mu1), len(mu2)
     if mu1 == mu2:
         ident = ((), ())
-        data.append(OverlapDatum(mu1, ident, ident, OverlapKind.INCLUSION, inner=2))
+        data.append((mu1, ident, ident, OverlapKind.INCLUSION, 2))
         for t in range(1, l1):
             if mu1[l1 - t :] == mu1[:t]:
                 sup = mu1 + mu1[t:]
                 data.append(
-                    OverlapDatum(sup, ((), mu1[t:]), (mu1[: l1 - t], ()), OverlapKind.OVERLAP)
+                    (sup, ((), mu1[t:]), (mu1[: l1 - t], ()), OverlapKind.OVERLAP, None)
                 )
         return data
     for t in range(1, min(l1, l2)):
         if mu1[l1 - t :] == mu2[:t]:
             sup = mu1 + mu2[t:]
-            data.append(OverlapDatum(sup, ((), mu2[t:]), (mu1[: l1 - t], ()), OverlapKind.OVERLAP))
+            data.append((sup, ((), mu2[t:]), (mu1[: l1 - t], ()), OverlapKind.OVERLAP, None))
         if mu2[l2 - t :] == mu1[:t]:
             sup = mu2 + mu1[t:]
-            data.append(OverlapDatum(sup, (mu2[: l2 - t], ()), ((), mu1[t:]), OverlapKind.OVERLAP))
+            data.append((sup, (mu2[: l2 - t], ()), ((), mu1[t:]), OverlapKind.OVERLAP, None))
     if l2 < l1:
         for ctx in word_divisions(mu1, mu2):
-            data.append(OverlapDatum(mu1, ((), ()), ctx, OverlapKind.INCLUSION, inner=2))
+            data.append((mu1, ((), ()), ctx, OverlapKind.INCLUSION, 2))
     elif l1 < l2:
         for ctx in word_divisions(mu2, mu1):
-            data.append(OverlapDatum(mu2, ctx, ((), ()), OverlapKind.INCLUSION, inner=1))
+            data.append((mu2, ctx, ((), ()), OverlapKind.INCLUSION, 1))
     return data
+
+
+def reference_lcm_overlap(mu1: tuple, mu2: tuple) -> tuple:
+    """The lcm of two power products with the cofactors placing each, an
+    inclusion when one divides the other."""
+    lcm, ctx1, ctx2 = [], [], []
+    for a, b in zip(mu1, mu2):
+        top = max(a, b)
+        lcm.append(top)
+        ctx1.append(top - a)
+        ctx2.append(top - b)
+    if exp_divides(mu2, mu1):
+        kind, inner = OverlapKind.INCLUSION, 2
+    elif exp_divides(mu1, mu2):
+        kind, inner = OverlapKind.INCLUSION, 1
+    else:
+        kind, inner = OverlapKind.OVERLAP, None
+    return tuple(lcm), tuple(ctx1), tuple(ctx2), kind, inner
+
+
+def reference_power_product_overlaps(mu1: tuple, mu2: tuple) -> list:
+    """Superpositions of two power products: none when they share no
+    variable, else their lcm."""
+    for a, b in zip(mu1, mu2):
+        if a and b:
+            return [reference_lcm_overlap(mu1, mu2)]
+    return []
 
 
 def reference_mixed_overlaps(mu1: tuple, mu2: tuple) -> list:
@@ -878,7 +905,7 @@ def reference_mixed_overlaps(mu1: tuple, mu2: tuple) -> list:
         sup = (lcm, word)
         ctx1 = (m1,) + ctx1_words
         ctx2 = (m2,) + ctx2_words
-        data.append(OverlapDatum(sup, ctx1, ctx2, kind, inner=inner))
+        data.append((sup, ctx1, ctx2, kind, inner))
 
     if mu1 == mu2:
         emit(w1, ((), ()), ((), ()), OverlapKind.INCLUSION, inner=2)
@@ -972,13 +999,13 @@ def reference_path_overlaps(theory, mu1, mu2) -> list:
 
     if mu1 == mu2:
         ident = (vertex_path(mu1[0]), vertex_path(mu1[1]))
-        data.append(OverlapDatum(mu1, ident, ident, OverlapKind.INCLUSION, inner=2))
+        data.append((mu1, ident, ident, OverlapKind.INCLUSION, 2))
         for t in range(1, l1):
             if a1[l1 - t :] == a1[:t] and vis1[l1 - t] == vis1[0]:
                 sup = seam(mu1, mu1, t)
                 ctx1 = (vertex_path(mu1[0]), (vis1[t], sup[1], a1[t:]))
                 ctx2 = ((mu1[0], vis1[l1 - t], a1[: l1 - t]), vertex_path(mu1[1]))
-                data.append(OverlapDatum(sup, ctx1, ctx2, OverlapKind.OVERLAP))
+                data.append((sup, ctx1, ctx2, OverlapKind.OVERLAP, None))
         return data
 
     for t in range(1, min(l1, l2)):
@@ -986,20 +1013,20 @@ def reference_path_overlaps(theory, mu1, mu2) -> list:
             sup = seam(mu1, mu2, t)
             ctx1 = (vertex_path(mu1[0]), (vis2[t], mu2[1], a2[t:]))
             ctx2 = ((mu1[0], vis1[l1 - t], a1[: l1 - t]), vertex_path(mu2[1]))
-            data.append(OverlapDatum(sup, ctx1, ctx2, OverlapKind.OVERLAP))
+            data.append((sup, ctx1, ctx2, OverlapKind.OVERLAP, None))
         if a2[l2 - t :] == a1[:t] and vis2[l2 - t] == vis1[0]:
             sup = seam(mu2, mu1, t)
             ctx1 = ((mu2[0], vis2[l2 - t], a2[: l2 - t]), vertex_path(mu1[1]))
             ctx2 = (vertex_path(mu2[0]), (vis1[t], mu1[1], a1[t:]))
-            data.append(OverlapDatum(sup, ctx1, ctx2, OverlapKind.OVERLAP))
+            data.append((sup, ctx1, ctx2, OverlapKind.OVERLAP, None))
     if l2 < l1:
         ident = (vertex_path(mu1[0]), vertex_path(mu1[1]))
         for ctx in reference_path_divisions(theory, mu1, mu2):
-            data.append(OverlapDatum(mu1, ident, ctx, OverlapKind.INCLUSION, inner=2))
+            data.append((mu1, ident, ctx, OverlapKind.INCLUSION, 2))
     elif l1 < l2:
         ident = (vertex_path(mu2[0]), vertex_path(mu2[1]))
         for ctx in reference_path_divisions(theory, mu2, mu1):
-            data.append(OverlapDatum(mu2, ctx, ident, OverlapKind.INCLUSION, inner=1))
+            data.append((mu2, ctx, ident, OverlapKind.INCLUSION, 1))
     return data
 
 

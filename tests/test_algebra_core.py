@@ -139,7 +139,7 @@ class TestValueConstructor:
             assert type(value)(**dict(zip(value._fields, fields))) == value
         names = {type(value).__name__ for value in values}
         assert names >= {
-            "OverlapDatum", "CommutativeTheory", "FreeMagmaTheory", "Rule", "RewriteStep",
+            "CommutativeTheory", "FreeMagmaTheory", "Rule", "RewriteStep",
             "ForbiddenFactorSet", "Ambiguity", "ResolutionCertificate", "ConfluenceVerdict",
             "AddedRule", "CompletionReport", "EquicontinuityReport", "TdccReport",
             "SeriesNormalForm", "SystemFile",

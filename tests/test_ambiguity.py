@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from diamondlemma import (
+    Ambiguity,
     CommutativeTheory,
     ConfluenceStatus,
     DiamondError,
@@ -26,6 +27,7 @@ from diamondlemma import (
     resolve,
     s_polynomial,
 )
+from diamondlemma.algebra_core import _Value
 
 from oracles import (
     THEORIES,
@@ -139,6 +141,27 @@ class TestEnumeration:
         twin = RewritingSystem(s.theory, s.order, s.rules, s.field)
         assert twin == s and "ambiguities" not in vars(twin)
         assert check_confluence(twin).checked and vars(twin)["ambiguities"] == first
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_one_value_per_ambiguity(self, name, monkeypatch):
+        """Enumerating a fresh system's ambiguities builds each one as an
+        ``Ambiguity`` and no other value on the way."""
+        th = THEORIES[name]
+        rng = random.Random("one-value-" + name)
+        order = shipped_orders(th)[0]
+        systems = [make_random_system(th, order, rng, lead_degree=4) for _ in range(30)]
+        built = []
+        init = _Value.__init__
+
+        def counting_init(self, *values, **named):
+            built.append(type(self))
+            init(self, *values, **named)
+
+        monkeypatch.setattr(_Value, "__init__", counting_init)
+        found = sum(len(critical_ambiguities(s)) for s in systems)
+        monkeypatch.undo()
+        assert found > 0
+        assert built == [Ambiguity] * found
 
     @pytest.mark.parametrize("name", sorted(THEORIES))
     def test_enumeration_yields_no_duplicates(self, name):

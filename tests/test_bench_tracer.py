@@ -9,8 +9,9 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Installs the tracer on a fresh interpreter, then completes a small system
 # over QQ and over GF(7), and a mixed, a magma and a path system, through the
 # wrapped names, and checks that the wrappers counted the work, the residue
-# operators included. No lead index calls ``divisions``, so reduction alone
-# does not count it.
+# operators included, and that each completion called its theory's
+# ``overlaps``. No lead index calls ``divisions``, so reduction alone does not
+# count it.
 _SCRIPT = """
 import sys
 sys.path[:0] = [{bench!r}, {src!r}]
@@ -35,7 +36,11 @@ for text in texts:
     report = diamondlemma.complete(diamondlemma.parse_system_file(text).system)
     assert report.status is diamondlemma.CompletionStatus.COMPLETE
     after = tracer.layer_metrics()
-    for name in ("completion.pairs_processed", "rewriting_engine.nf_calls"):
+    for name in (
+        "completion.pairs_processed",
+        "rewriting_engine.nf_calls",
+        "monomial_theories.overlaps_calls",
+    ):
         assert after[name] > before[name], (text, name)
 layers = tracer.layer_metrics()
 assert layers["completion.pairs_processed"] > 0, layers

@@ -403,12 +403,13 @@ class TestAgainstReference:
         rng = random.Random("interreduce-" + name)
         for order in [o for o in shipped_orders(th) if o.is_well_founded()]:
             for _ in range(60):
-                done = _Working(th, order, QQ, list(make_random_system(th, order, rng).rules))
+                done = _Working.of(make_random_system(th, order, rng))
                 _interreduce(done, 20_000)
                 done.decode()
                 fresh = list(make_random_system(th, order, rng).rules)
-                full = _Working(th, order, QQ, done.rules + fresh)
-                selective = _Working(th, order, QQ, done.rules + fresh)
+                both = RewritingSystem._of_checked_rules(th, order, tuple(done.rules + fresh), QQ)
+                full = _Working.of(both)
+                selective = _Working.of(both)
                 reference = done.rules + fresh
                 _interreduce(full, 20_000)
                 _interreduce(selective, 20_000, len(done.rules))
@@ -437,7 +438,8 @@ class TestAgainstReference:
         for order in [o for o in shipped_orders(th) if o.is_well_founded()]:
             for _ in range(4):
                 rules = [r for _ in range(3) for r in make_random_system(th, order, rng).rules]
-                work = _Working(th, order, QQ, rules[:1])
+                first = RewritingSystem._of_checked_rules(th, order, tuple(rules[:1]), QQ)
+                work = _Working.of(first)
                 memo = work.site_memo
                 for k in range(1, len(rules) + 1):
                     if k > 1:
@@ -471,7 +473,7 @@ class TestAgainstReference:
         s = parse_system_file(
             "theory assoc; vars x y; rule y*x -> x*x + y; rule y*x -> x*y; rule y -> x"
         ).system
-        work = _Working(s.theory, s.order, s.field, list(s.rules))
+        work = _Working.of(s)
         reference = list(s.rules)
         _interreduce(work, 20_000)
         work.decode()

@@ -26,6 +26,7 @@ from oracles import (
     reference_mixed_overlaps,
     reference_path_divisions,
     reference_path_overlaps,
+    reference_power_product_overlaps,
     reference_word_overlaps,
     word_divisions,
 )
@@ -34,10 +35,10 @@ WORD = st.lists(st.sampled_from(("a", "b")), max_size=5).map(tuple)
 
 
 def contexts_reproduce(theory, m1, m2):
-    """Both contexts of every overlap datum must rebuild the superposition."""
-    for datum in theory.overlaps(m1, m2):
-        assert theory.apply_context(datum.ctx1, m1) == datum.superposition
-        assert theory.apply_context(datum.ctx2, m2) == datum.superposition
+    """Both contexts of every overlap must rebuild the superposition."""
+    for sup, ctx1, ctx2, _, _ in theory.overlaps(m1, m2):
+        assert theory.apply_context(ctx1, m1) == sup
+        assert theory.apply_context(ctx2, m2) == sup
 
 
 class TestFreeMonoid:
@@ -69,12 +70,12 @@ class TestFreeMonoid:
 
     def test_overlap_superpositions(self):
         th = FreeMonoidTheory(("a", "b"))
-        sups = {d.superposition for d in th.overlaps(("a", "b"), ("b", "a"))}
+        sups = {sup for sup, _, _, _, _ in th.overlaps(("a", "b"), ("b", "a"))}
         assert sups == {("a", "b", "a"), ("b", "a", "b")}
 
     def test_self_overlap(self):
         data = self.th.overlaps(("x", "x"), ("x", "x"))
-        kinds = [(d.kind, d.superposition) for d in data]
+        kinds = [(kind, sup) for sup, _, _, kind, _ in data]
         assert (OverlapKind.INCLUSION, ("x", "x")) in kinds
         assert (OverlapKind.OVERLAP, ("x", "x", "x")) in kinds
         assert len(data) == 2
@@ -116,22 +117,22 @@ class TestCommutative:
         assert self.th.overlaps((2, 0), (0, 3)) == []
 
     def test_shared_variable_overlap(self):
-        (datum,) = self.th.overlaps((2, 0), (1, 1))
-        assert datum.superposition == (2, 1)
-        assert datum.kind is OverlapKind.OVERLAP
+        ((sup, _, _, kind, _),) = self.th.overlaps((2, 0), (1, 1))
+        assert sup == (2, 1)
+        assert kind is OverlapKind.OVERLAP
 
     def test_inclusion_detection(self):
-        (datum,) = self.th.overlaps((2, 0), (1, 0))
-        assert datum.kind is OverlapKind.INCLUSION
-        assert datum.inner == 2
-        assert datum.superposition == (2, 0)
+        ((sup, _, _, kind, inner),) = self.th.overlaps((2, 0), (1, 0))
+        assert kind is OverlapKind.INCLUSION
+        assert inner == 2
+        assert sup == (2, 0)
 
     def test_lcm_superposition(self):
-        datum = self.th.lcm_superposition((2, 1), (1, 3))
-        assert datum.superposition == (2, 3)
-        assert datum.kind is OverlapKind.OVERLAP
-        assert self.th.apply_context(datum.ctx1, (2, 1)) == (2, 3)
-        assert self.th.apply_context(datum.ctx2, (1, 3)) == (2, 3)
+        ((sup, ctx1, ctx2, kind, _),) = self.th.overlaps((2, 1), (1, 3))
+        assert sup == (2, 3)
+        assert kind is OverlapKind.OVERLAP
+        assert self.th.apply_context(ctx1, (2, 1)) == (2, 3)
+        assert self.th.apply_context(ctx2, (1, 3)) == (2, 3)
 
     @given(st.tuples(st.integers(0, 3), st.integers(0, 3)),
            st.tuples(st.integers(0, 3), st.integers(0, 3)))
@@ -223,14 +224,14 @@ class TestMixed:
 
     def test_word_overlap_carries_central_lcm(self):
         data = self.th.overlaps(((1,), ("x", "y")), ((0,), ("y", "x")))
-        sups = {d.superposition for d in data}
+        sups = {sup for sup, _, _, _, _ in data}
         assert ((1,), ("x", "y", "x")) in sups
 
     def test_shared_central_adjacency(self):
         # Both placements of the two words are superpositions when the
         # central parts share a variable.
         data = self.th.overlaps(((1,), ("x",)), ((1,), ("y",)))
-        sups = {d.superposition for d in data}
+        sups = {sup for sup, _, _, _, _ in data}
         assert ((1,), ("x", "y")) in sups
         assert ((1,), ("y", "x")) in sups
 
@@ -241,7 +242,7 @@ class TestMixed:
     def test_purely_central_word_inclusion_needs_shared_variable(self):
         # Lead a*x includes lead a only through the shared central a.
         data = self.th.overlaps(((1,), ("x",)), ((1,), ()))
-        assert any(d.kind is OverlapKind.INCLUSION for d in data)
+        assert any(kind is OverlapKind.INCLUSION for _, _, _, kind, _ in data)
         assert self.th.overlaps(((0,), ("x",)), ((1,), ())) == []
 
     @given(
@@ -290,13 +291,14 @@ class TestFreeMagma:
         # A tree cannot properly overlap itself; only the identity inclusion.
         data = self.th.overlaps(("x", "x"), ("x", "x"))
         assert len(data) == 1
-        assert data[0].kind is OverlapKind.INCLUSION
+        ((_, _, _, kind, _),) = data
+        assert kind is OverlapKind.INCLUSION
 
     def test_nested_inclusion(self):
         outer = (("x", "x"), "y")
         data = self.th.overlaps(outer, ("x", "x"))
-        assert [d.kind for d in data] == [OverlapKind.INCLUSION]
-        assert data[0].superposition == outer
+        assert [kind for _, _, _, kind, _ in data] == [OverlapKind.INCLUSION]
+        assert data[0][0] == outer
 
     def test_monomials_of_degree_catalan(self):
         # Trees with d leaves over k letters number Catalan(d-1) * k^d.
@@ -337,15 +339,16 @@ class TestPathAlgebra:
     def test_overlap_at_seam(self):
         ab = self.th.path("a", "b")
         ba = self.th.path("b", "a")
-        sups = {d.superposition for d in self.th.overlaps(ab, ba)}
+        sups = {sup for sup, _, _, _, _ in self.th.overlaps(ab, ba)}
         assert self.th.path("a", "b", "a") in sups
 
     def test_visits(self):
         assert self.th.visits(self.th.path("a", "b")) == ["1", "2", "1"]
 
     def test_uniform_equivalent(self):
-        assert self.th.uniform_equivalent(self.th.path("a", "b"), self.th.vertex_path("1"))
-        assert not self.th.uniform_equivalent(self.th.path("a"), self.th.vertex_path("1"))
+        uniform_class = self.th.uniform_class
+        assert uniform_class(self.th.path("a", "b")) == uniform_class(self.th.vertex_path("1"))
+        assert uniform_class(self.th.path("a")) != uniform_class(self.th.vertex_path("1"))
 
     def test_monomials_of_degree(self):
         assert set(self.th.monomials_of_degree(0)) == {("1", "1", ()), ("2", "2", ())}
@@ -401,7 +404,8 @@ def lead_pairs(theory, seed):
 
 
 class TestOverlapsMatchReference:
-    """The shared word kernel reproduces each theory's original overlap lists.
+    """The shared word kernel reproduces each theory's original overlap lists,
+    and power products match an lcm computed on its own.
 
     Order matters: completion breaks ties between equal superposition degrees
     by the order in which overlaps were found.
@@ -411,6 +415,14 @@ class TestOverlapsMatchReference:
         th = FreeMonoidTheory(("x", "y"))
         for a, b in lead_pairs(th, 1):
             assert th.overlaps(a, b) == reference_word_overlaps(a, b), (a, b)
+
+    def test_power_products(self):
+        """Every pair of exponent vectors of degree at most 3 in 3 variables."""
+        th = CommutativeTheory(("x", "y", "z"))
+        small = [m for d in range(4) for m in th.monomials_of_degree(d)]
+        for a in small:
+            for b in small:
+                assert th.overlaps(a, b) == reference_power_product_overlaps(a, b), (a, b)
 
     def test_mixed(self):
         th = MixedTheory(("s", "t"), ("x", "y"))
