@@ -340,6 +340,8 @@ class _SystemBuilder:
         # names in header_statements, in field order.
         self.header = {"vars": [], "cvars": [], "vertices": [], "arrow": []}
         self.arrow_at: list = []  # (line, col) of each arrow statement
+        # The names an expression reads as monomials, ev for each vertex v.
+        self.declared: set = set()
         # (statement, line, col) of each header statement read before the
         # theory statement, checked once that is read.
         self.early_header: list = []
@@ -363,6 +365,13 @@ class _SystemBuilder:
                 raise ParseError("arrow %s references an unknown vertex" % name, *at)
         self.theory = cls(*(tuple(self.header[s]) for s in cls.header_statements))
         return self.theory
+
+    def _declare(self, names, line: int, col: int) -> None:
+        """Refuse a name that an expression would read as two monomials."""
+        for name in names:
+            if name in self.declared:
+                raise ParseError("%r names two generators" % name, line, col)
+            self.declared.add(name)
 
     def _check_header(self, keyword: str, line: int, col: int) -> None:
         """Refuse a header statement the declared theory does not take."""
@@ -398,6 +407,7 @@ class _SystemBuilder:
             names = words[1:]
             if not names or len(set(names)) != len(names):
                 raise ParseError("%s needs distinct names" % keyword, line, col)
+            self._declare(["e" + v for v in names] if keyword == "vertices" else names, line, col)
             target.extend(names)
         elif keyword == "arrow":
             parts = [w.rstrip(":") for w in words[1:] if w not in (":", "->")]
@@ -407,6 +417,7 @@ class _SystemBuilder:
             name = parts[0]
             if any(name == existing for existing, _, _ in self.header["arrow"]):
                 raise ParseError("duplicate arrow %r" % name, line, col)
+            self._declare([name], line, col)
             self.header["arrow"].append((name, parts[1], parts[2]))
             self.arrow_at.append((line, col))
         elif keyword == "field":

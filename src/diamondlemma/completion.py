@@ -205,23 +205,20 @@ class _Working:
         )
 
 
-def _interreduce(work: _Working, max_steps: int, since: int = 0) -> None:
+def _interreduce(work: _Working, max_steps: int) -> None:
     """Renormalize rule lower parts against the other rules' leads, in rule
     order.
 
     A rule's mark says how many leads its lower part is known to be
-    irreducible against; ``since`` raises the marks of the rules before it
-    to ``since``. A rule whose mark covers every lead is skipped. For the
-    others the working memo, which outlives this call, tells whether a lead
-    divides a code of the lower part, resuming each scan where the memo
-    says, or at the rule's mark for a code it lacks. Only then is the
-    encoded lower part reduced and written back. Leads never change, so a
-    skipped rule would come back unchanged.
+    irreducible against. A rule whose mark covers every lead is skipped.
+    For the others the working memo, which outlives this call, tells
+    whether a lead divides a code of the lower part, resuming each scan
+    where the memo says, or at the rule's mark for a code it lacks. Only
+    then is the encoded lower part reduced and written back. Leads never
+    change, so a skipped rule would come back unchanged.
     """
     lowers, marks, memo = work.raw_lowers, work.marks, work.site_memo
     site, n = work.lead_index.site, len(work.rules)
-    for i in range(since):
-        marks[i] = max(marks[i], since)
     for i in range(n):
         mark = marks[i]
         if mark >= n:

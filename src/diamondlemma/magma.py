@@ -52,20 +52,13 @@ class _MagmaIndex(_CodedIndex):
 
     __slots__ = ()
 
-    def encode(self, m) -> str:
-        try:
-            return _polish(m, self.codes, chr(len(self.letters) + 1))
-        except (KeyError, TypeError):  # a leaf without a code
-            pass
-        # Every letter of the theory has a code, so this raises.
-        self.theory.check_monomial(m)
-
-    entry = encode
+    def code_of(self, m) -> str:
+        return _polish(m, self.codes, chr(len(self.letters) + 1))
 
     def decode(self, code: str):
         return _unpolish(code, self.letters + (_HOLE,))
 
-    def decode_context(self, ctx: tuple):
+    def decode_context(self, ctx: tuple, code: str):
         left, right = ctx
         return self.decode(left + chr(len(self.letters)) + right)
 

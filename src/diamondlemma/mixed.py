@@ -7,17 +7,18 @@ import itertools
 import operator
 
 from .algebra_core import (
+    DiamondError,
+    OrderKind,
     TheoryMismatchError,
-    _rank_table,
     _set,
-    _Value,
-    _variable_permutation,
     _weight_table,
 )
 from .monomial_theories import (
+    _FIELD_BITS,
     LeadIndex,
     OverlapKind,
     Theory,
+    _code_weigher,
     _compositions,
     _exp_add,
     _exp_gcd,
@@ -25,6 +26,8 @@ from .monomial_theories import (
     _exp_le,
     _exp_sub,
     _letter_codes,
+    _mirror,
+    _packing,
     _power_string,
     _runs,
     _word_code,
@@ -33,67 +36,104 @@ from .monomial_theories import (
 )
 
 
-def _divisor_mask(exps: tuple) -> int:
-    """Two bits per variable, set for exponent >= 1 and for exponent >= 2.
-
-    A power product divides another only if its mask is a subset of the
-    other's (Roune and Stillman, ISSAC 2012).
-    """
-    mask = 0
-    for k, e in enumerate(exps):
-        if e:
-            mask |= (1 if e == 1 else 3) << 2 * k
-    return mask
+def _mixed_weigher(central: tuple, unpack, codes: dict, weights: dict):
+    """The sum of the weights over a mixed code."""
+    vector, word = tuple(map(weights.__getitem__, central)), _code_weigher(codes, weights)
+    return lambda code: sum(map(operator.mul, vector, unpack(code[0]))) + word(code[1])
 
 
 @functools.lru_cache(maxsize=256)
-def _mixed_key(central: tuple, generators: tuple, weights: tuple):
-    """The descending key on mixed monomials with these central letters
-    under the order with these generators and weights, deglex when there
-    are none: the fields of ``sort_key``, negated and flattened, which is
-    sound as the word's ranks follow its length. One per order, so that the
-    indexes of equal orders hold one key."""
-    rank = {x: -r for x, r in _rank_table(generators).items()}.__getitem__
-    positions = _variable_permutation(central, generators)
+def _mixed_codes(theory, kind: OrderKind, generators: tuple, weights: tuple) -> tuple:
+    """(pack, unpack, guard, codes, names, apply, descending key) of the
+    mixed codes of the theory under the order of that kind, generators and
+    weights, one per order: ``codes`` gives each word letter ``chr`` of its
+    rank among them, and ``names`` the letter of each character."""
+    central = theory.commutative_letters
+    pack, unpack, guard = _packing(OrderKind.DEGLEX, central, generators, ())
+    letters = tuple(x for x in generators if x in theory.letter_set)
+    codes = _letter_codes(letters)
+    names = {c: x for x, c in codes.items()}
+    # The top field of a central code holds its degree.
+    top, mirror, weight = _FIELD_BITS * (len(central) + 1), _mirror(letters), None
+    if weights:
+        negated = {x: -w for x, w in _weight_table(weights)[1].items()}
+        weight = _mixed_weigher(central, unpack, codes, negated)
 
-    def deglex(m):
-        exps, word = m
-        n = len(word)
-        return (-sum(exps) - n, -n, *map(rank, word), *[-exps[i] for i in positions])
+    def apply(code, ctx):
+        mult, left, right = ctx
+        c = code[0] + mult
+        if c & guard:
+            m = unpack(code[0]), tuple(map(names.__getitem__, code[1]))
+            raise DiamondError(
+                "%s times %s has a central degree or exponent of 2^31 or more"
+                % (theory.serialize((unpack(mult), ())), theory.serialize(m))
+            )
+        return c, left + code[1] + right
 
-    if not weights:
-        return deglex
-    negated = {x: -w for x, w in _weight_table(weights)[1].items()}
-    vector, weight = tuple(map(negated.__getitem__, central)), negated.__getitem__
-    return lambda m: (sum(map(operator.mul, vector, m[0])) + sum(map(weight, m[1])),) + deglex(m)
+    # The fields of ``sort_key``, negated; central codes of equal degree
+    # compare as their exponents do in the order.
+    def key(code):
+        c, w = code
+        n = len(w)
+        fields = -(c >> top) - n, -n, w.translate(mirror), -c
+        return fields if weight is None else (weight(code),) + fields
+
+    return pack, unpack, guard, codes, names, apply, key
 
 
 class _MixedIndex(LeadIndex):
-    """Lead index for mixed monomials: the divisor mask of the central part
-    screens a lead, then ``str.find`` places its word and the exponents are
-    compared, since the mask does not decide exponents above 2."""
+    """Lead index for mixed monomials, which reduce as (central code, word
+    code) pairs: the kernel's packed code of the central part under
+    deglex, and the word with each letter ``chr`` of its rank among the
+    word letters. A lead divides a code when the difference of their
+    central codes sets no guard bit, and that difference and ``str.find``
+    give the context (mult, left, right). A central degree or exponent of
+    2^31, on entry or in an image, raises DiamondError."""
 
-    __slots__ = ("codes",)
+    __slots__ = ("pack", "unpack", "guard", "codes", "names", "apply")
 
     def __init__(self, theory, leads, order) -> None:
-        self.codes = _letter_codes(theory.word_letters)
-        key = _mixed_key(theory.commutative_letters, order.generators, order.weights)
+        codes = _mixed_codes(theory, order.kind, order.generators, order.weights)
+        self.pack, self.unpack, self.guard, self.codes, self.names, self.apply, key = codes
         super().__init__(theory, leads, key)
 
-    def entry(self, lead) -> tuple:
-        return _divisor_mask(lead[0]), _word_code(self.codes, lead[1]), lead[0]
+    def encode(self, m) -> tuple:
+        try:
+            exps, word = m
+            c = self.pack(exps)
+            if c is not None and isinstance(word, tuple):
+                return c, _word_code(self.codes, word)
+        except (KeyError, TypeError, ValueError):  # no pair, or a letter without a code
+            pass
+        self.theory.check_monomial(m)
+        raise DiamondError(
+            "monomial %s does not fit the mixed codes, whose central degrees and "
+            "exponents stay below 2^31" % self.theory.serialize(m)
+        )
 
-    def site(self, m, start=0):
-        exps, w = m
-        code = _word_code(self.codes, w)
-        outside = ~_divisor_mask(exps)
-        entries = self.entries[start:] if start else self.entries
-        for i, (mask, word, lead_exps) in enumerate(entries, start):
-            if not mask & outside:
-                k = code.find(word)
-                if k >= 0 and _exp_le(lead_exps, exps):
-                    return i, (_exp_sub(exps, lead_exps), w[:k], w[k + len(word) :])
+    entry = encode
+
+    def decode(self, code: tuple) -> tuple:
+        return self.unpack(code[0]), tuple(map(self.names.__getitem__, code[1]))
+
+    def decode_context(self, ctx: tuple, code: tuple) -> tuple:
+        mult, left, right = ctx
+        letter = self.names.__getitem__
+        return self.unpack(mult), tuple(map(letter, left)), tuple(map(letter, right))
+
+    def site(self, code: tuple, start=0):
+        c, w = code
+        guard = self.guard
+        for i, (central, word) in enumerate(self.entries[start:] if start else self.entries, start):
+            mult = c - central
+            if not mult & guard:
+                k = w.find(word)
+                if k >= 0:
+                    return i, (mult, w[:k], w[k + len(word) :])
         return None
+
+    def weigher(self, weights: dict):
+        return _mixed_weigher(self.theory.commutative_letters, self.unpack, self.codes, weights)
 
 
 class MixedTheory(Theory):
@@ -105,7 +145,7 @@ class MixedTheory(Theory):
     index_class = _MixedIndex
 
     def __init__(self, commutative_letters: tuple, word_letters: tuple) -> None:
-        _Value.__init__(self, commutative_letters, word_letters)
+        Theory.__init__(self, commutative_letters, word_letters)
         # For validation; no field, so equality, hashing and repr ignore it.
         _set(self, "letter_set", frozenset(word_letters))
 
@@ -136,10 +176,7 @@ class MixedTheory(Theory):
         unknown = set(exponents) - set(self.commutative_letters)
         if unknown:
             raise TheoryMismatchError("unknown central variables %s" % sorted(unknown))
-        m = (
-            tuple(exponents.get(x, 0) for x in self.commutative_letters),
-            tuple(word),
-        )
+        m = tuple(exponents.get(x, 0) for x in self.commutative_letters), tuple(word)
         self.check_monomial(m)
         return m
 
@@ -147,18 +184,17 @@ class MixedTheory(Theory):
         return (_exp_add(a[0], b[0]), a[1] + b[1])
 
     def validate_monomial(self, m) -> bool:
-        if not (isinstance(m, tuple) and len(m) == 2):
-            return False
-        exps, word = m
         try:
+            exps, word = m
             return (
-                isinstance(exps, tuple)
+                isinstance(m, tuple)
+                and isinstance(exps, tuple)
                 and len(exps) == len(self.commutative_letters)
                 and all(isinstance(e, int) and e >= 0 for e in exps)
                 and isinstance(word, tuple)
                 and self.letter_set.issuperset(word)
             )
-        except TypeError:  # an unhashable letter
+        except (TypeError, ValueError):  # no pair, or an unhashable letter
             return False
 
     def degree(self, m) -> int:

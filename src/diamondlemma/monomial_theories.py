@@ -9,16 +9,20 @@ here by name, importing their module on first use.
 
 from __future__ import annotations
 
+import collections
 import functools
 import importlib
 import itertools
 import operator
+import struct
 from enum import Enum
 
 from .algebra_core import (
     DiamondError,
+    OrderKind,
     TheoryMismatchError,
     _Value,
+    _variable_permutation,
     _weight_table,
 )
 
@@ -117,29 +121,26 @@ class LeadIndex:
     """Rule leads in rule order, asked which rule reduces a monomial.
 
     An index is the codec of the reduction loop, which runs on its codes of
-    monomials. ``encode(m)`` is the code of a monomial, and raises
-    TheoryMismatchError for one outside the theory; ``decode`` gives the
-    monomial back. ``site(code, start=0)``, the one lookup each class
-    defines, scans the leads from rule ``start`` on and gives (lowest such
+    monomials; each class defines it. ``encode(m)`` is the code of a
+    monomial, and raises TheoryMismatchError for one outside the theory;
+    ``decode`` gives the monomial back. ``site(code, start=0)``, the one
+    lookup, scans the leads from rule ``start`` on and gives (lowest such
     rule index whose lead divides the monomial, the first context
-    ``divisions`` returns, encoded) or None, and ``decode_context`` gives
-    that context back. ``apply(code, ctx)`` builds an image; at a rule's
-    site each code of its lower part has one, as rules are uniform.
-    ``descending_key``, set once on construction, maps codes to values that
-    compare natively (ints, strs and tuples of them) and in the reverse of
-    the order's ``sort_key``, so that a plain ``heapq`` of (key, code)
-    pairs pops the greatest monomial first. ``first_site(m)`` is
-    ``site(encode(m))`` with its context decoded, and ``weigher(weights)``
-    sums weights over a code. By default a monomial is its own code, as for
-    mixed monomials and paths; words and trees reduce as ``str`` codes,
-    power products as packed ``int`` codes.
+    ``divisions`` returns, encoded) or None; ``decode_context(ctx, code)``
+    decodes the context of a site of ``code``. ``apply(code, ctx)`` builds
+    an image; at a rule's site each code of its lower part has one, as
+    rules are uniform. ``descending_key``, set once on construction, maps
+    codes to values that compare natively (ints, strs and tuples of them)
+    and in the reverse of the order's ``sort_key``, so that a plain
+    ``heapq`` of (key, code) pairs pops the greatest monomial first.
+    ``first_site(m)`` is ``site(encode(m))`` with its context decoded, and
+    ``weigher(weights)`` sums weights over a code.
 
     Leads are only appended, so a site found stays the site, and a scan
     that found none resumes at the first lead added since; a scan from 0,
     the common case, copies no list. The index keeps one list, the entry
-    ``entry(lead)`` of each lead, which holds what ``site`` reads of it;
-    each class defines both. The views made by ``copy`` and ``without``
-    share every other slot.
+    ``entry(lead)`` of each lead, which holds what ``site`` reads of it.
+    The views made by ``copy`` and ``without`` share every other slot.
     """
 
     __slots__ = ("theory", "descending_key", "entries")
@@ -169,26 +170,59 @@ class LeadIndex:
         return view
 
     def first_site(self, m):
-        found = self.site(self.encode(m))
-        return found and (found[0], self.decode_context(found[1]))
+        code = self.encode(m)
+        found = self.site(code)
+        return found and (found[0], self.decode_context(found[1], code))
 
-    def encode(self, m):
-        self.theory.check_monomial(m)
-        return m
 
-    def decode(self, code):
-        return code
+# A packed code is one ``int`` of fields of _FIELD_BITS bits each.
+_FIELD_BITS = 32
 
-    def decode_context(self, ctx):
-        return ctx
 
-    def apply(self, code, ctx):
-        return self.theory.apply_context(ctx, code)
+@functools.lru_cache(maxsize=256)
+def _packing(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple) -> tuple:
+    """(pack, unpack, guard) of the packed codes of exponent vectors over
+    ``letters`` under the order of that kind, generators and weights, one
+    per order. A code has one field per exponent, the order's greatest
+    variable most significant, then the degree and, on top, the weight sum,
+    which is the degree again but under weighted-deglex; under lex the
+    exponents are on top. Codes compare as the order compares vectors.
+    ``pack`` gives None for a non-vector and for a vector whose degree,
+    weight sum or exponent reaches 2^31. ``guard`` holds each field's top
+    bit: a code divides another exactly when their difference sets none,
+    and a sum that sets one does not fit."""
+    n = len(letters)
+    weigh = sum
+    if kind is OrderKind.WEIGHTED_DEGLEX:
+        int_weights = _weight_table(weights)[1]
+        vector = tuple(map(int_weights.__getitem__, letters))
+        weigh = lambda m: sum(map(operator.mul, vector, m))
+    # ``fields`` lists exponent positions in packing order, from the least
+    # significant field, but from the most significant under lex.
+    lex = kind is OrderKind.LEX
+    byteorder = "big" if lex else "little"
+    row = struct.Struct((">" if lex else "<") + "%dI" % (n + 2))
+    fields = _variable_permutation(letters, generators)
+    if not lex:
+        fields = fields[::-1]
+    spread = operator.itemgetter(*fields) if n > 1 else tuple
+    gather = operator.itemgetter(*map(fields.index, range(n))) if n > 1 else lambda t: t[:n]
+    pack_row, unpack_row, from_bytes = row.pack, row.unpack, int.from_bytes
+    guard = from_bytes(pack_row(*[1 << _FIELD_BITS - 1] * (n + 2)), byteorder)
 
-    def weigher(self, weights: dict):
-        weight_sum, decode = self.theory.weight_sum, self.decode
-        return lambda code: weight_sum(decode(code), weights)
+    def pack(m):
+        try:
+            code = from_bytes(pack_row(*spread(m), sum(m), weigh(m)), byteorder)
+            if not code & guard and len(m) == n and isinstance(m, tuple):
+                return code
+        except (struct.error, TypeError, IndexError):
+            pass
+        return None
 
+    def unpack(code):
+        return gather(unpack_row(code.to_bytes(row.size, byteorder)))
+
+    return pack, unpack, guard
 
 
 @functools.lru_cache(maxsize=256)
@@ -214,43 +248,63 @@ def _mirror(letters: tuple) -> dict:
 
 
 def _code_weigher(codes: dict, weights: dict):
-    by_code = {codes[x]: w for x, w in weights.items()}
-    by_code[chr(len(codes) + 1)] = 0  # the node marker of tree codes, past the hole
+    """The sum of the weights over a code, where a character of no letter,
+    the node marker of a tree or a vertex of a path, weighs 0."""
+    by_code = collections.defaultdict(int, {c: weights[x] for x, c in codes.items()})
     return lambda code: sum(map(by_code.__getitem__, code))
 
 
 @functools.lru_cache(maxsize=256)
-def _coded_key(generators: tuple, weights: tuple):
+def _coded_key(generators: tuple, weights: tuple, vertices: tuple = ()):
     """The descending key on codes under the order with these generators
-    and weights, deglex when there are none: ``(-len(code), mirrored
-    code)``, led by the negated weight sum under the weighted kinds. One
-    per order, so that the indexes of equal orders hold one key; the
-    order's fields key the cache, since they hash faster than the order."""
-    mirror = _mirror(generators)
+    and weights, one per order: ``(-len(code), mirrored code)``, led by the
+    negated weight sum under the weighted kinds. Path codes hold the
+    ``vertices`` past the arrows; arrows fix the vertices between them, so
+    a path's code past its source vertex is mirrored, or that vertex alone
+    for a path without arrows."""
+    mirror = _mirror(generators + vertices)
     if not weights:
+        if vertices:
+            return lambda code: (-len(code), (code[1:] or code).translate(mirror))
         return lambda code: (-len(code), code.translate(mirror))
     negated = {x: -w for x, w in _weight_table(weights)[1].items()}
     weight = _code_weigher(_letter_codes(generators), negated)
+    if vertices:
+        return lambda code: (weight(code), -len(code), (code[1:] or code).translate(mirror))
     return lambda code: (weight(code), -len(code), code.translate(mirror))
 
 
 class _CodedIndex(LeadIndex):
     """Lead index for monomials that reduce as ``str`` codes, which a
-    subclass encodes and decodes: a letter is ``chr`` of its rank, its
-    position in ``letters``. Codes of equal length compare as rank encodings
+    subclass gives with ``code_of(m)`` (None, KeyError, TypeError or
+    ValueError for no monomial of the theory) and ``decode``: a letter is
+    ``chr`` of its rank, its position in ``letters``, and the ``vertices``
+    of path codes follow. Codes of equal length compare as rank encodings
     do, so ``(len(code), code)`` sorts as deglex, and the weighted kinds
-    lead it with the weight sum; ``_coded_key`` negates the numbers and
-    mirrors the code. The leftmost ``str.find`` hit of a lead's code gives
-    the first context of ``divisions``, a (left, right) pair of codes, and
-    an image is ``code.join(ctx)``."""
+    lead it with the weight sum. The leftmost ``str.find`` hit of a lead's
+    code gives the first context of ``divisions``, a (left, right) pair of
+    codes, and an image is ``code.join(ctx)``."""
 
     __slots__ = ("letters", "codes")
 
-    def __init__(self, theory, leads, order) -> None:
+    def __init__(self, theory, leads, order, vertices: tuple = ()) -> None:
         self.letters = order.generators
         self.codes = _letter_codes(self.letters)
         # Words and trees admit no lex order, so only deglex has no weights.
-        super().__init__(theory, leads, _coded_key(self.letters, order.weights))
+        key = _coded_key(self.letters, order.weights, vertices)
+        super().__init__(theory, leads, key)
+
+    def encode(self, m) -> str:
+        try:
+            code = self.code_of(m)
+            if code is not None:
+                return code
+        except (KeyError, TypeError, ValueError):  # a name without a code
+            pass
+        # Every monomial of the theory has a code, so this raises.
+        self.theory.check_monomial(m)
+
+    entry = encode
 
     def site(self, code: str, start=0):
         for i, lead in enumerate(self.entries[start:] if start else self.entries, start):
@@ -261,7 +315,7 @@ class _CodedIndex(LeadIndex):
 
     apply = staticmethod(str.join)
 
-    def decode_context(self, ctx: tuple) -> tuple:
+    def decode_context(self, ctx: tuple, code: str) -> tuple:
         return tuple(map(self.decode, ctx))
 
     def weigher(self, weights: dict):
@@ -283,7 +337,8 @@ class Theory(_Value):
     both give the superposition, ``kind`` is an ``OverlapKind``, and
     ``inner`` names the argument (1 or 2) that an inclusion places inside
     the other, None for an overlap. A lead paired with itself lists its
-    identity inclusion too.
+    identity inclusion too. A theory refuses a name that its
+    ``expression_names`` list twice, which codes would alias.
     """
 
     keyword = ""
@@ -294,6 +349,17 @@ class Theory(_Value):
     associative = True
     # Generators that are positions of an exponent vector, in vector order.
     exponent_letters = ()
+
+    def __init__(self, *values, **named) -> None:
+        _Value.__init__(self, *values, **named)
+        names = self.expression_names()
+        if len(set(names)) < len(names):
+            twice = next(x for k, x in enumerate(names) if x in names[:k])
+            raise TheoryMismatchError("%s reads %r as two generators" % (self.describe(), twice))
+
+    def expression_names(self) -> tuple:
+        """Every name an expression reads as a monomial."""
+        return self.generator_names()
 
     def header_lines(self) -> list:
         """System-file statements declaring this theory."""

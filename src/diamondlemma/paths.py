@@ -2,67 +2,49 @@
 
 from __future__ import annotations
 
-import functools
-
-from .algebra_core import TheoryMismatchError, _rank_table, _set, _Value, _weight_table
+from .algebra_core import TheoryMismatchError, _set
 from .monomial_theories import (
-    LeadIndex,
     Theory,
+    _CodedIndex,
     _letter_codes,
-    _word_code,
     _word_occurrences,
     _word_superpositions,
 )
 
 
-@functools.lru_cache(maxsize=256)
-def _path_key(vertices: tuple, generators: tuple, weights: tuple):
-    """The descending key on paths between these vertices under the order
-    with these generators and weights, deglex when there are none: the
-    fields of ``sort_key``, negated and flattened, which is sound as the
-    arrow ranks follow their count. One per order, so that the indexes of
-    equal orders hold one key."""
-    rank = {x: -r for x, r in _rank_table(generators).items()}.__getitem__
-    # The first position of a vertex, as ``tuple.index`` gives it.
-    vertex = {v: -i for i, v in reversed(tuple(enumerate(vertices)))}.__getitem__
+class _PathIndex(_CodedIndex):
+    """Lead index for paths, which reduce as their codes: the source vertex
+    followed, for each arrow, by the arrow and the vertex it enters. As
+    vertices and arrows alternate, a lead's code, a vertex path's included,
+    occurs only where the path takes its arrows or visits its vertex. Each
+    side of a context lacks the lead's end vertex, read from the code."""
 
-    def deglex(m):
-        src, tgt, names = m
-        return (-len(names), *map(rank, names), vertex(src), vertex(tgt))
-
-    if not weights:
-        return deglex
-    weight = {x: -w for x, w in _weight_table(weights)[1].items()}.__getitem__
-    return lambda m: (sum(map(weight, m[2])),) + deglex(m)
-
-
-class _PathIndex(LeadIndex):
-    """Lead index for paths: ``str.find`` places the arrow word of a lead,
-    and a vertex-path lead sits where the path first visits its vertex."""
-
-    __slots__ = ("codes",)
+    __slots__ = ("vertex_codes", "into", "out_of", "names")
 
     def __init__(self, theory, leads, order) -> None:
-        self.codes = _letter_codes(theory.generator_names())
-        key = _path_key(theory.vertices, order.generators, order.weights)
-        super().__init__(theory, leads, key)
+        n, codes, ends = len(order.generators), _letter_codes(order.generators), theory.endpoints
+        self.vertex_codes = vertex = {v: chr(n + i) for i, v in enumerate(theory.vertices)}
+        # An arrow followed by the vertex it enters, and its source followed by it.
+        self.into = {a: codes[a] + vertex[t] for a, (_, t) in ends.items()}
+        self.out_of = {a: vertex[s] + codes[a] for a, (s, _) in ends.items()}
+        self.names = {c: x for table in (codes, vertex) for x, c in table.items()}
+        super().__init__(theory, leads, order, theory.vertices)
 
-    def entry(self, lead) -> tuple:
-        return _word_code(self.codes, lead[2]), lead
-
-    def site(self, m, start=0):
+    def code_of(self, m) -> str:
         src, tgt, names = m
-        code = _word_code(self.codes, names)
-        for i, (word, lead) in enumerate(self.entries[start:] if start else self.entries, start):
-            if word:
-                k = code.find(word)
-            else:  # a vertex path sits at the path's first visit to its vertex
-                visits = [src] + [self.theory.endpoints[name][1] for name in names]
-                k = visits.index(lead[0]) if lead[0] in visits else -1
-            if k >= 0:
-                right = names[k + len(word) :]
-                return i, ((src, lead[0], names[:k]), (lead[1], tgt, right))
-        return None
+        vertex = self.vertex_codes
+        code = vertex[src] + "".join(map(self.into.__getitem__, names))
+        # A path when each arrow leaves the vertex before it, the last entering tgt.
+        fits = code == "".join(map(self.out_of.__getitem__, names)) + vertex[tgt]
+        return code if fits and isinstance(names, tuple) else None
+
+    def decode(self, code: str) -> tuple:
+        name = self.names.__getitem__
+        return name(code[0]), name(code[-1]), tuple(map(name, code[1::2]))
+
+    def decode_context(self, ctx: tuple, code: str) -> tuple:
+        left, right = ctx
+        return self.decode(left + code[len(left)]), self.decode(code[~len(right)] + right)
 
 
 class PathAlgebraTheory(Theory):
@@ -74,15 +56,13 @@ class PathAlgebraTheory(Theory):
     index_class = _PathIndex
 
     def __init__(self, vertices: tuple, arrows: tuple) -> None:
-        _Value.__init__(self, vertices, arrows)
-        # (source, target) by arrow name, the first arrow of a name winning;
-        # no field, so equality, hashing and repr ignore it.
-        endpoints: dict = {}
+        Theory.__init__(self, vertices, arrows)
         for name, src, tgt in arrows:
             if src not in vertices or tgt not in vertices:
                 raise TheoryMismatchError("arrow %s references an unknown vertex" % name)
-            endpoints.setdefault(name, (src, tgt))
-        _set(self, "endpoints", endpoints)
+        # (source, target) by arrow name; no field, so equality, hashing and
+        # repr ignore it.
+        _set(self, "endpoints", {name: (src, tgt) for name, src, tgt in arrows})
 
     def header_lines(self) -> list:
         return ["theory path", "vertices %s" % " ".join(self.vertices)] + [
@@ -90,13 +70,14 @@ class PathAlgebraTheory(Theory):
         ]
 
     def describe(self) -> str:
-        return "path(%s;%s)" % (
-            ",".join(self.vertices),
-            ",".join(name for name, _, _ in self.arrows),
-        )
+        return "path(%s;%s)" % (",".join(self.vertices), ",".join(self.generator_names()))
 
     def generator_names(self) -> tuple:
         return tuple(name for name, _, _ in self.arrows)
+
+    def expression_names(self) -> tuple:
+        """The arrows, and ``ev`` for the idempotent of each vertex v."""
+        return self.generator_names() + tuple("e" + v for v in self.vertices)
 
     def monomial_named(self, name: str):
         """Arrows are written by name, the idempotent of vertex v as ``ev``."""
@@ -106,12 +87,6 @@ class PathAlgebraTheory(Theory):
             return self.vertex_path(name[1:])
         return None
 
-    def arrow_endpoints(self, name: str) -> tuple:
-        try:
-            return self.endpoints[name]
-        except KeyError:
-            raise TheoryMismatchError("unknown arrow %r" % name) from None
-
     def vertex_path(self, v: str) -> tuple:
         if v not in self.vertices:
             raise TheoryMismatchError("unknown vertex %r" % v)
@@ -120,8 +95,11 @@ class PathAlgebraTheory(Theory):
     def path(self, *arrow_names: str) -> tuple:
         if not arrow_names:
             raise TheoryMismatchError("a path needs arrows; use vertex_path for idempotents")
-        m = self._make(tuple(arrow_names))
-        if m is None:
+        for name in arrow_names:
+            if name not in self.endpoints:
+                raise TheoryMismatchError("unknown arrow %r" % name)
+        m = (self.endpoints[arrow_names[0]][0], self.endpoints[arrow_names[-1]][1], arrow_names)
+        if not self.validate_monomial(m):
             raise TheoryMismatchError("arrows %r do not compose" % (arrow_names,))
         return m
 
@@ -130,38 +108,25 @@ class PathAlgebraTheory(Theory):
             return None
         return (a[0], b[1], a[2] + b[2])
 
-    def _make(self, arrow_names: tuple):
-        src, _ = self.arrow_endpoints(arrow_names[0])
-        cur = src
-        for name in arrow_names:
-            s, t = self.arrow_endpoints(name)
-            if s != cur:
-                return None
-            cur = t
-        return (src, cur, arrow_names)
-
     def validate_monomial(self, m) -> bool:
-        if not (isinstance(m, tuple) and len(m) == 3):
+        try:
+            src, tgt, names = m
+            ends = [self.endpoints[name] for name in names]
+        except (TypeError, ValueError, KeyError):  # no triple, or an unknown arrow
             return False
-        src, tgt, names = m
-        if src not in self.vertices:
-            return False
-        # Walk the arrows from src; arrow targets are vertices.
-        endpoints = self.endpoints
-        for name in names:
-            ends = endpoints.get(name)
-            if ends is None or ends[0] != src:
-                return False
-            src = ends[1]
-        return src == tgt
+        # Each arrow leaves the vertex that the one before it enters.
+        visits = [src] + [t for _, t in ends]
+        return (
+            isinstance(m, tuple)
+            and isinstance(names, tuple)
+            and src in self.vertices
+            and [s for s, _ in ends] == visits[:-1]
+            and visits[-1] == tgt
+        )
 
     def visits(self, m) -> list:
         """List the vertices a path passes through, endpoints included."""
-        src, _, names = m
-        out = [src]
-        for name in names:
-            out.append(self.arrow_endpoints(name)[1])
-        return out
+        return [m[0]] + [self.endpoints[name][1] for name in m[2]]
 
     def degree(self, m) -> int:
         return len(m[2])
@@ -170,17 +135,11 @@ class PathAlgebraTheory(Theory):
         return sum(map(weights.__getitem__, m[2]))
 
     def rank_encoding(self, m, order) -> tuple:
-        return (
-            tuple(map(order.ranks.__getitem__, m[2])),
-            self.vertices.index(m[0]),
-            self.vertices.index(m[1]),
-        )
+        vertex = self.vertices.index
+        return tuple(map(order.ranks.__getitem__, m[2])), vertex(m[0]), vertex(m[1])
 
     def serialize(self, m) -> str:
-        src, _, names = m
-        if not names:
-            return "e%s" % src
-        return "*".join(names)
+        return "*".join(m[2]) or "e%s" % m[0]
 
     def apply_context(self, ctx, m):
         left, right = ctx
@@ -221,18 +180,7 @@ class PathAlgebraTheory(Theory):
         return (m[0], m[1])
 
     def monomials_of_degree(self, d):
-        if d < 0:
-            return
-        if d == 0:
-            for v in self.vertices:
-                yield (v, v, ())
-            return
-        def extend(path):
-            if len(path[2]) == d:
-                yield path
-                return
-            for name, s, t in self.arrows:
-                if s == path[1]:
-                    yield from extend((path[0], t, path[2] + (name,)))
-        for v in self.vertices:
-            yield from extend((v, v, ()))
+        layer = [(v, v, ()) for v in self.vertices] if d >= 0 else []
+        for _ in range(d):
+            layer = [(p[0], t, p[2] + (a,)) for p in layer for a, s, t in self.arrows if s == p[1]]
+        return iter(layer)

@@ -5,15 +5,8 @@ from __future__ import annotations
 
 import functools
 import operator
-import struct
 
-from .algebra_core import (
-    DiamondError,
-    OrderKind,
-    TheoryMismatchError,
-    _variable_permutation,
-    _weight_table,
-)
+from .algebra_core import DiamondError, OrderKind, TheoryMismatchError, _weight_table
 from .monomial_theories import (
     LeadIndex,
     OverlapKind,
@@ -24,107 +17,65 @@ from .monomial_theories import (
     _exp_lcm,
     _exp_le,
     _exp_sub,
+    _packing,
     _power_string,
 )
 
 
-# Each field of a power-product code holds a value below _FIELD_CAP, so that
-# its top bit stays clear as a guard.
-_FIELD_CAP = 2**31
-
-
 @functools.lru_cache(maxsize=256)
-def _packing(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple) -> tuple:
-    """(encode, decode, apply, guard, descending key) of the power-product
-    codes over ``letters`` under the order of that kind, generators and
-    weights; one per order, so that the indexes of equal orders hold equal
-    functions. The order's fields key the cache, since they hash faster
-    than the order."""
-    th, n = CommutativeTheory(letters), len(letters)
-    int_weights = _weight_table(weights)[1]
-    # The weight-sum field holds the degree again but under weighted-deglex.
-    weigh = sum
-    if kind is OrderKind.WEIGHTED_DEGLEX:
-        vector = tuple(map(int_weights.__getitem__, letters))
-        weigh = lambda m: sum(map(operator.mul, vector, m))
-    # A code packs the exponents, the degree and the weight sum, in this
-    # order from the least significant field, but from the most significant
-    # under lex, where the exponents lead. ``fields`` lists exponent
-    # positions in packing order.
-    lex = kind is OrderKind.LEX
-    byteorder = "big" if lex else "little"
-    row = struct.Struct((">" if lex else "<") + "%dI" % (n + 2))
-    fields = _variable_permutation(letters, generators)
-    if not lex:
-        fields = fields[::-1]
-    spread = operator.itemgetter(*fields) if n > 1 else tuple
-    gather = operator.itemgetter(*map(fields.index, range(n))) if n > 1 else lambda t: t[:n]
-    pack, unpack, from_bytes = row.pack, row.unpack, int.from_bytes
-    guard = from_bytes(pack(*[_FIELD_CAP] * (n + 2)), byteorder)
-
-    def encode(m):
-        """The code of a power product; TheoryMismatchError for a monomial
-        outside the theory, DiamondError for one that does not fit."""
-        try:
-            code = from_bytes(pack(*spread(m), sum(m), weigh(m)), byteorder)
-            if not code & guard and len(m) == n and isinstance(m, tuple):
-                return code
-        except (struct.error, TypeError, IndexError):
-            pass
-        th.check_monomial(m)
-        raise DiamondError(
-            "monomial %s does not fit the power-product codes, whose degrees, "
-            "weight sums and exponents stay below 2^31" % th.serialize(m)
-        )
-
-    def decode(code):
-        return gather(unpack(code.to_bytes(row.size, byteorder)))
-
-    apply = operator.add
-    if lex or kind is OrderKind.SERIES_DEGLEX:
+def _power_codes(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple) -> tuple:
+    """(pack, decode, guard, apply, descending key) of the power-product
+    codes, the kernel's packed codes, under the order of that kind,
+    generators and weights; one per order."""
+    pack, decode, guard = _packing(kind, letters, generators, weights)
+    apply, key = operator.add, operator.neg
+    if kind is OrderKind.LEX or kind is OrderKind.SERIES_DEGLEX:
         # Only under these kinds can an image outgrow the input.
+        serialize = CommutativeTheory(letters).serialize
+
         def apply(code, ctx):
             image = code + ctx
             if image & guard:
                 raise DiamondError(
                     "%s times %s has a degree or exponent of 2^31 or more"
-                    % (th.serialize(decode(ctx)), th.serialize(decode(code)))
+                    % (serialize(decode(ctx)), serialize(decode(code)))
                 )
             return image
 
-    key = operator.neg
     if kind is OrderKind.SERIES_DEGLEX:
-        negated = tuple(-int_weights[x] for x in letters)
+        negated = tuple(-_weight_table(weights)[1][x] for x in letters)
         key = lambda code: (sum(map(operator.mul, negated, decode(code))), -code)
-    return encode, decode, apply, guard, key
+    return pack, decode, guard, apply, key
 
 
 class _PackedIndex(LeadIndex):
-    """Lead index for power products, which reduce as packed codes: the code
-    of a power product is one ``int`` of 32-bit fields, one per exponent,
-    the order's greatest variable most significant, then one for the degree
-    and one for the weight sum, which is the degree again but under
-    weighted-deglex. The weight sum and the degree sit above the exponents,
-    the weight sum on top, but below them under lex. Codes then compare as
-    ``sort_key`` compares monomials, so the descending key is ``-code``;
-    series orders lead it with their negated weight sum.
+    """Lead index for power products, which reduce as the kernel's packed
+    codes: the descending key is ``-code``, led by the negated weight sum
+    under series orders. A lead divides a code exactly when ``code - lead``
+    sets no guard bit, and that difference is the encoded context, so an
+    image is ``code + context``. A monomial whose degree, weight sum or
+    exponent reaches 2^31 raises DiamondError on entry. No image can grow
+    past its input under deglex and weighted-deglex; under lex and series
+    orders an image that does raises DiamondError too."""
 
-    The top bit of each field is a guard: a lead divides a code exactly when
-    ``code - lead`` sets no guard bit, and that difference is the encoded
-    context, so an image is ``code + context``. A monomial whose degree,
-    weight sum or exponent reaches 2^31 raises DiamondError on entry. Under
-    deglex and weighted-deglex no image can grow past its input; under lex
-    and series orders an image that does raises DiamondError too."""
-
-    __slots__ = ("encode", "decode", "apply", "guard")
+    __slots__ = ("pack", "decode", "guard", "apply")
 
     def __init__(self, theory, leads, order) -> None:
-        packing = _packing(order.kind, theory.letters, order.generators, order.weights)
-        self.encode, self.decode, self.apply, self.guard, key = packing
+        codes = _power_codes(order.kind, theory.letters, order.generators, order.weights)
+        self.pack, self.decode, self.guard, self.apply, key = codes
         super().__init__(theory, leads, key)
 
-    def entry(self, lead) -> int:
-        return self.encode(lead)
+    def encode(self, m) -> int:
+        code = self.pack(m)
+        if code is None:
+            self.theory.check_monomial(m)
+            raise DiamondError(
+                "monomial %s does not fit the power-product codes, whose degrees, "
+                "weight sums and exponents stay below 2^31" % self.theory.serialize(m)
+            )
+        return code
+
+    entry = encode
 
     def site(self, code: int, start=0):
         guard = self.guard
@@ -134,8 +85,12 @@ class _PackedIndex(LeadIndex):
                 return i, ctx
         return None
 
-    def decode_context(self, ctx: int) -> tuple:
+    def decode_context(self, ctx: int, code: int) -> tuple:
         return self.decode(ctx)
+
+    def weigher(self, weights: dict):
+        vector, decode = tuple(map(weights.__getitem__, self.theory.letters)), self.decode
+        return lambda code: sum(map(operator.mul, vector, decode(code)))
 
 
 class CommutativeTheory(Theory):

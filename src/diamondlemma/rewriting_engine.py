@@ -285,7 +285,7 @@ def _step(system, step) -> RewriteStep:
     ridx, m, ctx, c, den = step
     index = system.lead_index
     return RewriteStep(
-        ridx, index.decode(m), index.decode_context(ctx), system.field.scalar(c, den)
+        ridx, index.decode(m), index.decode_context(ctx, m), system.field.scalar(c, den)
     )
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra_core import _set, _Value
+from .algebra_core import _set
 from .monomial_theories import (
     Theory,
     _CodedIndex,
@@ -22,16 +22,8 @@ class _WordIndex(_CodedIndex):
 
     __slots__ = ()
 
-    def encode(self, m) -> str:
-        if isinstance(m, tuple):
-            try:
-                return _word_code(self.codes, m)
-            except (KeyError, TypeError):  # a letter without a code
-                pass
-        # Every letter of the theory has a code, so this raises.
-        self.theory.check_monomial(m)
-
-    entry = encode
+    def code_of(self, m) -> str:
+        return _word_code(self.codes, m) if isinstance(m, tuple) else None
 
     def decode(self, code: str) -> tuple:
         return tuple(map(self.letters.__getitem__, map(ord, code)))
@@ -45,7 +37,7 @@ class FreeMonoidTheory(Theory):
     index_class = _WordIndex
 
     def __init__(self, letters: tuple) -> None:
-        _Value.__init__(self, letters)
+        Theory.__init__(self, letters)
         # For validation; no field, so equality, hashing and repr ignore it.
         _set(self, "letter_set", frozenset(letters))
 

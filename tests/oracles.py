@@ -442,8 +442,10 @@ def make_random_system(
     lower_degree: int = 3,
     field=RationalField(),
     sample=None,
+    min_lead_degree: int = 1,
 ):
-    """Random system of 1-3 rules with leads of degree 1..lead_degree.
+    """Random system of 1-3 rules with leads of degree
+    min_lead_degree..lead_degree; degree 0 admits the vertices of paths.
 
     Lower parts hold up to two monomials of degree <= lower_degree that lie
     below the lead and, for paths, share its endpoints. Coefficients are
@@ -454,7 +456,7 @@ def make_random_system(
     pool = []
     for d in range(max(lead_degree, lower_degree) + 1):
         pool.extend(theory.monomials_of_degree(d))
-    leads = [m for m in pool if 0 < theory.degree(m) <= lead_degree]
+    leads = [m for m in pool if min_lead_degree <= theory.degree(m) <= lead_degree]
     rules = []
     for _ in range(rng.randint(1, 3)):
         lead = leads[rng.randrange(len(leads))]

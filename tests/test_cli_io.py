@@ -228,6 +228,11 @@ SYSTEM_FILE_ERRORS = {
         ("theory path; vertices 1 1", "vertices needs distinct names", 1, 14),
         ("theory path; vertices 1; arrow a 1", "expected: arrow <name> <source> <target>", 1, 26),
         ("theory path; vertices 1; arrow a: 1 -> 1; arrow a: 1 -> 1", "duplicate arrow 'a'", 1, 43),
+        # A name an expression would read as two generators.
+        ("theory mixed; cvars t; vars t x; rule x*t -> t", "'t' names two generators", 1, 24),
+        ("theory mixed; vars t x; cvars t", "'t' names two generators", 1, 25),
+        ("theory path; vertices 1; arrow e1: 1 -> 1", "'e1' names two generators", 1, 26),
+        ("theory path; arrow e1: 1 -> 1; vertices 1", "'e1' names two generators", 1, 32),
     ],
     "foreign header": [
         ("theory assoc; vars x; cvars t", "theory assoc takes no cvars statement", 1, 23),

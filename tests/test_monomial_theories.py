@@ -362,6 +362,67 @@ class TestPathAlgebra:
         assert self.th.serialize(self.th.vertex_path("1")) == "e1"
 
 
+# A name that an expression would read as two generators, by theory: each
+# constructor refuses it, since codes would give both one character.
+CLASHING_THEORIES = [
+    (MixedTheory, (("t",), ("t", "x")), "mixed(t;t,x) reads 't' as two generators"),
+    (CommutativeTheory, (("x", "x"),), "commutative(x,x) reads 'x' as two generators"),
+    (
+        PathAlgebraTheory,
+        (("1",), (("a", "1", "1"), ("a", "1", "1"))),
+        "path(1;a,a) reads 'a' as two generators",
+    ),
+    (PathAlgebraTheory, (("1",), (("e1", "1", "1"),)), "path(1;e1) reads 'e1' as two generators"),
+]
+
+
+class TestRefusals:
+    """Names and monomials each theory refuses, with the message it gives."""
+
+    @pytest.mark.parametrize("cls, fields, message", CLASHING_THEORIES)
+    def test_clashing_generator_names(self, cls, fields, message):
+        with pytest.raises(TheoryMismatchError) as info:
+            cls(*fields)
+        assert str(info.value) == message
+
+    def test_unknown_generators(self):
+        mixed = MixedTheory(("t",), ("x",))
+        with pytest.raises(TheoryMismatchError, match=r"unknown central variables \['s'\]"):
+            mixed.monomial(s=1)
+        with pytest.raises(TheoryMismatchError, match="unknown letter 'z'"):
+            FreeMagmaTheory(("x",)).leaf("z")
+        with pytest.raises(TheoryMismatchError, match="arrow a references an unknown vertex"):
+            PathAlgebraTheory(("1",), (("a", "1", "2"),))
+        path = PathAlgebraTheory(("1", "2"), (("a", "1", "2"),))
+        with pytest.raises(TheoryMismatchError, match="unknown arrow 'z'"):
+            path.path("a", "z")
+        with pytest.raises(TheoryMismatchError, match="unknown vertex '3'"):
+            path.vertex_path("3")
+        with pytest.raises(TheoryMismatchError, match="a path needs arrows"):
+            path.path()
+
+    def test_path_context_with_mismatched_endpoints_gives_no_image(self):
+        th = PathAlgebraTheory(("1", "2"), (("a", "1", "2"), ("b", "2", "1")))
+        a, e1, e2 = th.path("a"), th.vertex_path("1"), th.vertex_path("2")
+        assert th.apply_context((e1, e2), a) == a
+        assert th.apply_context((e2, e2), a) is None
+        assert th.apply_context((e1, e1), a) is None
+
+    @pytest.mark.parametrize(
+        "th, bad",
+        [
+            (FreeMonoidTheory(("x",)), (["x"],)),
+            (MixedTheory(("t",), ("x",)), ((0,), (["x"],))),
+            (PathAlgebraTheory(("1",), (("a", "1", "1"),)), ("1", "1", (["a"],))),
+            (PathAlgebraTheory(("1",), (("a", "1", "1"),)), ("1", "1", ["a"])),
+        ],
+    )
+    def test_unhashable_letters_belong_to_no_theory(self, th, bad):
+        assert not th.validate_monomial(bad)
+        with pytest.raises(TheoryMismatchError, match="does not belong to"):
+            th.check_monomial(bad)
+
+
 class TestMultiplyElements:
     def test_bilinear_over_words(self):
         th = FreeMonoidTheory(("x", "y"))

@@ -438,6 +438,31 @@ class TestPackedCodeLimits:
             assert str(info.value) == message
 
 
+
+class TestMixedCodeLimits:
+    """The central part of a mixed code is a packed code too: a central
+    degree or exponent of 2^31 is refused on entry and in an image, which
+    can grow past its input when a rule trades word letters for central
+    variables."""
+
+    def test_central_parts_at_the_capacity(self):
+        th = MixedTheory(("t",), ("x",))
+        weights = (("t", Fraction(1)), ("x", Fraction(CAP)))
+        order = MonomialOrder(OrderKind.WEIGHTED_DEGLEX, th, ("t", "x"), weights)
+        k = CAP // 2
+        # x -> t^(2^30): x outweighs t^(2^30) under these weights.
+        system = RewritingSystem(th, order, (Rule(((0,), ("x",)), power(((k,), ()))),))
+        assert normal_form(system, power(((k - 1,), ("x",)))) == power(((CAP - 1,), ()))
+        with pytest.raises(DiamondError) as info:
+            normal_form(system, power(((k,), ("x",))))
+        message = "t^%d times t^%d has a central degree or exponent of 2^31 or more" % (k, k)
+        assert str(info.value) == message
+        for m in [((CAP,), ()), ((CAP + 1,), ("x",))]:
+            with pytest.raises(DiamondError, match=r"does not fit .* below 2\^31"):
+                normal_form(system, power(m))
+        with pytest.raises(TheoryMismatchError):
+            normal_form(system, power(((-1,), ())))
+
 class TestNormalForm:
     def test_weyl_frozen_example(self):
         assert normal_form(weyl(), elem((("y", "x", "x"), 1))) == elem(
@@ -644,11 +669,17 @@ def budget_boundary_agrees(run_engine, run_reference, steps):
             run_reference(steps - 1)
 
 
-# Word theories whose codes must stay apart and in order: three letters, and
-# letter names that run together when joined.
+# Theories whose codes must stay apart and in order: words over three
+# letters and over letter names that run together when joined, mixed
+# monomials whose rankings interleave central and word letters, and paths
+# with vertex leads, which sit where a path visits their vertex.
 CODEC_THEORIES = {
     "assoc-abc": FreeMonoidTheory(("a", "b", "c")),
     "assoc-names": FreeMonoidTheory(("x", "xx", "y")),
+    "mixed-interleaved": MixedTheory(("s", "t"), ("x", "y")),
+    "path-vertices": PathAlgebraTheory(
+        ("1", "2", "3"), (("a", "1", "2"), ("b", "2", "1"), ("c", "2", "2"), ("d", "2", "3"))
+    ),
 }
 
 
@@ -733,8 +764,10 @@ class TestReferenceStrategy:
     def test_word_codes_under_every_ranking(self, name, field):
         th = CODEC_THEORIES[name]
         rng = random.Random("codes-%s-%s" % (name, field.describe()))
-        check_normal_forms(th, codec_orders(th), field, rng)
-        check_truncated_normal_forms(th, codec_orders(th), field, rng)
+        # Only paths have monomials of degree 0 besides 1: their vertices.
+        lowest = 0 if th.keyword == "path" else 1
+        check_normal_forms(th, codec_orders(th), field, rng, min_lead_degree=lowest)
+        check_truncated_normal_forms(th, codec_orders(th), field, rng, lowest)
 
     @pytest.mark.parametrize("field", [QQ, PRIME_FIELDS[0]], ids=lambda f: f.describe())
     @pytest.mark.parametrize("name", sorted(PACKED_THEORIES))
@@ -747,13 +780,14 @@ class TestReferenceStrategy:
         check_truncated_normal_forms(th, packed_orders(th), field, rng)
 
 
-def check_normal_forms(th, orders, field, rng, systems=30):
+def check_normal_forms(th, orders, field, rng, systems=30, min_lead_degree=1):
     """Normal forms, trails, single steps and budgets of random systems over
     the field under the well-founded ones of the orders, against the
     full-rescan strategy, which uses the field's value arithmetic."""
     orders = [o for o in orders if o.is_well_founded()]
     for _ in range(systems):
-        s = make_random_system(th, orders[rng.randrange(len(orders))], rng, field=field)
+        order = orders[rng.randrange(len(orders))]
+        s = make_random_system(th, order, rng, field=field, min_lead_degree=min_lead_degree)
         for _ in range(3):
             e = random_element(th, s.order, rng, 4, max_terms=4, field=field)
             want, want_trail = reference_reduce(s, dict(e.terms), 10**5)
@@ -769,19 +803,21 @@ def check_normal_forms(th, orders, field, rng, systems=30):
             )
 
 
-def check_truncated_normal_forms(th, orders, field, rng):
+def check_truncated_normal_forms(th, orders, field, rng, min_lead_degree=1):
     """Truncated normal forms and budgets under each series order of the
     orders, against the full-rescan strategy with the same ``keep`` filter."""
     series = [order for order in orders if order.kind is OrderKind.SERIES_DEGLEX]
     assert series
     for order in series:
-        check_truncated_normal_forms_under(th, order, field, rng)
+        check_truncated_normal_forms_under(th, order, field, rng, min_lead_degree)
 
 
-def check_truncated_normal_forms_under(th, order, field, rng):
+def check_truncated_normal_forms_under(th, order, field, rng, min_lead_degree=1):
     wd = WeightData(th, order.weights)
     for _ in range(20):
-        s = make_random_system(th, order, rng, lead_degree=2, lower_degree=4, field=field)
+        s = make_random_system(
+            th, order, rng, 2, 4, field=field, min_lead_degree=min_lead_degree
+        )
         precision = rng.randint(3, 6)
         for _ in range(2):
             e = random_element(th, order, rng, 3, max_terms=4, field=field)
@@ -817,7 +853,7 @@ def check_truncated_normal_form(s, wd, e, precision) -> int:
 
 
 # Generators, in an order whose product exists, whose product has degree
-# >= 2 in every variable: it sets the second bit of every divisor mask.
+# >= 2 in every variable.
 SQUARES = {
     "assoc": "xxyy",
     "assoc-names": ("xx", "x", "x", "xx", "y", "y"),
@@ -972,7 +1008,7 @@ class TestLeadIndex:
                     assert index.first_site(m) is None
                     continue
                 i, ctx = found
-                assert index.first_site(m) == (i, index.decode_context(ctx))
+                assert index.first_site(m) == (i, index.decode_context(ctx, code))
                 assert index.apply(index.encode(leads[i]), ctx) == code
             # A hole (None) inside a tree belongs to contexts only.
             for bad in [("zz",), None, (("x", "y"),), ("x", None), (None, "x")]:
@@ -998,7 +1034,7 @@ class TestLeadIndex:
                     if want is None:
                         assert found is None
                     else:
-                        assert (found[0], index.decode_context(found[1])) == (
+                        assert (found[0], index.decode_context(found[1], code)) == (
                             want[0] + k,
                             want[1],
                         )
@@ -1042,7 +1078,7 @@ class TestLeadIndex:
         assert index.first_site(((1,), ("x",))) is None
 
     def test_mixed_mask_does_not_decide_a_cube(self):
-        # t^3 passes the mask of t^2 (both bits set) but does not divide it.
+        # t^3 does not divide t^2, though both exponents are 2 or more.
         th = THEORIES["mixed"]
         index = th.lead_index([((3,), ("x",)), ((1,), ("x",))], shipped_orders(th)[0])
         assert index.first_site(((2,), ("y", "x"))) == (1, ((1,), ("y",), ()))
@@ -1091,9 +1127,8 @@ def count_calls(monkeypatch, *methods) -> dict:
 
 
 class TestEncodedReduction:
-    """Words and power products reduce as the lead index's codes, so a step
-    calls none of the public per-monomial methods: a fallback to tuples
-    would."""
+    """Every theory reduces as its lead index's codes, so a step calls none
+    of the public per-monomial methods: a fallback to tuples would."""
 
     def test_weyl_y30x30_calls_no_apply_context_and_no_sort_key(self, monkeypatch):
         with open(os.path.join(REPO, "bench", "systems", "weyl.sys"), encoding="utf-8") as handle:
@@ -1161,6 +1196,43 @@ class TestEncodedReduction:
         th.divisions("x", "x")
         order.sort_key("x")
         assert calls == {"apply_context": 1, "divisions": 1, "sort_key": 1}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # A ranking that interleaves central and word letters.
+            "theory mixed\ncvars s t\nvars x y\norder deglex x < s < y < t\n"
+            "rule y*x -> x*y + s*t\nrule t^2*x -> s*x + y\n",
+            # Arrow leads, and a vertex lead that sits where a path visits 2.
+            "theory path\nvertices 1 2\narrow a: 1 -> 2\narrow b: 2 -> 1\narrow c: 1 -> 1\n"
+            "rule c*c -> c + e1\nrule b*a*b -> b\nrule e2 -> 0\n",
+        ],
+        ids=["mixed", "path"],
+    )
+    def test_mixed_and_path_reduction_call_no_theory_method(self, text, monkeypatch):
+        system = parse_system_file(text).system
+        th, order = system.theory, system.order
+        element = Element.from_dict(
+            {m: Fraction(k + 1) for d in range(5) for k, m in enumerate(th.monomials_of_degree(d))}
+        )
+        want, _ = reference_reduce(system, dict(element.terms), 10**5)
+        m = max(element.support(), key=order.sort_key)
+        cls = type(th)
+        calls = count_calls(
+            monkeypatch,
+            (cls, "apply_context"),
+            (cls, "validate_monomial"),
+            (cls, "divisions"),
+            (MonomialOrder, "sort_key"),
+        )
+        result = normal_form(system, element)
+        assert calls == {"apply_context": 0, "validate_monomial": 0, "divisions": 0, "sort_key": 0}
+        assert result == Element.from_dict(want) and result
+        # The wrappers do count.
+        th.apply_context(th.divisions(m, m)[0], m)
+        th.validate_monomial(m)
+        order.sort_key(m)
+        assert calls == {"apply_context": 1, "validate_monomial": 1, "divisions": 1, "sort_key": 1}
 
     def test_vertex_path_lead_calls_no_divisions(self, monkeypatch):
         th = THEORIES["path"]
