@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from math import lcm
+
 from .algebra_core import Element, _accumulate, _Value
-from .rewriting_engine import DEFAULT_STEP_BUDGET, normal_form_with_trail
+from .rewriting_engine import DEFAULT_STEP_BUDGET, _Boxed, _decoded, normal_form_with_trail
 
 
 class Ambiguity(_Value):
@@ -62,17 +64,32 @@ def _enumerate_ambiguities(system) -> tuple:
     return tuple(ambs)
 
 
-def s_polynomial(system, amb: Ambiguity) -> Element:
-    """Difference of the two one-step reductions of the superposition,
-    accumulated in one dict and built as one element."""
-    th, rules = system.theory, system.rules
+def _s_box(system, amb: Ambiguity) -> list:
+    """The s-polynomial of an ambiguity as a ``_rewrites`` box of the
+    system's lead index: the images of the two rules' encoded lower parts
+    under the encoded contexts, the second side negated, as numerators over
+    the lcm of the two lower parts' denominators (residues over GF(p)).
+    Images lie below the superposition, which is encoded first, so that one
+    too large for its code raises DiamondError before any image is built."""
+    index, lowers = system.lead_index, system.raw_lowers
+    apply, p = index.apply, system.field.characteristic
+    index.encode(amb.superposition)
+    (lower1, d1), (lower2, d2) = lowers[amb.rule1], lowers[amb.rule2]
+    den = lcm(d1, d2)
     out: dict = {}
-    for ctx, rule, negate in ((amb.ctx1, amb.rule1, False), (amb.ctx2, amb.rule2, True)):
-        for m, c in rules[rule].lower.terms:
-            image = th.apply_context(ctx, m)
-            if image is not None:
-                _accumulate(out, image, -c if negate else c)
-    return Element.from_dict(out)
+    for ctx, lower, r in (
+        (amb.ctx1, lower1, den // d1),
+        (amb.ctx2, lower2, -den // d2),
+    ):
+        ctx = index.encode_context(ctx)
+        for m, c in lower:
+            _accumulate(out, apply(m, ctx), c * r, p)
+    return [out, den]
+
+
+def s_polynomial(system, amb: Ambiguity) -> Element:
+    """Difference of the two one-step reductions of the superposition."""
+    return _decoded(system, _s_box(system, amb))
 
 
 class ResolutionCertificate(_Value):
@@ -83,6 +100,6 @@ class ResolutionCertificate(_Value):
 
 def resolve(system, amb: Ambiguity, max_steps: int = DEFAULT_STEP_BUDGET) -> ResolutionCertificate:
     """Reduce the s-polynomial and certify whether the ambiguity resolves."""
-    spoly = s_polynomial(system, amb)
+    spoly = _Boxed(system, _s_box(system, amb))
     remainder, trail = normal_form_with_trail(system, spoly, max_steps)
     return ResolutionCertificate(amb, remainder.is_zero(), remainder, trail)

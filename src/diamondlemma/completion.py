@@ -9,7 +9,7 @@ from enum import Enum
 from math import gcd
 
 from .algebra_core import DiamondError, Element, _term_key, _Value
-from .ambiguity import _pair_ambiguities, resolve, s_polynomial
+from .ambiguity import _pair_ambiguities, _s_box, resolve
 from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
     RewritingSystem,
@@ -17,6 +17,7 @@ from .rewriting_engine import (
     StepBudgetExceededError,
     normal_form,
     orient,
+    _Boxed,
     _raw_lower,
     _rewrites,
     _well_founded,
@@ -106,10 +107,9 @@ class _Working:
     ``append`` and ``renormalize`` keep them in step with ``rules``, so one
     view serves a whole completion. A renormalized rule is only written
     back encoded and joins ``stale``: its entry in ``rules`` keeps its lead,
-    which never changes, but not its lower part. ``decode`` brings stale
-    rules up to date, once each, when something reads their lower parts:
-    ``complete`` decodes the two rules of a pair before its s-polynomial,
-    and every stale rule before the drop pass and the report. Its
+    which never changes, but not its lower part. Pairs read only the
+    encoded lower parts, so ``decode`` brings the stale rules up to date
+    once, before the drop pass and the report. Its
     ``site_memo`` serves every reduction of that completion, since leads
     are only appended and a renormalized rule keeps its lead. ``marks``
     holds, per rule, how many leads its lower part is known to be
@@ -122,6 +122,8 @@ class _Working:
         "theory", "order", "field", "rules", "raw_lowers", "lead_index",
         "site_memo", "marks", "stale",
     )
+    # Reductions share the memo, so ``_rewrites`` keeps every code.
+    _private_memo = False
 
     def __init__(self, theory, order, field, rules: list, lead_index, raw_lowers: list):
         self.theory = theory
@@ -169,19 +171,12 @@ class _Working:
         self.raw_lowers[i] = pairs, den // g
         self.stale.add(i)
 
-    def decode(self, *indices) -> None:
-        """Rebuild the stale rules among ``indices``, or every stale rule
-        when none are given, from their raw lower parts, whose pairs are
-        put in the order of the decoded terms, as ``_raw_lower`` gives
+    def decode(self) -> None:
+        """Rebuild the stale rules from their raw lower parts, whose pairs
+        are put in the order of the decoded terms, as ``_raw_lower`` gives
         them."""
-        stale = self.stale
-        if not indices:
-            indices = tuple(stale)
         decode, scalar = self.lead_index.decode, self.field.scalar
-        for i in indices:
-            if i not in stale:
-                continue
-            stale.remove(i)
+        for i in self.stale:
             lower, den = self.raw_lowers[i]
             terms = []
             for m, c in lower:
@@ -192,6 +187,7 @@ class _Working:
                 self.rules[i].lead, Element(tuple([(x, scalar(c, den)) for _, x, _, c in terms]))
             )
             self.raw_lowers[i] = tuple([(m, c) for _, _, m, c in terms]), den
+        self.stale.clear()
 
     def without(self, i: int) -> "_Working":
         rules, lowers = self.rules, self.raw_lowers
@@ -298,8 +294,7 @@ def complete(
             degree_capped = True
             continue
         reduced_by = len(rules)
-        work.decode(amb.rule1, amb.rule2)
-        remainder = normal_form(work, s_polynomial(work, amb), max_steps)
+        remainder = normal_form(work, _Boxed(work, _s_box(work, amb)), max_steps)
         processed += 1
         if remainder.is_zero():
             continue

@@ -62,6 +62,12 @@ class _MagmaIndex(_CodedIndex):
         left, right = ctx
         return self.decode(left + chr(len(self.letters)) + right)
 
+    def encode_context(self, ctx) -> tuple:
+        """The Polish code of a one-hole tree, split at the hole."""
+        n = len(self.letters)
+        code = _polish(ctx, _letter_codes(self.letters + (_HOLE,)), chr(n + 1))
+        return tuple(code.split(chr(n)))
+
 
 class FreeMagmaTheory(Theory):
     """Binary trees with labelled leaves under non-associative product."""

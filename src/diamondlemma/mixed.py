@@ -121,6 +121,13 @@ class _MixedIndex(LeadIndex):
         letter = self.names.__getitem__
         return self.unpack(mult), tuple(map(letter, left)), tuple(map(letter, right))
 
+    def encode_context(self, ctx: tuple) -> tuple:
+        # The multiplier of one side divides the other lead's central part,
+        # so it has a code.
+        mult, left, right = ctx
+        codes = self.codes
+        return self.pack(mult), _word_code(codes, left), _word_code(codes, right)
+
     def site(self, code: tuple, start=0):
         c, w = code
         guard = self.guard

@@ -127,12 +127,14 @@ class LeadIndex:
     lookup, scans the leads from rule ``start`` on and gives (lowest such
     rule index whose lead divides the monomial, the first context
     ``divisions`` returns, encoded) or None; ``decode_context(ctx, code)``
-    decodes the context of a site of ``code``. ``apply(code, ctx)`` builds
-    an image; at a rule's site each code of its lower part has one, as
-    rules are uniform. ``descending_key``, set once on construction, maps
-    codes to values that compare natively (ints, strs and tuples of them)
-    and in the reverse of the order's ``sort_key``, so that a plain
-    ``heapq`` of (key, code) pairs pops the greatest monomial first.
+    decodes the context of a site of ``code``, and ``encode_context(ctx)``
+    is its inverse on the contexts of ``Theory.overlaps``. ``apply(code,
+    ctx)`` builds an image; at a rule's site each code of its lower part
+    has one, as rules are uniform. ``descending_key``, set once on
+    construction, maps codes to values that compare natively (ints, strs
+    and tuples of them) and in the reverse of the order's ``sort_key``, so
+    that a plain ``heapq`` of (key, code) pairs pops the greatest monomial
+    first.
     ``first_site(m)`` is ``site(encode(m))`` with its context decoded, and
     ``weigher(weights)`` sums weights over a code.
 
@@ -317,6 +319,9 @@ class _CodedIndex(LeadIndex):
 
     def decode_context(self, ctx: tuple, code: str) -> tuple:
         return tuple(map(self.decode, ctx))
+
+    def encode_context(self, ctx: tuple) -> tuple:
+        return tuple(map(self.encode, ctx))
 
     def weigher(self, weights: dict):
         return _code_weigher(self.codes, weights)

@@ -46,6 +46,10 @@ class _PathIndex(_CodedIndex):
         left, right = ctx
         return self.decode(left + code[len(left)]), self.decode(code[~len(right)] + right)
 
+    def encode_context(self, ctx: tuple) -> tuple:
+        left, right = ctx
+        return self.code_of(left)[:-1], self.code_of(right)[1:]
+
 
 class PathAlgebraTheory(Theory):
     """Paths in a finite quiver; products vanish on endpoint mismatch."""

@@ -75,7 +75,8 @@ class _PackedIndex(LeadIndex):
             )
         return code
 
-    entry = encode
+    # A context is a power product too, and its code is what ``site`` gives.
+    entry = encode_context = encode
 
     def site(self, code: int, start=0):
         guard = self.guard

@@ -96,6 +96,9 @@ class RewritingSystem(_Value):
         _set(self, "lead_index", lead_index)
         _set(self, "raw_lowers", tuple(raw_lowers))
 
+    # Each reduction's memo is its own, so ``_rewrites`` may forget codes.
+    _private_memo = True
+
     @property
     def site_memo(self) -> dict:
         """A fresh ``_rewrites`` memo for each reduction, so that a system
@@ -199,11 +202,15 @@ def _rewrites(system, box: list, budget: int, keep=None):
     ``site``, or to the number of leads ``site`` found no divisor among.
     Leads are only appended, so a system whose rules grow may keep one memo
     across reductions: a site stays the answer and a count tells ``site``
-    where to resume. ``RewritingSystem`` gives a fresh memo to each.
+    where to resume. ``RewritingSystem`` gives a fresh memo to each, and
+    says so with ``_private_memo``: such a memo forgets each code that a
+    step rewrites, as the code never comes back, so a long reduction keeps
+    no site of the monomials it has rewritten.
     """
     index, lowers = system.lead_index, system.raw_lowers
     site, apply, key = index.site, index.apply, index.descending_key
     memo, n = system.site_memo, len(index.entries)
+    private = system._private_memo
     p = system.field.characteristic
     work, den = box
     heap = []
@@ -224,7 +231,7 @@ def _rewrites(system, box: list, budget: int, keep=None):
                 "step budget of %d exceeded before rewriting %s"
                 % (budget, system.theory.serialize(index.decode(m)))
             )
-        ridx, ctx = memo[m]
+        ridx, ctx = memo.pop(m) if private else memo[m]
         c = work.pop(m)
         step = ridx, m, ctx, c, den
         lower, d = lowers[ridx]
@@ -258,18 +265,38 @@ def _rewrites(system, box: list, budget: int, keep=None):
         yield step
 
 
+class _Boxed(Element):
+    """An element held as a box of one system, which ``_encoded`` copies
+    for that system; its ``terms`` are decoded when first read."""
+
+    def __init__(self, system, box: list) -> None:
+        _set(self, "system", system)
+        _set(self, "box", box)
+
+    @functools.cached_property
+    def terms(self) -> tuple:
+        work, den = self.box
+        return _decoded(self.system, [dict(work), den]).terms
+
+
 def _encoded(system, element: Element, keep=None) -> list:
     """The box [code dict, D] that ``_rewrites`` reduces: an element's terms
     in the codes of the system's ``lead_index``, those failing ``keep``
     dropped, as raw values over D. Raises TheoryMismatchError for a monomial
     outside the theory (and DiamondError for a power product too large for
-    its code) and ScalarError for a coefficient outside the field."""
-    encode = system.lead_index.encode
-    work = {encode(m): c for m, c in element.terms}
+    its code) and ScalarError for a coefficient outside the field. The box
+    of a ``_Boxed`` element of the system is copied, not decoded."""
+    if element.__class__ is _Boxed and element.system is system:
+        work, den = element.box
+        work = dict(work)
+    else:
+        encode = system.lead_index.encode
+        work = {encode(m): c for m, c in element.terms}
+        den = None
     if keep is not None:
         for m in [m for m in work if not keep(m)]:
             del work[m]
-    return [work, system.field.into_raw(work)]
+    return [work, system.field.into_raw(work) if den is None else den]
 
 
 def _decoded(system, box: list) -> Element:

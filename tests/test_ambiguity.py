@@ -24,12 +24,16 @@ from diamondlemma import (
     check_confluence,
     critical_ambiguities,
     normal_form,
+    parse_system_file,
     resolve,
     s_polynomial,
 )
 from diamondlemma.algebra_core import _Value
+from diamondlemma.ambiguity import _s_box
+from diamondlemma.rewriting_engine import _Boxed
 
 from oracles import (
+    COPRIME_FRACTIONS,
     THEORIES,
     all_normal_forms,
     apply_context_to_element,
@@ -228,12 +232,18 @@ class TestSPolynomial:
 
     @pytest.mark.parametrize("name", sorted(THEORIES))
     def test_equals_the_difference_of_the_two_images(self, name):
+        """Also with coefficients whose denominators are coprime, so that the
+        two lower parts meet over the lcm of their denominators."""
         th = THEORIES[name]
         rng = random.Random("s-polynomial-" + name)
-        for field in (RationalField(), PrimeField(7)):
+        for field, sample in (
+            (RationalField(), None),
+            (RationalField(), COPRIME_FRACTIONS),
+            (PrimeField(7), None),
+        ):
             for order in shipped_orders(th):
                 for _ in range(10):
-                    s = make_random_system(th, order, rng, field=field)
+                    s = make_random_system(th, order, rng, field=field, sample=sample)
                     for amb in critical_ambiguities(s):
                         left = apply_context_to_element(th, amb.ctx1, s.rules[amb.rule1].lower)
                         right = apply_context_to_element(th, amb.ctx2, s.rules[amb.rule2].lower)
@@ -241,6 +251,26 @@ class TestSPolynomial:
 
 
 class TestResolve:
+    def test_reduction_leaves_a_boxed_s_polynomial_as_it_was(self):
+        """``complete`` and ``resolve`` hand the normal form an s-polynomial
+        held as its box. The reduction works on a copy, so the element read
+        afterwards, as a tracer reads it, is still the s-polynomial; another
+        system reads it through its terms."""
+        s = parse_system_file(
+            "theory assoc\nvars e f h\norder deglex e<f<h\n"
+            "rule f*e -> e*f - h\nrule h*e -> e*h + 2*e\nrule h*f -> f*h - 2*f\n"
+        ).system
+        other = RewritingSystem(s.theory, s.order, s.rules[:1], s.field)
+        for amb in critical_ambiguities(s):
+            spoly = s_polynomial(s, amb)
+            boxed = _Boxed(s, _s_box(s, amb))
+            work, den = boxed.box
+            before = dict(work), den
+            assert normal_form(s, boxed) == normal_form(s, spoly)
+            assert (boxed.box[0], boxed.box[1]) == before
+            assert boxed.terms == spoly.terms
+            assert normal_form(other, _Boxed(s, _s_box(s, amb))) == normal_form(other, spoly)
+
     def test_unresolvable_pair(self):
         th = CommutativeTheory(("x", "y"))
         order = MonomialOrder(OrderKind.DEGLEX, th, ("x", "y"))

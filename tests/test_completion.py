@@ -31,6 +31,7 @@ from diamondlemma import (
     format_element,
     ideal_member,
     normal_form,
+    normal_form_with_trail,
     orient,
     parse_expression,
     parse_system_file,
@@ -473,6 +474,27 @@ class TestAgainstReference:
         assert s.site_memo is not s.site_memo
         assert "site_memo" not in vars(s)
 
+    def test_private_memo_forgets_rewritten_codes(self, monkeypatch):
+        """A ``RewritingSystem`` reduction owns its memo, so each code a step
+        rewrites leaves it, while the memo a ``_Working`` shares between
+        reductions keeps the site of every code."""
+        s = parse_system_file("theory assoc; vars x y; rule y*x -> x*y + x").system
+        element = parse_expression("y^6*x^6", s.theory, s.field)
+        memos = []
+
+        def fresh_memo(system):
+            memos.append({})
+            return memos[-1]
+
+        monkeypatch.setattr(RewritingSystem, "site_memo", property(fresh_memo))
+        got, trail = normal_form_with_trail(s, element)
+        rewritten = {s.lead_index.encode(step.monomial) for step in trail}
+        (memo,) = memos
+        assert memo and rewritten and not rewritten & memo.keys()
+        work = _Working.of(s)
+        assert normal_form(work, element) == got
+        assert rewritten <= work.site_memo.keys()
+
     def test_interreduction_with_two_rules_sharing_a_lead(self):
         s = parse_system_file(
             "theory assoc; vars x y; rule y*x -> x*x + y; rule y*x -> x*y; rule y -> x"
@@ -721,60 +743,71 @@ class TestCompletionOnCodes:
 
 
 class TestLazyDecoding:
-    """A renormalized rule stays encoded until a pair or the report reads
-    its lower part, and is then decoded once."""
+    """A renormalized rule stays encoded while pairs are processed, since
+    s-polynomials are built from the encoded lower parts, and is decoded
+    once, before the drop pass and the report."""
 
     @staticmethod
     def watch(monkeypatch) -> dict:
         """Count, from now on, the ``Rule``s completion builds, which are its
-        decodes, and the renormalized lower parts that an s-polynomial
-        reads before the rule is renormalized again; ``pending`` holds the
-        rules renormalized and not read since. Every s-polynomial must find
-        both of its rules decoded."""
-        seen = {"built": 0, "renormalized": 0, "read": 0, "pending": set()}
-        rule, s_polynomial = completion.Rule, completion.s_polynomial
-        renormalize = _Working.renormalize
+        decodes, the renormalizations, the rules stale when ``decode`` runs
+        and the calls of every theory's ``apply_context``. A rule built
+        outside ``decode`` fails the test."""
+        seen = {"built": 0, "renormalized": 0, "stale": 0, "apply_context": 0}
+        decoding = []
+        rule, renormalize, decode = completion.Rule, _Working.renormalize, _Working.decode
 
         def counting_rule(*args):
+            assert decoding, "a rule was decoded while pairs were processed"
             seen["built"] += 1
             return rule(*args)
 
         def tracking_renormalize(work, i, box):
             seen["renormalized"] += 1
-            seen["pending"].add(i)
             renormalize(work, i, box)
 
-        def checked_s_polynomial(work, amb):
-            sides = {amb.rule1, amb.rule2}
-            assert not sides & work.stale, (amb, work.stale)
-            seen["read"] += len(sides & seen["pending"])
-            seen["pending"] -= sides
-            return s_polynomial(work, amb)
+        def tracking_decode(work):
+            seen["stale"] += len(work.stale)
+            decoding.append(work)
+            try:
+                decode(work)
+            finally:
+                decoding.pop()
+
+        def counting(apply_context):
+            def wrapper(*args):
+                seen["apply_context"] += 1
+                return apply_context(*args)
+
+            return wrapper
 
         monkeypatch.setattr(completion, "Rule", counting_rule)
         monkeypatch.setattr(_Working, "renormalize", tracking_renormalize)
-        monkeypatch.setattr(completion, "s_polynomial", checked_s_polynomial)
+        monkeypatch.setattr(_Working, "decode", tracking_decode)
+        for cls in {type(th) for th in THEORIES.values()}:
+            monkeypatch.setattr(cls, "apply_context", counting(cls.apply_context))
         return seen
 
     @pytest.mark.parametrize(
         "name, caps, counts",
         [
-            ("cyclic5_qq.sys", {"max_degree": 14, "max_rules": 500}, (229, 77, 30)),
+            ("cyclic5_qq.sys", {"max_degree": 14, "max_rules": 500}, (229, 49, 30)),
             ("katsura5_gf.sys", {"max_degree": 12, "max_rules": 500}, (115, 31, 32)),
         ],
         ids=["cyclic5_qq", "katsura5_gf"],
     )
     def test_benchmark_systems_decode_only_what_is_read(self, name, caps, counts, monkeypatch):
         """On the benchmark's two completions, in their rule order, the rules
-        built are exactly the renormalized lower parts a pair or the report
-        reads: (renormalized, decoded, final rules) = ``counts``."""
+        built are exactly the rules stale when the loop ends, and no
+        ``apply_context`` is called: (renormalized, decoded, final rules) =
+        ``counts``."""
         with open(os.path.join(REPO, "bench", "systems", name), encoding="utf-8") as handle:
             s = parse_system_file(handle.read()).system
         seen = self.watch(monkeypatch)
         report = complete(s, **caps)
         assert report.status is CompletionStatus.COMPLETE
-        # Rules left pending when the loop ends are read by the report.
-        assert seen["built"] == seen["read"] + len(seen["pending"])
+        assert seen["built"] == seen["stale"]
+        assert seen["apply_context"] == 0
         assert (seen["renormalized"], seen["built"], len(report.system.rules)) == counts
         fresh = RewritingSystem(s.theory, s.order, report.system.rules, s.field)
         assert vars(report.system)["raw_lowers"] == fresh.raw_lowers
@@ -784,8 +817,9 @@ class TestLazyDecoding:
     def test_complete_matches_the_reference(self, name, field, monkeypatch):
         """Over fractions with coprime denominators and over GF(7), lazy
         decoding repeats the reference run (the basis, for power products),
-        every s-polynomial reads decoded rules, each rule is built once per
-        read, and some renormalized rules are never decoded."""
+        ``complete`` calls no ``apply_context``, each rule stale when the
+        loop ends is built once, and some renormalized rules are never
+        decoded."""
         th = THEORIES[name]
         rng = random.Random("lazy-%s-%s" % (name, field.describe()))
         sample = COPRIME_FRACTIONS if field == QQ else None
@@ -800,10 +834,11 @@ class TestLazyDecoding:
                 for rule in make_random_system(th, order, rng, field=field, sample=sample).rules
             ]
             s = RewritingSystem(th, order, tuple(rules), field)
-            seen["pending"].clear()
-            built, read = seen["built"], seen["read"]
-            got, want = complete(s, **caps), reference_complete(s, **caps)
-            assert seen["built"] - built == seen["read"] - read + len(seen["pending"])
+            calls = seen["apply_context"]
+            got = complete(s, **caps)
+            assert seen["apply_context"] == calls
+            want = reference_complete(s, **caps)
+            assert seen["built"] == seen["stale"]
             if name == "commutative":
                 if want.status is CompletionStatus.COMPLETE:
                     assert_same_basis(got, want)

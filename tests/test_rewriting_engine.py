@@ -34,6 +34,7 @@ from diamondlemma import (
     TheoryMismatchError,
     WeightData,
     ZeroElementError,
+    check_confluence,
     complete,
     count_irreducible,
     ideal_member,
@@ -400,6 +401,18 @@ class TestPackedCodeLimits:
         system = power_system(OrderKind.DEGLEX, (CAP, 0), (0, 1))
         with pytest.raises(DiamondError, match=r"does not fit"):
             normal_form(system, power((1, 0)))
+
+    def test_a_superposition_that_does_not_fit(self):
+        """Leads that fit can meet in a superposition that does not, and an
+        image of its s-polynomial, x^(2^30)*y^(2^30) here, would not fit
+        either: resolving it raises DiamondError, not a wrong verdict."""
+        k = CAP // 2
+        th = CommutativeTheory(("x", "y"))
+        order = MonomialOrder(OrderKind.DEGLEX, th, ("x", "y"))
+        rules = (Rule((k + 1, 1), power((k, 0))), Rule((1, k + 1), power((0, 0))))
+        system = RewritingSystem(th, order, rules)
+        with pytest.raises(DiamondError, match=r"does not fit"):
+            check_confluence(system)
 
     def test_lex_images_that_outgrow_a_field(self):
         # y -> x^k under lex: y^8 reaches x^(8k) = x^(2^31) in 8 steps.
@@ -961,6 +974,31 @@ class TestLeadIndex:
                     fresh.first_site(m) for m in probes
                 ]
             assert index.entries == th.lead_index(leads, order).entries
+
+    @pytest.mark.parametrize("name", sorted(INDEX_THEORIES))
+    def test_encode_context_inverts_decode_context(self, name):
+        """Every context of ``overlaps`` encodes to what ``apply`` takes, under
+        every ranking: decoded at the superposition's code it comes back,
+        and its image of a rule's monomial is the code of the public image."""
+        th = INDEX_THEORIES[name]
+        rng = random.Random("encode-context-" + name)
+        contexts = 0
+        for order in codec_orders(th):
+            for _ in range(6):
+                rules = [r for _ in range(2) for r in make_random_system(th, order, rng).rules]
+                index = th.lead_index([rule.lead for rule in rules], order)
+                for a, b in itertools.combinations_with_replacement(rules, 2):
+                    for sup, ctx1, ctx2, _, _ in th.overlaps(a.lead, b.lead):
+                        code = index.encode(sup)
+                        for ctx, rule in ((ctx1, a), (ctx2, b)):
+                            encoded = index.encode_context(ctx)
+                            assert index.decode_context(encoded, code) == ctx
+                            assert index.apply(index.encode(rule.lead), encoded) == code
+                            for m in rule.lower.support():
+                                image = index.encode(th.apply_context(ctx, m))
+                                assert index.apply(index.encode(m), encoded) == image
+                            contexts += 1
+        assert contexts > 100
 
     @pytest.mark.parametrize("name", ["path", "path-names"])
     def test_path_images_never_vanish(self, name):
