@@ -16,9 +16,7 @@ from .rewriting_engine import (
     Rule,
     StepBudgetExceededError,
     normal_form,
-    orient,
     _Boxed,
-    _raw_lower,
     _rewrites,
     _well_founded,
 )
@@ -101,14 +99,14 @@ class CompletionReport(_Value):
 class _Working:
     """Unvalidated view of a rule list with the attributes the engine reads.
 
-    Its lead index, made with the order, and its lower parts in
-    ``_raw_lower`` form (codes with integer numerators over one denominator
-    per rule) cover its rules; ``of(system)`` takes over a system's own.
-    ``append`` and ``renormalize`` keep them in step with ``rules``, so one
-    view serves a whole completion. A renormalized rule is only written
-    back encoded and joins ``stale``: its entry in ``rules`` keeps its lead,
-    which never changes, but not its lower part. Pairs read only the
-    encoded lower parts, so ``decode`` brings the stale rules up to date
+    Its lead index, made with the order, its public ``leads`` and its lower
+    parts in ``_raw_lower`` form (codes with integer numerators over one
+    denominator per rule) cover its rules; ``of(system)`` takes over a
+    system's own. ``append`` and ``renormalize`` keep them in step, so one
+    view serves a whole completion. A rule is written only encoded when
+    appended or renormalized, and joins ``stale``: its entry in ``rules``
+    is None or the rule with an outdated lower part. Pairs read only the
+    leads and the encoded lower parts, so ``decode`` builds the stale rules
     once, before the drop pass and the report. Its
     ``site_memo`` serves every reduction of that completion, since leads
     are only appended and a renormalized rule keeps its lead. ``marks``
@@ -119,17 +117,20 @@ class _Working:
     """
 
     __slots__ = (
-        "theory", "order", "field", "rules", "raw_lowers", "lead_index",
+        "theory", "order", "field", "rules", "leads", "raw_lowers", "lead_index",
         "site_memo", "marks", "stale",
     )
     # Reductions share the memo, so ``_rewrites`` keeps every code.
     _private_memo = False
 
-    def __init__(self, theory, order, field, rules: list, lead_index, raw_lowers: list):
+    def __init__(
+        self, theory, order, field, rules: list, leads: list, lead_index, raw_lowers: list
+    ):
         self.theory = theory
         self.order = order
         self.field = field
         self.rules = rules
+        self.leads = leads
         self.lead_index = lead_index
         self.raw_lowers = raw_lowers
         self.site_memo = {}
@@ -145,19 +146,38 @@ class _Working:
             system.order,
             system.field,
             list(system.rules),
+            [rule.lead for rule in system.rules],
             system.lead_index.copy(),
             list(system.raw_lowers),
         )
 
-    def append(self, rule: Rule, mark: int = 0) -> None:
-        """Add a rule whose lower part is irreducible against the first
-        ``mark`` leads; its own lead divides nothing below it, so a rule
-        appended right after them is marked past itself."""
+    def append(self, box: list, mark: int = 0) -> None:
+        """Add the monic rule of a nonzero box [code dict, D] of this view,
+        whose lower part is irreducible against the first ``mark`` leads; a
+        rule appended right after them is marked past itself, as its lead
+        divides nothing below it. The rule is made on codes and stale until
+        decoded; only its lead, the code of least descending key, is decoded
+        now. With a the lead's value, the others c give -c * a^-1 over 1 over
+        GF(p) and -c // g over a // g over QQ, g the gcd of all values with
+        the sign of a: ``_raw_lower`` of ``orient``, up to pair order."""
+        work, p, index = box[0], self.field.characteristic, self.lead_index
+        lead = min(work, key=index.descending_key)
+        a = work[lead]
+        if p:
+            r = -pow(a, -1, p)
+            lower = tuple([(m, c * r % p) for m, c in work.items() if m != lead]), 1
+        else:
+            g = gcd(*work.values())
+            if a < 0:
+                g = -g
+            lower = tuple([(m, -c // g) for m, c in work.items() if m != lead]), a // g
         if mark == len(self.rules):
             mark += 1
-        self.rules.append(rule)
-        self.lead_index.add(rule.lead)
-        self.raw_lowers.append(_raw_lower(self, rule))
+        self.stale.add(len(self.rules))
+        self.rules.append(None)
+        self.leads.append(index.decode(lead))
+        index.add(self.leads[-1])
+        self.raw_lowers.append(lower)
         self.marks.append(mark)
 
     def renormalize(self, i: int, box: list) -> None:
@@ -184,18 +204,19 @@ class _Working:
                 terms.append((_term_key(x), x, m, c))
             terms.sort()
             self.rules[i] = Rule(
-                self.rules[i].lead, Element(tuple([(x, scalar(c, den)) for _, x, _, c in terms]))
+                self.leads[i], Element(tuple([(x, scalar(c, den)) for _, x, _, c in terms]))
             )
             self.raw_lowers[i] = tuple([(m, c) for _, _, m, c in terms]), den
         self.stale.clear()
 
     def without(self, i: int) -> "_Working":
-        rules, lowers = self.rules, self.raw_lowers
+        rules, leads, lowers = self.rules, self.leads, self.raw_lowers
         return _Working(
             self.theory,
             self.order,
             self.field,
             rules[:i] + rules[i + 1 :],
+            leads[:i] + leads[i + 1 :],
             self.lead_index.without(i),
             lowers[:i] + lowers[i + 1 :],
         )
@@ -244,6 +265,9 @@ def complete(
 ) -> CompletionReport:
     """Saturate a system with oriented s-polynomial remainders.
 
+    An s-polynomial and its remainder stay boxed on codes, and ``append``
+    orients a nonzero remainder there, decoding only its lead; the added
+    rules are built once, by ``decode``, for the drop pass and the report.
     Pairs are processed FIFO by superposition degree then insertion order.
     Each new rule first marks queued pairs that the theory's chain criterion
     certifies as dead, then queues its pairs with the partners the theory's
@@ -255,7 +279,7 @@ def complete(
     _well_founded(system, "completion")
     th, order = system.theory, system.order
     work = _Working.of(system)
-    rules = work.rules
+    rules, leads = work.rules, work.leads
     heap: list = []
     counter = itertools.count()
     dead: set = set()  # insertion counters of queued pairs a criterion removed
@@ -264,17 +288,17 @@ def complete(
 
     def add_pairs(new: int) -> None:
         nonlocal active, filtered
-        lead = rules[new].lead
+        lead = leads[new]
         for _, key, amb in heap:
             if key not in dead and th.chain_criterion(
-                lead, rules[amb.rule1].lead, rules[amb.rule2].lead, amb.superposition
+                lead, leads[amb.rule1], leads[amb.rule2], amb.superposition
             ):
                 dead.add(key)
                 filtered += 1
-        partners, removed, active = th.pair_update([r.lead for r in rules], active, new)
+        partners, removed, active = th.pair_update(leads, active, new)
         filtered += removed
         for j in partners:
-            for amb in _pair_ambiguities(th, j, rules[j].lead, new, lead):
+            for amb in _pair_ambiguities(th, j, leads[j], new, lead):
                 heapq.heappush(heap, (th.degree(amb.superposition), next(counter), amb))
 
     for idx in range(len(rules)):
@@ -300,7 +324,7 @@ def complete(
             continue
         # Rules are uniform, and s-polynomials and their images keep the
         # class of their superposition, so the remainder is one rule.
-        work.append(orient(order, remainder), reduced_by)
+        work.append(remainder.box, reduced_by)
         sources.append(amb)
         if len(rules) > max_rules:
             rule_capped = True

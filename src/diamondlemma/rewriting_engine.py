@@ -267,7 +267,9 @@ def _rewrites(system, box: list, budget: int, keep=None):
 
 class _Boxed(Element):
     """An element held as a box of one system, which ``_encoded`` copies
-    for that system; its ``terms`` are decoded when first read."""
+    for that system and ``normal_form`` reduces into a box again; its
+    ``terms`` are decoded when first read. It is zero when its box is, and
+    equals and hashes as the ``Element`` of its terms."""
 
     def __init__(self, system, box: list) -> None:
         _set(self, "system", system)
@@ -277,6 +279,14 @@ class _Boxed(Element):
     def terms(self) -> tuple:
         work, den = self.box
         return _decoded(self.system, [dict(work), den]).terms
+
+    def is_zero(self) -> bool:
+        return not self.box[0]
+
+    def __eq__(self, other):
+        return self.terms == other.terms if isinstance(other, Element) else NotImplemented
+
+    __hash__ = Element.__hash__
 
 
 def _encoded(system, element: Element, keep=None) -> list:
@@ -331,10 +341,13 @@ def reduce_once(system, element: Element):
 
 
 def normal_form(system, element: Element, max_steps: int = DEFAULT_STEP_BUDGET) -> Element:
-    """Reduce an element to its persistent normal form."""
+    """Reduce an element to its persistent normal form, which stays a
+    ``_Boxed`` one for a ``_Boxed`` element of the system."""
     box = _encoded(system, element)
     for _ in _rewrites(system, box, max_steps):
         pass
+    if element.__class__ is _Boxed and element.system is system:
+        return _Boxed(system, box)
     return _decoded(system, box)
 
 

@@ -22,8 +22,10 @@ from diamondlemma import (
     RewritingSystem,
     Rule,
     check_confluence,
+    complete,
     critical_ambiguities,
     normal_form,
+    normal_form_with_trail,
     parse_system_file,
     resolve,
     s_polynomial,
@@ -270,6 +272,49 @@ class TestResolve:
             assert (boxed.box[0], boxed.box[1]) == before
             assert boxed.terms == spoly.terms
             assert normal_form(other, _Boxed(s, _s_box(s, amb))) == normal_form(other, spoly)
+
+    def test_boxed_element_is_the_element_of_its_terms(self):
+        """A ``_Boxed`` s-polynomial is zero when its box is, without
+        decoding it, and compares and hashes equal to the ``Element`` of its
+        terms from either side."""
+        rng = random.Random("boxed-element")
+        for th in THEORIES.values():
+            for field, sample in ((RationalField(), COPRIME_FRACTIONS), (PrimeField(7), None)):
+                for order in shipped_orders(th):
+                    for _ in range(4):
+                        s = make_random_system(th, order, rng, field=field, sample=sample)
+                        for amb in critical_ambiguities(s):
+                            spoly = s_polynomial(s, amb)
+                            boxed = _Boxed(s, _s_box(s, amb))
+                            assert boxed.is_zero() == spoly.is_zero()
+                            assert "terms" not in vars(boxed)
+                            assert boxed == spoly and spoly == boxed
+                            assert not (boxed != spoly or spoly != boxed)
+                            assert hash(boxed) == hash(spoly)
+                            assert {spoly: amb}[boxed] is amb
+                            assert boxed != spoly + spoly or spoly.is_zero()
+
+    def test_public_results_are_plain_elements(self):
+        """``_Boxed`` never leaks: normal forms, trails' remainders,
+        certificates and completion reports hold plain ``Element``s."""
+        rng = random.Random("plain-elements")
+        added = 0
+        for th in THEORIES.values():
+            order = [o for o in shipped_orders(th) if o.is_well_founded()][0]
+            for field, sample in ((RationalField(), COPRIME_FRACTIONS), (PrimeField(7), None)):
+                for _ in range(6):
+                    s = make_random_system(th, order, rng, field=field, sample=sample)
+                    for rule in s.rules:
+                        assert type(normal_form(s, rule.lower)) is Element
+                        assert type(normal_form_with_trail(s, rule.lower)[0]) is Element
+                    for amb in critical_ambiguities(s):
+                        assert type(resolve(s, amb).remainder) is Element
+                    report = complete(s, max_degree=6, max_rules=60, max_steps=20_000)
+                    added += len(report.added)
+                    rules = report.system.rules + tuple(new.rule for new in report.added)
+                    for rule in rules + tuple(rule for rule, _ in report.dropped):
+                        assert type(rule) is Rule and type(rule.lower) is Element
+        assert added
 
     def test_unresolvable_pair(self):
         th = CommutativeTheory(("x", "y"))

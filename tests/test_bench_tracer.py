@@ -11,7 +11,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # wrapped names, and checks that the wrappers counted the work, the residue
 # operators included, and that each completion called its theory's
 # ``overlaps``. No lead index calls ``divisions``, so reduction alone does not
-# count it.
+# count it. Completion orients its remainders on residues, so the residue
+# operators are counted on ``orient`` of a GF(7) element.
 _SCRIPT = """
 import sys
 sys.path[:0] = [{bench!r}, {src!r}]
@@ -42,6 +43,10 @@ for text in texts:
         "monomial_theories.overlaps_calls",
     ):
         assert after[name] > before[name], (text, name)
+system = diamondlemma.parse_system_file(texts[1]).system
+diamondlemma.orient(
+    system.order, diamondlemma.parse_expression("3*x*y + z", system.theory, system.field)
+)
 layers = tracer.layer_metrics()
 assert layers["completion.pairs_processed"] > 0, layers
 assert layers["algebra_core.sort_key_calls"] > 0, layers

@@ -15,6 +15,7 @@ from diamondlemma import (
     ConfluenceStatus,
     DiamondError,
     Element,
+    Fp,
     FreeMonoidTheory,
     MonomialOrder,
     NotConfluentSystemError,
@@ -40,6 +41,7 @@ from diamondlemma import (
 )
 from diamondlemma import completion
 from diamondlemma.completion import _interreduce, _Working
+from diamondlemma.rewriting_engine import _decoded, _encoded, _raw_lower
 
 from oracles import (
     COPRIME_FRACTIONS,
@@ -448,7 +450,9 @@ class TestAgainstReference:
                 memo = work.site_memo
                 for k in range(1, len(rules) + 1):
                     if k > 1:
-                        work.append(rules[k - 1])
+                        rule = rules[k - 1]
+                        defining = Element(((rule.lead, Fraction(1)),)) - rule.lower
+                        work.append(_encoded(work, defining))
                     assert work.site_memo is memo
                     fresh = RewritingSystem._of_checked_rules(th, order, tuple(rules[:k]), QQ)
                     for _ in range(4):
@@ -664,13 +668,13 @@ class TestCompletionOnCodes:
             "theory commutative; vars x y z; rule x^3 -> 1/2*y*z; rule y^2 -> 2/3*x"
         ).system
         work = _Working.of(s)
-        new = orient(s.order, parse_expression("y*z - 3/5*x", s.theory, s.field))
-        work.append(new, 2)
+        element = parse_expression("y*z - 3/5*x", s.theory, s.field)
+        work.append(_encoded(work, element), 2)
         _interreduce(work, 100)
         work.decode()
         assert work.rules[1] is s.rules[1]
         assert work.raw_lowers[1] is s.raw_lowers[1]
-        assert work.rules[2] is new
+        assert work.rules[2] == orient(s.order, element)
         assert work.rules[0] == orient(s.order, parse_expression("x^3 - 3/10*x", s.theory, s.field))
         fresh = RewritingSystem(s.theory, s.order, tuple(work.rules), s.field)
         assert work.raw_lowers == list(fresh.raw_lowers)
@@ -682,16 +686,56 @@ class TestCompletionOnCodes:
         sibling is reduced against the sibling's lead."""
         s = parse_system_file("theory commutative; vars x y z; rule x^3 -> y").system
         work = _Working.of(s)
-        first = orient(s.order, parse_expression("y^2 - x", s.theory, s.field))
-        second = orient(s.order, parse_expression("z^3 - y^2 - z", s.theory, s.field))
-        work.append(first, 1)
-        work.append(second, 1)
+        first = parse_expression("y^2 - x", s.theory, s.field)
+        second = parse_expression("z^3 - y^2 - z", s.theory, s.field)
+        work.append(_encoded(work, first), 1)
+        work.append(_encoded(work, second), 1)
         assert work.marks == [0, 2, 1]
         _interreduce(work, 100)
         work.decode()
         assert work.marks == [3, 3, 3]
-        assert work.rules[:2] == [s.rules[0], first]
+        assert work.rules[:2] == [s.rules[0], orient(s.order, first)]
         assert work.rules[2] == orient(s.order, parse_expression("z^3 - x - z", s.theory, s.field))
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF(7)"])
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_append_orients_a_box_as_orient_does(self, name, field):
+        """``append`` orients a box on codes as ``orient`` orients its
+        element: the same lead and, up to pair order, the ``_raw_lower`` of
+        that rule, to which it decodes. The boxes are random elements times
+        a random scalar, so leading numerators are negative, D is not 1 and
+        the numerators share factors."""
+        th = THEORIES[name]
+        rng = random.Random("append-%s-%s" % (name, field.describe()))
+        sample = COPRIME_FRACTIONS if field == QQ else None
+        p = field.characteristic
+        negative = fractional = 0
+        for order in [o for o in shipped_orders(th) if o.is_well_founded()]:
+            for _ in range(20):
+                s = make_random_system(th, order, rng, field=field, sample=sample)
+                work = _Working.of(s)
+                element = random_element(th, order, rng, 4, max_terms=5, field=field, sample=sample)
+                work_codes, den = _encoded(work, element)
+                k = rng.choice([-6, -4, -1, 1, 3, 10])
+                if p:
+                    box = [{m: c * k % p for m, c in work_codes.items()}, 1]
+                else:
+                    box = [{m: c * k for m, c in work_codes.items()}, den * rng.randint(1, 4)]
+                want = orient(order, _decoded(work, [dict(box[0]), box[1]]))
+                work.append(box)
+                index = work.lead_index
+                lower, d = work.raw_lowers[-1]
+                want_lower, want_d = _raw_lower(work, want)
+                assert work.leads[-1] == want.lead
+                assert index.entries[-1] == index.entry(want.lead)
+                assert (dict(lower), d) == (dict(want_lower), want_d)
+                assert len(lower) == len(want_lower)
+                work.decode()
+                assert work.rules[-1] == want
+                lead = index.encode(want.lead)
+                negative += box[0][lead] < 0
+                fractional += box[1] != 1
+        assert negative and fractional if field == QQ else not fractional
 
     def test_interreduction_out_of_budget_names_the_monomial(self):
         s = parse_system_file("theory assoc; vars x y; rule y*x -> x*y; rule y^5 -> y^2*x^2").system
@@ -743,17 +787,27 @@ class TestCompletionOnCodes:
 
 
 class TestLazyDecoding:
-    """A renormalized rule stays encoded while pairs are processed, since
-    s-polynomials are built from the encoded lower parts, and is decoded
-    once, before the drop pass and the report."""
+    """An added or renormalized rule stays encoded while pairs are
+    processed, since s-polynomials are built from the encoded lower parts
+    and remainders are oriented on codes, and is decoded once, before the
+    drop pass and the report."""
 
     @staticmethod
     def watch(monkeypatch) -> dict:
         """Count, from now on, the ``Rule``s completion builds, which are its
-        decodes, the renormalizations, the rules stale when ``decode`` runs
-        and the calls of every theory's ``apply_context``. A rule built
-        outside ``decode`` fails the test."""
-        seen = {"built": 0, "renormalized": 0, "stale": 0, "apply_context": 0}
+        decodes, the renormalizations and the distinct rules they rewrote,
+        the rules stale when ``decode`` runs, the calls of every theory's
+        ``apply_context`` and the field divisions. A rule built outside
+        ``decode`` fails the test."""
+        seen = {
+            "built": 0,
+            "renormalized": 0,
+            "rewritten": 0,
+            "stale": 0,
+            "apply_context": 0,
+            "divided": 0,
+        }
+        rewritten = set()
         decoding = []
         rule, renormalize, decode = completion.Rule, _Working.renormalize, _Working.decode
 
@@ -764,6 +818,9 @@ class TestLazyDecoding:
 
         def tracking_renormalize(work, i, box):
             seen["renormalized"] += 1
+            if (work, i) not in rewritten:
+                rewritten.add((work, i))
+                seen["rewritten"] += 1
             renormalize(work, i, box)
 
         def tracking_decode(work):
@@ -774,10 +831,10 @@ class TestLazyDecoding:
             finally:
                 decoding.pop()
 
-        def counting(apply_context):
+        def counting(name, method):
             def wrapper(*args):
-                seen["apply_context"] += 1
-                return apply_context(*args)
+                seen[name] += 1
+                return method(*args)
 
             return wrapper
 
@@ -785,29 +842,31 @@ class TestLazyDecoding:
         monkeypatch.setattr(_Working, "renormalize", tracking_renormalize)
         monkeypatch.setattr(_Working, "decode", tracking_decode)
         for cls in {type(th) for th in THEORIES.values()}:
-            monkeypatch.setattr(cls, "apply_context", counting(cls.apply_context))
+            monkeypatch.setattr(cls, "apply_context", counting("apply_context", cls.apply_context))
+        for cls in (Fraction, Fp):
+            monkeypatch.setattr(cls, "__truediv__", counting("divided", cls.__truediv__))
         return seen
 
     @pytest.mark.parametrize(
         "name, caps, counts",
         [
-            ("cyclic5_qq.sys", {"max_degree": 14, "max_rules": 500}, (229, 49, 30)),
-            ("katsura5_gf.sys", {"max_degree": 12, "max_rules": 500}, (115, 31, 32)),
+            ("cyclic5_qq.sys", {"max_degree": 14, "max_rules": 500}, (229, 56, 30)),
+            ("katsura5_gf.sys", {"max_degree": 12, "max_rules": 500}, (115, 36, 32)),
         ],
         ids=["cyclic5_qq", "katsura5_gf"],
     )
     def test_benchmark_systems_decode_only_what_is_read(self, name, caps, counts, monkeypatch):
         """On the benchmark's two completions, in their rule order, the rules
-        built are exactly the rules stale when the loop ends, and no
-        ``apply_context`` is called: (renormalized, decoded, final rules) =
-        ``counts``."""
+        built are exactly the rules stale when the loop ends, each added one
+        among them, and no ``apply_context`` is called and no scalar
+        divided: (renormalized, decoded, final rules) = ``counts``."""
         with open(os.path.join(REPO, "bench", "systems", name), encoding="utf-8") as handle:
             s = parse_system_file(handle.read()).system
         seen = self.watch(monkeypatch)
         report = complete(s, **caps)
         assert report.status is CompletionStatus.COMPLETE
         assert seen["built"] == seen["stale"]
-        assert seen["apply_context"] == 0
+        assert seen["apply_context"] == seen["divided"] == 0
         assert (seen["renormalized"], seen["built"], len(report.system.rules)) == counts
         fresh = RewritingSystem(s.theory, s.order, report.system.rules, s.field)
         assert vars(report.system)["raw_lowers"] == fresh.raw_lowers
@@ -817,9 +876,10 @@ class TestLazyDecoding:
     def test_complete_matches_the_reference(self, name, field, monkeypatch):
         """Over fractions with coprime denominators and over GF(7), lazy
         decoding repeats the reference run (the basis, for power products),
-        ``complete`` calls no ``apply_context``, each rule stale when the
-        loop ends is built once, and some renormalized rules are never
-        decoded."""
+        ``complete`` calls no ``apply_context`` and divides no scalar, each
+        rule stale when the loop ends is built once, and some renormalized
+        lower parts are never decoded, as their rule is renormalized
+        again."""
         th = THEORIES[name]
         rng = random.Random("lazy-%s-%s" % (name, field.describe()))
         sample = COPRIME_FRACTIONS if field == QQ else None
@@ -834,9 +894,9 @@ class TestLazyDecoding:
                 for rule in make_random_system(th, order, rng, field=field, sample=sample).rules
             ]
             s = RewritingSystem(th, order, tuple(rules), field)
-            calls = seen["apply_context"]
+            calls, divided = seen["apply_context"], seen["divided"]
             got = complete(s, **caps)
-            assert seen["apply_context"] == calls
+            assert (seen["apply_context"], seen["divided"]) == (calls, divided)
             want = reference_complete(s, **caps)
             assert seen["built"] == seen["stale"]
             if name == "commutative":
@@ -844,7 +904,8 @@ class TestLazyDecoding:
                     assert_same_basis(got, want)
             else:
                 assert_completes_as_reference(got, want)
-        assert 0 < seen["built"] < seen["renormalized"]
+        assert 0 < seen["rewritten"] < seen["renormalized"]
+        assert seen["rewritten"] < seen["built"]
 
 
 class TestIdealMember:
