@@ -394,20 +394,6 @@ class Element(_Value):
 
 
 @functools.lru_cache(maxsize=256)
-def _rank_table(generators: tuple) -> dict:
-    """Rank of every generator, higher meaning greater."""
-    return {name: i for i, name in enumerate(generators)}
-
-
-@functools.lru_cache(maxsize=256)
-def _variable_permutation(letters: tuple, generators: tuple) -> tuple:
-    """Exponent-vector positions of the exponent variables ``letters``, the
-    greatest generator first."""
-    index = {x: i for i, x in enumerate(letters)}
-    return tuple(index[g] for g in reversed(generators) if g in index)
-
-
-@functools.lru_cache(maxsize=256)
 def _weight_table(weights: tuple) -> tuple:
     """(D, {generator: weight * D as an int}) for (generator, weight) pairs,
     D > 0 the common denominator of the weights.
@@ -431,6 +417,13 @@ class OrderError(DiamondError):
     """Raised for invalid order parameters."""
 
 
+@functools.lru_cache(maxsize=256)
+def _order_codec(order: "MonomialOrder"):
+    """The theory's lead index over no leads under the order, one for all
+    equal orders."""
+    return order.theory.lead_index((), order)
+
+
 class MonomialOrder(_Value):
     """Monomial order: a kind, a total order on generators and optional weights.
 
@@ -438,6 +431,10 @@ class MonomialOrder(_Value):
     are required for the weighted kinds and must be positive for
     weighted-deglex; series-deglex accepts arbitrary rational weights but is
     only admissible together with a topology certificate.
+
+    The order is implemented once, by the theory's lead index under it:
+    ``codec`` is that index over no leads, shared by equal orders, and
+    ``sort_key`` reads its codes.
     """
 
     _fields = ("kind", "theory", "generators", "weights")
@@ -458,32 +455,16 @@ class MonomialOrder(_Value):
             raise OrderError("weights are only meaningful for weighted kinds")
         if self.kind is OrderKind.LEX and not self.theory.supports_lex():
             raise OrderError("lex is only well-founded for the commutative theory")
-        # Rank and weight tables for sort keys; no fields, so equality,
-        # hashing and repr ignore them. Orders with the same generators or
-        # weights share them, so they are read, never changed. Sort keys
-        # lead with the sum of the weights scaled to ints.
-        _set(self, "ranks", _rank_table(self.generators))
-        _set(
-            self,
-            "variable_permutation",
-            _variable_permutation(self.theory.exponent_letters, self.generators),
-        )
-        _set(self, "int_weights", _weight_table(self.weights)[1])
+        # No field, so equality, hashing and repr ignore it.
+        _set(self, "codec", _order_codec(self))
 
-    def rank(self, name: str) -> int:
-        """Return the rank of a generator, higher meaning greater."""
-        return self.ranks[name]
-
-    def sort_key(self, monomial) -> tuple:
-        """Total comparison key; all shipped kinds are total orders."""
-        th = self.theory
-        if self.kind is OrderKind.DEGLEX:
-            return (th.degree(monomial), th.rank_encoding(monomial, self))
-        if self.kind is OrderKind.LEX:
-            # Only power products admit lex, where rank_encoding is the lex key.
-            return th.rank_encoding(monomial, self)
-        wsum = th.weight_sum(monomial, self.int_weights)
-        return (wsum, th.degree(monomial), th.rank_encoding(monomial, self))
+    def sort_key(self, monomial):
+        """Total comparison key, ascending with the order: the codec's
+        ``sort_key`` of the monomial's code. A monomial outside the theory
+        raises TheoryMismatchError, and a power product too large for its
+        code DiamondError."""
+        codec = self.codec
+        return codec.sort_key(codec.encode(monomial))
 
     def is_well_founded(self) -> bool:
         """Report whether descending chains are necessarily finite."""

@@ -507,8 +507,8 @@ class _SystemBuilder:
             if len(lead_elem.terms) != 1 or lead_elem.terms[0][1] != self.field.one:
                 raise ParseError("rule lead must be a single monic monomial", line, col)
             rule = Rule(lead_elem.terms[0][0], lower)
-            # The parser built every monomial through the theory, so the
-            # rule needs only the checks that relate its terms.
+            # Checked as it is read, so that a refusal names its line;
+            # ``finish`` builds the system without checking again.
             problem = _rule_problem(self.theory, self.order, self.field, (rule,))
             if problem is not None:
                 raise ParseError(problem[1], line, col)

@@ -45,10 +45,10 @@ class _MagmaIndex(_CodedIndex):
     ``chr`` of its rank, the hole ``chr(len(letters))``, which only contexts
     hold, and a product the node marker ``chr(len(letters) + 1)`` followed
     by the codes of both factors. The marker ranks above every letter, so
-    codes of equal length, that is of trees of equal degree, compare as rank
-    encodings do; it weighs 0. Polish codes are prefix-free, so each
-    occurrence of a lead's code is a subtree, the leftmost the first in
-    preorder."""
+    codes of equal length, that is of trees of equal degree, compare leaf
+    before product and then factor by factor, as the order does; it weighs
+    0. Polish codes are prefix-free, so each occurrence of a lead's code is
+    a subtree, the leftmost the first in preorder."""
 
     __slots__ = ()
 
@@ -107,16 +107,6 @@ class FreeMagmaTheory(Theory):
 
     def degree(self, m) -> int:
         return _tree_leaves(m)
-
-    def weight_sum(self, m, weights: dict) -> int:
-        if isinstance(m, str):
-            return weights[m]
-        return self.weight_sum(m[0], weights) + self.weight_sum(m[1], weights)
-
-    def rank_encoding(self, m, order) -> tuple:
-        if isinstance(m, str):
-            return (0, order.rank(m))
-        return (1, self.rank_encoding(m[0], order), self.rank_encoding(m[1], order))
 
     def serialize(self, m) -> str:
         if isinstance(m, str):

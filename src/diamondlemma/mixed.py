@@ -44,10 +44,11 @@ def _mixed_weigher(central: tuple, unpack, codes: dict, weights: dict):
 
 @functools.lru_cache(maxsize=256)
 def _mixed_codes(theory, kind: OrderKind, generators: tuple, weights: tuple) -> tuple:
-    """(pack, unpack, guard, codes, names, apply, descending key) of the
-    mixed codes of the theory under the order of that kind, generators and
-    weights, one per order: ``codes`` gives each word letter ``chr`` of its
-    rank among them, and ``names`` the letter of each character."""
+    """(pack, unpack, guard, codes, names, apply, sort key, descending key)
+    of the mixed codes of the theory under the order of that kind,
+    generators and weights, one per order: ``codes`` gives each word letter
+    ``chr`` of its rank among them, and ``names`` the letter of each
+    character."""
     central = theory.commutative_letters
     pack, unpack, guard = _packing(OrderKind.DEGLEX, central, generators, ())
     letters = tuple(x for x in generators if x in theory.letter_set)
@@ -70,15 +71,22 @@ def _mixed_codes(theory, kind: OrderKind, generators: tuple, weights: tuple) -> 
             )
         return c, left + code[1] + right
 
-    # The fields of ``sort_key``, negated; central codes of equal degree
-    # compare as their exponents do in the order.
+    # The degree, word length, word and central code, led by the weight sum
+    # under the weighted kinds; central codes of equal degree compare as
+    # their exponents do in the order. ``key`` negates each field.
+    def sort_key(code):
+        c, w = code
+        n = len(w)
+        fields = (c >> top) + n, n, w, c
+        return fields if weight is None else (-weight(code),) + fields
+
     def key(code):
         c, w = code
         n = len(w)
         fields = -(c >> top) - n, -n, w.translate(mirror), -c
         return fields if weight is None else (weight(code),) + fields
 
-    return pack, unpack, guard, codes, names, apply, key
+    return pack, unpack, guard, codes, names, apply, sort_key, key
 
 
 class _MixedIndex(LeadIndex):
@@ -94,14 +102,14 @@ class _MixedIndex(LeadIndex):
 
     def __init__(self, theory, leads, order) -> None:
         codes = _mixed_codes(theory, order.kind, order.generators, order.weights)
-        self.pack, self.unpack, self.guard, self.codes, self.names, self.apply, key = codes
-        super().__init__(theory, leads, key)
+        self.pack, self.unpack, self.guard, self.codes, self.names, self.apply, *keys = codes
+        super().__init__(theory, leads, *keys)
 
     def encode(self, m) -> tuple:
         try:
             exps, word = m
             c = self.pack(exps)
-            if c is not None and isinstance(word, tuple):
+            if c is not None and isinstance(word, tuple) and isinstance(m, tuple):
                 return c, _word_code(self.codes, word)
         except (KeyError, TypeError, ValueError):  # no pair, or a letter without a code
             pass
@@ -165,10 +173,6 @@ class MixedTheory(Theory):
     def generator_names(self) -> tuple:
         return self.commutative_letters + self.word_letters
 
-    @property
-    def exponent_letters(self) -> tuple:
-        return self.commutative_letters
-
     def monomial_named(self, name: str):
         if name in self.commutative_letters:
             return self.monomial(**{name: 1})
@@ -206,18 +210,6 @@ class MixedTheory(Theory):
 
     def degree(self, m) -> int:
         return sum(m[0]) + len(m[1])
-
-    def weight_sum(self, m, weights: dict) -> int:
-        exps, word = m
-        get = weights.__getitem__
-        return sum(map(operator.mul, map(get, self.commutative_letters), exps)) + sum(
-            map(get, word)
-        )
-
-    def rank_encoding(self, m, order) -> tuple:
-        exps, word = m
-        comm = tuple(map(exps.__getitem__, order.variable_permutation))
-        return (len(word), tuple(map(order.ranks.__getitem__, word)), comm)
 
     def serialize(self, m) -> str:
         exps, word = m

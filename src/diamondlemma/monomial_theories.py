@@ -22,7 +22,6 @@ from .algebra_core import (
     OrderKind,
     TheoryMismatchError,
     _Value,
-    _variable_permutation,
     _weight_table,
 )
 
@@ -130,13 +129,16 @@ class LeadIndex:
     decodes the context of a site of ``code``, and ``encode_context(ctx)``
     is its inverse on the contexts of ``Theory.overlaps``. ``apply(code,
     ctx)`` builds an image; at a rule's site each code of its lower part
-    has one, as rules are uniform. ``descending_key``, set once on
-    construction, maps codes to values that compare natively (ints, strs
-    and tuples of them) and in the reverse of the order's ``sort_key``, so
-    that a plain ``heapq`` of (key, code) pairs pops the greatest monomial
-    first.
+    has one, as rules are uniform.
+    The index is the one implementation of its order. ``sort_key`` and
+    ``descending_key``, set once on construction, map codes to values that
+    compare natively (ints, strs and tuples of them): ``sort_key`` as the
+    order compares the monomials, which is ``MonomialOrder.sort_key``, and
+    ``descending_key`` in the reverse, so that a plain ``heapq`` of (key,
+    code) pairs pops the greatest monomial first.
     ``first_site(m)`` is ``site(encode(m))`` with its context decoded, and
-    ``weigher(weights)`` sums weights over a code.
+    ``weigher(weights)`` sums weights, by generator name, over a code,
+    which is ``WeightData.exponent``.
 
     Leads are only appended, so a site found stays the site, and a scan
     that found none resumes at the first lead added since; a scan from 0,
@@ -145,10 +147,11 @@ class LeadIndex:
     The views made by ``copy`` and ``without`` share every other slot.
     """
 
-    __slots__ = ("theory", "descending_key", "entries")
+    __slots__ = ("theory", "sort_key", "descending_key", "entries")
 
-    def __init__(self, theory, leads, descending_key) -> None:
+    def __init__(self, theory, leads, sort_key, descending_key) -> None:
         self.theory = theory
+        self.sort_key = sort_key
         self.descending_key = descending_key
         self.entries = list(map(self.entry, leads))
 
@@ -175,6 +178,14 @@ class LeadIndex:
         code = self.encode(m)
         found = self.site(code)
         return found and (found[0], self.decode_context(found[1], code))
+
+
+@functools.lru_cache(maxsize=256)
+def _variable_permutation(letters: tuple, generators: tuple) -> tuple:
+    """Exponent-vector positions of the exponent variables ``letters``, the
+    greatest generator first."""
+    index = {x: i for i, x in enumerate(letters)}
+    return tuple(index[g] for g in reversed(generators) if g in index)
 
 
 # A packed code is one ``int`` of fields of _FIELD_BITS bits each.
@@ -257,23 +268,36 @@ def _code_weigher(codes: dict, weights: dict):
 
 
 @functools.lru_cache(maxsize=256)
-def _coded_key(generators: tuple, weights: tuple, vertices: tuple = ()):
-    """The descending key on codes under the order with these generators
-    and weights, one per order: ``(-len(code), mirrored code)``, led by the
-    negated weight sum under the weighted kinds. Path codes hold the
+def _coded_key(generators: tuple, weights: tuple, vertices: tuple = ()) -> tuple:
+    """(sort key, descending key) on codes under the order with these
+    generators and weights, one per order: ``(len(code), code)`` and
+    ``(-len(code), mirrored code)``, each led by the weight sum, negated in
+    the descending key, under the weighted kinds. Path codes hold the
     ``vertices`` past the arrows; arrows fix the vertices between them, so
-    a path's code past its source vertex is mirrored, or that vertex alone
-    for a path without arrows."""
+    both keys read a path's code past its source vertex, or that vertex
+    alone for a path without arrows."""
     mirror = _mirror(generators + vertices)
     if not weights:
         if vertices:
-            return lambda code: (-len(code), (code[1:] or code).translate(mirror))
-        return lambda code: (-len(code), code.translate(mirror))
+            return (
+                lambda code: (len(code), code[1:] or code),
+                lambda code: (-len(code), (code[1:] or code).translate(mirror)),
+            )
+        return (
+            lambda code: (len(code), code),
+            lambda code: (-len(code), code.translate(mirror)),
+        )
     negated = {x: -w for x, w in _weight_table(weights)[1].items()}
     weight = _code_weigher(_letter_codes(generators), negated)
     if vertices:
-        return lambda code: (weight(code), -len(code), (code[1:] or code).translate(mirror))
-    return lambda code: (weight(code), -len(code), code.translate(mirror))
+        return (
+            lambda code: (-weight(code), len(code), code[1:] or code),
+            lambda code: (weight(code), -len(code), (code[1:] or code).translate(mirror)),
+        )
+    return (
+        lambda code: (-weight(code), len(code), code),
+        lambda code: (weight(code), -len(code), code.translate(mirror)),
+    )
 
 
 class _CodedIndex(LeadIndex):
@@ -281,11 +305,12 @@ class _CodedIndex(LeadIndex):
     subclass gives with ``code_of(m)`` (None, KeyError, TypeError or
     ValueError for no monomial of the theory) and ``decode``: a letter is
     ``chr`` of its rank, its position in ``letters``, and the ``vertices``
-    of path codes follow. Codes of equal length compare as rank encodings
-    do, so ``(len(code), code)`` sorts as deglex, and the weighted kinds
-    lead it with the weight sum. The leftmost ``str.find`` hit of a lead's
-    code gives the first context of ``divisions``, a (left, right) pair of
-    codes, and an image is ``code.join(ctx)``."""
+    of path codes follow. Codes of equal length compare as the order
+    compares their monomials, so ``(len(code), code)`` sorts as deglex, and
+    the weighted kinds lead it with the weight sum. The leftmost
+    ``str.find`` hit of a lead's code gives the first context of
+    ``divisions``, a (left, right) pair of codes, and an image is
+    ``code.join(ctx)``."""
 
     __slots__ = ("letters", "codes")
 
@@ -293,8 +318,7 @@ class _CodedIndex(LeadIndex):
         self.letters = order.generators
         self.codes = _letter_codes(self.letters)
         # Words and trees admit no lex order, so only deglex has no weights.
-        key = _coded_key(self.letters, order.weights, vertices)
-        super().__init__(theory, leads, key)
+        super().__init__(theory, leads, *_coded_key(self.letters, order.weights, vertices))
 
     def encode(self, m) -> str:
         try:
@@ -344,6 +368,9 @@ class Theory(_Value):
     the other, None for an overlap. A lead paired with itself lists its
     identity inclusion too. A theory refuses a name that its
     ``expression_names`` list twice, which codes would alias.
+
+    A theory holds no order: its ``lead_index`` under an order is the codec
+    whose keys and weigher every monomial order and weight sum read.
     """
 
     keyword = ""
@@ -352,8 +379,6 @@ class Theory(_Value):
     # divisible by no lead ("divisor").
     irr_semantics = "factor"
     associative = True
-    # Generators that are positions of an exponent vector, in vector order.
-    exponent_letters = ()
 
     def __init__(self, *values, **named) -> None:
         _Value.__init__(self, *values, **named)

@@ -36,7 +36,7 @@ class _PathIndex(_CodedIndex):
         code = vertex[src] + "".join(map(self.into.__getitem__, names))
         # A path when each arrow leaves the vertex before it, the last entering tgt.
         fits = code == "".join(map(self.out_of.__getitem__, names)) + vertex[tgt]
-        return code if fits and isinstance(names, tuple) else None
+        return code if fits and isinstance(names, tuple) and isinstance(m, tuple) else None
 
     def decode(self, code: str) -> tuple:
         name = self.names.__getitem__
@@ -134,13 +134,6 @@ class PathAlgebraTheory(Theory):
 
     def degree(self, m) -> int:
         return len(m[2])
-
-    def weight_sum(self, m, weights: dict) -> int:
-        return sum(map(weights.__getitem__, m[2]))
-
-    def rank_encoding(self, m, order) -> tuple:
-        vertex = self.vertices.index
-        return tuple(map(order.ranks.__getitem__, m[2])), vertex(m[0]), vertex(m[1])
 
     def serialize(self, m) -> str:
         return "*".join(m[2]) or "e%s" % m[0]

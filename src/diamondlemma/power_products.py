@@ -24,11 +24,13 @@ from .monomial_theories import (
 
 @functools.lru_cache(maxsize=256)
 def _power_codes(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple) -> tuple:
-    """(pack, decode, guard, apply, descending key) of the power-product
-    codes, the kernel's packed codes, under the order of that kind,
-    generators and weights; one per order."""
+    """(pack, decode, guard, apply, sort key, descending key) of the
+    power-product codes, the kernel's packed codes, under the order of that
+    kind, generators and weights; one per order. Codes compare as the order
+    does, but under series orders, which lead both keys with the weight
+    sum, negated in the descending key."""
     pack, decode, guard = _packing(kind, letters, generators, weights)
-    apply, key = operator.add, operator.neg
+    apply, sort_key, key = operator.add, operator.pos, operator.neg
     if kind is OrderKind.LEX or kind is OrderKind.SERIES_DEGLEX:
         # Only under these kinds can an image outgrow the input.
         serialize = CommutativeTheory(letters).serialize
@@ -44,26 +46,28 @@ def _power_codes(kind: OrderKind, letters: tuple, generators: tuple, weights: tu
 
     if kind is OrderKind.SERIES_DEGLEX:
         negated = tuple(-_weight_table(weights)[1][x] for x in letters)
+        sort_key = lambda code: (-sum(map(operator.mul, negated, decode(code))), code)
         key = lambda code: (sum(map(operator.mul, negated, decode(code))), -code)
-    return pack, decode, guard, apply, key
+    return pack, decode, guard, apply, sort_key, key
 
 
 class _PackedIndex(LeadIndex):
     """Lead index for power products, which reduce as the kernel's packed
-    codes: the descending key is ``-code``, led by the negated weight sum
-    under series orders. A lead divides a code exactly when ``code - lead``
-    sets no guard bit, and that difference is the encoded context, so an
-    image is ``code + context``. A monomial whose degree, weight sum or
-    exponent reaches 2^31 raises DiamondError on entry. No image can grow
-    past its input under deglex and weighted-deglex; under lex and series
-    orders an image that does raises DiamondError too."""
+    codes: the sort key is the code and the descending key ``-code``, led
+    by the weight sum and its negation under series orders. A lead divides
+    a code exactly when ``code - lead`` sets no guard bit, and that
+    difference is the encoded context, so an image is ``code + context``.
+    A monomial whose degree, weight sum or exponent reaches 2^31 raises
+    DiamondError on entry. No image can grow past its input under deglex
+    and weighted-deglex; under lex and series orders an image that does
+    raises DiamondError too."""
 
     __slots__ = ("pack", "decode", "guard", "apply")
 
     def __init__(self, theory, leads, order) -> None:
         codes = _power_codes(order.kind, theory.letters, order.generators, order.weights)
-        self.pack, self.decode, self.guard, self.apply, key = codes
-        super().__init__(theory, leads, key)
+        self.pack, self.decode, self.guard, self.apply, sort_key, key = codes
+        super().__init__(theory, leads, sort_key, key)
 
     def encode(self, m) -> int:
         code = self.pack(m)
@@ -105,10 +109,6 @@ class CommutativeTheory(Theory):
     def describe(self) -> str:
         return "commutative(%s)" % ",".join(self.letters)
 
-    @property
-    def exponent_letters(self) -> tuple:
-        return self.letters
-
     def monomial_named(self, name: str):
         return self.monomial(**{name: 1}) if name in self.letters else None
 
@@ -139,12 +139,6 @@ class CommutativeTheory(Theory):
 
     def degree(self, m) -> int:
         return sum(m)
-
-    def weight_sum(self, m, weights: dict) -> int:
-        return sum(map(operator.mul, map(weights.__getitem__, self.letters), m))
-
-    def rank_encoding(self, m, order) -> tuple:
-        return tuple(map(m.__getitem__, order.variable_permutation))
 
     def serialize(self, m) -> str:
         return _power_string(zip(self.letters, m))

@@ -7,6 +7,7 @@ from fractions import Fraction
 from .algebra_core import (
     DiamondError,
     Element,
+    MonomialOrder,
     OrderKind,
     TheoryMismatchError,
     _set,
@@ -22,7 +23,8 @@ class WeightData(_Value):
     A monomial of weight sum w has norm 2^w, so negative weights shrink
     high powers; an element's norm is the maximum over its support. Weight
     sums are computed on the weights times their common denominator
-    ``weight_denominator``, as ints.
+    ``weight_denominator``, as ints, by the ``weigher`` of the theory's
+    codec under deglex over the declared generators, on codes.
     """
 
     _fields = ("theory", "weights")
@@ -37,11 +39,14 @@ class WeightData(_Value):
         _Value.__init__(self, theory, converted)
         _set(self, "weight_denominator", den)
         _set(self, "int_weights", ints)
+        codec = MonomialOrder(OrderKind.DEGLEX, theory, tuple(theory.generator_names())).codec
+        _set(self, "codec", codec)
+        _set(self, "weigh", codec.weigher(ints))
 
     def exponent(self, monomial) -> Fraction:
-        """Weight sum of a monomial, i.e. the base-2 logarithm of its norm."""
-        scaled = self.theory.weight_sum(monomial, self.int_weights)
-        return Fraction(scaled, self.weight_denominator)
+        """Weight sum of a monomial, i.e. the base-2 logarithm of its norm;
+        one outside the theory raises TheoryMismatchError."""
+        return Fraction(self.weigh(self.codec.encode(monomial)), self.weight_denominator)
 
 
 def norm(element: Element, weight_data: WeightData):

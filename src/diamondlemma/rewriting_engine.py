@@ -59,7 +59,7 @@ class RewritingSystem(_Value):
         th, order, field = self.theory, self.order, self.field
         if order.theory != th:
             raise RuleError("order does not belong to the system's theory")
-        problem = _rule_problem(th, order, field, self.rules, th.check_monomial)
+        problem = _rule_problem(th, order, field, self.rules)
         if problem is not None:
             raise RuleError("rule %d: %s" % problem)
 
@@ -115,25 +115,24 @@ def _raw_lower(system, rule: Rule) -> tuple:
     return tuple(codes.items()), d
 
 
-def _rule_problem(theory, order: MonomialOrder, field, rules, check=None):
+def _rule_problem(theory, order: MonomialOrder, field, rules):
     """(index, what makes it unfit) of the first of the rules that does not
     fit a system under the order and field, or None: a coefficient outside
     the field, a lower-part monomial not below the lead or one of another
-    uniform class. ``check``, when given, is called on each monomial of a
-    rule first; without it the monomials must belong to the theory."""
+    uniform class. Each monomial is keyed, lead first and each lower one
+    before its coefficient is read, and the key's code is the membership
+    check: one outside the theory raises TheoryMismatchError, and a power
+    product too large for its code DiamondError."""
     for i, rule in enumerate(rules):
         lead = rule.lead
-        if check is not None:
-            check(lead)
-        lead_key = order.sort_key(lead) if rule.lower.terms else None
+        lead_key = order.sort_key(lead)
         for m, c in rule.lower.terms:
-            if check is not None:
-                check(m)
+            key = order.sort_key(m)
             if not field.contains(c):
                 return i, "coefficient %s of %s is not in the field %s" % (
                     c, theory.serialize(m), field.describe()
                 )
-            if not order.sort_key(m) < lead_key:
+            if not key < lead_key:
                 return i, "lower-part monomial %s is not below the lead %s" % (
                     theory.serialize(m), theory.serialize(lead)
                 )
@@ -310,7 +309,10 @@ def _encoded(system, element: Element, keep=None) -> list:
 
 
 def _decoded(system, box: list) -> Element:
-    """The element of a box: its decoded terms, divided by D."""
+    """The element of a box: its decoded terms, divided by D. The field's
+    ``from_raw`` converts the box's values in place, so a box read again
+    afterwards holds field values, not raw ones; ``_Boxed.terms`` decodes a
+    copy for that reason."""
     decode = system.lead_index.decode
     work, den = box
     return Element.from_dict({decode(m): c for m, c in system.field.from_raw(work, den).items()})

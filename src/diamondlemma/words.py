@@ -70,12 +70,6 @@ class FreeMonoidTheory(Theory):
     def degree(self, m) -> int:
         return len(m)
 
-    def weight_sum(self, m, weights: dict) -> int:
-        return sum(map(weights.__getitem__, m))
-
-    def rank_encoding(self, m, order) -> tuple:
-        return tuple(map(order.ranks.__getitem__, m))
-
     def serialize(self, m) -> str:
         return _power_string(_runs(m))
 

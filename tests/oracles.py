@@ -973,6 +973,18 @@ def reference_rank_encoding(theory, order, m) -> tuple:
     return tuple(rank(x) for x in m)
 
 
+def reference_sort_key(theory, order, m) -> tuple:
+    """The order's comparison key as first written: the rank encoding under
+    lex, otherwise the degree and the rank encoding, led by the ``Fraction``
+    weight sum under the weighted kinds."""
+    if order.kind is OrderKind.LEX:
+        return reference_rank_encoding(theory, order, m)
+    key = (theory.degree(m), reference_rank_encoding(theory, order, m))
+    if order.kind is OrderKind.DEGLEX:
+        return key
+    return (reference_weight_sum(theory, order.weights, m),) + key
+
+
 def reference_path_divisions(theory, mu, nu) -> list:
     """Contexts placing path nu inside path mu, checking every vertex."""
     src, tgt, names = mu

@@ -40,6 +40,7 @@ from diamondlemma import (
     ideal_member,
     irr_description,
     is_irreducible_monomial,
+    norm,
     normal_form,
     normal_form_with_trail,
     orient,
@@ -63,7 +64,7 @@ from oracles import (
     make_random_system,
     random_element,
     random_strategy_normal_form,
-    reference_rank_encoding,
+    reference_sort_key,
     reference_reduce,
     reference_reduce_once,
     shipped_orders,
@@ -222,6 +223,18 @@ def foreign_monomial_cases():
     ]
 
 
+# Monomials outside each theory of oracles.THEORIES: unknown letters and
+# vertices, a negative or float exponent, a vector of the wrong length,
+# arrows that do not compose, a hole, and lists in place of tuples.
+FOREIGN_MONOMIALS = {
+    "assoc": [("z",), ("x", None), ["x", "y"]],
+    "commutative": [(1, -2, 0), (1, 2, 3, 4), (1, 2), (1.0, 0, 0), [1, 0, 0]],
+    "mixed": [((0,), ("z",)), ((-1,), ("x",)), ((0, 0), ()), [(0,), ("x",)], ((0,), ["x"])],
+    "magma": ["z", ("x", None), ("x", "y", "x"), ["x", "y"]],
+    "path": [("2", "1", ("a",)), ("1", "3", ()), ["1", "2", ("a",)], ("1", "2", ["a"])],
+}
+
+
 class TestForeignMonomials:
     """A monomial with a letter the order does not rank is named in a
     TheoryMismatchError, not lost in a KeyError from the order key."""
@@ -241,6 +254,25 @@ class TestForeignMonomials:
         system, m = foreign_monomial_cases()[0]
         with pytest.raises(TheoryMismatchError, match="'z'"):
             normal_form(system, elem((("x", "y"), 2), (m, 1), (("y", "x"), 3)))
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_order_and_norm_name_the_monomial(self, name):
+        """Every order key and weight sum reads the monomial's code, so one
+        outside the theory is refused, never ranked or weighed."""
+        th = THEORIES[name]
+        wd = WeightData(th, tuple((g, Fraction(1)) for g in th.generator_names()))
+        for m in FOREIGN_MONOMIALS[name]:
+            single = Element(((m, Fraction(1)),))
+            checks = [lambda: wd.exponent(m), lambda: norm(single, wd)]
+            for order in shipped_orders(th):
+                checks += [lambda o=order: o.sort_key(m), lambda o=order: orient(o, single)]
+            for check in checks:
+                with pytest.raises(TheoryMismatchError) as info:
+                    check()
+                assert str(info.value) == "monomial %r does not belong to %s" % (
+                    m,
+                    th.describe(),
+                )
 
 
 def wrong_length_reducers(th, gens, lead, lower, weights=None) -> dict:
@@ -398,9 +430,9 @@ class TestPackedCodeLimits:
         assert normal_form(system, power((CAP - 3, 1))) == power((CAP - 3, 1))
 
     def test_a_lead_that_does_not_fit(self):
-        system = power_system(OrderKind.DEGLEX, (CAP, 0), (0, 1))
+        # The rule check keys the lead on its code, so the system is refused.
         with pytest.raises(DiamondError, match=r"does not fit"):
-            normal_form(system, power((1, 0)))
+            power_system(OrderKind.DEGLEX, (CAP, 0), (0, 1))
 
     def test_a_superposition_that_does_not_fit(self):
         """Leads that fit can meet in a superposition that does not, and an
@@ -737,17 +769,6 @@ class TestReferenceStrategy:
             assert len(keys) == len(monomials), order.kind
 
     @pytest.mark.parametrize("name", sorted(THEORIES))
-    def test_rank_encoding_matches_reference(self, name):
-        th = THEORIES[name]
-        monomials = [m for d in range(5) for m in th.monomials_of_degree(d)]
-        for order in shipped_orders(th):
-            for m in monomials:
-                assert th.rank_encoding(m, order) == reference_rank_encoding(th, order, m)
-            # The order's rank tables are no fields.
-            assert not set(type(order)._fields) & {"ranks", "variable_permutation"}
-            assert "ranks" not in repr(order)
-
-    @pytest.mark.parametrize("name", sorted(THEORIES))
     def test_normal_form_trail_and_budget(self, name):
         th = THEORIES[name]
         check_normal_forms(th, shipped_orders(th), QQ, random.Random("reference-" + name))
@@ -875,15 +896,19 @@ SQUARES = {
     "magma": "xxyy",
     "path": "ccabab",
     "mixed-names": ("t", "t", "xx", "x", "x", "xx", "y", "y"),
+    "mixed-central": "ssttxxyy",
     "path-names": ("aa", "a", "a", "aa", "b", "c"),
 }
-# The shipped theories, and words over letter names that run together when
-# joined, so that ("x", "x") and ("xx",) must stay apart.
+# The shipped theories, words over letter names that run together when
+# joined, so that ("x", "x") and ("xx",) must stay apart, and mixed
+# monomials with two central variables, whose central codes of equal degree
+# differ.
 INDEX_THEORIES = dict(
     THEORIES,
     **{
         "assoc-names": FreeMonoidTheory(("x", "xx", "y")),
         "mixed-names": MixedTheory(("t",), ("x", "xx", "y")),
+        "mixed-central": MixedTheory(("s", "t"), ("x", "y")),
         "path-names": PathAlgebraTheory(
             ("1", "2"), (("a", "1", "1"), ("aa", "1", "1"), ("b", "1", "2"), ("c", "2", "1"))
         ),
@@ -931,6 +956,21 @@ def natively_comparable(key) -> bool:
 
 class TestLeadIndex:
     """Each theory's lead index against the scan of ``divisions`` in oracles."""
+
+    @pytest.mark.parametrize("name", sorted(INDEX_THEORIES))
+    def test_sort_key_matches_reference(self, name):
+        """The order on codes sorts every monomial up to degree 4 as the
+        oracle's key does, under rankings and weights of every kind."""
+        th = INDEX_THEORIES[name]
+        monomials = [m for d in range(5) for m in th.monomials_of_degree(d)]
+        for order in packed_orders(th) if th.supports_lex() else codec_orders(th):
+            want = sorted(monomials, key=lambda m: reference_sort_key(th, order, m))
+            assert sorted(monomials, key=order.sort_key) == want, order
+            # The order's codec is no field, and equal orders share it.
+            assert "codec" not in type(order)._fields
+            assert "Index" not in repr(order)
+            twin = MonomialOrder(order.kind, th, order.generators, order.weights)
+            assert twin.codec is order.codec
 
     @pytest.mark.parametrize("name", sorted(INDEX_THEORIES))
     def test_first_site_matches_reference(self, name):
