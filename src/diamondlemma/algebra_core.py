@@ -417,11 +417,29 @@ class OrderError(DiamondError):
     """Raised for invalid order parameters."""
 
 
-@functools.lru_cache(maxsize=256)
+def _memo(table: dict, key, build):
+    """table[key], stored from build() on a miss. Keys are plain values,
+    which hash in C where a _Value hashes in Python; the table keeps at most
+    256 entries, dropping the oldest first."""
+    value = table.get(key)
+    if value is None:
+        if len(table) == 256:
+            del table[next(iter(table))]
+        value = table[key] = build()
+    return value
+
+
+# Codecs by the kind's value, the theory's class and fields, the generators
+# and the weights: one for all equal orders.
+_CODECS: dict = {}
+
+
 def _order_codec(order: "MonomialOrder"):
     """The theory's lead index over no leads under the order, one for all
     equal orders."""
-    return order.theory.lead_index((), order)
+    theory = order.theory
+    key = (order.kind._value_, type(theory), theory._values(theory), order.generators, order.weights)
+    return _memo(_CODECS, key, lambda: theory.lead_index((), order))
 
 
 class MonomialOrder(_Value):

@@ -8,7 +8,6 @@ loads no more of the package than its subcommand needs.
 from __future__ import annotations
 
 import argparse
-import functools
 import re
 import sys
 from fractions import Fraction
@@ -50,36 +49,13 @@ class ParseError(DiamondError):
         self.col = col
 
 
-_TOKEN = re.compile(r"(\d+)|(\w+)|([-+*^()/])|(\S)")
-_KINDS = (None, "num", "name", None, "bad")
+_TOKEN = re.compile(r"\d+|\w+|[-+*^()/]|\S")
 # Text that may hold an unexpected character: one that starts no token, or,
 # outside ASCII, a numeral such as '²' where \w would start a name.
 _SUSPECT = re.compile(r"[^\w\s+\-*^()/]|[^\x00-\x7f]")
 
-
-def _tokenize(text: str, line: int, col0: int) -> list:
-    """Split an expression into (kind, text, column) tuples, the kind of an
-    operator being the operator, and end the list with ("end", "", column
-    after the text); columns are 1-based within the line.
-
-    A number is a run of decimal digits, what ``int`` reads; a name is a
-    letter or ``_`` followed by letters, digits and ``_``. Whitespace
-    separates tokens and any other character is an error.
-    """
-    tokens = [
-        (_KINDS[m.lastindex] or m.group(), m.group(), col0 + m.start())
-        for m in _TOKEN.finditer(text)
-    ]
-    if _SUSPECT.search(text):
-        for kind, tok, col in tokens:
-            if kind == "bad" or kind == "name" and not (tok[0].isalpha() or tok[0] == "_"):
-                raise ParseError("unexpected character %r" % tok[0], line, col)
-    tokens.append(("end", "", col0 + len(text)))
-    return tokens
-
-
-# Each parenthesis level costs the recursive-descent parser four Python
-# frames, and magma trees as deep as the nesting recurse in the theory code.
+# Each parenthesis level costs the parser one Python frame, and magma trees
+# as deep as the nesting recurse in the theory code.
 MAX_NESTING = 100
 # Powers and products expand term by term, so an exponent above MAX_EXPONENT,
 # a power or product with a monomial of degree above MAX_EXPONENT, or a
@@ -89,219 +65,252 @@ MAX_EXPONENT = 1000
 MAX_PRODUCT_TERMS = 10_000
 
 
-@functools.lru_cache(maxsize=256)
-def _named_monomials(theory) -> dict:
-    """Memo of ``theory.monomial_named`` for the known names parsed so far;
-    equal theories name equal monomials, so it is shared per theory."""
-    return {}
+class _Fail(Exception):
+    """A parse error at a token index, which ``parse_expression`` turns into
+    a ParseError at that token's column; the end of the text has the index
+    of the token list's last entry, a blank."""
 
 
-class _ExprParser:
-    """Recursive-descent parser for linear combinations of monomials.
+def _int(tok: str, k: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        # More digits than sys.get_int_max_str_digits() allows.
+        raise _Fail("number of %d digits is too long" % len(tok), k)
 
-    A value is ("scalar", c) or ("elem", {monomial: c}), with no zero in a
-    dict: c is an int residue over GF(p), and over QQ an int or, for a
-    rational that is no integer, its ``Fraction``; ``parse`` builds the one
-    ``Element`` of the expression. Taking the "end" token is always
-    followed by an error, so the parser never reads past it.
-    """
 
-    def __init__(self, tokens: list, theory, field, line: int) -> None:
-        self.toks = tokens
-        self.pos = 0
-        self.depth = 0
-        self.theory = theory
-        self.field = field
-        self.p = field.characteristic
-        self.names = _named_monomials(theory)
-        self.line = line
+def _one(theory, end: int):
+    try:
+        return theory.one()
+    except DiamondError:
+        raise _Fail("a bare scalar is not an element of this theory", end)
 
-    def _take(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
 
-    def _fail(self, message: str, tok=None):
-        raise ParseError(message, self.line, (tok or self.toks[-1])[2])
+def _multiply(a: dict, b: dict, star: int, theory, p: int) -> dict:
+    pairs = len(a) * len(b)
+    if pairs > MAX_PRODUCT_TERMS:
+        raise _Fail("product of %d term pairs exceeds %d" % (pairs, MAX_PRODUCT_TERMS), star)
+    degree = max(map(theory.degree, a), default=0) + max(map(theory.degree, b), default=0)
+    if degree > MAX_EXPONENT:
+        raise _Fail("result of degree %d exceeds %d" % (degree, MAX_EXPONENT), star)
+    multiply = theory.multiply
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = multiply(m1, m2)
+            if m is not None:
+                _accumulate(out, m, c1 * c2, p)
+    return out
 
-    def _int(self, tok) -> int:
-        try:
-            return int(tok[1])
-        except ValueError:
-            # More digits than sys.get_int_max_str_digits() allows.
-            self._fail("number of %d digits is too long" % len(tok[1]), tok)
 
-    def _top_degree(self, coeffs: dict) -> int:
-        return max(map(self.theory.degree, coeffs), default=0)
-
-    def _check_degree(self, degree: int, tok) -> None:
-        if degree > MAX_EXPONENT:
-            self._fail("result of degree %d exceeds %d" % (degree, MAX_EXPONENT), tok)
-
-    def _multiply(self, a: dict, b: dict, tok) -> dict:
-        pairs = len(a) * len(b)
-        if pairs > MAX_PRODUCT_TERMS:
-            self._fail("product of %d term pairs exceeds %d" % (pairs, MAX_PRODUCT_TERMS), tok)
-        self._check_degree(self._top_degree(a) + self._top_degree(b), tok)
-        multiply, p = self.theory.multiply, self.p
-        out: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = multiply(m1, m2)
-                if m is not None:
-                    _accumulate(out, m, c1 * c2, p)
-        return out
-
-    def parse(self) -> Element:
-        if len(self.toks) == 1:
-            self._fail("empty expression")
-        value = self._expr()
-        tok = self.toks[self.pos]
-        if tok[0] != "end":
-            self._fail("unexpected %r" % tok[1], tok)
-        return Element.from_dict(self.field.from_raw(self._to_dict(value)))
-
-    def _to_dict(self, value) -> dict:
-        tag, payload = value
-        if tag == "elem":
-            return payload
-        if not payload:
-            return {}
-        try:
-            unit = self.theory.one()
-        except DiamondError:
-            self._fail("a bare scalar is not an element of this theory")
-        return {unit: payload}
-
-    def _expr(self):
-        toks = self.toks
-        first = toks[self.pos][0]
-        if first in "+-":
-            self.pos += 1
-        terms = [(first != "-", self._term())]
-        while toks[self.pos][0] in "+-":
-            terms.append((self._take()[0] == "+", self._term()))
-        if len(terms) == 1 and terms[0][0]:
-            return terms[0][1]
-        p = self.p
-        if all(tag == "scalar" for _, (tag, _) in terms):
-            total = sum(c if plus else -c for plus, (_, c) in terms)
-            return ("scalar", total % p if p else total)
-        total: dict = {}
-        for plus, value in terms:
-            for m, c in self._to_dict(value).items():
-                _accumulate(total, m, c if plus else -c, p)
-        return ("elem", total)
-
-    def _term(self):
-        factors = [(None, self._factor())]
-        while self.toks[self.pos][0] == "*":
-            factors.append((self._take(), self._factor()))
-        if len(factors) == 1:
-            return factors[0][1]
-        p = self.p
-        scalar = 1
-        elems = []
-        for star, (tag, payload) in factors:
-            if tag == "scalar":
-                scalar = scalar * payload % p if p else scalar * payload
-            else:
-                elems.append((star, payload))
-        if not elems:
-            return ("scalar", scalar)
-        if not self.theory.associative and len(elems) > 2:
-            self._fail("the product is nonassociative; parenthesize it explicitly")
-        product = elems[0][1]
-        for star, e in elems[1:]:
-            product = self._multiply(product, e, star)
-        if scalar == 1:
-            return ("elem", product)
-        if not scalar:
-            return ("elem", {})
-        return ("elem", {m: c * scalar % p if p else c * scalar for m, c in product.items()})
-
-    def _factor(self):
-        value = self._atom()
-        if self.toks[self.pos][0] != "^":
-            return value
-        caret = self._take()
-        num = self._take()
-        if num[0] != "num":
-            self._fail("'^' needs a nonnegative integer exponent", caret)
-        k = self._int(num)
-        if k > MAX_EXPONENT:
-            self._fail("exponent %d exceeds %d" % (k, MAX_EXPONENT), num)
-        tag, payload = value
-        p = self.p
-        if tag == "scalar":
-            return ("scalar", pow(payload, k, p) if p else payload**k)
-        if not self.theory.associative:
-            self._fail("powers are ambiguous in a nonassociative product", caret)
-        if k == 0:
-            return ("elem", self._to_dict(("scalar", 1)))
-        self._check_degree(k * self._top_degree(payload), caret)
-        if len(payload) == 1:
-            # A power of one term is one term: multiply monomials, not sums.
-            ((m, c),) = payload.items()
-            power = m
-            for _ in range(k - 1):
-                power = self.theory.multiply(power, m)
-                if power is None:
-                    return ("elem", {})
-            return ("elem", {power: pow(c, k, p) if p else c**k})
-        result = payload
+def _power(value, toks: list, caret: int, theory, p: int):
+    """The value to the power of the exponent after the caret toks[caret]."""
+    num = toks[caret + 1]
+    if not num.isdecimal():
+        raise _Fail("'^' needs a nonnegative integer exponent", caret)
+    k = _int(num, caret + 1)
+    if k > MAX_EXPONENT:
+        raise _Fail("exponent %d exceeds %d" % (k, MAX_EXPONENT), caret + 1)
+    if type(value) is not dict:
+        return pow(value, k, p) if p else value**k
+    if not theory.associative:
+        raise _Fail("powers are ambiguous in a nonassociative product", caret)
+    if k == 0:
+        return {_one(theory, len(toks) - 1): 1}
+    degree = k * max(map(theory.degree, value), default=0)
+    if degree > MAX_EXPONENT:
+        raise _Fail("result of degree %d exceeds %d" % (degree, MAX_EXPONENT), caret)
+    if len(value) == 1:
+        # A power of one term is one term: multiply monomials, not sums.
+        ((m, c),) = value.items()
+        power = m
         for _ in range(k - 1):
-            result = self._multiply(result, payload, caret)
-        return ("elem", result)
+            power = theory.multiply(power, m)
+            if power is None:
+                return {}
+        return {power: pow(c, k, p) if p else c**k}
+    result = value
+    for _ in range(k - 1):
+        result = _multiply(result, value, caret, theory, p)
+    return result
 
-    def _atom(self):
-        tok = self._take()
-        kind = tok[0]
-        if kind == "num":
-            n = self._int(tok)
-            if self.toks[self.pos][0] != "/":
-                return ("scalar", n % self.p if self.p else n)
-            slash = self._take()
-            den = self._take()
-            if den[0] != "num":
-                self._fail("expected a denominator", slash)
-            d = self._int(den)
-            if d == 0:
-                self._fail("zero denominator", den)
-            try:
-                c = self.field.coeff(Fraction(n, d))
-            except ScalarError as exc:
-                self._fail(str(exc), tok)
-            raw = {None: c}
-            if self.field.into_raw(raw) != 1:
-                # A rational that is no integer stays its Fraction.
-                return ("scalar", c)
-            return ("scalar", raw[None])
-        if kind == "name":
-            m = self.names.get(tok[1])
-            if m is None:
-                m = self.theory.monomial_named(tok[1])
-                if m is None:
-                    self._fail("unknown generator %r" % tok[1], tok)
-                self.names[tok[1]] = m
-            return ("elem", {m: 1})
-        if kind == "(":
-            if self.depth == MAX_NESTING:
-                self._fail("parentheses nested deeper than %d levels" % MAX_NESTING, tok)
-            self.depth += 1
-            value = self._expr()
-            self.depth -= 1
-            if self._take()[0] != ")":
-                self._fail("unbalanced parenthesis", tok)
-            return value
-        if kind == "end":
-            self._fail("unexpected end of expression")
-        self._fail("unexpected %r" % tok[1], tok)
+
+def _sum(toks: list, i: int, depth: int, theory, field):
+    """Parse the sum that starts at toks[i]; returns its value and the index
+    of the first token after it.
+
+    A value is a scalar c or a dict {monomial: c} with no zero: c is an int
+    residue over GF(p), and over QQ an int or, for a rational that is no
+    integer, its ``Fraction``. Terms and factors are read inline, recursing
+    only at '('. While every element factor of a term is a single term, the
+    term is folded into one monomial, coefficient and running degree; once
+    a factor is a sum, dicts are multiplied. A product bound that a factor
+    breaks is raised only once the term has parsed, so that an error in a
+    later factor comes first.
+    """
+    p = field.characteristic
+    names = theory.named_monomials()
+    multiply = theory.multiply
+    end = len(toks) - 1
+    total: dict = {}
+    scalars = 0
+    bare = elements = False
+    sign = toks[i]
+    if sign == "+" or sign == "-":
+        i += 1
+    while True:
+        scalar = 1
+        count = 0  # element factors
+        prod = pending = None
+        while True:
+            tok = toks[i]
+            i += 1
+            entry = names.get(tok)
+            if entry is not None and toks[i] != "^":
+                value = None  # the single term m of degree d, coefficient c
+                m, d = entry
+                c = 1
+            else:
+                if entry is not None:
+                    value = {entry[0]: 1}
+                elif tok == "(":
+                    if depth == MAX_NESTING:
+                        raise _Fail("parentheses nested deeper than %d levels" % MAX_NESTING, i - 1)
+                    value, j = _sum(toks, i, depth + 1, theory, field)
+                    if toks[j] != ")":
+                        raise _Fail("unbalanced parenthesis", i - 1)
+                    i = j + 1
+                elif tok.isdecimal():
+                    value = _int(tok, i - 1)
+                    if toks[i] == "/":
+                        value = _fraction(value, toks, i, field)
+                        i += 2
+                    elif p:
+                        value %= p
+                elif tok == " ":
+                    raise _Fail("unexpected end of expression", i - 1)
+                elif tok in "+-*^)/":
+                    raise _Fail("unexpected %r" % tok, i - 1)
+                else:
+                    raise _Fail("unknown generator %r" % tok, i - 1)
+                if toks[i] == "^":
+                    value = _power(value, toks, i, theory, p)
+                    i += 2
+                if type(value) is dict and len(value) < 2:
+                    if value:
+                        ((m, c),) = value.items()
+                        d = theory.degree(m)
+                    else:
+                        m, c, d = None, 0, 0
+                    value = None
+            if value is not None and type(value) is not dict:
+                scalar = scalar * value % p if p else scalar * value
+            else:
+                count += 1
+                if count == 1:
+                    if value is None:
+                        mono, coef, deg = m, c, d
+                    else:
+                        prod = value
+                elif pending is None:
+                    if value is None and prod is None:
+                        if deg + d > MAX_EXPONENT:
+                            pending = _Fail(
+                                "result of degree %d exceeds %d" % (deg + d, MAX_EXPONENT), star
+                            )
+                        elif coef and c:
+                            mono = multiply(mono, m)
+                            if mono is None:
+                                coef = deg = 0
+                            else:
+                                coef = coef * c % p if p else coef * c
+                                deg += d
+                        else:
+                            coef = deg = 0
+                    else:
+                        if value is None:
+                            value = {m: c} if c else {}
+                        if prod is None:
+                            prod = {mono: coef} if coef else {}
+                        try:
+                            prod = _multiply(prod, value, star, theory, p)
+                        except _Fail as exc:
+                            pending = exc
+            if toks[i] != "*":
+                break
+            star = i
+            i += 1
+        if count > 2 and not theory.associative:
+            raise _Fail("the product is nonassociative; parenthesize it explicitly", end)
+        if pending is not None:
+            raise pending
+        minus = sign == "-"
+        if count == 0:
+            bare = bare or scalar != 0
+            scalars = scalars - scalar if minus else scalars + scalar
+        else:
+            elements = True
+            for m, c in ((mono, coef),) if prod is None else prod.items():
+                if scalar != 1:
+                    c = c * scalar % p if p else c * scalar
+                _accumulate(total, m, -c if minus else c, p)
+        sign = toks[i]
+        if sign != "+" and sign != "-":
+            break
+        i += 1
+    if not elements:
+        return scalars % p if p else scalars, i
+    if bare:
+        _accumulate(total, _one(theory, end), scalars, p)
+    return total, i
+
+
+def _fraction(n: int, toks: list, slash: int, field):
+    """The scalar n over the denominator after the bar toks[slash]."""
+    den = toks[slash + 1]
+    if not den.isdecimal():
+        raise _Fail("expected a denominator", slash)
+    d = _int(den, slash + 1)
+    if d == 0:
+        raise _Fail("zero denominator", slash + 1)
+    try:
+        c = field.coeff(Fraction(n, d))
+    except ScalarError as exc:
+        raise _Fail(str(exc), slash - 1)
+    raw = {None: c}
+    if field.into_raw(raw) != 1:
+        # A rational that is no integer stays its Fraction.
+        return c
+    return raw[None]
 
 
 def parse_expression(text: str, theory, field, line: int = 1, col0: int = 1) -> Element:
-    """Parse one expression into an element over the given theory and field."""
-    return _ExprParser(_tokenize(text, line, col0), theory, field, line).parse()
+    """Parse one expression into an element over the given theory and field.
+
+    A number is a run of decimal digits, what ``int`` reads; a name is a
+    letter or ``_`` followed by letters, digits and ``_``. Whitespace
+    separates tokens and any other character is an error. A token's column
+    is found only for an error, by scanning the text again.
+    """
+    toks = _TOKEN.findall(text)
+    try:
+        if _SUSPECT.search(text):
+            for k, tok in enumerate(toks):
+                if not (tok[0].isalpha() or tok[0].isdecimal() or tok[0] in "_+-*^()/"):
+                    raise _Fail("unexpected character %r" % tok[0], k)
+        if not toks:
+            raise _Fail("empty expression", 0)
+        toks.append(" ")
+        value, i = _sum(toks, 0, 0, theory, field)
+        if toks[i] != " ":
+            raise _Fail("unexpected %r" % toks[i], i)
+        if type(value) is not dict:
+            value = {_one(theory, i): value} if value else {}
+    except _Fail as exc:
+        message, k = exc.args
+        starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+        raise ParseError(message, line, col0 + starts[k]) from None
+    return Element.from_dict(field.from_raw(value))
 
 
 class SystemFile(_Value):

@@ -22,6 +22,8 @@ from .algebra_core import (
     OrderKind,
     TheoryMismatchError,
     _Value,
+    _memo,
+    _set,
     _weight_table,
 )
 
@@ -351,6 +353,10 @@ class _CodedIndex(LeadIndex):
         return _code_weigher(self.codes, weights)
 
 
+# named_monomials by the theory's class and fields: one for equal theories.
+_NAMED: dict = {}
+
+
 class Theory(_Value):
     """Shared behaviour; concrete theories implement the payload geometry.
 
@@ -358,7 +364,8 @@ class Theory(_Value):
     theory also owns its system-file syntax: ``keyword`` names it in the
     ``theory`` statement, ``header_statements`` lists the statements that
     declare its fields, in field order, and ``monomial_named(name)`` returns
-    the monomial an expression identifier stands for, or None.
+    the monomial an expression identifier stands for, or None; the
+    expression parser reads them from ``named_monomials()``.
 
     ``overlaps(mu1, mu2)``, which each theory defines, lists the minimal
     superpositions of two leads as (superposition, ctx1, ctx2, kind, inner)
@@ -390,6 +397,25 @@ class Theory(_Value):
     def expression_names(self) -> tuple:
         """Every name an expression reads as a monomial."""
         return self.generator_names()
+
+    def named_monomials(self) -> dict:
+        """(monomial, degree) of each of the ``expression_names``, by name:
+        one dict for equal theories, kept on each."""
+        try:
+            return self._named
+        except AttributeError:
+            pass
+        named = _memo(
+            _NAMED,
+            (type(self), self._values(self)),
+            lambda: {
+                name: (m, self.degree(m))
+                for name in self.expression_names()
+                for m in (self.monomial_named(name),)
+            },
+        )
+        _set(self, "_named", named)
+        return named
 
     def header_lines(self) -> list:
         """System-file statements declaring this theory."""

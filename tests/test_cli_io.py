@@ -464,6 +464,13 @@ class TestParseExpression:
         th = FreeMonoidTheory(("e", "f", "h"))
         assert len(parse_expression("(h+f+e)^7", th, self.field).terms) == 3**7
 
+    def test_equal_theories_share_their_names(self):
+        """The parser's name table is built once per theory value."""
+        names = FreeMonoidTheory(("x", "y")).named_monomials()
+        assert names == {"x": (("x",), 1), "y": (("y",), 1)}
+        assert FreeMonoidTheory(("x", "y")).named_monomials() is names
+        assert FreeMagmaTheory(("x", "y")).named_monomials() == {"x": ("x", 1), "y": ("y", 1)}
+
     def test_prime_field_power_of_scalar(self):
         field = PrimeField(7)
         e = parse_expression("3^2*x", self.th, field)
@@ -895,6 +902,46 @@ def parse_outcome(parse, text, theory, field, line, col0):
         return (str(exc), exc.line, exc.col)
 
 
+# Products the parser folds into one term, and where the folding ends: a
+# running degree past MAX_EXPONENT at a middle '*', a product bound broken
+# before an unknown name (which is reported first), a factor that is zero, a
+# path that vanishes mid-term and goes on, zero and fraction scalars between
+# factors (1/7 vanishes mod 7), central and word letters, three magma
+# factors, '^' on one term and on a sum, and an unexpected character right
+# after a long product.
+FOLDED_TERMS = [
+    ("assoc", "x^600*y^300*x^200"),
+    ("commutative", "x^600*y^300*x^200"),
+    ("mixed", "t^600*x^300*s^200"),
+    ("assoc", "x^600*y^300*x^200*q"),
+    ("assoc", "x^600*(x+y)*y^300*x^200"),
+    ("assoc", "(x+y)^7*(x+y)^7*q"),
+    ("assoc", "x^600*(x-x)*x^500"),
+    ("path", "a*a*b*c"),
+    ("path", "a*a*c^1000"),
+    ("path", "a*b*c^999"),
+    ("path", "b*a*a*b + c*c - e1*e1*c*e1"),
+    ("path", "a*a*(b+c)*b"),
+    ("assoc", "x*0*y + y"),
+    ("assoc", "x*1/2*y*2 - y*x"),
+    ("assoc", "2*(1/2)*(x+y)*1/3"),
+    ("commutative", "3/2*x*2/3*y*7*z"),
+    ("commutative", "x*1/7*y"),
+    ("commutative", "0*x^600*y^600"),
+    ("mixed", "t*x*s^2*y*t - 2*s^2*t^2*x*y"),
+    ("mixed", "x*t*y*s*x + (s+x)^3*t"),
+    ("magma", "x*y*x"),
+    ("magma", "(x*y)*(y*x)*x"),
+    ("magma", "2*x*3*y"),
+    ("assoc", "(2*x*y)^3 - (x+y)^3"),
+    ("assoc", "(x*y)^0 + (x-x)^0 + (x-x)^2"),
+    ("commutative", "(x*y^2)^300 + (x*y^2)^400"),
+    ("path", "(a*b)^2*(b*a)^0"),
+    ("commutative", "x*y*z*x*y*z*x*y*z*x*y*z$"),
+    ("magma", "(x*y)*((y*x)*(x*x))*2,"),
+]
+
+
 class TestParserOracle:
     """parse_expression against the character-loop parser it replaced, kept in
     tests/oracles.py: equal elements, coefficient types included, or equal
@@ -918,6 +965,16 @@ class TestParserOracle:
                 errors += 1
         # Both outcomes are exercised in earnest.
         assert parsed > 25 and errors > 25, (parsed, errors)
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.describe())
+    @pytest.mark.parametrize("name, text", FOLDED_TERMS)
+    def test_folded_terms(self, name, text, field):
+        theory = ORACLE_THEORIES[name]
+        for line, col0 in ((1, 1), (3, 9)):
+            want = parse_outcome(reference_parse_expression, text, theory, field, line, col0)
+            got = parse_outcome(parse_expression, text, theory, field, line, col0)
+            assert got == want, text
+            assert repr(got) == repr(want), text
 
     def test_corpus_system_files(self, monkeypatch):
         spec = importlib.util.spec_from_file_location(

@@ -50,6 +50,7 @@ from diamondlemma import (
     truncated_normal_form,
 )
 
+from diamondlemma import algebra_core
 from diamondlemma.cli_io import MAX_NESTING
 from diamondlemma.completion import _cached_verdict
 
@@ -971,6 +972,42 @@ class TestLeadIndex:
             assert "Index" not in repr(order)
             twin = MonomialOrder(order.kind, th, order.generators, order.weights)
             assert twin.codec is order.codec
+
+    def test_codec_per_order_value(self):
+        """Equal orders over distinct but equal theories share one codec;
+        orders that differ only in kind, ranking, weights or theory class
+        each get their own, and sort as the oracle's key does."""
+        x_y = ("x", "y")
+        assoc, commutative = FreeMonoidTheory(x_y), CommutativeTheory(x_y)
+        up = (("x", Fraction(1)), ("y", Fraction(2)))
+        down = (("x", Fraction(2)), ("y", Fraction(1)))
+        base = MonomialOrder(OrderKind.WEIGHTED_DEGLEX, assoc, x_y, up)
+        twin = MonomialOrder(OrderKind.WEIGHTED_DEGLEX, FreeMonoidTheory(x_y), x_y, up)
+        assert twin.codec is base.codec
+        pairs = [
+            (base, MonomialOrder(OrderKind.SERIES_DEGLEX, assoc, x_y, up)),
+            (base, MonomialOrder(OrderKind.WEIGHTED_DEGLEX, assoc, x_y[::-1], up)),
+            (base, MonomialOrder(OrderKind.WEIGHTED_DEGLEX, assoc, x_y, down)),
+            (
+                MonomialOrder(OrderKind.DEGLEX, commutative, x_y),
+                MonomialOrder(OrderKind.LEX, commutative, x_y),
+            ),
+            (
+                MonomialOrder(OrderKind.DEGLEX, assoc, x_y),
+                MonomialOrder(OrderKind.DEGLEX, commutative, x_y),
+            ),
+        ]
+        for order, other in pairs:
+            assert order != other and order.codec is not other.codec
+            for o in (order, other):
+                th = o.theory
+                monomials = [m for d in range(5) for m in th.monomials_of_degree(d)]
+                want = sorted(monomials, key=lambda m: reference_sort_key(th, o, m))
+                assert sorted(monomials, key=o.sort_key) == want, o
+        # The codecs are bounded.
+        for k in range(300):
+            MonomialOrder(OrderKind.WEIGHTED_DEGLEX, assoc, x_y, (("x", k + 1), ("y", 1)))
+        assert len(algebra_core._CODECS) == 256
 
     @pytest.mark.parametrize("name", sorted(INDEX_THEORIES))
     def test_first_site_matches_reference(self, name):

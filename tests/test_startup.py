@@ -144,3 +144,18 @@ def test_kernel_resolves_the_theory_classes_by_name():
         assert (cls.keyword, cls.__module__) == (keyword, "diamondlemma." + module)
     with pytest.raises(AttributeError):
         monomial_theories.NoSuchTheory
+
+
+# Every ``diamond`` process that reads a system file compiles cli_io.py, and
+# compiling is about half of its start-up when PYTHONDONTWRITEBYTECODE=1 is
+# set, as the benchmark sets it (see the FOUND line on
+# PYTHONDONTWRITEBYTECODE in CHANGES.md). Growing the module takes a
+# deliberate raise of this bound, counted as the test counts.
+CLI_IO_MAX_AST_NODES = 6216
+
+
+def test_cli_io_compile_size_is_bounded():
+    path = os.path.join(REPO, "src", "diamondlemma", "cli_io.py")
+    with open(path, encoding="utf-8") as handle:
+        nodes = sum(1 for _ in ast.walk(ast.parse(handle.read())))
+    assert nodes <= CLI_IO_MAX_AST_NODES, nodes
