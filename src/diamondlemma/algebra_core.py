@@ -417,13 +417,13 @@ class OrderError(DiamondError):
     """Raised for invalid order parameters."""
 
 
-def _memo(table: dict, key, build):
+def _memo(table: dict, key, build, size: int = 256):
     """table[key], stored from build() on a miss. Keys are plain values,
     which hash in C where a _Value hashes in Python; the table keeps at most
-    256 entries, dropping the oldest first."""
+    ``size`` entries, dropping the oldest first."""
     value = table.get(key)
     if value is None:
-        if len(table) == 256:
+        if len(table) == size:
             del table[next(iter(table))]
         value = table[key] = build()
     return value
@@ -434,11 +434,16 @@ def _memo(table: dict, key, build):
 _CODECS: dict = {}
 
 
+def _codec_key(kind: "OrderKind", theory, generators: tuple, weights: tuple) -> tuple:
+    """The key in ``_CODECS`` of the codec under the order of these fields."""
+    return kind._value_, type(theory), theory._values(theory), generators, weights
+
+
 def _order_codec(order: "MonomialOrder"):
     """The theory's lead index over no leads under the order, one for all
     equal orders."""
     theory = order.theory
-    key = (order.kind._value_, type(theory), theory._values(theory), order.generators, order.weights)
+    key = _codec_key(order.kind, theory, order.generators, order.weights)
     return _memo(_CODECS, key, lambda: theory.lead_index((), order))
 
 

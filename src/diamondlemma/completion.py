@@ -9,7 +9,8 @@ from enum import Enum
 from math import gcd
 
 from .algebra_core import DiamondError, Element, _term_key, _Value
-from .ambiguity import _pair_ambiguities, _s_box, resolve
+from .ambiguity import Ambiguity, ResolutionCertificate, _ambiguity, _ambiguity_box, _s_box
+from .monomial_theories import Theory
 from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
     RewritingSystem,
@@ -17,7 +18,9 @@ from .rewriting_engine import (
     StepBudgetExceededError,
     normal_form,
     _Boxed,
+    _decoded,
     _rewrites,
+    _step,
     _well_founded,
 )
 
@@ -50,18 +53,23 @@ class ConfluenceVerdict(_Value):
 def check_confluence(system, max_steps: int = DEFAULT_STEP_BUDGET) -> ConfluenceVerdict:
     """Resolve all critical ambiguities and report the verdict.
 
-    A system whose order is not well-founded raises DiamondError, since
-    plain reduction then need not terminate.
+    Each s-polynomial is reduced on codes, keeping the raw steps; only the
+    witness, the first ambiguity that does not resolve, gets a certificate,
+    the one ``resolve`` gives. A system whose order is not well-founded
+    raises DiamondError, since plain reduction then need not terminate.
     """
     _well_founded(system, "confluence checking")
     checked = 0
     for amb in system.ambiguities:
+        box = _ambiguity_box(system, amb)
         try:
-            cert = resolve(system, amb, max_steps)
+            steps = list(_rewrites(system, box, max_steps))
         except StepBudgetExceededError:
             return ConfluenceVerdict(ConfluenceStatus.INCONCLUSIVE, checked, None, amb)
         checked += 1
-        if not cert.resolved:
+        if box[0]:
+            trail = tuple([_step(system, step) for step in steps])
+            cert = ResolutionCertificate(amb, False, _decoded(system, box), trail)
             return ConfluenceVerdict(ConfluenceStatus.NOT_CONFLUENT, checked, cert, None)
     return ConfluenceVerdict(ConfluenceStatus.CONFLUENT, checked, None, None)
 
@@ -176,7 +184,7 @@ class _Working:
         self.stale.add(len(self.rules))
         self.rules.append(None)
         self.leads.append(index.decode(lead))
-        index.add(self.leads[-1])
+        index.entries.append(lead)
         self.raw_lowers.append(lower)
         self.marks.append(mark)
 
@@ -271,7 +279,11 @@ def complete(
     Pairs are processed FIFO by superposition degree then insertion order.
     Each new rule first marks queued pairs that the theory's chain criterion
     certifies as dead, then queues its pairs with the partners the theory's
-    ``pair_update`` selects. Returns Complete when the queue empties,
+    ``pair_update`` selects. Pairs of input rules are the system's own
+    ``pair_ambiguities``, and a pair with an added rule is what the lead
+    index's ``overlaps`` lists on the leads' codes; such a pair stays
+    encoded and is decoded into an ``Ambiguity`` only as the source of the
+    rule its remainder becomes. Returns Complete when the queue empties,
     DegreeCapped when pairs above the degree cap were skipped and RuleCapped
     when the rule cap was reached. A system whose order is not well-founded
     raises DiamondError.
@@ -279,8 +291,11 @@ def complete(
     _well_founded(system, "completion")
     th, order = system.theory, system.order
     work = _Working.of(system)
-    rules, leads = work.rules, work.leads
-    heap: list = []
+    rules, leads, index = work.rules, work.leads, work.lead_index
+    listed, base = system.pair_ambiguities, len(rules)
+    # Only a theory with a chain criterion reads the queued superpositions.
+    chains = type(th).chain_criterion is not Theory.chain_criterion
+    heap: list = []  # (degree, counter, rule1, rule2, superposition, pair)
     counter = itertools.count()
     dead: set = set()  # insertion counters of queued pairs a criterion removed
     active: list = []
@@ -289,17 +304,23 @@ def complete(
     def add_pairs(new: int) -> None:
         nonlocal active, filtered
         lead = leads[new]
-        for _, key, amb in heap:
-            if key not in dead and th.chain_criterion(
-                lead, leads[amb.rule1], leads[amb.rule2], amb.superposition
-            ):
-                dead.add(key)
-                filtered += 1
+        if chains:
+            for _, key, i, j, sup, _ in heap:
+                if key not in dead and th.chain_criterion(lead, leads[i], leads[j], sup):
+                    dead.add(key)
+                    filtered += 1
         partners, removed, active = th.pair_update(leads, active, new)
         filtered += removed
         for j in partners:
-            for amb in _pair_ambiguities(th, j, leads[j], new, lead):
-                heapq.heappush(heap, (th.degree(amb.superposition), next(counter), amb))
+            if new < base:
+                for amb in listed.get((j, new), ()):
+                    sup = amb.superposition
+                    heapq.heappush(heap, (th.degree(sup), next(counter), j, new, sup, amb))
+                continue
+            for item in index.overlaps(index.entries[j], index.entries[new]):
+                if j != new or item[1] != item[2]:
+                    sup = chains and index.decode(item[0])
+                    heapq.heappush(heap, (index.degree(item[0]), next(counter), j, new, sup, item))
 
     for idx in range(len(rules)):
         add_pairs(idx)
@@ -310,22 +331,24 @@ def complete(
     degree_capped = False
     rule_capped = False
     while heap:
-        deg, key, amb = heapq.heappop(heap)
+        deg, key, i, j, _, pair = heapq.heappop(heap)
         if key in dead:
             continue
         if deg > max_degree:
             skipped += 1
             degree_capped = True
             continue
+        coded = pair.__class__ is not Ambiguity
+        box = _s_box(work, i, pair[1], j, pair[2]) if coded else _ambiguity_box(work, pair)
         reduced_by = len(rules)
-        remainder = normal_form(work, _Boxed(work, _s_box(work, amb)), max_steps)
+        remainder = normal_form(work, _Boxed(work, box), max_steps)
         processed += 1
         if remainder.is_zero():
             continue
         # Rules are uniform, and s-polynomials and their images keep the
         # class of their superposition, so the remainder is one rule.
         work.append(remainder.box, reduced_by)
-        sources.append(amb)
+        sources.append(_ambiguity(i, j, *index.decoded(pair)) if coded else pair)
         if len(rules) > max_rules:
             rule_capped = True
             break
@@ -340,10 +363,7 @@ def complete(
         status = CompletionStatus.COMPLETE
 
     work.decode()
-    base = len(system.rules)
-    added = tuple(
-        AddedRule(rules[base + k], sources[k]) for k in range(len(rules) - base)
-    )
+    added = tuple(map(AddedRule, rules[base:], sources))
     dropped: tuple = ()
     if status is CompletionStatus.COMPLETE:
         work, dropped = _drop_pass(work, max_steps)
@@ -368,7 +388,7 @@ def _drop_pass(work: _Working, max_steps: int):
     i = 0
     while i < len(work.rules):
         rule, index = work.rules[i], work.lead_index
-        lead = index.encode(rule.lead)
+        lead = index.entries[i]
         # Rule i's own lead divides its lead, so the scan resumes past it
         # when it comes first.
         found = index.site(lead)

@@ -4,7 +4,7 @@ which reduce as Polish-coded strings."""
 from __future__ import annotations
 
 from .algebra_core import TheoryMismatchError
-from .monomial_theories import OverlapKind, Theory, _CodedIndex, _letter_codes
+from .monomial_theories import Theory, _CodedIndex, _letter_codes
 
 
 _HOLE = None
@@ -58,6 +58,9 @@ class _MagmaIndex(_CodedIndex):
     def decode(self, code: str):
         return _unpolish(code, self.letters + (_HOLE,))
 
+    def degree(self, code: str) -> int:
+        return len(code) // 2 + 1
+
     def decode_context(self, ctx: tuple, code: str):
         left, right = ctx
         return self.decode(left + chr(len(self.letters)) + right)
@@ -98,13 +101,6 @@ class FreeMagmaTheory(Theory):
     def multiply(self, a, b):
         return (a, b)
 
-    def validate_monomial(self, m) -> bool:
-        try:
-            _polish(m, _letter_codes(self.letters), "")
-        except (KeyError, TypeError):  # a leaf without a code
-            return False
-        return True
-
     def degree(self, m) -> int:
         return _tree_leaves(m)
 
@@ -114,31 +110,8 @@ class FreeMagmaTheory(Theory):
         return "(%s*%s)" % (self.serialize(m[0]), self.serialize(m[1]))
 
     def apply_context(self, ctx, m):
-        symbols = self.letters + (_HOLE,)
-        codes, node = _letter_codes(symbols), chr(len(symbols))
-        left, right = _polish(ctx, codes, node).split(codes[_HOLE])
-        return _unpolish(left + _polish(m, codes, node) + right, symbols)
-
-    def divisions(self, mu, nu) -> list:
-        symbols = self.letters + (_HOLE,)
-        codes, node = _letter_codes(symbols), chr(len(symbols))
-        code, lead = _polish(mu, codes, node), _polish(nu, codes, node)
-        return [
-            _unpolish(code[:i] + codes[_HOLE] + code[i + len(lead) :], symbols)
-            for i in range(len(code)) if code.startswith(lead, i)
-        ]
-
-    def overlaps(self, mu1, mu2) -> list:
-        if mu1 == mu2:
-            return [(mu1, _HOLE, _HOLE, OverlapKind.INCLUSION, 2)]
-        data = []
-        if self.degree(mu2) < self.degree(mu1):
-            for ctx in self.divisions(mu1, mu2):
-                data.append((mu1, _HOLE, ctx, OverlapKind.INCLUSION, 2))
-        elif self.degree(mu1) < self.degree(mu2):
-            for ctx in self.divisions(mu2, mu1):
-                data.append((mu2, ctx, _HOLE, OverlapKind.INCLUSION, 1))
-        return data
+        codec = self.deglex_codec()
+        return codec.decode(codec.encode(m).join(codec.encode_context(ctx)))
 
     def monomials_of_degree(self, d):
         if d <= 0:

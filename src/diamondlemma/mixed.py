@@ -16,23 +16,21 @@ from .algebra_core import (
 from .monomial_theories import (
     _FIELD_BITS,
     LeadIndex,
-    OverlapKind,
     Theory,
     _code_weigher,
     _compositions,
     _exp_add,
-    _exp_gcd,
     _exp_lcm,
-    _exp_le,
     _exp_sub,
     _letter_codes,
+    _letter_names,
     _mirror,
     _packing,
     _power_string,
     _runs,
+    _sites,
+    _string_overlaps,
     _word_code,
-    _word_occurrences,
-    _word_superpositions,
 )
 
 
@@ -44,16 +42,16 @@ def _mixed_weigher(central: tuple, unpack, codes: dict, weights: dict):
 
 @functools.lru_cache(maxsize=256)
 def _mixed_codes(theory, kind: OrderKind, generators: tuple, weights: tuple) -> tuple:
-    """(pack, unpack, guard, codes, names, apply, sort key, descending key)
-    of the mixed codes of the theory under the order of that kind,
-    generators and weights, one per order: ``codes`` gives each word letter
-    ``chr`` of its rank among them, and ``names`` the letter of each
-    character."""
+    """(pack, unpack, guard, degree, codes, names, apply, sort key,
+    descending key) of the mixed codes of the theory under the order of
+    that kind, generators and weights, one per order: ``codes`` gives each
+    word letter ``chr`` of its rank among them, ``names`` the letter of each
+    character and ``degree`` the degree of a code's monomial."""
     central = theory.commutative_letters
-    pack, unpack, guard = _packing(OrderKind.DEGLEX, central, generators, ())
+    pack, unpack, guard, _ = _packing(OrderKind.DEGLEX, central, generators, ())
     letters = tuple(x for x in generators if x in theory.letter_set)
     codes = _letter_codes(letters)
-    names = {c: x for x, c in codes.items()}
+    names = _letter_names(letters)
     # The top field of a central code holds its degree.
     top, mirror, weight = _FIELD_BITS * (len(central) + 1), _mirror(letters), None
     if weights:
@@ -86,7 +84,10 @@ def _mixed_codes(theory, kind: OrderKind, generators: tuple, weights: tuple) -> 
         fields = -(c >> top) - n, -n, w.translate(mirror), -c
         return fields if weight is None else (weight(code),) + fields
 
-    return pack, unpack, guard, codes, names, apply, sort_key, key
+    def degree(code):
+        return (code[0] >> top) + len(code[1])
+
+    return pack, unpack, guard, degree, codes, names, apply, sort_key, key
 
 
 class _MixedIndex(LeadIndex):
@@ -96,13 +97,22 @@ class _MixedIndex(LeadIndex):
     word letters. A lead divides a code when the difference of their
     central codes sets no guard bit, and that difference and ``str.find``
     give the context (mult, left, right). A central degree or exponent of
-    2^31, on entry or in an image, raises DiamondError."""
+    2^31, on entry or in an image, raises DiamondError.
 
-    __slots__ = ("pack", "unpack", "guard", "codes", "names", "apply")
+    Two leads meet at the lcm of their central parts, with the word
+    superpositions of their word codes when they share a central variable
+    or both have letters; leads whose words are equal meet once more there,
+    and leads with letters and a shared variable meet in both adjacent
+    placements of their words, which the shared variable makes interact.
+    With coprime central parts an empty word included in the other is a
+    purely central overlap, a montage, which the kernel does not list."""
+
+    __slots__ = ("pack", "unpack", "guard", "degree", "codes", "names", "apply")
 
     def __init__(self, theory, leads, order) -> None:
         codes = _mixed_codes(theory, order.kind, order.generators, order.weights)
-        self.pack, self.unpack, self.guard, self.codes, self.names, self.apply, *keys = codes
+        (self.pack, self.unpack, self.guard, self.degree, self.codes, self.names, self.apply,
+         *keys) = codes
         super().__init__(theory, leads, *keys)
 
     def encode(self, m) -> tuple:
@@ -119,8 +129,6 @@ class _MixedIndex(LeadIndex):
             "exponents stay below 2^31" % self.theory.serialize(m)
         )
 
-    entry = encode
-
     def decode(self, code: tuple) -> tuple:
         return self.unpack(code[0]), tuple(map(self.names.__getitem__, code[1]))
 
@@ -135,6 +143,33 @@ class _MixedIndex(LeadIndex):
         mult, left, right = ctx
         codes = self.codes
         return self.pack(mult), _word_code(codes, left), _word_code(codes, right)
+
+    def overlaps(self, code1: tuple, code2: tuple) -> list:
+        (c1, w1), (c2, w2) = code1, code2
+        e1, e2 = self.unpack(c1), self.unpack(c2)
+        shared = any(map(min, e1, e2))
+        central = c1 + self.pack(_exp_sub(_exp_lcm(e1, e2), e1))
+        same = code1 == code2
+        words = _string_overlaps(w1, w2, same) if same or (w1 and w2) or shared else []
+        if w1 == w2 and not same:
+            guard = self.guard
+            inner = 2 if not (c1 - c2) & guard else 1 if not (c2 - c1) & guard else None
+            words.append((w1, ("", ""), ("", ""), inner))
+        if w1 and w2 and shared:
+            words.append((w1 + w2, ("", w2), (w1, ""), None))
+            if not same:
+                words.append((w2 + w1, (w2, ""), ("", w1), None))
+        m1, m2 = central - c1, central - c2
+        return [((central, w), (m1,) + x1, (m2,) + x2, inner) for w, x1, x2, inner in words]
+
+    def sites(self, code: tuple, lead: tuple) -> list:
+        mult = code[0] - lead[0]
+        return [] if mult & self.guard else [(mult,) + ctx for ctx in _sites(code[1], lead[1])]
+
+    def check_superposition(self, lead: tuple, ctx: tuple) -> None:
+        c = lead[0] + ctx[0]
+        if c & self.guard:
+            self.encode(self.decode((c, lead[1].join(ctx[1:]))))
 
     def site(self, code: tuple, start=0):
         c, w = code
@@ -219,42 +254,6 @@ class MixedTheory(Theory):
         mult, left, right = ctx
         exps, word = m
         return (_exp_add(mult, exps), left + word + right)
-
-    def divisions(self, mu, nu) -> list:
-        (e1, w1), (e2, w2) = mu, nu
-        if not _exp_le(e2, e1):
-            return []
-        mult = _exp_sub(e1, e2)
-        return [(mult, w1[:i], w1[i + len(w2) :]) for i in _word_occurrences(w1, w2)]
-
-    def overlaps(self, mu1, mu2) -> list:
-        (c1, w1), (c2, w2) = mu1, mu2
-        shared = any(_exp_gcd(c1, c2))
-        lcm = _exp_lcm(c1, c2)
-        m1, m2 = _exp_sub(lcm, c1), _exp_sub(lcm, c2)
-        same = mu1 == mu2
-        words = []
-        if same or (w1 and w2) or shared:
-            # An empty word included in the other is a purely central overlap,
-            # so with coprime central parts it is a discarded montage.
-            words.extend(_word_superpositions(w1, w2, same))
-        if w1 == w2 and not same:
-            # Equal word parts with distinct central parts: one superposition.
-            if _exp_le(c2, c1):
-                words.append((w1, ((), ()), ((), ()), OverlapKind.INCLUSION, 2))
-            elif _exp_le(c1, c2):
-                words.append((w1, ((), ()), ((), ()), OverlapKind.INCLUSION, 1))
-            else:
-                words.append((w1, ((), ()), ((), ()), OverlapKind.OVERLAP, None))
-        if w1 and w2 and shared:
-            # Adjacent word placements still interact through shared central
-            # variables; both adjacencies are minimal superpositions.
-            words.append((w1 + w2, ((), w2), (w1, ()), OverlapKind.OVERLAP, None))
-            if not same:
-                words.append((w2 + w1, (w2, ()), ((), w1), OverlapKind.OVERLAP, None))
-        return [
-            ((lcm, w), (m1,) + x1, (m2,) + x2, kind, inner) for w, x1, x2, kind, inner in words
-        ]
 
     def monomials_of_degree(self, d):
         for k in range(d + 1):

@@ -18,10 +18,13 @@ import struct
 from enum import Enum
 
 from .algebra_core import (
+    _CODECS,
     DiamondError,
+    MonomialOrder,
     OrderKind,
     TheoryMismatchError,
     _Value,
+    _codec_key,
     _memo,
     _set,
     _weight_table,
@@ -33,10 +36,6 @@ class OverlapKind(Enum):
 
     OVERLAP = "overlap"
     INCLUSION = "inclusion"
-
-
-def _exp_gcd(a: tuple, b: tuple) -> tuple:
-    return tuple(map(min, a, b))
 
 
 def _exp_lcm(a: tuple, b: tuple) -> tuple:
@@ -56,40 +55,36 @@ def _exp_le(a: tuple, b: tuple) -> bool:
 
 
 
-def _word_occurrences(haystack: tuple, needle: tuple) -> list[int]:
-    """List start positions of a contiguous factor, including the empty factor."""
-    n, h = len(needle), len(haystack)
-    return [i for i in range(h - n + 1) if haystack[i : i + n] == needle]
+def _sites(code: str, lead: str) -> list:
+    """The (left, right) contexts of every occurrence of ``lead`` in
+    ``code``, leftmost first; an empty ``lead`` occurs at every position."""
+    out, k = [], code.find(lead)
+    while k >= 0:
+        out.append((code[:k], code[k + len(lead) :]))
+        k = code.find(lead, k + 1)
+    return out
 
 
-def _word_superpositions(w1: tuple, w2: tuple, same: bool):
-    """Yield the minimal superpositions of two words.
-
-    Items are the (superposition, ctx1, ctx2, kind, inner) tuples of
-    ``Theory.overlaps``, with (left, right) word contexts: the suffix/prefix
-    overlaps by length, each length in both orders, then the inclusions of
-    the shorter word.
-    ``same`` marks a monomial paired with itself, which yields its identity
-    inclusion first and each self-overlap once.
-    """
-    l1, l2 = len(w1), len(w2)
-    if same:
-        yield w1, ((), ()), ((), ()), OverlapKind.INCLUSION, 2
-        for t in range(1, l1):
-            if w1[l1 - t :] == w1[:t]:
-                yield w1 + w1[t:], ((), w1[t:]), (w1[: l1 - t], ()), OverlapKind.OVERLAP, None
-        return
-    for t in range(1, min(l1, l2)):
-        if w1[l1 - t :] == w2[:t]:
-            yield w1 + w2[t:], ((), w2[t:]), (w1[: l1 - t], ()), OverlapKind.OVERLAP, None
-        if w2[l2 - t :] == w1[:t]:
-            yield w2 + w1[t:], (w2[: l2 - t], ()), ((), w1[t:]), OverlapKind.OVERLAP, None
+def _string_overlaps(code1: str, code2: str, same: bool, shortest: int = 1) -> list:
+    """The minimal superpositions of two ``str`` codes as the items of
+    ``LeadIndex.overlaps``, with (left, right) contexts as ``site`` gives
+    them: the suffix/prefix overlaps of at least ``shortest`` characters by
+    length, each length in both orders, then the occurrences of the shorter
+    code in the longer. ``same`` marks a code paired with itself, which
+    lists its identity inclusion first and each self-overlap once. Polish
+    codes are prefix-free, so trees meet in inclusions only."""
+    l1, l2, none = len(code1), len(code2), ("", "")
+    out = [(code1, none, none, 2)] if same else []
+    for t in range(shortest, min(l1, l2)):
+        if code2.startswith(code1[l1 - t :]):
+            out.append((code1 + code2[t:], ("", code2[t:]), (code1[: l1 - t], ""), None))
+        if not same and code1.startswith(code2[l2 - t :]):
+            out.append((code2 + code1[t:], (code2[: l2 - t], ""), ("", code1[t:]), None))
     if l2 < l1:
-        for i in _word_occurrences(w1, w2):
-            yield w1, ((), ()), (w1[:i], w1[i + l2 :]), OverlapKind.INCLUSION, 2
+        out += [(code1, none, ctx, 2) for ctx in _sites(code1, code2)]
     elif l1 < l2:
-        for i in _word_occurrences(w2, w1):
-            yield w2, (w2[:i], w2[i + l1 :]), ((), ()), OverlapKind.INCLUSION, 1
+        out += [(code2, ctx, none, 1) for ctx in _sites(code2, code1)]
+    return out
 
 
 def _runs(word: tuple):
@@ -132,6 +127,19 @@ class LeadIndex:
     is its inverse on the contexts of ``Theory.overlaps``. ``apply(code,
     ctx)`` builds an image; at a rule's site each code of its lower part
     has one, as rules are uniform.
+    ``overlaps(code1, code2)``, the one overlap kernel of the codec, lists
+    the minimal superpositions of two leads' codes, in the order of
+    ``Theory.overlaps``, as (superposition, ctx1, ctx2, inner) items: codes
+    all, each context one that ``site`` could give and ``apply`` reads, and
+    ``inner`` the slot an inclusion places inside the other, None for an
+    overlap, which fixes the ``OverlapKind``. ``decoded(item)`` is the
+    ``Theory.overlaps`` tuple of an item, and ``sites(code, lead)`` lists
+    every context at which a lead divides a code, leftmost first.
+    ``degree(code)`` is the degree of a code's monomial, and
+    ``check_superposition(lead, ctx)`` raises DiamondError when a lead's
+    image under a context of one of its superpositions has no code, which
+    only packed codes can lack; then every image of the s-polynomial has a
+    code too, or ``apply`` raises for it.
     The index is the one implementation of its order. ``sort_key`` and
     ``descending_key``, set once on construction, map codes to values that
     compare natively (ints, strs and tuples of them): ``sort_key`` as the
@@ -144,8 +152,8 @@ class LeadIndex:
 
     Leads are only appended, so a site found stays the site, and a scan
     that found none resumes at the first lead added since; a scan from 0,
-    the common case, copies no list. The index keeps one list, the entry
-    ``entry(lead)`` of each lead, which holds what ``site`` reads of it.
+    the common case, copies no list. The index keeps one list,
+    ``entries``, the code of each lead, which ``site`` scans.
     The views made by ``copy`` and ``without`` share every other slot.
     """
 
@@ -155,10 +163,7 @@ class LeadIndex:
         self.theory = theory
         self.sort_key = sort_key
         self.descending_key = descending_key
-        self.entries = list(map(self.entry, leads))
-
-    def add(self, lead) -> None:
-        self.entries.append(self.entry(lead))
+        self.entries = list(map(self.encode, leads))
 
     def without(self, i: int) -> "LeadIndex":
         """The index over every lead but the i-th."""
@@ -181,6 +186,18 @@ class LeadIndex:
         found = self.site(code)
         return found and (found[0], self.decode_context(found[1], code))
 
+    def check_superposition(self, lead, ctx) -> None:
+        pass
+
+    def decoded(self, item) -> tuple:
+        """An item of ``overlaps``, decoded as ``Theory.overlaps`` lists it;
+        equal contexts, those of an identity inclusion, are decoded once."""
+        sup, ctx1, ctx2, inner = item
+        first = self.decode_context(ctx1, sup)
+        second = first if ctx2 == ctx1 else self.decode_context(ctx2, sup)
+        kind = OverlapKind.OVERLAP if inner is None else OverlapKind.INCLUSION
+        return self.decode(sup), first, second, kind, inner
+
 
 @functools.lru_cache(maxsize=256)
 def _variable_permutation(letters: tuple, generators: tuple) -> tuple:
@@ -196,8 +213,8 @@ _FIELD_BITS = 32
 
 @functools.lru_cache(maxsize=256)
 def _packing(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple) -> tuple:
-    """(pack, unpack, guard) of the packed codes of exponent vectors over
-    ``letters`` under the order of that kind, generators and weights, one
+    """(pack, unpack, guard, degree) of the packed codes of exponent vectors
+    over ``letters`` under the order of that kind, generators and weights, one
     per order. A code has one field per exponent, the order's greatest
     variable most significant, then the degree and, on top, the weight sum,
     which is the degree again but under weighted-deglex; under lex the
@@ -205,7 +222,9 @@ def _packing(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple)
     ``pack`` gives None for a non-vector and for a vector whose degree,
     weight sum or exponent reaches 2^31. ``guard`` holds each field's top
     bit: a code divides another exactly when their difference sets none,
-    and a sum that sets one does not fit."""
+    and a sum that sets one does not fit, though its fields still read
+    exactly: no field of a sum of two codes carries. ``degree`` reads the
+    degree field of a code, or of such a sum."""
     n = len(letters)
     weigh = sum
     if kind is OrderKind.WEIGHTED_DEGLEX:
@@ -237,7 +256,8 @@ def _packing(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple)
     def unpack(code):
         return gather(unpack_row(code.to_bytes(row.size, byteorder)))
 
-    return pack, unpack, guard
+    shift, mask = _FIELD_BITS * (1 if lex else n), (1 << _FIELD_BITS) - 1
+    return pack, unpack, guard, lambda code: code >> shift & mask
 
 
 @functools.lru_cache(maxsize=256)
@@ -245,6 +265,12 @@ def _letter_codes(letters: tuple) -> dict:
     """One character per letter, ``chr`` of its position, so that a word
     and its code have equal length."""
     return {x: chr(i) for i, x in enumerate(letters)}
+
+
+@functools.lru_cache(maxsize=256)
+def _letter_names(symbols: tuple) -> dict:
+    """The symbol of each character ``chr(i)``, the i-th of ``symbols``."""
+    return {chr(i): x for i, x in enumerate(symbols)}
 
 
 def _word_code(codes: dict, word) -> str:
@@ -312,13 +338,18 @@ class _CodedIndex(LeadIndex):
     the weighted kinds lead it with the weight sum. The leftmost
     ``str.find`` hit of a lead's code gives the first context of
     ``divisions``, a (left, right) pair of codes, and an image is
-    ``code.join(ctx)``."""
+    ``code.join(ctx)``; ``names`` gives the letter or vertex of each
+    character. Overlaps of codes span at least ``shortest_overlap``
+    characters."""
 
-    __slots__ = ("letters", "codes")
+    __slots__ = ("letters", "codes", "names")
+    shortest_overlap = 1
+    sites = staticmethod(_sites)
 
     def __init__(self, theory, leads, order, vertices: tuple = ()) -> None:
         self.letters = order.generators
         self.codes = _letter_codes(self.letters)
+        self.names = _letter_names(self.letters + vertices)
         # Words and trees admit no lex order, so only deglex has no weights.
         super().__init__(theory, leads, *_coded_key(self.letters, order.weights, vertices))
 
@@ -332,8 +363,6 @@ class _CodedIndex(LeadIndex):
         # Every monomial of the theory has a code, so this raises.
         self.theory.check_monomial(m)
 
-    entry = encode
-
     def site(self, code: str, start=0):
         for i, lead in enumerate(self.entries[start:] if start else self.entries, start):
             k = code.find(lead)
@@ -342,6 +371,9 @@ class _CodedIndex(LeadIndex):
         return None
 
     apply = staticmethod(str.join)
+
+    def overlaps(self, code1: str, code2: str) -> list:
+        return _string_overlaps(code1, code2, code1 == code2, self.shortest_overlap)
 
     def decode_context(self, ctx: tuple, code: str) -> tuple:
         return tuple(map(self.decode, ctx))
@@ -356,6 +388,13 @@ class _CodedIndex(LeadIndex):
 # named_monomials by the theory's class and fields: one for equal theories.
 _NAMED: dict = {}
 
+# Theory.overlaps lists by deglex codec, that is by theory value, and pair of
+# leads, the oldest dropped first. Systems of one theory share many leads: in
+# one seed-1 pass of the bench's corpus-sweep workload 84 % of the calls
+# repeat an earlier pair.
+_OVERLAPS: dict = {}
+_OVERLAPS_KEPT = 4096
+
 
 class Theory(_Value):
     """Shared behaviour; concrete theories implement the payload geometry.
@@ -367,14 +406,20 @@ class Theory(_Value):
     the monomial an expression identifier stands for, or None; the
     expression parser reads them from ``named_monomials()``.
 
-    ``overlaps(mu1, mu2)``, which each theory defines, lists the minimal
-    superpositions of two leads as (superposition, ctx1, ctx2, kind, inner)
-    tuples: ``apply_context(ctx1, mu1)`` and ``apply_context(ctx2, mu2)``
-    both give the superposition, ``kind`` is an ``OverlapKind``, and
-    ``inner`` names the argument (1 or 2) that an inclusion places inside
-    the other, None for an overlap. A lead paired with itself lists its
-    identity inclusion too. A theory refuses a name that its
-    ``expression_names`` list twice, which codes would alias.
+    ``overlaps(mu1, mu2)`` lists the minimal superpositions of two leads
+    as (superposition, ctx1, ctx2, kind, inner) tuples:
+    ``apply_context(ctx1, mu1)`` and ``apply_context(ctx2, mu2)`` both give
+    the superposition, ``kind`` is an ``OverlapKind``, and ``inner`` names
+    the argument (1 or 2) that an inclusion places inside the other, None
+    for an overlap. A lead paired with itself lists its identity inclusion
+    too. ``divisions(mu, nu)`` lists the contexts at which ``nu`` divides
+    ``mu``. A theory's geometry is its codecs' kernels: both methods encode
+    their arguments under ``deglex_codec()``, ask its ``overlaps`` or
+    ``sites`` and decode what it lists; ``overlaps`` keeps the lists of the
+    latest pairs of leads of equal theories and hands out copies. Each
+    theory class holds both in its own namespace, where a tracer can wrap
+    them. A theory refuses a name that its ``expression_names`` list twice,
+    which codes would alias.
 
     A theory holds no order: its ``lead_index`` under an order is the codec
     whose keys and weigher every monomial order and weight sum read.
@@ -393,6 +438,43 @@ class Theory(_Value):
         if len(set(names)) < len(names):
             twice = next(x for k, x in enumerate(names) if x in names[:k])
             raise TheoryMismatchError("%s reads %r as two generators" % (self.describe(), twice))
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # In each theory's own namespace, where a tracer wraps them per theory.
+        cls.overlaps, cls.divisions = Theory.overlaps, Theory.divisions
+
+    def deglex_codec(self) -> "LeadIndex":
+        """The lead index over no leads under deglex over the declared
+        generators: that order's ``codec``, built only if no such order
+        was, and kept on the theory."""
+        try:
+            return self._deglex
+        except AttributeError:
+            pass
+        gens = tuple(self.generator_names())
+        codec = _CODECS.get(_codec_key(OrderKind.DEGLEX, self, gens, ()))
+        codec = codec or MonomialOrder(OrderKind.DEGLEX, self, gens).codec
+        _set(self, "_deglex", codec)
+        return codec
+
+    def overlaps(self, mu1, mu2) -> list:
+        codec = self.deglex_codec()
+
+        def listed():
+            code1 = codec.encode(mu1)
+            items = codec.overlaps(code1, code1 if mu2 is mu1 else codec.encode(mu2))
+            return list(map(codec.decoded, items))
+
+        try:
+            return list(_memo(_OVERLAPS, (codec, mu1, mu2), listed, _OVERLAPS_KEPT))
+        except TypeError:  # an unhashable lead, which encode refuses
+            return listed()
+
+    def divisions(self, mu, nu) -> list:
+        codec = self.deglex_codec()
+        code = codec.encode(mu)
+        return [codec.decode_context(ctx, code) for ctx in codec.sites(code, codec.encode(nu))]
 
     def expression_names(self) -> tuple:
         """Every name an expression reads as a monomial."""
@@ -457,6 +539,15 @@ class Theory(_Value):
         """
         everyone = active + [new]
         return everyone, 0, everyone
+
+    def validate_monomial(self, m) -> bool:
+        """Whether ``m`` is a monomial of the theory: one that ``code_of`` of
+        its deglex codec spells. Power products and mixed monomials, whose
+        codes have limits, check their own."""
+        try:
+            return self.deglex_codec().code_of(m) is not None
+        except (KeyError, TypeError, ValueError):  # a name without a code
+            return False
 
     def check_monomial(self, m) -> None:
         if not self.validate_monomial(m):

@@ -3,23 +3,19 @@
 from __future__ import annotations
 
 from .algebra_core import TheoryMismatchError, _set
-from .monomial_theories import (
-    Theory,
-    _CodedIndex,
-    _letter_codes,
-    _word_occurrences,
-    _word_superpositions,
-)
+from .monomial_theories import Theory, _CodedIndex, _letter_codes
 
 
 class _PathIndex(_CodedIndex):
     """Lead index for paths, which reduce as their codes: the source vertex
     followed, for each arrow, by the arrow and the vertex it enters. As
     vertices and arrows alternate, a lead's code, a vertex path's included,
-    occurs only where the path takes its arrows or visits its vertex. Each
-    side of a context lacks the lead's end vertex, read from the code."""
+    occurs only where the path takes its arrows or visits its vertex, and
+    an overlap spans an arrow and both its vertices. Each side of a context
+    lacks the lead's end vertex, read from the code."""
 
-    __slots__ = ("vertex_codes", "into", "out_of", "names")
+    __slots__ = ("vertex_codes", "into", "out_of")
+    shortest_overlap = 3
 
     def __init__(self, theory, leads, order) -> None:
         n, codes, ends = len(order.generators), _letter_codes(order.generators), theory.endpoints
@@ -27,7 +23,6 @@ class _PathIndex(_CodedIndex):
         # An arrow followed by the vertex it enters, and its source followed by it.
         self.into = {a: codes[a] + vertex[t] for a, (_, t) in ends.items()}
         self.out_of = {a: vertex[s] + codes[a] for a, (s, _) in ends.items()}
-        self.names = {c: x for table in (codes, vertex) for x, c in table.items()}
         super().__init__(theory, leads, order, theory.vertices)
 
     def code_of(self, m) -> str:
@@ -41,6 +36,9 @@ class _PathIndex(_CodedIndex):
     def decode(self, code: str) -> tuple:
         name = self.names.__getitem__
         return name(code[0]), name(code[-1]), tuple(map(name, code[1::2]))
+
+    def degree(self, code: str) -> int:
+        return len(code) // 2
 
     def decode_context(self, ctx: tuple, code: str) -> tuple:
         left, right = ctx
@@ -112,22 +110,6 @@ class PathAlgebraTheory(Theory):
             return None
         return (a[0], b[1], a[2] + b[2])
 
-    def validate_monomial(self, m) -> bool:
-        try:
-            src, tgt, names = m
-            ends = [self.endpoints[name] for name in names]
-        except (TypeError, ValueError, KeyError):  # no triple, or an unknown arrow
-            return False
-        # Each arrow leaves the vertex that the one before it enters.
-        visits = [src] + [t for _, t in ends]
-        return (
-            isinstance(m, tuple)
-            and isinstance(names, tuple)
-            and src in self.vertices
-            and [s for s, _ in ends] == visits[:-1]
-            and visits[-1] == tgt
-        )
-
     def visits(self, m) -> list:
         """List the vertices a path passes through, endpoints included."""
         return [m[0]] + [self.endpoints[name][1] for name in m[2]]
@@ -143,35 +125,6 @@ class PathAlgebraTheory(Theory):
         if left[1] != m[0] or m[1] != right[0]:
             return None
         return (left[0], right[1], left[2] + m[2] + right[2])
-
-    def divisions(self, mu, nu) -> list:
-        src, tgt, names = mu
-        nsrc, ntgt, nnames = nu
-        at = _word_occurrences(names, nnames)
-        if not nnames:
-            # Arrow names fix the vertices around a factor; a vertex path
-            # divides only where mu passes through its vertex.
-            vis = self.visits(mu)
-            at = [i for i in at if vis[i] == nsrc]
-        n = len(nnames)
-        return [((src, nsrc, names[:i]), (ntgt, tgt, names[i + n :])) for i in at]
-
-    def overlaps(self, mu1, mu2) -> list:
-        data = []
-        for word, (l1, r1), (l2, r2), kind, inner in _word_superpositions(
-            mu1[2], mu2[2], mu1 == mu2
-        ):
-            src = mu2[0] if l1 else mu1[0]
-            tgt = mu2[1] if r1 else mu1[1]
-            if not (mu1[2] and mu2[2]):
-                # A vertex path sits only where the superposition visits it.
-                vis = self.visits((src, tgt, word))
-                if vis[len(l1)] != mu1[0] or vis[len(l2)] != mu2[0]:
-                    continue
-            ctx1 = ((src, mu1[0], l1), (mu1[1], tgt, r1))
-            ctx2 = ((src, mu2[0], l2), (mu2[1], tgt, r2))
-            data.append(((src, tgt, word), ctx1, ctx2, kind, inner))
-        return data
 
     def uniform_class(self, m) -> tuple:
         return (m[0], m[1])

@@ -9,11 +9,9 @@ import operator
 from .algebra_core import DiamondError, OrderKind, TheoryMismatchError, _weight_table
 from .monomial_theories import (
     LeadIndex,
-    OverlapKind,
     Theory,
     _compositions,
     _exp_add,
-    _exp_gcd,
     _exp_lcm,
     _exp_le,
     _exp_sub,
@@ -24,12 +22,12 @@ from .monomial_theories import (
 
 @functools.lru_cache(maxsize=256)
 def _power_codes(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple) -> tuple:
-    """(pack, decode, guard, apply, sort key, descending key) of the
-    power-product codes, the kernel's packed codes, under the order of that
-    kind, generators and weights; one per order. Codes compare as the order
+    """(pack, decode, guard, degree, apply, sort key, descending key) of
+    the power-product codes, the kernel's packed codes, under the order of
+    that kind, generators and weights; one per order. Codes compare as the order
     does, but under series orders, which lead both keys with the weight
     sum, negated in the descending key."""
-    pack, decode, guard = _packing(kind, letters, generators, weights)
+    pack, decode, guard, degree = _packing(kind, letters, generators, weights)
     apply, sort_key, key = operator.add, operator.pos, operator.neg
     if kind is OrderKind.LEX or kind is OrderKind.SERIES_DEGLEX:
         # Only under these kinds can an image outgrow the input.
@@ -48,7 +46,7 @@ def _power_codes(kind: OrderKind, letters: tuple, generators: tuple, weights: tu
         negated = tuple(-_weight_table(weights)[1][x] for x in letters)
         sort_key = lambda code: (-sum(map(operator.mul, negated, decode(code))), code)
         key = lambda code: (sum(map(operator.mul, negated, decode(code))), -code)
-    return pack, decode, guard, apply, sort_key, key
+    return pack, decode, guard, degree, apply, sort_key, key
 
 
 class _PackedIndex(LeadIndex):
@@ -60,13 +58,15 @@ class _PackedIndex(LeadIndex):
     A monomial whose degree, weight sum or exponent reaches 2^31 raises
     DiamondError on entry. No image can grow past its input under deglex
     and weighted-deglex; under lex and series orders an image that does
-    raises DiamondError too."""
+    raises DiamondError too. Two leads that share a variable meet at their
+    lcm, an inclusion when one divides the other; coprime ones meet only in
+    a montage, which the kernel does not list."""
 
-    __slots__ = ("pack", "decode", "guard", "apply")
+    __slots__ = ("pack", "decode", "guard", "degree", "apply")
 
     def __init__(self, theory, leads, order) -> None:
         codes = _power_codes(order.kind, theory.letters, order.generators, order.weights)
-        self.pack, self.decode, self.guard, self.apply, sort_key, key = codes
+        self.pack, self.decode, self.guard, self.degree, self.apply, sort_key, key = codes
         super().__init__(theory, leads, sort_key, key)
 
     def encode(self, m) -> int:
@@ -80,7 +80,7 @@ class _PackedIndex(LeadIndex):
         return code
 
     # A context is a power product too, and its code is what ``site`` gives.
-    entry = encode_context = encode
+    encode_context = encode
 
     def site(self, code: int, start=0):
         guard = self.guard
@@ -92,6 +92,24 @@ class _PackedIndex(LeadIndex):
 
     def decode_context(self, ctx: int, code: int) -> tuple:
         return self.decode(ctx)
+
+    def sites(self, code: int, lead: int) -> list:
+        return [] if (code - lead) & self.guard else [code - lead]
+
+    def overlaps(self, code1: int, code2: int) -> list:
+        """The lcm is packed as the first lead plus its context, which fits,
+        so one too large for a code keeps exact fields, guard bits set."""
+        e1, e2 = self.decode(code1), self.decode(code2)
+        if not any(map(min, e1, e2)):
+            return []
+        lcm = _exp_lcm(e1, e2)
+        inner = 2 if lcm == e1 else 1 if lcm == e2 else None
+        sup = code1 + self.pack(_exp_sub(lcm, e1))
+        return [(sup, sup - code1, sup - code2, inner)]
+
+    def check_superposition(self, lead: int, ctx: int) -> None:
+        if (lead + ctx) & self.guard:
+            self.encode(self.decode(lead + ctx))
 
     def weigher(self, weights: dict):
         vector, decode = tuple(map(weights.__getitem__, self.theory.letters)), self.decode
@@ -146,23 +164,6 @@ class CommutativeTheory(Theory):
     def apply_context(self, ctx, m):
         return _exp_add(ctx, m)
 
-    def divisions(self, mu, nu) -> list:
-        return [_exp_sub(mu, nu)] if _exp_le(nu, mu) else []
-
-    def overlaps(self, mu1, mu2) -> list:
-        """The lcm of two power products that share a variable, an inclusion
-        when one divides the other; coprime ones meet only in a montage."""
-        if not any(_exp_gcd(mu1, mu2)):
-            return []
-        lcm = _exp_lcm(mu1, mu2)
-        if lcm == mu1:
-            kind, inner = OverlapKind.INCLUSION, 2
-        elif lcm == mu2:
-            kind, inner = OverlapKind.INCLUSION, 1
-        else:
-            kind, inner = OverlapKind.OVERLAP, None
-        return [(lcm, _exp_sub(lcm, mu1), _exp_sub(lcm, mu2), kind, inner)]
-
     def chain_criterion(self, lead, lead_i, lead_j, superposition) -> bool:
         return (
             _exp_le(lead, superposition)
@@ -181,7 +182,7 @@ class CommutativeTheory(Theory):
         """
         lead = leads[new]
         lcms = {j: _exp_lcm(leads[j], lead) for j in active}
-        coprime = {j for j in active if not any(_exp_gcd(leads[j], lead))}
+        coprime = {j for j in active if not any(map(min, leads[j], lead))}
         # In ascending degree, an lcm is minimal when no earlier minimal one
         # divides it; a proper divisor always has a lower degree.
         minimal: list = []

@@ -39,14 +39,14 @@ class RewriteStep(_Value):
 class RewritingSystem(_Value):
     """A theory, a monomial order and a tuple of compatible rules.
 
-    ``lead_index``, ``raw_lowers`` and ``ambiguities`` are built from the
-    rules on first use, unless completion hands over the first two, and
-    kept on the instance; they are no fields, so equality, hashing and repr
-    ignore them. The lead index is made with the system's order, and
-    ``raw_lowers`` holds each rule's lower part in its codes and as integer
-    numerators over one denominator, so reduction runs on codes and ints
-    alone. ``__init__`` validates the rules in ``__post_init__``, a method
-    of its own so that a tracer can time every system build.
+    ``lead_index``, ``raw_lowers``, ``pair_ambiguities`` and ``ambiguities``
+    are built from the rules on first use, unless completion hands over the
+    first two, and kept on the instance; they are no fields, so equality,
+    hashing and repr ignore them. The lead index is made with the system's
+    order, and ``raw_lowers`` holds each rule's lower part in its codes and
+    as integer numerators over one denominator, so reduction runs on codes
+    and ints alone. ``__init__`` validates the rules in ``__post_init__``,
+    a method of its own so that a tracer can time every system build.
     """
 
     _fields = ("theory", "order", "rules", "field")
@@ -84,11 +84,20 @@ class RewritingSystem(_Value):
         return tuple(_raw_lower(self, rule) for rule in self.rules)
 
     @functools.cached_property
-    def ambiguities(self) -> tuple:
-        """The critical ambiguities, enumerated once per system."""
+    def pair_ambiguities(self) -> dict:
+        """The critical ambiguities of each rule pair (i, j), i <= j, that
+        has any, in the order of the theory's ``overlaps``; enumerated once
+        per system."""
         from .ambiguity import _enumerate_ambiguities
 
         return _enumerate_ambiguities(self)
+
+    @functools.cached_property
+    def ambiguities(self) -> tuple:
+        """The critical ambiguities in ``critical_ambiguities`` order."""
+        from .ambiguity import _sorted_ambiguities
+
+        return _sorted_ambiguities(self)
 
     def _adopt(self, lead_index, raw_lowers) -> None:
         """Take an index and lower parts made for these very rules under

@@ -105,6 +105,28 @@ def reference_magma_divisions(tree, target) -> list:
     return found
 
 
+def reference_magma_overlaps(mu1, mu2) -> list:
+    """Minimal superpositions of two trees: a tree paired with itself meets
+    only in its identity inclusion, and otherwise the tree with fewer leaves
+    meets the other wherever it is a subtree of it, in preorder; the hole is
+    None. Trees with as many leaves meet nowhere."""
+    if mu1 == mu2:
+        return [(mu1, None, None, OverlapKind.INCLUSION, 2)]
+    n1, n2 = magma_leaves(mu1), magma_leaves(mu2)
+    if n2 < n1:
+        inside = reference_magma_divisions(mu1, mu2)
+        return [(mu1, None, ctx, OverlapKind.INCLUSION, 2) for ctx in inside]
+    if n1 < n2:
+        inside = reference_magma_divisions(mu2, mu1)
+        return [(mu2, ctx, None, OverlapKind.INCLUSION, 1) for ctx in inside]
+    return []
+
+
+def magma_leaves(tree) -> int:
+    """The number of leaves of a tree, by direct recursion."""
+    return 1 if isinstance(tree, str) else magma_leaves(tree[0]) + magma_leaves(tree[1])
+
+
 def apply_context_to_element(theory, ctx, element: Element) -> Element:
     """Apply a context to every term, dropping products that vanish."""
     out: dict = {}

@@ -31,7 +31,7 @@ from diamondlemma import (
     s_polynomial,
 )
 from diamondlemma.algebra_core import _Value
-from diamondlemma.ambiguity import _s_box
+from diamondlemma.ambiguity import _ambiguity_box
 from diamondlemma.rewriting_engine import _Boxed
 
 from oracles import (
@@ -265,13 +265,14 @@ class TestResolve:
         other = RewritingSystem(s.theory, s.order, s.rules[:1], s.field)
         for amb in critical_ambiguities(s):
             spoly = s_polynomial(s, amb)
-            boxed = _Boxed(s, _s_box(s, amb))
+            boxed = _Boxed(s, _ambiguity_box(s, amb))
             work, den = boxed.box
             before = dict(work), den
             assert normal_form(s, boxed) == normal_form(s, spoly)
             assert (boxed.box[0], boxed.box[1]) == before
             assert boxed.terms == spoly.terms
-            assert normal_form(other, _Boxed(s, _s_box(s, amb))) == normal_form(other, spoly)
+            fresh = _Boxed(s, _ambiguity_box(s, amb))
+            assert normal_form(other, fresh) == normal_form(other, spoly)
 
     def test_boxed_element_is_the_element_of_its_terms(self):
         """A ``_Boxed`` s-polynomial is zero when its box is, without
@@ -285,7 +286,7 @@ class TestResolve:
                         s = make_random_system(th, order, rng, field=field, sample=sample)
                         for amb in critical_ambiguities(s):
                             spoly = s_polynomial(s, amb)
-                            boxed = _Boxed(s, _s_box(s, amb))
+                            boxed = _Boxed(s, _ambiguity_box(s, amb))
                             assert boxed.is_zero() == spoly.is_zero()
                             assert "terms" not in vars(boxed)
                             assert boxed == spoly and spoly == boxed

@@ -37,6 +37,7 @@ from diamondlemma import (
     parse_expression,
     parse_system_file,
     reduce_once,
+    resolve,
     truncated_normal_form,
 )
 from diamondlemma import completion
@@ -119,6 +120,32 @@ class TestCheckConfluence:
         assert verdict.witness.remainder == Element.from_dict(
             {(0, 2): Fraction(1), (1, 0): Fraction(-1)}
         )
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF(7)"])
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_witness_is_the_resolution_of_its_ambiguity(self, name, field):
+        """The witness, certified without a trail for the ambiguities that
+        resolve, is the certificate ``resolve`` gives its ambiguity, which
+        is the ``checked``-th of ``critical_ambiguities``, and every earlier
+        one resolves."""
+        th = THEORIES[name]
+        rng = random.Random("witness-%s-%s" % (name, field.describe()))
+        sample = COPRIME_FRACTIONS if field == QQ else None
+        orders = [o for o in shipped_orders(th) if o.is_well_founded()]
+        refuted = 0
+        for _ in range(80):
+            order = orders[rng.randrange(len(orders))]
+            s = make_random_system(th, order, rng, field=field, sample=sample)
+            verdict = check_confluence(s, 20_000)
+            if verdict.status is not ConfluenceStatus.NOT_CONFLUENT:
+                continue
+            refuted += 1
+            ambiguities = critical_ambiguities(s)
+            witness = verdict.witness
+            assert witness == resolve(s, witness.ambiguity, 20_000)
+            assert ambiguities[verdict.checked - 1] == witness.ambiguity
+            assert all(resolve(s, a).resolved for a in ambiguities[: verdict.checked - 1])
+        assert refuted >= 10
 
     def test_budget_exhaustion_is_inconclusive(self):
         s = RewritingSystem(
@@ -727,7 +754,7 @@ class TestCompletionOnCodes:
                 lower, d = work.raw_lowers[-1]
                 want_lower, want_d = _raw_lower(work, want)
                 assert work.leads[-1] == want.lead
-                assert index.entries[-1] == index.entry(want.lead)
+                assert index.entries[-1] == index.encode(want.lead)
                 assert (dict(lower), d) == (dict(want_lower), want_d)
                 assert len(lower) == len(want_lower)
                 work.decode()

@@ -18,16 +18,19 @@ from diamondlemma import (
 )
 
 from oracles import (
+    THEORIES,
     exp_divides,
     magma_occurrences,
     merge_terms,
     multiply_elements,
     reference_magma_divisions,
+    reference_magma_overlaps,
     reference_mixed_overlaps,
     reference_path_divisions,
     reference_path_overlaps,
     reference_power_product_overlaps,
     reference_word_overlaps,
+    shipped_orders,
     word_divisions,
 )
 
@@ -454,9 +457,10 @@ class TestMultiplyElements:
 QUIVER = PathAlgebraTheory(("1", "2"), (("a", "1", "2"), ("b", "2", "1"), ("c", "1", "1")))
 
 
-def lead_pairs(theory, seed):
-    """Every pair of monomials up to degree 3, then random pairs up to degree 6."""
-    small = [m for d in range(4) for m in theory.monomials_of_degree(d)]
+def lead_pairs(theory, seed, small_degree=4):
+    """Every pair of monomials below ``small_degree``, then 2000 random pairs
+    up to degree 6."""
+    small = [m for d in range(small_degree) for m in theory.monomials_of_degree(d)]
     pool = [m for d in range(7) for m in theory.monomials_of_degree(d)]
     rng = random.Random(seed)
     pairs = [(a, b) for a in small for b in small]
@@ -493,6 +497,31 @@ class TestOverlapsMatchReference:
     def test_path(self):
         for a, b in lead_pairs(QUIVER, 3):
             assert QUIVER.overlaps(a, b) == reference_path_overlaps(QUIVER, a, b), (a, b)
+
+    def test_magma(self):
+        """Every pair of trees up to degree 4, then random pairs up to degree 6."""
+        th = FreeMagmaTheory(("x", "y"))
+        for a, b in lead_pairs(th, 5, small_degree=5):
+            assert th.overlaps(a, b) == reference_magma_overlaps(a, b), (a, b)
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_lead_index_kernel_under_every_order(self, name):
+        """Under every shipped order, whose letter ranks give the codes, the
+        lead index's overlaps of two leads' codes, decoded, are the
+        theory's overlaps of the leads: the geometry does not depend on the
+        order."""
+        th = THEORIES[name]
+        pairs = lead_pairs(th, "kernel-" + name)
+        for order in shipped_orders(th):
+            index = th.lead_index([], order)
+            decode, context = index.decode, index.decode_context
+            for a, b in pairs:
+                got = [
+                    (decode(sup), context(ctx1, sup), context(ctx2, sup), kind, inner)
+                    for sup, ctx1, ctx2, inner in index.overlaps(index.encode(a), index.encode(b))
+                    for kind in [OverlapKind.OVERLAP if inner is None else OverlapKind.INCLUSION]
+                ]
+                assert got == th.overlaps(a, b), (order, a, b)
 
     def test_path_divisions(self):
         for a, b in lead_pairs(QUIVER, 4):

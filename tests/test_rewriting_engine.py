@@ -509,6 +509,19 @@ class TestMixedCodeLimits:
         with pytest.raises(TheoryMismatchError):
             normal_form(system, power(((-1,), ())))
 
+    def test_a_superposition_that_does_not_fit(self):
+        """Leads whose central parts fit can meet at an lcm that does not,
+        t^(2^30)*u^(2^30)*x here, while every image of the s-polynomial
+        fits: resolving the pair raises DiamondError, as for power products."""
+        k = CAP // 2
+        th = MixedTheory(("t", "u"), ("x",))
+        order = MonomialOrder(OrderKind.DEGLEX, th, ("t", "u", "x"))
+        one = power(((0, 0), ()))
+        rules = (Rule(((k, 0), ("x",)), one), Rule(((0, k), ("x",)), one))
+        system = RewritingSystem(th, order, rules)
+        with pytest.raises(DiamondError, match=r"does not fit"):
+            check_confluence(system)
+
 class TestNormalForm:
     def test_weyl_frozen_example(self):
         assert normal_form(weyl(), elem((("y", "x", "x"), 1))) == elem(
@@ -1020,7 +1033,7 @@ class TestLeadIndex:
                 grown = th.lead_index([], order)
                 assert all(grown.first_site(m) is None for m in probes)
                 for k, rule in enumerate(rules):
-                    grown.add(rule.lead)
+                    grown.entries.append(grown.encode(rule.lead))
                     for m in probes:
                         assert grown.first_site(m) == _reference_site(th, rules[: k + 1], m, {})
                 whole = th.lead_index([rule.lead for rule in rules], order)

@@ -159,3 +159,28 @@ def test_cli_io_compile_size_is_bounded():
     with open(path, encoding="utf-8") as handle:
         nodes = sum(1 for _ in ast.walk(ast.parse(handle.read())))
     assert nodes <= CLI_IO_MAX_AST_NODES, nodes
+
+
+# The kernel, the ambiguity and completion layers and the module of its
+# theory are compiled by every ``diamond`` process that checks or completes
+# a system, so the same holds for the eight modules together.
+KERNEL_MODULES = (
+    "monomial_theories",
+    "ambiguity",
+    "completion",
+    "words",
+    "power_products",
+    "mixed",
+    "magma",
+    "paths",
+)
+KERNEL_MAX_AST_NODES = 12032
+
+
+def test_kernel_compile_size_is_bounded():
+    nodes = 0
+    for module in KERNEL_MODULES:
+        path = os.path.join(REPO, "src", "diamondlemma", module + ".py")
+        with open(path, encoding="utf-8") as handle:
+            nodes += sum(1 for _ in ast.walk(ast.parse(handle.read())))
+    assert nodes <= KERNEL_MAX_AST_NODES, nodes
