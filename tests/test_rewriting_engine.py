@@ -65,6 +65,7 @@ from oracles import (
     make_random_system,
     random_element,
     random_strategy_normal_form,
+    reference_raw_lowers,
     reference_sort_key,
     reference_reduce,
     reference_reduce_once,
@@ -1467,6 +1468,121 @@ class TestHeapOrder:
         else:
             assert check_truncated_normal_form(system, parsed.weight_data, e, precision) > 50
             assert truncated_normal_form(system, parsed.weight_data, e, precision).truncated
+
+
+_PATHS = PathAlgebraTheory(("1", "2"), (("a", "1", "2"), ("b", "2", "1")))
+_POWERS = CommutativeTheory(("x", "y"))
+_MIXED = MixedTheory(("t",), ("x",))
+
+
+def _order(th):
+    return MonomialOrder(OrderKind.DEGLEX, th, tuple(th.generator_names()))
+
+
+# (theory, rules, field, exception class, message) of systems with one bad
+# rule of each kind, as the system check has always refused them.
+BAD_RULES = [
+    (
+        TH,
+        (Rule(("y", "x"), elem((("x", "y"), Fraction(1, 2)))),),
+        PrimeField(7),
+        RuleError,
+        "rule 0: coefficient 1/2 of x*y is not in the field GF(7)",
+    ),
+    (
+        TH,
+        (Rule(("y", "x"), elem((("x", "y"), 1))), Rule(("x",), elem((("x", "x"), 1)))),
+        QQ,
+        RuleError,
+        "rule 1: lower-part monomial x^2 is not below the lead x",
+    ),
+    (
+        # The coefficient is read before the monomial is compared.
+        TH,
+        (Rule(("x",), Element(((("x", "x"), Fp(1, 7)),))),),
+        QQ,
+        RuleError,
+        "rule 0: coefficient Fp(value=1, p=7) of x^2 is not in the field QQ",
+    ),
+    (
+        _PATHS,
+        (Rule(_PATHS.path("a", "b"), Element(((_PATHS.path("a"), Fraction(1)),))),),
+        QQ,
+        RuleError,
+        "rule 0: non-uniform path rule (a vs a*b)",
+    ),
+    (
+        TH,
+        (Rule(("z",), Element.zero()),),
+        QQ,
+        TheoryMismatchError,
+        "monomial ('z',) does not belong to assoc(x,y)",
+    ),
+    (
+        TH,
+        (Rule(("y", "x"), elem((("z",), 1))),),
+        QQ,
+        TheoryMismatchError,
+        "monomial ('z',) does not belong to assoc(x,y)",
+    ),
+    (
+        _POWERS,
+        (Rule((2**31, 0), Element.zero()),),
+        QQ,
+        DiamondError,
+        "monomial x^2147483648 does not fit the power-product codes, whose degrees, "
+        "weight sums and exponents stay below 2^31",
+    ),
+    (
+        _MIXED,
+        (Rule(((1,), ("x", "x")), Element((((((2**31,), ()), Fraction(1)),)))),),
+        QQ,
+        DiamondError,
+        "monomial t^2147483648 does not fit the mixed codes, whose central degrees and "
+        "exponents stay below 2^31",
+    ),
+]
+
+
+class TestRuleCodes:
+    """``RewritingSystem(...)`` checks and encodes its rules in one walk and
+    keeps the codes; a system of checked rules builds the same codes on
+    first use."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF(7)"])
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_built_and_lazy_codes_match_the_reference(self, name, field):
+        th = THEORIES[name]
+        rng = random.Random("rule-codes-%s-%s" % (name, field.describe()))
+        sample = COPRIME_FRACTIONS if field == QQ else None
+        fractional = 0
+        for order in shipped_orders(th):
+            for k in range(10):
+                rules = make_random_system(th, order, rng, field=field, sample=sample).rules
+                built = RewritingSystem(th, order, rules, field)
+                assert {"lead_index", "raw_lowers"} <= vars(built).keys()
+                lazy = RewritingSystem._of_checked_rules(th, order, rules, field)
+                assert "lead_index" not in vars(lazy) and "raw_lowers" not in vars(lazy)
+                # Either property, read first, builds both.
+                first, second = ("raw_lowers", "lead_index")[:: 1 if k % 2 else -1]
+                getattr(lazy, first)
+                assert {"lead_index", "raw_lowers"} <= vars(lazy).keys()
+                fresh = th.lead_index([rule.lead for rule in rules], order)
+                assert built.lead_index.entries == lazy.lead_index.entries == fresh.entries
+                assert built.lead_index is not order.codec
+                assert order.codec.entries == []
+                want = reference_raw_lowers(th, order, field, rules)
+                assert built.raw_lowers == lazy.raw_lowers == want
+                fractional += any(d != 1 for _, d in want)
+        assert (fractional > 0) == (field == QQ)
+
+    @pytest.mark.parametrize("case", range(len(BAD_RULES)))
+    def test_bad_rules_raise_as_before(self, case):
+        th, rules, field, error, message = BAD_RULES[case]
+        with pytest.raises(DiamondError) as info:
+            RewritingSystem(th, _order(th), rules, field)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestCachedLeadIndex:
