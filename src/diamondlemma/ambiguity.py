@@ -4,8 +4,14 @@ from __future__ import annotations
 
 from math import lcm
 
-from .algebra_core import Element, _accumulate, _Value
-from .rewriting_engine import DEFAULT_STEP_BUDGET, _Boxed, _decoded, normal_form_with_trail
+from .algebra_core import Element, _accumulate, _set, _Value
+from .rewriting_engine import (
+    DEFAULT_STEP_BUDGET,
+    _Boxed,
+    _decoded,
+    _pair_overlaps,
+    normal_form_with_trail,
+)
 
 
 class Ambiguity(_Value):
@@ -19,25 +25,16 @@ class Ambiguity(_Value):
     _defaults = {"inner": None}
 
 
-def _ambiguity(i, j, superposition, ctx1, ctx2, kind, inner) -> Ambiguity:
-    """The ambiguity of rules i <= j at a decoded item of ``overlaps``. What
-    a self-pair has left are overlaps, which name no inner slot, so its
-    contexts are put in ``repr`` order."""
+def _ambiguity(index, i, j, item) -> tuple:
+    """(the ambiguity, its encoded contexts) of rules i <= j at an item of
+    the lead index's ``overlaps``, decoded as ``Theory.overlaps`` lists it.
+    What a self-pair has left are overlaps, which name no inner slot, so its
+    contexts are put in ``repr`` order, the encoded ones with them."""
+    sup, ctx1, ctx2, kind, inner = index.decoded(item)
+    codes = item[1], item[2]
     if i == j and repr(ctx2) < repr(ctx1):
-        ctx1, ctx2 = ctx2, ctx1
-    return Ambiguity(i, ctx1, j, ctx2, superposition, kind, inner)
-
-
-def _pair_ambiguities(theory, i, lead_i, j, lead_j) -> list:
-    """Enumerate the minimal ambiguities of one rule pair, i <= j, from the
-    theory's ``overlaps``. The same rule applied identically is a single
-    reduction, not an ambiguity, so a self-pair drops its identity
-    inclusion."""
-    return [
-        _ambiguity(i, j, *item)
-        for item in theory.overlaps(lead_i, lead_j)
-        if i != j or item[1] != item[2]
-    ]
+        ctx1, ctx2, codes = ctx2, ctx1, codes[::-1]
+    return Ambiguity(i, ctx1, j, ctx2, sup, kind, inner), codes
 
 
 def critical_ambiguities(system) -> tuple:
@@ -47,36 +44,35 @@ def critical_ambiguities(system) -> tuple:
     return system.ambiguities
 
 
-def _enumerate_ambiguities(system) -> dict:
-    """The ambiguities of each rule pair (i, j), i <= j, that has any, by
-    the pair, each pair's in the order of the theory's ``overlaps``."""
-    th, leads = system.theory, [rule.lead for rule in system.rules]
-    pairs = {}
-    for j, lead in enumerate(leads):
-        for i in range(j + 1):
-            found = _pair_ambiguities(th, i, leads[i], j, lead)
-            if found:
-                pairs[i, j] = found
-    return pairs
-
-
 def _sorted_ambiguities(system) -> tuple:
-    """The system's ``pair_ambiguities`` in ``critical_ambiguities`` order;
-    a single one is not keyed."""
-    th = system.theory
-    ambs = [amb for found in system.pair_ambiguities.values() for amb in found]
-    if len(ambs) > 1:
-        ambs.sort(
-            key=lambda a: (
-                th.degree(a.superposition),
-                th.serialize(a.superposition),
-                a.rule1,
-                a.rule2,
-                repr(a.ctx1),
-                repr(a.ctx2),
+    """The ambiguities of each rule pair i <= j, what the overlap kernel of
+    the system's ``lead_index`` lists on the leads' codes, the identity
+    inclusion of a self-pair dropped, as the same applied rule is a single
+    reduction; in ``critical_ambiguities`` order, a single one not keyed.
+    Sets their encoded contexts, in that order, as the system's
+    ``_contexts``."""
+    th, index = system.theory, system.lead_index
+    codec, entries = system.order.codec, index.entries
+    found = [
+        _ambiguity(index, i, j, item)
+        for j, lead in enumerate(entries)
+        for i in range(j + 1)
+        for item in _pair_overlaps(codec, entries[i], lead)
+        if i != j or item[1] != item[2]
+    ]
+    if len(found) > 1:
+        found.sort(
+            key=lambda pair: (
+                th.degree(pair[0].superposition),
+                th.serialize(pair[0].superposition),
+                pair[0].rule1,
+                pair[0].rule2,
+                repr(pair[0].ctx1),
+                repr(pair[0].ctx2),
             )
         )
-    return tuple(ambs)
+    _set(system, "_contexts", tuple([codes for _, codes in found]))
+    return tuple([amb for amb, _ in found])
 
 
 def _s_box(system, rule1, ctx1, rule2, ctx2) -> list:

@@ -9,7 +9,7 @@ from enum import Enum
 from math import gcd
 
 from .algebra_core import DiamondError, Element, _term_key, _Value
-from .ambiguity import Ambiguity, ResolutionCertificate, _ambiguity, _ambiguity_box, _s_box
+from .ambiguity import ResolutionCertificate, _ambiguity, _s_box
 from .monomial_theories import Theory
 from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
@@ -54,15 +54,18 @@ class ConfluenceVerdict(_Value):
 def check_confluence(system, max_steps: int = DEFAULT_STEP_BUDGET) -> ConfluenceVerdict:
     """Resolve all critical ambiguities and report the verdict.
 
-    Each s-polynomial is reduced on codes, keeping the raw steps; only the
-    witness, the first ambiguity that does not resolve, gets a certificate,
-    the one ``resolve`` gives. A system whose order is not well-founded
-    raises DiamondError, since plain reduction then need not terminate.
+    Each s-polynomial is built and reduced on codes, from the encoded
+    contexts the system keeps beside its ambiguities, keeping the raw
+    steps; only the witness, the first ambiguity that does not resolve,
+    gets a certificate, the one ``resolve`` gives. A system whose order is
+    not well-founded raises DiamondError, since plain reduction then need
+    not terminate.
     """
     _well_founded(system, "confluence checking")
     checked = 0
-    for amb in system.ambiguities:
-        box = _ambiguity_box(system, amb)
+    # ``ambiguities`` is read first, and sets ``_contexts``.
+    for amb, (ctx1, ctx2) in zip(system.ambiguities, system._contexts):
+        box = _s_box(system, amb.rule1, ctx1, amb.rule2, ctx2)
         try:
             steps = list(_rewrites(system, box, max_steps))
         except StepBudgetExceededError:
@@ -284,11 +287,10 @@ def complete(
     Pairs are processed FIFO by superposition degree then insertion order.
     Each new rule first marks queued pairs that the theory's chain criterion
     certifies as dead, then queues its pairs with the partners the theory's
-    ``pair_update`` selects. Pairs of input rules are the system's own
-    ``pair_ambiguities``, and a pair with an added rule is what the lead
-    index's ``overlaps`` lists on the leads' codes; such a pair stays
-    encoded and is decoded into an ``Ambiguity`` only as the source of the
-    rule its remainder becomes. Returns Complete when the queue empties,
+    ``pair_update`` selects. A pair is what the overlap kernel of the lead
+    index lists on the leads' codes, input rules and added ones alike; it
+    stays encoded and is decoded into an ``Ambiguity`` only as the source of
+    the rule its remainder becomes. Returns Complete when the queue empties,
     DegreeCapped when pairs above the degree cap were skipped and RuleCapped
     when the rule cap was reached. A system whose order is not well-founded
     raises DiamondError.
@@ -297,10 +299,9 @@ def complete(
     th, order = system.theory, system.order
     work = _Working.of(system)
     rules, leads, index = work.rules, work.leads, work.lead_index
-    listed, base = system.pair_ambiguities, len(rules)
     # Only a theory with a chain criterion reads the queued superpositions.
     chains = type(th).chain_criterion is not Theory.chain_criterion
-    heap: list = []  # (degree, counter, rule1, rule2, superposition, pair)
+    heap: list = []  # (degree, counter, rule1, rule2, superposition, overlap item)
     counter = itertools.count()
     dead: set = set()  # insertion counters of queued pairs a criterion removed
     active: list = []
@@ -317,11 +318,6 @@ def complete(
         partners, removed, active = th.pair_update(leads, active, new)
         filtered += removed
         for j in partners:
-            if new < base:
-                for amb in listed.get((j, new), ()):
-                    sup = amb.superposition
-                    heapq.heappush(heap, (th.degree(sup), next(counter), j, new, sup, amb))
-                continue
             for item in _pair_overlaps(order.codec, index.entries[j], index.entries[new]):
                 if j != new or item[1] != item[2]:
                     sup = chains and index.decode(item[0])
@@ -333,18 +329,14 @@ def complete(
     processed = 0
     skipped = 0
     sources: list = []
-    degree_capped = False
-    rule_capped = False
     while heap:
         deg, key, i, j, _, pair = heapq.heappop(heap)
         if key in dead:
             continue
         if deg > max_degree:
             skipped += 1
-            degree_capped = True
             continue
-        coded = pair.__class__ is not Ambiguity
-        box = _s_box(work, i, pair[1], j, pair[2]) if coded else _ambiguity_box(work, pair)
+        box = _s_box(work, i, pair[1], j, pair[2])
         reduced_by = len(rules)
         remainder = normal_form(work, _Boxed(work, box), max_steps)
         processed += 1
@@ -353,22 +345,17 @@ def complete(
         # Rules are uniform, and s-polynomials and their images keep the
         # class of their superposition, so the remainder is one rule.
         work.append(remainder.box, reduced_by)
-        sources.append(_ambiguity(i, j, *index.decoded(pair)) if coded else pair)
+        sources.append(_ambiguity(index, i, j, pair)[0])
         if len(rules) > max_rules:
-            rule_capped = True
+            status = CompletionStatus.RULE_CAPPED
             break
         add_pairs(len(rules) - 1)
         _interreduce(work, max_steps)
-
-    if rule_capped:
-        status = CompletionStatus.RULE_CAPPED
-    elif degree_capped:
-        status = CompletionStatus.DEGREE_CAPPED
     else:
-        status = CompletionStatus.COMPLETE
+        status = CompletionStatus.DEGREE_CAPPED if skipped else CompletionStatus.COMPLETE
 
     work.decode()
-    added = tuple(map(AddedRule, rules[base:], sources))
+    added = tuple(map(AddedRule, rules[len(system.rules) :], sources))
     if status is CompletionStatus.COMPLETE:
         final, dropped = _drop_pass(work, max_steps)
     else:

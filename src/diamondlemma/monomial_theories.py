@@ -388,13 +388,6 @@ class _CodedIndex(LeadIndex):
 # named_monomials by the theory's class and fields: one for equal theories.
 _NAMED: dict = {}
 
-# Theory.overlaps lists by deglex codec, that is by theory value, and pair of
-# leads, the oldest dropped first. Systems of one theory share many leads: in
-# one seed-1 pass of the bench's corpus-sweep workload 84 % of the calls
-# repeat an earlier pair.
-_OVERLAPS: dict = {}
-_OVERLAPS_KEPT = 4096
-
 
 class Theory(_Value):
     """Shared behaviour; concrete theories implement the payload geometry.
@@ -415,11 +408,12 @@ class Theory(_Value):
     too. ``divisions(mu, nu)`` lists the contexts at which ``nu`` divides
     ``mu``. A theory's geometry is its codecs' kernels: both methods encode
     their arguments under ``deglex_codec()``, ask its ``overlaps`` or
-    ``sites`` and decode what it lists; ``overlaps`` keeps the lists of the
-    latest pairs of leads of equal theories and hands out copies. Each
-    theory class holds both in its own namespace, where a tracer can wrap
-    them. A theory refuses a name that its ``expression_names`` list twice,
-    which codes would alias.
+    ``sites`` and decode what it lists. They are the public geometry calls,
+    which no library path makes: a system lists its ambiguities, and
+    completion its pairs, on the codes of its own lead index. Each theory
+    class holds both in its own namespace, where a tracer can wrap them. A
+    theory refuses a name that its ``expression_names`` list twice, which
+    codes would alias.
 
     A theory holds no order: its ``lead_index`` under an order is the codec
     whose keys and weigher every monomial order and weight sum read.
@@ -460,16 +454,7 @@ class Theory(_Value):
 
     def overlaps(self, mu1, mu2) -> list:
         codec = self.deglex_codec()
-
-        def listed():
-            code1 = codec.encode(mu1)
-            items = codec.overlaps(code1, code1 if mu2 is mu1 else codec.encode(mu2))
-            return list(map(codec.decoded, items))
-
-        try:
-            return list(_memo(_OVERLAPS, (codec, mu1, mu2), listed, _OVERLAPS_KEPT))
-        except TypeError:  # an unhashable lead, which encode refuses
-            return listed()
+        return list(map(codec.decoded, codec.overlaps(codec.encode(mu1), codec.encode(mu2))))
 
     def divisions(self, mu, nu) -> list:
         codec = self.deglex_codec()

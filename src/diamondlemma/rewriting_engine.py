@@ -39,17 +39,19 @@ class RewriteStep(_Value):
 class RewritingSystem(_Value):
     """A theory, a monomial order and a tuple of compatible rules.
 
-    ``lead_index``, ``raw_lowers``, ``pair_ambiguities`` and ``ambiguities``
-    are kept on the instance; they are no fields, so equality, hashing and
-    repr ignore them. ``__init__`` checks the rules in ``__post_init__``, a
-    method of its own so that a tracer can time every system build, through
-    ``_rule_codes``, and keeps the codes that walk computes: the lead index
-    is the order's ``codec`` over the leads' codes, and ``raw_lowers`` holds
-    each rule's lower part in those codes and as integer numerators over
-    one denominator, so reduction runs on codes and ints alone. A system of
-    checked rules, ``_of_checked_rules``, builds both on first use through
-    the same walk, unless completion hands them over; the ambiguities are
-    built on first use.
+    ``lead_index``, ``raw_lowers`` and ``ambiguities``, with the encoded
+    contexts of the ambiguities, are kept on the instance; they are no
+    fields, so equality, hashing and repr ignore them. ``__init__`` checks
+    the rules in ``__post_init__``, a method of its own so that a tracer can
+    time every system build, through ``_rule_codes``, and keeps the codes
+    that walk computes: the lead index is the order's ``codec`` over the
+    leads' codes, and ``raw_lowers`` holds each rule's lower part in those
+    codes and as integer numerators over one denominator, so reduction runs
+    on codes and ints alone. A system of checked rules,
+    ``_of_checked_rules``, builds both on first use through the same walk,
+    unless completion hands them over. The ambiguities are built on first
+    use, from what the overlap kernel of the lead index lists on the leads'
+    codes.
     """
 
     _fields = ("theory", "order", "rules", "field")
@@ -105,17 +107,10 @@ class RewritingSystem(_Value):
         return self.raw_lowers
 
     @functools.cached_property
-    def pair_ambiguities(self) -> dict:
-        """The critical ambiguities of each rule pair (i, j), i <= j, that
-        has any, in the order of the theory's ``overlaps``; enumerated once
-        per system."""
-        from .ambiguity import _enumerate_ambiguities
-
-        return _enumerate_ambiguities(self)
-
-    @functools.cached_property
     def ambiguities(self) -> tuple:
-        """The critical ambiguities in ``critical_ambiguities`` order."""
+        """The critical ambiguities in ``critical_ambiguities`` order; the
+        walk that lists them sets their encoded contexts beside them, as
+        ``_contexts``."""
         from .ambiguity import _sorted_ambiguities
 
         return _sorted_ambiguities(self)
@@ -131,10 +126,11 @@ class RewritingSystem(_Value):
 
 
 # Overlap kernel items by (codec, code, code), the oldest dropped first.
-# Completion pairs each rule it adds through the kernel, and small systems
-# of one theory share leads: in one seed-1 pass of the bench's corpus-sweep
-# workload 87 % of those calls repeat an earlier key, and its 3,238 keys fit
-# in a table of this size (one of 2,048 serves 80 %, one of 1,024 63 %).
+# Every rule pair a system lists ambiguities for, or completion queues, is
+# read through the kernel here, and small systems of one theory share
+# leads: one seed-1 pass of the bench's corpus-sweep workload asks for
+# 50,950 lists over 4,451 keys, and a table of this size serves 90 % of
+# them (91 %, every repeat, takes 8,192; 2,048 serve 81 %, 1,024 69 %).
 _PAIRS: dict = {}
 _PAIRS_KEPT = 4096
 

@@ -37,7 +37,6 @@ from diamondlemma import (
     orient,
 )
 from diamondlemma.algebra_core import _accumulate
-from diamondlemma.ambiguity import _pair_ambiguities
 from diamondlemma.cli_io import MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_TERMS
 
 
@@ -352,12 +351,51 @@ def reference_drop_redundant(system, max_steps: int = 10**6):
     return RewritingSystem(th, order, tuple(rules), field), tuple(dropped)
 
 
+def reference_pair_ambiguities(theory, i: int, lead_i, j: int, lead_j) -> list:
+    """The ambiguities of rules i <= j in the order of ``theory.overlaps``:
+    a self-pair drops its identity inclusion, where both contexts agree, and
+    puts the contexts of what it has left in ``repr`` order."""
+    out = []
+    for sup, ctx1, ctx2, kind, inner in theory.overlaps(lead_i, lead_j):
+        if i == j and ctx1 == ctx2:
+            continue
+        if i == j and repr(ctx2) < repr(ctx1):
+            ctx1, ctx2 = ctx2, ctx1
+        out.append(Ambiguity(i, ctx1, j, ctx2, sup, kind, inner))
+    return out
+
+
+def reference_ambiguities(system) -> tuple:
+    """``critical_ambiguities`` from ``theory.overlaps``: every rule pair
+    i <= j, sorted by superposition degree, then serialized superposition,
+    rules and the ``repr`` of both contexts."""
+    th, leads = system.theory, [rule.lead for rule in system.rules]
+    found = [
+        amb
+        for j in range(len(leads))
+        for i in range(j + 1)
+        for amb in reference_pair_ambiguities(th, i, leads[i], j, leads[j])
+    ]
+    found.sort(
+        key=lambda a: (
+            th.degree(a.superposition),
+            th.serialize(a.superposition),
+            a.rule1,
+            a.rule2,
+            repr(a.ctx1),
+            repr(a.ctx2),
+        )
+    )
+    return tuple(found)
+
+
 def reference_complete(system, max_degree: int = 12, max_rules: int = 500, max_steps: int = 10**6):
     """Completion without pair criteria: every rule pair is queued, pairs are
     processed by superposition degree then insertion order, and every rule
-    is renormalized after each new rule. Each s-polynomial is the difference
-    of the images of the two lower parts, so no s-polynomial code is shared
-    with ``complete``. Reports no filtered pairs."""
+    is renormalized after each new rule. Pairs come from
+    ``theory.overlaps`` and each s-polynomial is the difference of the
+    images of the two lower parts, so no enumeration or s-polynomial code
+    is shared with ``complete``. Reports no filtered pairs."""
     th, order = system.theory, system.order
     rules = list(system.rules)
     heap: list = []
@@ -366,7 +404,9 @@ def reference_complete(system, max_degree: int = 12, max_rules: int = 500, max_s
     def push_pairs(new_idx: int) -> None:
         nonlocal counter
         for j in range(new_idx + 1):
-            for amb in _pair_ambiguities(th, j, rules[j].lead, new_idx, rules[new_idx].lead):
+            for amb in reference_pair_ambiguities(
+                th, j, rules[j].lead, new_idx, rules[new_idx].lead
+            ):
                 heapq.heappush(heap, (th.degree(amb.superposition), counter, amb))
                 counter += 1
 

@@ -42,6 +42,7 @@ from oracles import (
     critical_ambiguities_with_montages,
     make_random_system,
     make_word_corpus,
+    reference_ambiguities,
     second_criterion_filter,
     shipped_orders,
     words_up_to,
@@ -188,6 +189,56 @@ class TestEnumeration:
                     for a in enumerate_all(s)
                 ]
                 assert len(set(keys)) == len(keys)
+
+
+def _outcome(call, *args, **kwargs):
+    """What a call returns, or the class and message of the DiamondError it
+    raises."""
+    try:
+        return call(*args, **kwargs)
+    except DiamondError as exc:
+        return type(exc), str(exc)
+
+
+class TestLeadCodesAreTheOnlySource:
+    """Ambiguities and completion pairs are read off the system's own lead
+    codes: with every theory's ``overlaps`` and ``divisions`` made to raise,
+    a system lists what the reference built from ``theory.overlaps`` lists,
+    and checks and completes as it does with them in place."""
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    @pytest.mark.parametrize("field", [RationalField(), PrimeField(7)], ids=["QQ", "GF7"])
+    def test_no_library_path_asks_the_theory(self, name, field, monkeypatch):
+        th = THEORIES[name]
+        rng = random.Random("lead-codes-%s-%s" % (name, field.describe()))
+        sample = COPRIME_FRACTIONS if field == RationalField() else None
+        cases = []
+        for order in shipped_orders(th):
+            for _ in range(6):
+                s = make_random_system(th, order, rng, field=field, sample=sample)
+                cases.append((s, reference_ambiguities(s)))
+
+        def run(s):
+            twin = RewritingSystem(s.theory, s.order, s.rules, s.field)
+            return (
+                critical_ambiguities(twin),
+                _outcome(check_confluence, twin, 20_000),
+                _outcome(complete, twin, max_degree=6, max_rules=4, max_steps=20_000),
+            )
+
+        unpatched = [run(s) for s, _ in cases]
+
+        def refuse(*args):
+            raise AssertionError("a library path asked the theory for its geometry")
+
+        for cls in {type(t) for t in THEORIES.values()}:
+            monkeypatch.setattr(cls, "overlaps", refuse)
+            monkeypatch.setattr(cls, "divisions", refuse)
+        assert any(ref for _, ref in cases)
+        for (s, ref), before in zip(cases, unpatched):
+            got = run(s)
+            assert got[0] == ref, s
+            assert got == before, s
 
 
 class TestSPolynomial:

@@ -9,10 +9,12 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Installs the tracer on a fresh interpreter, then completes a small system
 # over QQ and over GF(7), and a mixed, a magma and a path system, through the
 # wrapped names, and checks that the wrappers counted the work, the residue
-# operators included, and that each completion called its theory's
-# ``overlaps``. No lead index calls ``divisions``, so reduction alone does not
-# count it. Completion orients its remainders on residues, so the residue
-# operators are counted on ``orient`` of a GF(7) element. Parsing and
+# operators included. No library path calls a theory's ``overlaps`` or
+# ``divisions``, since ambiguities and pairs are listed on lead codes, so a
+# direct ``overlaps`` call on each system's theory checks that the wrapper is
+# installed on every theory class. Completion orients its remainders on
+# residues, so the residue operators are counted on ``orient`` of a GF(7)
+# element. Parsing and
 # completion build their systems of rules already checked, so the system
 # build span is timed on one system built through ``RewritingSystem``.
 _SCRIPT = """
@@ -36,8 +38,11 @@ texts = [
 ]
 for text in texts:
     before = tracer.layer_metrics()
-    report = diamondlemma.complete(diamondlemma.parse_system_file(text).system)
+    system = diamondlemma.parse_system_file(text).system
+    report = diamondlemma.complete(system)
     assert report.status is diamondlemma.CompletionStatus.COMPLETE
+    lead = system.rules[0].lead
+    system.theory.overlaps(lead, lead)
     after = tracer.layer_metrics()
     for name in (
         "completion.pairs_processed",

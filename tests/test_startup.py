@@ -174,7 +174,7 @@ KERNEL_MODULES = (
     "magma",
     "paths",
 )
-KERNEL_MAX_AST_NODES = 12032
+KERNEL_MAX_AST_NODES = 11870
 
 
 def test_kernel_compile_size_is_bounded():
@@ -196,7 +196,7 @@ PROCESS_MODULES = (
     "ambiguity",
     "completion",
 )
-PROCESS_MAX_AST_NODES = 11468
+PROCESS_MAX_AST_NODES = 11314
 
 
 def test_process_compile_size_is_bounded():
