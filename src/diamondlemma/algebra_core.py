@@ -333,12 +333,6 @@ def _accumulate(coeffs: dict, monomial, c, p: int = 0) -> None:
         del coeffs[monomial]
 
 
-def _term_key(monomial) -> str:
-    # Payloads are nested tuples, strings and ints; repr is an injective
-    # deterministic key that never compares across types.
-    return repr(monomial)
-
-
 class Element(_Value):
     """Finitely supported scalar combination of monomials, stored sparsely."""
 
@@ -358,10 +352,13 @@ class Element(_Value):
     @staticmethod
     def _of_nonzero(coeffs: dict) -> "Element":
         """``from_dict`` of a mapping that holds no zero, which is not tested;
-        a single term is not keyed."""
+        a single term is not keyed. Terms are sorted by the ``repr`` of
+        their monomials: payloads are nested tuples, strings and ints, and
+        repr is an injective deterministic key that never compares across
+        types."""
         items = coeffs.items()
         if len(coeffs) > 1:
-            items = sorted(items, key=lambda item: _term_key(item[0]))
+            items = sorted(items, key=lambda item: repr(item[0]))
         return Element(tuple(items))
 
     @staticmethod

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 
 from .algebra_core import Element, _accumulate, _set, _Value
+from .monomial_theories import _keyed
 from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
     _Boxed,
@@ -25,16 +27,18 @@ class Ambiguity(_Value):
     _defaults = {"inner": None}
 
 
-def _ambiguity(index, i, j, item) -> tuple:
-    """(the ambiguity, its encoded contexts) of rules i <= j at an item of
-    the lead index's ``overlaps``, decoded as ``Theory.overlaps`` lists it.
-    What a self-pair has left are overlaps, which name no inner slot, so its
-    contexts are put in ``repr`` order, the encoded ones with them."""
-    sup, ctx1, ctx2, kind, inner = index.decoded(item)
-    codes = item[1], item[2]
-    if i == j and repr(ctx2) < repr(ctx1):
-        ctx1, ctx2, codes = ctx2, ctx1, codes[::-1]
-    return Ambiguity(i, ctx1, j, ctx2, sup, kind, inner), codes
+def _ambiguity(codec, i, j, item) -> tuple:
+    """(sort key, the ambiguity, its encoded contexts) of rules i <= j at an
+    item of the codec's ``overlaps``, decoded as ``Theory.overlaps`` lists
+    it, through the decode cache ``_keyed``. What a self-pair has left are
+    overlaps, which name no inner slot, so its contexts are put in ``repr``
+    order, the encoded ones with them. The key is the one of
+    ``critical_ambiguities`` order."""
+    (sup, ctx1, ctx2, kind, inner), (deg, text, key1, key2) = _keyed(codec, item)
+    codes = item[1:3]
+    if i == j and key2 < key1:
+        ctx1, ctx2, key1, key2, codes = ctx2, ctx1, key2, key1, codes[::-1]
+    return (deg, text, i, j, key1, key2), Ambiguity(i, ctx1, j, ctx2, sup, kind, inner), codes
 
 
 def critical_ambiguities(system) -> tuple:
@@ -48,31 +52,20 @@ def _sorted_ambiguities(system) -> tuple:
     """The ambiguities of each rule pair i <= j, what the overlap kernel of
     the system's ``lead_index`` lists on the leads' codes, the identity
     inclusion of a self-pair dropped, as the same applied rule is a single
-    reduction; in ``critical_ambiguities`` order, a single one not keyed.
-    Sets their encoded contexts, in that order, as the system's
-    ``_contexts``."""
-    th, index = system.theory, system.lead_index
-    codec, entries = system.order.codec, index.entries
+    reduction; in ``critical_ambiguities`` order, sorted on the keys that
+    the decode cache keeps with each item. Sets their encoded contexts, in
+    that order, as the system's ``_contexts``."""
+    codec, entries = system.order.codec, system.lead_index.entries
     found = [
-        _ambiguity(index, i, j, item)
+        _ambiguity(codec, i, j, item)
         for j, lead in enumerate(entries)
         for i in range(j + 1)
         for item in _pair_overlaps(codec, entries[i], lead)
         if i != j or item[1] != item[2]
     ]
-    if len(found) > 1:
-        found.sort(
-            key=lambda pair: (
-                th.degree(pair[0].superposition),
-                th.serialize(pair[0].superposition),
-                pair[0].rule1,
-                pair[0].rule2,
-                repr(pair[0].ctx1),
-                repr(pair[0].ctx2),
-            )
-        )
-    _set(system, "_contexts", tuple([codes for _, codes in found]))
-    return tuple([amb for amb, _ in found])
+    found.sort(key=itemgetter(0))
+    _set(system, "_contexts", tuple([codes for _, _, codes in found]))
+    return tuple([amb for _, amb, _ in found])
 
 
 def _s_box(system, rule1, ctx1, rule2, ctx2) -> list:

@@ -8,9 +8,9 @@ import itertools
 from enum import Enum
 from math import gcd
 
-from .algebra_core import DiamondError, Element, _term_key, _Value
+from .algebra_core import DiamondError, Element, _Value
 from .ambiguity import ResolutionCertificate, _ambiguity, _s_box
-from .monomial_theories import Theory
+from .monomial_theories import Theory, _term
 from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
     RewritingSystem,
@@ -210,15 +210,12 @@ class _Working:
     def decode(self) -> None:
         """Rebuild the stale rules from their raw lower parts, whose pairs
         are put in the order of the decoded terms, as ``raw_lowers`` of a
-        system of these rules gives them."""
-        decode, scalar = self.lead_index.decode, self.field.scalar
+        system of these rules gives them. Monomials and term keys come from
+        the decode cache ``_term`` under the order's ``codec``."""
+        codec, scalar = self.order.codec, self.field.scalar
         for i in self.stale:
             lower, den = self.raw_lowers[i]
-            terms = []
-            for m, c in lower:
-                x = decode(m)
-                terms.append((_term_key(x), x, m, c))
-            terms.sort()
+            terms = sorted([(*_term(codec, m), m, c) for m, c in lower])
             self.rules[i] = Rule(
                 self.leads[i], Element(tuple([(x, scalar(c, den)) for _, x, _, c in terms]))
             )
@@ -345,7 +342,7 @@ def complete(
         # Rules are uniform, and s-polynomials and their images keep the
         # class of their superposition, so the remainder is one rule.
         work.append(remainder.box, reduced_by)
-        sources.append(_ambiguity(index, i, j, pair)[0])
+        sources.append(_ambiguity(order.codec, i, j, pair)[1])
         if len(rules) > max_rules:
             status = CompletionStatus.RULE_CAPPED
             break

@@ -50,11 +50,6 @@ def _exp_add(a: tuple, b: tuple) -> tuple:
     return tuple(map(operator.add, a, b))
 
 
-def _exp_le(a: tuple, b: tuple) -> bool:
-    return all(map(operator.le, a, b))
-
-
-
 def _sites(code: str, lead: str) -> list:
     """The (left, right) contexts of every occurrence of ``lead`` in
     ``code``, leftmost first; an empty ``lead`` occurs at every position."""
@@ -132,9 +127,9 @@ class LeadIndex:
     ``Theory.overlaps``, as (superposition, ctx1, ctx2, inner) items: codes
     all, each context one that ``site`` could give and ``apply`` reads, and
     ``inner`` the slot an inclusion places inside the other, None for an
-    overlap, which fixes the ``OverlapKind``. ``decoded(item)`` is the
-    ``Theory.overlaps`` tuple of an item, and ``sites(code, lead)`` lists
-    every context at which a lead divides a code, leftmost first.
+    overlap, which fixes the ``OverlapKind``; ``_keyed`` decodes an item
+    as ``Theory.overlaps`` lists it. ``sites(code, lead)`` lists every
+    context at which a lead divides a code, leftmost first.
     ``degree(code)`` is the degree of a code's monomial, and
     ``check_superposition(lead, ctx)`` raises DiamondError when a lead's
     image under a context of one of its superpositions has no code, which
@@ -189,22 +184,44 @@ class LeadIndex:
     def check_superposition(self, lead, ctx) -> None:
         pass
 
-    def decoded(self, item) -> tuple:
-        """An item of ``overlaps``, decoded as ``Theory.overlaps`` lists it;
-        equal contexts, those of an identity inclusion, are decoded once."""
-        sup, ctx1, ctx2, inner = item
-        first = self.decode_context(ctx1, sup)
-        second = first if ctx2 == ctx1 else self.decode_context(ctx2, sup)
-        kind = OverlapKind.OVERLAP if inner is None else OverlapKind.INCLUSION
-        return self.decode(sup), first, second, kind, inner
+
+# Decoded codes and overlap items by (codec, code) and (codec, item), the
+# least recently used dropped first. A system's lead index decodes as its
+# order's ``codec``, which equal orders share, and no other key would do:
+# each system's ``lead_index`` is a copy of its own, so it shares nothing,
+# and power products under ``x<y`` and ``y<x`` share their ``sort_key``
+# function though equal codes decode apart.
+# Small systems of one theory share their monomials: one seed-1 pass of
+# the bench's corpus-sweep workload decodes 42,815 codes over 606 keys and
+# 16,395 overlap items over 2,583. Tables of this size hold every key, so
+# 98.6 % and 84.2 % are hits (1,024 entries serve 98.6 % and 72.9 %, 256
+# serve 96.3 % and 49.7 %).
+_DECODED_KEPT = 4096
 
 
-@functools.lru_cache(maxsize=256)
-def _variable_permutation(letters: tuple, generators: tuple) -> tuple:
-    """Exponent-vector positions of the exponent variables ``letters``, the
-    greatest generator first."""
-    index = {x: i for i, x in enumerate(letters)}
-    return tuple(index[g] for g in reversed(generators) if g in index)
+@functools.lru_cache(maxsize=_DECODED_KEPT)
+def _term(codec, code) -> tuple:
+    """(canonical term key, monomial) of a code of the codec: the ``repr``
+    that orders an ``Element``'s terms, and the monomial, one object for
+    every decode of the code."""
+    m = codec.decode(code)
+    return repr(m), m
+
+
+@functools.lru_cache(maxsize=_DECODED_KEPT)
+def _keyed(codec, item) -> tuple:
+    """(the ``Theory.overlaps`` tuple, its sort key parts) of an item of the
+    codec's ``overlaps``: the key parts are the superposition's degree and
+    ``serialize`` and each context's ``repr``. Equal contexts, those of an
+    identity inclusion, are decoded once."""
+    sup, ctx1, ctx2, inner = item
+    first = codec.decode_context(ctx1, sup)
+    second = first if ctx2 == ctx1 else codec.decode_context(ctx2, sup)
+    kind = OverlapKind.OVERLAP if inner is None else OverlapKind.INCLUSION
+    m, th = codec.decode(sup), codec.theory
+    return (m, first, second, kind, inner), (
+        th.degree(m), th.serialize(m), repr(first), repr(second)
+    )
 
 
 # A packed code is one ``int`` of fields of _FIELD_BITS bits each.
@@ -236,8 +253,9 @@ def _packing(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple)
     lex = kind is OrderKind.LEX
     byteorder = "big" if lex else "little"
     row = struct.Struct((">" if lex else "<") + "%dI" % (n + 2))
-    fields = _variable_permutation(letters, generators)
-    if not lex:
+    index = {x: i for i, x in enumerate(letters)}
+    fields = tuple(index[g] for g in generators if g in index)
+    if lex:
         fields = fields[::-1]
     spread = operator.itemgetter(*fields) if n > 1 else tuple
     gather = operator.itemgetter(*map(fields.index, range(n))) if n > 1 else lambda t: t[:n]
@@ -408,12 +426,12 @@ class Theory(_Value):
     too. ``divisions(mu, nu)`` lists the contexts at which ``nu`` divides
     ``mu``. A theory's geometry is its codecs' kernels: both methods encode
     their arguments under ``deglex_codec()``, ask its ``overlaps`` or
-    ``sites`` and decode what it lists. They are the public geometry calls,
-    which no library path makes: a system lists its ambiguities, and
-    completion its pairs, on the codes of its own lead index. Each theory
-    class holds both in its own namespace, where a tracer can wrap them. A
-    theory refuses a name that its ``expression_names`` list twice, which
-    codes would alias.
+    ``sites`` and decode what it lists, ``overlaps`` through the decode
+    cache ``_keyed``. They are the public geometry calls, which no library
+    path makes: a system lists its ambiguities, and completion its pairs,
+    on the codes of its own lead index. Each theory class holds both in its
+    own namespace, where a tracer can wrap them. A theory refuses a name
+    that its ``expression_names`` list twice, which codes would alias.
 
     A theory holds no order: its ``lead_index`` under an order is the codec
     whose keys and weigher every monomial order and weight sum read.
@@ -454,7 +472,7 @@ class Theory(_Value):
 
     def overlaps(self, mu1, mu2) -> list:
         codec = self.deglex_codec()
-        return list(map(codec.decoded, codec.overlaps(codec.encode(mu1), codec.encode(mu2))))
+        return [_keyed(codec, x)[0] for x in codec.overlaps(codec.encode(mu1), codec.encode(mu2))]
 
     def divisions(self, mu, nu) -> list:
         codec = self.deglex_codec()

@@ -13,11 +13,14 @@ from .monomial_theories import (
     _compositions,
     _exp_add,
     _exp_lcm,
-    _exp_le,
     _exp_sub,
     _packing,
     _power_string,
 )
+
+
+def _exp_le(a: tuple, b: tuple) -> bool:
+    return all(map(operator.le, a, b))
 
 
 @functools.lru_cache(maxsize=256)

@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra_core import DiamondError, Element, MonomialOrder, RationalField, _memo, _set, _Value
+from .monomial_theories import _term
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -349,13 +350,17 @@ def _encoded(system, element: Element, keep=None) -> list:
 
 
 def _decoded(system, box: list) -> Element:
-    """The element of a box: its decoded terms, divided by D. The field's
-    ``from_raw`` converts the box's values in place, so a box read again
-    afterwards holds field values, not raw ones; ``_Boxed.terms`` decodes a
-    copy for that reason."""
-    decode = system.lead_index.decode
+    """The element of a box: its decoded terms, divided by D, in the order
+    of ``Element.from_dict``. Each code's monomial and term key come from
+    the decode cache ``_term`` under the order's ``codec``, so equal codes
+    share one monomial. The field's ``from_raw`` converts the box's values
+    in place, so a box read again afterwards holds field values, not raw
+    ones; ``_Boxed.terms`` decodes a copy for that reason."""
+    codec = system.order.codec
     work, den = box
-    return Element.from_dict({decode(m): c for m, c in system.field.from_raw(work, den).items()})
+    terms = [(*_term(codec, m), c) for m, c in system.field.from_raw(work, den).items() if c]
+    # Sorted on the keys alone, as no two are equal.
+    return Element(tuple([term[1:] for term in sorted(terms)]))
 
 
 def _step(system, step) -> RewriteStep:
