@@ -438,19 +438,6 @@ def _memo(table: dict, key, build, size: int = 256):
 _CODECS: dict = {}
 
 
-def _codec_key(kind: "OrderKind", theory, generators: tuple, weights: tuple) -> tuple:
-    """The key in ``_CODECS`` of the codec under the order of these fields."""
-    return kind._value_, type(theory), theory._values(theory), generators, weights
-
-
-def _order_codec(order: "MonomialOrder"):
-    """The theory's lead index over no leads under the order, one for all
-    equal orders."""
-    theory = order.theory
-    key = _codec_key(order.kind, theory, order.generators, order.weights)
-    return _memo(_CODECS, key, lambda: theory.lead_index((), order))
-
-
 class MonomialOrder(_Value):
     """Monomial order: a kind, a total order on generators and optional weights.
 
@@ -482,8 +469,11 @@ class MonomialOrder(_Value):
             raise OrderError("weights are only meaningful for weighted kinds")
         if self.kind is OrderKind.LEX and not self.theory.supports_lex():
             raise OrderError("lex is only well-founded for the commutative theory")
-        # No field, so equality, hashing and repr ignore it.
-        _set(self, "codec", _order_codec(self))
+        # The theory's lead index over no leads under the order, one for all
+        # equal orders; no field, so equality, hashing and repr ignore it.
+        th = self.theory
+        key = self.kind._value_, type(th), th._values(th), self.generators, self.weights
+        _set(self, "codec", _memo(_CODECS, key, lambda: th.index_class(th, self)))
 
     def sort_key(self, monomial):
         """Total comparison key, ascending with the order: the codec's

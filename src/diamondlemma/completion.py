@@ -9,7 +9,7 @@ from enum import Enum
 from math import gcd
 
 from .algebra_core import DiamondError, Element, _Value
-from .ambiguity import ResolutionCertificate, _ambiguity, _s_box
+from .ambiguity import _ambiguity, _s_box, resolve
 from .monomial_theories import Theory, _term
 from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
@@ -18,10 +18,8 @@ from .rewriting_engine import (
     StepBudgetExceededError,
     normal_form,
     _Boxed,
-    _decoded,
     _pair_overlaps,
     _rewrites,
-    _step,
     _well_founded,
 )
 
@@ -55,11 +53,11 @@ def check_confluence(system, max_steps: int = DEFAULT_STEP_BUDGET) -> Confluence
     """Resolve all critical ambiguities and report the verdict.
 
     Each s-polynomial is built and reduced on codes, from the encoded
-    contexts the system keeps beside its ambiguities, keeping the raw
-    steps; only the witness, the first ambiguity that does not resolve,
-    gets a certificate, the one ``resolve`` gives. A system whose order is
-    not well-founded raises DiamondError, since plain reduction then need
-    not terminate.
+    contexts the system keeps beside its ambiguities, and no step is kept;
+    only the witness, the first ambiguity that does not resolve, gets a
+    certificate, which ``resolve`` builds by running the same reduction
+    again under the same budget. A system whose order is not well-founded
+    raises DiamondError, since plain reduction then need not terminate.
     """
     _well_founded(system, "confluence checking")
     checked = 0
@@ -67,13 +65,13 @@ def check_confluence(system, max_steps: int = DEFAULT_STEP_BUDGET) -> Confluence
     for amb, (ctx1, ctx2) in zip(system.ambiguities, system._contexts):
         box = _s_box(system, amb.rule1, ctx1, amb.rule2, ctx2)
         try:
-            steps = list(_rewrites(system, box, max_steps))
+            for _ in _rewrites(system, box, max_steps):
+                pass
         except StepBudgetExceededError:
             return ConfluenceVerdict(ConfluenceStatus.INCONCLUSIVE, checked, None, amb)
         checked += 1
         if box[0]:
-            trail = tuple([_step(system, step) for step in steps])
-            cert = ResolutionCertificate(amb, False, _decoded(system, box), trail)
+            cert = resolve(system, amb, max_steps)
             return ConfluenceVerdict(ConfluenceStatus.NOT_CONFLUENT, checked, cert, None)
     return ConfluenceVerdict(ConfluenceStatus.CONFLUENT, checked, None, None)
 

@@ -4,16 +4,22 @@ which reduce as Polish-coded strings."""
 from __future__ import annotations
 
 from .algebra_core import TheoryMismatchError
-from .monomial_theories import Theory, _CodedIndex, _letter_codes
+from .monomial_theories import Theory, _CodedIndex
 
 
 _HOLE = None
 
 
 def _tree_leaves(tree) -> int:
-    if isinstance(tree, str):
-        return 1
-    return _tree_leaves(tree[0]) + _tree_leaves(tree[1])
+    """The number of leaves of a tree, of any depth."""
+    count, stack = 0, [tree]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            count += 1
+        else:
+            stack += t[0], t[1]
+    return count
 
 
 def _polish(tree, codes: dict, node: str) -> str:
@@ -68,7 +74,7 @@ class _MagmaIndex(_CodedIndex):
     def encode_context(self, ctx) -> tuple:
         """The Polish code of a one-hole tree, split at the hole."""
         n = len(self.letters)
-        code = _polish(ctx, _letter_codes(self.letters + (_HOLE,)), chr(n + 1))
+        code = _polish(ctx, {**self.codes, _HOLE: chr(n)}, chr(n + 1))
         return tuple(code.split(chr(n)))
 
 
@@ -105,13 +111,16 @@ class FreeMagmaTheory(Theory):
         return _tree_leaves(m)
 
     def serialize(self, m) -> str:
-        if isinstance(m, str):
-            return m
-        return "(%s*%s)" % (self.serialize(m[0]), self.serialize(m[1]))
-
-    def apply_context(self, ctx, m):
-        codec = self.deglex_codec()
-        return codec.decode(codec.encode(m).join(codec.encode_context(ctx)))
+        """A leaf as its letter, a product as ``(left*right)``, at any depth."""
+        out, stack = [], [m]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):  # a leaf, or text closing a product
+                out.append(t)
+            else:
+                out.append("(")
+                stack += ")", t[1], "*", t[0]
+        return "".join(out)
 
     def monomials_of_degree(self, d):
         if d <= 0:

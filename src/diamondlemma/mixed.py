@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 
@@ -11,7 +10,6 @@ from .algebra_core import (
     OrderKind,
     TheoryMismatchError,
     _set,
-    _weight_table,
 )
 from .monomial_theories import (
     _FIELD_BITS,
@@ -23,7 +21,6 @@ from .monomial_theories import (
     _exp_lcm,
     _exp_sub,
     _letter_codes,
-    _letter_names,
     _mirror,
     _packing,
     _power_string,
@@ -32,62 +29,6 @@ from .monomial_theories import (
     _string_overlaps,
     _word_code,
 )
-
-
-def _mixed_weigher(central: tuple, unpack, codes: dict, weights: dict):
-    """The sum of the weights over a mixed code."""
-    vector, word = tuple(map(weights.__getitem__, central)), _code_weigher(codes, weights)
-    return lambda code: sum(map(operator.mul, vector, unpack(code[0]))) + word(code[1])
-
-
-@functools.lru_cache(maxsize=256)
-def _mixed_codes(theory, kind: OrderKind, generators: tuple, weights: tuple) -> tuple:
-    """(pack, unpack, guard, degree, codes, names, apply, sort key,
-    descending key) of the mixed codes of the theory under the order of
-    that kind, generators and weights, one per order: ``codes`` gives each
-    word letter ``chr`` of its rank among them, ``names`` the letter of each
-    character and ``degree`` the degree of a code's monomial."""
-    central = theory.commutative_letters
-    pack, unpack, guard, _ = _packing(OrderKind.DEGLEX, central, generators, ())
-    letters = tuple(x for x in generators if x in theory.letter_set)
-    codes = _letter_codes(letters)
-    names = _letter_names(letters)
-    # The top field of a central code holds its degree.
-    top, mirror, weight = _FIELD_BITS * (len(central) + 1), _mirror(letters), None
-    if weights:
-        negated = {x: -w for x, w in _weight_table(weights)[1].items()}
-        weight = _mixed_weigher(central, unpack, codes, negated)
-
-    def apply(code, ctx):
-        mult, left, right = ctx
-        c = code[0] + mult
-        if c & guard:
-            m = unpack(code[0]), tuple(map(names.__getitem__, code[1]))
-            raise DiamondError(
-                "%s times %s has a central degree or exponent of 2^31 or more"
-                % (theory.serialize((unpack(mult), ())), theory.serialize(m))
-            )
-        return c, left + code[1] + right
-
-    # The degree, word length, word and central code, led by the weight sum
-    # under the weighted kinds; central codes of equal degree compare as
-    # their exponents do in the order. ``key`` negates each field.
-    def sort_key(code):
-        c, w = code
-        n = len(w)
-        fields = (c >> top) + n, n, w, c
-        return fields if weight is None else (-weight(code),) + fields
-
-    def key(code):
-        c, w = code
-        n = len(w)
-        fields = -(c >> top) - n, -n, w.translate(mirror), -c
-        return fields if weight is None else (weight(code),) + fields
-
-    def degree(code):
-        return (code[0] >> top) + len(code[1])
-
-    return pack, unpack, guard, degree, codes, names, apply, sort_key, key
 
 
 class _MixedIndex(LeadIndex):
@@ -109,11 +50,53 @@ class _MixedIndex(LeadIndex):
 
     __slots__ = ("pack", "unpack", "guard", "degree", "codes", "names", "apply")
 
-    def __init__(self, theory, leads, order) -> None:
-        codes = _mixed_codes(theory, order.kind, order.generators, order.weights)
-        (self.pack, self.unpack, self.guard, self.degree, self.codes, self.names, self.apply,
-         *keys) = codes
-        super().__init__(theory, leads, *keys)
+    def __init__(self, theory, order) -> None:
+        super().__init__(theory)
+        central = theory.commutative_letters
+        self.pack, self.unpack, self.guard, _ = _packing(
+            OrderKind.DEGLEX, central, order.generators, ()
+        )
+        letters = tuple(x for x in order.generators if x in theory.letter_set)
+        self.codes = _letter_codes(letters)
+        self.names = {c: x for x, c in self.codes.items()}
+        unpack, guard, names = self.unpack, self.guard, self.names
+        # The top field of a central code holds its degree.
+        top, mirror = _FIELD_BITS * (len(central) + 1), _mirror(letters)
+        weight = self.negated_weigher(order) if order.weights else None
+
+        def apply(code, ctx):
+            mult, left, right = ctx
+            c = code[0] + mult
+            if c & guard:
+                m = unpack(code[0]), tuple(map(names.__getitem__, code[1]))
+                raise DiamondError(
+                    "%s times %s has a central degree or exponent of 2^31 or more"
+                    % (theory.serialize((unpack(mult), ())), theory.serialize(m))
+                )
+            return c, left + code[1] + right
+
+        # The degree, word length, word and central code, led by the weight
+        # sum under the weighted kinds; central codes of equal degree
+        # compare as their exponents do in the order. The descending key
+        # negates each field.
+        def sort_key(code):
+            c, w = code
+            n = len(w)
+            fields = (c >> top) + n, n, w, c
+            return fields if weight is None else (-weight(code),) + fields
+
+        def descending_key(code):
+            c, w = code
+            n = len(w)
+            fields = -(c >> top) - n, -n, w.translate(mirror), -c
+            return fields if weight is None else (weight(code),) + fields
+
+        def degree(code):
+            return (code[0] >> top) + len(code[1])
+
+        self.apply, self.sort_key, self.descending_key, self.degree = (
+            apply, sort_key, descending_key, degree
+        )
 
     def encode(self, m) -> tuple:
         try:
@@ -183,7 +166,10 @@ class _MixedIndex(LeadIndex):
         return None
 
     def weigher(self, weights: dict):
-        return _mixed_weigher(self.theory.commutative_letters, self.unpack, self.codes, weights)
+        """The sum of the weights over a mixed code."""
+        unpack, word = self.unpack, _code_weigher(self.codes, weights)
+        vector = tuple(map(weights.__getitem__, self.theory.commutative_letters))
+        return lambda code: sum(map(operator.mul, vector, unpack(code[0]))) + word(code[1])
 
 
 class MixedTheory(Theory):
@@ -249,11 +235,6 @@ class MixedTheory(Theory):
     def serialize(self, m) -> str:
         exps, word = m
         return _power_string(itertools.chain(zip(self.commutative_letters, exps), _runs(word)))
-
-    def apply_context(self, ctx, m):
-        mult, left, right = ctx
-        exps, word = m
-        return (_exp_add(mult, exps), left + word + right)
 
     def monomials_of_degree(self, d):
         for k in range(d + 1):

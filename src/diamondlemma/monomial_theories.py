@@ -18,13 +18,11 @@ import struct
 from enum import Enum
 
 from .algebra_core import (
-    _CODECS,
     DiamondError,
     MonomialOrder,
     OrderKind,
     TheoryMismatchError,
     _Value,
-    _codec_key,
     _memo,
     _set,
     _weight_table,
@@ -150,15 +148,22 @@ class LeadIndex:
     the common case, copies no list. The index keeps one list,
     ``entries``, the code of each lead, which ``site`` scans.
     The views made by ``copy`` and ``without`` share every other slot.
+    Each class builds the tables of its order in ``__init__``, which runs
+    once per order: ``MonomialOrder.codec`` keeps that index over no leads
+    in ``_CODECS``, and every other index under the order is a copy of it.
     """
 
     __slots__ = ("theory", "sort_key", "descending_key", "entries")
 
-    def __init__(self, theory, leads, sort_key, descending_key) -> None:
+    def __init__(self, theory) -> None:
         self.theory = theory
-        self.sort_key = sort_key
-        self.descending_key = descending_key
-        self.entries = list(map(self.encode, leads))
+        self.entries = []
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # The slots ``copy`` shares, named once per class.
+        slots = [name for c in cls.__mro__[:-1] for name in c.__slots__]
+        cls._shared = tuple(name for name in slots if name != "entries")
 
     def without(self, i: int) -> "LeadIndex":
         """The index over every lead but the i-th."""
@@ -170,11 +175,14 @@ class LeadIndex:
         """An index over a copy of the entry list, sharing every other slot,
         so that adding to it leaves this one as it is."""
         view = object.__new__(type(self))
-        for cls in type(self).__mro__[:-1]:
-            for name in cls.__slots__:
-                setattr(view, name, getattr(self, name))
+        for name in self._shared:
+            setattr(view, name, getattr(self, name))
         view.entries = list(self.entries)
         return view
+
+    def negated_weigher(self, order):
+        """``weigher`` of the order's weights, as ints and negated."""
+        return self.weigher({x: -w for x, w in _weight_table(order.weights)[1].items()})
 
     def first_site(self, m):
         code = self.encode(m)
@@ -228,11 +236,10 @@ def _keyed(codec, item) -> tuple:
 _FIELD_BITS = 32
 
 
-@functools.lru_cache(maxsize=256)
 def _packing(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple) -> tuple:
     """(pack, unpack, guard, degree) of the packed codes of exponent vectors
-    over ``letters`` under the order of that kind, generators and weights, one
-    per order. A code has one field per exponent, the order's greatest
+    over ``letters`` under the order of that kind, generators and weights.
+    A code has one field per exponent, the order's greatest
     variable most significant, then the degree and, on top, the weight sum,
     which is the degree again but under weighted-deglex; under lex the
     exponents are on top. Codes compare as the order compares vectors.
@@ -278,17 +285,10 @@ def _packing(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple)
     return pack, unpack, guard, lambda code: code >> shift & mask
 
 
-@functools.lru_cache(maxsize=256)
 def _letter_codes(letters: tuple) -> dict:
     """One character per letter, ``chr`` of its position, so that a word
     and its code have equal length."""
     return {x: chr(i) for i, x in enumerate(letters)}
-
-
-@functools.lru_cache(maxsize=256)
-def _letter_names(symbols: tuple) -> dict:
-    """The symbol of each character ``chr(i)``, the i-th of ``symbols``."""
-    return {chr(i): x for i, x in enumerate(symbols)}
 
 
 def _word_code(codes: dict, word) -> str:
@@ -296,7 +296,6 @@ def _word_code(codes: dict, word) -> str:
     return "".join(map(codes.__getitem__, word))
 
 
-@functools.lru_cache(maxsize=256)
 def _mirror(letters: tuple) -> dict:
     """The ``str.translate`` table that mirrors codes over these letters:
     ``chr(i)`` to ``chr(n + 1 - i)`` for the n letters, the hole ``chr(n)``
@@ -311,39 +310,6 @@ def _code_weigher(codes: dict, weights: dict):
     the node marker of a tree or a vertex of a path, weighs 0."""
     by_code = collections.defaultdict(int, {c: weights[x] for x, c in codes.items()})
     return lambda code: sum(map(by_code.__getitem__, code))
-
-
-@functools.lru_cache(maxsize=256)
-def _coded_key(generators: tuple, weights: tuple, vertices: tuple = ()) -> tuple:
-    """(sort key, descending key) on codes under the order with these
-    generators and weights, one per order: ``(len(code), code)`` and
-    ``(-len(code), mirrored code)``, each led by the weight sum, negated in
-    the descending key, under the weighted kinds. Path codes hold the
-    ``vertices`` past the arrows; arrows fix the vertices between them, so
-    both keys read a path's code past its source vertex, or that vertex
-    alone for a path without arrows."""
-    mirror = _mirror(generators + vertices)
-    if not weights:
-        if vertices:
-            return (
-                lambda code: (len(code), code[1:] or code),
-                lambda code: (-len(code), (code[1:] or code).translate(mirror)),
-            )
-        return (
-            lambda code: (len(code), code),
-            lambda code: (-len(code), code.translate(mirror)),
-        )
-    negated = {x: -w for x, w in _weight_table(weights)[1].items()}
-    weight = _code_weigher(_letter_codes(generators), negated)
-    if vertices:
-        return (
-            lambda code: (-weight(code), len(code), code[1:] or code),
-            lambda code: (weight(code), -len(code), (code[1:] or code).translate(mirror)),
-        )
-    return (
-        lambda code: (-weight(code), len(code), code),
-        lambda code: (weight(code), -len(code), code.translate(mirror)),
-    )
 
 
 class _CodedIndex(LeadIndex):
@@ -364,12 +330,32 @@ class _CodedIndex(LeadIndex):
     shortest_overlap = 1
     sites = staticmethod(_sites)
 
-    def __init__(self, theory, leads, order, vertices: tuple = ()) -> None:
-        self.letters = order.generators
-        self.codes = _letter_codes(self.letters)
-        self.names = _letter_names(self.letters + vertices)
-        # Words and trees admit no lex order, so only deglex has no weights.
-        super().__init__(theory, leads, *_coded_key(self.letters, order.weights, vertices))
+    def __init__(self, theory, order, vertices: tuple = ()) -> None:
+        super().__init__(theory)
+        self.letters = letters = order.generators
+        self.codes = _letter_codes(letters)
+        self.names = {chr(i): x for i, x in enumerate(letters + vertices)}
+        # ``(len(code), code)`` and ``(-len(code), mirrored code)``, led by
+        # the weight sum and its negation under the weighted kinds; only
+        # deglex has no weights, as words and trees admit no lex order. The
+        # arrows of a path code fix its vertices, so both keys read it past
+        # its source vertex, or that vertex alone for a path without arrows.
+        mirror = _mirror(letters + vertices)
+        weight = self.negated_weigher(order) if order.weights else None
+        if weight is None and not vertices:
+            self.sort_key = lambda code: (len(code), code)
+            self.descending_key = lambda code: (-len(code), code.translate(mirror))
+        elif weight is None:
+            self.sort_key = lambda code: (len(code), code[1:] or code)
+            self.descending_key = lambda code: (-len(code), (code[1:] or code).translate(mirror))
+        elif not vertices:
+            self.sort_key = lambda code: (-weight(code), len(code), code)
+            self.descending_key = lambda code: (weight(code), -len(code), code.translate(mirror))
+        else:
+            self.sort_key = lambda code: (-weight(code), len(code), code[1:] or code)
+            self.descending_key = lambda code: (
+                weight(code), -len(code), (code[1:] or code).translate(mirror)
+            )
 
     def encode(self, m) -> str:
         try:
@@ -424,14 +410,16 @@ class Theory(_Value):
     the argument (1 or 2) that an inclusion places inside the other, None
     for an overlap. A lead paired with itself lists its identity inclusion
     too. ``divisions(mu, nu)`` lists the contexts at which ``nu`` divides
-    ``mu``. A theory's geometry is its codecs' kernels: both methods encode
-    their arguments under ``deglex_codec()``, ask its ``overlaps`` or
-    ``sites`` and decode what it lists, ``overlaps`` through the decode
-    cache ``_keyed``. They are the public geometry calls, which no library
-    path makes: a system lists its ambiguities, and completion its pairs,
-    on the codes of its own lead index. Each theory class holds both in its
-    own namespace, where a tracer can wrap them. A theory refuses a name
-    that its ``expression_names`` list twice, which codes would alias.
+    ``mu``, and ``apply_context(ctx, m)`` puts ``m`` in a context. A
+    theory's geometry is its codecs' kernels: the three methods encode
+    their arguments under ``deglex_codec()``, so a monomial without a code
+    raises as ``encode`` does, ask its ``overlaps``, ``sites`` or ``apply``
+    and decode what it gives, ``overlaps`` through the decode cache
+    ``_keyed``. They are the public geometry calls, which no library path
+    makes: a system lists its ambiguities, and completion its pairs, on
+    the codes of its own lead index. Each theory class holds the three in
+    its own namespace, where a tracer can wrap them. A theory refuses a
+    name that its ``expression_names`` list twice, which codes would alias.
 
     A theory holds no order: its ``lead_index`` under an order is the codec
     whose keys and weigher every monomial order and weight sum read.
@@ -454,21 +442,23 @@ class Theory(_Value):
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         # In each theory's own namespace, where a tracer wraps them per theory.
-        cls.overlaps, cls.divisions = Theory.overlaps, Theory.divisions
+        for name in ("overlaps", "divisions", "apply_context"):
+            setattr(cls, name, getattr(cls, name))
 
     def deglex_codec(self) -> "LeadIndex":
         """The lead index over no leads under deglex over the declared
-        generators: that order's ``codec``, built only if no such order
-        was, and kept on the theory."""
+        generators: that order's ``codec``, kept on the theory."""
         try:
             return self._deglex
         except AttributeError:
             pass
-        gens = tuple(self.generator_names())
-        codec = _CODECS.get(_codec_key(OrderKind.DEGLEX, self, gens, ()))
-        codec = codec or MonomialOrder(OrderKind.DEGLEX, self, gens).codec
+        codec = MonomialOrder(OrderKind.DEGLEX, self, tuple(self.generator_names())).codec
         _set(self, "_deglex", codec)
         return codec
+
+    def apply_context(self, ctx, m):
+        codec = self.deglex_codec()
+        return codec.decode(codec.apply(codec.encode(m), codec.encode_context(ctx)))
 
     def overlaps(self, mu1, mu2) -> list:
         codec = self.deglex_codec()
@@ -521,8 +511,10 @@ class Theory(_Value):
 
     def lead_index(self, leads, order) -> LeadIndex:
         """Index of rule leads for site lookup, whose codes reduce under
-        ``order``: the theory's ``index_class``."""
-        return self.index_class(self, leads, order)
+        ``order``: a copy of the order's ``codec`` over the leads' codes."""
+        index = order.codec.copy()
+        index.entries += map(index.encode, leads)
+        return index
 
     def chain_criterion(self, lead, lead_i, lead_j, superposition) -> bool:
         """Decide whether the pair (i, j) at ``superposition`` follows from the

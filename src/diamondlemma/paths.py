@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .algebra_core import TheoryMismatchError, _set
-from .monomial_theories import Theory, _CodedIndex, _letter_codes
+from .monomial_theories import Theory, _CodedIndex
 
 
 class _PathIndex(_CodedIndex):
@@ -17,13 +17,13 @@ class _PathIndex(_CodedIndex):
     __slots__ = ("vertex_codes", "into", "out_of")
     shortest_overlap = 3
 
-    def __init__(self, theory, leads, order) -> None:
-        n, codes, ends = len(order.generators), _letter_codes(order.generators), theory.endpoints
+    def __init__(self, theory, order) -> None:
+        super().__init__(theory, order, theory.vertices)
+        n, codes, ends = len(self.letters), self.codes, theory.endpoints
         self.vertex_codes = vertex = {v: chr(n + i) for i, v in enumerate(theory.vertices)}
         # An arrow followed by the vertex it enters, and its source followed by it.
         self.into = {a: codes[a] + vertex[t] for a, (_, t) in ends.items()}
         self.out_of = {a: vertex[s] + codes[a] for a, (s, _) in ends.items()}
-        super().__init__(theory, leads, order, theory.vertices)
 
     def code_of(self, m) -> str:
         src, tgt, names = m
@@ -121,10 +121,11 @@ class PathAlgebraTheory(Theory):
         return "*".join(m[2]) or "e%s" % m[0]
 
     def apply_context(self, ctx, m):
+        """None when the endpoints do not meet, so that the product vanishes."""
         left, right = ctx
         if left[1] != m[0] or m[1] != right[0]:
             return None
-        return (left[0], right[1], left[2] + m[2] + right[2])
+        return Theory.apply_context(self, ctx, m)
 
     def uniform_class(self, m) -> tuple:
         return (m[0], m[1])

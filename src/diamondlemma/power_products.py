@@ -3,10 +3,9 @@
 
 from __future__ import annotations
 
-import functools
 import operator
 
-from .algebra_core import DiamondError, OrderKind, TheoryMismatchError, _weight_table
+from .algebra_core import DiamondError, OrderKind, TheoryMismatchError
 from .monomial_theories import (
     LeadIndex,
     Theory,
@@ -21,35 +20,6 @@ from .monomial_theories import (
 
 def _exp_le(a: tuple, b: tuple) -> bool:
     return all(map(operator.le, a, b))
-
-
-@functools.lru_cache(maxsize=256)
-def _power_codes(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple) -> tuple:
-    """(pack, decode, guard, degree, apply, sort key, descending key) of
-    the power-product codes, the kernel's packed codes, under the order of
-    that kind, generators and weights; one per order. Codes compare as the order
-    does, but under series orders, which lead both keys with the weight
-    sum, negated in the descending key."""
-    pack, decode, guard, degree = _packing(kind, letters, generators, weights)
-    apply, sort_key, key = operator.add, operator.pos, operator.neg
-    if kind is OrderKind.LEX or kind is OrderKind.SERIES_DEGLEX:
-        # Only under these kinds can an image outgrow the input.
-        serialize = CommutativeTheory(letters).serialize
-
-        def apply(code, ctx):
-            image = code + ctx
-            if image & guard:
-                raise DiamondError(
-                    "%s times %s has a degree or exponent of 2^31 or more"
-                    % (serialize(decode(ctx)), serialize(decode(code)))
-                )
-            return image
-
-    if kind is OrderKind.SERIES_DEGLEX:
-        negated = tuple(-_weight_table(weights)[1][x] for x in letters)
-        sort_key = lambda code: (-sum(map(operator.mul, negated, decode(code))), code)
-        key = lambda code: (sum(map(operator.mul, negated, decode(code))), -code)
-    return pack, decode, guard, degree, apply, sort_key, key
 
 
 class _PackedIndex(LeadIndex):
@@ -67,10 +37,30 @@ class _PackedIndex(LeadIndex):
 
     __slots__ = ("pack", "decode", "guard", "degree", "apply")
 
-    def __init__(self, theory, leads, order) -> None:
-        codes = _power_codes(order.kind, theory.letters, order.generators, order.weights)
-        self.pack, self.decode, self.guard, self.degree, self.apply, sort_key, key = codes
-        super().__init__(theory, leads, sort_key, key)
+    def __init__(self, theory, order) -> None:
+        super().__init__(theory)
+        kind = order.kind
+        codes = _packing(kind, theory.letters, order.generators, order.weights)
+        self.pack, self.decode, self.guard, self.degree = codes
+        self.apply, self.sort_key, self.descending_key = operator.add, operator.pos, operator.neg
+        if kind is OrderKind.LEX or kind is OrderKind.SERIES_DEGLEX:
+            # Only under these kinds can an image outgrow the input.
+            serialize, decode, guard = theory.serialize, self.decode, self.guard
+
+            def apply(code, ctx):
+                image = code + ctx
+                if image & guard:
+                    raise DiamondError(
+                        "%s times %s has a degree or exponent of 2^31 or more"
+                        % (serialize(decode(ctx)), serialize(decode(code)))
+                    )
+                return image
+
+            self.apply = apply
+        if kind is OrderKind.SERIES_DEGLEX:
+            weight = self.negated_weigher(order)
+            self.sort_key = lambda code: (-weight(code), code)
+            self.descending_key = lambda code: (weight(code), -code)
 
     def encode(self, m) -> int:
         code = self.pack(m)
@@ -163,9 +153,6 @@ class CommutativeTheory(Theory):
 
     def serialize(self, m) -> str:
         return _power_string(zip(self.letters, m))
-
-    def apply_context(self, ctx, m):
-        return _exp_add(ctx, m)
 
     def chain_criterion(self, lead, lead_i, lead_j, superposition) -> bool:
         return (

@@ -7,7 +7,6 @@ from fractions import Fraction
 from .algebra_core import (
     DiamondError,
     Element,
-    MonomialOrder,
     OrderKind,
     TheoryMismatchError,
     _set,
@@ -39,7 +38,7 @@ class WeightData(_Value):
         _Value.__init__(self, theory, converted)
         _set(self, "weight_denominator", den)
         _set(self, "int_weights", ints)
-        codec = MonomialOrder(OrderKind.DEGLEX, theory, tuple(theory.generator_names())).codec
+        codec = theory.deglex_codec()
         _set(self, "codec", codec)
         _set(self, "weigh", codec.weigher(ints))
 

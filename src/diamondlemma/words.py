@@ -59,9 +59,5 @@ class FreeMonoidTheory(Theory):
     def serialize(self, m) -> str:
         return _power_string(_runs(m))
 
-    def apply_context(self, ctx, m):
-        left, right = ctx
-        return left + m + right
-
     def monomials_of_degree(self, d):
         return itertools.product(self.letters, repeat=d) if d >= 0 else iter(())

@@ -127,11 +127,35 @@ def magma_leaves(tree) -> int:
     return 1 if isinstance(tree, str) else magma_leaves(tree[0]) + magma_leaves(tree[1])
 
 
+def reference_apply_context(theory, ctx, m):
+    """``m`` in the context, by each theory's monomial arithmetic rather
+    than its codec: words and paths join, exponents add, a tree fills its
+    hole; None where a path's endpoints do not meet."""
+    if isinstance(theory, CommutativeTheory):
+        return tuple(a + b for a, b in zip(ctx, m))
+    if isinstance(theory, MixedTheory):
+        mult, left, right = ctx
+        return (tuple(a + b for a, b in zip(mult, m[0])), left + m[1] + right)
+    if isinstance(theory, FreeMagmaTheory):
+        if ctx is None:
+            return m
+        if isinstance(ctx, str):
+            return ctx
+        return tuple(reference_apply_context(theory, side, m) for side in ctx)
+    if isinstance(theory, PathAlgebraTheory):
+        left, right = ctx
+        if left[1] != m[0] or m[1] != right[0]:
+            return None
+        return (left[0], right[1], left[2] + m[2] + right[2])
+    left, right = ctx
+    return left + m + right
+
+
 def apply_context_to_element(theory, ctx, element: Element) -> Element:
     """Apply a context to every term, dropping products that vanish."""
     out: dict = {}
     for m, c in element.terms:
-        image = theory.apply_context(ctx, m)
+        image = reference_apply_context(theory, ctx, m)
         if image is not None:
             _accumulate(out, image, c)
     return Element.from_dict(out)
@@ -202,7 +226,7 @@ def random_strategy_normal_form(system, element: Element, rng, site_cache: dict,
         ridx, ctx = sites[rng.randrange(len(sites))]
         c = coeffs.pop(m)
         for mm, cc in rules[ridx].lower.terms:
-            image = th.apply_context(ctx, mm)
+            image = reference_apply_context(th, ctx, mm)
             if image is None:
                 continue
             add = cc * c
@@ -259,7 +283,7 @@ def reference_reduce(system, coeffs: dict, budget: int, keep=None) -> tuple:
         ridx, ctx = site_memo[m]
         c = coeffs.pop(m)
         for mm, cc in rules[ridx].lower.terms:
-            image = th.apply_context(ctx, mm)
+            image = reference_apply_context(th, ctx, mm)
             if image is None:
                 continue
             if keep is not None and not keep(image):

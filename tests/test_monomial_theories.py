@@ -1,5 +1,6 @@
 """Monomial theories: words, power products, mixed, trees, paths."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from diamondlemma import (
     CommutativeTheory,
+    DiamondError,
     Element,
     FreeMagmaTheory,
     FreeMonoidTheory,
@@ -23,6 +25,7 @@ from oracles import (
     magma_occurrences,
     merge_terms,
     multiply_elements,
+    reference_apply_context,
     reference_magma_divisions,
     reference_magma_overlaps,
     reference_mixed_overlaps,
@@ -311,6 +314,14 @@ class TestFreeMagma:
     def test_serialize(self):
         assert self.th.serialize((("x", "y"), "x")) == "((x*y)*x)"
 
+    def test_deep_trees_count_and_serialize(self):
+        """Degree and serialize walk a tree 3,000 levels deep."""
+        tree = "x"
+        for _ in range(3000):
+            tree = (tree, "y")
+        assert self.th.degree(tree) == 3001
+        assert self.th.serialize(tree) == "(" * 3000 + "x" + "*y)" * 3000
+
 
 class TestPathAlgebra:
     def setup_method(self):
@@ -410,6 +421,48 @@ class TestRefusals:
         assert th.apply_context((e1, e2), a) == a
         assert th.apply_context((e2, e2), a) is None
         assert th.apply_context((e1, e1), a) is None
+
+    def test_apply_context_encodes_as_the_codec_does(self):
+        """``apply_context``, in each theory class's own namespace, encodes
+        both arguments, so a context or monomial without a code raises as
+        ``encode`` does."""
+        assert all("apply_context" in vars(type(th)) for th in THEORIES.values())
+        words = FreeMonoidTheory(("x",))
+        with pytest.raises(TheoryMismatchError, match=r"\('z',\) does not belong"):
+            words.apply_context((("z",), ()), ("x",))
+        with pytest.raises(DiamondError, match="does not fit the power-product codes"):
+            CommutativeTheory(("x",)).apply_context((1,), (2**31,))
+        with pytest.raises(TheoryMismatchError, match="does not belong"):
+            FreeMagmaTheory(("x",)).apply_context((None, "x"), "z")
+
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    def test_apply_context_matches_the_reference(self, name):
+        """Every context that ``overlaps`` lists for monomials of degree 1
+        and 2 puts each monomial of degree up to 2 where the theory's own
+        monomial arithmetic does, a path where the endpoints do not meet
+        at None."""
+        th = THEORIES[name]
+        monomials = [m for d in range(3) for m in th.monomials_of_degree(d)]
+        leads = monomials[-12:]
+        checked = 0
+        for m1 in leads:
+            for m2 in leads:
+                for _, ctx1, ctx2, _, _ in th.overlaps(m1, m2):
+                    for ctx, m in itertools.product((ctx1, ctx2), monomials):
+                        assert th.apply_context(ctx, m) == reference_apply_context(th, ctx, m)
+                        checked += 1
+        assert checked > 100
+
+    def test_subclass_keeps_its_parents_apply_context(self):
+        """A subclass gets its parent's ``apply_context`` in its own
+        namespace, so a path subclass keeps the endpoint test."""
+
+        class Paths(PathAlgebraTheory):
+            pass
+
+        th = Paths(("1", "2"), (("a", "1", "2"),))
+        assert "apply_context" in vars(Paths)
+        assert th.apply_context((th.vertex_path("2"), th.vertex_path("2")), th.path("a")) is None
 
     @pytest.mark.parametrize(
         "th, bad",

@@ -65,6 +65,7 @@ from oracles import (
     make_random_system,
     random_element,
     random_strategy_normal_form,
+    reference_apply_context,
     reference_raw_lowers,
     reference_sort_key,
     reference_reduce,
@@ -549,6 +550,17 @@ class TestNormalForm:
             normal_form(s, Element(((("x",), Fraction(1)),)), max_steps=25)
         # x -> x^2 grows forever; the 26th step would rewrite x^26.
         assert str(info.value) == "step budget of 25 exceeded before rewriting x^26"
+
+    def test_budget_error_names_a_deep_tree(self):
+        """A tree that deepens by one level per step still ends in the
+        budget error, whose message serializes it without recursion."""
+        system = parse_system_file(
+            "theory magma; vars x y; weights x:-1 y:-1; order series x<y; rule y -> x*y"
+        ).system
+        y = parse_expression("y", system.theory, system.field)
+        with pytest.raises(StepBudgetExceededError) as info:
+            normal_form(system, y, 5000)
+        assert str(info.value).endswith("(x*" * 5000 + "y" + ")" * 5000)
 
     def test_trail_replays_to_normal_form(self):
         th = TH
@@ -1086,7 +1098,7 @@ class TestLeadIndex:
                             assert index.decode_context(encoded, code) == ctx
                             assert index.apply(index.encode(rule.lead), encoded) == code
                             for m in rule.lower.support():
-                                image = index.encode(th.apply_context(ctx, m))
+                                image = index.encode(reference_apply_context(th, ctx, m))
                                 assert index.apply(index.encode(m), encoded) == image
                             contexts += 1
         assert contexts > 100
@@ -1181,6 +1193,26 @@ class TestLeadIndex:
                 th.lead_index([], weighted).descending_key
                 is not th.lead_index([], series).descending_key
             )
+
+    def test_copy_shares_every_slot_but_entries(self):
+        """Under every shipped order of each theory, a copy of a lead index
+        holds every slot but ``entries`` by identity, and a fresh list of
+        the same entries."""
+        classes = set()
+        for th in THEORIES.values():
+            for order in shipped_orders(th):
+                index = th.lead_index(list(th.monomials_of_degree(2))[:3], order)
+                view = index.copy()
+                classes.add(type(view))
+                slots = [name for cls in type(index).__mro__[:-1] for name in cls.__slots__]
+                assert "entries" in slots and len(slots) > 4
+                for name in slots:
+                    if name != "entries":
+                        assert getattr(view, name) is getattr(index, name), (order, name)
+                assert view.entries == index.entries and view.entries is not index.entries
+                view.entries.append(index.entries[0])
+                assert len(index.entries) == 3
+        assert len(classes) == 5
 
     def test_word_index_refuses_letters_outside_the_alphabet(self):
         index = TH.lead_index([("y", "x"), ("x",)], shipped_orders(TH)[0])

@@ -174,7 +174,7 @@ KERNEL_MODULES = (
     "magma",
     "paths",
 )
-KERNEL_MAX_AST_NODES = 11866
+KERNEL_MAX_AST_NODES = 11600
 
 
 def test_kernel_compile_size_is_bounded():
@@ -196,7 +196,7 @@ PROCESS_MODULES = (
     "ambiguity",
     "completion",
 )
-PROCESS_MAX_AST_NODES = 11304
+PROCESS_MAX_AST_NODES = 11246
 
 
 def test_process_compile_size_is_bounded():
