@@ -27,6 +27,8 @@ _EXPORTS = {
         "resolve",
         "s_polynomial",
     ),
+    "cli_check": (),
+    "cli_complete": (),
     "cli_io": (
         "ParseError",
         "SystemFile",
@@ -38,17 +40,28 @@ _EXPORTS = {
         "parse_expression",
         "parse_system_file",
     ),
+    "cli_irr": (),
+    "cli_member": (),
+    "cli_nf": (),
+    "cli_pairs": (),
     "completion": (
         "AddedRule",
         "CompletionReport",
         "CompletionStatus",
+        "complete",
+        "drop_redundant",
+    ),
+    "confluence": (
         "ConfluenceStatus",
         "ConfluenceVerdict",
         "NotConfluentSystemError",
         "check_confluence",
-        "complete",
-        "drop_redundant",
         "ideal_member",
+    ),
+    "irreducible": (
+        "ForbiddenFactorSet",
+        "count_irreducible",
+        "irr_description",
     ),
     "magma": ("FreeMagmaTheory",),
     "mixed": ("MixedTheory",),
@@ -56,6 +69,7 @@ _EXPORTS = {
         "OverlapKind",
         "Theory",
     ),
+    "packed_codes": (),
     "paths": ("PathAlgebraTheory",),
     "power_products": ("CommutativeTheory",),
     "power_series": (
@@ -71,15 +85,12 @@ _EXPORTS = {
     ),
     "rewriting_engine": (
         "DEFAULT_STEP_BUDGET",
-        "ForbiddenFactorSet",
         "RewriteStep",
         "RewritingSystem",
         "Rule",
         "RuleError",
         "StepBudgetExceededError",
         "ZeroElementError",
-        "count_irreducible",
-        "irr_description",
         "is_irreducible_monomial",
         "normal_form",
         "normal_form_with_trail",

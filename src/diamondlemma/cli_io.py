@@ -1,13 +1,16 @@
 """System file parsing, expression syntax, formatting and the command line.
 
-Each subcommand imports the modules only it runs (confluence, completion,
-ambiguities, power series, json) when it runs, so a ``diamond`` process
-loads no more of the package than its subcommand needs.
+``main`` parses the arguments and runs the subcommand's handler, the
+``run`` of the module ``cli_<subcommand>``, which it imports then. Each
+handler imports the modules only it runs (confluence, completion,
+ambiguities, irreducible counting, power series, json), so a ``diamond``
+process compiles no more of the package than its subcommand needs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 import sys
 from fractions import Fraction
@@ -24,18 +27,13 @@ from .algebra_core import (
     _accumulate,
     _Value,
 )
-from .monomial_theories import THEORIES, OverlapKind, theory_class
+from .monomial_theories import THEORIES, theory_class
 from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
     RewritingSystem,
     Rule,
     StepBudgetExceededError,
-    count_irreducible,
-    irr_description,
-    normal_form,
-    normal_form_with_trail,
     _rule_codes,
-    _well_founded,
 )
 
 
@@ -647,201 +645,6 @@ def _load(path: str) -> SystemFile:
             raise DiamondError("cannot read %s: %s" % (path, exc))
 
 
-def _cmd_check(args) -> int:
-    from .completion import ConfluenceStatus, check_confluence
-
-    system = _load(args.file).system
-    th, order = system.theory, system.order
-    verdict = check_confluence(system, args.max_steps)
-    if verdict.status is ConfluenceStatus.CONFLUENT:
-        _emit(
-            [
-                {
-                    "event": "verdict",
-                    "status": "confluent",
-                    "checked": verdict.checked,
-                    "text": "confluent (%d ambiguities resolved)" % verdict.checked,
-                }
-            ],
-            args,
-        )
-        return 0
-    if verdict.status is ConfluenceStatus.NOT_CONFLUENT:
-        cert = verdict.witness
-        sup = th.serialize(cert.ambiguity.superposition)
-        remainder = format_element(th, order, cert.remainder)
-        _emit(
-            [
-                {
-                    "event": "verdict",
-                    "status": "not-confluent",
-                    "checked": verdict.checked,
-                    "superposition": sup,
-                    "remainder": remainder,
-                    "text": "not confluent: ambiguity at %s leaves %s" % (sup, remainder),
-                }
-            ],
-            args,
-        )
-        return 1
-    print("inconclusive: step budget exhausted %s" % verdict.stop_point(th), file=sys.stderr)
-    return 2
-
-
-def _cmd_complete(args) -> int:
-    from .completion import CompletionStatus, complete
-
-    sf = _load(args.file)
-    report = complete(sf.system, args.max_degree, args.max_rules, args.max_steps)
-    system = report.system
-    text = format_system(system, sf.weight_data)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    records = [
-        {
-            "event": "completion",
-            "status": report.status.value,
-            "rules": len(system.rules),
-            "added": len(report.added),
-            "dropped": len(report.dropped),
-            "pairs_processed": report.pairs_processed,
-            "pairs_skipped": report.pairs_skipped,
-            "pairs_filtered": report.pairs_filtered,
-            "text": "status: %s (%d rules, %d added, %d dropped)"
-            % (report.status.value, len(system.rules), len(report.added), len(report.dropped)),
-        }
-    ]
-    th, order = system.theory, system.order
-    for rule in system.rules:
-        rendered = format_rule(th, order, rule)
-        records.append({"event": "rule", "rule": rendered, "text": "rule %s" % rendered})
-    _emit(records, args)
-    return 0 if report.status is CompletionStatus.COMPLETE else 2
-
-
-def _cmd_nf(args) -> int:
-    sf = _load(args.file)
-    system = sf.system
-    th, order = system.theory, system.order
-    element = parse_expression(args.expression, th, system.field)
-    if args.precision is not None:
-        from .power_series import truncated_normal_form
-
-        if sf.weight_data is None:
-            print("no weights declared in the system file", file=sys.stderr)
-            return 3
-        result = truncated_normal_form(
-            system, sf.weight_data, element, args.precision, args.max_steps
-        )
-        rendered = format_element(th, order, result.representative)
-        record = {
-            "event": "normal-form",
-            "result": rendered,
-            "precision": result.precision,
-            "truncated": result.truncated,
-            "text": rendered,
-        }
-        _emit([record], args)
-        return 0
-    if not order.is_well_founded():
-        print(
-            "the order is not well-founded, so plain reduction may not terminate;"
-            " pass --precision N",
-            file=sys.stderr,
-        )
-        return 3
-    records = []
-    if args.trail:
-        result, trail = normal_form_with_trail(system, element, args.max_steps)
-        for i, step in enumerate(trail, start=1):
-            mono = th.serialize(step.monomial)
-            records.append(
-                {
-                    "event": "step",
-                    "index": i,
-                    "rule": step.rule_index,
-                    "monomial": mono,
-                    "text": "step %d: rule %d at %s" % (i, step.rule_index, mono),
-                }
-            )
-    else:
-        result = normal_form(system, element, args.max_steps)
-    rendered = format_element(th, order, result)
-    records.append({"event": "normal-form", "result": rendered, "text": rendered})
-    _emit(records, args)
-    return 0
-
-
-def _cmd_pairs(args) -> int:
-    from .ambiguity import critical_ambiguities
-
-    sf = _load(args.file)
-    system = sf.system
-    th = system.theory
-    records = []
-    for amb in critical_ambiguities(system):
-        sup = th.serialize(amb.superposition)
-        kind = "overlap" if amb.kind is OverlapKind.OVERLAP else "inclusion"
-        records.append(
-            {
-                "event": "pair",
-                "kind": kind,
-                "rules": [amb.rule1, amb.rule2],
-                "superposition": sup,
-                "text": "%s rules (%d, %d) at %s" % (kind, amb.rule1, amb.rule2, sup),
-            }
-        )
-    records.append({"event": "total", "count": len(records), "text": "%d ambiguities" % len(records)})
-    _emit(records, args)
-    return 0
-
-
-def _cmd_irr(args) -> int:
-    sf = _load(args.file)
-    system = sf.system
-    th = system.theory
-    description = irr_description(system)
-    leads = [th.serialize(m) for m in description.leads]
-    records = [
-        {
-            "event": "irr",
-            "semantics": description.semantics,
-            "forbidden": leads,
-            "text": "forbidden %ss: %s" % (description.semantics, ", ".join(leads) or "none"),
-        }
-    ]
-    for d, count in enumerate(count_irreducible(system, args.max_degree, args.max_steps)):
-        records.append(
-            {"event": "count", "degree": d, "count": count, "text": "degree %d: %d" % (d, count)}
-        )
-    _emit(records, args)
-    return 0
-
-
-def _cmd_member(args) -> int:
-    from .completion import NotConfluentSystemError, ideal_member
-
-    system = _well_founded(_load(args.file).system, "membership")
-    element = parse_expression(args.expression, system.theory, system.field)
-    try:
-        verdict = ideal_member(system, element, args.max_steps)
-    except NotConfluentSystemError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    _emit(
-        [
-            {
-                "event": "member",
-                "value": verdict,
-                "text": "member" if verdict else "not a member",
-            }
-        ],
-        args,
-    )
-    return 0 if verdict else 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diamond",
@@ -856,35 +659,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide confluence by resolving every ambiguity")
     common(p)
-    p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("complete", help="saturate the system with oriented remainders")
     common(p)
     p.add_argument("--max-degree", type=int, default=12)
     p.add_argument("--max-rules", type=int, default=500)
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(handler=_cmd_complete)
 
     p = sub.add_parser("nf", help="reduce an expression to normal form")
     common(p)
     p.add_argument("expression")
     p.add_argument("--precision", type=int, default=None)
     p.add_argument("--trail", action="store_true")
-    p.set_defaults(handler=_cmd_nf)
 
     p = sub.add_parser("pairs", help="list the critical ambiguities")
     common(p)
-    p.set_defaults(handler=_cmd_pairs)
 
     p = sub.add_parser("irr", help="describe and count irreducible monomials")
     common(p)
     p.add_argument("--max-degree", type=int, default=6)
-    p.set_defaults(handler=_cmd_irr)
 
     p = sub.add_parser("member", help="decide ideal membership on a confluent system")
     common(p)
     p.add_argument("expression")
-    p.set_defaults(handler=_cmd_member)
 
     return parser
 
@@ -892,7 +689,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # A subcommand's handler is the ``run`` of its own module, which only
+        # a process that runs the subcommand compiles.
+        return importlib.import_module(".cli_" + args.command, __package__).run(args)
     except StepBudgetExceededError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -1,15 +1,19 @@
-"""Confluence decisions, completion into confluent systems, redundancy removal."""
+"""Completion into confluent systems and redundancy removal.
+
+``check_confluence`` and ``ideal_member`` live in ``confluence`` and are
+read here too.
+"""
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 from enum import Enum
 from math import gcd
 
-from .algebra_core import DiamondError, Element, _Value
-from .ambiguity import _ambiguity, _s_box, resolve
+from .algebra_core import Element, _Value
+from .ambiguity import _ambiguity, _s_box
+from .confluence import check_confluence, ideal_member
 from .monomial_theories import Theory, _term
 from .rewriting_engine import (
     DEFAULT_STEP_BUDGET,
@@ -22,58 +26,6 @@ from .rewriting_engine import (
     _rewrites,
     _well_founded,
 )
-
-
-class ConfluenceStatus(Enum):
-    CONFLUENT = "confluent"
-    NOT_CONFLUENT = "not-confluent"
-    INCONCLUSIVE = "inconclusive"
-
-
-class ConfluenceVerdict(_Value):
-    """Outcome of resolving every critical ambiguity of a system.
-
-    An inconclusive verdict keeps the ambiguity whose resolution ran out of
-    steps in ``stopped_at``.
-    """
-
-    _fields = ("status", "checked", "witness", "stopped_at")
-    _defaults = {"witness": None, "stopped_at": None}
-
-    def stop_point(self, theory) -> str:
-        """Say where an inconclusive check stopped."""
-        amb = self.stopped_at
-        sup = theory.serialize(amb.superposition)
-        return "after %d ambiguities, while resolving rules (%d, %d) at %s" % (
-            self.checked, amb.rule1, amb.rule2, sup
-        )
-
-
-def check_confluence(system, max_steps: int = DEFAULT_STEP_BUDGET) -> ConfluenceVerdict:
-    """Resolve all critical ambiguities and report the verdict.
-
-    Each s-polynomial is built and reduced on codes, from the encoded
-    contexts the system keeps beside its ambiguities, and no step is kept;
-    only the witness, the first ambiguity that does not resolve, gets a
-    certificate, which ``resolve`` builds by running the same reduction
-    again under the same budget. A system whose order is not well-founded
-    raises DiamondError, since plain reduction then need not terminate.
-    """
-    _well_founded(system, "confluence checking")
-    checked = 0
-    # ``ambiguities`` is read first, and sets ``_contexts``.
-    for amb, (ctx1, ctx2) in zip(system.ambiguities, system._contexts):
-        box = _s_box(system, amb.rule1, ctx1, amb.rule2, ctx2)
-        try:
-            for _ in _rewrites(system, box, max_steps):
-                pass
-        except StepBudgetExceededError:
-            return ConfluenceVerdict(ConfluenceStatus.INCONCLUSIVE, checked, None, amb)
-        checked += 1
-        if box[0]:
-            cert = resolve(system, amb, max_steps)
-            return ConfluenceVerdict(ConfluenceStatus.NOT_CONFLUENT, checked, cert, None)
-    return ConfluenceVerdict(ConfluenceStatus.CONFLUENT, checked, None, None)
 
 
 class CompletionStatus(Enum):
@@ -412,32 +364,3 @@ def _drop_pass(work: _Working, max_steps: int):
 def drop_redundant(system, max_steps: int = DEFAULT_STEP_BUDGET):
     """Remove redundant rules; returns the trimmed system and the drops."""
     return _drop_pass(_Working.of(system), max_steps)
-
-
-class NotConfluentSystemError(DiamondError):
-    """Raised when ideal membership is queried on a non-confluent system."""
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_verdict(system, max_steps: int) -> ConfluenceVerdict:
-    """Confluence verdict per (system, budget), for repeated membership queries."""
-    return check_confluence(system, max_steps)
-
-
-def ideal_member(system, element: Element, max_steps: int = DEFAULT_STEP_BUDGET) -> bool:
-    """Decide ideal membership by normal form; requires a confluent system.
-
-    ``max_steps`` bounds each reduction of the confluence check as well as
-    the final normal form; a check cut short raises StepBudgetExceededError.
-    """
-    verdict = _cached_verdict(system, max_steps)
-    if verdict.status is ConfluenceStatus.INCONCLUSIVE:
-        raise StepBudgetExceededError(
-            "confluence check exceeded the step budget of %d %s"
-            % (max_steps, verdict.stop_point(system.theory))
-        )
-    if verdict.status is not ConfluenceStatus.CONFLUENT:
-        raise NotConfluentSystemError(
-            "membership test needs a confluent system; verdict was %s" % verdict.status.value
-        )
-    return normal_form(system, element, max_steps).is_zero()

@@ -72,10 +72,16 @@ class _MagmaIndex(_CodedIndex):
         return self.decode(left + chr(len(self.letters)) + right)
 
     def encode_context(self, ctx) -> tuple:
-        """The Polish code of a one-hole tree, split at the hole."""
+        """The Polish code of a one-hole tree, split at the hole; anything
+        else raises TheoryMismatchError."""
         n = len(self.letters)
-        code = _polish(ctx, {**self.codes, _HOLE: chr(n)}, chr(n + 1))
-        return tuple(code.split(chr(n)))
+        try:
+            left, right = _polish(ctx, {**self.codes, _HOLE: chr(n)}, chr(n + 1)).split(chr(n))
+            return left, right
+        except (KeyError, TypeError, ValueError):  # a leaf without a code, or not one hole
+            raise TheoryMismatchError(
+                "context %r does not belong to %s" % (ctx, self.theory.describe())
+            ) from None
 
 
 class FreeMagmaTheory(Theory):

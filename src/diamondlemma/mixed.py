@@ -12,7 +12,6 @@ from .algebra_core import (
     _set,
 )
 from .monomial_theories import (
-    _FIELD_BITS,
     LeadIndex,
     Theory,
     _code_weigher,
@@ -22,18 +21,18 @@ from .monomial_theories import (
     _exp_sub,
     _letter_codes,
     _mirror,
-    _packing,
     _power_string,
     _runs,
     _sites,
     _string_overlaps,
     _word_code,
 )
+from .packed_codes import _FIELD_BITS, _packing
 
 
 class _MixedIndex(LeadIndex):
     """Lead index for mixed monomials, which reduce as (central code, word
-    code) pairs: the kernel's packed code of the central part under
+    code) pairs: the central part's packed code of ``packed_codes`` under
     deglex, and the word with each letter ``chr`` of its rank among the
     word letters. A lead divides a code when the difference of their
     central codes sets no guard bit, and that difference and ``str.find``
@@ -121,11 +120,16 @@ class _MixedIndex(LeadIndex):
         return self.unpack(mult), tuple(map(letter, left)), tuple(map(letter, right))
 
     def encode_context(self, ctx: tuple) -> tuple:
-        # The multiplier of one side divides the other lead's central part,
-        # so it has a code.
-        mult, left, right = ctx
-        codes = self.codes
-        return self.pack(mult), _word_code(codes, left), _word_code(codes, right)
+        # The monomial of the multiplier and both words is encoded, so a
+        # context is checked as ``encode`` checks a monomial.
+        try:
+            mult, left, right = ctx
+            central, word = self.encode((mult, left + right))
+        except (TheoryMismatchError, TypeError, ValueError):  # or not three parts
+            raise TheoryMismatchError(
+                "context %r does not belong to %s" % (ctx, self.theory.describe())
+            ) from None
+        return central, word[: len(left)], word[len(left) :]
 
     def overlaps(self, code1: tuple, code2: tuple) -> list:
         (c1, w1), (c2, w2) = code1, code2

@@ -14,7 +14,6 @@ import functools
 import importlib
 import itertools
 import operator
-import struct
 from enum import Enum
 
 from .algebra_core import (
@@ -230,59 +229,6 @@ def _keyed(codec, item) -> tuple:
     return (m, first, second, kind, inner), (
         th.degree(m), th.serialize(m), repr(first), repr(second)
     )
-
-
-# A packed code is one ``int`` of fields of _FIELD_BITS bits each.
-_FIELD_BITS = 32
-
-
-def _packing(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple) -> tuple:
-    """(pack, unpack, guard, degree) of the packed codes of exponent vectors
-    over ``letters`` under the order of that kind, generators and weights.
-    A code has one field per exponent, the order's greatest
-    variable most significant, then the degree and, on top, the weight sum,
-    which is the degree again but under weighted-deglex; under lex the
-    exponents are on top. Codes compare as the order compares vectors.
-    ``pack`` gives None for a non-vector and for a vector whose degree,
-    weight sum or exponent reaches 2^31. ``guard`` holds each field's top
-    bit: a code divides another exactly when their difference sets none,
-    and a sum that sets one does not fit, though its fields still read
-    exactly: no field of a sum of two codes carries. ``degree`` reads the
-    degree field of a code, or of such a sum."""
-    n = len(letters)
-    weigh = sum
-    if kind is OrderKind.WEIGHTED_DEGLEX:
-        int_weights = _weight_table(weights)[1]
-        vector = tuple(map(int_weights.__getitem__, letters))
-        weigh = lambda m: sum(map(operator.mul, vector, m))
-    # ``fields`` lists exponent positions in packing order, from the least
-    # significant field, but from the most significant under lex.
-    lex = kind is OrderKind.LEX
-    byteorder = "big" if lex else "little"
-    row = struct.Struct((">" if lex else "<") + "%dI" % (n + 2))
-    index = {x: i for i, x in enumerate(letters)}
-    fields = tuple(index[g] for g in generators if g in index)
-    if lex:
-        fields = fields[::-1]
-    spread = operator.itemgetter(*fields) if n > 1 else tuple
-    gather = operator.itemgetter(*map(fields.index, range(n))) if n > 1 else lambda t: t[:n]
-    pack_row, unpack_row, from_bytes = row.pack, row.unpack, int.from_bytes
-    guard = from_bytes(pack_row(*[1 << _FIELD_BITS - 1] * (n + 2)), byteorder)
-
-    def pack(m):
-        try:
-            code = from_bytes(pack_row(*spread(m), sum(m), weigh(m)), byteorder)
-            if not code & guard and len(m) == n and isinstance(m, tuple):
-                return code
-        except (struct.error, TypeError, IndexError):
-            pass
-        return None
-
-    def unpack(code):
-        return gather(unpack_row(code.to_bytes(row.size, byteorder)))
-
-    shift, mask = _FIELD_BITS * (1 if lex else n), (1 << _FIELD_BITS) - 1
-    return pack, unpack, guard, lambda code: code >> shift & mask
 
 
 def _letter_codes(letters: tuple) -> dict:

@@ -45,8 +45,13 @@ class _PathIndex(_CodedIndex):
         return self.decode(left + code[len(left)]), self.decode(code[~len(right)] + right)
 
     def encode_context(self, ctx: tuple) -> tuple:
-        left, right = ctx
-        return self.code_of(left)[:-1], self.code_of(right)[1:]
+        try:
+            left, right = ctx
+            return self.encode(left)[:-1], self.encode(right)[1:]
+        except (TheoryMismatchError, TypeError, ValueError):  # or not two paths
+            raise TheoryMismatchError(
+                "context %r does not belong to %s" % (ctx, self.theory.describe())
+            ) from None
 
 
 class PathAlgebraTheory(Theory):
@@ -121,11 +126,14 @@ class PathAlgebraTheory(Theory):
         return "*".join(m[2]) or "e%s" % m[0]
 
     def apply_context(self, ctx, m):
-        """None when the endpoints do not meet, so that the product vanishes."""
+        """None when the endpoints of paths of the theory do not meet, so
+        that the product vanishes."""
+        codec = self.deglex_codec()
+        code, encoded = codec.encode(m), codec.encode_context(ctx)
         left, right = ctx
         if left[1] != m[0] or m[1] != right[0]:
             return None
-        return Theory.apply_context(self, ctx, m)
+        return codec.decode(codec.apply(code, encoded))
 
     def uniform_class(self, m) -> tuple:
         return (m[0], m[1])

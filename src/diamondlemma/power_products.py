@@ -13,9 +13,9 @@ from .monomial_theories import (
     _exp_add,
     _exp_lcm,
     _exp_sub,
-    _packing,
     _power_string,
 )
+from .packed_codes import _packing
 
 
 def _exp_le(a: tuple, b: tuple) -> bool:
@@ -23,17 +23,17 @@ def _exp_le(a: tuple, b: tuple) -> bool:
 
 
 class _PackedIndex(LeadIndex):
-    """Lead index for power products, which reduce as the kernel's packed
-    codes: the sort key is the code and the descending key ``-code``, led
-    by the weight sum and its negation under series orders. A lead divides
-    a code exactly when ``code - lead`` sets no guard bit, and that
-    difference is the encoded context, so an image is ``code + context``.
-    A monomial whose degree, weight sum or exponent reaches 2^31 raises
-    DiamondError on entry. No image can grow past its input under deglex
-    and weighted-deglex; under lex and series orders an image that does
-    raises DiamondError too. Two leads that share a variable meet at their
-    lcm, an inclusion when one divides the other; coprime ones meet only in
-    a montage, which the kernel does not list."""
+    """Lead index for power products, which reduce as the packed codes of
+    ``packed_codes``: the sort key is the code and the descending key
+    ``-code``, led by the weight sum and its negation under series orders.
+    A lead divides a code exactly when ``code - lead`` sets no guard bit,
+    and that difference is the encoded context, so an image is ``code +
+    context``. A monomial whose degree, weight sum or exponent reaches 2^31
+    raises DiamondError on entry. No image can grow past its input under
+    deglex and weighted-deglex; under lex and series orders an image that
+    does raises DiamondError too. Two leads that share a variable meet at
+    their lcm, an inclusion when one divides the other; coprime ones meet
+    only in a montage, which the kernel does not list."""
 
     __slots__ = ("pack", "decode", "guard", "degree", "apply")
 

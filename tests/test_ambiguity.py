@@ -412,6 +412,31 @@ class TestResolve:
                 cert = resolve(s, amb, max_steps=20000)
                 assert normal_form(s, cert.remainder) == cert.remainder
 
+    @pytest.mark.parametrize("name", sorted(THEORIES))
+    @pytest.mark.parametrize("field", [RationalField(), PrimeField(7)], ids=["QQ", "GF7"])
+    def test_witness_is_what_resolve_certifies(self, name, field):
+        """``check_confluence`` certifies its witness from the steps of its
+        own reduction, and that certificate is the one ``resolve`` gives
+        under the same budget, trail and remainder alike, for every
+        not-confluent verdict on random systems."""
+        th = THEORIES[name]
+        rng = random.Random("witness-%s-%s" % (name, field.describe()))
+        sample = COPRIME_FRACTIONS if field == RationalField() else None
+        witnesses = 0
+        for order in shipped_orders(th):
+            if not order.is_well_founded():
+                continue
+            for _ in range(10):
+                s = make_random_system(th, order, rng, field=field, sample=sample)
+                verdict = check_confluence(s, 2000)
+                if verdict.status is ConfluenceStatus.NOT_CONFLUENT:
+                    witnesses += 1
+                    cert = verdict.witness
+                    again = resolve(s, cert.ambiguity, 2000)
+                    assert cert == again and repr(cert) == repr(again)
+                    assert not cert.resolved and not cert.remainder.is_zero()
+        assert witnesses >= 5
+
 
 class TestMixedCounterexamples:
     def test_central_inclusion_detects_divergence(self):

@@ -14,9 +14,15 @@ from diamondlemma import (
     FreeMagmaTheory,
     FreeMonoidTheory,
     MixedTheory,
+    MonomialOrder,
+    OrderKind,
     OverlapKind,
     PathAlgebraTheory,
+    RewritingSystem,
     TheoryMismatchError,
+    is_irreducible_monomial,
+    normal_form,
+    orient,
 )
 
 from oracles import (
@@ -38,6 +44,7 @@ from oracles import (
 )
 
 WORD = st.lists(st.sampled_from(("a", "b")), max_size=5).map(tuple)
+PATHS = PathAlgebraTheory(("1", "2"), (("a", "1", "2"),))
 
 
 def contexts_reproduce(theory, m1, m2):
@@ -434,6 +441,70 @@ class TestRefusals:
             CommutativeTheory(("x",)).apply_context((1,), (2**31,))
         with pytest.raises(TheoryMismatchError, match="does not belong"):
             FreeMagmaTheory(("x",)).apply_context((None, "x"), "z")
+
+    @pytest.mark.parametrize(
+        "th, ctx, m",
+        [
+            (FreeMagmaTheory(("x",)), (None, "z"), "x"),
+            (FreeMagmaTheory(("x",)), ("x", "x"), "x"),
+            (FreeMagmaTheory(("x",)), (None, None), "x"),
+            (MixedTheory(("t",), ("x",)), ((0,), ("z",), ()), ((1,), ("x",))),
+            (MixedTheory(("t",), ("x",)), ((-1,), (), ()), ((1,), ("x",))),
+            (PATHS, (("1", "1", ()), ("2", "2", ("z",))), ("1", "2", ("a",))),
+            (PATHS, (("3", "3", ()), ("2", "2", ())), ("1", "2", ("a",))),
+            (MixedTheory(("t",), ("x",)), ((0,), (), []), ((1,), ("x",))),
+            (MixedTheory(("t",), ("x",)), ((0,), ()), ((1,), ("x",))),
+            (MixedTheory(("t",), ("x",)), ((0,), (), (), ()), ((1,), ("x",))),
+            (PATHS, (("1", "1", ()),), ("1", "2", ("a",))),
+            (PATHS, (("1", "1", ()), ("2", "2", ()), ("2", "2", ())), ("1", "2", ("a",))),
+            (PATHS, None, ("1", "2", ("a",))),
+        ],
+        ids=[
+            "magma-unknown-leaf",
+            "magma-no-hole",
+            "magma-two-holes",
+            "mixed-unknown-letter",
+            "mixed-negative-exponent",
+            "path-unknown-arrow",
+            "path-unknown-vertex",
+            "mixed-tuple-and-list",
+            "mixed-two-parts",
+            "mixed-four-parts",
+            "path-one-part",
+            "path-three-parts",
+            "path-not-a-pair",
+        ],
+    )
+    def test_context_outside_the_theory_is_refused(self, th, ctx, m):
+        """A context outside the theory raises TheoryMismatchError from the
+        codec's ``encode_context``, as a monomial outside it does from
+        ``encode``; a path's endpoints are compared only afterwards."""
+        with pytest.raises(TheoryMismatchError, match="does not belong to"):
+            th.apply_context(ctx, m)
+
+    @pytest.mark.parametrize(
+        "th, m",
+        [(CommutativeTheory(("x", "y")), {}), (MixedTheory(("t",), ("x",)), ({}, ()))],
+        ids=["commutative", "mixed"],
+    )
+    @pytest.mark.parametrize(
+        "entry", ["normal_form", "is_irreducible_monomial", "orient", "sort_key", "overlaps"]
+    )
+    def test_packed_codes_refuse_a_non_tuple(self, th, m, entry):
+        """A packed code is made of tuples only, so every entry point that
+        encodes the non-tuple ``{}`` refuses it through ``check_monomial``."""
+        order = MonomialOrder(OrderKind.DEGLEX, th, tuple(th.generator_names()))
+        system = RewritingSystem(th, order, ())
+        one = Fraction(1)
+        calls = {
+            "normal_form": lambda: normal_form(system, Element(((m, one),))),
+            "is_irreducible_monomial": lambda: is_irreducible_monomial(system, m),
+            "orient": lambda: orient(order, Element(((m, one), (th.one(), one)))),
+            "sort_key": lambda: order.sort_key(m),
+            "overlaps": lambda: th.overlaps(m, th.one()),
+        }
+        with pytest.raises(TheoryMismatchError, match="does not belong to"):
+            calls[entry]()
 
     @pytest.mark.parametrize("name", sorted(THEORIES))
     def test_apply_context_matches_the_reference(self, name):

@@ -52,7 +52,7 @@ from diamondlemma import (
 
 from diamondlemma import algebra_core
 from diamondlemma.cli_io import MAX_NESTING
-from diamondlemma.completion import _cached_verdict
+from diamondlemma.confluence import _cached_verdict
 
 from oracles import (
     COPRIME_FRACTIONS,

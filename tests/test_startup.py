@@ -2,6 +2,8 @@
 and the command line imports only what its subcommand runs."""
 
 import ast
+import functools
+import importlib.util
 import os
 import subprocess
 import sys
@@ -14,20 +16,33 @@ from diamondlemma.monomial_theories import THEORIES
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# Runs main on the arguments after the script, then prints the ``ast.walk``
+# node count of every diamondlemma module the process loaded, and their
+# names. Importing cli_io loads none of ``deferred``, and the process never
+# loads the stdlib modules of ``never``.
 _CLI_SCRIPT = """
+import io
 import sys
 from diamondlemma.cli_io import main
 
 never = ("dataclasses", "inspect", "ast", "json")
-deferred = ("completion", "ambiguity", "power_series")
-loaded = [m for m in never + tuple("diamondlemma." + m for m in deferred) if m in sys.modules]
+deferred = ("completion", "confluence", "ambiguity", "irreducible", "packed_codes", "power_series")
+loaded = [m for m in deferred if "diamondlemma." + m in sys.modules]
 assert not loaded, loaded
-assert main(["nf", "bench/systems/cli/assoc.sys", "y^2*x"]) == 0
-loaded = [m for m in ("completion", "ambiguity") if "diamondlemma." + m in sys.modules]
+sys.stdout = io.StringIO()
+code = main(sys.argv[1:])
+sys.stdout = sys.__stdout__
+assert code in (0, 1, 2), code
+loaded = [m for m in never if m in sys.modules]
 assert not loaded, loaded
-others = ("power_products", "mixed", "magma", "paths")
-loaded = [m for m in others if "diamondlemma." + m in sys.modules]
-assert not loaded, loaded
+import ast
+
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "diamondlemma")
+nodes = 0
+for name in loaded:
+    with open(sys.modules[name].__file__, encoding="utf-8") as handle:
+        nodes += sum(1 for _ in ast.walk(ast.parse(handle.read())))
+print(nodes, *(name.rpartition(".")[2] for name in loaded))
 """
 
 # Checks the system file argv[1] names, then lists the theory modules loaded.
@@ -82,8 +97,17 @@ _SUBMODULES = (
     "rewriting_engine",
     "ambiguity",
     "completion",
+    "confluence",
+    "irreducible",
+    "packed_codes",
     "power_series",
     "cli_io",
+    "cli_check",
+    "cli_complete",
+    "cli_irr",
+    "cli_member",
+    "cli_nf",
+    "cli_pairs",
 )
 
 
@@ -101,8 +125,44 @@ def _run(script: str, *argv: str) -> str:
     return done.stdout
 
 
+def _bench_cli_tasks() -> dict:
+    """argv by task id of one pass of the bench's cli workload: each
+    subcommand on each system of ``bench/systems/cli``. ``bench/cases.py``
+    is stdlib only, so it loads here from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_cases", os.path.join(REPO, "bench", "cases.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.cli_tasks())
+
+
+CLI_TASKS = _bench_cli_tasks()
+
+
+@functools.cache
+def _process(task: str) -> tuple:
+    """(AST nodes compiled, names of the diamondlemma modules loaded) of the
+    ``diamond`` process of a bench cli task."""
+    nodes, *loaded = _run(_CLI_SCRIPT, *CLI_TASKS[task]).split()
+    return int(nodes), set(loaded)
+
+
 def test_cli_loads_only_what_its_subcommand_runs():
-    _run(_CLI_SCRIPT)
+    theories = {module for module, _ in THEORIES.values()}
+    packed = {"power_products", "mixed"}
+    for task, argv in sorted(CLI_TASKS.items()):
+        command, keyword = argv[0], os.path.basename(argv[1]).partition(".")[0]
+        loaded = _process(task)[1]
+        assert loaded & theories == {THEORIES[keyword][0]}, task
+        handlers = {m for m in loaded if m.startswith("cli_")}
+        assert handlers == {"cli_io", "cli_" + command}, task
+        assert ("ambiguity" in loaded) == (command in ("check", "complete", "pairs", "member")), task
+        assert ("confluence" in loaded) == (command in ("check", "complete", "member")), task
+        assert ("completion" in loaded) == (command == "complete"), task
+        assert ("irreducible" in loaded) == (command == "irr"), task
+        assert ("packed_codes" in loaded) == (THEORIES[keyword][0] in packed), task
+        assert "power_series" not in loaded, task
 
 
 def test_package_names_resolve_lazily():
@@ -146,63 +206,49 @@ def test_kernel_resolves_the_theory_classes_by_name():
         monomial_theories.NoSuchTheory
 
 
-# Every ``diamond`` process that reads a system file compiles cli_io.py, and
-# compiling is about half of its start-up when PYTHONDONTWRITEBYTECODE=1 is
-# set, as the benchmark sets it (see the FOUND line on
-# PYTHONDONTWRITEBYTECODE in CHANGES.md). Growing the module takes a
-# deliberate raise of this bound, counted as the test counts.
-CLI_IO_MAX_AST_NODES = 6216
+# The AST nodes, counted by ``ast.walk`` over every diamondlemma module the
+# process loads, that the ``diamond`` process of each bench cli task
+# compiles: each subcommand on each system of ``bench/systems/cli``, so that
+# every theory module is counted in every subcommand's process. Compiling is
+# about half of a process's start-up when PYTHONDONTWRITEBYTECODE=1 is set,
+# as the benchmark sets it (see the FOUND line on PYTHONDONTWRITEBYTECODE in
+# CHANGES.md), so a process that compiles more takes a deliberate raise of
+# its bound.
+TASK_MAX_AST_NODES = {
+    "assoc-nf": 13212,
+    "assoc-check": 14159,
+    "assoc-complete": 16325,
+    "assoc-pairs": 13711,
+    "assoc-irr": 13382,
+    "assoc-member": 14072,
+    "commutative-nf": 14699,
+    "commutative-check": 15646,
+    "commutative-complete": 17812,
+    "commutative-pairs": 15198,
+    "commutative-irr": 14869,
+    "commutative-member": 15559,
+    "mixed-nf": 15397,
+    "mixed-check": 16344,
+    "mixed-complete": 18510,
+    "mixed-pairs": 15896,
+    "mixed-irr": 15567,
+    "mixed-member": 16257,
+    "magma-nf": 13714,
+    "magma-check": 14661,
+    "magma-complete": 16827,
+    "magma-pairs": 14213,
+    "magma-irr": 13884,
+    "magma-member": 14574,
+    "path-nf": 14208,
+    "path-check": 15155,
+    "path-complete": 17321,
+    "path-pairs": 14707,
+    "path-irr": 14378,
+    "path-member": 15068,
+}
 
 
-def test_cli_io_compile_size_is_bounded():
-    path = os.path.join(REPO, "src", "diamondlemma", "cli_io.py")
-    with open(path, encoding="utf-8") as handle:
-        nodes = sum(1 for _ in ast.walk(ast.parse(handle.read())))
-    assert nodes <= CLI_IO_MAX_AST_NODES, nodes
-
-
-# The kernel, the ambiguity and completion layers and the module of its
-# theory are compiled by every ``diamond`` process that checks or completes
-# a system, so the same holds for the eight modules together.
-KERNEL_MODULES = (
-    "monomial_theories",
-    "ambiguity",
-    "completion",
-    "words",
-    "power_products",
-    "mixed",
-    "magma",
-    "paths",
-)
-KERNEL_MAX_AST_NODES = 11600
-
-
-def test_kernel_compile_size_is_bounded():
-    nodes = 0
-    for module in KERNEL_MODULES:
-        path = os.path.join(REPO, "src", "diamondlemma", module + ".py")
-        with open(path, encoding="utf-8") as handle:
-            nodes += sum(1 for _ in ast.walk(ast.parse(handle.read())))
-    assert nodes <= KERNEL_MAX_AST_NODES, nodes
-
-
-# Every ``diamond`` process that checks or completes a system compiles the
-# shared modules below besides cli_io.py and its theory's module, so code
-# moved out of the theory modules into them still counts here.
-PROCESS_MODULES = (
-    "algebra_core",
-    "rewriting_engine",
-    "monomial_theories",
-    "ambiguity",
-    "completion",
-)
-PROCESS_MAX_AST_NODES = 11246
-
-
-def test_process_compile_size_is_bounded():
-    nodes = 0
-    for module in PROCESS_MODULES:
-        path = os.path.join(REPO, "src", "diamondlemma", module + ".py")
-        with open(path, encoding="utf-8") as handle:
-            nodes += sum(1 for _ in ast.walk(ast.parse(handle.read())))
-    assert nodes <= PROCESS_MAX_AST_NODES, nodes
+@pytest.mark.parametrize("task", sorted(CLI_TASKS))
+def test_task_compile_size_is_bounded(task):
+    nodes = _process(task)[0]
+    assert nodes <= TASK_MAX_AST_NODES[task], nodes
