@@ -427,9 +427,10 @@ def _memo(table: dict, key, build, size: int = 256):
     ``size`` entries, dropping the oldest first."""
     value = table.get(key)
     if value is None:
+        value = build()  # first, so that a build that raises evicts nothing
         if len(table) == size:
             del table[next(iter(table))]
-        value = table[key] = build()
+        table[key] = value
     return value
 
 

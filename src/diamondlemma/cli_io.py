@@ -4,16 +4,17 @@
 ``run`` of the module ``cli_<subcommand>``, which it imports then. Each
 handler imports the modules only it runs (confluence, completion,
 ambiguities, irreducible counting, power series, json), so a ``diamond``
-process compiles no more of the package than its subcommand needs.
+process compiles no more of the package than its subcommand needs. Only
+``main`` loads ``argparse``, so parsing through the library does not.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .algebra_core import (
     DiamondError,
@@ -25,6 +26,7 @@ from .algebra_core import (
     RationalField,
     ScalarError,
     _accumulate,
+    _memo,
     _Value,
 )
 from .monomial_theories import THEORIES, theory_class
@@ -289,6 +291,12 @@ def parse_expression(text: str, theory, field, line: int = 1, col0: int = 1) -> 
     separates tokens and any other character is an error. A token's column
     is found only for an error, by scanning the text again.
     """
+    return Element._of_nonzero(field.from_raw(_parse(text, theory, field, line, col0)))
+
+
+def _parse(text, theory, field, line, col0):
+    """The value of ``parse_expression``, {monomial: c} with no zero as
+    ``_sum`` gives it, before its coefficients become the field's."""
     toks = _TOKEN.findall(text)
     try:
         if _SUSPECT.search(text):
@@ -307,7 +315,7 @@ def parse_expression(text: str, theory, field, line: int = 1, col0: int = 1) -> 
         message, k = exc.args
         starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
         raise ParseError(message, line, col0 + starts[k]) from None
-    return Element._of_nonzero(field.from_raw(value))
+    return value
 
 
 class SystemFile(_Value):
@@ -332,6 +340,13 @@ _ORDER_NAMES = {
 }
 
 
+# Theories, orders and fields by the plain values their statements read: a
+# theory by its class and header declarations, an order by its theory's key,
+# kind, generators and weights, a field by "rational" or its prime. Files
+# that declare alike share one object and what it caches.
+_DECLARED: dict = {}
+
+
 class _SystemBuilder:
     """Accumulates header statements and rules into a validated system."""
 
@@ -351,26 +366,12 @@ class _SystemBuilder:
         # (statement, line, col) of each header statement read before the
         # theory statement, checked once that is read.
         self.early_header: list = []
-        self.field = RationalField()
+        self.field = _memo(_DECLARED, "rational", RationalField)
         self.weights: list = []
         self.weights_line = None
         self.order = None
         self.theory = None
         self.rules: list = []
-
-    def _require_theory(self, line: int, col: int):
-        if self.theory_class is None:
-            raise ParseError("no theory declared", line, col)
-        cls = self.theory_class
-        for statement in cls.header_statements:
-            if not self.header[statement]:
-                raise ParseError("theory needs a %r statement" % statement, line, col)
-        vertices = self.header["vertices"]
-        for (name, src, tgt), at in zip(self.header["arrow"], self.arrow_at):
-            if src not in vertices or tgt not in vertices:
-                raise ParseError("arrow %s references an unknown vertex" % name, *at)
-        self.theory = cls(*(tuple(self.header[s]) for s in cls.header_statements))
-        return self.theory
 
     def _declare(self, names, line: int, col: int) -> None:
         """Refuse a name that an expression would read as two monomials."""
@@ -389,6 +390,9 @@ class _SystemBuilder:
             )
 
     def statement(self, fragment: str, line: int, frag_col: int) -> None:
+        # No lambda or generator here captures a local name, as each one
+        # captured costs a cell on every call, rules included: the builds
+        # the table runs are partials.
         stripped = fragment.strip()
         if not stripped:
             return
@@ -421,7 +425,7 @@ class _SystemBuilder:
             if len(parts) != 3:
                 raise ParseError("expected: arrow <name> <source> <target>", line, col)
             name = parts[0]
-            if any(name == existing for existing, _, _ in self.header["arrow"]):
+            if name in [existing for existing, _, _ in self.header["arrow"]]:
                 raise ParseError("duplicate arrow %r" % name, line, col)
             self._declare([name], line, col)
             self.header["arrow"].append((name, parts[1], parts[2]))
@@ -430,14 +434,14 @@ class _SystemBuilder:
             if len(words) != 2:
                 raise ParseError("expected: field rational | field <prime>", line, col)
             if words[1] in ("rational", "QQ"):
-                self.field = RationalField()
+                self.field = _memo(_DECLARED, "rational", RationalField)
             elif words[1].isdecimal():
                 try:
                     p = int(words[1])
                 except ValueError:  # more digits than int reads, so no machine word
                     p = 0
                 try:
-                    self.field = PrimeField(p)
+                    self.field = _memo(_DECLARED, p, partial(PrimeField, p))
                 except ScalarError as exc:
                     raise ParseError(str(exc), line, col)
             else:
@@ -452,7 +456,7 @@ class _SystemBuilder:
                 name, sep, value = entry.partition(":")
                 if not sep or not name:
                     raise ParseError("weight entries look like x:-1", line, col)
-                if any(name == seen for seen, _ in self.weights):
+                if name in dict(self.weights):
                     raise ParseError("duplicate weight for %r" % name, line, col)
                 # Fraction builds 10^e for a decimal exponent e.
                 _, e, exponent = value.lower().partition("e")
@@ -474,7 +478,20 @@ class _SystemBuilder:
                     "expected one of: order deglex|weighted-deglex|lex|series", line, col
                 )
             kind = _ORDER_KEYWORDS[words[1]]
-            theory = self._require_theory(line, col)
+            # The theory is built here, at the order statement or, with
+            # none, at the first rule or the end of the file.
+            cls = self.theory_class
+            if cls is None:
+                raise ParseError("no theory declared", line, col)
+            for statement in cls.header_statements:
+                if not self.header[statement]:
+                    raise ParseError("theory needs a %r statement" % statement, line, col)
+            vertices = self.header["vertices"]
+            for (name, src, tgt), at in zip(self.header["arrow"], self.arrow_at):
+                if src not in vertices or tgt not in vertices:
+                    raise ParseError("arrow %s references an unknown vertex" % name, *at)
+            key = (cls, tuple(map(tuple, map(self.header.get, cls.header_statements))))
+            theory = self.theory = _memo(_DECLARED, key, partial(cls, *key[1]))
             joined = "".join(words[2:])
             if "<" in joined:
                 generators = tuple(joined.split("<"))
@@ -492,26 +509,31 @@ class _SystemBuilder:
                     )
                 weights = tuple(self.weights)
             try:
-                self.order = MonomialOrder(kind, theory, generators, weights)
+                self.order = _memo(
+                    _DECLARED,
+                    (key, kind._value_, generators, weights),
+                    partial(MonomialOrder, kind, theory, generators, weights),
+                )
             except DiamondError as exc:
                 raise ParseError(str(exc), line, col)
         elif keyword == "rule":
             if self.order is None:
-                self._default_order(line, col)
+                # With no order statement, rules reduce under deglex over the
+                # declaration order of the generators.
+                self.statement("order deglex", line, col)
             body = stripped[len(keyword):]
             body_col = col + len(keyword)
             idx = body.find("->")
             if idx < 0:
                 raise ParseError("a rule looks like: rule <lead> -> <element>", line, col)
-            lead_elem = parse_expression(
-                body[:idx], self.theory, self.field, line, body_col
-            )
+            lead = _parse(body[:idx], self.theory, self.field, line, body_col)
             lower = parse_expression(
                 body[idx + 2 :], self.theory, self.field, line, body_col + idx + 2
             )
-            if len(lead_elem.terms) != 1 or lead_elem.terms[0][1] != self.field.one:
+            # A monic monomial's value is {monomial: 1} over every field.
+            if list(lead.values()) != [1]:
                 raise ParseError("rule lead must be a single monic monomial", line, col)
-            rule = Rule(lead_elem.terms[0][0], lower)
+            rule = Rule(*lead, lower)  # the lead's one key
             # Checked as it is read, so that a refusal names its line;
             # ``finish`` builds the system without checking again.
             problem = _rule_codes(self.theory, self.order, self.field, (rule,))[2]
@@ -521,16 +543,9 @@ class _SystemBuilder:
         else:
             raise ParseError("unknown statement %r" % keyword, line, col)
 
-    def _default_order(self, line: int, col: int) -> None:
-        """Fall back to deglex over the declaration order of the generators."""
-        theory = self._require_theory(line, col)
-        self.order = MonomialOrder(
-            OrderKind.DEGLEX, theory, tuple(theory.generator_names())
-        )
-
     def finish(self) -> SystemFile:
         if self.order is None:
-            self._default_order(*self.theory_at)
+            self.statement("order deglex", *self.theory_at)
         system = RewritingSystem._of_checked_rules(
             self.theory, self.order, tuple(self.rules), self.field
         )
@@ -646,6 +661,8 @@ def _load(path: str) -> SystemFile:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="diamond",
         description="Reduction systems, confluence checks and completion over five monomial theories.",

@@ -22,7 +22,6 @@ from .algebra_core import (
     OrderKind,
     TheoryMismatchError,
     _Value,
-    _memo,
     _set,
     _weight_table,
 )
@@ -335,10 +334,6 @@ class _CodedIndex(LeadIndex):
         return _code_weigher(self.codes, weights)
 
 
-# named_monomials by the theory's class and fields: one for equal theories.
-_NAMED: dict = {}
-
-
 class Theory(_Value):
     """Shared behaviour; concrete theories implement the payload geometry.
 
@@ -420,21 +415,17 @@ class Theory(_Value):
         return self.generator_names()
 
     def named_monomials(self) -> dict:
-        """(monomial, degree) of each of the ``expression_names``, by name:
-        one dict for equal theories, kept on each."""
+        """(monomial, degree) of each of the ``expression_names``, by name,
+        kept on the theory."""
         try:
             return self._named
         except AttributeError:
             pass
-        named = _memo(
-            _NAMED,
-            (type(self), self._values(self)),
-            lambda: {
-                name: (m, self.degree(m))
-                for name in self.expression_names()
-                for m in (self.monomial_named(name),)
-            },
-        )
+        named = {
+            name: (m, self.degree(m))
+            for name in self.expression_names()
+            for m in (self.monomial_named(name),)
+        }
         _set(self, "_named", named)
         return named
 

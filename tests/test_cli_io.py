@@ -26,6 +26,7 @@ from diamondlemma import (
     PrimeField,
     RationalField,
     RewritingSystem,
+    Rule,
     RuleError,
     cli_io,
     format_element,
@@ -204,6 +205,8 @@ class TestParseSystem:
             pytest.fail("expected a ParseError")
 
 
+_NOT_MONIC = "rule lead must be a single monic monomial"
+
 # (text, message, line, col) of each error a system file can raise, by the
 # statement at fault.
 SYSTEM_FILE_ERRORS = {
@@ -310,6 +313,24 @@ SYSTEM_FILE_ERRORS = {
     ],
     "rule": [
         ("theory assoc; vars x; rule x x", "a rule looks like: rule <lead> -> <element>", 1, 23),
+        # A lead that parses but is no single monic monomial is refused at
+        # the statement.
+        ("theory assoc; vars x y; rule 2*y*x -> x*y", _NOT_MONIC, 1, 25),
+        ("theory assoc; vars x y; rule x + y -> 1", _NOT_MONIC, 1, 25),
+        ("theory assoc; vars x y; rule 3 -> x", _NOT_MONIC, 1, 25),
+        ("theory assoc; vars x y; rule 0 -> x", _NOT_MONIC, 1, 25),
+        ("theory assoc; vars x y; rule x - x -> y", _NOT_MONIC, 1, 25),
+        ("theory assoc; vars x y; rule -y -> x", _NOT_MONIC, 1, 25),
+        ("theory magma; vars x; rule 0 -> (x*x)", _NOT_MONIC, 1, 23),
+        # Errors inside the lower part, or a lead the theory cannot read,
+        # come before that refusal.
+        ("theory assoc; vars x y; rule 2*y -> $", "unexpected character '$'", 1, 37),
+        (
+            "theory magma; vars x; rule 3 -> (x*x)",
+            "a bare scalar is not an element of this theory",
+            1,
+            30,
+        ),
     ],
 }
 
@@ -344,6 +365,13 @@ class TestSystemFileErrors:
         assert err.startswith("cannot read %s: " % path)
         assert err.count("\n") == 1
 
+    def test_lead_is_monic_in_the_declared_field(self):
+        system = parse_system_file("theory assoc; vars x y; field 7; rule 8*y -> x").system
+        assert system.rules[0].lead == ("y",)
+        assert system.rules[0].lower.terms == ((("x",), Fp(1, 7)),)
+        system = parse_system_file("theory assoc; vars x y; rule 1/2*y + 1/2*y -> x").system
+        assert system.rules[0].lead == ("y",)
+
     def test_field_numeral_of_another_script(self):
         system = parse_system_file("theory assoc; vars x; field \u0667").system
         assert system.field == PrimeField(7)
@@ -368,6 +396,129 @@ class TestSystemFileErrors:
         s = parse_system_file(text).system
         assert s.field == RationalField()
         assert dict(s.rules[0].lower.terms)[()] == Fraction(1, 2)
+
+
+class TestSharedDeclarations:
+    """Files that declare alike share one theory, order and field object."""
+
+    @staticmethod
+    def _parts(text):
+        system = parse_system_file(text).system
+        return system.theory, system.order, system.field
+
+    @pytest.mark.parametrize("keyword", ["assoc", "commutative", "magma", "mixed", "path"])
+    def test_equal_headers_share_one_object_of_each(self, keyword):
+        path = os.path.join(REPO, "bench", "systems", "cli", keyword + ".sys")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        first, second = self._parts(text), self._parts("# again\n" + text)
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_written_and_implied_declarations_share(self):
+        implied = self._parts("theory assoc; vars x y; rule y*x -> x*y")
+        written = self._parts("theory assoc; vars x y; field rational; order deglex x<y")
+        assert all(a is b for a, b in zip(implied, written))
+        assert self._parts("theory assoc; vars x; field 7")[2] is self._parts(
+            "theory assoc; vars x; field \u0667"
+        )[2]
+
+    def test_different_declarations_do_not_share(self):
+        base = self._parts("theory commutative; vars x y; weights x:1 y:1")
+        others = {
+            "vars": self._parts("theory commutative; vars y x; weights x:1 y:1"),
+            "lex": self._parts("theory commutative; vars x y; weights x:1 y:1; order lex"),
+            "weighted": self._parts(
+                "theory commutative; vars x y; weights x:1 y:1; order weighted-deglex"
+            ),
+            "weights": self._parts(
+                "theory commutative; vars x y; weights x:1 y:2; order weighted-deglex"
+            ),
+        }
+        assert others["vars"][0] is not base[0] and others["vars"][1] is not base[1]
+        for name in ("lex", "weighted", "weights"):
+            assert others[name][0] is base[0], name
+            assert others[name][1] is not base[1] and others[name][1] != base[1], name
+        assert others["weighted"][1] != others["weights"][1]
+        f7 = self._parts("theory assoc; vars x; field 7")[2]
+        f11 = self._parts("theory assoc; vars x; field 11")[2]
+        assert (f7, f11) == (PrimeField(7), PrimeField(11))
+
+    def test_refused_declarations_store_nothing(self, monkeypatch):
+        table = {}
+        monkeypatch.setattr(cli_io, "_DECLARED", table)
+        with pytest.raises(ParseError, match="field characteristic 4 is not prime"):
+            parse_system_file("theory assoc; vars x; field 4")
+        assert list(table) == ["rational"]
+        with pytest.raises(ParseError, match="lex is only well-founded"):
+            parse_system_file("theory assoc; vars x; order lex")
+        assert not any(isinstance(value, MonomialOrder) for value in table.values())
+        system = parse_system_file("theory assoc; vars x; field 5; rule x^2 -> x").system
+        assert system.field is table[5]
+        assert any(value is system.order for value in table.values())
+        # In a full table, a refused declaration drops no live entry.
+        table.clear()
+        for k in range(127):
+            parse_system_file("theory assoc; vars x%d; rule x%d^2 -> x%d" % (k, k, k))
+        parse_system_file("theory assoc; vars x0; field 7")
+        kept = list(table.items())
+        assert len(kept) == 256
+        for text in ("theory assoc; vars x0; field 4", "theory assoc; vars x0; order lex"):
+            with pytest.raises(ParseError):
+                parse_system_file(text)
+            assert list(table) == [key for key, _ in kept]
+            assert all(table[key] is value for key, value in kept)
+        system = parse_system_file("theory assoc; vars x0; field 7; rule x0^2 -> x0").system
+        shared = (kept[1][1], kept[2][1], kept[-1][1])  # theory x0, its order, field 7
+        assert all(a is b for a, b in zip((system.theory, system.order, system.field), shared))
+
+    def test_the_table_is_bounded(self, monkeypatch):
+        table = {}
+        monkeypatch.setattr(cli_io, "_DECLARED", table)
+        texts = ["theory assoc; vars x%d; rule x%d^2 -> x%d" % (k, k, k) for k in range(200)]
+        systems = [parse_system_file(text).system for text in texts]
+        assert len(table) == 256
+        # The first declarations were dropped; parsing them again builds
+        # equal objects.
+        again = parse_system_file(texts[0]).system
+        assert again == systems[0] and again.theory is not systems[0].theory
+        assert len(table) == 256
+
+    def test_parsed_system_is_the_constructed_one(self):
+        weights = (("x", Fraction(-1)),)
+        cases = [
+            (
+                WEYL,
+                FreeMonoidTheory(("x", "y")),
+                lambda th: MonomialOrder(OrderKind.DEGLEX, th, ("x", "y")),
+                RationalField(),
+                [(("y", "x"), {("x", "y"): Fraction(1), (): Fraction(1)})],
+            ),
+            (
+                "theory commutative; vars x y; field 7; order lex x>y; rule x^2 -> 3*y",
+                CommutativeTheory(("x", "y")),
+                lambda th: MonomialOrder(OrderKind.LEX, th, ("y", "x")),
+                PrimeField(7),
+                [((2, 0), {(0, 1): Fp(3, 7)})],
+            ),
+            (
+                SERIES,
+                FreeMonoidTheory(("x",)),
+                lambda th: MonomialOrder(OrderKind.SERIES_DEGLEX, th, ("x",), weights),
+                RationalField(),
+                [(("x",), {("x", "x"): Fraction(1)})],
+            ),
+        ]
+        for text, theory, order, field, rules in cases:
+            want = RewritingSystem(
+                theory,
+                order(theory),
+                tuple(Rule(lead, Element.from_dict(lower)) for lead, lower in rules),
+                field,
+            )
+            for _ in range(2):  # built, then shared
+                got = parse_system_file(text).system
+                assert got == want
+                assert repr(got) == repr(want)
 
 
 class TestParseExpression:
@@ -466,13 +617,6 @@ class TestParseExpression:
     def test_largest_benchmark_power_still_parses(self):
         th = FreeMonoidTheory(("e", "f", "h"))
         assert len(parse_expression("(h+f+e)^7", th, self.field).terms) == 3**7
-
-    def test_equal_theories_share_their_names(self):
-        """The parser's name table is built once per theory value."""
-        names = FreeMonoidTheory(("x", "y")).named_monomials()
-        assert names == {"x": (("x",), 1), "y": (("y",), 1)}
-        assert FreeMonoidTheory(("x", "y")).named_monomials() is names
-        assert FreeMagmaTheory(("x", "y")).named_monomials() == {"x": ("x", 1), "y": ("y", 1)}
 
     def test_prime_field_power_of_scalar(self):
         field = PrimeField(7)
@@ -1001,7 +1145,7 @@ class TestParserOracle:
             return out
 
         got = parse_all()
-        # The system builder parses rules through the module attribute.
+        # The system builder parses lower parts through the module attribute.
         monkeypatch.setattr(cli_io, "parse_expression", reference_parse_expression)
         want = parse_all()
         assert len(got) == 2 * 100 * (1 + 3)
