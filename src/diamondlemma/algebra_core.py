@@ -53,7 +53,9 @@ class _Value:
                     "%s takes the fields (%s); got %d by position and (%s) by name"
                     % (type(self).__qualname__, ", ".join(fields), len(values), ", ".join(named))
                 )
-            values = [merged[field] for field in fields]
+            # A map: a comprehension would read ``merged`` from a cell,
+            # which every call, the fast path's too, would build.
+            values = list(map(merged.__getitem__, fields))
         # One store per field: reading self.__dict__ would give each
         # instance a dict of its own, where CPython keeps the values inline.
         for field, value in zip(fields, values):
@@ -421,22 +423,17 @@ class OrderError(DiamondError):
     """Raised for invalid order parameters."""
 
 
-def _memo(table: dict, key, build, size: int = 256):
-    """table[key], stored from build() on a miss. Keys are plain values,
-    which hash in C where a _Value hashes in Python; the table keeps at most
-    ``size`` entries, dropping the oldest first."""
-    value = table.get(key)
-    if value is None:
-        value = build()  # first, so that a build that raises evicts nothing
-        if len(table) == size:
-            del table[next(iter(table))]
-        table[key] = value
-    return value
-
-
-# Codecs by the kind's value, the theory's class and fields, the generators
-# and the weights: one for all equal orders.
-_CODECS: dict = {}
+@functools.lru_cache(maxsize=256)
+def _codec(cls, values: tuple, kind: str, generators: tuple, weights: tuple):
+    """The lead index over no leads of the theory ``cls(*values)`` under the
+    order of that kind's value, generators and weights: one for all equal
+    orders, the least recently used dropped first. The key is plain values,
+    which hash in C where a _Value hashes in Python, so the index is built
+    for an equal theory and order made from them."""
+    theory = cls(*values)
+    order = object.__new__(MonomialOrder)
+    _Value.__init__(order, OrderKind(kind), theory, generators, weights)
+    return theory.index_class(theory, order)
 
 
 class MonomialOrder(_Value):
@@ -448,8 +445,9 @@ class MonomialOrder(_Value):
     only admissible together with a topology certificate.
 
     The order is implemented once, by the theory's lead index under it:
-    ``codec`` is that index over no leads, shared by equal orders, and
-    ``sort_key`` reads its codes.
+    ``codec`` is that index over no leads, which ``_codec`` keeps for the
+    latest 256 distinct orders, so equal orders share it, and ``sort_key``
+    reads its codes.
     """
 
     _fields = ("kind", "theory", "generators", "weights")
@@ -473,8 +471,8 @@ class MonomialOrder(_Value):
         # The theory's lead index over no leads under the order, one for all
         # equal orders; no field, so equality, hashing and repr ignore it.
         th = self.theory
-        key = self.kind._value_, type(th), th._values(th), self.generators, self.weights
-        _set(self, "codec", _memo(_CODECS, key, lambda: th.index_class(th, self)))
+        codec = _codec(type(th), th._values(th), self.kind._value_, self.generators, self.weights)
+        _set(self, "codec", codec)
 
     def sort_key(self, monomial):
         """Total comparison key, ascending with the order: the codec's

@@ -10,11 +10,11 @@ process compiles no more of the package than its subcommand needs. Only
 
 from __future__ import annotations
 
+import functools
 import importlib
 import re
 import sys
 from fractions import Fraction
-from functools import partial
 
 from .algebra_core import (
     DiamondError,
@@ -26,7 +26,6 @@ from .algebra_core import (
     RationalField,
     ScalarError,
     _accumulate,
-    _memo,
     _Value,
 )
 from .monomial_theories import THEORIES, theory_class
@@ -148,7 +147,7 @@ def _sum(toks: list, i: int, depth: int, theory, field):
     later factor comes first.
     """
     p = field.characteristic
-    names = theory.named_monomials()
+    names = theory.named_monomials
     multiply = theory.multiply
     end = len(toks) - 1
     total: dict = {}
@@ -340,11 +339,20 @@ _ORDER_NAMES = {
 }
 
 
-# Theories, orders and fields by the plain values their statements read: a
-# theory by its class and header declarations, an order by its theory's key,
-# kind, generators and weights, a field by "rational" or its prime. Files
-# that declare alike share one object and what it caches.
-_DECLARED: dict = {}
+@functools.lru_cache(maxsize=256)
+def _declared(build, *values):
+    """``build(*values)``, one object for every file that declares alike,
+    the least recently used dropped first. The values are plain, as the
+    statements read them, so they hash in C where a _Value hashes in
+    Python: ``RationalField`` with none, ``PrimeField`` with its prime, a
+    theory class with its header declarations, and ``_order`` with those
+    and the order's kind value, generators and weights."""
+    return build(*values)
+
+
+def _order(cls, header: tuple, kind: str, generators: tuple, weights: tuple) -> MonomialOrder:
+    """The order a file declares over the theory ``_declared(cls, *header)``."""
+    return MonomialOrder(OrderKind(kind), _declared(cls, *header), generators, weights)
 
 
 class _SystemBuilder:
@@ -366,7 +374,7 @@ class _SystemBuilder:
         # (statement, line, col) of each header statement read before the
         # theory statement, checked once that is read.
         self.early_header: list = []
-        self.field = _memo(_DECLARED, "rational", RationalField)
+        self.field = _declared(RationalField)
         self.weights: list = []
         self.weights_line = None
         self.order = None
@@ -391,8 +399,7 @@ class _SystemBuilder:
 
     def statement(self, fragment: str, line: int, frag_col: int) -> None:
         # No lambda or generator here captures a local name, as each one
-        # captured costs a cell on every call, rules included: the builds
-        # the table runs are partials.
+        # captured costs a cell on every call, rules included.
         stripped = fragment.strip()
         if not stripped:
             return
@@ -434,14 +441,14 @@ class _SystemBuilder:
             if len(words) != 2:
                 raise ParseError("expected: field rational | field <prime>", line, col)
             if words[1] in ("rational", "QQ"):
-                self.field = _memo(_DECLARED, "rational", RationalField)
+                self.field = _declared(RationalField)
             elif words[1].isdecimal():
                 try:
                     p = int(words[1])
                 except ValueError:  # more digits than int reads, so no machine word
                     p = 0
                 try:
-                    self.field = _memo(_DECLARED, p, partial(PrimeField, p))
+                    self.field = _declared(PrimeField, p)
                 except ScalarError as exc:
                     raise ParseError(str(exc), line, col)
             else:
@@ -490,8 +497,8 @@ class _SystemBuilder:
             for (name, src, tgt), at in zip(self.header["arrow"], self.arrow_at):
                 if src not in vertices or tgt not in vertices:
                     raise ParseError("arrow %s references an unknown vertex" % name, *at)
-            key = (cls, tuple(map(tuple, map(self.header.get, cls.header_statements))))
-            theory = self.theory = _memo(_DECLARED, key, partial(cls, *key[1]))
+            header = tuple(map(tuple, map(self.header.get, cls.header_statements)))
+            theory = self.theory = _declared(cls, *header)
             joined = "".join(words[2:])
             if "<" in joined:
                 generators = tuple(joined.split("<"))
@@ -509,11 +516,7 @@ class _SystemBuilder:
                     )
                 weights = tuple(self.weights)
             try:
-                self.order = _memo(
-                    _DECLARED,
-                    (key, kind._value_, generators, weights),
-                    partial(MonomialOrder, kind, theory, generators, weights),
-                )
+                self.order = _declared(_order, cls, header, kind._value_, generators, weights)
             except DiamondError as exc:
                 raise ParseError(str(exc), line, col)
         elif keyword == "rule":

@@ -22,7 +22,6 @@ from .algebra_core import (
     OrderKind,
     TheoryMismatchError,
     _Value,
-    _set,
     _weight_table,
 )
 
@@ -147,8 +146,9 @@ class LeadIndex:
     ``entries``, the code of each lead, which ``site`` scans.
     The views made by ``copy`` and ``without`` share every other slot.
     Each class builds the tables of its order in ``__init__``, which runs
-    once per order: ``MonomialOrder.codec`` keeps that index over no leads
-    in ``_CODECS``, and every other index under the order is a copy of it.
+    once per order: ``MonomialOrder.codec`` is that index over no leads,
+    kept in the LRU table ``algebra_core._codec``, and every other index
+    under the order is a copy of it.
     """
 
     __slots__ = ("theory", "sort_key", "descending_key", "entries")
@@ -342,7 +342,8 @@ class Theory(_Value):
     ``theory`` statement, ``header_statements`` lists the statements that
     declare its fields, in field order, and ``monomial_named(name)`` returns
     the monomial an expression identifier stands for, or None; the
-    expression parser reads them from ``named_monomials()``.
+    expression parser reads them from ``named_monomials``, which, like
+    ``deglex_codec``, is a ``cached_property`` kept on the theory.
 
     ``overlaps(mu1, mu2)`` lists the minimal superpositions of two leads
     as (superposition, ctx1, ctx2, kind, inner) tuples:
@@ -353,7 +354,7 @@ class Theory(_Value):
     too. ``divisions(mu, nu)`` lists the contexts at which ``nu`` divides
     ``mu``, and ``apply_context(ctx, m)`` puts ``m`` in a context. A
     theory's geometry is its codecs' kernels: the three methods encode
-    their arguments under ``deglex_codec()``, so a monomial without a code
+    their arguments under ``deglex_codec``, so a monomial without a code
     raises as ``encode`` does, ask its ``overlaps``, ``sites`` or ``apply``
     and decode what it gives, ``overlaps`` through the decode cache
     ``_keyed``. They are the public geometry calls, which no library path
@@ -386,27 +387,22 @@ class Theory(_Value):
         for name in ("overlaps", "divisions", "apply_context"):
             setattr(cls, name, getattr(cls, name))
 
+    @functools.cached_property
     def deglex_codec(self) -> "LeadIndex":
         """The lead index over no leads under deglex over the declared
         generators: that order's ``codec``, kept on the theory."""
-        try:
-            return self._deglex
-        except AttributeError:
-            pass
-        codec = MonomialOrder(OrderKind.DEGLEX, self, tuple(self.generator_names())).codec
-        _set(self, "_deglex", codec)
-        return codec
+        return MonomialOrder(OrderKind.DEGLEX, self, tuple(self.generator_names())).codec
 
     def apply_context(self, ctx, m):
-        codec = self.deglex_codec()
+        codec = self.deglex_codec
         return codec.decode(codec.apply(codec.encode(m), codec.encode_context(ctx)))
 
     def overlaps(self, mu1, mu2) -> list:
-        codec = self.deglex_codec()
+        codec = self.deglex_codec
         return [_keyed(codec, x)[0] for x in codec.overlaps(codec.encode(mu1), codec.encode(mu2))]
 
     def divisions(self, mu, nu) -> list:
-        codec = self.deglex_codec()
+        codec = self.deglex_codec
         code = codec.encode(mu)
         return [codec.decode_context(ctx, code) for ctx in codec.sites(code, codec.encode(nu))]
 
@@ -414,20 +410,15 @@ class Theory(_Value):
         """Every name an expression reads as a monomial."""
         return self.generator_names()
 
+    @functools.cached_property
     def named_monomials(self) -> dict:
         """(monomial, degree) of each of the ``expression_names``, by name,
         kept on the theory."""
-        try:
-            return self._named
-        except AttributeError:
-            pass
-        named = {
+        return {
             name: (m, self.degree(m))
             for name in self.expression_names()
             for m in (self.monomial_named(name),)
         }
-        _set(self, "_named", named)
-        return named
 
     def header_lines(self) -> list:
         """System-file statements declaring this theory."""
@@ -477,7 +468,7 @@ class Theory(_Value):
         its deglex codec spells. Power products and mixed monomials, whose
         codes have limits, check their own."""
         try:
-            return self.deglex_codec().code_of(m) is not None
+            return self.deglex_codec.code_of(m) is not None
         except (KeyError, TypeError, ValueError):  # a name without a code
             return False
 

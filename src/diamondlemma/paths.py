@@ -128,7 +128,7 @@ class PathAlgebraTheory(Theory):
     def apply_context(self, ctx, m):
         """None when the endpoints of paths of the theory do not meet, so
         that the product vanishes."""
-        codec = self.deglex_codec()
+        codec = self.deglex_codec
         code, encoded = codec.encode(m), codec.encode_context(ctx)
         left, right = ctx
         if left[1] != m[0] or m[1] != right[0]:

@@ -38,7 +38,7 @@ class WeightData(_Value):
         _Value.__init__(self, theory, converted)
         _set(self, "weight_denominator", den)
         _set(self, "int_weights", ints)
-        codec = theory.deglex_codec()
+        codec = theory.deglex_codec
         _set(self, "codec", codec)
         _set(self, "weigh", codec.weigher(ints))
 

@@ -443,45 +443,53 @@ class TestSharedDeclarations:
         f11 = self._parts("theory assoc; vars x; field 11")[2]
         assert (f7, f11) == (PrimeField(7), PrimeField(11))
 
-    def test_refused_declarations_store_nothing(self, monkeypatch):
-        table = {}
-        monkeypatch.setattr(cli_io, "_DECLARED", table)
+    def test_refused_declarations_store_nothing(self):
+        table = cli_io._declared
+        table.cache_clear()
         with pytest.raises(ParseError, match="field characteristic 4 is not prime"):
             parse_system_file("theory assoc; vars x; field 4")
-        assert list(table) == ["rational"]
+        assert table.cache_info().currsize == 1  # the rational field
         with pytest.raises(ParseError, match="lex is only well-founded"):
             parse_system_file("theory assoc; vars x; order lex")
-        assert not any(isinstance(value, MonomialOrder) for value in table.values())
+        assert table.cache_info().currsize == 2  # and the theory
         system = parse_system_file("theory assoc; vars x; field 5; rule x^2 -> x").system
-        assert system.field is table[5]
-        assert any(value is system.order for value in table.values())
-        # In a full table, a refused declaration drops no live entry.
-        table.clear()
-        for k in range(127):
-            parse_system_file("theory assoc; vars x%d; rule x%d^2 -> x%d" % (k, k, k))
-        parse_system_file("theory assoc; vars x0; field 7")
-        kept = list(table.items())
-        assert len(kept) == 256
+        assert table.cache_info().currsize == 4  # and field 5 and deglex
+        assert system.field is table(PrimeField, 5)
+        assert system.order is self._parts("theory assoc; vars x; rule x -> 0")[1]
+        # In a full table, a refused declaration drops no live entry: every
+        # file parses again to the objects it gave, with no miss.
+        table.cache_clear()
+        texts = ["theory assoc; vars x%d; rule x%d^2 -> x%d" % (k, k, k) for k in range(127)]
+        texts.append("theory assoc; vars x0; field 7; rule x0^2 -> x0")
+        kept = [self._parts(text) for text in texts]
+        assert kept[-1][0] is kept[0][0] and kept[-1][1] is kept[0][1]
+        assert table.cache_info().currsize == 256
         for text in ("theory assoc; vars x0; field 4", "theory assoc; vars x0; order lex"):
             with pytest.raises(ParseError):
                 parse_system_file(text)
-            assert list(table) == [key for key, _ in kept]
-            assert all(table[key] is value for key, value in kept)
-        system = parse_system_file("theory assoc; vars x0; field 7; rule x0^2 -> x0").system
-        shared = (kept[1][1], kept[2][1], kept[-1][1])  # theory x0, its order, field 7
-        assert all(a is b for a, b in zip((system.theory, system.order, system.field), shared))
+            misses = table.cache_info().misses
+            for parts, text in zip(kept, texts):
+                assert all(a is b for a, b in zip(self._parts(text), parts))
+            assert table.cache_info().misses == misses
 
-    def test_the_table_is_bounded(self, monkeypatch):
-        table = {}
-        monkeypatch.setattr(cli_io, "_DECLARED", table)
+    def test_the_table_is_bounded(self):
+        table = cli_io._declared
+        table.cache_clear()
         texts = ["theory assoc; vars x%d; rule x%d^2 -> x%d" % (k, k, k) for k in range(200)]
         systems = [parse_system_file(text).system for text in texts]
-        assert len(table) == 256
+        assert table.cache_info().currsize == 256
         # The first declarations were dropped; parsing them again builds
         # equal objects.
         again = parse_system_file(texts[0]).system
         assert again == systems[0] and again.theory is not systems[0].theory
-        assert len(table) == 256
+        assert table.cache_info().currsize == 256
+
+    def test_every_file_keeps_the_shared_field(self):
+        """The rational field, which every file reads, is the most recently
+        used entry, so no run of distinct files evicts it."""
+        texts = ["theory assoc; vars x%d; rule x%d^2 -> x%d" % (k, k, k) for k in range(300)]
+        fields = [parse_system_file(text).system.field for text in texts]
+        assert all(field is fields[0] for field in fields)
 
     def test_parsed_system_is_the_constructed_one(self):
         weights = (("x", Fraction(-1)),)

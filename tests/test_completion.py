@@ -1,5 +1,6 @@
 """Confluence checking, completion and rule dropping."""
 
+import functools
 import math
 import os
 import random
@@ -40,7 +41,7 @@ from diamondlemma import (
     resolve,
     truncated_normal_form,
 )
-from diamondlemma import completion, rewriting_engine
+from diamondlemma import ambiguity, completion, rewriting_engine
 from diamondlemma.completion import _interreduce, _Working
 from diamondlemma.rewriting_engine import _decoded, _encoded
 
@@ -692,19 +693,21 @@ class TestCheckedRules:
         """A completion with the pair table cleared reports as one with it
         warm, and as one under a table of three entries, which never holds
         more."""
-        monkeypatch.setattr(rewriting_engine, "_PAIRS", {})
+        table = rewriting_engine._pair_overlaps
+        small = functools.lru_cache(maxsize=3)(table.__wrapped__)
         filled = 0
         for s in self.systems(name, QQ, 15):
-            rewriting_engine._PAIRS.clear()
+            table.cache_clear()
             cold = complete(s, **self.CAPS)
-            filled += len(rewriting_engine._PAIRS) > 0
+            filled += table.cache_info().currsize > 0
             assert complete(s, **self.CAPS) == cold
-            assert len(rewriting_engine._PAIRS) <= rewriting_engine._PAIRS_KEPT
-            with monkeypatch.context() as small:
-                small.setattr(rewriting_engine, "_PAIRS", {})
-                small.setattr(rewriting_engine, "_PAIRS_KEPT", 3)
+            assert table.cache_info().currsize <= table.cache_info().maxsize
+            with monkeypatch.context() as patch:
+                for module in (ambiguity, completion):
+                    patch.setattr(module, "_pair_overlaps", small)
+                small.cache_clear()
                 assert complete(s, **self.CAPS) == cold
-                assert len(rewriting_engine._PAIRS) <= 3
+                assert small.cache_info().currsize <= 3
         assert filled >= 5
 
 

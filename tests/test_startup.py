@@ -232,36 +232,36 @@ def test_kernel_resolves_the_theory_classes_by_name():
 # CHANGES.md), so a process that compiles more takes a deliberate raise of
 # its bound.
 TASK_MAX_AST_NODES = {
-    "assoc-nf": 13174,
-    "assoc-check": 14121,
-    "assoc-complete": 16287,
-    "assoc-pairs": 13673,
-    "assoc-irr": 13344,
-    "assoc-member": 14034,
-    "commutative-nf": 14661,
-    "commutative-check": 15608,
-    "commutative-complete": 17774,
-    "commutative-pairs": 15160,
-    "commutative-irr": 14831,
-    "commutative-member": 15521,
-    "mixed-nf": 15359,
-    "mixed-check": 16306,
-    "mixed-complete": 18472,
-    "mixed-pairs": 15858,
-    "mixed-irr": 15529,
-    "mixed-member": 16219,
-    "magma-nf": 13676,
-    "magma-check": 14623,
-    "magma-complete": 16789,
-    "magma-pairs": 14175,
-    "magma-irr": 13846,
-    "magma-member": 14536,
-    "path-nf": 14170,
-    "path-check": 15117,
-    "path-complete": 17283,
-    "path-pairs": 14669,
-    "path-irr": 14340,
-    "path-member": 15030,
+    "assoc-nf": 13104,
+    "assoc-check": 14051,
+    "assoc-complete": 16217,
+    "assoc-pairs": 13603,
+    "assoc-irr": 13274,
+    "assoc-member": 13964,
+    "commutative-nf": 14591,
+    "commutative-check": 15538,
+    "commutative-complete": 17704,
+    "commutative-pairs": 15090,
+    "commutative-irr": 14761,
+    "commutative-member": 15451,
+    "mixed-nf": 15289,
+    "mixed-check": 16236,
+    "mixed-complete": 18402,
+    "mixed-pairs": 15788,
+    "mixed-irr": 15459,
+    "mixed-member": 16149,
+    "magma-nf": 13606,
+    "magma-check": 14553,
+    "magma-complete": 16719,
+    "magma-pairs": 14105,
+    "magma-irr": 13776,
+    "magma-member": 14466,
+    "path-nf": 14099,
+    "path-check": 15046,
+    "path-complete": 17212,
+    "path-pairs": 14598,
+    "path-irr": 14269,
+    "path-member": 14959,
 }
 
 
