@@ -44,6 +44,7 @@ _EXPORTS = {
     "cli_member": (),
     "cli_nf": (),
     "cli_pairs": (),
+    "command_line": (),
     "completion": (
         "AddedRule",
         "CompletionReport",

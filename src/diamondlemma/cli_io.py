@@ -1,11 +1,12 @@
 """System file parsing, expression syntax, formatting and the command line.
 
-``main`` parses the arguments and runs the subcommand's handler, the
-``run`` of the module ``cli_<subcommand>``, which it imports then. Each
-handler imports the modules only it runs (confluence, completion,
-ambiguities, irreducible counting, power series, json), so a ``diamond``
-process compiles no more of the package than its subcommand needs. Only
-``main`` loads ``argparse``, so parsing through the library does not.
+``main`` reads the arguments by the table of ``command_line`` and runs the
+subcommand's handler, the ``run`` of the module ``cli_<subcommand>``, which
+it imports then. Each handler imports the modules only it runs (confluence,
+completion, ambiguities, irreducible counting, power series, json), so a
+``diamond`` process compiles no more of the package than its subcommand
+needs. Only ``main`` imports ``command_line``, so parsing through the
+library does not compile it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .algebra_core import (
 )
 from .monomial_theories import THEORIES, theory_class
 from .rewriting_engine import (
-    DEFAULT_STEP_BUDGET,
     RewritingSystem,
     Rule,
     StepBudgetExceededError,
@@ -323,20 +323,11 @@ class SystemFile(_Value):
     _fields = ("system", "weight_data")
 
 
-_ORDER_KEYWORDS = {
-    "deglex": OrderKind.DEGLEX,
-    "weighted-deglex": OrderKind.WEIGHTED_DEGLEX,
-    "lex": OrderKind.LEX,
-    "series": OrderKind.SERIES_DEGLEX,
-    "series-deglex": OrderKind.SERIES_DEGLEX,
-}
-
-_ORDER_NAMES = {
-    OrderKind.DEGLEX: "deglex",
-    OrderKind.WEIGHTED_DEGLEX: "weighted-deglex",
-    OrderKind.LEX: "lex",
-    OrderKind.SERIES_DEGLEX: "series",
-}
+# An order statement names its kind by the kind's value or, for a series
+# order, also by "series", which comes last so that _ORDER_NAMES, the
+# keyword format_system writes, keeps it.
+_ORDER_KEYWORDS = {**{kind.value: kind for kind in OrderKind}, "series": OrderKind.SERIES_DEGLEX}
+_ORDER_NAMES = {kind: keyword for keyword, kind in _ORDER_KEYWORDS.items()}
 
 
 @functools.lru_cache(maxsize=256)
@@ -663,61 +654,19 @@ def _load(path: str) -> SystemFile:
             raise DiamondError("cannot read %s: %s" % (path, exc))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="diamond",
-        description="Reduction systems, confluence checks and completion over five monomial theories.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("file", help="system file")
-        p.add_argument("--max-steps", type=int, default=DEFAULT_STEP_BUDGET)
-        p.add_argument("--format", choices=("text", "json-lines"), default="text")
-
-    p = sub.add_parser("check", help="decide confluence by resolving every ambiguity")
-    common(p)
-
-    p = sub.add_parser("complete", help="saturate the system with oriented remainders")
-    common(p)
-    p.add_argument("--max-degree", type=int, default=12)
-    p.add_argument("--max-rules", type=int, default=500)
-    p.add_argument("--output", "-o", default=None)
-
-    p = sub.add_parser("nf", help="reduce an expression to normal form")
-    common(p)
-    p.add_argument("expression")
-    p.add_argument("--precision", type=int, default=None)
-    p.add_argument("--trail", action="store_true")
-
-    p = sub.add_parser("pairs", help="list the critical ambiguities")
-    common(p)
-
-    p = sub.add_parser("irr", help="describe and count irreducible monomials")
-    common(p)
-    p.add_argument("--max-degree", type=int, default=6)
-
-    p = sub.add_parser("member", help="decide ideal membership on a confluent system")
-    common(p)
-    p.add_argument("expression")
-
-    return parser
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    from .command_line import read
+
     try:
+        args = read(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
         # A subcommand's handler is the ``run`` of its own module, which only
         # a process that runs the subcommand compiles.
         return importlib.import_module(".cli_" + args.command, __package__).run(args)
-    except StepBudgetExceededError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except (DiamondError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
+        print(exc, file=sys.stderr)
+        return 2 if isinstance(exc, StepBudgetExceededError) else 3
 
 
 if __name__ == "__main__":

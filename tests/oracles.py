@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import heapq
+import importlib.util
 import math
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +35,7 @@ from diamondlemma import (
     ParseError,
     ScalarError,
     StepBudgetExceededError,
+    DEFAULT_STEP_BUDGET,
     critical_ambiguities,
     normal_form,
     orient,
@@ -1469,3 +1473,63 @@ def reference_parse_expression(text: str, theory, field, line: int = 1, col0: in
     dicts: a character loop of ``_Token``s and one ``Element`` per value."""
     tokens = _tokenize(text, line, col0)
     return _ExprParser(tokens, theory, field, line, col0 + len(text)).parse()
+
+
+def reference_argument_parser() -> argparse.ArgumentParser:
+    """The argparse parser the ``diamond`` command line was read with before
+    it read its own table; ``vars`` of what it parses is what the handlers
+    read."""
+    parser = argparse.ArgumentParser(
+        prog="diamond",
+        description="Reduction systems, confluence checks and completion over five monomial theories.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("file", help="system file")
+        p.add_argument("--max-steps", type=int, default=DEFAULT_STEP_BUDGET)
+        p.add_argument("--format", choices=("text", "json-lines"), default="text")
+
+    p = sub.add_parser("check", help="decide confluence by resolving every ambiguity")
+    common(p)
+
+    p = sub.add_parser("complete", help="saturate the system with oriented remainders")
+    common(p)
+    p.add_argument("--max-degree", type=int, default=12)
+    p.add_argument("--max-rules", type=int, default=500)
+    p.add_argument("--output", "-o", default=None)
+
+    p = sub.add_parser("nf", help="reduce an expression to normal form")
+    common(p)
+    p.add_argument("expression")
+    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--trail", action="store_true")
+
+    p = sub.add_parser("pairs", help="list the critical ambiguities")
+    common(p)
+
+    p = sub.add_parser("irr", help="describe and count irreducible monomials")
+    common(p)
+    p.add_argument("--max-degree", type=int, default=6)
+
+    p = sub.add_parser("member", help="decide ideal membership on a confluent system")
+    common(p)
+    p.add_argument("expression")
+
+    return parser
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def bench_cli_tasks() -> dict:
+    """argv by task id of one pass of the bench's cli workload: each
+    subcommand on each system of ``bench/systems/cli``, paths relative to
+    the checkout root. ``bench/cases.py`` is stdlib only, so it loads here
+    from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_cases", os.path.join(REPO, "bench", "cases.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.cli_tasks())

@@ -970,6 +970,13 @@ def test_cli_golden_replay(case, monkeypatch, capsys):
     assert capsys.readouterr().out == gold["stdout"]
 
 
+@pytest.mark.parametrize("cap, status", [("--max-degree", "degree-capped"), ("--max-rules", "rule-capped")])
+def test_complete_exits_2_when_its_run_is_capped(cap, status, monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    assert main(["complete", "bench/systems/cli/commutative.sys", cap, "2"]) == 2
+    assert capsys.readouterr().out.startswith("status: %s (" % status)
+
+
 # Theories for the parser oracle: the names an expression may use, known and
 # unknown, and over QQ and two prime fields.
 ORACLE_THEORIES = {

@@ -3,7 +3,6 @@ and the command line imports only what its subcommand runs."""
 
 import ast
 import functools
-import importlib.util
 import os
 import subprocess
 import sys
@@ -13,8 +12,7 @@ import pytest
 import diamondlemma
 from diamondlemma import monomial_theories
 from diamondlemma.monomial_theories import THEORIES
-
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from oracles import REPO, bench_cli_tasks
 
 # Runs main on the arguments after the script, then prints the ``ast.walk``
 # node count of every diamondlemma module the process loaded, and their
@@ -25,7 +23,7 @@ import io
 import sys
 from diamondlemma.cli_io import main
 
-never = ("dataclasses", "inspect", "ast", "json")
+never = ("dataclasses", "inspect", "ast", "json", "argparse", "gettext", "locale")
 deferred = ("completion", "confluence", "ambiguity", "irreducible", "packed_codes", "power_series")
 loaded = [m for m in deferred if "diamondlemma." + m in sys.modules]
 assert not loaded, loaded
@@ -77,8 +75,8 @@ else:
     raise AssertionError("unknown names must raise AttributeError")
 """
 
-# Parses the system file argv[1] through the package; only ``main`` needs
-# argparse, which loads gettext.
+# Parses the system file argv[1] through the package, which compiles none of
+# the command line's reader and loads no argparse or gettext.
 _LIBRARY_SCRIPT = """
 import sys
 import diamondlemma
@@ -87,6 +85,7 @@ with open(sys.argv[1], encoding="utf-8") as handle:
     diamondlemma.parse_system_file(handle.read())
 loaded = [m for m in ("argparse", "gettext") if m in sys.modules]
 assert not loaded, loaded
+assert "diamondlemma.command_line" not in sys.modules
 """
 
 _SUBMODULE_SCRIPT = """
@@ -120,6 +119,7 @@ _SUBMODULES = (
     "cli_member",
     "cli_nf",
     "cli_pairs",
+    "command_line",
 )
 
 
@@ -137,19 +137,7 @@ def _run(script: str, *argv: str) -> str:
     return done.stdout
 
 
-def _bench_cli_tasks() -> dict:
-    """argv by task id of one pass of the bench's cli workload: each
-    subcommand on each system of ``bench/systems/cli``. ``bench/cases.py``
-    is stdlib only, so it loads here from its file."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_cases", os.path.join(REPO, "bench", "cases.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return dict(module.cli_tasks())
-
-
-CLI_TASKS = _bench_cli_tasks()
+CLI_TASKS = bench_cli_tasks()
 
 
 @functools.cache
@@ -232,36 +220,36 @@ def test_kernel_resolves_the_theory_classes_by_name():
 # CHANGES.md), so a process that compiles more takes a deliberate raise of
 # its bound.
 TASK_MAX_AST_NODES = {
-    "assoc-nf": 13104,
-    "assoc-check": 14051,
-    "assoc-complete": 16217,
-    "assoc-pairs": 13603,
-    "assoc-irr": 13274,
-    "assoc-member": 13964,
-    "commutative-nf": 14591,
-    "commutative-check": 15538,
-    "commutative-complete": 17704,
-    "commutative-pairs": 15090,
-    "commutative-irr": 14761,
-    "commutative-member": 15451,
-    "mixed-nf": 15289,
-    "mixed-check": 16236,
-    "mixed-complete": 18402,
-    "mixed-pairs": 15788,
-    "mixed-irr": 15459,
-    "mixed-member": 16149,
-    "magma-nf": 13606,
-    "magma-check": 14553,
-    "magma-complete": 16719,
-    "magma-pairs": 14105,
-    "magma-irr": 13776,
-    "magma-member": 14466,
-    "path-nf": 14099,
-    "path-check": 15046,
-    "path-complete": 17212,
-    "path-pairs": 14598,
-    "path-irr": 14269,
-    "path-member": 14959,
+    "assoc-nf": 13495,
+    "assoc-check": 14442,
+    "assoc-complete": 16608,
+    "assoc-pairs": 13994,
+    "assoc-irr": 13665,
+    "assoc-member": 14355,
+    "commutative-nf": 14982,
+    "commutative-check": 15929,
+    "commutative-complete": 18095,
+    "commutative-pairs": 15481,
+    "commutative-irr": 15152,
+    "commutative-member": 15842,
+    "mixed-nf": 15680,
+    "mixed-check": 16627,
+    "mixed-complete": 18793,
+    "mixed-pairs": 16179,
+    "mixed-irr": 15850,
+    "mixed-member": 16540,
+    "magma-nf": 13997,
+    "magma-check": 14944,
+    "magma-complete": 17110,
+    "magma-pairs": 14496,
+    "magma-irr": 14167,
+    "magma-member": 14857,
+    "path-nf": 14490,
+    "path-check": 15437,
+    "path-complete": 17603,
+    "path-pairs": 14989,
+    "path-irr": 14660,
+    "path-member": 15350,
 }
 
 
