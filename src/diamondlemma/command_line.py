@@ -17,6 +17,13 @@ def _flag(text):
     return True
 
 
+def _bound(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError("a bound is a nonnegative integer, not %d" % value)
+    return value
+
+
 def _format(text):
     if text in ("text", "json-lines"):
         return text
@@ -24,10 +31,11 @@ def _format(text):
 
 
 # An option maps its attribute name to (type, default): the type turns the
-# option's text into its value, or raises ValueError, and a flag, of type
-# _flag, takes no text. Its long spelling is the name with dashes; no name
-# is a prefix of another. Every subcommand takes these two.
-COMMON = {"max_steps": (int, DEFAULT_STEP_BUDGET), "format": (_format, "text")}
+# option's text into its value, or raises ValueError, a flag, of type _flag,
+# takes no text, and a bound, of type _bound, is never negative. Its long
+# spelling is the name with dashes; no name is a prefix of another. Every
+# subcommand takes these two.
+COMMON = {"max_steps": (_bound, DEFAULT_STEP_BUDGET), "format": (_format, "text")}
 
 # Each subcommand's one-line help, its positional names, separated by spaces,
 # and its further options.
@@ -36,7 +44,7 @@ COMMANDS = {
     "complete": (
         "saturate the system with oriented remainders (-o is --output)",
         "file",
-        {"max_degree": (int, 12), "max_rules": (int, 500), "output": (str, None)},
+        {"max_degree": (_bound, 12), "max_rules": (_bound, 500), "output": (str, None)},
     ),
     "nf": (
         "reduce an expression to normal form",
@@ -44,7 +52,7 @@ COMMANDS = {
         {"precision": (int, None), "trail": (_flag, False)},
     ),
     "pairs": ("list the critical ambiguities", "file", {}),
-    "irr": ("describe and count irreducible monomials", "file", {"max_degree": (int, 6)}),
+    "irr": ("describe and count irreducible monomials", "file", {"max_degree": (_bound, 6)}),
     "member": ("decide ideal membership on a confluent system", "file expression", {}),
 }
 

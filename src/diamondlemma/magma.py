@@ -127,14 +127,3 @@ class FreeMagmaTheory(Theory):
                 out.append("(")
                 stack += ")", t[1], "*", t[0]
         return "".join(out)
-
-    def monomials_of_degree(self, d):
-        if d <= 0:
-            return
-        if d == 1:
-            yield from self.letters
-            return
-        for k in range(1, d):
-            for left in self.monomials_of_degree(k):
-                for right in self.monomials_of_degree(d - k):
-                    yield (left, right)

@@ -5,17 +5,11 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .algebra_core import (
-    DiamondError,
-    OrderKind,
-    TheoryMismatchError,
-    _set,
-)
+from .algebra_core import DiamondError, OrderKind, TheoryMismatchError
 from .monomial_theories import (
     LeadIndex,
     Theory,
     _code_weigher,
-    _compositions,
     _exp_add,
     _exp_lcm,
     _exp_sub,
@@ -27,7 +21,7 @@ from .monomial_theories import (
     _string_overlaps,
     _word_code,
 )
-from .packed_codes import _FIELD_BITS, _packing
+from .packed_codes import _FIELD_BITS, _natural, _packing
 
 
 class _MixedIndex(LeadIndex):
@@ -55,7 +49,7 @@ class _MixedIndex(LeadIndex):
         self.pack, self.unpack, self.guard, _ = _packing(
             OrderKind.DEGLEX, central, order.generators, ()
         )
-        letters = tuple(x for x in order.generators if x in theory.letter_set)
+        letters = tuple(x for x in order.generators if x in theory.word_letters)
         self.codes = _letter_codes(letters)
         self.names = {c: x for x, c in self.codes.items()}
         unpack, guard, names = self.unpack, self.guard, self.names
@@ -100,16 +94,18 @@ class _MixedIndex(LeadIndex):
     def encode(self, m) -> tuple:
         try:
             exps, word = m
-            c = self.pack(exps)
-            if c is not None and isinstance(word, tuple) and isinstance(m, tuple):
-                return c, _word_code(self.codes, word)
+            if isinstance(word, tuple) and isinstance(m, tuple):
+                c, w = self.pack(exps), _word_code(self.codes, word)
+                if c is not None:
+                    return c, w
+                if _natural(exps, len(self.theory.commutative_letters)):
+                    raise DiamondError(
+                        "monomial %s does not fit the mixed codes, whose central degrees and "
+                        "exponents stay below 2^31" % self.theory.serialize(m)
+                    )
         except (KeyError, TypeError, ValueError):  # no pair, or a letter without a code
             pass
-        self.theory.check_monomial(m)
-        raise DiamondError(
-            "monomial %s does not fit the mixed codes, whose central degrees and "
-            "exponents stay below 2^31" % self.theory.serialize(m)
-        )
+        raise TheoryMismatchError("monomial %r does not belong to %s" % (m, self.theory.describe()))
 
     def decode(self, code: tuple) -> tuple:
         return self.unpack(code[0]), tuple(map(self.names.__getitem__, code[1]))
@@ -184,11 +180,6 @@ class MixedTheory(Theory):
     header_statements = ("cvars", "vars")
     index_class = _MixedIndex
 
-    def __init__(self, commutative_letters: tuple, word_letters: tuple) -> None:
-        Theory.__init__(self, commutative_letters, word_letters)
-        # For validation; no field, so equality, hashing and repr ignore it.
-        _set(self, "letter_set", frozenset(word_letters))
-
     def describe(self) -> str:
         return "mixed(%s;%s)" % (
             ",".join(self.commutative_letters),
@@ -213,25 +204,16 @@ class MixedTheory(Theory):
         if unknown:
             raise TheoryMismatchError("unknown central variables %s" % sorted(unknown))
         m = tuple(exponents.get(x, 0) for x in self.commutative_letters), tuple(word)
-        self.check_monomial(m)
+        try:
+            self.deglex_codec.encode(m)
+        except TheoryMismatchError:
+            raise
+        except DiamondError:  # a monomial of the theory, too large for its codes
+            pass
         return m
 
     def multiply(self, a, b):
         return (_exp_add(a[0], b[0]), a[1] + b[1])
-
-    def validate_monomial(self, m) -> bool:
-        try:
-            exps, word = m
-            return (
-                isinstance(m, tuple)
-                and isinstance(exps, tuple)
-                and len(exps) == len(self.commutative_letters)
-                and all(isinstance(e, int) and e >= 0 for e in exps)
-                and isinstance(word, tuple)
-                and self.letter_set.issuperset(word)
-            )
-        except (TypeError, ValueError):  # no pair, or an unhashable letter
-            return False
 
     def degree(self, m) -> int:
         return sum(m[0]) + len(m[1])
@@ -239,9 +221,3 @@ class MixedTheory(Theory):
     def serialize(self, m) -> str:
         exps, word = m
         return _power_string(itertools.chain(zip(self.commutative_letters, exps), _runs(word)))
-
-    def monomials_of_degree(self, d):
-        for k in range(d + 1):
-            for word in itertools.product(self.word_letters, repeat=d - k):
-                for exps in _compositions(k, len(self.commutative_letters)):
-                    yield (exps, word)

@@ -89,27 +89,15 @@ def _power_string(powers) -> str:
     return "*".join([x if e == 1 else "%s^%d" % (x, e) for x, e in powers if e]) or "1"
 
 
-def _compositions(total: int, parts: int):
-    """Yield tuples of nonnegative integers with the given sum."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 class LeadIndex:
     """Rule leads in rule order, asked which rule reduces a monomial.
 
     An index is the codec of the reduction loop, which runs on its codes of
     monomials; each class defines it. ``encode(m)`` is the code of a
-    monomial, and raises TheoryMismatchError for one outside the theory;
-    ``decode`` gives the monomial back. ``site(code, start=0)``, the one
+    monomial, and the one test of membership: it raises
+    TheoryMismatchError for anything outside the theory, and DiamondError
+    for a monomial of the theory too large for packed codes; ``decode``
+    gives the monomial back. ``site(code, start=0)``, the one
     lookup, scans the leads from rule ``start`` on and gives (lowest such
     rule index whose lead divides the monomial, the first context
     ``divisions`` returns, encoded) or None; ``decode_context(ctx, code)``
@@ -309,8 +297,7 @@ class _CodedIndex(LeadIndex):
                 return code
         except (KeyError, TypeError, ValueError):  # a name without a code
             pass
-        # Every monomial of the theory has a code, so this raises.
-        self.theory.check_monomial(m)
+        raise TheoryMismatchError("monomial %r does not belong to %s" % (m, self.theory.describe()))
 
     def site(self, code: str, start=0):
         for i, lead in enumerate(self.entries[start:] if start else self.entries, start):
@@ -363,8 +350,11 @@ class Theory(_Value):
     its own namespace, where a tracer can wrap them. A theory refuses a
     name that its ``expression_names`` list twice, which codes would alias.
 
-    A theory holds no order: its ``lead_index`` under an order is the codec
-    whose keys and weigher every monomial order and weight sum read.
+    A theory holds no order: under an order, the order's ``codec``, of the
+    theory's ``index_class``, gives the keys and weigher that every
+    monomial order and weight sum read. Its ``encode`` alone decides
+    membership, and the builders that check their monomial check it
+    through ``deglex_codec``.
     """
 
     keyword = ""
@@ -437,13 +427,6 @@ class Theory(_Value):
         """Class that every monomial of one rule must share; None for all."""
         return None
 
-    def lead_index(self, leads, order) -> LeadIndex:
-        """Index of rule leads for site lookup, whose codes reduce under
-        ``order``: a copy of the order's ``codec`` over the leads' codes."""
-        index = order.codec.copy()
-        index.entries += map(index.encode, leads)
-        return index
-
     def chain_criterion(self, lead, lead_i, lead_j, superposition) -> bool:
         """Decide whether the pair (i, j) at ``superposition`` follows from the
         chained pairs (i, k) and (k, j) through a rule k with ``lead``.
@@ -462,19 +445,6 @@ class Theory(_Value):
         """
         everyone = active + [new]
         return everyone, 0, everyone
-
-    def validate_monomial(self, m) -> bool:
-        """Whether ``m`` is a monomial of the theory: one that ``code_of`` of
-        its deglex codec spells. Power products and mixed monomials, whose
-        codes have limits, check their own."""
-        try:
-            return self.deglex_codec.code_of(m) is not None
-        except (KeyError, TypeError, ValueError):  # a name without a code
-            return False
-
-    def check_monomial(self, m) -> None:
-        if not self.validate_monomial(m):
-            raise TheoryMismatchError("monomial %r does not belong to %s" % (m, self.describe()))
 
 
 # The module and class name of each theory by the keyword of its ``theory``

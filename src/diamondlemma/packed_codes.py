@@ -20,9 +20,9 @@ def _packing(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple)
     variable most significant, then the degree and, on top, the weight sum,
     which is the degree again but under weighted-deglex; under lex the
     exponents are on top. Codes compare as the order compares vectors.
-    ``pack`` gives None for anything but a tuple of ``len(letters)`` ints,
-    so that its caller refuses it through ``check_monomial``, and for a
-    vector whose degree, weight sum or exponent reaches 2^31. ``guard``
+    ``pack`` gives None for anything but a tuple of ``len(letters)``
+    nonnegative ints, and for a vector whose degree, weight sum or exponent
+    reaches 2^31, which ``_natural`` tells apart. ``guard``
     holds each field's top bit: a code divides another exactly when their
     difference sets none, and a sum that sets one does not fit, though its
     fields still read exactly: no field of a sum of two codes carries.
@@ -62,3 +62,11 @@ def _packing(kind: OrderKind, letters: tuple, generators: tuple, weights: tuple)
 
     shift, mask = _FIELD_BITS * (1 if lex else n), (1 << _FIELD_BITS) - 1
     return pack, unpack, guard, lambda code: code >> shift & mask
+
+
+def _natural(exps, n: int) -> bool:
+    """Whether ``exps`` is a tuple of ``n`` nonnegative ints: an exponent
+    vector, which ``pack`` refuses only when it is too large."""
+    return isinstance(exps, tuple) and len(exps) == n and all(
+        isinstance(e, int) and e >= 0 for e in exps
+    )

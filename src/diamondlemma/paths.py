@@ -106,7 +106,7 @@ class PathAlgebraTheory(Theory):
             if name not in self.endpoints:
                 raise TheoryMismatchError("unknown arrow %r" % name)
         m = (self.endpoints[arrow_names[0]][0], self.endpoints[arrow_names[-1]][1], arrow_names)
-        if not self.validate_monomial(m):
+        if self.deglex_codec.code_of(m) is None:
             raise TheoryMismatchError("arrows %r do not compose" % (arrow_names,))
         return m
 
@@ -114,10 +114,6 @@ class PathAlgebraTheory(Theory):
         if a[1] != b[0]:
             return None
         return (a[0], b[1], a[2] + b[2])
-
-    def visits(self, m) -> list:
-        """List the vertices a path passes through, endpoints included."""
-        return [m[0]] + [self.endpoints[name][1] for name in m[2]]
 
     def degree(self, m) -> int:
         return len(m[2])
@@ -137,9 +133,3 @@ class PathAlgebraTheory(Theory):
 
     def uniform_class(self, m) -> tuple:
         return (m[0], m[1])
-
-    def monomials_of_degree(self, d):
-        layer = [(v, v, ()) for v in self.vertices] if d >= 0 else []
-        for _ in range(d):
-            layer = [(p[0], t, p[2] + (a,)) for p in layer for a, s, t in self.arrows if s == p[1]]
-        return iter(layer)

@@ -9,13 +9,12 @@ from .algebra_core import DiamondError, OrderKind, TheoryMismatchError
 from .monomial_theories import (
     LeadIndex,
     Theory,
-    _compositions,
     _exp_add,
     _exp_lcm,
     _exp_sub,
     _power_string,
 )
-from .packed_codes import _packing
+from .packed_codes import _natural, _packing
 
 
 def _exp_le(a: tuple, b: tuple) -> bool:
@@ -65,10 +64,12 @@ class _PackedIndex(LeadIndex):
     def encode(self, m) -> int:
         code = self.pack(m)
         if code is None:
-            self.theory.check_monomial(m)
+            th = self.theory
+            if not _natural(m, len(th.letters)):
+                raise TheoryMismatchError("monomial %r does not belong to %s" % (m, th.describe()))
             raise DiamondError(
                 "monomial %s does not fit the power-product codes, whose degrees, "
-                "weight sums and exponents stay below 2^31" % self.theory.serialize(m)
+                "weight sums and exponents stay below 2^31" % th.serialize(m)
             )
         return code
 
@@ -141,13 +142,6 @@ class CommutativeTheory(Theory):
     def multiply(self, a, b):
         return _exp_add(a, b)
 
-    def validate_monomial(self, m) -> bool:
-        return (
-            isinstance(m, tuple)
-            and len(m) == len(self.letters)
-            and all(isinstance(e, int) and e >= 0 for e in m)
-        )
-
     def degree(self, m) -> int:
         return sum(m)
 
@@ -187,6 +181,3 @@ class CommutativeTheory(Theory):
                 partners.append(j)
         still = [j for j in active if not _exp_le(lead, leads[j])] + [new]
         return partners, len(active) - len(coprime) - len(partners), still
-
-    def monomials_of_degree(self, d):
-        return _compositions(d, len(self.letters)) if d >= 0 else iter(())

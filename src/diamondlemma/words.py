@@ -3,8 +3,6 @@ rank-coded strings."""
 
 from __future__ import annotations
 
-import itertools
-
 from .monomial_theories import (
     Theory,
     _CodedIndex,
@@ -47,7 +45,7 @@ class FreeMonoidTheory(Theory):
 
     def word(self, *letters: str) -> tuple:
         m = tuple(letters)
-        self.check_monomial(m)
+        self.deglex_codec.encode(m)
         return m
 
     def multiply(self, a, b):
@@ -58,6 +56,3 @@ class FreeMonoidTheory(Theory):
 
     def serialize(self, m) -> str:
         return _power_string(_runs(m))
-
-    def monomials_of_degree(self, d):
-        return itertools.product(self.letters, repeat=d) if d >= 0 else iter(())

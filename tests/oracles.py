@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import heapq
 import importlib.util
+import itertools
 import math
 import os
 import random
@@ -78,6 +79,68 @@ def word_divisions(haystack: tuple, needle: tuple) -> list:
             if haystack[i:j] == needle:
                 out.append((haystack[:i], haystack[j:]))
     return out
+
+
+def _compositions(total: int, parts: int):
+    """Yield tuples of nonnegative integers with the given sum, the first
+    entry highest first."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def monomials_of_degree(theory, d: int):
+    """Yield every monomial of degree d of a theory, none for d < 0: words
+    and the words of mixed monomials in ``itertools.product`` order, the
+    mixed ones by ascending central degree, exponent vectors as
+    ``_compositions`` gives them, trees by the degree of their left factor,
+    and paths from each vertex in turn, extended arrow by arrow."""
+    if d < 0:
+        return
+    kind = theory.keyword
+    if kind == "assoc":
+        yield from itertools.product(theory.letters, repeat=d)
+    elif kind == "commutative":
+        yield from _compositions(d, len(theory.letters))
+    elif kind == "mixed":
+        for k in range(d + 1):
+            for word in itertools.product(theory.word_letters, repeat=d - k):
+                for exps in _compositions(k, len(theory.commutative_letters)):
+                    yield (exps, word)
+    elif kind == "magma":
+        if d == 1:
+            yield from theory.letters
+        for k in range(1, d):
+            for left in monomials_of_degree(theory, k):
+                for right in monomials_of_degree(theory, d - k):
+                    yield (left, right)
+    else:
+        layer = [(v, v, ()) for v in theory.vertices]
+        for _ in range(d):
+            layer = [
+                (p[0], t, p[2] + (a,)) for p in layer for a, s, t in theory.arrows if s == p[1]
+            ]
+        yield from layer
+
+
+def lead_index(leads, order):
+    """The order's codec over the codes of ``leads``, in their order: the
+    lead index of a system whose rules have these leads."""
+    index = order.codec.copy()
+    index.entries += map(index.encode, leads)
+    return index
+
+
+def visits(theory, m) -> list:
+    """The vertices a path passes through, endpoints included."""
+    return [m[0]] + [theory.endpoints[name][1] for name in m[2]]
 
 
 def exp_divides(nu: tuple, mu: tuple) -> bool:
@@ -546,7 +609,7 @@ def make_random_system(
         sample = field_coeffs(field)
     pool = []
     for d in range(max(lead_degree, lower_degree) + 1):
-        pool.extend(theory.monomials_of_degree(d))
+        pool.extend(monomials_of_degree(theory, d))
     leads = [m for m in pool if min_lead_degree <= theory.degree(m) <= lead_degree]
     rules = []
     for _ in range(rng.randint(1, 3)):
@@ -642,7 +705,7 @@ def macaulay_row_space(theory, generators, max_degree: int) -> RowSpace:
     for g in generators:
         top = max(theory.degree(m) for m in g.support())
         for d in range(max_degree - top + 1):
-            for mult in theory.monomials_of_degree(d):
+            for mult in monomials_of_degree(theory, d):
                 row = {}
                 for m, c in g.terms:
                     key = theory.multiply(mult, m)
@@ -669,7 +732,7 @@ def one_hole_contexts(theory, leaves: int):
         yield lambda filler: filler
         return
     for inner in range(leaves):  # leaves beside the hole in its factor
-        for tree in theory.monomials_of_degree(leaves - inner):
+        for tree in monomials_of_degree(theory, leaves - inner):
             for fill in one_hole_contexts(theory, inner):
                 yield lambda filler, fill=fill, tree=tree: (fill(filler), tree)
                 yield lambda filler, fill=fill, tree=tree: (tree, fill(filler))
@@ -692,7 +755,7 @@ def irr_dependence(system, max_degree: int) -> int:
     modulus = getattr(system.field, "p", 0)
     zero = 0 if modulus else Fraction(0)
     if th.associative:
-        by_degree = [list(th.monomials_of_degree(d)) for d in range(max_degree + 1)]
+        by_degree = [list(monomials_of_degree(th, d)) for d in range(max_degree + 1)]
 
         def placements(room):
             for da in range(room + 1):
@@ -852,7 +915,7 @@ def make_commutative_corpus(seed: int, count: int, names: tuple, max_rules: int,
     order = MonomialOrder(OrderKind.DEGLEX, theory, names)
     pool = []
     for d in range(max_degree + 1):
-        pool.extend(theory.monomials_of_degree(d))
+        pool.extend(monomials_of_degree(theory, d))
     leads = [m for m in pool if sum(m)]
     systems = []
     for _ in range(count):
@@ -916,7 +979,7 @@ def random_element(
         sample = field_coeffs(field)
     pool = []
     for d in range(max_degree + 1):
-        pool.extend(theory.monomials_of_degree(d))
+        pool.extend(monomials_of_degree(theory, d))
     coeffs: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         m = pool[rng.randrange(len(pool))]
@@ -1070,7 +1133,7 @@ def reference_raw_lowers(theory, order, field, rules) -> tuple:
     lead index of the theory under the order, in the order of the lower
     part's terms, with its coefficient as a numerator over the lcm of the
     denominators, or as a residue over 1 over GF(p)."""
-    index = theory.lead_index([], order)
+    index = lead_index([], order)
     out = []
     for rule in rules:
         terms = rule.lower.terms
@@ -1099,7 +1162,7 @@ def reference_path_divisions(theory, mu, nu) -> list:
     """Contexts placing path nu inside path mu, checking every vertex."""
     src, tgt, names = mu
     nsrc, ntgt, nnames = nu
-    vis = theory.visits(mu)
+    vis = visits(theory, mu)
     out = []
     n = len(nnames)
     for i in range(len(names) - n + 1):
@@ -1113,7 +1176,7 @@ def reference_path_overlaps(theory, mu1, mu2) -> list:
     data = []
     a1, a2 = mu1[2], mu2[2]
     l1, l2 = len(a1), len(a2)
-    vis1, vis2 = theory.visits(mu1), theory.visits(mu2)
+    vis1, vis2 = visits(theory, mu1), visits(theory, mu2)
 
     def vertex_path(v):
         return (v, v, ())

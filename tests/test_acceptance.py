@@ -38,6 +38,7 @@ from oracles import (
     macaulay_row_space,
     make_commutative_corpus,
     make_word_corpus,
+    monomials_of_degree,
     multiply_elements,
     one_step_results,
     polynomial_action_vector,
@@ -219,7 +220,7 @@ def test_criterion_06_redundant_rule_dropping():
         completed = report.system
         theory, order = completed.theory, completed.order
         base = completed.rules[rng.randrange(len(completed.rules))]
-        multipliers = list(theory.monomials_of_degree(1)) + list(theory.monomials_of_degree(2))
+        multipliers = [m for d in (1, 2) for m in monomials_of_degree(theory, d)]
         nu = multipliers[rng.randrange(len(multipliers))]
         lead = theory.multiply(nu, base.lead)
         lower = normal_form(

@@ -32,7 +32,13 @@ from diamondlemma import (
 )
 from diamondlemma.algebra_core import _Value
 
-from oracles import THEORIES, merge_terms, reference_rank_encoding, reference_weight_sum
+from oracles import (
+    THEORIES,
+    merge_terms,
+    monomials_of_degree,
+    reference_rank_encoding,
+    reference_weight_sum,
+)
 
 WORDS = st.tuples(*[st.sampled_from(("x", "y"))] * 2).map(tuple) | st.just(()) | st.tuples(
     st.sampled_from(("x", "y"))
@@ -370,7 +376,7 @@ class TestIntegerWeights:
         th = THEORIES[name]
         gens = tuple(th.generator_names())
         weights = tuple((g, MIXED_WEIGHTS[i % 3]) for i, g in enumerate(gens))
-        monomials = [m for d in range(4) for m in th.monomials_of_degree(d)]
+        monomials = [m for d in range(4) for m in monomials_of_degree(th, d)]
         wd = WeightData(th, weights)
         for m in monomials:
             exponent = wd.exponent(m)

@@ -37,6 +37,19 @@ def test_bytecode_caches_are_refused(tmp_path):
         bench_pairs.check_checkouts(parent, change)
 
 
+def test_bytecode_caches_outside_src_and_bench_are_accepted(tmp_path):
+    parent, change = _checkout(tmp_path / "aa"), _checkout(tmp_path / "bb")
+    os.makedirs(os.path.join(change, "tests", "__pycache__"))
+    bench_pairs.check_checkouts(parent, change)
+
+
+def test_bytecode_caches_under_bench_are_refused(tmp_path):
+    parent, change = _checkout(tmp_path / "aa"), _checkout(tmp_path / "bb")
+    os.makedirs(os.path.join(parent, "bench", "__pycache__"))
+    with pytest.raises(bench_pairs.Refused, match="__pycache__"):
+        bench_pairs.check_checkouts(parent, change)
+
+
 def test_a_directory_without_the_benchmark_is_refused(tmp_path):
     os.makedirs(tmp_path / "bb")
     with pytest.raises(bench_pairs.Refused, match="no bench/run.py"):

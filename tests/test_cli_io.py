@@ -810,6 +810,17 @@ class TestCommandLine:
             "step budget of 10000 exceeded while counting irreducible monomials of degree 17\n",
         )
 
+    def test_irr_spends_a_step_on_each_empty_degree(self, capsys):
+        # No path of degree 3 or more is irreducible, so degrees 0 to 3 test
+        # 8 paths and each higher degree tests none: the step budget, not
+        # the degree, ends the count.
+        path = os.path.join(REPO, "bench", "systems", "cli", "path.sys")
+        assert main(["irr", path, "--max-degree", "100000", "--max-steps", "200"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "step budget of 200 exceeded while counting irreducible monomials of degree 196\n",
+        )
+
     def test_member_on_non_confluent_system_fails(self, files, capsys):
         assert main(["member", files["buch.sys"], "x"]) == 1
         assert "confluent" in capsys.readouterr().err

@@ -40,7 +40,7 @@ SPELLINGS = [
     ["member", FILE, "--max-steps", "3", "--", "-x + y"],
     # a token that reads as a negative number is a positional or a value
     ["nf", FILE, "-1"],
-    ["nf", FILE, "x", "--max-steps", "-5"],
+    ["nf", FILE, "x", "--precision", "-5"],
     ["nf", FILE, "x", "--precision=-2"],
     # the defaults
     ["pairs", FILE],
@@ -73,6 +73,13 @@ USAGE_ERRORS = [
     ["check", FILE, "---"],
 ]
 
+# Negative bounds, which argparse read and ran; the reader refuses them.
+NEGATIVE_BOUNDS = [
+    ["irr", "bench/systems/cli/assoc.sys", "--max-degree", "-4"],
+    ["complete", "bench/systems/cli/mixed.sys", "--max-rules", "-3"],
+    ["check", "bench/systems/cli/assoc.sys", "--max-steps", "-5"],
+]
+
 HELP = [["--help"], ["-h"], ["--he"], ["nf", "--help"], ["nf", FILE, "x", "-h"], ["complete", "--he"]]
 
 
@@ -87,7 +94,7 @@ def test_reader_agrees_with_argparse(argv):
     assert vars(read(argv)) == vars(REFERENCE.parse_args(argv))
 
 
-@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=_ids)
+@pytest.mark.parametrize("argv", USAGE_ERRORS + NEGATIVE_BOUNDS, ids=_ids)
 def test_usage_errors_exit_3_with_a_usage_and_an_error_line(argv, capsys):
     assert main(argv) == 3
     out, err = capsys.readouterr()

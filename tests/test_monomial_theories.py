@@ -28,8 +28,10 @@ from diamondlemma import (
 from oracles import (
     THEORIES,
     exp_divides,
+    lead_index,
     magma_occurrences,
     merge_terms,
+    monomials_of_degree,
     multiply_elements,
     reference_apply_context,
     reference_magma_divisions,
@@ -40,6 +42,7 @@ from oracles import (
     reference_power_product_overlaps,
     reference_word_overlaps,
     shipped_orders,
+    visits,
     word_divisions,
 )
 
@@ -101,8 +104,8 @@ class TestFreeMonoid:
         contexts_reproduce(FreeMonoidTheory(("a", "b")), m1, m2)
 
     def test_monomials_of_degree(self):
-        assert sum(1 for _ in self.th.monomials_of_degree(3)) == 8
-        assert list(self.th.monomials_of_degree(0)) == [()]
+        assert sum(1 for _ in monomials_of_degree(self.th, 3)) == 8
+        assert list(monomials_of_degree(self.th, 0)) == [()]
 
 
 class TestCommutative:
@@ -155,7 +158,7 @@ class TestCommutative:
     def test_monomials_of_degree(self):
         th3 = CommutativeTheory(("x", "y", "z"))
         # Degree-d monomials in 3 variables number (d+1)(d+2)/2.
-        assert sum(1 for _ in th3.monomials_of_degree(4)) == 15
+        assert sum(1 for _ in monomials_of_degree(th3, 4)) == 15
 
     def test_serialize(self):
         assert self.th.serialize((2, 1)) == "x^2*y"
@@ -268,7 +271,7 @@ class TestMixed:
     def test_monomials_of_degree(self):
         # Degree 2 with one central variable and two letters: a^2, a*x, a*y
         # and the four two-letter words.
-        assert sum(1 for _ in self.th.monomials_of_degree(2)) == 7
+        assert sum(1 for _ in monomials_of_degree(self.th, 2)) == 7
 
     def test_serialize(self):
         assert self.th.serialize(((2,), ("x", "x", "y"))) == "a^2*x^2*y"
@@ -315,7 +318,7 @@ class TestFreeMagma:
 
     def test_monomials_of_degree_catalan(self):
         # Trees with d leaves over k letters number Catalan(d-1) * k^d.
-        counts = [sum(1 for _ in self.th.monomials_of_degree(d)) for d in range(1, 5)]
+        counts = [sum(1 for _ in monomials_of_degree(self.th, d)) for d in range(1, 5)]
         assert counts == [2, 4, 16, 80]
 
     def test_serialize(self):
@@ -364,7 +367,7 @@ class TestPathAlgebra:
         assert self.th.path("a", "b", "a") in sups
 
     def test_visits(self):
-        assert self.th.visits(self.th.path("a", "b")) == ["1", "2", "1"]
+        assert visits(self.th, self.th.path("a", "b")) == ["1", "2", "1"]
 
     def test_uniform_equivalent(self):
         uniform_class = self.th.uniform_class
@@ -372,8 +375,8 @@ class TestPathAlgebra:
         assert uniform_class(self.th.path("a")) != uniform_class(self.th.vertex_path("1"))
 
     def test_monomials_of_degree(self):
-        assert set(self.th.monomials_of_degree(0)) == {("1", "1", ()), ("2", "2", ())}
-        assert set(self.th.monomials_of_degree(2)) == {
+        assert set(monomials_of_degree(self.th, 0)) == {("1", "1", ()), ("2", "2", ())}
+        assert set(monomials_of_degree(self.th, 2)) == {
             self.th.path("a", "b"),
             self.th.path("b", "a"),
         }
@@ -492,7 +495,8 @@ class TestRefusals:
     )
     def test_packed_codes_refuse_a_non_tuple(self, th, m, entry):
         """A packed code is made of tuples only, so every entry point that
-        encodes the non-tuple ``{}`` refuses it through ``check_monomial``."""
+        encodes the non-tuple ``{}`` refuses it as the codec's ``encode``
+        does."""
         order = MonomialOrder(OrderKind.DEGLEX, th, tuple(th.generator_names()))
         system = RewritingSystem(th, order, ())
         one = Fraction(1)
@@ -513,7 +517,7 @@ class TestRefusals:
         monomial arithmetic does, a path where the endpoints do not meet
         at None."""
         th = THEORIES[name]
-        monomials = [m for d in range(3) for m in th.monomials_of_degree(d)]
+        monomials = [m for d in range(3) for m in monomials_of_degree(th, d)]
         leads = monomials[-12:]
         checked = 0
         for m1 in leads:
@@ -545,9 +549,102 @@ class TestRefusals:
         ],
     )
     def test_unhashable_letters_belong_to_no_theory(self, th, bad):
-        assert not th.validate_monomial(bad)
         with pytest.raises(TheoryMismatchError, match="does not belong to"):
-            th.check_monomial(bad)
+            th.deglex_codec.encode(bad)
+
+
+# Membership, which each theory's deglex codec decides: what ``encode``,
+# ``encode_context`` and the builders give for input outside the theory, as
+# (theory, call, arguments: a tuple, or a dict of keyword arguments, the
+# exception or None, its message or the value returned). A message of None
+# is the codec's own, which names the monomial or context.
+_W, _C = FreeMonoidTheory(("x", "y")), CommutativeTheory(("x", "y"))
+_M, _G = MixedTheory(("t",), ("x",)), FreeMagmaTheory(("x", "y"))
+_P = PathAlgebraTheory(("1", "2"), (("a", "1", "2"), ("b", "2", "1")))
+_BIG = 2**31
+_PACKED = "does not fit the power-product codes, whose degrees, weight sums and exponents"
+_CENTRAL = "does not fit the mixed codes, whose central degrees and exponents"
+
+
+def _outside(th, call, *values):
+    return [(th, call, (v,), TheoryMismatchError, None) for v in values]
+
+
+MEMBERSHIP = [
+    # Words: wrong types, an unhashable letter, unknown letters.
+    *_outside(_W, "encode", "x", ["x"], 5, None, (["x"],), ("x", 1), ("z",), ("x", "z")),
+    (_W, "encode_context", ((("z",), ()),), TheoryMismatchError,
+     "monomial ('z',) does not belong to assoc(x,y)"),
+    (_W, "encode_context", ("x",), TheoryMismatchError,
+     "monomial 'x' does not belong to assoc(x,y)"),
+    (_W, "word", ("z",), TheoryMismatchError, "monomial ('z',) does not belong to assoc(x,y)"),
+    (_W, "word", (["x"],), TheoryMismatchError, "monomial (['x'],) does not belong to assoc(x,y)"),
+    (_W, "word", ("x", "y"), None, ("x", "y")),
+    # Power products: wrong lengths and types and negative exponents are
+    # outside; an exponent or degree of 2^31 is too large.
+    *_outside(_C, "encode", (1,), (1, 2, 3), [1, 0], "xy", None, (-1, 0), (0, -2), (1.0, 0)),
+    *_outside(_C, "encode", ("2", 0)),
+    (_C, "encode", ((_BIG, 0),), DiamondError,
+     "monomial x^2147483648 %s stay below 2^31" % _PACKED),
+    (_C, "encode", ((0, _BIG),), DiamondError,
+     "monomial y^2147483648 %s stay below 2^31" % _PACKED),
+    (_C, "encode", ((_BIG - 1, 1),), DiamondError,
+     "monomial x^2147483647*y %s stay below 2^31" % _PACKED),
+    (_C, "encode_context", ((-1, 0),), TheoryMismatchError,
+     "monomial (-1, 0) does not belong to commutative(x,y)"),
+    (_C, "encode_context", ((_BIG, 0),), DiamondError,
+     "monomial x^2147483648 %s stay below 2^31" % _PACKED),
+    (_C, "monomial", {"z": 1}, TheoryMismatchError, "unknown variables ['z']"),
+    # Mixed monomials: the same for the central part, and unknown letters,
+    # a central variable among them, for the word, which is checked first.
+    *_outside(_M, "encode", ((0,),), ((0,), (), ()), ((0, 0), ()), [(0,), ()], "t", None),
+    *_outside(_M, "encode", ((0,), ["x"]), ((1.5,), ()), ((-1,), ()), ((0,), ("z",))),
+    *_outside(_M, "encode", ((0,), ("t",)), ((0,), (["x"],)), ((_BIG,), ("z",))),
+    (_M, "encode", (((_BIG,), ()),), DiamondError,
+     "monomial t^2147483648 %s stay below 2^31" % _CENTRAL),
+    *_outside(_M, "encode_context", ((0,), ("z",), ()), ((-1,), (), ()), ((0,), ()), None),
+    (_M, "encode_context", (((_BIG,), (), ()),), DiamondError,
+     "monomial t^2147483648 %s stay below 2^31" % _CENTRAL),
+    (_M, "monomial", {"z": 1}, TheoryMismatchError, "unknown central variables ['z']"),
+    (_M, "monomial", {"t": -1}, TheoryMismatchError,
+     "monomial ((-1,), ()) does not belong to mixed(t;x)"),
+    (_M, "monomial", {"word": ("z",)}, TheoryMismatchError,
+     "monomial ((0,), ('z',)) does not belong to mixed(t;x)"),
+    (_M, "monomial", {"word": ("t",)}, TheoryMismatchError,
+     "monomial ((0,), ('t',)) does not belong to mixed(t;x)"),
+    (_M, "monomial", {"t": _BIG}, None, ((_BIG,), ())),
+    # Trees: unknown leaves, tuples that are no products, wrong types.
+    *_outside(_G, "encode", "z", ("x", "z"), ("x", "y", "x"), ("x",), 5, None, ["x", "y"], ()),
+    *_outside(_G, "encode_context", "x", ("x", "x"), (None, None), ("z", None)),
+    (_G, "leaf", ("z",), TheoryMismatchError, "unknown letter 'z'"),
+    # Paths: wrong lengths and types, an unknown vertex or arrow, and arrows
+    # that do not compose or do not meet the endpoints.
+    *_outside(_P, "encode", ("1", "2"), ("1", "2", ("a",), ()), None, ("1", "2", ["a"])),
+    *_outside(_P, "encode", ["1", "2", ("a",)], ("3", "3", ()), ("1", "2", ("c",))),
+    *_outside(_P, "encode", ("1", "1", ("a", "a")), ("2", "2", ("a",)), ("1", "1", ("a",))),
+    *_outside(_P, "encode_context", (("1", "1", ()),), (("3", "3", ()), ("1", "1", ())), None),
+    (_P, "path", (), TheoryMismatchError, "a path needs arrows; use vertex_path for idempotents"),
+    (_P, "path", ("c",), TheoryMismatchError, "unknown arrow 'c'"),
+    (_P, "path", ("a", "a"), TheoryMismatchError, "arrows ('a', 'a') do not compose"),
+    (_P, "path", ("a", "b"), None, ("1", "1", ("a", "b"))),
+    (_P, "vertex_path", ("3",), TheoryMismatchError, "unknown vertex '3'"),
+]
+
+
+@pytest.mark.parametrize("th, call, args, error, expected", MEMBERSHIP)
+def test_membership_is_decided_by_the_codec(th, call, args, error, expected):
+    owner = th.deglex_codec if call.startswith("encode") else th
+    method = getattr(owner, call)
+    run = (lambda: method(**args)) if isinstance(args, dict) else (lambda: method(*args))
+    if error is None:
+        assert run() == expected
+        return
+    if expected is None:
+        noun = "monomial" if call == "encode" else "context"
+        expected = "%s %r does not belong to %s" % (noun, args[0], th.describe())
+    with pytest.raises(DiamondError) as info:
+        run()
+    assert (type(info.value), str(info.value)) == (error, expected)
 
 
 class TestMultiplyElements:
@@ -584,8 +681,8 @@ QUIVER = PathAlgebraTheory(("1", "2"), (("a", "1", "2"), ("b", "2", "1"), ("c", 
 def lead_pairs(theory, seed, small_degree=4):
     """Every pair of monomials below ``small_degree``, then 2000 random pairs
     up to degree 6."""
-    small = [m for d in range(small_degree) for m in theory.monomials_of_degree(d)]
-    pool = [m for d in range(7) for m in theory.monomials_of_degree(d)]
+    small = [m for d in range(small_degree) for m in monomials_of_degree(theory, d)]
+    pool = [m for d in range(7) for m in monomials_of_degree(theory, d)]
     rng = random.Random(seed)
     pairs = [(a, b) for a in small for b in small]
     pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(2000)]
@@ -608,7 +705,7 @@ class TestOverlapsMatchReference:
     def test_power_products(self):
         """Every pair of exponent vectors of degree at most 3 in 3 variables."""
         th = CommutativeTheory(("x", "y", "z"))
-        small = [m for d in range(4) for m in th.monomials_of_degree(d)]
+        small = [m for d in range(4) for m in monomials_of_degree(th, d)]
         for a in small:
             for b in small:
                 assert th.overlaps(a, b) == reference_power_product_overlaps(a, b), (a, b)
@@ -637,7 +734,7 @@ class TestOverlapsMatchReference:
         th = THEORIES[name]
         pairs = lead_pairs(th, "kernel-" + name)
         for order in shipped_orders(th):
-            index = th.lead_index([], order)
+            index = lead_index([], order)
             decode, context = index.decode, index.decode_context
             for a, b in pairs:
                 got = [
@@ -655,7 +752,7 @@ class TestOverlapsMatchReference:
         """Every tree up to degree 5 against every tree of smaller degree and
         itself, in preorder; each context plugs the lead back in."""
         th = FreeMagmaTheory(("x", "y"))
-        trees = [[]] + [list(th.monomials_of_degree(d)) for d in range(1, 6)]
+        trees = [[]] + [list(monomials_of_degree(th, d)) for d in range(1, 6)]
         for d, layer in enumerate(trees):
             leads = [t for smaller in trees[:d] for t in smaller]
             for tree in layer:

@@ -14,10 +14,12 @@ parent's ``BENCHMARK.json``.
 
 It refuses checkouts whose absolute paths differ in length, since a
 worker's peak RSS moves with the directory it runs from, and checkouts that
-hold a ``__pycache__`` directory, since cached bytecode skips the compiling
-that a fresh checkout pays. The runs set PYTHONDONTWRITEBYTECODE=1, so they
-leave none behind. Standard library only; exits 2 on a refused checkout and
-1 when a run fails.
+hold a ``__pycache__`` directory under ``src/`` or ``bench/``, since cached
+bytecode there skips the compiling that a fresh checkout pays. No run
+imports from elsewhere, such as ``tests/``, where pytest caches
+``conftest.py`` before that file can turn bytecode off. The runs set
+PYTHONDONTWRITEBYTECODE=1, so they leave none behind. Standard library
+only; exits 2 on a refused checkout and 1 when a run fails.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ def check_checkouts(parent: str, change: str) -> None:
     for root in (parent, change):
         if not os.path.isfile(os.path.join(root, "bench", "run.py")):
             raise Refused("%s has no bench/run.py" % root)
-        for path, dirs, _ in os.walk(root):
-            if "__pycache__" in dirs:
-                raise Refused("%s holds %s" % (root, os.path.join(path, "__pycache__")))
+        for top in ("src", "bench"):
+            for path, dirs, _ in os.walk(os.path.join(root, top)):
+                if "__pycache__" in dirs:
+                    raise Refused("%s holds %s" % (root, os.path.join(path, "__pycache__")))
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
